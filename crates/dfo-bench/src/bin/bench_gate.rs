@@ -9,10 +9,11 @@
 //! (byte metric regressed > 5 % or schema break), 2 = usage/parse error.
 //! Driven by `tools/bench_gate.sh` in the CI `bench-gate` job.
 
-use dfo_bench::gate::{compare, parse, Severity};
+use dfo_bench::gate::{compare, Severity};
+use dfo_obs::json::{parse, JsonValue};
 use std::process::ExitCode;
 
-fn load(path: &str) -> Result<dfo_bench::gate::Json, String> {
+fn load(path: &str) -> Result<JsonValue, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     parse(&text).map_err(|e| format!("parsing {path}: {e}"))
 }

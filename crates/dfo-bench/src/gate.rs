@@ -16,200 +16,19 @@
 //!   must evolve by updating the baseline, not by dropping metrics);
 //!   string metadata keys (`workload`, `recorded`, …) are ignored.
 //!
-//! The parser is a tiny recursive-descent JSON reader — the workspace is
-//! offline, so no serde; it supports exactly the JSON these benches emit.
+//! Documents are parsed by [`dfo_obs::json`] — the workspace's one JSON
+//! reader (it is offline, so no serde).
 
-use std::collections::BTreeMap;
+use dfo_obs::json::JsonValue;
 use std::fmt;
 
-/// A parsed JSON value.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    /// True when this subtree contains at least one number.
-    fn has_numbers(&self) -> bool {
-        match self {
-            Json::Num(_) => true,
-            Json::Arr(items) => items.iter().any(Json::has_numbers),
-            Json::Obj(map) => map.values().any(Json::has_numbers),
-            _ => false,
-        }
-    }
-}
-
-/// Parses a JSON document (object, array or scalar).
-pub fn parse(input: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn eat_literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.eat_literal("true", Json::Bool(true)),
-            Some(b'f') => self.eat_literal("false", Json::Bool(false)),
-            Some(b'n') => self.eat_literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected input at byte {}", self.pos)),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let val = self.value()?;
-            map.insert(key, val);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(map));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek().ok_or("unterminated string")? {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        other => return Err(format!("unsupported escape '\\{}'", other as char)),
-                    }
-                }
-                _ => {
-                    let start = self.pos;
-                    while self.peek().map(|b| b != b'"' && b != b'\\').unwrap_or(false) {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|e| e.to_string())?,
-                    );
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while self
-            .peek()
-            .map(|b| {
-                b.is_ascii_digit() || b == b'.' || b == b'e' || b == b'E' || b == b'+' || b == b'-'
-            })
-            .unwrap_or(false)
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
+/// True when this subtree contains at least one number.
+fn has_numbers(v: &JsonValue) -> bool {
+    match v {
+        JsonValue::Num(_) => true,
+        JsonValue::Arr(items) => items.iter().any(has_numbers),
+        JsonValue::Obj(fields) => fields.iter().any(|(_, v)| has_numbers(v)),
+        _ => false,
     }
 }
 
@@ -256,19 +75,22 @@ fn is_wall_metric(path: &str) -> bool {
 
 /// Compares `fresh` against `baseline`, returning every finding. An empty
 /// `Fail` set means the gate passes.
-pub fn compare(baseline: &Json, fresh: &Json) -> Vec<Finding> {
+pub fn compare(baseline: &JsonValue, fresh: &JsonValue) -> Vec<Finding> {
     let mut findings = Vec::new();
     walk(baseline, fresh, "$", &mut findings);
     findings
 }
 
-fn walk(base: &Json, fresh: &Json, path: &str, out: &mut Vec<Finding>) {
+fn walk(base: &JsonValue, fresh: &JsonValue, path: &str, out: &mut Vec<Finding>) {
     match (base, fresh) {
-        (Json::Obj(bm), Json::Obj(fm)) => {
-            for (k, bv) in bm {
-                match fm.get(k) {
+        (JsonValue::Obj(bm), JsonValue::Obj(_)) => {
+            // findings come out in key order, whatever order the file used
+            let mut fields: Vec<&(String, JsonValue)> = bm.iter().collect();
+            fields.sort_by(|a, b| a.0.cmp(&b.0));
+            for (k, bv) in fields {
+                match fresh.get(k) {
                     Some(fv) => walk(bv, fv, &format!("{path}.{k}"), out),
-                    None if bv.has_numbers() => out.push(Finding {
+                    None if has_numbers(bv) => out.push(Finding {
                         severity: Severity::Fail,
                         path: format!("{path}.{k}"),
                         message: "metric present in baseline but missing from fresh run \
@@ -279,8 +101,8 @@ fn walk(base: &Json, fresh: &Json, path: &str, out: &mut Vec<Finding>) {
                 }
             }
         }
-        (Json::Arr(ba), Json::Arr(fa)) => {
-            if ba.len() != fa.len() && ba.iter().any(Json::has_numbers) {
+        (JsonValue::Arr(ba), JsonValue::Arr(fa)) => {
+            if ba.len() != fa.len() && ba.iter().any(has_numbers) {
                 out.push(Finding {
                     severity: Severity::Fail,
                     path: path.into(),
@@ -292,7 +114,7 @@ fn walk(base: &Json, fresh: &Json, path: &str, out: &mut Vec<Finding>) {
                 walk(bv, fv, &format!("{path}[{i}]"), out);
             }
         }
-        (Json::Num(b), Json::Num(f)) => {
+        (JsonValue::Num(b), JsonValue::Num(f)) => {
             if is_byte_metric(path) {
                 let limit = b * (1.0 + BYTE_TOLERANCE);
                 if *f > limit {
@@ -320,7 +142,7 @@ fn walk(base: &Json, fresh: &Json, path: &str, out: &mut Vec<Finding>) {
                 }
             }
         }
-        (b, f) if std::mem::discriminant(b) != std::mem::discriminant(f) && b.has_numbers() => {
+        (b, f) if std::mem::discriminant(b) != std::mem::discriminant(f) && has_numbers(b) => {
             out.push(Finding {
                 severity: Severity::Fail,
                 path: path.into(),
@@ -334,6 +156,7 @@ fn walk(base: &Json, fresh: &Json, path: &str, out: &mut Vec<Finding>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dfo_obs::json::parse;
 
     fn fails(findings: &[Finding]) -> usize {
         findings.iter().filter(|f| f.severity == Severity::Fail).count()
@@ -346,13 +169,12 @@ mod tests {
                 "note":"free text, with ] and } inside"},"ok":true,"n":null,"f":-1.5e3}"#,
         )
         .unwrap();
-        let Json::Obj(m) = &j else { panic!("not an object") };
-        assert_eq!(m["iters"], Json::Num(5.0));
-        assert_eq!(m["f"], Json::Num(-1500.0));
-        let Json::Obj(a) = &m["a"] else { panic!() };
+        assert_eq!(j.get("iters"), Some(&JsonValue::Num(5.0)));
+        assert_eq!(j.get("f"), Some(&JsonValue::Num(-1500.0)));
+        let per_iter = j.get("a").and_then(|a| a.get("read_bytes_per_iter")).unwrap();
         assert_eq!(
-            a["read_bytes_per_iter"],
-            Json::Arr(vec![Json::Num(1.0), Json::Num(2.0), Json::Num(3.0)])
+            per_iter,
+            &JsonValue::Arr(vec![JsonValue::Num(1.0), JsonValue::Num(2.0), JsonValue::Num(3.0)])
         );
     }
 

@@ -1,9 +1,26 @@
 //! Cluster lifecycle: builds the per-node disks and network, preprocesses
 //! graphs, and runs SPMD node programs.
+//!
+//! Every way of running a node program — [`Cluster::run`],
+//! [`Cluster::run_scoped`], [`Cluster::run_distributed`],
+//! [`Cluster::run_supervised`] and [`crate::ResidentMesh::run_job_as`] —
+//! goes through one rank-launch body (`Cluster::run_rank`): the only place
+//! a [`NodeCtx`] is built and a node closure is `catch_unwind`-ed. They
+//! differ in the transport the rank runs over and in nothing else.
+//!
+//! ## The cancel-vs-poison rule
+//!
+//! A cooperative [`DfoError::Cancelled`] is a *collective* unwind — every
+//! rank agreed on it in the same all-reduce at the same `Process`-call
+//! boundary ([`NodeCtx::set_cancel_token`]) — so it **never poisons**: the
+//! mesh stays consistent for the jobs overlapping it and the ones after
+//! it. **Every other** error or panic (including a context that fails to
+//! build) poisons the mesh, so peers blocked on the failed rank get
+//! [`DfoError::NetClosed`] from their next collective instead of hanging.
 
 use crate::node::NodeCtx;
 use dfo_graph::edge::EdgeList;
-use dfo_net::{NetStats, NetTotals, SimCluster, TcpCluster, TcpOpts};
+use dfo_net::{Endpoint, NetStats, NetTotals, SimCluster, TcpCluster, TcpOpts};
 use dfo_obs::{FlightRecorder, Registry, SpanRecord, Telemetry};
 use dfo_part::plan::Plan;
 use dfo_part::preprocess::preprocess;
@@ -29,11 +46,32 @@ fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
 /// mesh failure comes back out as the typed error (retryable by supervised
 /// recovery); anything else is a deterministic bug in the program and maps
 /// to the non-retryable [`DfoError::Panic`].
-pub(crate) fn panic_to_error(panic: Box<dyn std::any::Any + Send>, rank: Rank) -> DfoError {
+pub fn panic_to_error(panic: Box<dyn std::any::Any + Send>, who: &str) -> DfoError {
     match panic.downcast::<DfoError>() {
         Ok(e) => *e,
-        Err(panic) => DfoError::Panic(format!("rank {rank}: {}", panic_message(panic))),
+        Err(panic) => DfoError::Panic(format!("{who}: {}", panic_message(panic))),
     }
+}
+
+/// Joins the TCP mesh described by `cfg.peers` as `rank` at `epoch`,
+/// blocking until every pairwise connection is up and epoch-handshaken.
+pub(crate) fn connect_mesh(cfg: &EngineConfig, rank: Rank, epoch: u64) -> Result<Endpoint> {
+    let peers = cfg.peers.as_ref().ok_or_else(|| {
+        DfoError::Config("a TCP mesh needs cfg.peers (the rank address list)".into())
+    })?;
+    if rank >= cfg.nodes {
+        return Err(DfoError::Config(format!(
+            "rank {rank} outside cluster of {} nodes",
+            cfg.nodes
+        )));
+    }
+    TcpCluster::connect(
+        rank,
+        peers,
+        cfg.net_bw,
+        cfg.record_traffic,
+        TcpOpts { connect_timeout: Duration::from_secs(cfg.connect_timeout_secs), epoch },
+    )
 }
 
 /// Reads a supervisor-published epoch file: trimmed decimal text, written
@@ -255,11 +293,7 @@ impl Cluster {
     }
 
     /// Builds the telemetry context one rank's [`NodeCtx`] runs under.
-    pub(crate) fn rank_telemetry(
-        &self,
-        rank: Rank,
-        recorder: Option<&Arc<FlightRecorder>>,
-    ) -> Telemetry {
+    fn rank_telemetry(&self, rank: Rank, recorder: Option<&Arc<FlightRecorder>>) -> Telemetry {
         let mut tele = Telemetry::new(self.registry.clone());
         for (k, v) in &self.labels {
             tele = tele.with_label(k, v);
@@ -277,16 +311,6 @@ impl Cluster {
 
     pub fn base(&self) -> &PathBuf {
         &self.base
-    }
-
-    /// This rank's shared decoded-chunk cache, if caching is on.
-    pub(crate) fn chunk_cache(&self, rank: Rank) -> Option<Arc<ChunkCache>> {
-        self.chunk_caches.get(rank).cloned()
-    }
-
-    /// The shared rollback counter contexts report into.
-    pub(crate) fn rollbacks_handle(&self) -> Arc<AtomicU64> {
-        self.rollbacks.clone()
     }
 
     pub fn disks(&self) -> &[NodeDisk] {
@@ -315,7 +339,7 @@ impl Cluster {
         T: Send,
         F: Fn(&mut NodeCtx) -> Result<T> + Sync,
     {
-        self.run_inner(None, f)
+        self.run_sim(None, f)
     }
 
     /// Like [`Cluster::run`], but every rank's *mutable* state — vertex
@@ -334,10 +358,60 @@ impl Cluster {
         T: Send,
         F: Fn(&mut NodeCtx) -> Result<T> + Sync,
     {
-        self.run_inner(Some(sub), f)
+        self.run_sim(Some(sub), f)
     }
 
-    fn run_inner<T, F>(&self, scratch_sub: Option<&str>, f: F) -> Result<Vec<T>>
+    /// The one rank-launch body: every `run*` entry point (and
+    /// [`crate::ResidentMesh::run_job_as`]) builds its [`NodeCtx`] and runs
+    /// its node closure here, and nowhere else.
+    ///
+    /// `scope` is the job-private scratch subdirectory (`None`: the node
+    /// root). `process_epoch` is `Some(epoch)` when this rank is a whole OS
+    /// process on a TCP mesh bootstrapped at `epoch` — the context then
+    /// reports that epoch and an injected crash aborts the process like a
+    /// SIGKILL — and `None` for the in-process simulation, where a crash
+    /// merely panics the node thread.
+    ///
+    /// On exit it applies the [cancel-vs-poison
+    /// rule](self#the-cancel-vs-poison-rule): `Ok` and `Cancelled` leave the
+    /// mesh alone, anything else poisons it.
+    pub(crate) fn run_rank<T>(
+        &self,
+        rank: Rank,
+        ep: Endpoint,
+        scope: Option<&str>,
+        recorder: Option<&Arc<FlightRecorder>>,
+        process_epoch: Option<u64>,
+        f: impl FnOnce(&mut NodeCtx) -> Result<T>,
+    ) -> Result<T> {
+        let disk = self.disks[rank].clone();
+        let opened = Plan::load(&disk).and_then(|plan| match scope {
+            Some(sub) => Ok((plan, disk.scoped(sub)?)),
+            None => Ok((plan, disk.clone())),
+        });
+        let (plan, scratch) = match opened {
+            Ok(o) => o,
+            Err(e) => {
+                ep.poison_collective();
+                return Err(e);
+            }
+        };
+        let mut cfg = self.cfg.clone();
+        cfg.epoch = process_epoch.unwrap_or(cfg.epoch);
+        let cache = self.chunk_caches.get(rank).cloned();
+        let mut ctx = NodeCtx::new(rank, cfg, disk, scratch, plan, ep, cache);
+        ctx.rollbacks = self.rollbacks.clone();
+        ctx.crash_abort = process_epoch.is_some();
+        ctx.set_telemetry(self.rank_telemetry(rank, recorder));
+        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut ctx)))
+            .unwrap_or_else(|panic| Err(panic_to_error(panic, &format!("rank {rank}"))));
+        if !matches!(res, Ok(_) | Err(DfoError::Cancelled(_))) {
+            ctx.net().poison_collective();
+        }
+        res
+    }
+
+    fn run_sim<T, F>(&self, scope: Option<&str>, f: F) -> Result<Vec<T>>
     where
         T: Send,
         F: Fn(&mut NodeCtx) -> Result<T> + Sync,
@@ -349,48 +423,22 @@ impl Cluster {
         let recorders: Option<Vec<Arc<FlightRecorder>>> = self.cfg.trace_path.as_ref().map(|_| {
             (0..self.cfg.nodes).map(|_| FlightRecorder::new(self.cfg.trace_capacity)).collect()
         });
-        let mut results: Vec<Option<Result<T>>> = Vec::new();
+        let mut results: Vec<Result<T>> = Vec::new();
         std::thread::scope(|s| {
             let handles: Vec<_> = endpoints
                 .into_iter()
                 .enumerate()
                 .map(|(rank, ep)| {
-                    let disk = self.disks[rank].clone();
-                    let cfg = self.cfg.clone();
-                    let cache = self.chunk_caches.get(rank).cloned();
-                    let tele = self.rank_telemetry(rank, recorders.as_ref().map(|r| &r[rank]));
+                    let recorder = recorders.as_ref().map(|r| &r[rank]);
                     let f = &f;
-                    s.spawn(move || -> Result<T> {
-                        let scratch = match scratch_sub {
-                            Some(sub) => disk.scoped(sub)?,
-                            None => disk.clone(),
-                        };
-                        let mut ctx = NodeCtx::with_disks(rank, cfg, disk, scratch, ep, cache)?;
-                        ctx.rollbacks = self.rollbacks.clone();
-                        ctx.set_telemetry(tele);
-                        let res =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut ctx)));
-                        match res {
-                            Ok(Ok(v)) => Ok(v),
-                            Ok(Err(e)) => {
-                                // a failed node can't serve its peers: abort
-                                // the collectives so they error out too
-                                ctx.net().poison_collective();
-                                Err(e)
-                            }
-                            Err(panic) => {
-                                ctx.net().poison_collective();
-                                Err(panic_to_error(panic, rank))
-                            }
-                        }
-                    })
+                    s.spawn(move || self.run_rank(rank, ep, scope, recorder, None, f))
                 })
                 .collect();
             for h in handles {
-                results.push(Some(h.join().unwrap_or_else(|panic| {
+                results.push(h.join().unwrap_or_else(|panic| {
                     let msg = panic_message(panic);
                     Err(DfoError::NetClosed(format!("node thread panicked: {msg}")))
-                })));
+                }));
             }
         });
         // satellite telemetry work happens after the run and never fails it
@@ -408,7 +456,7 @@ impl Cluster {
                 eprintln!("[dfo] warning: writing trace file {path}: {e}");
             }
         }
-        results.into_iter().map(|r| r.unwrap()).collect()
+        results.into_iter().collect()
     }
 
     /// Runs `f` as **one rank of a multi-process cluster**: joins the TCP
@@ -426,10 +474,7 @@ impl Cluster {
         rank: Rank,
         f: impl FnOnce(&mut NodeCtx) -> Result<T>,
     ) -> Result<T> {
-        let mut f = Some(f);
-        self.attempt_distributed(rank, self.cfg.epoch, None, &mut |ctx| {
-            (f.take().expect("run_distributed attempts exactly once"))(ctx)
-        })
+        self.attempt_distributed(rank, self.cfg.epoch, None, f)
     }
 
     /// Runs `f` as one rank of a multi-process cluster **with
@@ -541,45 +586,16 @@ impl Cluster {
         rank: Rank,
         epoch: u64,
         recovered_from: Option<Instant>,
-        f: &mut dyn FnMut(&mut NodeCtx) -> Result<T>,
+        f: impl FnOnce(&mut NodeCtx) -> Result<T>,
     ) -> Result<T> {
-        let peers = self.cfg.peers.clone().ok_or_else(|| {
-            DfoError::Config("run_distributed needs cfg.peers (the rank address list)".into())
-        })?;
-        if rank >= self.cfg.nodes {
-            return Err(DfoError::Config(format!(
-                "rank {rank} outside cluster of {} nodes",
-                self.cfg.nodes
-            )));
-        }
-        let ep = TcpCluster::connect(
-            rank,
-            &peers,
-            self.cfg.net_bw,
-            self.cfg.record_traffic,
-            TcpOpts { connect_timeout: Duration::from_secs(self.cfg.connect_timeout_secs), epoch },
-        )?;
+        let ep = connect_mesh(&self.cfg, rank, epoch)?;
         let stats = ep.stats_arc();
         *self.last_net.lock() = vec![stats.clone()];
         let recorder =
             self.cfg.trace_path.as_ref().map(|_| FlightRecorder::new(self.cfg.trace_capacity));
-        // the ctx sees the *current* mesh epoch (it may have advanced past
-        // cfg.epoch across recoveries) so `@epoch` crash qualifiers and
-        // diagnostics refer to the attempt actually running
-        let mut attempt_cfg = self.cfg.clone();
-        attempt_cfg.epoch = epoch;
-        let mut ctx = NodeCtx::with_chunk_cache(
-            rank,
-            attempt_cfg,
-            self.disks[rank].clone(),
-            ep,
-            self.chunk_caches.get(rank).cloned(),
-        )?;
-        ctx.rollbacks = self.rollbacks.clone();
-        ctx.set_telemetry(self.rank_telemetry(rank, recorder.as_ref()));
         if let Some(t0) = recovered_from {
             // mesh is up again: failure detection -> rebuilt mesh
-            ctx.telemetry()
+            self.rank_telemetry(rank, None)
                 .duration_histogram(
                     "dfo_recovery_seconds",
                     "Time from failure detection to a rebuilt mesh (one supervised recovery)",
@@ -587,29 +603,19 @@ impl Cluster {
                 )
                 .observe_duration(t0.elapsed());
         }
-        // multi-process deployment: an injected crash must kill the whole
-        // OS process (like a SIGKILL), not just unwind one thread
-        ctx.crash_abort = true;
-        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut ctx)));
-        let out = match res {
-            Ok(Ok(v)) => {
-                // collective: every rank ships its spans to rank 0, which
-                // writes the merged timeline. cfg.trace_path is part of the
-                // replicated config, so either all ranks enter or none do.
-                if let Some(rec) = &recorder {
-                    self.flush_distributed_trace(&mut ctx, rec);
-                }
-                Ok(v)
+        // the ctx sees the *current* mesh epoch (it may have advanced past
+        // cfg.epoch across recoveries) so `@epoch` crash qualifiers and
+        // diagnostics refer to the attempt actually running
+        let out = self.run_rank(rank, ep, None, recorder.as_ref(), Some(epoch), |ctx| {
+            let v = f(ctx)?;
+            // collective: every rank ships its spans to rank 0, which
+            // writes the merged timeline. cfg.trace_path is part of the
+            // replicated config, so either all ranks enter or none do.
+            if let Some(rec) = &recorder {
+                self.flush_distributed_trace(ctx, rec);
             }
-            Ok(Err(e)) => {
-                ctx.net().poison_collective();
-                Err(e)
-            }
-            Err(panic) => {
-                ctx.net().poison_collective();
-                Err(panic_to_error(panic, rank))
-            }
-        };
+            Ok(v)
+        });
         // fold after the trace gather so its frames are counted too
         self.net_accum.lock()[rank].add_stats(&stats);
         out

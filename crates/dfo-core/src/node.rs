@@ -102,44 +102,20 @@ pub struct NodeCtx {
 }
 
 impl NodeCtx {
-    /// Builds the context for `rank`, loading the plan replicated by
-    /// preprocessing. A fresh chunk cache is allocated from
-    /// `cfg.chunk_cache_bytes`; [`NodeCtx::with_chunk_cache`] lets an owner
-    /// (the [`crate::Cluster`]) share one across runs instead.
-    pub fn new(rank: Rank, cfg: EngineConfig, disk: NodeDisk, net: Endpoint) -> Result<Self> {
-        let cache =
-            (cfg.chunk_cache_bytes > 0).then(|| Arc::new(ChunkCache::new(cfg.chunk_cache_bytes)));
-        Self::with_chunk_cache(rank, cfg, disk, net, cache)
-    }
-
-    /// Like [`NodeCtx::new`] with an externally owned chunk cache (or
-    /// `None` to disable caching regardless of the config).
-    pub fn with_chunk_cache(
-        rank: Rank,
-        cfg: EngineConfig,
-        disk: NodeDisk,
-        net: Endpoint,
-        chunk_cache: Option<Arc<ChunkCache>>,
-    ) -> Result<Self> {
-        let scratch = disk.clone();
-        Self::with_disks(rank, cfg, disk, scratch, net, chunk_cache)
-    }
-
-    /// Like [`NodeCtx::with_chunk_cache`] with a separate *scratch* disk for
-    /// this context's mutable state (vertex arrays, checkpoints, message
-    /// spills). Graph data is read from `disk`; everything the run writes
-    /// goes to `scratch`. [`crate::Cluster::run_scoped`] uses this to give
-    /// each concurrent job a private scratch subdirectory over one shared
-    /// graph.
-    pub fn with_disks(
+    /// Builds the context for `rank` over an already-loaded `plan`. Graph
+    /// data is read from `disk`; everything the run writes (vertex arrays,
+    /// checkpoints, message spills) goes to `scratch` — the same disk, or a
+    /// job-private subdirectory of it. The one constructor, called only by
+    /// [`crate::Cluster`]'s rank-launch body.
+    pub(crate) fn new(
         rank: Rank,
         cfg: EngineConfig,
         disk: NodeDisk,
         scratch: NodeDisk,
+        plan: Plan,
         net: Endpoint,
         chunk_cache: Option<Arc<ChunkCache>>,
-    ) -> Result<Self> {
-        let plan = Plan::load(&disk)?;
+    ) -> Self {
         let mut chunk_map: Vec<Vec<Option<ChunkInfo>>> =
             (0..plan.nodes()).map(|_| vec![None; plan.n_batches(rank)]).collect();
         for c in &plan.node_meta[rank].chunks {
@@ -149,7 +125,7 @@ impl NodeCtx {
         // (the no-batching ablation) has no checkpoints to record
         let commit_log = (cfg.checkpointing && cfg.batching_enabled)
             .then(|| parking_lot::Mutex::new(CommitLog::load_or_new(scratch.clone(), COMMITS_REL)));
-        Ok(Self {
+        Self {
             rank,
             cfg,
             disk,
@@ -170,7 +146,7 @@ impl NodeCtx {
             cache_misses: AtomicU64::new(0),
             job_stats: PhaseStats::default(),
             obs: None,
-        })
+        }
     }
 
     /// Attaches a telemetry context: pre-resolves the histograms the engine
@@ -254,20 +230,10 @@ impl NodeCtx {
 
     /// The disk this context's mutable state (arrays, checkpoints, message
     /// spills) lives on. Identical to [`NodeCtx::disk`] unless the context
-    /// was built by [`crate::Cluster::run_scoped`] /
-    /// [`NodeCtx::with_disks`].
+    /// was built by a scoped run ([`crate::Cluster::run_scoped`],
+    /// [`crate::ResidentMesh::run_job_as`]).
     pub fn scratch(&self) -> &NodeDisk {
         &self.scratch
-    }
-
-    /// Consumes the context and hands back its network endpoint. A context
-    /// built over a *job view* of a shared transport (the resident mesh,
-    /// [`crate::ResidentMesh`]) does not need this — dropping the view
-    /// leaves the underlying transport connected — but owners of a
-    /// dedicated endpoint ([`crate::Cluster::run_distributed`]) use it to
-    /// reclaim the endpoint when the job's context is done with it.
-    pub fn into_net(self) -> Endpoint {
-        self.net
     }
 
     pub fn net(&self) -> &Endpoint {

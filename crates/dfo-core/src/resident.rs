@@ -5,8 +5,8 @@
 //! every call re-dials every peer, re-handshakes, and tears the transport
 //! down again. A resident service daemon amortizes that: it calls
 //! [`ResidentMesh::connect`] **once** at startup and then runs any number
-//! of jobs over the same established endpoint with [`ResidentMesh::run_job`]
-//! / [`ResidentMesh::run_job_as`], interleaved with control-plane messages
+//! of jobs over the same established endpoint with
+//! [`ResidentMesh::run_job_as`], interleaved with control-plane messages
 //! ([`ResidentMesh::ctrl_send`] / [`ResidentMesh::ctrl_recv`]) on the
 //! reserved control tag-space ([`dfo_net::CTRL_TAG_BIT`]) that can never
 //! contend with engine streams.
@@ -30,9 +30,7 @@
 //!
 //! 1. **Equal job ids across ranks.** All ranks must enter a job under the
 //!    same id ([`ResidentMesh::run_job_as`]; a coordinator assigns ids and
-//!    fans them out). [`ResidentMesh::run_job`] allocates from a local
-//!    counter and is only deterministic for meshes driven *serially* by
-//!    identical call sequences on every rank.
+//!    fans them out).
 //! 2. **One collective sequence per job.** The job's collective counter
 //!    lives on the mesh (not the view), so a post-job
 //!    [`ResidentMesh::job_barrier`] continues the job's sequence in
@@ -48,29 +46,24 @@
 //!
 //! ## Failure model
 //!
-//! * **Cooperative cancellation** is a clean collective unwind — every rank
-//!   agrees at the same `Process`-call boundary — so a cancelled job
-//!   returns [`DfoError::Cancelled`] and the mesh stays healthy for the
-//!   jobs overlapping it and the next ones.
-//! * Any **other** job failure (error or panic) poisons the mesh exactly
-//!   like `run_distributed`: survivors' collectives fail with `NetClosed`
-//!   instead of hanging — including every overlapping job, which unwinds
-//!   with a retryable error. The mesh is then dead; the daemon drains its
-//!   workers and rebuilds the mesh in place under a bumped epoch (see
-//!   `dfo-service`'s daemon), re-running retryable jobs up to their
-//!   `max_retries` bound.
+//! A resident job ends by the [cancel-vs-poison
+//! rule](crate::cluster#the-cancel-vs-poison-rule) every launch path
+//! shares: a cancelled job keeps the mesh healthy for the jobs overlapping
+//! it and the next ones; any other job failure poisons it, so every
+//! overlapping job unwinds with a retryable `NetClosed`. The mesh is then dead;
+//! the daemon drains its workers and rebuilds the mesh in place under a
+//! bumped epoch (see `dfo-service`'s daemon), re-running retryable jobs up
+//! to their `max_retries` bound.
 
-use crate::cluster::Cluster;
+use crate::cluster::{connect_mesh, Cluster};
 use crate::node::NodeCtx;
 use bytes::Bytes;
-use dfo_net::{Endpoint, TcpCluster, TcpOpts, CTRL_TAG_BIT};
-use dfo_part::plan::Plan;
+use dfo_net::{Endpoint, CTRL_TAG_BIT};
 use dfo_types::{DfoError, EngineConfig, Rank, Result};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// One rank's resident mesh endpoint. See the module docs.
 pub struct ResidentMesh {
@@ -79,10 +72,6 @@ pub struct ResidentMesh {
     /// The master view (tag namespace 0). Job views are derived per job
     /// and dropped when the job ends; the master never leaves the mesh.
     ep: Endpoint,
-    /// Job-id allocator for [`ResidentMesh::run_job`] (serial direct
-    /// callers); coordinated deployments assign ids externally and use
-    /// [`ResidentMesh::run_job_as`].
-    next_job: AtomicU64,
     /// Live jobs' collective sequence counters, so successive views of one
     /// job (the run, then [`ResidentMesh::job_barrier`]) share a sequence.
     coll_counters: Mutex<HashMap<u64, Arc<AtomicU64>>>,
@@ -95,32 +84,8 @@ impl ResidentMesh {
     /// the daemon's lifetime (or once per in-place relaunch, under a
     /// bumped `cfg.epoch`).
     pub fn connect(cfg: &EngineConfig, rank: Rank) -> Result<Self> {
-        let peers = cfg.peers.clone().ok_or_else(|| {
-            DfoError::Config("ResidentMesh::connect needs cfg.peers (the rank address list)".into())
-        })?;
-        if rank >= cfg.nodes {
-            return Err(DfoError::Config(format!(
-                "rank {rank} outside cluster of {} nodes",
-                cfg.nodes
-            )));
-        }
-        let ep = TcpCluster::connect(
-            rank,
-            &peers,
-            cfg.net_bw,
-            cfg.record_traffic,
-            TcpOpts {
-                connect_timeout: Duration::from_secs(cfg.connect_timeout_secs),
-                epoch: cfg.epoch,
-            },
-        )?;
-        Ok(Self {
-            rank,
-            nodes: cfg.nodes,
-            ep,
-            next_job: AtomicU64::new(0),
-            coll_counters: Mutex::new(HashMap::new()),
-        })
+        let ep = connect_mesh(cfg, rank, cfg.epoch)?;
+        Ok(Self { rank, nodes: cfg.nodes, ep, coll_counters: Mutex::new(HashMap::new()) })
     }
 
     pub fn rank(&self) -> Rank {
@@ -163,25 +128,6 @@ impl ResidentMesh {
         self.ep.poison_collective();
     }
 
-    /// Runs one job with a mesh-allocated id. Safe only for meshes driven
-    /// **serially with identical call sequences on every rank** (each
-    /// rank's allocator then assigns equal ids) — a concurrent coordinator
-    /// must assign ids itself and use [`ResidentMesh::run_job_as`].
-    pub fn run_job<T>(
-        &self,
-        cluster: &Cluster,
-        scope: &str,
-        f: impl FnOnce(&mut NodeCtx) -> Result<T>,
-    ) -> Result<T> {
-        let job_id = self.next_job.fetch_add(1, Ordering::SeqCst);
-        let out = self.run_job_as(job_id, cluster, scope, f);
-        // serial callers have no post-job barrier/reclaim protocol of
-        // their own; settle and reclaim here so the next job starts clean
-        let _ = self.job_barrier(job_id);
-        self.end_job(job_id);
-        out
-    }
-
     /// Runs one job over the resident mesh under the caller-assigned
     /// `job_id`, SPMD-style: every rank of the mesh must call this with
     /// the same `job_id`, `cluster` graph, `scope` and an equivalent `f`,
@@ -197,9 +143,10 @@ impl ResidentMesh {
     /// [`ResidentMesh::job_barrier`], removes the scratch, and calls
     /// [`ResidentMesh::end_job`].
     ///
-    /// A [`DfoError::Cancelled`] return leaves the mesh healthy (see the
-    /// module docs); any other failure poisons it — taking every
-    /// overlapping job down with a retryable `NetClosed`.
+    /// A [`DfoError::Cancelled`] return leaves the mesh healthy; any other
+    /// failure poisons it — taking every overlapping job down with a
+    /// retryable `NetClosed` (the shared [cancel-vs-poison
+    /// rule](crate::cluster#the-cancel-vs-poison-rule)).
     pub fn run_job_as<T>(
         &self,
         job_id: u64,
@@ -207,49 +154,17 @@ impl ResidentMesh {
         scope: &str,
         f: impl FnOnce(&mut NodeCtx) -> Result<T>,
     ) -> Result<T> {
-        let cfg = cluster.config().clone();
+        let cfg = cluster.config();
         if cfg.nodes != self.nodes {
             return Err(DfoError::Config(format!(
                 "graph cluster spans {} nodes but the resident mesh has {}",
                 cfg.nodes, self.nodes
             )));
         }
-        let disk = cluster.disks()[self.rank].clone();
-        // validate everything that can fail *before* building the job
-        // view, so a bad graph directory is a per-job error rather than
-        // the end of the mesh
-        Plan::load(&disk)?;
-        let scratch = disk.scoped(scope)?;
-        let view = self.ep.job_view(job_id, self.coll_counter(job_id));
         // a failed context build drops only the view; the master endpoint
-        // (and with it the mesh) survives
-        let mut ctx = NodeCtx::with_disks(
-            self.rank,
-            cfg,
-            disk,
-            scratch,
-            view,
-            cluster.chunk_cache(self.rank),
-        )?;
-        ctx.rollbacks = cluster.rollbacks_handle();
-        ctx.set_telemetry(cluster.rank_telemetry(self.rank, None));
-        // one-rank-per-process deployment: injected crashes kill the process
-        ctx.crash_abort = true;
-        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut ctx)));
-        match res {
-            Ok(Ok(v)) => Ok(v),
-            // a cooperative cancellation unwound every rank together at the
-            // same call boundary — the mesh is still consistent, keep it
-            Ok(Err(e @ DfoError::Cancelled(_))) => Err(e),
-            Ok(Err(e)) => {
-                ctx.net().poison_collective();
-                Err(e)
-            }
-            Err(panic) => {
-                ctx.net().poison_collective();
-                Err(crate::cluster::panic_to_error(panic, self.rank))
-            }
-        }
+        // survives it (poisoned, like any other job failure)
+        let view = self.ep.job_view(job_id, self.coll_counter(job_id));
+        cluster.run_rank(self.rank, view, Some(scope), None, Some(cfg.epoch), f)
     }
 
     /// Barrier inside job `job_id`'s namespace, continuing the job's

@@ -479,3 +479,38 @@ fn consecutive_calls_are_isolated() {
         assert_eq!(node_totals, vec![expected; 3]);
     }
 }
+
+/// A cooperative cancel is a collective unwind: when one rank's token has
+/// fired, **every** rank returns `Cancelled` — no rank may see the mesh
+/// poisoned (`NetClosed`) because a peer unwound a moment earlier.
+#[test]
+fn pre_fired_cancel_token_cancels_every_rank_and_never_poisons() {
+    use dfo_types::DfoError;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Arc;
+    const NODES: usize = 3;
+    let g = uniform(96, 400, 9);
+    let td = TempDir::new().unwrap();
+    let cluster = Cluster::create(EngineConfig::for_test(NODES), td.path()).unwrap();
+    cluster.preprocess(&g).unwrap();
+    for round in 0..240 {
+        let cancelled = AtomicUsize::new(0);
+        let res = cluster.run(|ctx| {
+            // only one rank's token is set; the rest learn of it collectively
+            let fired = ctx.rank() == round % NODES;
+            ctx.set_cancel_token(Arc::new(AtomicBool::new(fired)));
+            let x = ctx.vertex_array::<u64>("x")?;
+            let out = ctx.process_vertices(&["x"], None, move |v, c| {
+                c.set(&x, v, 1);
+                0u64
+            });
+            if matches!(out, Err(DfoError::Cancelled(_))) {
+                cancelled.fetch_add(1, Ordering::Relaxed);
+            }
+            out
+        });
+        assert!(matches!(res, Err(DfoError::Cancelled(_))), "round {round}: {res:?}");
+        let n = cancelled.load(Ordering::Relaxed);
+        assert_eq!(n, NODES, "round {round}: only {n} of {NODES} ranks returned Cancelled");
+    }
+}

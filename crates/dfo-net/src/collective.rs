@@ -73,7 +73,9 @@ impl Collective {
         while st.generation == gen && !st.poisoned {
             self.cv.wait(&mut st);
         }
-        if st.poisoned {
+        // generation first: a barrier that *completed* is `Ok` even if the
+        // last arriver poisoned before this waiter re-took the lock
+        if st.generation == gen {
             return Err(Self::poisoned_err());
         }
         Ok(())
@@ -205,5 +207,24 @@ mod tests {
             assert!(matches!(h.join().unwrap(), Err(DfoError::NetClosed(_))));
         });
         assert!(matches!(c.barrier(), Err(DfoError::NetClosed(_))));
+    }
+
+    /// A waiter whose barrier completed must get `Ok` even when the last
+    /// arriver poisons the collective the instant it returns.
+    #[test]
+    fn completed_barrier_is_ok_even_if_the_last_arriver_poisons_at_once() {
+        for round in 0..2000 {
+            let c = Collective::new(2);
+            std::thread::scope(|s| {
+                let waiter = s.spawn(|| c.barrier());
+                // arrive second, so the spawned thread is the blocked waiter
+                while c.state.lock().waiting == 0 {
+                    std::thread::yield_now();
+                }
+                c.barrier().unwrap();
+                c.poison();
+                assert!(waiter.join().unwrap().is_ok(), "round {round}: completed barrier failed");
+            });
+        }
     }
 }

@@ -15,10 +15,10 @@
 //! in-flight RPC. If the connection drops, every outstanding handle
 //! resolves to [`DfoError::NetClosed`] — a remote wait never hangs.
 
-use crate::job::JobReport;
+use crate::job::{JobReport, ResultSlot};
 use crate::wire::{self, ClientMsg, DaemonMsg, PROTO_VERSION};
 use dfo_types::{DfoError, JobSpec, JobStatus, Result};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -30,24 +30,7 @@ use std::time::{Duration, Instant};
 struct JobEntry {
     id: u64,
     status: Mutex<Option<JobStatus>>,
-    result: Mutex<Option<Result<JobReport>>>,
-    done: Condvar,
-}
-
-impl JobEntry {
-    fn new(id: u64) -> Self {
-        Self { id, status: Mutex::new(None), result: Mutex::new(None), done: Condvar::new() }
-    }
-
-    /// First terminal event wins; later ones (e.g. a NetClosed sweep after
-    /// a real report already landed) are dropped.
-    fn finish(&self, result: Result<JobReport>) {
-        let mut slot = self.result.lock();
-        if slot.is_none() {
-            *slot = Some(result);
-            self.done.notify_all();
-        }
-    }
+    result: ResultSlot,
 }
 
 struct ClientInner {
@@ -62,7 +45,13 @@ struct ClientInner {
 
 impl ClientInner {
     fn entry(&self, id: u64) -> Arc<JobEntry> {
-        self.jobs.lock().entry(id).or_insert_with(|| Arc::new(JobEntry::new(id))).clone()
+        self.jobs
+            .lock()
+            .entry(id)
+            .or_insert_with(|| {
+                Arc::new(JobEntry { id, status: Mutex::new(None), result: ResultSlot::default() })
+            })
+            .clone()
     }
 
     fn send(&self, msg: &ClientMsg) -> Result<()> {
@@ -234,34 +223,13 @@ impl RemoteJobHandle {
     /// report or typed error. A dropped daemon connection resolves every
     /// waiter with [`DfoError::NetClosed`] — this never hangs forever.
     pub fn wait(self) -> Result<JobReport> {
-        let mut slot = self.entry.result.lock();
-        loop {
-            if let Some(result) = slot.take() {
-                return result;
-            }
-            self.entry.done.wait(&mut slot);
-        }
+        self.entry.result.take(None).expect("an unbounded wait ends with the result")
     }
 
     /// Like [`RemoteJobHandle::wait`] with a deadline: yields the terminal
     /// result, or hands the handle back if the job is still in flight.
     pub fn wait_timeout(self, timeout: Duration) -> std::result::Result<Result<JobReport>, Self> {
-        let deadline = Instant::now() + timeout;
-        {
-            let mut slot = self.entry.result.lock();
-            loop {
-                if let Some(result) = slot.take() {
-                    return Ok(result);
-                }
-                let Some(left) =
-                    deadline.checked_duration_since(Instant::now()).filter(|d| !d.is_zero())
-                else {
-                    break;
-                };
-                self.entry.done.wait_for(&mut slot, left);
-            }
-        }
-        Err(self)
+        self.entry.result.take(Some(Instant::now() + timeout)).ok_or(self)
     }
 }
 
@@ -281,8 +249,8 @@ fn reader_loop(inner: Arc<ClientInner>, mut reader: TcpStream, rpc_tx: mpsc::Sen
                 let entry = inner.entry(status.id);
                 *entry.status.lock() = Some(status);
             }
-            DaemonMsg::Report { report } => inner.entry(report.id).finish(Ok(report)),
-            DaemonMsg::JobError { job_id, error } => inner.entry(job_id).finish(Err(error)),
+            DaemonMsg::Report { report } => inner.entry(report.id).result.put(Ok(report)),
+            DaemonMsg::JobError { job_id, error } => inner.entry(job_id).result.put(Err(error)),
             reply => {
                 // request reply; if no RPC is waiting the client is gone
                 if rpc_tx.send(reply).is_err() {
@@ -294,7 +262,7 @@ fn reader_loop(inner: Arc<ClientInner>, mut reader: TcpStream, rpc_tx: mpsc::Sen
     inner.dead.store(true, Ordering::Relaxed);
     // dropping rpc_tx disconnects any in-flight rpc(); sweep the handles
     for entry in inner.jobs.lock().values() {
-        entry.finish(Err(DfoError::NetClosed(
+        entry.result.put(Err(DfoError::NetClosed(
             "daemon connection closed before the job finished".into(),
         )));
     }

@@ -8,15 +8,16 @@
 //!
 //! * **Rank 0** additionally binds the job-control listener
 //!   (`cfg.control_addr` / `DFO_CONTROL_ADDR`) and accepts
-//!   [`crate::DfoClient`] connections. Client handler threads validate and
-//!   enqueue [`JobSpec`]s; the scheduler loop admits jobs off the
-//!   [scheduler](crate::sched) (priority, aging, per-client quota) against
-//!   the **live** footprint account — up to `cfg.mem_budget` of learned
-//!   estimates and [`MAX_OVERLAP`] jobs at once — and hands each admitted
-//!   job to a worker thread. The worker fans the spec to the peer ranks as
-//!   a [`PeerCmd::Run`] over the reserved control tag, runs its own rank
-//!   under the job's tag namespace, and streams status transitions,
-//!   [`JobReport`]s and typed errors back to the submitting client.
+//!   [`crate::DfoClient`] connections. Client handler threads submit
+//!   [`JobSpec`]s to the shared [executor core](crate::exec) — the same
+//!   validation, admission, retry and report code the in-process
+//!   [`crate::Service`] runs — with the overlap cap set to [`MAX_OVERLAP`];
+//!   the generation loop hands each admitted job to a worker thread. The
+//!   worker — the **mesh runner** — fans the spec to the peer ranks as a
+//!   [`PeerCmd::Run`] over the reserved control tag and runs its own rank
+//!   under the job's tag namespace; status transitions, [`JobReport`]s and
+//!   typed errors stream back to the submitting client through the job's
+//!   event sink.
 //! * **Peer ranks** sit in a follower loop: block on the next control
 //!   message from rank 0 and spawn a worker per [`PeerCmd::Run`], so the
 //!   peer enters every overlapping job that rank 0's workers fan out.
@@ -33,21 +34,23 @@
 //! [`dfo_types::PhaseStats`] and measured scratch footprint as a
 //! [`wire::RankResult`] and the job closure gathers them to rank 0 with
 //! `exchange_bytes` — no side channel, no shared filesystem assumption.
-//! The measured footprints feed the same [`FootprintEstimator`] the
-//! in-process service uses, so repeat submissions of an
-//! `(algorithm, graph)` pair are admitted against learned estimates.
+//! The measured footprints feed the executor's estimator, so repeat
+//! submissions of an `(algorithm, graph)` pair are admitted against learned
+//! estimates.
 //!
 //! ## Failure model: relaunch in place, honor retries
 //!
-//! Cooperative cancellation unwinds all ranks of that job together and
-//! leaves the mesh healthy — overlapping jobs never notice. Any other job
-//! failure poisons the mesh, taking every overlapping job down with a
-//! retryable `NetClosed`. The daemon then:
+//! Jobs end by the engine's one [cancel-vs-poison
+//! rule](dfo_core::cluster#the-cancel-vs-poison-rule): cooperative
+//! cancellation leaves the mesh healthy — overlapping jobs never notice —
+//! and any other job failure poisons it, taking every overlapping job down
+//! with a retryable `NetClosed`. The mesh runner reports that to the
+//! executor as mesh death, and the daemon then:
 //!
-//! 1. drains its workers (each failed job is either **requeued** — when its
-//!    error [`DfoError::is_retryable`] and it has attempts left under
-//!    [`JobSpec::max_retries`] — or failed to its client with the typed
-//!    error),
+//! 1. drains its workers (the executor either **requeues** each failed job
+//!    — when its error [`DfoError::is_retryable`] and it has attempts left
+//!    under [`JobSpec::max_retries`] — or fails it to its client with the
+//!    typed error),
 //! 2. rebuilds the mesh **in place** under a bumped epoch (every rank
 //!    counts one relaunch per mesh death, so epochs agree), and
 //! 3. resumes the scheduler: requeued jobs re-run on the fresh mesh, with
@@ -55,27 +58,22 @@
 //!    `dfo_job_retries_total` counter.
 //!
 //! Relaunches are bounded by `cfg.max_restarts`; past the bound the daemon
-//! fails everything still queued and exits with the poisoning error.
+//! fails everything still queued and exits with the error that killed the
+//! last mesh.
 
-use crate::catalog::validate_name;
-use crate::estimator::FootprintEstimator;
-use crate::job::JobReport;
-use crate::metrics::MetricsServer;
-use crate::sched::JobQueue;
-use crate::service::{default_estimate, CLIENT_QUOTA};
+use crate::catalog::{Catalog, CatalogEntry};
+use crate::exec::{self, Executor, Job, JobEvent, Next, RanksOut};
 use crate::wire::{self, ClientMsg, DaemonMsg, PeerCmd, RankResult, PROTO_VERSION};
-use dfo_algos::check_edge_data;
-use dfo_core::{Cluster, ResidentMesh};
+use dfo_core::ResidentMesh;
 use dfo_obs::Registry;
-use dfo_part::plan::Plan;
-use dfo_types::{DfoError, EngineConfig, JobPhase, JobSpec, JobStatus, PhaseStats, Result};
-use parking_lot::{Condvar, Mutex};
+use dfo_types::{DfoError, EngineConfig, JobSpec, Result};
+use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::net::{TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Most jobs allowed in flight on the mesh at once. Each running job keeps
 /// at most one outstanding control fan-out per peer, so this bound keeps
@@ -86,13 +84,6 @@ pub const MAX_OVERLAP: usize = match dfo_net::DEMUX_QUEUE_DEPTH / 4 {
     0 => 1,
     n => n,
 };
-
-/// One opened graph: the cluster whose disks hold the preprocessed chunks,
-/// and its replicated plan.
-struct GraphEntry {
-    cluster: Cluster,
-    plan: Plan,
-}
 
 /// The write half of one client connection, shared by the handler thread
 /// (replies) and the job workers (job events). Send failures mark the sink
@@ -115,82 +106,14 @@ impl ClientSink {
     }
 }
 
-/// One job tracked by the daemon, shared by the submitting connection's
-/// handler, the scheduler, and the worker running it.
-struct RemoteJob {
-    id: u64,
-    spec: JobSpec,
-    estimate: u64,
-    /// Rank 0's real cancel token; peers install always-false tokens and
-    /// the collective cancel check spreads this one's value to every rank.
-    cancel: Arc<AtomicBool>,
-    phase: Mutex<JobPhase>,
-    /// Attempts already consumed re-running this job after mesh deaths,
-    /// bounded by [`JobSpec::max_retries`].
-    retries: AtomicU32,
-    /// Where this job's status transitions and terminal result stream to.
-    sink: Arc<ClientSink>,
-}
-
-impl RemoteJob {
-    fn status(&self) -> JobStatus {
-        JobStatus {
-            id: self.id,
-            phase: *self.phase.lock(),
-            graph: self.spec.graph.clone(),
-            algorithm: self.spec.algorithm.clone(),
-            mem_estimate: self.estimate,
-            retries: self.retries.load(Ordering::Relaxed),
-            priority: self.spec.priority,
-            client_id: self.spec.client_id.clone(),
-        }
-    }
-
-    fn set_phase(&self, phase: JobPhase) {
-        *self.phase.lock() = phase;
-        self.sink.send(&DaemonMsg::Status { status: self.status() });
-    }
-}
-
-struct SchedState {
-    queue: JobQueue,
-    jobs: BTreeMap<u64, Arc<RemoteJob>>,
-    next_id: u64,
-    /// Jobs currently handed to workers, and the estimate bytes / per-client
-    /// counts they hold against admission.
-    running_jobs: usize,
-    running_bytes: u64,
-    running_per_client: BTreeMap<String, usize>,
-    /// First error that killed the current mesh generation; set by the
-    /// worker that saw it, cleared by the relaunch.
-    mesh_failed: Option<DfoError>,
-    shutdown: bool,
-    /// The connection that requested shutdown, owed a `ShutdownOk`.
-    shutdown_sink: Option<Arc<ClientSink>>,
-}
-
 /// Rank-0 daemon state shared between the accept/handler threads, the
-/// scheduler loop and the job workers.
+/// generation loop and the job workers.
 struct Shared {
-    cfg: EngineConfig,
-    catalog: BTreeMap<String, GraphEntry>,
-    registry: Arc<Registry>,
-    estimator: FootprintEstimator,
-    sched: Mutex<SchedState>,
-    /// Signaled on submit, cancel, shutdown and worker completion; the
-    /// scheduler waits here.
-    work: Condvar,
-}
-
-impl Shared {
-    fn sched_gauges(&self, queued: usize, running: usize) {
-        self.registry
-            .gauge("dfo_sched_queue_depth", "Jobs waiting for admission", &[])
-            .set(queued as f64);
-        self.registry
-            .gauge("dfo_sched_running_jobs", "Jobs currently admitted and running", &[])
-            .set(running as f64);
-    }
+    core: Executor,
+    /// Every job ever submitted, for `ListJobs` and `Cancel` by id.
+    jobs: Mutex<BTreeMap<u64, Arc<Job>>>,
+    /// The connection that requested shutdown, owed a `ShutdownOk`.
+    shutdown_sink: Mutex<Option<Arc<ClientSink>>>,
 }
 
 /// The resident per-rank daemon. See the module docs; in short, each rank
@@ -202,164 +125,119 @@ pub struct Daemon;
 impl Daemon {
     /// Runs one rank of the daemon mesh until a client requests shutdown
     /// (clean `Ok`) or the mesh dies past its `cfg.max_restarts` relaunch
-    /// budget (the poisoning error). Graphs are discovered under
+    /// budget (the error that killed it). Graphs are discovered under
     /// `<base>/graphs/` — preprocess them first with
     /// [`crate::Service::load_graph`] (or ship the directories); the daemon
     /// never preprocesses.
     pub fn run(cfg: EngineConfig, rank: usize, base: impl Into<PathBuf>) -> Result<()> {
-        cfg.validate().map_err(DfoError::Config)?;
         let base = base.into();
-        let registry = Registry::new();
-        let catalog = open_catalog(&cfg, &base, &registry)?;
-        if catalog.is_empty() {
-            return Err(DfoError::Config(format!(
-                "no preprocessed graphs under {}/graphs",
-                base.display()
-            )));
-        }
-        let mesh = ResidentMesh::connect(&cfg, rank)?;
         if rank == 0 {
-            run_rank0(cfg, catalog, registry, mesh)
+            // the scrape endpoint lives on rank 0 alongside the control listener
+            let core = Executor::new(cfg, base, MAX_OVERLAP)?;
+            core.catalog.open_all()?;
+            let mesh = ResidentMesh::connect(&core.cfg, 0)?;
+            run_rank0(core, mesh)
         } else {
+            let catalog = Catalog::new(cfg.clone(), base, Registry::new());
+            catalog.open_all()?;
+            let mesh = ResidentMesh::connect(&cfg, rank)?;
             run_peer(&cfg, rank, &catalog, mesh)
         }
     }
 }
 
-/// Opens every preprocessed graph under `<base>/graphs/` into the shared
-/// registry — attach-only, no preprocessing (the plan must already exist).
-fn open_catalog(
-    cfg: &EngineConfig,
-    base: &Path,
-    registry: &Arc<Registry>,
-) -> Result<BTreeMap<String, GraphEntry>> {
-    let graphs_dir = base.join("graphs");
-    let mut catalog = BTreeMap::new();
-    let entries = match std::fs::read_dir(&graphs_dir) {
-        Ok(e) => e,
-        Err(_) => return Ok(catalog), // no graphs directory yet
-    };
-    for entry in entries {
-        let entry = entry.map_err(|e| DfoError::io("listing graphs directory", e))?;
-        if !entry.path().is_dir() {
-            continue;
-        }
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if validate_name(&name).is_err() {
-            continue;
-        }
-        let cluster = Cluster::create_with_registry(
-            cfg.clone(),
-            entry.path(),
-            registry.clone(),
-            &[("graph", name.as_str())],
-        )?;
-        let plan = Plan::load(&cluster.disks()[0])?;
-        catalog.insert(name, GraphEntry { cluster, plan });
-    }
-    Ok(catalog)
-}
-
-/// Runs the SPMD body of one job on this rank over the resident mesh,
-/// under the coordinator-assigned job id, and gathers every rank's
-/// [`RankResult`] to rank 0 in-band.
-fn run_spmd_job(
+/// This rank's share of one job, on either role: run the SPMD body under
+/// the coordinator-assigned job id — every rank's [`RankResult`] gathered
+/// to rank 0 in-band — and settle. `Ok(Some(_))` on rank 0, `Ok(None)` on a
+/// peer; any `Err` but [`DfoError::Cancelled`] means the mesh is dead.
+///
+/// Settling the healthy paths (success or cooperative cancel) is a barrier
+/// in the job's namespace so no rank deletes scratch another rank still
+/// touches, then each rank removes its **own** scratch directory — correct
+/// whether the deployment shares a filesystem or not — and retires the
+/// job's namespace. When the job failed, or the mesh died under the
+/// barrier, the scratch directory is removed best-effort with no barrier,
+/// which is race-free because a retry runs under a fresh per-attempt scope.
+fn run_job_on_rank(
     mesh: &ResidentMesh,
-    entry: &GraphEntry,
+    entry: &CatalogEntry,
     spec: &JobSpec,
     job_id: u64,
     scope: &str,
     token: Arc<AtomicBool>,
 ) -> Result<Option<Vec<RankResult>>> {
-    let nodes = mesh.nodes();
-    let rank = mesh.rank();
-    mesh.run_job_as(job_id, &entry.cluster, scope, |ctx| {
-        ctx.set_cancel_token(token);
-        let algo = dfo_algos::find(&spec.algorithm).ok_or_else(|| {
-            DfoError::Config(format!("algorithm {:?} is not registered", spec.algorithm))
-        })?;
-        let output = algo.run(ctx, &spec.params)?;
-        let stats = ctx.job_phase_stats().clone();
-        let footprint = ctx.scratch().usage_bytes().unwrap_or(0);
-        let mine = RankResult { output, stats, footprint };
-        let mut outgoing = vec![Vec::new(); nodes];
+    let ran = mesh.run_job_as(job_id, entry.cluster(), scope, |ctx| {
+        let mine = exec::run_rank_job(ctx, spec, token)?;
+        let mut outgoing = vec![Vec::new(); mesh.nodes()];
         outgoing[0] = mine.encode();
         let gathered = ctx.exchange_bytes(outgoing)?;
-        if rank != 0 {
+        if mesh.rank() != 0 {
             return Ok(None);
         }
-        let mut results = Vec::with_capacity(nodes);
-        for bytes in &gathered {
-            results.push(RankResult::decode(bytes)?);
-        }
-        Ok(Some(results))
-    })
-}
-
-/// Settles one job on the healthy path (success or cooperative cancel): a
-/// barrier in the job's namespace so no rank deletes scratch another rank
-/// still touches, then each rank removes its **own** scratch directory —
-/// correct whether the deployment shares a filesystem or not — and retires
-/// the job's namespace. An `Err` means the mesh died under the barrier (or
-/// local scratch I/O failed, which the caller treats the same way); the
-/// scratch directory is then removed best-effort with no barrier, which is
-/// race-free because a retry re-runs under a fresh per-attempt scope.
-fn settle_job(mesh: &ResidentMesh, entry: &GraphEntry, job_id: u64, scope: &str) -> Result<()> {
-    let res = mesh.job_barrier(job_id).and_then(|()| {
-        let dir = entry.cluster.disks()[mesh.rank()].root().join(scope);
-        if dir.exists() {
-            std::fs::remove_dir_all(&dir)
-                .map_err(|e| DfoError::io(format!("removing scratch dir {}", dir.display()), e))?;
-        }
-        Ok(())
+        gathered.iter().map(|bytes| RankResult::decode(bytes)).collect::<Result<_>>().map(Some)
     });
+    let dir = entry.cluster().disks()[mesh.rank()].root().join(scope);
+    let settled = match &ran {
+        Ok(_) | Err(DfoError::Cancelled(_)) => mesh.job_barrier(job_id).and_then(|()| {
+            if dir.exists() {
+                std::fs::remove_dir_all(&dir).map_err(|e| {
+                    DfoError::io(format!("removing scratch dir {}", dir.display()), e)
+                })?;
+            }
+            Ok(())
+        }),
+        Err(_) => Ok(()),
+    };
     mesh.end_job(job_id);
-    if res.is_err() {
-        discard_scratch(entry, mesh.rank(), scope);
+    if ran.is_err() || settled.is_err() {
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    res
+    settled.and(ran)
 }
 
-/// Best-effort local scratch removal on the mesh-dead path (no barrier is
-/// possible; see [`settle_job`] for why this is race-free).
-fn discard_scratch(entry: &GraphEntry, rank: usize, scope: &str) {
-    let dir = entry.cluster.disks()[rank].root().join(scope);
-    let _ = std::fs::remove_dir_all(dir);
+/// Rebuilds a dead mesh in place: counts the relaunch against
+/// `cfg.max_restarts` (past it, `cause` comes back as the error), drops the
+/// old mesh and reconnects under `cfg.epoch + relaunches`. Every rank
+/// counts one relaunch per mesh death, so the epochs agree.
+fn relaunch(
+    cfg: &EngineConfig,
+    rank: usize,
+    mesh: ResidentMesh,
+    relaunches: &mut u32,
+    cause: DfoError,
+) -> Result<ResidentMesh> {
+    *relaunches += 1;
+    if *relaunches > cfg.max_restarts {
+        return Err(cause);
+    }
+    let mut relaunch_cfg = cfg.clone();
+    relaunch_cfg.epoch = cfg.epoch + *relaunches as u64;
+    eprintln!(
+        "[dfo-daemon] rank {rank} mesh died ({cause}); relaunching under epoch {} \
+         (relaunch {relaunches}/{})",
+        relaunch_cfg.epoch, cfg.max_restarts
+    );
+    drop(mesh); // release the listen port before rebinding
+    ResidentMesh::connect(&relaunch_cfg, rank)
 }
 
 // ---------------------------------------------------------------------------
 // peer ranks: the follower loop
 
-/// Peer follower: one round per mesh generation, relaunching in place —
-/// with the epoch bumped once per mesh death, in lockstep with rank 0 —
-/// until the relaunch budget runs out or rank 0 coordinates a shutdown.
+/// Peer follower: one round per mesh generation, relaunching in place — in
+/// lockstep with rank 0 — until the relaunch budget runs out or rank 0
+/// coordinates a shutdown.
 fn run_peer(
     cfg: &EngineConfig,
     rank: usize,
-    catalog: &BTreeMap<String, GraphEntry>,
-    mesh: ResidentMesh,
+    catalog: &Catalog,
+    mut mesh: ResidentMesh,
 ) -> Result<()> {
-    let mut mesh = mesh;
     let mut relaunches: u32 = 0;
     loop {
         match peer_round(catalog, &mesh) {
             Ok(()) => return Ok(()), // coordinated shutdown
-            Err(e) => {
-                relaunches += 1;
-                if relaunches > cfg.max_restarts {
-                    return Err(e);
-                }
-                let epoch = cfg.epoch + relaunches as u64;
-                eprintln!(
-                    "[dfo-daemon] rank {rank} mesh died ({e}); relaunching under epoch {epoch} \
-                     (relaunch {relaunches}/{})",
-                    cfg.max_restarts
-                );
-                drop(mesh); // release the listen port before rebinding
-                let mut relaunch_cfg = cfg.clone();
-                relaunch_cfg.epoch = epoch;
-                mesh = ResidentMesh::connect(&relaunch_cfg, rank)?;
-            }
+            Err(e) => mesh = relaunch(cfg, rank, mesh, &mut relaunches, e)?,
         }
     }
 }
@@ -369,7 +247,7 @@ fn run_peer(
 /// overlaps them. Returns `Ok` on a coordinated shutdown; `Err` when the
 /// mesh died (every spawned worker is joined either way — the
 /// generation's threads never outlive it).
-fn peer_round(catalog: &BTreeMap<String, GraphEntry>, mesh: &ResidentMesh) -> Result<()> {
+fn peer_round(catalog: &Catalog, mesh: &ResidentMesh) -> Result<()> {
     // the first *job* error this generation, preferred over the follower
     // loop's own (usually derived NetClosed) error as the reported cause
     let first_fail: Mutex<Option<DfoError>> = Mutex::new(None);
@@ -392,12 +270,16 @@ fn peer_round(catalog: &BTreeMap<String, GraphEntry>, mesh: &ResidentMesh) -> Re
                     };
                     let fail = &first_fail;
                     sc.spawn(move || {
-                        if let Err(e) = peer_job(mesh, entry, job_id, &scope, &spec) {
-                            // the mesh is dead; every rank must observe it
-                            mesh.poison();
-                            let mut f = fail.lock();
-                            if f.is_none() {
-                                *f = Some(e);
+                        // rank 0's token cancels everyone through the
+                        // collective cancel agreement; this rank never
+                        // flips its own
+                        let token = Arc::new(AtomicBool::new(false));
+                        match run_job_on_rank(mesh, &entry, &spec, job_id, &scope, token) {
+                            Ok(_) | Err(DfoError::Cancelled(_)) => {}
+                            Err(e) => {
+                                // the mesh is dead; every rank must observe it
+                                mesh.poison();
+                                fail.lock().get_or_insert(e);
                             }
                         }
                     });
@@ -412,48 +294,16 @@ fn peer_round(catalog: &BTreeMap<String, GraphEntry>, mesh: &ResidentMesh) -> Re
     }
 }
 
-/// One job on a peer rank: run the SPMD body under rank 0's job id and
-/// settle. `Err` means the mesh is dead.
-fn peer_job(
-    mesh: &ResidentMesh,
-    entry: &GraphEntry,
-    job_id: u64,
-    scope: &str,
-    spec: &JobSpec,
-) -> Result<()> {
-    // rank 0's token cancels everyone through the collective cancel
-    // agreement; this rank never flips its own
-    let token = Arc::new(AtomicBool::new(false));
-    match run_spmd_job(mesh, entry, spec, job_id, scope, token) {
-        Ok(_) | Err(DfoError::Cancelled(_)) => settle_job(mesh, entry, job_id, scope),
-        Err(e) => {
-            discard_scratch(entry, mesh.rank(), scope);
-            mesh.end_job(job_id);
-            Err(e)
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// rank 0: client listener, handlers, scheduler, workers
+// rank 0: client listener, handlers, generation loop, mesh runner
 
-fn run_rank0(
-    cfg: EngineConfig,
-    catalog: BTreeMap<String, GraphEntry>,
-    registry: Arc<Registry>,
-    mesh: ResidentMesh,
-) -> Result<()> {
-    let control_addr = cfg.control_addr.clone().ok_or_else(|| {
+fn run_rank0(core: Executor, mut mesh: ResidentMesh) -> Result<()> {
+    let control_addr = core.cfg.control_addr.clone().ok_or_else(|| {
         DfoError::Config(
             "daemon rank 0 needs cfg.control_addr (or DFO_CONTROL_ADDR) for the client listener"
                 .into(),
         )
     })?;
-    // the scrape endpoint lives on rank 0 alongside the control listener
-    let _metrics = match &cfg.metrics_addr {
-        Some(addr) => Some(MetricsServer::spawn(addr, registry.clone())?),
-        None => None,
-    };
     let listener = TcpListener::bind(&control_addr)
         .map_err(|e| DfoError::io(format!("binding control listener on {control_addr}"), e))?;
     listener
@@ -461,27 +311,13 @@ fn run_rank0(
         .map_err(|e| DfoError::io("setting control listener non-blocking", e))?;
     eprintln!(
         "[dfo-daemon] rank 0 serving {} graph(s) on {}",
-        catalog.len(),
+        core.catalog.names().len(),
         listener.local_addr().map(|a| a.to_string()).unwrap_or(control_addr.clone()),
     );
-
     let shared = Arc::new(Shared {
-        cfg,
-        catalog,
-        registry,
-        estimator: FootprintEstimator::new(),
-        sched: Mutex::new(SchedState {
-            queue: JobQueue::new(CLIENT_QUOTA),
-            jobs: BTreeMap::new(),
-            next_id: 0,
-            running_jobs: 0,
-            running_bytes: 0,
-            running_per_client: BTreeMap::new(),
-            mesh_failed: None,
-            shutdown: false,
-            shutdown_sink: None,
-        }),
-        work: Condvar::new(),
+        core,
+        jobs: Mutex::new(BTreeMap::new()),
+        shutdown_sink: Mutex::new(None),
     });
 
     // accept loop: non-blocking poll so it can observe shutdown and release
@@ -494,7 +330,7 @@ fn run_rank0(
                 std::thread::spawn(move || handle_client(shared, stream));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if accept_shared.sched.lock().shutdown {
+                if accept_shared.core.is_shutdown() {
                     return;
                 }
                 std::thread::sleep(Duration::from_millis(50));
@@ -503,370 +339,96 @@ fn run_rank0(
         }
     });
 
-    let out = executor(&shared, mesh);
+    // the generation loop: run the executor one mesh generation at a time,
+    // relaunching the mesh in place until shutdown or the relaunch budget
+    // runs out. On the fatal path everything still queued fails and
+    // shutdown is flagged (so the accept loop releases the port).
+    let core = &shared.core;
+    let mut relaunches: u32 = 0;
+    let out = loop {
+        match run_generation(core, &mesh) {
+            Ok(()) => {
+                // coordinated shutdown: stop the peers, settle the mesh
+                let cmd = PeerCmd::Shutdown.encode();
+                break (1..mesh.nodes())
+                    .try_for_each(|peer| mesh.ctrl_send(peer, cmd.clone()))
+                    .and_then(|()| mesh.barrier());
+            }
+            Err(cause) => match relaunch(&core.cfg, 0, mesh, &mut relaunches, cause) {
+                Ok(rebuilt) => {
+                    mesh = rebuilt;
+                    let registry = &core.registry;
+                    registry
+                        .counter("dfo_mesh_relaunches_total", "In-place mesh relaunches", &[])
+                        .inc();
+                    registry
+                        .gauge("dfo_mesh_epoch", "Epoch of the current mesh incarnation", &[])
+                        .set((core.cfg.epoch + relaunches as u64) as f64);
+                }
+                Err(e) => {
+                    core.abort(&e);
+                    break Err(e);
+                }
+            },
+        }
+    };
+    if let Some(sink) = shared.shutdown_sink.lock().take() {
+        sink.send(&DaemonMsg::ShutdownOk);
+    }
     let _ = accept.join();
     out
 }
 
-/// How one mesh generation of the rank-0 scheduler ended.
-enum GenEnd {
-    /// Clean coordinated shutdown: queue drained, nothing running.
-    Shutdown,
-    /// The mesh died; workers are drained and retryable jobs requeued.
-    MeshDead(DfoError),
-}
-
-/// The rank-0 executor: runs the concurrent scheduler one mesh generation
-/// at a time, relaunching the mesh in place — epoch bumped once per death,
-/// in lockstep with the peers — until shutdown or the `cfg.max_restarts`
-/// relaunch budget runs out. On the fatal path it fails everything still
-/// queued, flags shutdown (so the accept loop releases the port) and
-/// returns the poisoning error.
-fn executor(shared: &Arc<Shared>, mesh: ResidentMesh) -> Result<()> {
-    let mut mesh = mesh;
-    let mut relaunches: u32 = 0;
-    loop {
-        match run_generation(shared, &mesh) {
-            GenEnd::Shutdown => {
-                // coordinated shutdown: stop the peers, settle the mesh, ack
-                let cmd = PeerCmd::Shutdown.encode();
-                for peer in 1..mesh.nodes() {
-                    mesh.ctrl_send(peer, cmd.clone())?;
-                }
-                mesh.barrier()?;
-                let sink = shared.sched.lock().shutdown_sink.clone();
-                if let Some(sink) = sink {
-                    sink.send(&DaemonMsg::ShutdownOk);
-                }
-                return Ok(());
-            }
-            GenEnd::MeshDead(e) => {
-                relaunches += 1;
-                if relaunches > shared.cfg.max_restarts {
-                    return fatal(shared, e);
-                }
-                let epoch = shared.cfg.epoch + relaunches as u64;
-                eprintln!(
-                    "[dfo-daemon] rank 0 mesh died ({e}); relaunching under epoch {epoch} \
-                     (relaunch {relaunches}/{})",
-                    shared.cfg.max_restarts
-                );
-                shared
-                    .registry
-                    .counter("dfo_mesh_relaunches_total", "In-place mesh relaunches", &[])
-                    .inc();
-                drop(mesh); // release the listen port before rebinding
-                let mut relaunch_cfg = shared.cfg.clone();
-                relaunch_cfg.epoch = epoch;
-                mesh = match ResidentMesh::connect(&relaunch_cfg, 0) {
-                    Ok(m) => m,
-                    Err(re) => return fatal(shared, re),
-                };
-                shared
-                    .registry
-                    .gauge("dfo_mesh_epoch", "Epoch of the current mesh incarnation", &[])
-                    .set(epoch as f64);
-            }
-        }
-    }
-}
-
-/// The executor's give-up path: fail everything still queued, release the
-/// accept loop (and any pending shutdown requester), exit with the cause.
-fn fatal(shared: &Arc<Shared>, e: DfoError) -> Result<()> {
-    fail_queued(shared, &e);
-    let sink = {
-        let mut s = shared.sched.lock();
-        s.shutdown = true;
-        s.shutdown_sink.take()
-    };
-    if let Some(sink) = sink {
-        sink.send(&DaemonMsg::ShutdownOk);
-    }
-    Err(e)
-}
-
-/// One mesh generation of the concurrent scheduler: admit jobs against the
-/// live footprint account and hand each to a worker thread, until shutdown
-/// (queue drained, nothing running) or the mesh dies (workers drained,
-/// retryable jobs requeued by their workers). Worker threads never outlive
-/// the generation — the scope joins them before this returns.
-fn run_generation(shared: &Arc<Shared>, mesh: &ResidentMesh) -> GenEnd {
+/// One mesh generation: hand every job the executor admits to a worker
+/// thread, until shutdown (`Ok`: queue drained, nothing running) or the
+/// mesh dies (`Err`: workers drained, retryable jobs requeued). Worker
+/// threads never outlive the generation — the scope joins them before this
+/// returns.
+fn run_generation(core: &Executor, mesh: &ResidentMesh) -> Result<()> {
     // serializes whole control fan-outs: a control message spans several
     // frames and the demux queue is FIFO per (peer, tag)
     let ctrl = Mutex::new(());
-    std::thread::scope(|sc| {
-        loop {
-            enum Next {
-                Job(Arc<RemoteJob>),
-                End(GenEnd),
-            }
-            let next = {
-                let mut s = shared.sched.lock();
-                loop {
-                    // withdraw cancelled queued jobs wherever they sit
-                    let cancelled: Vec<u64> = s
-                        .jobs
-                        .values()
-                        .filter(|j| {
-                            j.cancel.load(Ordering::Relaxed) && *j.phase.lock() == JobPhase::Queued
-                        })
-                        .map(|j| j.id)
-                        .collect();
-                    for id in cancelled {
-                        s.queue.remove(id);
-                        if let Some(j) = s.jobs.get(&id) {
-                            *j.phase.lock() = JobPhase::Cancelled;
-                            j.sink.send(&DaemonMsg::JobError {
-                                job_id: id,
-                                error: DfoError::Cancelled("job cancelled while queued".into()),
-                            });
-                        }
+    std::thread::scope(|sc| loop {
+        match core.next(true).expect("a blocking next always has an answer") {
+            Next::Shutdown => break Ok(()),
+            Next::MeshDead(e) => break Err(e),
+            Next::Run(job) => {
+                let ctrl = &ctrl;
+                sc.spawn(move || {
+                    let mut attempt =
+                        core.attempt(&job, |job, scope| run_on_mesh(mesh, ctrl, job, scope));
+                    // the mesh outlives the attempt, and any failure but a
+                    // cooperative cancel poisoned it: make every rank (and
+                    // every overlapping job) observe that, and tell the
+                    // executor so it stops admitting until the relaunch
+                    attempt.mesh_dead =
+                        !matches!(attempt.result, Ok(_) | Err(DfoError::Cancelled(_)));
+                    if attempt.mesh_dead {
+                        mesh.poison();
                     }
-                    if s.mesh_failed.is_some() {
-                        // stop admitting; drain the workers, then relaunch
-                        if s.running_jobs == 0 {
-                            let e = s.mesh_failed.take().expect("checked above");
-                            break Next::End(GenEnd::MeshDead(e));
-                        }
-                    } else if s.shutdown && s.queue.is_empty() && s.running_jobs == 0 {
-                        break Next::End(GenEnd::Shutdown);
-                    } else if s.running_jobs < MAX_OVERLAP {
-                        let alone = s.running_jobs == 0;
-                        let budget_left = shared.cfg.mem_budget.saturating_sub(s.running_bytes);
-                        let st = &mut *s;
-                        if let Some(picked) =
-                            st.queue.pick(&st.running_per_client, budget_left, alone)
-                        {
-                            let job =
-                                s.jobs.get(&picked.id).expect("picked job is tracked").clone();
-                            s.running_jobs += 1;
-                            s.running_bytes += job.estimate;
-                            *s.running_per_client.entry(job.spec.client_id.clone()).or_insert(0) +=
-                                1;
-                            shared.sched_gauges(s.queue.len(), s.running_jobs);
-                            break Next::Job(job);
-                        }
-                    }
-                    shared.sched_gauges(s.queue.len(), s.running_jobs);
-                    shared.work.wait(&mut s);
-                }
-            };
-            match next {
-                Next::End(end) => break end,
-                Next::Job(job) => {
-                    let priority = job.spec.priority.to_string();
-                    shared
-                        .registry
-                        .counter(
-                            "dfo_sched_admitted_total",
-                            "Jobs admitted by the scheduler, by priority",
-                            &[("priority", priority.as_str())],
-                        )
-                        .inc();
-                    let ctrl = &ctrl;
-                    sc.spawn(move || worker(shared, mesh, ctrl, job));
-                }
+                    core.finish(&job, attempt);
+                });
             }
         }
     })
 }
 
-/// One admitted job, end to end, on a worker thread: run it, settle the
-/// footprint account, and — when the mesh died under it — either requeue
-/// it (retryable error, attempts left, not cancelled) or fail it to its
-/// client with the typed, retryability-preserving error.
-fn worker(shared: &Arc<Shared>, mesh: &ResidentMesh, ctrl: &Mutex<()>, job: Arc<RemoteJob>) {
-    let res = run_one_job(shared, mesh, ctrl, &job);
-    let mut requeued = false;
-    let mut terminal: Option<DaemonMsg> = None;
-    {
-        let mut s = shared.sched.lock();
-        s.running_jobs -= 1;
-        s.running_bytes = s.running_bytes.saturating_sub(job.estimate);
-        if let Some(n) = s.running_per_client.get_mut(&job.spec.client_id) {
-            *n = n.saturating_sub(1);
-            if *n == 0 {
-                s.running_per_client.remove(&job.spec.client_id);
-            }
-        }
-        if let Err(e) = res {
-            // the mesh is dead; poison so every rank (and every overlapping
-            // job) observes it instead of hanging
-            mesh.poison();
-            let attempts = job.retries.load(Ordering::Relaxed);
-            let retry = e.is_retryable()
-                && attempts < job.spec.max_retries
-                && !job.cancel.load(Ordering::Relaxed);
-            if retry {
-                job.retries.store(attempts + 1, Ordering::Relaxed);
-                shared
-                    .registry
-                    .counter(
-                        "dfo_job_retries_total",
-                        "Job re-runs after mesh deaths, honoring max_retries",
-                        &[
-                            ("graph", job.spec.graph.as_str()),
-                            ("algorithm", job.spec.algorithm.as_str()),
-                        ],
-                    )
-                    .inc();
-                *job.phase.lock() = JobPhase::Queued;
-                s.queue.push(job.id, &job.spec.client_id, job.spec.priority, job.estimate);
-                requeued = true;
-                eprintln!(
-                    "[dfo-daemon] job {} died with retryable {e}; requeued (attempt {}/{})",
-                    job.id,
-                    attempts + 1,
-                    job.spec.max_retries
-                );
-            } else {
-                shared
-                    .registry
-                    .counter(
-                        "dfo_jobs_failed_total",
-                        "Jobs that errored or were cancelled",
-                        &[
-                            ("graph", job.spec.graph.as_str()),
-                            ("algorithm", job.spec.algorithm.as_str()),
-                        ],
-                    )
-                    .inc();
-                *job.phase.lock() = JobPhase::Failed;
-                terminal =
-                    Some(DaemonMsg::JobError { job_id: job.id, error: wire::clone_error(&e) });
-            }
-            if s.mesh_failed.is_none() {
-                s.mesh_failed = Some(e);
-            }
-        }
-        shared.sched_gauges(s.queue.len(), s.running_jobs);
-    }
-    // sink writes happen outside the scheduler lock
-    if requeued {
-        job.sink.send(&DaemonMsg::Status { status: job.status() });
-    }
-    if let Some(msg) = terminal {
-        job.sink.send(&msg);
-    }
-    shared.work.notify_all();
-}
-
-/// Runs one admitted job on rank 0: fan-out (serialized whole-message),
-/// SPMD execution under the job's tag namespace, learning, and the
-/// terminal client event on the healthy paths. `Err` means the mesh is
-/// dead and the job has **no** terminal event yet — the worker decides
-/// between requeue and failure.
-fn run_one_job(
-    shared: &Arc<Shared>,
-    mesh: &ResidentMesh,
-    ctrl: &Mutex<()>,
-    job: &Arc<RemoteJob>,
-) -> Result<()> {
-    let entry = shared.catalog.get(&job.spec.graph).expect("graph validated at submit");
-    // a per-attempt scope: a re-run after a mesh death must not collide
-    // with scratch the dead attempt may have left behind
-    let scope = format!("job{}a{}", job.id, job.retries.load(Ordering::Relaxed));
-    let cmd = PeerCmd::Run { job_id: job.id, scope: scope.clone(), spec: job.spec.clone() };
-    let encoded = cmd.encode();
+/// The mesh runner: one attempt of an admitted job on rank 0 — fan-out
+/// (serialized whole-message), then this rank's share under the job's tag
+/// namespace. The shared chunk-cache window is not observable across
+/// processes, so it is reported empty.
+fn run_on_mesh(mesh: &ResidentMesh, ctrl: &Mutex<()>, job: &Job, scope: &str) -> Result<RanksOut> {
+    let cmd =
+        PeerCmd::Run { job_id: job.id, scope: scope.to_string(), spec: job.spec.clone() }.encode();
     {
         let _fanout = ctrl.lock();
         for peer in 1..mesh.nodes() {
-            mesh.ctrl_send(peer, encoded.clone())?;
+            mesh.ctrl_send(peer, cmd.clone())?;
         }
     }
-    job.set_phase(JobPhase::Running);
-    let started = Instant::now();
-    let graph = job.spec.graph.as_str();
-    let algorithm = job.spec.algorithm.as_str();
-    match run_spmd_job(mesh, entry, &job.spec, job.id, &scope, job.cancel.clone()) {
-        Ok(results) => {
-            settle_job(mesh, entry, job.id, &scope)?;
-            let results = results.expect("rank 0 gathers results");
-            let mut outputs = Vec::with_capacity(results.len());
-            let mut rank_stats = Vec::with_capacity(results.len());
-            let mut totals = PhaseStats::default();
-            let mut peak = 0u64;
-            for r in results {
-                totals.merge(&r.stats);
-                peak = peak.max(r.footprint);
-                outputs.push(r.output);
-                rank_stats.push(r.stats);
-            }
-            if peak > 0 {
-                shared.estimator.record(algorithm, graph, peak);
-                shared
-                    .registry
-                    .gauge(
-                        "dfo_sched_estimate_error_ratio",
-                        "Charged admission estimate over measured peak scratch footprint \
-                         (last completed job; >1 = over-estimate)",
-                        &[("graph", graph), ("algorithm", algorithm)],
-                    )
-                    .set(job.estimate as f64 / peak.max(1) as f64);
-            }
-            shared
-                .registry
-                .counter(
-                    "dfo_jobs_completed_total",
-                    "Jobs that ran to completion",
-                    &[("graph", graph), ("algorithm", algorithm)],
-                )
-                .inc();
-            let report = JobReport {
-                id: job.id,
-                graph: job.spec.graph.clone(),
-                algorithm: job.spec.algorithm.clone(),
-                outputs,
-                rank_stats,
-                totals,
-                cache_window: Vec::new(),
-                retries: job.retries.load(Ordering::Relaxed),
-                elapsed: started.elapsed(),
-            };
-            *job.phase.lock() = JobPhase::Done;
-            job.sink.send(&DaemonMsg::Report { report });
-            Ok(())
-        }
-        Err(e @ DfoError::Cancelled(_)) => {
-            // cooperative cancel: every rank of this job unwound together,
-            // the mesh (and every overlapping job) is untouched
-            settle_job(mesh, entry, job.id, &scope)?;
-            shared
-                .registry
-                .counter(
-                    "dfo_jobs_failed_total",
-                    "Jobs that errored or were cancelled",
-                    &[("graph", graph), ("algorithm", algorithm)],
-                )
-                .inc();
-            *job.phase.lock() = JobPhase::Cancelled;
-            job.sink.send(&DaemonMsg::JobError { job_id: job.id, error: e });
-            Ok(())
-        }
-        Err(e) => {
-            discard_scratch(entry, mesh.rank(), &scope);
-            mesh.end_job(job.id);
-            Err(e)
-        }
-    }
-}
-
-/// Fails every still-queued job after the mesh died for good.
-fn fail_queued(shared: &Arc<Shared>, cause: &DfoError) {
-    let mut s = shared.sched.lock();
-    let queued: Vec<u64> =
-        s.jobs.values().filter(|j| *j.phase.lock() == JobPhase::Queued).map(|j| j.id).collect();
-    for id in queued {
-        s.queue.remove(id);
-        if let Some(j) = s.jobs.get(&id) {
-            *j.phase.lock() = JobPhase::Failed;
-            j.sink.send(&DaemonMsg::JobError {
-                job_id: id,
-                error: DfoError::NetClosed(format!("daemon mesh died: {cause}")),
-            });
-        }
-    }
+    let ranks = run_job_on_rank(mesh, &job.entry, &job.spec, job.id, scope, job.cancel.clone())?
+        .expect("rank 0 gathers results");
+    Ok(RanksOut { ranks, cache_window: Vec::new() })
 }
 
 /// One client connection: handshake, then a request loop. Protocol
@@ -897,7 +459,7 @@ fn handle_client(shared: Arc<Shared>, stream: TcpStream) {
         },
         _ => return,
     };
-    sink.send(&DaemonMsg::HelloOk { version: PROTO_VERSION, nodes: shared.cfg.nodes as u32 });
+    sink.send(&DaemonMsg::HelloOk { version: PROTO_VERSION, nodes: shared.core.cfg.nodes as u32 });
 
     loop {
         let bytes = match wire::recv_msg(&mut reader) {
@@ -920,81 +482,43 @@ fn handle_client(shared: Arc<Shared>, stream: TcpStream) {
                 if spec.client_id.is_empty() {
                     spec.client_id = hello_client_id.clone();
                 }
-                match submit(&shared, spec, &sink) {
-                    Ok(job_id) => sink.send(&DaemonMsg::Submitted { job_id }),
+                let events = sink.clone();
+                let submitted = shared.core.submit(
+                    spec,
+                    Box::new(move |job, ev| {
+                        events.send(&match ev {
+                            JobEvent::Status => DaemonMsg::Status { status: job.status() },
+                            JobEvent::Finished(result) => match *result {
+                                Ok(report) => DaemonMsg::Report { report },
+                                Err(error) => DaemonMsg::JobError { job_id: job.id, error },
+                            },
+                        })
+                    }),
+                );
+                match submitted {
+                    Ok(job) => {
+                        let job_id = job.id;
+                        shared.jobs.lock().insert(job_id, job);
+                        sink.send(&DaemonMsg::Submitted { job_id });
+                    }
                     Err(e) => sink.send(&DaemonMsg::Error { message: e.to_string() }),
                 }
             }
             ClientMsg::Cancel { job_id } => {
-                let s = shared.sched.lock();
-                if let Some(j) = s.jobs.get(&job_id) {
-                    j.cancel.store(true, Ordering::Relaxed);
+                if let Some(job) = shared.jobs.lock().get(&job_id) {
+                    job.cancel.store(true, Ordering::Relaxed);
                 }
-                drop(s);
-                shared.work.notify_all();
+                shared.core.wake();
             }
             ClientMsg::ListJobs => {
-                let s = shared.sched.lock();
-                let jobs = s.jobs.values().map(|j| j.status()).collect();
-                drop(s);
+                let jobs = shared.jobs.lock().values().map(|j| j.status()).collect();
                 sink.send(&DaemonMsg::Jobs { jobs });
             }
             ClientMsg::Shutdown => {
-                {
-                    let mut s = shared.sched.lock();
-                    s.shutdown = true;
-                    s.shutdown_sink = Some(sink.clone());
-                }
-                shared.work.notify_all();
-                // ShutdownOk arrives from the executor once the mesh is down
+                *shared.shutdown_sink.lock() = Some(sink.clone());
+                shared.core.shutdown();
+                // ShutdownOk arrives from the generation loop once the mesh is down
             }
         }
     }
-}
-
-/// Validates and enqueues one spec (the daemon-side analogue of
-/// [`crate::Service::submit`]): graph in catalog, algorithm registered,
-/// edge payload compatible; estimate from the spec, the learned estimator,
-/// or the static hint — in that order.
-fn submit(shared: &Arc<Shared>, spec: JobSpec, sink: &Arc<ClientSink>) -> Result<u64> {
-    let entry = shared
-        .catalog
-        .get(&spec.graph)
-        .ok_or_else(|| DfoError::Config(format!("graph {:?} is not in the catalog", spec.graph)))?;
-    let algo = dfo_algos::find(&spec.algorithm).ok_or_else(|| {
-        DfoError::Config(format!(
-            "unknown algorithm {:?} (registered: {})",
-            spec.algorithm,
-            dfo_algos::registry().iter().map(|a| a.name()).collect::<Vec<_>>().join(", ")
-        ))
-    })?;
-    check_edge_data(algo, entry.plan.edge_data_bytes)?;
-    let estimate = spec
-        .mem_estimate
-        .or_else(|| shared.estimator.estimate(&spec.algorithm, &spec.graph))
-        .unwrap_or_else(|| default_estimate(algo, entry.plan.n_vertices, shared.cfg.nodes));
-    let job = {
-        let mut s = shared.sched.lock();
-        if s.shutdown {
-            return Err(DfoError::NetClosed("daemon is shutting down".into()));
-        }
-        let id = s.next_id;
-        s.next_id += 1;
-        let job = Arc::new(RemoteJob {
-            id,
-            spec,
-            estimate,
-            cancel: Arc::new(AtomicBool::new(false)),
-            phase: Mutex::new(JobPhase::Queued),
-            retries: AtomicU32::new(0),
-            sink: sink.clone(),
-        });
-        s.queue.push(id, &job.spec.client_id, job.spec.priority, estimate);
-        s.jobs.insert(id, job.clone());
-        shared.sched_gauges(s.queue.len(), s.running_jobs);
-        job
-    };
-    job.sink.send(&DaemonMsg::Status { status: job.status() });
-    shared.work.notify_all();
-    Ok(job.id)
 }

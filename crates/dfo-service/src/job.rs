@@ -1,17 +1,17 @@
-//! Job model: handles, lifecycle state, and the finished-job report.
+//! Job model: the finished-job report and the handle a submitter holds.
 //!
-//! The spec/status vocabulary ([`JobSpec`], [`JobPhase`], [`JobStatus`])
-//! lives in `dfo_types::jobspec` since the remote protocol made it a wire
-//! format; this crate re-exports it, so `dfo_service::JobSpec` keeps
-//! working. What remains here is the process-local side: the shared
-//! [`JobInner`] record and the [`JobHandle`] a submitter holds.
+//! The spec/status vocabulary ([`dfo_types::JobSpec`],
+//! [`dfo_types::JobPhase`], [`JobStatus`]) lives in `dfo_types::jobspec`
+//! since the remote protocol made it a wire format; this crate re-exports
+//! it, so `dfo_service::JobSpec` keeps working. The shared job record
+//! itself is [`crate::exec::Job`].
 
-use crate::service::ServiceInner;
+use crate::exec::{Executor, Job};
 use dfo_algos::AlgoOutput;
 use dfo_storage::ChunkCacheStats;
-use dfo_types::{DfoError, JobPhase, JobSpec, JobStatus, PhaseStats, Pod, Result};
+use dfo_types::{JobStatus, PhaseStats, Pod, Result};
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -36,7 +36,7 @@ pub struct JobReport {
     /// the job; eviction pressure in particular only exists at cache level.
     pub cache_window: Vec<ChunkCacheStats>,
     /// Retryable failures absorbed before this report was produced
-    /// ([`JobSpec::max_retries`]); 0 for a first-try success.
+    /// ([`dfo_types::JobSpec::max_retries`]); 0 for a first-try success.
     pub retries: u32,
     pub elapsed: Duration,
 }
@@ -53,54 +53,38 @@ impl JobReport {
     }
 }
 
-pub(crate) enum State {
-    Queued,
-    Running,
-    // boxed: a JobReport is large next to the unit variants
-    Finished { phase: JobPhase, result: Box<Option<Result<JobReport>>> },
+/// Where a job's single terminal result waits for its handle — the
+/// mutex+condvar both [`JobHandle`] and [`crate::RemoteJobHandle`] block on.
+#[derive(Default)]
+pub(crate) struct ResultSlot {
+    result: Mutex<Option<Result<JobReport>>>,
+    done: Condvar,
 }
 
-/// Shared core of a job, owned by its [`JobHandle`], the scheduler queue,
-/// and the worker thread running it.
-pub(crate) struct JobInner {
-    pub(crate) id: u64,
-    pub(crate) spec: JobSpec,
-    pub(crate) estimate: u64,
-    /// The cooperative token every rank's `NodeCtx` checks at
-    /// `Process`-call boundaries.
-    pub(crate) cancel: Arc<AtomicBool>,
-    /// Retryable failures absorbed so far (worker-incremented, live).
-    pub(crate) retries: AtomicU32,
-    pub(crate) state: Mutex<State>,
-    pub(crate) done: Condvar,
-}
-
-impl JobInner {
-    pub(crate) fn finish(&self, result: Result<JobReport>) {
-        let phase = match &result {
-            Ok(_) => JobPhase::Done,
-            Err(DfoError::Cancelled(_)) => JobPhase::Cancelled,
-            Err(_) => JobPhase::Failed,
-        };
-        *self.state.lock() = State::Finished { phase, result: Box::new(Some(result)) };
-        self.done.notify_all();
+impl ResultSlot {
+    /// Publishes the result; the first one wins.
+    pub fn put(&self, result: Result<JobReport>) {
+        let mut slot = self.result.lock();
+        if slot.is_none() {
+            *slot = Some(result);
+            self.done.notify_all();
+        }
     }
 
-    pub(crate) fn status(&self) -> JobStatus {
-        let phase = match &*self.state.lock() {
-            State::Queued => JobPhase::Queued,
-            State::Running => JobPhase::Running,
-            State::Finished { phase, .. } => *phase,
-        };
-        JobStatus {
-            id: self.id,
-            phase,
-            graph: self.spec.graph.clone(),
-            algorithm: self.spec.algorithm.clone(),
-            mem_estimate: self.estimate,
-            retries: self.retries.load(Ordering::Relaxed),
-            priority: self.spec.priority,
-            client_id: self.spec.client_id.clone(),
+    /// Takes the result, blocking until it is there or `deadline` passes.
+    pub fn take(&self, deadline: Option<Instant>) -> Option<Result<JobReport>> {
+        let mut slot = self.result.lock();
+        loop {
+            if slot.is_some() {
+                return slot.take();
+            }
+            match deadline {
+                None => self.done.wait(&mut slot),
+                Some(d) => {
+                    let left = d.checked_duration_since(Instant::now()).filter(|l| !l.is_zero())?;
+                    self.done.wait_for(&mut slot, left);
+                }
+            }
         }
     }
 }
@@ -108,8 +92,9 @@ impl JobInner {
 /// Tracks one submitted job. Not cloneable: [`JobHandle::wait`] consumes
 /// the handle and hands over the job's single [`JobReport`].
 pub struct JobHandle {
-    pub(crate) job: Arc<JobInner>,
-    pub(crate) svc: Weak<ServiceInner>,
+    pub(crate) job: Arc<Job>,
+    pub(crate) slot: Arc<ResultSlot>,
+    pub(crate) svc: Weak<Executor>,
 }
 
 impl std::fmt::Debug for JobHandle {
@@ -130,15 +115,10 @@ impl JobHandle {
     }
 
     /// Blocks until the job finishes and returns its report — or the error
-    /// it failed with ([`DfoError::Cancelled`] if it was cancelled).
+    /// it failed with ([`dfo_types::DfoError::Cancelled`] if it was
+    /// cancelled).
     pub fn wait(self) -> Result<JobReport> {
-        let mut st = self.job.state.lock();
-        loop {
-            if let State::Finished { result, .. } = &mut *st {
-                return result.take().expect("wait consumes the only handle");
-            }
-            self.job.done.wait(&mut st);
-        }
+        self.slot.take(None).expect("an unbounded wait ends with the result")
     }
 
     /// Like [`JobHandle::wait`], but gives up after `timeout`. On timeout
@@ -148,35 +128,20 @@ impl JobHandle {
         self,
         timeout: Duration,
     ) -> std::result::Result<Result<JobReport>, JobHandle> {
-        let deadline = Instant::now() + timeout;
-        {
-            let mut st = self.job.state.lock();
-            loop {
-                if let State::Finished { result, .. } = &mut *st {
-                    return Ok(result.take().expect("wait consumes the only handle"));
-                }
-                let Some(left) =
-                    deadline.checked_duration_since(Instant::now()).filter(|d| !d.is_zero())
-                else {
-                    break;
-                };
-                self.job.done.wait_for(&mut st, left);
-            }
-        }
-        Err(self)
+        self.slot.take(Some(Instant::now() + timeout)).ok_or(self)
     }
 
     /// Requests cooperative cancellation. A queued job is withdrawn without
     /// running; a running job's ranks observe the token at their next
     /// `Process`-call boundary, agree collectively, and unwind together —
     /// freeing the job's admission budget. [`JobHandle::wait`] then returns
-    /// [`DfoError::Cancelled`]. Idempotent; a job that already finished is
-    /// unaffected.
+    /// [`dfo_types::DfoError::Cancelled`]. Idempotent; a job that already
+    /// finished is unaffected.
     pub fn cancel(&self) {
         self.job.cancel.store(true, Ordering::Relaxed);
         // reap a queued job right away rather than when it reaches the front
         if let Some(svc) = self.svc.upgrade() {
-            ServiceInner::pump(&svc);
+            crate::service::pump(&svc);
         }
     }
 

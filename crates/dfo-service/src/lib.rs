@@ -5,47 +5,67 @@
 //! plan reload, and two workloads over the same graph serialize. This crate
 //! turns the engine into a **resident service**:
 //!
-//! * a [`Service`] owns the engine configuration and a **catalog** of loaded
-//!   graphs — each graph preprocessed once into its own [`dfo_core::Cluster`]
-//!   (own disks and per-rank chunk caches) and then shared, reference-
-//!   counted, by every job over it;
-//! * jobs are submitted as transport-agnostic [`JobSpec`]s — graph name,
+//! * a **catalog** of loaded graphs — each graph preprocessed once into its
+//!   own [`dfo_core::Cluster`] (own disks and per-rank chunk caches) and
+//!   then shared, reference-counted, by every job over it;
+//! * jobs submitted as transport-agnostic [`JobSpec`]s — graph name,
 //!   algorithm name (resolved in the [`dfo_algos::registry`]), integer
-//!   [`dfo_algos::JobParams`] — and tracked through [`JobHandle`]s with
-//!   [`JobHandle::wait`], [`JobHandle::cancel`] and [`JobHandle::stats`];
-//! * **admission control** queues a job while the running jobs' estimated
-//!   footprints would push past `mem_budget`; the scheduler admits by
-//!   [`JobSpec::priority`] with per-client fair share and aging against
-//!   starvation, and its footprint estimates are **learned**: each
+//!   [`dfo_algos::JobParams`];
+//! * **admission control** that queues a job while the running jobs'
+//!   estimated footprints would push past `mem_budget`; jobs are admitted
+//!   by [`JobSpec::priority`] with per-client fair share and aging against
+//!   starvation, and the footprint estimates are **learned**: each
 //!   completed job's measured peak scratch usage feeds an EWMA per
 //!   `(algorithm, graph)` that replaces the static per-vertex hint on the
 //!   next submission;
-//! * concurrent jobs over one graph are isolated by per-job scratch
-//!   directories ([`dfo_core::Cluster::run_scoped`]) while sharing the
-//!   graph's chunk caches and disk/network throttles, and a cooperative
-//!   cancellation token is checked collectively at every `Process`-call
-//!   boundary;
-//! * each finished job yields a [`JobReport`]: per-rank outputs, per-job
+//! * a bounded **retry** policy: an attempt that fails retryably with
+//!   attempts left under [`JobSpec::max_retries`] re-enters the queue, under
+//!   a fresh per-attempt scratch scope;
+//! * isolation of concurrent jobs over one graph by per-attempt scratch
+//!   directories, while they share the graph's chunk caches and
+//!   disk/network throttles, and a cooperative cancellation token checked
+//!   collectively at every `Process`-call boundary;
+//! * a [`JobReport`] per finished job: per-rank outputs, per-job
 //!   [`dfo_types::PhaseStats`] totals (chunk-cache hits and misses counted
 //!   at the job's own lookup sites, so concurrent jobs cannot pollute each
-//!   other's numbers), and the shared caches' counter deltas over the job's
-//!   wall-clock window.
-//!
+//!   other's numbers), and — where observable — the shared caches' counter
+//!   deltas over the job's wall-clock window;
 //! * observability: every graph's cluster feeds one shared
 //!   [`dfo_obs::Registry`] (series labeled `graph`/`rank`), jobs add
-//!   per-job cache counters, and `cfg.metrics_addr` (or
+//!   scheduler and per-job series, and `cfg.metrics_addr` (or
 //!   `DFO_METRICS_ADDR`) exposes it all through a [`MetricsServer`] scrape
 //!   endpoint — `GET /metrics` for Prometheus text, `GET /metrics.json`
 //!   for a JSON snapshot.
 //!
-//! Single-node multi-job first: jobs run over the in-process mesh. The
-//! [`JobSpec`] carries no process-local state, so a transport layer can be
-//! put in front of [`Service::submit`] without touching the job model.
+//! ## One executor, two front-ends
+//!
+//! All of the above is decided in one place, the executor core (`exec.rs`):
+//! submit validation, the admission step, the retry decision, report
+//! assembly and the metric families exist exactly once. The two front-ends
+//! differ only in *how one attempt runs on the ranks* and *where a job's
+//! events go*:
+//!
+//! * [`Service`] — in-process. Each attempt runs through
+//!   [`dfo_core::Cluster::run_scoped`] on a fresh simulated mesh (whose
+//!   collectives ignore tags, so it cannot host overlapping jobs on one
+//!   mesh — and needs no overlap cap); the submitter holds a [`JobHandle`].
+//! * [`Daemon`] + [`DfoClient`] — one process per rank over a resident TCP
+//!   mesh. Rank 0 fans each admitted attempt out to the peers and every
+//!   rank runs it through [`dfo_core::ResidentMesh::run_job_as`] in the
+//!   job's own tag namespace; job events stream to the submitting client's
+//!   [`RemoteJobHandle`]. A failed attempt kills the mesh, so the daemon
+//!   drains, relaunches it in place and lets the executor's retry rule
+//!   decide what re-runs.
+//!
+//! Underneath both, every rank of every attempt goes through the engine's
+//! single rank-launch body and its one [cancel-vs-poison
+//! rule](dfo_core::cluster#the-cancel-vs-poison-rule).
 
 mod catalog;
 mod client;
 mod daemon;
 mod estimator;
+mod exec;
 mod job;
 mod metrics;
 mod sched;

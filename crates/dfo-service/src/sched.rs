@@ -29,6 +29,9 @@ pub(crate) const STARVE_WAITS: u64 = 32;
 /// One queued job as the scheduler sees it.
 #[derive(Clone, Debug)]
 pub(crate) struct SchedEntry {
+    /// Job id. Ids are assigned in submission order, so the id is also the
+    /// final tie-break — and a job requeued for a retry keeps its place
+    /// among its priority peers.
     pub id: u64,
     /// Fair-share bucket ([`dfo_types::JobSpec::client_id`]; empty =
     /// anonymous, itself one bucket).
@@ -37,8 +40,6 @@ pub(crate) struct SchedEntry {
     /// Admission-control footprint in bytes (what the job will charge
     /// against `mem_budget` while running).
     pub estimate: u64,
-    /// Submission order, the final tie-break.
-    seq: u64,
     /// Times this entry was passed over by a pick.
     waits: u64,
 }
@@ -55,25 +56,21 @@ impl SchedEntry {
 /// acts on the returned entry.
 pub(crate) struct JobQueue {
     entries: Vec<SchedEntry>,
-    next_seq: u64,
     /// Max running jobs per client while other clients wait (fair share).
     quota: usize,
 }
 
 impl JobQueue {
     pub fn new(quota: usize) -> Self {
-        Self { entries: Vec::new(), next_seq: 0, quota: quota.max(1) }
+        Self { entries: Vec::new(), quota: quota.max(1) }
     }
 
     pub fn push(&mut self, id: u64, client: &str, priority: i32, estimate: u64) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
         self.entries.push(SchedEntry {
             id,
             client: client.to_string(),
             priority,
             estimate,
-            seq,
             waits: 0,
         });
     }
@@ -120,7 +117,7 @@ impl JobQueue {
                         // fewer running jobs for your client wins the tie
                         .then(running(&b.client).cmp(&running(&a.client)))
                         // then strict submission order
-                        .then(b.seq.cmp(&a.seq))
+                        .then(b.id.cmp(&a.id))
                 })
                 .map(|(i, _)| i)
         };
@@ -171,7 +168,7 @@ mod tests {
         q.push(1, "a", 0, 1);
         q.push(2, "a", 10, 1);
         q.push(3, "a", 5, 1);
-        q.push(4, "a", 10, 1); // same priority as 2, later seq
+        q.push(4, "a", 10, 1); // same priority as 2, submitted later
         assert_eq!(drain(&mut q), vec![2, 4, 3, 1]);
     }
 
@@ -199,7 +196,7 @@ mod tests {
     fn fair_share_prefers_the_idle_client() {
         let mut q = JobQueue::new(usize::MAX);
         q.push(1, "busy", 0, 1);
-        q.push(2, "idle", 0, 1); // same priority, later seq — but idle client
+        q.push(2, "idle", 0, 1); // same priority, submitted later — but idle client
         let mut running = BTreeMap::new();
         running.insert("busy".to_string(), 3usize);
         let picked = q.pick(&running, u64::MAX, false).unwrap();
@@ -309,6 +306,18 @@ mod tests {
         };
         assert!(wait_rounds(80) > 0, "static over-estimate must serialize");
         assert_eq!(wait_rounds(20), 0, "learned estimate admits immediately");
+    }
+
+    #[test]
+    fn a_requeued_job_keeps_its_submission_place() {
+        let mut q = JobQueue::new(usize::MAX);
+        q.push(1, "a", 0, 1);
+        q.push(2, "a", 0, 1);
+        q.push(3, "a", 0, 1);
+        assert_eq!(q.pick(&no_running(), u64::MAX, true).unwrap().id, 1);
+        // job 1 fails retryably and re-enters: still ahead of 2 and 3
+        q.push(1, "a", 0, 1);
+        assert_eq!(drain(&mut q), vec![1, 2, 3]);
     }
 
     #[test]

@@ -1,77 +1,14 @@
-//! The resident engine: catalog management, admission control, execution.
+//! The in-process front-end: catalog API, the in-process runner, handles.
 
-use crate::catalog::{validate_name, CatalogEntry};
-use crate::estimator::FootprintEstimator;
-use crate::job::{JobHandle, JobInner, JobReport, State};
-use crate::metrics::MetricsServer;
-use crate::sched::JobQueue;
-use dfo_algos::{check_edge_data, Algorithm};
-use dfo_core::Cluster;
+use crate::catalog::CatalogEntry;
+use crate::exec::{self, Executor, Job, JobEvent, Next, RanksOut};
+use crate::job::{JobHandle, ResultSlot};
 use dfo_graph::EdgeList;
 use dfo_obs::Registry;
-use dfo_types::{DfoError, EngineConfig, JobSpec, PhaseStats, Pod, Result};
-use parking_lot::{Condvar, Mutex};
-use std::collections::BTreeMap;
+use dfo_types::{EngineConfig, JobSpec, Pod, Result};
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
-
-/// Fair-share quota: jobs one client may have running while other clients'
-/// admissible jobs wait (the scheduler is work-conserving, so the quota
-/// never idles free budget — see [`crate::sched`]).
-pub(crate) const CLIENT_QUOTA: usize = 2;
-
-/// A queued job together with everything resolved at submit time: the
-/// catalog entry `Arc` (pinning the graph for the job's lifetime) and the
-/// registry algorithm.
-struct Pending {
-    job: Arc<JobInner>,
-    entry: Arc<CatalogEntry>,
-    algo: &'static dyn Algorithm,
-}
-
-/// Admission state: bytes charged by running jobs, and the prioritized
-/// queue of jobs waiting for budget (ordering lives in [`JobQueue`]; the
-/// per-id [`Pending`] records carry the resolved graph and algorithm).
-struct Sched {
-    running_bytes: u64,
-    running_jobs: usize,
-    /// Running jobs per client id — the fair-share state [`JobQueue::pick`]
-    /// consults.
-    running_per_client: BTreeMap<String, usize>,
-    queue: JobQueue,
-    pending: BTreeMap<u64, Pending>,
-}
-
-impl Default for Sched {
-    fn default() -> Self {
-        Self {
-            running_bytes: 0,
-            running_jobs: 0,
-            running_per_client: BTreeMap::new(),
-            queue: JobQueue::new(CLIENT_QUOTA),
-            pending: BTreeMap::new(),
-        }
-    }
-}
-
-pub(crate) struct ServiceInner {
-    cfg: EngineConfig,
-    base: PathBuf,
-    catalog: Mutex<BTreeMap<String, Arc<CatalogEntry>>>,
-    sched: Mutex<Sched>,
-    next_id: AtomicU64,
-    /// One registry shared by every loaded graph's cluster (each labeled
-    /// `graph=<name>`) plus the service's own per-job series.
-    registry: Arc<Registry>,
-    /// Scrape endpoint; present when `cfg.metrics_addr` is set.
-    metrics: Option<MetricsServer>,
-    /// Learned admission footprints per `(algorithm, graph)`, fed by every
-    /// completed job's measured peak scratch usage.
-    estimator: FootprintEstimator,
-}
 
 /// A resident engine owning a graph [catalog](CatalogEntry) and a job
 /// queue. See the crate docs for the model; in short:
@@ -91,7 +28,10 @@ pub(crate) struct ServiceInner {
 ///
 /// `Service` is cheap to share behind an `Arc`; all methods take `&self`.
 pub struct Service {
-    inner: Arc<ServiceInner>,
+    /// The shared executor core. The in-process transport's collectives
+    /// ignore tags, so every attempt runs on a fresh simulated mesh and the
+    /// overlap cap is unbounded (`mem_budget` alone gates admission).
+    core: Arc<Executor>,
 }
 
 impl Service {
@@ -100,40 +40,23 @@ impl Service {
     /// graph's node directories. The config is shared by every graph and
     /// job; `cfg.mem_budget` doubles as the admission-control budget.
     pub fn new(cfg: EngineConfig, base: impl Into<PathBuf>) -> Result<Self> {
-        cfg.validate().map_err(DfoError::Config)?;
-        let registry = Registry::new();
-        let metrics = match &cfg.metrics_addr {
-            Some(addr) => Some(MetricsServer::spawn(addr, registry.clone())?),
-            None => None,
-        };
-        Ok(Self {
-            inner: Arc::new(ServiceInner {
-                cfg,
-                base: base.into(),
-                catalog: Mutex::new(BTreeMap::new()),
-                sched: Mutex::new(Sched::default()),
-                next_id: AtomicU64::new(0),
-                registry,
-                metrics,
-                estimator: FootprintEstimator::new(),
-            }),
-        })
+        Ok(Self { core: Arc::new(Executor::new(cfg, base.into(), usize::MAX)?) })
     }
 
     pub fn config(&self) -> &EngineConfig {
-        &self.inner.cfg
+        &self.core.cfg
     }
 
     /// The registry every graph cluster and per-job counter feeds; what the
     /// scrape endpoint serves.
     pub fn registry(&self) -> &Arc<Registry> {
-        &self.inner.registry
+        &self.core.registry
     }
 
     /// The bound scrape-endpoint address (`cfg.metrics_addr` with port 0
     /// resolved), or `None` when the endpoint is off.
     pub fn metrics_addr(&self) -> Option<SocketAddr> {
-        self.inner.metrics.as_ref().map(|m| m.addr())
+        self.core.metrics.as_ref().map(|m| m.addr())
     }
 
     /// Preprocesses `g` once under `name` and adds it to the catalog. Every
@@ -145,30 +68,7 @@ impl Service {
         name: &str,
         g: &EdgeList<E>,
     ) -> Result<Arc<CatalogEntry>> {
-        validate_name(name)?;
-        // preprocess outside the catalog lock (it is slow); the name is
-        // checked again before insert, so a concurrent load of the same
-        // name errors rather than replacing an entry jobs may already hold
-        {
-            let catalog = self.inner.catalog.lock();
-            if catalog.contains_key(name) {
-                return Err(DfoError::Config(format!("graph {name:?} is already loaded")));
-            }
-        }
-        let cluster = Cluster::create_with_registry(
-            self.inner.cfg.clone(),
-            self.inner.base.join("graphs").join(name),
-            self.inner.registry.clone(),
-            &[("graph", name)],
-        )?;
-        let plan = cluster.preprocess(g)?;
-        let entry = Arc::new(CatalogEntry { name: name.to_string(), cluster, plan });
-        let mut catalog = self.inner.catalog.lock();
-        if catalog.contains_key(name) {
-            return Err(DfoError::Config(format!("graph {name:?} is already loaded")));
-        }
-        catalog.insert(name.to_string(), entry.clone());
-        Ok(entry)
+        self.core.catalog.load(name, g)
     }
 
     /// Attaches a graph that is **already preprocessed** under
@@ -177,56 +77,24 @@ impl Service {
     /// catalog, and how a process that didn't do the preprocessing itself
     /// serves a shipped graph directory.
     pub fn open_graph(&self, name: &str) -> Result<Arc<CatalogEntry>> {
-        validate_name(name)?;
-        {
-            let catalog = self.inner.catalog.lock();
-            if catalog.contains_key(name) {
-                return Err(DfoError::Config(format!("graph {name:?} is already loaded")));
-            }
-        }
-        let dir = self.inner.base.join("graphs").join(name);
-        if !dir.is_dir() {
-            return Err(DfoError::Config(format!(
-                "graph {name:?} has no preprocessed directory at {}",
-                dir.display()
-            )));
-        }
-        let cluster = Cluster::create_with_registry(
-            self.inner.cfg.clone(),
-            dir,
-            self.inner.registry.clone(),
-            &[("graph", name)],
-        )?;
-        let plan = dfo_part::plan::Plan::load(&cluster.disks()[0])?;
-        let entry = Arc::new(CatalogEntry { name: name.to_string(), cluster, plan });
-        let mut catalog = self.inner.catalog.lock();
-        if catalog.contains_key(name) {
-            return Err(DfoError::Config(format!("graph {name:?} is already loaded")));
-        }
-        catalog.insert(name.to_string(), entry.clone());
-        Ok(entry)
+        self.core.catalog.open(name)
     }
 
     /// Removes `name` from the catalog. Jobs already submitted over it keep
     /// their reference-counted entry (and finish normally); new submissions
     /// no longer resolve the name.
     pub fn unload_graph(&self, name: &str) -> Result<()> {
-        self.inner
-            .catalog
-            .lock()
-            .remove(name)
-            .map(|_| ())
-            .ok_or_else(|| DfoError::Config(format!("graph {name:?} is not loaded")))
+        self.core.catalog.unload(name)
     }
 
     /// Loaded graph names, sorted.
     pub fn graphs(&self) -> Vec<String> {
-        self.inner.catalog.lock().keys().cloned().collect()
+        self.core.catalog.names()
     }
 
     /// The catalog entry for `name`, if loaded.
     pub fn graph(&self, name: &str) -> Option<Arc<CatalogEntry>> {
-        self.inner.catalog.lock().get(name).cloned()
+        self.core.catalog.get(name)
     }
 
     /// Submits a job. Resolution (graph in catalog, algorithm in registry,
@@ -238,46 +106,26 @@ impl Service {
     /// charge is, in order: the spec's explicit `mem_estimate`; the learned
     /// estimate from earlier completed runs of the same
     /// `(algorithm, graph)`; the static per-vertex hint. The returned
-    /// handle is the only way to get the job's [`JobReport`].
+    /// handle is the only way to get the job's [`crate::JobReport`].
     pub fn submit(&self, spec: JobSpec) -> Result<JobHandle> {
-        let entry = self.graph(&spec.graph).ok_or_else(|| {
-            DfoError::Config(format!("graph {:?} is not in the catalog", spec.graph))
-        })?;
-        let algo = dfo_algos::find(&spec.algorithm).ok_or_else(|| {
-            DfoError::Config(format!(
-                "unknown algorithm {:?} (registered: {})",
-                spec.algorithm,
-                dfo_algos::registry().iter().map(|a| a.name()).collect::<Vec<_>>().join(", ")
-            ))
-        })?;
-        check_edge_data(algo, entry.plan.edge_data_bytes)?;
-        let estimate = spec
-            .mem_estimate
-            .or_else(|| self.inner.estimator.estimate(&spec.algorithm, &spec.graph))
-            .unwrap_or_else(|| default_estimate(algo, entry.plan.n_vertices, self.inner.cfg.nodes));
-        let job = Arc::new(JobInner {
-            id: self.inner.next_id.fetch_add(1, Ordering::Relaxed),
-            spec,
-            estimate,
-            cancel: Arc::new(AtomicBool::new(false)),
-            retries: AtomicU32::new(0),
-            state: Mutex::new(State::Queued),
-            done: Condvar::new(),
-        });
-        {
-            let mut s = self.inner.sched.lock();
-            s.queue.push(job.id, &job.spec.client_id, job.spec.priority, estimate);
-            s.pending.insert(job.id, Pending { job: job.clone(), entry, algo });
-        }
-        ServiceInner::pump(&self.inner);
-        Ok(JobHandle { job, svc: Arc::downgrade(&self.inner) })
+        let slot = Arc::new(ResultSlot::default());
+        let sink = slot.clone();
+        // the handle reads status live off the job; only the terminal
+        // result needs delivering
+        let events = move |_: &Job, ev| {
+            if let JobEvent::Finished(result) = ev {
+                sink.put(*result);
+            }
+        };
+        let job = self.core.submit(spec, Box::new(events))?;
+        pump(&self.core);
+        Ok(JobHandle { job, slot, svc: Arc::downgrade(&self.core) })
     }
 
     /// Jobs currently charged against the admission budget / waiting in the
     /// queue — `(running, queued)`.
     pub fn job_counts(&self) -> (usize, usize) {
-        let s = self.inner.sched.lock();
-        (s.running_jobs, s.queue.len())
+        self.core.counts()
     }
 
     /// The learned admission footprint for `(algorithm, graph)` — present
@@ -285,283 +133,41 @@ impl Service {
     /// measured peak scratch usage. What [`Service::submit`] charges when
     /// the spec has no explicit `mem_estimate`.
     pub fn learned_estimate(&self, algorithm: &str, graph: &str) -> Option<u64> {
-        self.inner.estimator.estimate(algorithm, graph)
+        self.core.estimator.estimate(algorithm, graph)
     }
 }
 
-/// Default admission footprint: the algorithm's per-vertex state hint times
-/// this node's share of the vertices — the mutable working set the engine
-/// will batch through `mem_budget`.
-pub(crate) fn default_estimate(algo: &dyn Algorithm, n_vertices: u64, nodes: usize) -> u64 {
-    let per_node = n_vertices.div_ceil(nodes.max(1) as u64);
-    (algo.state_bytes_per_vertex() * per_node).max(1)
-}
-
-impl ServiceInner {
-    /// Admits as many jobs as the scheduler allows. Called whenever the
-    /// queue or the budget changes (submit, job completion, cancellation);
-    /// safe to call concurrently. Each round asks [`JobQueue::pick`] for
-    /// the best admissible job — priority first, per-client fair share on
-    /// ties, aging against starvation — under the remaining `mem_budget`;
-    /// a job whose estimate alone exceeds the budget is still admitted once
-    /// it runs alone, because the engine degrades gracefully when a working
-    /// set overruns `mem_budget` (it batches harder).
-    pub(crate) fn pump(inner: &Arc<ServiceInner>) {
-        loop {
-            let pending = {
-                let mut guard = inner.sched.lock();
-                let s = &mut *guard;
-                // withdraw cancelled jobs wherever they sit in the queue
-                let cancelled: Vec<u64> = s
-                    .pending
-                    .iter()
-                    .filter(|(_, p)| p.job.cancel.load(Ordering::Relaxed))
-                    .map(|(id, _)| *id)
-                    .collect();
-                if !cancelled.is_empty() {
-                    let mut withdrawn = Vec::new();
-                    for id in cancelled {
-                        s.queue.remove(id);
-                        if let Some(p) = s.pending.remove(&id) {
-                            withdrawn.push(p.job);
-                        }
-                    }
-                    drop(guard);
-                    for job in withdrawn {
-                        job.finish(Err(DfoError::Cancelled(
-                            "job cancelled while queued".to_string(),
-                        )));
-                    }
-                    continue;
-                }
-                let alone = s.running_jobs == 0;
-                let budget_left = inner.cfg.mem_budget.saturating_sub(s.running_bytes);
-                let picked = s.queue.pick(&s.running_per_client, budget_left, alone);
-                let Some(entry) = picked else {
-                    ServiceInner::sched_gauges(inner, s.queue.len(), s.running_jobs);
-                    return;
-                };
-                let p = s.pending.remove(&entry.id).expect("picked job has a pending record");
-                s.running_bytes += p.job.estimate;
-                s.running_jobs += 1;
-                *s.running_per_client.entry(entry.client.clone()).or_insert(0) += 1;
-                ServiceInner::sched_gauges(inner, s.queue.len(), s.running_jobs);
-                p
-            };
-            let priority = pending.job.spec.priority.to_string();
-            inner
-                .registry
-                .counter(
-                    "dfo_sched_admitted_total",
-                    "Jobs admitted by the scheduler, by priority",
-                    &[("priority", priority.as_str())],
-                )
-                .inc();
-            *pending.job.state.lock() = State::Running;
-            let inner = inner.clone();
-            std::thread::spawn(move || {
-                let result = ServiceInner::execute_with_retries(&inner, &pending);
-                {
-                    let mut s = inner.sched.lock();
-                    s.running_bytes -= pending.job.estimate;
-                    s.running_jobs -= 1;
-                    let client = pending.job.spec.client_id.clone();
-                    if let Some(n) = s.running_per_client.get_mut(&client) {
-                        *n -= 1;
-                        if *n == 0 {
-                            s.running_per_client.remove(&client);
-                        }
-                    }
-                }
-                pending.job.finish(result);
-                ServiceInner::pump(&inner);
-            });
-        }
-    }
-
-    /// Refreshes the scheduler gauges (queue depth, running jobs).
-    fn sched_gauges(inner: &Arc<ServiceInner>, queued: usize, running: usize) {
-        inner
-            .registry
-            .gauge("dfo_sched_queue_depth", "Jobs waiting for admission", &[])
-            .set(queued as f64);
-        inner
-            .registry
-            .gauge("dfo_sched_running_jobs", "Jobs currently admitted and running", &[])
-            .set(running as f64);
-    }
-
-    /// Runs one admitted job under its spec's bounded retry policy: a
-    /// *retryable* failure ([`DfoError::is_retryable`]) is re-executed up
-    /// to `max_retries` times before surfacing typed through
-    /// [`crate::JobHandle::wait`]; anything else — including a worker
-    /// panic, caught here so `wait` gets an error instead of hanging on a
-    /// dead detached thread — surfaces immediately. The job keeps its
-    /// admission charge across retries (it is still one running job).
-    fn execute_with_retries(inner: &Arc<ServiceInner>, p: &Pending) -> Result<JobReport> {
-        let max_retries = p.job.spec.max_retries;
-        loop {
-            let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                ServiceInner::execute(inner, p)
-            }))
-            .unwrap_or_else(|panic| {
-                Err(match panic.downcast::<DfoError>() {
-                    Ok(e) => *e,
-                    Err(panic) => DfoError::Panic(format!(
-                        "job {} worker: {}",
-                        p.job.id,
-                        panic
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| panic.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "<non-string panic>".into())
-                    )),
-                })
-            });
-            let retries = p.job.retries.load(Ordering::Relaxed);
-            match attempt {
-                Ok(mut report) => {
-                    report.retries = retries;
-                    return Ok(report);
-                }
-                Err(e)
-                    if e.is_retryable()
-                        && retries < max_retries
-                        && !p.job.cancel.load(Ordering::Relaxed) =>
-                {
-                    p.job.retries.fetch_add(1, Ordering::Relaxed);
-                    eprintln!(
-                        "[dfo-service] job {}: retryable failure ({e}); retry {}/{max_retries}",
-                        p.job.id,
-                        retries + 1
-                    );
-                    inner
-                        .registry
-                        .counter(
-                            "dfo_job_retries_total",
-                            "Job re-executions after retryable failures",
-                            &[
-                                ("graph", p.job.spec.graph.as_str()),
-                                ("algorithm", p.job.spec.algorithm.as_str()),
-                            ],
-                        )
-                        .inc();
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Runs one admitted job to completion on the graph's cluster, under a
-    /// job-private scratch scope, and assembles its report.
-    fn execute(inner: &Arc<ServiceInner>, p: &Pending) -> Result<JobReport> {
-        let scope = format!("job{}", p.job.id);
-        let cache0 = p.entry.cluster.chunk_cache_stats();
-        let started = Instant::now();
-        let algo = p.algo;
-        let params = p.job.spec.params.clone();
-        let token = p.job.cancel.clone();
-        let res = p.entry.cluster.run_scoped(&scope, |ctx| {
-            ctx.set_cancel_token(token.clone());
-            let out = algo.run(ctx, &params)?;
-            // measured peak footprint: everything the job materialized in
-            // its private scratch scope (vertex arrays, checkpoints,
-            // spills) — what the estimator learns per (algorithm, graph).
-            // Measurement failure must not fail a finished job.
-            let footprint = ctx.scratch().usage_bytes().ok();
-            Ok((out, ctx.job_phase_stats().clone(), footprint))
+/// Admits as many jobs as the executor allows, one detached worker thread
+/// per admitted attempt. Called whenever the queue or the budget changes
+/// (submit, attempt end, cancellation); safe to call concurrently.
+pub(crate) fn pump(core: &Arc<Executor>) {
+    while let Some(Next::Run(job)) = core.next(false) {
+        let core = core.clone();
+        std::thread::spawn(move || {
+            let attempt = core.attempt(&job, run_in_process);
+            core.finish(&job, attempt);
+            pump(&core);
         });
-        // scratch cleanup happens even when the job failed or was cancelled
-        let cleanup = p.entry.cluster.remove_scratch(&scope);
-        let graph = p.job.spec.graph.as_str();
-        let algorithm = p.job.spec.algorithm.as_str();
-        let per_rank = match res {
-            Ok(v) => v,
-            Err(e) => {
-                inner
-                    .registry
-                    .counter(
-                        "dfo_jobs_failed_total",
-                        "Jobs that errored or were cancelled",
-                        &[("graph", graph), ("algorithm", algorithm)],
-                    )
-                    .inc();
-                return Err(e);
-            }
-        };
-        cleanup?;
-        let cache_window = p
-            .entry
-            .cluster
-            .chunk_cache_stats()
-            .iter()
-            .zip(&cache0)
-            .map(|(now, then)| now.delta_since(then))
-            .collect();
-        let mut totals = PhaseStats::default();
-        let mut outputs = Vec::with_capacity(per_rank.len());
-        let mut rank_stats = Vec::with_capacity(per_rank.len());
-        let mut measured: Option<u64> = None;
-        for (out, stats, footprint) in per_rank {
-            totals.merge(&stats);
-            outputs.push(out);
-            rank_stats.push(stats);
-            measured = measured.max(footprint);
-        }
-        // close the admission loop: the busiest rank's measured footprint
-        // becomes the learned estimate for the next (algorithm, graph) run
-        if let Some(peak) = measured {
-            inner.estimator.record(algorithm, graph, peak);
-            inner
-                .registry
-                .gauge(
-                    "dfo_sched_estimate_error_ratio",
-                    "Charged admission estimate over measured peak scratch footprint \
-                     (last completed job; >1 = over-estimate)",
-                    &[("graph", graph), ("algorithm", algorithm)],
-                )
-                .set(p.job.estimate as f64 / peak.max(1) as f64);
-        }
-        // per-job series: cache traffic attributed at the job's own lookup
-        // sites (PR 6), now also scrapeable. One series per job id — fine
-        // for a resident service's job cardinality.
-        let job_id = p.job.id.to_string();
-        let job_labels: [(&str, &str); 3] =
-            [("graph", graph), ("algorithm", algorithm), ("job", job_id.as_str())];
-        inner
-            .registry
-            .counter(
-                "dfo_job_cache_hits_total",
-                "Chunk-cache hits counted at this job's lookup sites",
-                &job_labels,
-            )
-            .add(totals.chunk_cache_hits);
-        inner
-            .registry
-            .counter(
-                "dfo_job_cache_misses_total",
-                "Chunk-cache misses counted at this job's lookup sites",
-                &job_labels,
-            )
-            .add(totals.chunk_cache_misses);
-        inner
-            .registry
-            .counter(
-                "dfo_jobs_completed_total",
-                "Jobs that ran to completion",
-                &[("graph", graph), ("algorithm", algorithm)],
-            )
-            .inc();
-        Ok(JobReport {
-            id: p.job.id,
-            graph: p.job.spec.graph.clone(),
-            algorithm: p.job.spec.algorithm.clone(),
-            outputs,
-            rank_stats,
-            totals,
-            cache_window,
-            retries: 0, // stamped by execute_with_retries
-            elapsed: started.elapsed(),
-        })
     }
+}
+
+/// The in-process runner: one attempt on the graph's cluster over a fresh
+/// simulated mesh, under the attempt's private scratch scope. Never reports
+/// mesh death — the mesh does not outlive the attempt.
+fn run_in_process(job: &Job, scope: &str) -> Result<RanksOut> {
+    let cluster = job.entry.cluster();
+    let cache0 = cluster.chunk_cache_stats();
+    let res =
+        cluster.run_scoped(scope, |ctx| exec::run_rank_job(ctx, &job.spec, job.cancel.clone()));
+    // scratch cleanup happens even when the attempt failed or was cancelled
+    let cleanup = cluster.remove_scratch(scope);
+    let ranks = res?;
+    cleanup?;
+    let cache_window = cluster
+        .chunk_cache_stats()
+        .iter()
+        .zip(&cache0)
+        .map(|(now, then)| now.delta_since(then))
+        .collect();
+    Ok(RanksOut { ranks, cache_window })
 }

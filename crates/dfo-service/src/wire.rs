@@ -321,7 +321,7 @@ const P_SHUTDOWN: u8 = 2;
 /// A command the coordinator rank fans out to its peer ranks.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) enum PeerCmd {
-    /// Run one job, SPMD: every rank enters `run_job` with this spec under
+    /// Run one job, SPMD: every rank enters `run_job_as` with this spec under
     /// this scratch scope.
     Run { job_id: u64, scope: String, spec: JobSpec },
     /// Leave the follower loop and exit cleanly.
@@ -549,16 +549,6 @@ fn encode_error(buf: &mut Vec<u8>, e: &DfoError) {
             put_bytes(buf, &inner);
         }
     }
-}
-
-/// "Clones" an error through its wire codec. [`DfoError`] is not `Clone`
-/// (the `Io` variant owns a `std::io::Error`); a codec roundtrip preserves
-/// variant and message, which is everything a remote client ever sees.
-pub(crate) fn clone_error(e: &DfoError) -> DfoError {
-    let mut buf = Vec::new();
-    encode_error(&mut buf, e);
-    let mut c = Cur::new(&buf);
-    decode_error(&mut c).unwrap_or_else(|_| DfoError::Panic(e.to_string()))
 }
 
 fn decode_error(c: &mut Cur<'_>) -> Result<DfoError> {

@@ -289,6 +289,7 @@ fn remote_jobs_over_two_rank_daemon_mesh() {
     assert!(body.contains("dfo_sched_admitted_total"), "missing admitted counter:\n{body}");
     assert!(body.contains("dfo_sched_queue_depth"), "missing queue gauge:\n{body}");
     assert!(body.contains("dfo_sched_estimate_error_ratio"), "missing estimator gauge:\n{body}");
+    assert!(body.contains("dfo_job_cache_hits_total"), "missing per-job cache series:\n{body}");
     save_metrics(&body);
 
     // --- clean shutdown: both daemon ranks exit 0 ------------------------
