@@ -1,4 +1,4 @@
-//! §4.2 ablation — push vs pull vs no dispatching, end to end through the
+//! §4.2 ablation — push vs no dispatching, end to end through the
 //! engine with the strategy forced, across message densities.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -14,7 +14,7 @@ fn bench_dispatch(c: &mut Criterion) {
     group.sample_size(10);
     // density: fraction of vertices signalling
     for &denom in &[1u64, 64, 1024] {
-        for kind in [DispatchKind::Push, DispatchKind::Pull, DispatchKind::None] {
+        for kind in [DispatchKind::Push, DispatchKind::None] {
             let td = TempDir::new().unwrap();
             let mut cfg = dfo_types::EngineConfig::for_test(2);
             cfg.batch_policy = BatchPolicy::FixedVertices(128);

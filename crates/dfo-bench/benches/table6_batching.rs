@@ -19,7 +19,6 @@ fn run_one(g: &dfo_graph::EdgeList<()>, batching: bool, mem: u64, dir: &std::pat
     cfg.batch_policy = BatchPolicy::FullyOutOfCore { widest_vertex_bytes: 8 };
     cfg.disk_bw = Some(256 << 20);
     cfg.net_bw = Some(256 << 20);
-    cfg.page_size = 4096;
     let cluster = Cluster::create(cfg, dir).unwrap();
     cluster.preprocess(g).unwrap();
     let (_, t) = timed(|| {

@@ -15,6 +15,9 @@ use parking_lot::{Mutex, MutexGuard};
 use std::marker::PhantomData;
 use std::sync::Arc;
 
+/// Page size of the [`PageCache`] behind paged (no-batching ablation) arrays.
+pub(crate) const PAGE_SIZE: usize = 4096;
+
 /// Typed handle to a named vertex array. Cheap to clone; the data lives in
 /// the node's array registry.
 #[derive(Clone, Debug)]
@@ -94,12 +97,11 @@ impl ArrayEntry {
         name: &str,
         elem_bytes: usize,
         partition: VertexRange,
-        page_size: usize,
         cache_pages: usize,
     ) -> Result<Self> {
         let file = disk.open_random(&format!("arrays/{name}/paged.bin"), true)?;
         let len = partition.len() * elem_bytes as u64;
-        let cache = PageCache::new(file, page_size, cache_pages.max(1), len);
+        let cache = PageCache::new(file, PAGE_SIZE, cache_pages.max(1), len);
         Ok(Self {
             name: name.to_string(),
             elem_bytes,
@@ -338,15 +340,16 @@ mod tests {
     fn paged_backend_get_set() {
         let td = TempDir::new().unwrap();
         let disk = NodeDisk::new(td.path(), None, false).unwrap();
-        let partition = VertexRange::new(10, 110);
-        let entry = ArrayEntry::create_paged(&disk, "val", 8, partition, 64, 2).unwrap();
+        // four pages of u64s behind a two-page cache, so values survive eviction
+        let partition = VertexRange::new(10, 10 + 4 * PAGE_SIZE as u64 / 8);
+        let entry = ArrayEntry::create_paged(&disk, "val", 8, partition, 2).unwrap();
         let arr = VertexArray::<u64>::new("val");
         {
             let mut ctx = BatchCtx::load(&[&entry], partition, 0, 10, None).unwrap();
-            for v in 10..110 {
+            for v in partition.iter() {
                 ctx.set(&arr, v, v * 3);
             }
-            for v in (10..110).rev() {
+            for v in (partition.start..partition.end).rev() {
                 assert_eq!(ctx.get(&arr, v), v * 3);
             }
         }

@@ -32,6 +32,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Per-rank flight-recorder capacity in spans when `cfg.trace_path` is set;
+/// a run that records more overwrites its oldest spans (drops are counted).
+const TRACE_CAPACITY: usize = 1 << 16;
+
 fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
     panic
         .downcast_ref::<&str>()
@@ -345,8 +349,8 @@ impl Cluster {
     /// Like [`Cluster::run`], but every rank's *mutable* state — vertex
     /// arrays, checkpoints, `ProcessEdges` message spills — lives under the
     /// private subdirectory `<base>/n<i>/<sub>/` instead of directly in the
-    /// node root, while read-only graph data (plan, chunks, dispatch/filter/
-    /// pull lists) is still read from the node root. Scoped runs with
+    /// node root, while read-only graph data (plan, chunks, dispatch graphs,
+    /// filter lists) is still read from the node root. Scoped runs with
     /// distinct `sub` names therefore never collide on files, which is what
     /// lets a service multiplex **concurrent jobs** over one preprocessed
     /// graph; they still share the per-rank chunk caches and the disk
@@ -420,9 +424,10 @@ impl Cluster {
         *self.last_net.lock() = endpoints.iter().map(|e| e.stats_arc()).collect();
         // one flight recorder per rank when tracing; merged into one
         // timeline file after the run
-        let recorders: Option<Vec<Arc<FlightRecorder>>> = self.cfg.trace_path.as_ref().map(|_| {
-            (0..self.cfg.nodes).map(|_| FlightRecorder::new(self.cfg.trace_capacity)).collect()
-        });
+        let recorders: Option<Vec<Arc<FlightRecorder>>> =
+            self.cfg.trace_path.as_ref().map(|_| {
+                (0..self.cfg.nodes).map(|_| FlightRecorder::new(TRACE_CAPACITY)).collect()
+            });
         let mut results: Vec<Result<T>> = Vec::new();
         std::thread::scope(|s| {
             let handles: Vec<_> = endpoints
@@ -591,8 +596,7 @@ impl Cluster {
         let ep = connect_mesh(&self.cfg, rank, epoch)?;
         let stats = ep.stats_arc();
         *self.last_net.lock() = vec![stats.clone()];
-        let recorder =
-            self.cfg.trace_path.as_ref().map(|_| FlightRecorder::new(self.cfg.trace_capacity));
+        let recorder = self.cfg.trace_path.as_ref().map(|_| FlightRecorder::new(TRACE_CAPACITY));
         if let Some(t0) = recovered_from {
             // mesh is up again: failure detection -> rebuilt mesh
             self.rank_telemetry(rank, None)

@@ -7,9 +7,9 @@
 //!                round-robin order, filtered against the §4.3 lists
 //!                                                               [1 thread]
 //! 3 dispatching  incoming streams are routed to per-batch message files
-//!                via the dispatching graph (push), staged and pulled, or
-//!                stored raw (none) — chosen adaptively (§4.2); the node's
-//!                own messages are dispatched concurrently      [2 threads]
+//!                via the dispatching graph (push) or stored raw (none) —
+//!                chosen adaptively (§4.2); the node's own messages are
+//!                dispatched concurrently                       [2 threads]
 //! 4 processing   each batch replays its message segments in source order,
 //!                looks edges up through CSR or DCSR (§4.1 cost model) and
 //!                runs `slot`; no atomics needed — one thread per batch
@@ -31,11 +31,11 @@ use dfo_part::csr::{choose_repr, IndexedChunk, MergeCursor};
 use dfo_part::filter::{should_filter, FilterCursor};
 use dfo_part::plan::ChunkInfo;
 use dfo_part::preprocess::paths;
-use dfo_storage::{CachedValue, ChunkKey, PrefetchJob, Prefetcher};
+use dfo_storage::{CachedValue, ChunkKey, NodeDisk, PrefetchJob, Prefetcher};
 use dfo_types::{DfoError, DispatchKind, PhaseStats, Pod, Rank, ReprKind, Result, VertexId};
 use parking_lot::Mutex;
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Target network frame size; 256 KB keeps header overhead ≪ 1 %.
@@ -59,7 +59,6 @@ struct CallStats {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Strategy {
     Push,
-    Pull,
     NoDispatch,
     Drain,
 }
@@ -127,7 +126,7 @@ impl NodeCtx {
         let (lr0, lw0) =
             (disk_stats.logical_read_bytes.get(), disk_stats.logical_write_bytes.get());
         // hit/miss are counted at this context's lookup sites (see
-        // `load_chunk`); only eviction pressure — a property of the shared
+        // `load_indexed`); only eviction pressure — a property of the shared
         // cache, not of one caller — is still read as a counter delta
         let cache0 = self.chunk_cache.as_ref().map(|c| c.stats());
         self.cache_hits.store(0, Ordering::Relaxed);
@@ -137,40 +136,19 @@ impl NodeCtx {
         let t_gen = std::time::Instant::now();
         let gen_span = self.obs_span("phase1_generate", "phase");
         let gen_counts: Vec<AtomicU64> = (0..b_count).map(|_| AtomicU64::new(0)).collect();
-        {
-            let next = AtomicUsize::new(0);
-            let err: Mutex<Option<DfoError>> = Mutex::new(None);
-            std::thread::scope(|s| {
-                for _ in 0..self.cfg.threads_per_node {
-                    s.spawn(|| loop {
-                        let b = next.fetch_add(1, Ordering::Relaxed);
-                        if b >= b_count {
-                            break;
-                        }
-                        match self.generate_batch(
-                            b,
-                            &signal_entries,
-                            signal_arrays,
-                            active_entry.as_deref(),
-                            &signal,
-                        ) {
-                            Ok(n) => gen_counts[b].store(n, Ordering::Relaxed),
-                            Err(e) => {
-                                *err.lock() = Some(e);
-                                break;
-                            }
-                        }
-                    });
-                }
-            });
-            let pending = err.lock().take();
-            if let Some(e) = pending {
-                return Err(e);
-            }
-        }
+        let m_total = self.for_each_batch(|b| {
+            let n = self.generate_batch(
+                b,
+                &signal_entries,
+                signal_arrays,
+                active_entry.as_deref(),
+                &signal,
+            )?;
+            gen_counts[b].store(n, Ordering::Relaxed);
+            Ok(n)
+        })?;
         drop(gen_span);
         let gen_elapsed = t_gen.elapsed();
-        let m_total: u64 = gen_counts.iter().map(|c| c.load(Ordering::Relaxed)).sum();
         stats.messages_generated = m_total;
         stats.generate_disk_read = disk_stats.read_bytes.get() - r0;
         stats.generate_disk_write = disk_stats.write_bytes.get() - w0;
@@ -271,49 +249,20 @@ impl NodeCtx {
         // read-ahead: background threads decode the next batches' chunks
         // into the cache while `slot` runs over the current one
         let prefetcher = self.spawn_prefetcher::<E>(b_count, &msg_counts, &none_mode, &none_counts);
-        let result: Mutex<A> = Mutex::new(A::zero());
-        {
-            let next = AtomicUsize::new(0);
-            let err: Mutex<Option<DfoError>> = Mutex::new(None);
-            std::thread::scope(|s| {
-                for _ in 0..self.cfg.threads_per_node {
-                    s.spawn(|| {
-                        let mut local = A::zero();
-                        loop {
-                            let b = next.fetch_add(1, Ordering::Relaxed);
-                            if b >= b_count {
-                                break;
-                            }
-                            if let Some(pf) = &prefetcher {
-                                pf.notify_claimed(b);
-                            }
-                            match self.process_batch::<A, M, E>(
-                                b,
-                                &slot_entries,
-                                &msg_counts,
-                                &none_mode,
-                                &none_counts,
-                                &gen_counts,
-                                &slot,
-                            ) {
-                                Ok(a) => local = local.merge(a),
-                                Err(e) => {
-                                    *err.lock() = Some(e);
-                                    break;
-                                }
-                            }
-                        }
-                        let mut r = result.lock();
-                        let cur = std::mem::replace(&mut *r, A::zero());
-                        *r = cur.merge(local);
-                    });
-                }
-            });
-            let pending = err.lock().take();
-            if let Some(e) = pending {
-                return Err(e);
+        let local = self.for_each_batch(|b| {
+            if let Some(pf) = &prefetcher {
+                pf.notify_claimed(b);
             }
-        }
+            self.process_batch::<A, M, E>(
+                b,
+                &slot_entries,
+                &msg_counts,
+                &none_mode,
+                &none_counts,
+                &gen_counts,
+                &slot,
+            )
+        })?;
         // join the prefetch threads before sampling counters so their reads
         // land deterministically in the processing window
         drop(prefetcher);
@@ -338,7 +287,6 @@ impl NodeCtx {
         self.commit_epochs(&epoch_set)?;
         self.job_stats.merge(&stats);
         self.last_stats = stats;
-        let local = std::mem::replace(&mut *result.lock(), A::zero());
         Ok(local.allreduce(&self.net))
     }
 
@@ -352,48 +300,17 @@ impl NodeCtx {
         active_entry: Option<&ArrayEntry>,
         signal: &(impl Fn(VertexId, &mut BatchCtx) -> Option<M> + Sync),
     ) -> Result<u64> {
-        let range = self.plan.batches[self.rank][b];
-        if range.is_empty() {
+        let Some((mut ctx, mask)) =
+            self.open_active_batch(b, signal_entries, signal_names, active_entry)?
+        else {
             return Ok(0);
-        }
+        };
         let partition_start = self.plan.partitions[self.rank].start;
-        let active_bytes = match active_entry {
-            Some(e) if self.cfg.batching_enabled => {
-                let bytes = e.read_block(b)?;
-                if !bytes.iter().any(|&x| x != 0) {
-                    return Ok(0);
-                }
-                Some(bytes)
-            }
-            _ => None,
-        };
-        let mut refs: Vec<&ArrayEntry> = signal_entries.iter().map(|e| e.as_ref()).collect();
-        let paged_active = match active_entry {
-            Some(e) if !self.cfg.batching_enabled => {
-                if !signal_names.contains(&e.name.as_str()) {
-                    refs.push(e);
-                }
-                Some(VertexArray::<bool>::new(&e.name))
-            }
-            _ => None,
-        };
-        let preloaded = match (&active_bytes, active_entry) {
-            (Some(bytes), Some(e)) if signal_names.contains(&e.name.as_str()) => {
-                Some((e.name.as_str(), bytes.clone()))
-            }
-            _ => None,
-        };
-        let mut ctx = BatchCtx::load(&refs, range, b, partition_start, preloaded)?;
         let mut writer = None;
         let mut count = 0u64;
         let mut rec_buf: Vec<u8> = Vec::with_capacity(record_bytes::<M>());
-        for v in range.iter() {
-            let is_active = match (&active_bytes, &paged_active) {
-                (Some(bytes), _) => bytes[(v - range.start) as usize] != 0,
-                (None, Some(h)) => ctx.get(h, v),
-                (None, None) => true,
-            };
-            if !is_active {
+        for v in ctx.batch().iter() {
+            if !mask.is_active(&mut ctx, v) {
                 continue;
             }
             if let Some(msg) = signal(v, &mut ctx) {
@@ -517,46 +434,6 @@ impl NodeCtx {
                 call.dispatch_disk_read.fetch_add(read_bytes, Ordering::Relaxed);
                 sink.finish(msg_counts, call)
             }
-            Strategy::Pull => {
-                // one pass: every interested batch's pull cursor rides the
-                // same scan of the gen stream (sources ascend across files)
-                let mut lists: Vec<(usize, Vec<u32>)> = Vec::new();
-                for b in 0..self.plan.n_batches(rank) {
-                    if self.chunk_map[rank][b].is_none() {
-                        continue;
-                    }
-                    lists.push((
-                        b,
-                        dfo_part::dispatch::read_pull_list(&self.disk, &paths::pull(rank, b))?,
-                    ));
-                }
-                let mut routes: Vec<PullRoute> =
-                    lists.iter().map(|(b, l)| PullRoute::new(*b, l)).collect();
-                let rec = record_bytes::<M>();
-                let mut read_bytes = 0u64;
-                let mut write_bytes = 0u64;
-                for (gb, c) in gen_counts.iter().enumerate() {
-                    if c.load(Ordering::Relaxed) == 0 {
-                        continue;
-                    }
-                    let mut r = RecordReader::new(self.scratch.open(&gen_path(gb))?);
-                    while let Some((src, msg)) = RecordIter::<M>::next_record(&mut r)? {
-                        read_bytes += rec as u64;
-                        for route in &mut routes {
-                            if route.cursor.contains(src) {
-                                route.write::<M>(self, rank, src, &msg)?;
-                                write_bytes += rec as u64;
-                            }
-                        }
-                    }
-                }
-                call.dispatch_disk_read.fetch_add(read_bytes, Ordering::Relaxed);
-                call.dispatch_disk_write.fetch_add(write_bytes, Ordering::Relaxed);
-                for route in routes {
-                    route.finish(msg_counts, rank)?;
-                }
-                Ok(())
-            }
         }
     }
 
@@ -616,61 +493,15 @@ impl NodeCtx {
                 }
                 sink.finish(msg_counts, call)
             }
-            Strategy::Pull => {
-                // stage the stream, then route it to every interested batch
-                // in a single pass (mirrors dispatch_self's Pull mode; the
-                // staged records keep the sender's ascending source order)
-                let stage = format!("msgs/stage_p{p}.bin");
-                {
-                    let mut w = self.scratch.create(&stage)?;
-                    let mut write_bytes = 0u64;
-                    while let Some(chunk) = stream.next_chunk()? {
-                        w.write_all(&chunk).map_err(|e| DfoError::io("staging stream", e))?;
-                        write_bytes += chunk.len() as u64;
-                    }
-                    w.finish()?;
-                    call.dispatch_disk_write.fetch_add(write_bytes, Ordering::Relaxed);
-                }
-                let mut lists: Vec<(usize, Vec<u32>)> = Vec::new();
-                for b in 0..self.plan.n_batches(self.rank) {
-                    if self.chunk_map[p][b].is_none() {
-                        continue;
-                    }
-                    lists.push((
-                        b,
-                        dfo_part::dispatch::read_pull_list(&self.disk, &paths::pull(p, b))?,
-                    ));
-                }
-                let mut routes: Vec<PullRoute> =
-                    lists.iter().map(|(b, l)| PullRoute::new(*b, l)).collect();
-                let mut r = RecordReader::new(self.scratch.open(&stage)?);
-                let mut read_bytes = 0u64;
-                let mut write_bytes = 0u64;
-                while let Some((src, msg)) = RecordIter::<M>::next_record(&mut r)? {
-                    read_bytes += rec as u64;
-                    for route in &mut routes {
-                        if route.cursor.contains(src) {
-                            route.write::<M>(self, p, src, &msg)?;
-                            write_bytes += rec as u64;
-                        }
-                    }
-                }
-                call.dispatch_disk_read.fetch_add(read_bytes, Ordering::Relaxed);
-                call.dispatch_disk_write.fetch_add(write_bytes, Ordering::Relaxed);
-                for route in routes {
-                    route.finish(msg_counts, p)?;
-                }
-                Ok(())
-            }
         }
     }
 
     /// §4.2 adaptive choice. Push pays the index plus one read and one write
     /// of the messages; no-dispatch makes every interested batch rescan the
-    /// whole stream in phase 4. Pull is only selected by explicit override:
+    /// whole stream in phase 4. The paper's pull strategy is not implemented:
     /// its benefit over push is *latency* (a batch can start processing as
     /// soon as it has pulled), which this engine's phase barrier before
-    /// processing does not exploit.
+    /// processing cannot exploit.
     fn choose_strategy(&self, dinfo: Option<&ChunkInfo>, p: Rank, bound: u64) -> Strategy {
         let Some(dinfo) = dinfo else {
             return Strategy::Drain;
@@ -681,7 +512,6 @@ impl NodeCtx {
         if let Some(kind) = self.cfg.dispatch_override {
             return match kind {
                 DispatchKind::Push => Strategy::Push,
-                DispatchKind::Pull => Strategy::Pull,
                 DispatchKind::None => Strategy::NoDispatch,
             };
         }
@@ -728,7 +558,8 @@ impl NodeCtx {
         let want = self.cfg.repr_override.unwrap_or_else(|| {
             choose_repr(dinfo.has_csr, dinfo.n_nonzero_src, n_src, bound, self.cfg.gamma)
         });
-        let dg = self.load_dispatch_graph(p, want)?;
+        let key = ChunkKey { partition: p, batch: None, repr: Some(want) };
+        let dg = self.load_indexed::<()>(&paths::dispatch(p), key)?;
         Ok(DispatchAccess::Loaded { dg, cursor: MergeCursor::new() })
     }
 
@@ -784,57 +615,27 @@ impl NodeCtx {
         })
     }
 
-    /// Loads the decoded edge chunk `(p, b)` with index `want`, through the
-    /// chunk cache (and any in-flight prefetch) when one is configured.
-    fn load_chunk<E: Pod + PartialEq>(
+    /// Loads the decoded edge chunk or dispatching graph at `path` with the
+    /// index `key.repr`, through the chunk cache (and any in-flight
+    /// prefetch) when one is configured. Hits and misses are counted here,
+    /// per context, not diffed from the shared cache's counters.
+    fn load_indexed<E: Pod + PartialEq>(
         &self,
-        p: Rank,
-        b: usize,
-        want: ReprKind,
+        path: &str,
+        key: ChunkKey,
     ) -> Result<Arc<IndexedChunk<E>>> {
-        let read = || -> Result<IndexedChunk<E>> {
-            let mut r = self.disk.open_framed(&paths::chunk(p, b))?;
-            IndexedChunk::read_from(&mut r, Some(want))
-        };
+        let read = || self.timed_chunk_read(|| read_indexed::<E>(&self.disk, path, key.repr));
         let Some(cache) = &self.chunk_cache else {
-            return Ok(Arc::new(self.timed_chunk_read(read)?));
+            return Ok(Arc::new(read()?));
         };
-        let key = ChunkKey { partition: p, batch: Some(b), repr: Some(want) };
         if let Some(v) = cache.lookup(&key) {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(v.downcast::<IndexedChunk<E>>().expect("chunk cache holds IndexedChunk<E>"));
         }
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let chunk = Arc::new(self.timed_chunk_read(read)?);
-        let bytes = chunk.decoded_bytes();
-        let value: CachedValue = chunk.clone();
-        cache.insert(key, value, bytes);
+        let chunk = Arc::new(read()?);
+        cache.insert(key, chunk.clone() as CachedValue, chunk.decoded_bytes());
         Ok(chunk)
-    }
-
-    /// Loads the decoded dispatching graph from partition `p`, through the
-    /// chunk cache when one is configured (keyed with `batch: None`).
-    fn load_dispatch_graph(&self, p: Rank, want: ReprKind) -> Result<Arc<IndexedChunk<()>>> {
-        let read = || -> Result<IndexedChunk<()>> {
-            let mut r = self.disk.open_framed(&paths::dispatch(p))?;
-            IndexedChunk::read_from(&mut r, Some(want))
-        };
-        let Some(cache) = &self.chunk_cache else {
-            return Ok(Arc::new(self.timed_chunk_read(read)?));
-        };
-        let key = ChunkKey { partition: p, batch: None, repr: Some(want) };
-        if let Some(v) = cache.lookup(&key) {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(v
-                .downcast::<IndexedChunk<()>>()
-                .expect("dispatch cache holds IndexedChunk<()>"));
-        }
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let dg = Arc::new(self.timed_chunk_read(read)?);
-        let bytes = dg.decoded_bytes();
-        let value: CachedValue = dg.clone();
-        cache.insert(key, value, bytes);
-        Ok(dg)
     }
 
     /// Builds and starts the phase-4 read-ahead pool: the batch processing
@@ -870,7 +671,7 @@ impl NodeCtx {
                     continue;
                 };
                 let Some(want) = self.chunk_repr(&cinfo, p, count) else { continue };
-                let key = ChunkKey { partition: p, batch: Some(b), repr: Some(want) };
+                let key = chunk_key(p, b, want);
                 if cache.contains(&key) {
                     continue;
                 }
@@ -880,8 +681,7 @@ impl NodeCtx {
                     key,
                     group: b,
                     load: Box::new(move || {
-                        let mut r = disk.open_framed(&path)?;
-                        let chunk = IndexedChunk::<E>::read_from(&mut r, Some(want))?;
+                        let chunk = read_indexed::<E>(&disk, &path, key.repr)?;
                         let bytes = chunk.decoded_bytes();
                         Ok((Arc::new(chunk) as CachedValue, bytes))
                     }),
@@ -943,19 +743,18 @@ impl NodeCtx {
             // §4.1: with few messages and a stored CSR, *seek* into the
             // chunk with positioned reads instead of streaming it whole;
             // full loads go through the chunk cache and prefetcher
+            let load =
+                |want| self.load_indexed::<E>(&paths::chunk(p, b), chunk_key(p, b, want)).map(Some);
             let (chunk, seeker) = match self.chunk_repr(&cinfo, p, count) {
                 None => {
                     match dfo_part::csr::ChunkSeeker::<E>::open(&self.disk, &paths::chunk(p, b))? {
                         Some(s) => (None, Some(s)),
                         // the file is compressed despite the current config
                         // (stale preprocessing): load it whole instead
-                        None => {
-                            let want = self.full_repr(&cinfo, p, count);
-                            (Some(self.load_chunk::<E>(p, b, want)?), None)
-                        }
+                        None => (load(self.full_repr(&cinfo, p, count))?, None),
                     }
                 }
-                Some(want) => (Some(self.load_chunk::<E>(p, b, want)?), None),
+                Some(want) => (load(want)?, None),
             };
             let use_csr = chunk.as_ref().map(|c| c.csr_idx.is_some()).unwrap_or(false);
             let src_base = self.plan.partitions[p].start;
@@ -1101,44 +900,21 @@ impl<'a> PushSink<'a> {
     }
 }
 
-/// One destination batch's routing state during single-pass Pull
-/// dispatching: its sorted pull-list cursor, a lazily-created segment
-/// writer, and the matched-record count (flushed once in
-/// [`PullRoute::finish`]).
-struct PullRoute<'a> {
-    batch: usize,
-    cursor: FilterCursor<'a>,
-    writer: Option<dfo_storage::DiskWriter>,
-    matched: u64,
+/// Cache identity of the edge chunk `(p, b)` decoded with index `want`.
+fn chunk_key(p: Rank, b: usize, want: ReprKind) -> ChunkKey {
+    ChunkKey { partition: p, batch: Some(b), repr: Some(want) }
 }
 
-impl<'a> PullRoute<'a> {
-    fn new(batch: usize, list: &'a [u32]) -> Self {
-        Self { batch, cursor: FilterCursor::new(list), writer: None, matched: 0 }
-    }
-
-    fn write<M: Pod>(&mut self, node: &NodeCtx, from: Rank, src: u32, msg: &M) -> Result<()> {
-        let w = match &mut self.writer {
-            Some(w) => w,
-            None => {
-                self.writer = Some(
-                    node.scratch.create_with_buffer(&seg_path(self.batch, from), DISPATCH_BUF)?,
-                );
-                self.writer.as_mut().unwrap()
-            }
-        };
-        crate::messages::write_record(w, src, msg)?;
-        self.matched += 1;
-        Ok(())
-    }
-
-    fn finish(self, msg_counts: &[Vec<AtomicU64>], from: Rank) -> Result<()> {
-        if let Some(w) = self.writer {
-            w.finish()?;
-        }
-        msg_counts[self.batch][from].store(self.matched, Ordering::Release);
-        Ok(())
-    }
+/// Opens `path` through the framing auto-detector and decodes it with the
+/// index `want` — the one chunk reader `load_indexed` and the prefetch
+/// threads share.
+fn read_indexed<E: Pod + PartialEq>(
+    disk: &NodeDisk,
+    path: &str,
+    want: Option<ReprKind>,
+) -> Result<IndexedChunk<E>> {
+    let mut r = disk.open_framed(path)?;
+    IndexedChunk::read_from(&mut r, want)
 }
 
 fn gen_path(b: usize) -> String {
@@ -1151,9 +927,4 @@ fn seg_path(b: usize, p: Rank) -> String {
 
 fn none_path(p: Rank) -> String {
     format!("msgs/in_all_p{p}.bin")
-}
-
-#[allow(unused)]
-fn repr_is_csr(want: ReprKind) -> bool {
-    want == ReprKind::Csr
 }

@@ -9,7 +9,7 @@
 //!   scheduling over an optional `active` array.
 //! * [`NodeCtx::process_edges`] — the signal/slot push model, executed as
 //!   four pipelined phases: *generating*, *inter-node passing* (with message
-//!   filtering), *intra-node dispatching* (adaptive push/pull/none) and
+//!   filtering), *intra-node dispatching* (adaptive push/none) and
 //!   *processing* (adaptive CSR/DCSR edge access).
 //!
 //! Code runs SPMD: [`Cluster::run`] launches one thread per simulated node,

@@ -6,7 +6,7 @@
 //! array registry. All engine APIs hang off it.
 
 use crate::accum::Accum;
-use crate::array::{ArrayEntry, BatchCtx, VertexArray};
+use crate::array::{ArrayEntry, BatchCtx, VertexArray, PAGE_SIZE};
 use dfo_net::Endpoint;
 use dfo_part::plan::{ChunkInfo, Plan};
 use dfo_storage::{ChunkCache, ChunkCacheStats, CommitLog, NodeDisk, VersionedArrayStore};
@@ -44,7 +44,7 @@ pub struct NodeCtx {
     /// checkpoints) and `ProcessEdges` message spills. Defaults to `disk`;
     /// [`crate::Cluster::run_scoped`] points it at a job-private
     /// subdirectory so concurrent jobs over one graph never collide, while
-    /// read-only graph data (plan, chunks, dispatch/filter/pull lists) is
+    /// read-only graph data (plan, chunks, dispatch graphs, filter lists) is
     /// always read from `disk`. Shares `disk`'s throttle and byte counters,
     /// so scoped jobs still contend for the same simulated device.
     pub(crate) scratch: NodeDisk,
@@ -86,10 +86,10 @@ pub struct NodeCtx {
     /// partial installation would desynchronise the mesh.
     pub(crate) cancel: Option<Arc<AtomicBool>>,
     /// Chunk-cache lookups this `ProcessEdges` call that hit / missed,
-    /// counted at the call sites (`load_chunk` / `load_dispatch_graph`)
-    /// rather than diffed from the shared cache's cumulative counters — so
-    /// the numbers stay attributable to *this* context even when other jobs
-    /// hammer the same cache concurrently.
+    /// counted at the lookup site (`load_indexed`) rather than diffed from
+    /// the shared cache's cumulative counters — so the numbers stay
+    /// attributable to *this* context even when other jobs hammer the same
+    /// cache concurrently.
     pub(crate) cache_hits: AtomicU64,
     pub(crate) cache_misses: AtomicU64,
     /// Sum of every `ProcessEdges` call's [`PhaseStats`] over this
@@ -327,13 +327,12 @@ impl NodeCtx {
             // Table 6 ablation: memory-mapped-style access through a bounded
             // page cache (a quarter of the budget per array, mirroring an OS
             // page cache shared by a handful of hot mmapped arrays)
-            let pages = (self.cfg.mem_budget as usize / self.cfg.page_size / 4).max(1);
+            let pages = (self.cfg.mem_budget as usize / PAGE_SIZE / 4).max(1);
             ArrayEntry::create_paged(
                 &self.scratch,
                 name,
                 elem,
                 self.plan.partitions[self.rank],
-                self.cfg.page_size,
                 pages,
             )?
         };
@@ -550,12 +549,25 @@ impl NodeCtx {
         }
         self.begin_epochs(&epoch_set);
 
+        let local = self.for_each_batch(|b| {
+            self.run_vertex_batch(b, &entries, arrays, active_entry.as_deref(), &work)
+        })?;
+        self.commit_epochs(&epoch_set)?;
+        Ok(local.allreduce(&self.net))
+    }
+
+    /// Runs `work(b)` for every local batch on the node's worker threads
+    /// (batches are claimed dynamically, so skew between batches balances
+    /// out) and merges the results. The first error stops its worker and is
+    /// returned once all workers have joined.
+    pub(crate) fn for_each_batch<A: Accum>(
+        &self,
+        work: impl Fn(usize) -> Result<A> + Sync,
+    ) -> Result<A> {
         let b_count = self.plan.n_batches(self.rank);
-        let partition_start = self.plan.partitions[self.rank].start;
         let next = AtomicUsize::new(0);
         let result: parking_lot::Mutex<A> = parking_lot::Mutex::new(A::zero());
         let err: parking_lot::Mutex<Option<DfoError>> = parking_lot::Mutex::new(None);
-
         std::thread::scope(|s| {
             for _ in 0..self.cfg.threads_per_node {
                 s.spawn(|| {
@@ -565,14 +577,7 @@ impl NodeCtx {
                         if b >= b_count {
                             break;
                         }
-                        match self.run_vertex_batch(
-                            b,
-                            partition_start,
-                            &entries,
-                            arrays,
-                            active_entry.as_deref(),
-                            &work,
-                        ) {
+                        match work(b) {
                             Ok(a) => local = local.merge(a),
                             Err(e) => {
                                 *err.lock() = Some(e);
@@ -586,12 +591,10 @@ impl NodeCtx {
                 });
             }
         });
-        if let Some(e) = err.lock().take() {
-            return Err(e);
+        match err.into_inner() {
+            Some(e) => Err(e),
+            None => Ok(result.into_inner()),
         }
-        self.commit_epochs(&epoch_set)?;
-        let local = std::mem::replace(&mut *result.lock(), A::zero());
-        Ok(local.allreduce(&self.net))
     }
 
     /// All-to-all byte exchange: sends `outgoing[j]` to node `j` and returns
@@ -664,57 +667,89 @@ impl NodeCtx {
     fn run_vertex_batch<A: Accum>(
         &self,
         b: usize,
-        partition_start: VertexId,
         entries: &[Arc<ArrayEntry>],
         names: &[&str],
         active_entry: Option<&ArrayEntry>,
         work: &(impl Fn(VertexId, &mut BatchCtx) -> A + Sync),
     ) -> Result<A> {
-        let range = self.plan.batches[self.rank][b];
-        if range.is_empty() {
+        let Some((mut ctx, mask)) = self.open_active_batch(b, entries, names, active_entry)? else {
             return Ok(A::zero());
-        }
-        // §4.4: load `active` first and finish early if the batch is idle
-        let active_bytes = match active_entry {
-            Some(e) if self.cfg.batching_enabled => {
-                let bytes = e.read_block(b)?;
-                if !bytes.iter().any(|&x| x != 0) {
-                    return Ok(A::zero());
-                }
-                Some(bytes)
-            }
-            _ => None, // paged mode reads the bitmap through the cache below
         };
-        let mut refs: Vec<&ArrayEntry> = entries.iter().map(|e| e.as_ref()).collect();
-        // paged mode: read activity through the page cache inside the ctx
-        let paged_active = match active_entry {
-            Some(e) if !self.cfg.batching_enabled => {
-                if !names.contains(&e.name.as_str()) {
-                    refs.push(e);
-                }
-                Some(VertexArray::<bool>::new(&e.name))
-            }
-            _ => None,
-        };
-        let preloaded = match (&active_bytes, active_entry) {
-            (Some(bytes), Some(e)) if names.contains(&e.name.as_str()) => {
-                Some((e.name.as_str(), bytes.clone()))
-            }
-            _ => None,
-        };
-        let mut ctx = BatchCtx::load(&refs, range, b, partition_start, preloaded)?;
         let mut acc = A::zero();
-        for v in range.iter() {
-            let is_active = match (&active_bytes, &paged_active) {
-                (Some(bytes), _) => bytes[(v - range.start) as usize] != 0,
-                (None, Some(h)) => ctx.get(h, v),
-                (None, None) => true,
-            };
-            if is_active {
+        for v in ctx.batch().iter() {
+            if mask.is_active(&mut ctx, v) {
                 acc = acc.merge(work(v, &mut ctx));
             }
         }
         ctx.write_back(b)?;
         Ok(acc)
+    }
+
+    /// The prelude `ProcessVertices` and phase 1 of `ProcessEdges` share:
+    /// loads batch `b`'s view of `entries` (whose names are `names`) and the
+    /// activity mask `active_entry` implies. `None` means the batch has
+    /// nothing to do — it is empty, or (§4.4) its `active` block, read
+    /// first, is all zero, in which case no other array is touched.
+    pub(crate) fn open_active_batch<'a>(
+        &self,
+        b: usize,
+        entries: &'a [Arc<ArrayEntry>],
+        names: &[&str],
+        active_entry: Option<&'a ArrayEntry>,
+    ) -> Result<Option<(BatchCtx<'a>, ActiveMask)>> {
+        let range = self.plan.batches[self.rank][b];
+        if range.is_empty() {
+            return Ok(None);
+        }
+        let mut refs: Vec<&ArrayEntry> = entries.iter().map(|e| e.as_ref()).collect();
+        let mut preloaded = None;
+        let mask = match active_entry {
+            None => ActiveMask::All,
+            Some(e) if self.cfg.batching_enabled => {
+                let bytes = e.read_block(b)?;
+                if !bytes.iter().any(|&x| x != 0) {
+                    return Ok(None);
+                }
+                // the UDF may read `active` too: hand the ctx the bytes
+                // already read instead of reading the block twice
+                if names.contains(&e.name.as_str()) {
+                    preloaded = Some((e.name.as_str(), bytes.clone()));
+                }
+                ActiveMask::Block(bytes)
+            }
+            // paged mode (Table 6 ablation): activity is read through the
+            // page cache inside the ctx
+            Some(e) => {
+                if !names.contains(&e.name.as_str()) {
+                    refs.push(e);
+                }
+                ActiveMask::Paged(VertexArray::new(&e.name))
+            }
+        };
+        let partition_start = self.plan.partitions[self.rank].start;
+        let ctx = BatchCtx::load(&refs, range, b, partition_start, preloaded)?;
+        Ok(Some((ctx, mask)))
+    }
+}
+
+/// Which vertices of the batch a `Process` call visits (see
+/// [`NodeCtx::open_active_batch`]).
+pub(crate) enum ActiveMask {
+    /// No `active` array was given: every vertex.
+    All,
+    /// The batch's block of the `active` array, one byte per vertex.
+    Block(Vec<u8>),
+    /// Paged mode: `active` is read through the batch context.
+    Paged(VertexArray<bool>),
+}
+
+impl ActiveMask {
+    #[inline]
+    pub(crate) fn is_active(&self, ctx: &mut BatchCtx, v: VertexId) -> bool {
+        match self {
+            ActiveMask::All => true,
+            ActiveMask::Block(bytes) => bytes[(v - ctx.batch().start) as usize] != 0,
+            ActiveMask::Paged(h) => ctx.get(h, v),
+        }
     }
 }

@@ -5,6 +5,8 @@
 use dfo_core::Cluster;
 use dfo_graph::edge::{Edge, EdgeList};
 use dfo_graph::gen::{rmat, uniform, GenConfig};
+use dfo_part::csr::IndexedChunk;
+use dfo_part::preprocess::paths;
 use dfo_types::{BatchPolicy, DispatchKind, EngineConfig, ReprKind, VertexId};
 use tempfile::TempDir;
 
@@ -160,7 +162,7 @@ fn engaged_filtering_reduces_wire_bytes() {
 fn in_degrees_match_under_forced_strategies() {
     let g = uniform(200, 1500, 5);
     let want = brute_in_degrees(&g);
-    for kind in [DispatchKind::Push, DispatchKind::Pull, DispatchKind::None] {
+    for kind in [DispatchKind::Push, DispatchKind::None] {
         let mut cfg = EngineConfig::for_test(2);
         cfg.dispatch_override = Some(kind);
         assert_eq!(engine_in_degrees(cfg, &g), want, "dispatch {kind:?}");
@@ -175,10 +177,12 @@ fn in_degrees_match_under_forced_strategies() {
 #[test]
 fn in_degrees_match_with_seek_mode_gamma() {
     // gamma=1 makes the engine take the positioned-read CSR seek path for
-    // any message count where a CSR exists
+    // any message count where a CSR exists — on the raw layout only:
+    // compressed chunks always load whole
     let g = uniform(300, 2500, 21);
     let want = brute_in_degrees(&g);
     let mut cfg = EngineConfig::for_test(2);
+    cfg.compress_chunks = false;
     cfg.gamma = 1;
     cfg.batch_policy = BatchPolicy::FixedVertices(32);
     assert_eq!(engine_in_degrees(cfg, &g), want);
@@ -188,6 +192,7 @@ fn in_degrees_match_with_seek_mode_gamma() {
 fn sparse_frontier_with_seek_mode_matches() {
     let g = rmat(GenConfig::new(9, 6, 77));
     let mut cfg = EngineConfig::for_test(2);
+    cfg.compress_chunks = false; // seek mode needs the raw on-disk layout
     cfg.gamma = 2;
     cfg.batch_policy = BatchPolicy::FixedVertices(64);
     // oracle over one-hop frontier of vertex 0
@@ -203,7 +208,7 @@ fn sparse_frontier_with_seek_mode_matches() {
                 c.set(&a, v, v == 0);
                 0u64
             })?;
-            ctx.process_edges(
+            let count = ctx.process_edges(
                 &[],
                 &[],
                 Some(&active),
@@ -212,10 +217,33 @@ fn sparse_frontier_with_seek_mode_matches() {
                     assert_eq!(src, 0);
                     1u64
                 },
-            )
+            )?;
+            // on-disk size of the chunks vertex 0's message reaches on this
+            // rank: what phase 4 would read if it loaded them whole
+            let p0 = ctx.plan().partition_of(0);
+            let mut reached_bytes = 0u64;
+            for c in
+                ctx.plan().node_meta[ctx.rank()].chunks.iter().filter(|c| c.src_partition == p0)
+            {
+                let rel = paths::chunk(c.src_partition, c.batch);
+                let chunk =
+                    IndexedChunk::<()>::read_from(&mut ctx.disk().open_framed(&rel)?, None)?;
+                if chunk.dcsr_src.contains(&0) {
+                    reached_bytes += ctx.disk().len(&rel)?;
+                }
+            }
+            Ok((count, ctx.last_phase_stats().process_disk_read, reached_bytes))
         })
         .unwrap();
-    assert_eq!(got[0], expect);
+    assert_eq!(got[0].0, expect);
+    let read: u64 = got.iter().map(|r| r.1).sum();
+    let reached: u64 = got.iter().map(|r| r.2).sum();
+    assert!(reached > 0, "vertex 0 has out-edges");
+    assert!(
+        read < reached,
+        "seek mode must read less in phase 4 ({read} B) than the chunks it reaches hold \
+         ({reached} B)"
+    );
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //!
 //! Every chunk stores its edges once (`dst` + `data` arrays) together with a
 //! DCSR index — `(src, idx)` pairs for sources with at least one edge — and,
-//! when the chunk is dense enough (`|V_src| / |E| ≤ csr_inflate_ratio`), an
+//! when the chunk is dense enough (`|V_src| / |E| ≤` [`CSR_INFLATE_RATIO`]), an
 //! additional CSR index (`idx` over the whole source range) that supports
 //! O(1) seeking. At access time the engine picks whichever index the cost
 //! model favours; when a stored CSR index is not wanted, the reader *skips
@@ -15,6 +15,10 @@ use std::ops::Range;
 
 const MAGIC: u32 = 0x4446_4F43; // "DFOC"
 const FLAG_HAS_CSR: u32 = 1;
+
+/// The paper's CSR inflate ratio (§4.1): preprocessing stores a CSR index
+/// next to the DCSR one when `|V_src| / |E_chunk|` is at most this.
+pub const CSR_INFLATE_RATIO: f64 = 32.0;
 
 /// One edge chunk (or dispatching graph): edges from a source vertex range
 /// to payload targets, indexed by DCSR and optionally CSR.
@@ -41,7 +45,7 @@ pub struct IndexedChunk<E: Pod + PartialEq> {
 impl<E: Pod + PartialEq> IndexedChunk<E> {
     /// Builds a chunk from `(src, dst, data)` triples sorted by `(src, dst)`.
     /// A CSR index is added when `n_src as f64 / n_edges ≤ inflate_ratio`
-    /// (the paper's "CSR inflate ratio", default 32).
+    /// (preprocessing passes [`CSR_INFLATE_RATIO`]).
     pub fn build(n_src: u32, edges: &[(u32, u32, E)], inflate_ratio: f64) -> Self {
         debug_assert!(edges.windows(2).all(|w| w[0].0 <= w[1].0), "edges must be sorted by src");
         debug_assert!(edges.iter().all(|e| e.0 < n_src), "src out of range");
@@ -155,8 +159,8 @@ impl<E: Pod + PartialEq> IndexedChunk<E> {
     /// stored CSR section is *seeked over* (costing no read bytes for
     /// uncompressed chunks; compressed frames decode-and-discard instead);
     /// with `Some(ReprKind::Csr)` the DCSR index is seeked over instead
-    /// (DCSR source list is still loaded — it is the pull-list surrogate
-    /// and is small). `None` loads everything.
+    /// (the DCSR source list is still loaded — it is small). `None` loads
+    /// everything.
     pub fn read_from<R: Read + Seek>(r: &mut R, want: Option<ReprKind>) -> Result<Self> {
         let io = |e| DfoError::io("reading chunk", e);
         let magic = read_u32(r).map_err(io)?;

@@ -9,14 +9,12 @@
 //!   ratio*),
 //! * **dispatching graphs** (source vertex → destination batch) per source
 //!   partition, same adaptive representation,
-//! * **pull lists** (sorted sources needed per batch per source partition),
 //! * **filter lists** (sorted sources of partition *i* with outgoing edges
 //!   into partition *j*, stored on node *i*),
 //! * the replicated [`plan::Plan`] describing partition and batch ranges.
 
 pub mod batching;
 pub mod csr;
-pub mod dispatch;
 pub mod filter;
 pub mod partition;
 pub mod plan;
@@ -24,7 +22,6 @@ pub mod preprocess;
 
 pub use batching::choose_batch_size;
 pub use csr::{choose_repr, IndexedChunk, MergeCursor};
-pub use dispatch::{read_pull_list, write_pull_list};
 pub use filter::{read_filter_list, write_filter_list};
 pub use partition::partition_vertices;
 pub use plan::{ChunkInfo, NodeMeta, Plan};

@@ -7,7 +7,6 @@
 //!   plan.bin                     replicated Plan
 //!   chunks/p{p}_b{b}.chunk       edge chunk (src partition p → local batch b)
 //!   dispatch/from_{p}.dg         dispatching graph (src vertex → batch)
-//!   pull/from_{p}_b{b}.lst       pull list per (partition, batch)
 //!   filter/to_{j}.lst            sources of partition i needed by node j
 //! ```
 //!
@@ -18,8 +17,7 @@
 //! auto-detect either layout.
 
 use crate::batching::choose_batch_size;
-use crate::csr::IndexedChunk;
-use crate::dispatch::write_pull_list;
+use crate::csr::{IndexedChunk, CSR_INFLATE_RATIO};
 use crate::filter::write_filter_list;
 use crate::partition::partition_vertices;
 use crate::plan::{ChunkInfo, NodeMeta, Plan};
@@ -37,9 +35,6 @@ pub mod paths {
     }
     pub fn dispatch(p: usize) -> String {
         format!("dispatch/from_{p}.dg")
-    }
-    pub fn pull(p: usize, b: usize) -> String {
-        format!("pull/from_{p}_b{b}.lst")
     }
     pub fn filter(j: usize) -> String {
         format!("filter/to_{j}.lst")
@@ -110,7 +105,7 @@ pub fn preprocess<E: Pod + PartialEq>(
         in_edges[dp] += 1;
     }
 
-    // --- per destination node: chunks, pull lists, dispatch graphs ---------
+    // --- per destination node: chunks and dispatch graphs -------------------
     let metas: Vec<Result<NodeMeta>> = chunk_edges
         .into_par_iter()
         .zip(disks.par_iter())
@@ -148,7 +143,7 @@ pub fn preprocess<E: Pod + PartialEq>(
 /// of `(src_local, dst_local, data)`.
 type ChunkBuckets<E> = Vec<Vec<Vec<(u32, u32, E)>>>;
 
-/// Builds and persists node `i`'s chunks, pull lists and dispatch graphs.
+/// Builds and persists node `i`'s chunks and dispatch graphs.
 fn build_node<E: Pod + PartialEq>(
     i: usize,
     by_src: ChunkBuckets<E>,
@@ -172,11 +167,10 @@ fn build_node<E: Pod + PartialEq>(
                 continue;
             }
             edges.sort_unstable_by_key(|(s, d, _)| (*s, *d));
-            let chunk = IndexedChunk::build(n_src, &edges, cfg.csr_inflate_ratio);
+            let chunk = IndexedChunk::build(n_src, &edges, CSR_INFLATE_RATIO);
             let mut w = disk.create_framed(&paths::chunk(sp, b), cfg.compress_chunks)?;
             chunk.write_to(&mut w)?;
             w.finish()?.finish()?;
-            write_pull_list(disk, &paths::pull(sp, b), &chunk.dcsr_src)?;
             dispatch_edges.extend(chunk.dcsr_src.iter().map(|&s| (s, b as u32, ())));
             meta.chunks.push(ChunkInfo {
                 src_partition: sp,
@@ -188,7 +182,7 @@ fn build_node<E: Pod + PartialEq>(
         }
         if !dispatch_edges.is_empty() {
             dispatch_edges.sort_unstable_by_key(|(s, b, _)| (*s, *b));
-            let dg = IndexedChunk::build(n_src, &dispatch_edges, cfg.csr_inflate_ratio);
+            let dg = IndexedChunk::build(n_src, &dispatch_edges, CSR_INFLATE_RATIO);
             let mut w = disk.create_framed(&paths::dispatch(sp), cfg.compress_chunks)?;
             dg.write_to(&mut w)?;
             w.finish()?.finish()?;
@@ -209,10 +203,8 @@ fn build_node<E: Pod + PartialEq>(
 mod tests {
     use super::*;
     use crate::csr::IndexedChunk;
-    use crate::dispatch::read_pull_list;
     use crate::filter::read_filter_list;
     use dfo_graph::edge::Edge;
-    use dfo_types::ReprKind;
     use tempfile::TempDir;
 
     /// The paper's running example (Figure 1a): 7 vertices, 9 edges with
@@ -301,22 +293,6 @@ mod tests {
         // vertices 4 and 5 are 0 and 1
         let l10 = read_filter_list(&ds[1], &paths::filter(0)).unwrap();
         assert_eq!(l10, vec![0, 1]);
-    }
-
-    #[test]
-    fn pull_lists_match_chunk_sources() {
-        let g = figure1_graph();
-        let cfg = figure1_config();
-        let (_td, ds) = disks(2);
-        let out = preprocess(&g, &cfg, &ds).unwrap();
-        for (i, meta) in out.plan.node_meta.iter().enumerate() {
-            for c in &meta.chunks {
-                let pl = read_pull_list(&ds[i], &paths::pull(c.src_partition, c.batch)).unwrap();
-                let mut r = ds[i].open(&paths::chunk(c.src_partition, c.batch)).unwrap();
-                let chunk = IndexedChunk::<u8>::read_from(&mut r, Some(ReprKind::Dcsr)).unwrap();
-                assert_eq!(pl, chunk.dcsr_src);
-            }
-        }
     }
 
     #[test]

@@ -62,13 +62,12 @@
 //! last mesh.
 
 use crate::catalog::{Catalog, CatalogEntry};
-use crate::exec::{self, Executor, Job, JobEvent, Next, RanksOut};
+use crate::exec::{self, Executor, Job, JobEvent, JobTable, Next, RanksOut};
 use crate::wire::{self, ClientMsg, DaemonMsg, PeerCmd, RankResult, PROTO_VERSION};
 use dfo_core::ResidentMesh;
 use dfo_obs::Registry;
 use dfo_types::{DfoError, EngineConfig, JobSpec, Result};
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -110,8 +109,8 @@ impl ClientSink {
 /// generation loop and the job workers.
 struct Shared {
     core: Executor,
-    /// Every job ever submitted, for `ListJobs` and `Cancel` by id.
-    jobs: Mutex<BTreeMap<u64, Arc<Job>>>,
+    /// Live and recently finished jobs, for `ListJobs` and `Cancel` by id.
+    jobs: JobTable,
     /// The connection that requested shutdown, owed a `ShutdownOk`.
     shutdown_sink: Mutex<Option<Arc<ClientSink>>>,
 }
@@ -314,11 +313,8 @@ fn run_rank0(core: Executor, mut mesh: ResidentMesh) -> Result<()> {
         core.catalog.names().len(),
         listener.local_addr().map(|a| a.to_string()).unwrap_or(control_addr.clone()),
     );
-    let shared = Arc::new(Shared {
-        core,
-        jobs: Mutex::new(BTreeMap::new()),
-        shutdown_sink: Mutex::new(None),
-    });
+    let shared =
+        Arc::new(Shared { core, jobs: JobTable::default(), shutdown_sink: Mutex::new(None) });
 
     // accept loop: non-blocking poll so it can observe shutdown and release
     // the port even when Daemon::run is hosted in a long-lived process
@@ -498,21 +494,18 @@ fn handle_client(shared: Arc<Shared>, stream: TcpStream) {
                 match submitted {
                     Ok(job) => {
                         let job_id = job.id;
-                        shared.jobs.lock().insert(job_id, job);
+                        shared.jobs.insert(job);
                         sink.send(&DaemonMsg::Submitted { job_id });
                     }
                     Err(e) => sink.send(&DaemonMsg::Error { message: e.to_string() }),
                 }
             }
             ClientMsg::Cancel { job_id } => {
-                if let Some(job) = shared.jobs.lock().get(&job_id) {
-                    job.cancel.store(true, Ordering::Relaxed);
-                }
+                shared.jobs.cancel(job_id);
                 shared.core.wake();
             }
             ClientMsg::ListJobs => {
-                let jobs = shared.jobs.lock().values().map(|j| j.status()).collect();
-                sink.send(&DaemonMsg::Jobs { jobs });
+                sink.send(&DaemonMsg::Jobs { jobs: shared.jobs.list() });
             }
             ClientMsg::Shutdown => {
                 *shared.shutdown_sink.lock() = Some(sink.clone());

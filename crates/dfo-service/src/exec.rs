@@ -109,6 +109,56 @@ impl Job {
     }
 }
 
+/// Entries a [`JobTable`] holds before it starts forgetting finished jobs,
+/// so a resident daemon's memory does not grow with the number of jobs it
+/// has ever finished.
+pub(crate) const FINISHED_JOBS_KEPT: usize = 1024;
+
+/// Jobs by id, for a front-end that lists and cancels by id (the rank-0
+/// daemon): every live job, plus the newest finished ones that fit in
+/// [`FINISHED_JOBS_KEPT`] entries. A terminal job pins its spec, its catalog
+/// entry and its event sink (a possibly closed connection), which is why
+/// the table is bounded.
+#[derive(Default)]
+pub(crate) struct JobTable {
+    jobs: Mutex<BTreeMap<u64, Arc<Job>>>,
+}
+
+impl JobTable {
+    /// Adds a submitted job. Live jobs are never evicted.
+    pub fn insert(&self, job: Arc<Job>) {
+        let mut jobs = self.jobs.lock();
+        jobs.insert(job.id, job);
+        Self::evict(&mut jobs);
+    }
+
+    /// While the table is over its bound, drops the oldest terminal job
+    /// (ids ascend with submission, and old jobs are rarely still live, so
+    /// the scan stops within a few entries).
+    fn evict(jobs: &mut BTreeMap<u64, Arc<Job>>) {
+        while jobs.len() > FINISHED_JOBS_KEPT {
+            let oldest = jobs.iter().find(|(_, j)| j.phase.lock().is_terminal());
+            let Some((&id, _)) = oldest else { break };
+            jobs.remove(&id);
+        }
+    }
+
+    /// Requests cancellation of `id`; a no-op for an unknown (never
+    /// submitted, or finished and evicted) id.
+    pub fn cancel(&self, id: u64) {
+        if let Some(job) = self.jobs.lock().get(&id) {
+            job.cancel.store(true, Ordering::Relaxed);
+        }
+    }
+
+    /// The status of every job in the table, in id order.
+    pub fn list(&self) -> Vec<JobStatus> {
+        let mut jobs = self.jobs.lock();
+        Self::evict(&mut jobs); // jobs finished since the last insert
+        jobs.values().map(|j| j.status()).collect()
+    }
+}
+
 /// One rank's share of one attempt — the body every runner executes inside
 /// its node closure: install the cancel token, run the algorithm, and
 /// report output, per-job stats and the measured peak scratch footprint
@@ -184,7 +234,7 @@ pub(crate) struct Executor {
     overlap_cap: usize,
     pub catalog: Catalog,
     /// One registry shared by every graph's cluster (each labeled
-    /// `graph=<name>`) plus the executor's own scheduler and per-job series.
+    /// `graph=<name>`) plus the executor's own scheduler and job series.
     pub registry: Arc<Registry>,
     /// Scrape endpoint; present when `cfg.metrics_addr` is set.
     pub metrics: Option<MetricsServer>,
@@ -445,23 +495,20 @@ impl Executor {
                 )
                 .set(job.estimate as f64 / peak as f64);
         }
-        // per-job series: cache traffic attributed at the job's own lookup
-        // sites. One series per job id — fine for a resident service's job
-        // cardinality.
-        let job_id = job.id.to_string();
-        let job_labels = [labels[0], labels[1], ("job", job_id.as_str())];
+        // cache traffic attributed at the jobs' own lookup sites; one series
+        // per (graph, algorithm) — a single job's numbers are in its report
         self.registry
             .counter(
                 "dfo_job_cache_hits_total",
-                "Chunk-cache hits counted at this job's lookup sites",
-                &job_labels,
+                "Chunk-cache hits counted at the jobs' lookup sites",
+                &labels,
             )
             .add(totals.chunk_cache_hits);
         self.registry
             .counter(
                 "dfo_job_cache_misses_total",
-                "Chunk-cache misses counted at this job's lookup sites",
-                &job_labels,
+                "Chunk-cache misses counted at the jobs' lookup sites",
+                &labels,
             )
             .add(totals.chunk_cache_misses);
         self.registry
@@ -662,6 +709,42 @@ mod tests {
         run(&core, &a, done(), false);
         assert!(admit(&core).is_none(), "the withdrawn job never reaches a runner");
         assert_eq!(core.counts(), (0, 0));
+    }
+
+    /// The rank-0 daemon's growth bound: finished jobs beyond
+    /// `FINISHED_JOBS_KEPT` leave the job table (oldest first, live jobs
+    /// never), and per-job numbers never become registry series.
+    #[test]
+    fn finished_jobs_are_retained_up_to_a_bound_and_add_no_series() {
+        let (_td, core) = core(usize::MAX);
+        let table = JobTable::default();
+        let (live, _slot) = submit(&core, spec()); // id 0: admitted, never finished
+        table.insert(live.clone());
+        assert_eq!(admit(&core).unwrap().id, live.id);
+        for _ in 0..FINISHED_JOBS_KEPT + 50 {
+            let (job, _slot) = submit(&core, spec());
+            table.insert(job);
+            run(&core, &admit(&core).unwrap(), done(), false);
+        }
+        let listed = table.list();
+        let terminal = listed.iter().filter(|s| s.phase.is_terminal()).count();
+        assert_eq!(listed.len(), FINISHED_JOBS_KEPT, "the table is full, not over");
+        assert_eq!(terminal, FINISHED_JOBS_KEPT - 1);
+        assert_eq!(listed[0].id, live.id, "a live job is never evicted");
+        assert!(!listed[0].phase.is_terminal());
+        assert_eq!(listed[1].id, 52, "the oldest 51 finished jobs went first");
+        // cancelling an evicted id is a no-op: nothing is flagged, nothing wakes
+        table.cancel(1);
+        assert!(listed.iter().all(|s| s.id != 1));
+        assert!(!live.cancel.load(Ordering::Relaxed));
+        assert_eq!(core.counts(), (1, 0));
+
+        let scrape = core.registry.snapshot().to_prometheus();
+        let series = |family: &str| {
+            scrape.lines().filter(|l| l.starts_with(family) && l.contains('{')).count()
+        };
+        assert_eq!(series("dfo_job_cache_hits_total"), 1, "one series per (graph, algorithm)");
+        assert_eq!(series("dfo_job_cache_misses_total"), 1);
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //!   deltas over the job's wall-clock window;
 //! * observability: every graph's cluster feeds one shared
 //!   [`dfo_obs::Registry`] (series labeled `graph`/`rank`), jobs add
-//!   scheduler and per-job series, and `cfg.metrics_addr` (or
+//!   scheduler and per-(graph, algorithm) job series, and `cfg.metrics_addr` (or
 //!   `DFO_METRICS_ADDR`) exposes it all through a [`MetricsServer`] scrape
 //!   endpoint — `GET /metrics` for Prometheus text, `GET /metrics.json`
 //!   for a JSON snapshot.

@@ -24,6 +24,7 @@ use crate::job::JobReport;
 use bytes::Bytes;
 use dfo_algos::{AlgoOutput, OutputKind};
 use dfo_net::{Frame, CTRL_TAG_BIT};
+use dfo_types::codec::Cur;
 use dfo_types::{DfoError, JobSpec, JobStatus, PhaseStats, Result};
 use std::io::{Read, Write};
 use std::time::Duration;
@@ -38,7 +39,7 @@ fn proto_err(m: impl Into<String>) -> DfoError {
 }
 
 // ---------------------------------------------------------------------------
-// primitives: length-prefixed fields and a bounds-checked cursor
+// primitives: length-prefixed fields (decoded with `dfo_types::codec::Cur`)
 
 fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
     buf.extend((b.len() as u32).to_le_bytes());
@@ -47,57 +48,6 @@ fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
 
 fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_bytes(buf, s.as_bytes());
-}
-
-struct Cur<'a> {
-    b: &'a [u8],
-    off: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn new(b: &'a [u8]) -> Self {
-        Self { b, off: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .off
-            .checked_add(n)
-            .filter(|&e| e <= self.b.len())
-            .ok_or_else(|| proto_err("message truncated"))?;
-        let s = &self.b[self.off..end];
-        self.off = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn bytes(&mut self) -> Result<&'a [u8]> {
-        let len = self.u32()? as usize;
-        self.take(len)
-    }
-
-    fn str(&mut self) -> Result<String> {
-        String::from_utf8(self.bytes()?.to_vec())
-            .map_err(|_| proto_err("string field is not UTF-8"))
-    }
-
-    fn done(&self) -> Result<()> {
-        if self.off != self.b.len() {
-            return Err(proto_err("trailing bytes after message"));
-        }
-        Ok(())
-    }
 }
 
 // ---------------------------------------------------------------------------

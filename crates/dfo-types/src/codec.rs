@@ -4,7 +4,13 @@
 //! checkpoint metadata, message files) frame their contents with explicit
 //! little-endian integers written through these helpers, so the formats stay
 //! readable without any serialization framework.
+//!
+//! Messages that arrive whole (job-control payloads, job specs, per-rank
+//! stats) are decoded with [`Cur`], the one bounds-checked slice cursor of
+//! the workspace. Neither path lets a length prefix allocate or index more
+//! than the input really holds.
 
+use crate::error::{DfoError, Result};
 use std::io::{self, Read, Write};
 
 /// Writes a `u64` little-endian.
@@ -64,11 +70,19 @@ pub fn write_bytes<W: Write>(w: &mut W, b: &[u8]) -> io::Result<()> {
     w.write_all(b)
 }
 
-/// Reads a length-prefixed byte string written by [`write_bytes`].
+/// Reads a length-prefixed byte string written by [`write_bytes`]. The
+/// prefix is untrusted: the buffer grows only as bytes actually arrive, so
+/// a hostile length fails on short input instead of allocating for it.
 pub fn read_bytes<R: Read>(r: &mut R) -> io::Result<Vec<u8>> {
-    let len = read_u64(r)? as usize;
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
+    let len = read_u64(r)?;
+    let mut buf = Vec::new();
+    let got = r.by_ref().take(len).read_to_end(&mut buf)? as u64;
+    if got != len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("byte string claims {len} bytes, {got} remain"),
+        ));
+    }
     Ok(buf)
 }
 
@@ -83,10 +97,114 @@ pub fn read_str<R: Read>(r: &mut R) -> io::Result<String> {
     String::from_utf8(b).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
+/// Bounds-checked cursor over a message held in memory. Every read either
+/// returns bytes that are really in the slice or fails with
+/// [`DfoError::Protocol`], so a length field taken off the wire can never
+/// index or allocate past the message it arrived in.
+pub struct Cur<'a> {
+    b: &'a [u8],
+    off: usize,
+}
+
+impl<'a> Cur<'a> {
+    pub fn new(b: &'a [u8]) -> Self {
+        Self { b, off: 0 }
+    }
+
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+        let end = self
+            .off
+            .checked_add(n)
+            .filter(|&e| e <= self.b.len())
+            .ok_or_else(|| DfoError::Protocol("message truncated".into()))?;
+        let s = &self.b[self.off..end];
+        self.off = end;
+        Ok(s)
+    }
+
+    pub fn u8(&mut self) -> Result<u8> {
+        Ok(self.take(1)?[0])
+    }
+
+    pub fn u32(&mut self) -> Result<u32> {
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    }
+
+    pub fn u64(&mut self) -> Result<u64> {
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+
+    /// A byte string behind a `u32` length prefix.
+    pub fn bytes(&mut self) -> Result<&'a [u8]> {
+        let len = self.u32()? as usize;
+        self.take(len)
+    }
+
+    /// A UTF-8 string behind a `u32` length prefix.
+    pub fn str(&mut self) -> Result<String> {
+        utf8(self.bytes()?)
+    }
+
+    /// A UTF-8 string behind a `u64` length prefix ([`write_str`]'s form).
+    pub fn str64(&mut self) -> Result<String> {
+        let len = usize::try_from(self.u64()?).unwrap_or(usize::MAX);
+        utf8(self.take(len)?)
+    }
+
+    /// Whether every byte has been consumed.
+    pub fn is_empty(&self) -> bool {
+        self.off == self.b.len()
+    }
+
+    /// Fails unless every byte has been consumed.
+    pub fn done(&self) -> Result<()> {
+        if !self.is_empty() {
+            return Err(DfoError::Protocol("trailing bytes after message".into()));
+        }
+        Ok(())
+    }
+}
+
+/// Decodes a string field, failing with [`DfoError::Protocol`].
+pub fn utf8(b: &[u8]) -> Result<String> {
+    String::from_utf8(b.to_vec())
+        .map_err(|_| DfoError::Protocol("string field is not UTF-8".into()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Cursor;
+
+    #[test]
+    fn hostile_length_prefix_fails_without_allocating() {
+        for claimed in [u64::MAX, 1 << 62, 1 << 40, 4] {
+            let mut msg = Vec::new();
+            write_u64(&mut msg, claimed).unwrap();
+            msg.extend_from_slice(b"abc");
+            let err = read_bytes(&mut Cursor::new(&msg)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "claimed {claimed}");
+            assert!(matches!(Cur::new(&msg).str64(), Err(DfoError::Protocol(_))));
+        }
+    }
+
+    #[test]
+    fn cur_reads_are_bounds_checked() {
+        let mut msg = vec![7u8];
+        msg.extend(3u32.to_le_bytes());
+        msg.extend_from_slice(b"abc");
+        let mut c = Cur::new(&msg);
+        assert_eq!(c.u8().unwrap(), 7);
+        assert_eq!(c.str().unwrap(), "abc");
+        assert!(c.is_empty() && c.done().is_ok());
+        assert!(c.u8().is_err(), "read past the end");
+        // a prefix that claims more than the message holds
+        let mut c = Cur::new(&msg[1..7]);
+        assert!(matches!(c.bytes(), Err(DfoError::Protocol(_))));
+        // unread bytes are an error for `done`
+        assert!(Cur::new(&msg).done().is_err());
+    }
 
     #[test]
     fn roundtrip_ints() {

@@ -1,8 +1,10 @@
 //! Engine and cluster configuration.
 //!
-//! Defaults follow the paper: CSR inflate ratio 32 (§4.1), seek-cost
-//! parameter γ = 1024 (§4.1), filter skip threshold `|L|/|M| ≥ 2` (§4.3),
-//! inter-node balance weight α = 2P − 1 (§2.2).
+//! Defaults follow the paper: seek-cost parameter γ = 1024 (§4.1), filter
+//! skip threshold `|L|/|M| ≥ 2` (§4.3), inter-node balance weight
+//! α = 2P − 1 (§2.2). A field exists only if a deployment, a test or a
+//! paper-table bench sets it; values nobody turns are constants next to
+//! the code that uses them.
 
 use crate::ids::Rank;
 
@@ -126,14 +128,14 @@ impl CrashPoint {
 
 /// Forces a particular intra-node message dispatching strategy (§4.2);
 /// `None` in [`EngineConfig::dispatch_override`] keeps the adaptive choice.
+/// The paper's third strategy, pull, is not implemented: its only advantage
+/// over push is that the first batches can start before dispatching ends,
+/// and this engine barriers between dispatching and processing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DispatchKind {
     /// One scan of the incoming messages appends to every destination batch
     /// file (low CPU, high latency — batches start only after the scan).
     Push,
-    /// Each batch scans the messages and extracts what it needs (high CPU,
-    /// low latency for the first batches).
-    Pull,
     /// Batches read the undispatched message buffer directly.
     None,
 }
@@ -158,8 +160,6 @@ pub struct EngineConfig {
     pub mem_budget: u64,
     /// Intra-node batch size policy.
     pub batch_policy: BatchPolicy,
-    /// Build CSR for a chunk when `|V_src| / |E_chunk| ≤ csr_inflate_ratio`.
-    pub csr_inflate_ratio: f64,
     /// Seek-vs-scan cost parameter γ: one CSR seek costs as much as scanning
     /// γ DCSR entries.
     pub gamma: u64,
@@ -173,8 +173,6 @@ pub struct EngineConfig {
     /// Simulated network bandwidth per node (each direction), bytes/s
     /// (`None` = unthrottled). The paper's testbed: 25 Gbps.
     pub net_bw: Option<u64>,
-    /// Page size of the storage substrate page cache.
-    pub page_size: usize,
     /// Enables copy-on-write checkpointing of vertex arrays (§3.2).
     pub checkpointing: bool,
     /// Number of checkpoints retained (typically 1 or 2, §3.2).
@@ -195,8 +193,7 @@ pub struct EngineConfig {
     /// across `ProcessEdges` calls (bytes, not entries). `0` — the default —
     /// disables the subsystem entirely: no cache is allocated and no
     /// prefetch threads are spawned, preserving the fully-out-of-core
-    /// behaviour. Overridable with the `DFO_CHUNK_CACHE` environment
-    /// variable (see [`EngineConfig::apply_env_overrides`]).
+    /// behaviour.
     pub chunk_cache_bytes: u64,
     /// Read-ahead depth of the phase-4 chunk prefetcher: how many vertex
     /// batches ahead of the processing frontier background threads may load
@@ -210,8 +207,6 @@ pub struct EngineConfig {
     /// Readers auto-detect the format, so flipping this only affects newly
     /// preprocessed data. While on, the §4.1 CSR seek mode is bypassed for
     /// full chunk loads (positioned reads need the uncompressed layout).
-    /// Overridable with the `DFO_COMPRESS` environment variable (see
-    /// [`EngineConfig::apply_env_overrides`]).
     pub compress_chunks: bool,
     /// Peer socket addresses (`host:port`, one per rank, index = rank) for
     /// the multi-process TCP transport used by `run_distributed`; `None`
@@ -250,10 +245,6 @@ pub struct EngineConfig {
     /// (the default) disables tracing entirely. `DFO_TRACE` overrides
     /// (empty value disables).
     pub trace_path: Option<String>,
-    /// Per-rank flight-recorder capacity in spans; when a run records more,
-    /// the oldest spans are overwritten (the trace keeps the recent
-    /// timeline at bounded memory).
-    pub trace_capacity: usize,
     /// `host:port` bind address for the metrics scrape endpoint
     /// (`dfo-service`): Prometheus text at `GET /metrics`, a JSON snapshot
     /// at `GET /metrics.json`. Port `0` binds an ephemeral port (the
@@ -270,17 +261,6 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// Starts a validated [`EngineConfigBuilder`] from the same defaults as
-    /// [`EngineConfig::for_test`]`(1)`. The builder is the recommended way
-    /// to construct a config for service deployments: unlike mutating the
-    /// struct directly, [`EngineConfigBuilder::build`] enforces the
-    /// cross-field invariants (a positive memory budget, prefetch only with
-    /// a chunk cache, well-formed peer addresses) before any cluster is
-    /// created.
-    pub fn builder() -> EngineConfigBuilder {
-        EngineConfigBuilder { cfg: EngineConfig::for_test(1), prefetch_depth_set: false }
-    }
-
     /// A small-footprint configuration suitable for tests: `nodes` ranks,
     /// two worker threads each, unthrottled I/O, checkpointing off.
     pub fn for_test(nodes: usize) -> Self {
@@ -289,13 +269,11 @@ impl EngineConfig {
             threads_per_node: 2,
             mem_budget: 64 << 20,
             batch_policy: BatchPolicy::FixedVertices(64),
-            csr_inflate_ratio: 32.0,
             gamma: 1024,
             filter_skip_ratio: 2.0,
             alpha: None,
             disk_bw: None,
             net_bw: None,
-            page_size: 4096,
             checkpointing: false,
             checkpoints_kept: 1,
             batching_enabled: true,
@@ -313,7 +291,6 @@ impl EngineConfig {
             crash_schedule: Vec::new(),
             epoch_file: None,
             trace_path: None,
-            trace_capacity: 1 << 16,
             metrics_addr: None,
             control_addr: None,
         }
@@ -323,28 +300,19 @@ impl EngineConfig {
     /// conventional way a launcher differentiates otherwise-identical
     /// worker processes).
     pub fn env_rank() -> Option<Rank> {
-        std::env::var("DFO_RANK").ok()?.trim().parse().ok()
+        env("DFO_RANK")?.trim().parse().ok()
     }
 
-    /// Applies every `DFO_*` environment override and returns the updated
-    /// config — **the single place the workspace reads engine environment
-    /// variables** (only [`EngineConfig::env_rank`] sits outside it, because
-    /// a rank identifies a process, not a configuration). Builder-style:
-    ///
-    /// ```
-    /// use dfo_types::EngineConfig;
-    /// let cfg = EngineConfig::for_test(2).from_env_overrides();
-    /// ```
+    /// Applies every `DFO_*` environment override in place — **the single
+    /// place the workspace reads engine environment variables** (only
+    /// [`EngineConfig::env_rank`] sits outside it, because a rank identifies
+    /// a process, not a configuration).
     ///
     /// Recognized variables:
     ///
     /// * `DFO_PEERS` — comma-separated `host:port` list (one per rank, in
     ///   rank order); switches the config to the TCP transport and sets the
     ///   node count to match.
-    /// * `DFO_CHUNK_CACHE` — chunk-cache budget in bytes (optional
-    ///   `K`/`M`/`G` suffix).
-    /// * `DFO_COMPRESS` — `1`/`true`/`on` or `0`/`false`/`off`: toggles
-    ///   chunk compression.
     /// * `DFO_EPOCH` — mesh bootstrap epoch (a supervisor passes it to
     ///   relaunched ranks).
     /// * `DFO_MAX_RESTARTS` — bounds supervised recoveries.
@@ -364,16 +332,8 @@ impl EngineConfig {
     ///
     /// A value that fails to parse warns on stderr and keeps the configured
     /// value rather than silently changing behaviour.
-    #[must_use]
-    pub fn from_env_overrides(mut self) -> Self {
-        self.apply_env_overrides();
-        self
-    }
-
-    /// In-place form of [`EngineConfig::from_env_overrides`], kept for
-    /// callers that already hold a `&mut EngineConfig`.
     pub fn apply_env_overrides(&mut self) {
-        if let Ok(s) = std::env::var("DFO_PEERS") {
+        if let Some(s) = env("DFO_PEERS") {
             let peers: Vec<String> =
                 s.split(',').map(|x| x.trim().to_string()).filter(|x| !x.is_empty()).collect();
             if !peers.is_empty() {
@@ -381,29 +341,7 @@ impl EngineConfig {
                 self.peers = Some(peers);
             }
         }
-        if let Ok(s) = std::env::var("DFO_CHUNK_CACHE") {
-            match parse_byte_size(&s) {
-                Some(bytes) => self.chunk_cache_bytes = bytes,
-                // warn rather than silently leave the cache off: the user
-                // explicitly asked for it
-                None => eprintln!(
-                    "DFO_CHUNK_CACHE={s:?} is not a byte size (use e.g. 67108864 or 64M); \
-                     keeping chunk_cache_bytes = {}",
-                    self.chunk_cache_bytes
-                ),
-            }
-        }
-        if let Ok(s) = std::env::var("DFO_COMPRESS") {
-            match parse_bool(&s) {
-                Some(on) => self.compress_chunks = on,
-                None => eprintln!(
-                    "DFO_COMPRESS={s:?} is not a boolean (use 1/0, true/false, on/off); \
-                     keeping compress_chunks = {}",
-                    self.compress_chunks
-                ),
-            }
-        }
-        if let Ok(s) = std::env::var("DFO_EPOCH") {
+        if let Some(s) = env("DFO_EPOCH") {
             match s.trim().parse::<u64>() {
                 Ok(e) => self.epoch = e,
                 Err(_) => {
@@ -411,7 +349,7 @@ impl EngineConfig {
                 }
             }
         }
-        if let Ok(s) = std::env::var("DFO_MAX_RESTARTS") {
+        if let Some(s) = env("DFO_MAX_RESTARTS") {
             match s.trim().parse::<u32>() {
                 Ok(n) => self.max_restarts = n,
                 Err(_) => eprintln!(
@@ -420,7 +358,7 @@ impl EngineConfig {
                 ),
             }
         }
-        if let Ok(s) = std::env::var("DFO_CRASH_AT") {
+        if let Some(s) = env("DFO_CRASH_AT") {
             if s.trim().is_empty() {
                 self.crash_schedule.clear(); // explicit disable (supervisor relaunch)
             } else {
@@ -434,21 +372,16 @@ impl EngineConfig {
                 }
             }
         }
-        if let Ok(s) = std::env::var("DFO_EPOCH_FILE") {
-            let s = s.trim();
-            self.epoch_file = if s.is_empty() { None } else { Some(s.to_string()) };
-        }
-        if let Ok(s) = std::env::var("DFO_TRACE") {
-            let s = s.trim();
-            self.trace_path = if s.is_empty() { None } else { Some(s.to_string()) };
-        }
-        if let Ok(s) = std::env::var("DFO_METRICS_ADDR") {
-            let s = s.trim();
-            self.metrics_addr = if s.is_empty() { None } else { Some(s.to_string()) };
-        }
-        if let Ok(s) = std::env::var("DFO_CONTROL_ADDR") {
-            let s = s.trim();
-            self.control_addr = if s.is_empty() { None } else { Some(s.to_string()) };
+        for (name, field) in [
+            ("DFO_EPOCH_FILE", &mut self.epoch_file),
+            ("DFO_TRACE", &mut self.trace_path),
+            ("DFO_METRICS_ADDR", &mut self.metrics_addr),
+            ("DFO_CONTROL_ADDR", &mut self.control_addr),
+        ] {
+            if let Some(s) = env(name) {
+                let s = s.trim();
+                *field = (!s.is_empty()).then(|| s.to_string());
+            }
         }
     }
 
@@ -457,7 +390,10 @@ impl EngineConfig {
         self.alpha.unwrap_or(2 * self.nodes as u64 - 1)
     }
 
-    /// Sanity-checks invariants; called once at cluster start.
+    /// Sanity-checks invariants and the shape of values that arrive from
+    /// outside the program (environment, launcher); `Cluster::create`,
+    /// `preprocess` and the service executor all call it before using a
+    /// config.
     pub fn validate(&self) -> Result<(), String> {
         if self.nodes == 0 {
             return Err("cluster must have at least one node".into());
@@ -465,20 +401,16 @@ impl EngineConfig {
         if self.threads_per_node == 0 {
             return Err("threads_per_node must be positive".into());
         }
-        if self.csr_inflate_ratio <= 0.0 {
-            return Err("csr_inflate_ratio must be positive".into());
+        if self.mem_budget == 0 {
+            return Err("mem_budget must be positive (batch sizing and job admission \
+                 control divide the budget)"
+                .into());
         }
         if self.filter_skip_ratio <= 0.0 {
             return Err("filter_skip_ratio must be positive".into());
         }
-        if !self.page_size.is_power_of_two() {
-            return Err(format!("page_size {} must be a power of two", self.page_size));
-        }
         if self.checkpointing && self.checkpoints_kept == 0 {
             return Err("checkpoints_kept must be ≥ 1 when checkpointing".into());
-        }
-        if self.trace_path.is_some() && self.trace_capacity == 0 {
-            return Err("trace_capacity must be ≥ 1 when trace_path is set".into());
         }
         if let Some(peers) = &self.peers {
             if peers.len() != self.nodes {
@@ -488,8 +420,19 @@ impl EngineConfig {
                     self.nodes
                 ));
             }
-            if peers.iter().any(|a| a.is_empty()) {
-                return Err("peer list contains an empty address".into());
+        }
+        let peers = self.peers.iter().flatten().map(|a| ("peer", a));
+        let listeners = [("metrics", &self.metrics_addr), ("control", &self.control_addr)]
+            .into_iter()
+            .filter_map(|(what, a)| Some((what, a.as_ref()?)));
+        for (what, addr) in peers.chain(listeners) {
+            let ok = addr
+                .rsplit_once(':')
+                .is_some_and(|(host, port)| !host.is_empty() && port.parse::<u16>().is_ok());
+            if !ok {
+                return Err(format!(
+                    "{what} address {addr:?} is not host:port with a numeric port"
+                ));
             }
         }
         Ok(())
@@ -508,257 +451,25 @@ impl EngineConfig {
     }
 }
 
-/// Validating builder for [`EngineConfig`], started with
-/// [`EngineConfig::builder`].
-///
-/// Every setter returns `self` so configs chain fluently; [`Self::build`]
-/// runs [`EngineConfig::validate`] plus the stricter service-facing checks
-/// that a hand-mutated struct never got:
-///
-/// * `mem_budget` must be positive — admission control and the
-///   fully-out-of-core batch-sizing rule both divide by it;
-/// * an explicitly requested `prefetch_depth > 0` without any
-///   `chunk_cache_bytes` is rejected (read-ahead decodes into the cache;
-///   without one it would be silently dead);
-/// * every peer address must look like `host:port` with a numeric port.
-///
-/// ```
-/// use dfo_types::EngineConfig;
-/// let cfg = EngineConfig::builder()
-///     .nodes(4)
-///     .threads_per_node(8)
-///     .mem_budget(2 << 30)
-///     .chunk_cache_bytes(256 << 20)
-///     .prefetch_depth(2)
-///     .build()
-///     .unwrap();
-/// assert_eq!(cfg.nodes, 4);
-/// ```
-#[derive(Clone, Debug)]
-pub struct EngineConfigBuilder {
-    cfg: EngineConfig,
-    /// Whether the caller explicitly asked for read-ahead: only then is
-    /// "prefetch without a cache" a contradiction worth rejecting (the
-    /// defaults carry a harmless latent depth for when a cache is enabled).
-    prefetch_depth_set: bool,
-}
+/// Every `DFO_*` variable the workspace reads: [`EngineConfig::env_rank`]
+/// the first, [`EngineConfig::apply_env_overrides`] the rest. All reads go
+/// through [`env`], which refuses names missing here, and a unit test checks
+/// that the README documents each one.
+const ENV_VARS: [&str; 9] = [
+    "DFO_RANK",
+    "DFO_PEERS",
+    "DFO_EPOCH",
+    "DFO_MAX_RESTARTS",
+    "DFO_CRASH_AT",
+    "DFO_EPOCH_FILE",
+    "DFO_TRACE",
+    "DFO_METRICS_ADDR",
+    "DFO_CONTROL_ADDR",
+];
 
-impl EngineConfigBuilder {
-    /// Number of (simulated or real) ranks `P`.
-    pub fn nodes(mut self, nodes: usize) -> Self {
-        self.cfg.nodes = nodes;
-        self
-    }
-
-    /// Worker threads per node.
-    pub fn threads_per_node(mut self, threads: usize) -> Self {
-        self.cfg.threads_per_node = threads;
-        self
-    }
-
-    /// Memory budget per node in bytes (must be positive).
-    pub fn mem_budget(mut self, bytes: u64) -> Self {
-        self.cfg.mem_budget = bytes;
-        self
-    }
-
-    /// Intra-node batch sizing policy.
-    pub fn batch_policy(mut self, policy: BatchPolicy) -> Self {
-        self.cfg.batch_policy = policy;
-        self
-    }
-
-    /// Byte budget of the decoded-chunk cache (0 disables the subsystem).
-    pub fn chunk_cache_bytes(mut self, bytes: u64) -> Self {
-        self.cfg.chunk_cache_bytes = bytes;
-        self
-    }
-
-    /// Read-ahead depth of the phase-4 prefetcher; requires a chunk cache.
-    pub fn prefetch_depth(mut self, depth: usize) -> Self {
-        self.cfg.prefetch_depth = depth;
-        self.prefetch_depth_set = true;
-        self
-    }
-
-    /// Toggles the LZ4 chunk framing on newly preprocessed data.
-    pub fn compress_chunks(mut self, on: bool) -> Self {
-        self.cfg.compress_chunks = on;
-        self
-    }
-
-    /// Enables copy-on-write checkpointing, retaining `kept` checkpoints.
-    pub fn checkpointing(mut self, on: bool, kept: usize) -> Self {
-        self.cfg.checkpointing = on;
-        self.cfg.checkpoints_kept = kept;
-        self
-    }
-
-    /// Simulated sequential disk bandwidth per node (`None` = unthrottled).
-    pub fn disk_bw(mut self, bw: Option<u64>) -> Self {
-        self.cfg.disk_bw = bw;
-        self
-    }
-
-    /// Simulated network bandwidth per node (`None` = unthrottled).
-    pub fn net_bw(mut self, bw: Option<u64>) -> Self {
-        self.cfg.net_bw = bw;
-        self
-    }
-
-    /// Records disk/network traffic time series (Figure 5).
-    pub fn record_traffic(mut self, on: bool) -> Self {
-        self.cfg.record_traffic = on;
-        self
-    }
-
-    /// Peer `host:port` addresses (one per rank) for the TCP transport;
-    /// also sets the node count to match.
-    pub fn peers(mut self, peers: Vec<String>) -> Self {
-        self.cfg.nodes = peers.len();
-        self.cfg.peers = Some(peers);
-        self
-    }
-
-    /// Seconds each rank waits for the full TCP mesh at bootstrap.
-    pub fn connect_timeout_secs(mut self, secs: u64) -> Self {
-        self.cfg.connect_timeout_secs = secs;
-        self
-    }
-
-    /// Mesh failures a supervised run may recover from.
-    pub fn max_restarts(mut self, n: u32) -> Self {
-        self.cfg.max_restarts = n;
-        self
-    }
-
-    /// Span-trace output path (`None` disables tracing).
-    pub fn trace_path(mut self, path: Option<String>) -> Self {
-        self.cfg.trace_path = path;
-        self
-    }
-
-    /// Per-rank flight-recorder capacity in spans.
-    pub fn trace_capacity(mut self, spans: usize) -> Self {
-        self.cfg.trace_capacity = spans;
-        self
-    }
-
-    /// Metrics scrape endpoint bind address (`None` serves nothing).
-    pub fn metrics_addr(mut self, addr: Option<String>) -> Self {
-        self.cfg.metrics_addr = addr;
-        self
-    }
-
-    /// Rank-0 job-control listener bind address for daemon mode (`None`
-    /// serves no remote clients).
-    pub fn control_addr(mut self, addr: Option<String>) -> Self {
-        self.cfg.control_addr = addr;
-        self
-    }
-
-    /// Forces a dispatch strategy instead of the adaptive choice.
-    pub fn dispatch_override(mut self, kind: Option<DispatchKind>) -> Self {
-        self.cfg.dispatch_override = kind;
-        self
-    }
-
-    /// Forces an edge representation instead of the adaptive choice.
-    pub fn repr_override(mut self, kind: Option<ReprKind>) -> Self {
-        self.cfg.repr_override = kind;
-        self
-    }
-
-    /// Disables inter-node message filtering (§4.3 ablation).
-    pub fn filtering_enabled(mut self, on: bool) -> Self {
-        self.cfg.filtering_enabled = on;
-        self
-    }
-
-    /// Disables intra-node batching (Table 6 ablation).
-    pub fn batching_enabled(mut self, on: bool) -> Self {
-        self.cfg.batching_enabled = on;
-        self
-    }
-
-    /// Applies the `DFO_*` environment overrides on top of the values set
-    /// so far (see [`EngineConfig::from_env_overrides`]). Overrides count
-    /// as explicit settings for validation purposes.
-    pub fn env_overrides(mut self) -> Self {
-        self.cfg = self.cfg.from_env_overrides();
-        self
-    }
-
-    /// Validates and returns the finished config. See the type docs for the
-    /// checks beyond [`EngineConfig::validate`].
-    pub fn build(self) -> Result<EngineConfig, String> {
-        if self.cfg.mem_budget == 0 {
-            return Err("mem_budget must be positive (batch sizing and job admission \
-                 control divide the budget)"
-                .into());
-        }
-        if self.prefetch_depth_set && self.cfg.prefetch_depth > 0 && self.cfg.chunk_cache_bytes == 0
-        {
-            return Err(format!(
-                "prefetch_depth {} requested with chunk_cache_bytes 0: read-ahead decodes \
-                 into the chunk cache, so enable one (e.g. .chunk_cache_bytes(64 << 20)) \
-                 or drop the prefetch_depth call",
-                self.cfg.prefetch_depth
-            ));
-        }
-        if let Some(peers) = &self.cfg.peers {
-            for addr in peers {
-                let port_ok = addr
-                    .rsplit_once(':')
-                    .is_some_and(|(host, port)| !host.is_empty() && port.parse::<u16>().is_ok());
-                if !port_ok {
-                    return Err(format!(
-                        "peer address {addr:?} is not host:port with a numeric port"
-                    ));
-                }
-            }
-        }
-        for (what, addr) in
-            [("metrics", &self.cfg.metrics_addr), ("control", &self.cfg.control_addr)]
-        {
-            if let Some(addr) = addr {
-                let port_ok = addr
-                    .rsplit_once(':')
-                    .is_some_and(|(host, port)| !host.is_empty() && port.parse::<u16>().is_ok());
-                if !port_ok {
-                    return Err(format!(
-                        "{what} address {addr:?} is not host:port with a numeric port"
-                    ));
-                }
-            }
-        }
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
-}
-
-/// Parses `"1"`/`"true"`/`"on"`/`"yes"` and `"0"`/`"false"`/`"off"`/`"no"`
-/// (case-insensitive).
-fn parse_bool(s: &str) -> Option<bool> {
-    match s.trim().to_ascii_lowercase().as_str() {
-        "1" | "true" | "on" | "yes" => Some(true),
-        "0" | "false" | "off" | "no" => Some(false),
-        _ => None,
-    }
-}
-
-/// Parses `"67108864"`, `"64M"`, `"2G"`, `"512K"` (optionally `"64MB"`)
-/// into bytes.
-fn parse_byte_size(s: &str) -> Option<u64> {
-    let s = s.trim();
-    let s = s.strip_suffix(['b', 'B']).filter(|r| !r.is_empty()).unwrap_or(s);
-    let (digits, mult) = match s.chars().last()? {
-        'k' | 'K' => (&s[..s.len() - 1], 1u64 << 10),
-        'm' | 'M' => (&s[..s.len() - 1], 1u64 << 20),
-        'g' | 'G' => (&s[..s.len() - 1], 1u64 << 30),
-        _ => (s, 1),
-    };
-    digits.trim().parse::<u64>().ok().map(|n| n.saturating_mul(mult))
+fn env(name: &str) -> Option<String> {
+    assert!(ENV_VARS.contains(&name), "{name} is not listed in ENV_VARS");
+    std::env::var(name).ok()
 }
 
 #[cfg(test)]
@@ -766,42 +477,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn byte_size_suffixes() {
-        assert_eq!(parse_byte_size("4096"), Some(4096));
-        assert_eq!(parse_byte_size("64M"), Some(64 << 20));
-        assert_eq!(parse_byte_size("64MB"), Some(64 << 20));
-        assert_eq!(parse_byte_size("512K"), Some(512 << 10));
-        assert_eq!(parse_byte_size("2g"), Some(2 << 30));
-        assert_eq!(parse_byte_size("2GB"), Some(2 << 30));
-        assert_eq!(parse_byte_size("nope"), None);
-        assert_eq!(parse_byte_size("b"), None);
-        assert_eq!(parse_byte_size(""), None);
-    }
-
-    #[test]
-    fn chunk_cache_defaults_off() {
+    fn chunk_cache_defaults_off_and_compression_on() {
         let c = EngineConfig::for_test(2);
         assert_eq!(c.chunk_cache_bytes, 0);
         assert_eq!(c.prefetch_depth, 2);
-    }
-
-    #[test]
-    fn compression_defaults_on_and_bool_parsing() {
-        assert!(EngineConfig::for_test(2).compress_chunks);
-        for (s, want) in [
-            ("1", Some(true)),
-            ("true", Some(true)),
-            ("ON", Some(true)),
-            ("yes", Some(true)),
-            ("0", Some(false)),
-            ("False", Some(false)),
-            ("off", Some(false)),
-            ("no", Some(false)),
-            ("maybe", None),
-            ("", None),
-        ] {
-            assert_eq!(parse_bool(s), want, "parse_bool({s:?})");
-        }
+        assert!(c.compress_chunks);
     }
 
     #[test]
@@ -830,69 +510,67 @@ mod tests {
     #[test]
     fn validation_catches_bad_configs() {
         let mut c = EngineConfig::for_test(2);
-        c.page_size = 1000;
+        c.nodes = 0;
         assert!(c.validate().is_err());
         let mut c = EngineConfig::for_test(2);
-        c.nodes = 0;
+        c.checkpointing = true;
+        c.checkpoints_kept = 0;
         assert!(c.validate().is_err());
         assert!(EngineConfig::for_test(2).validate().is_ok());
     }
 
     #[test]
-    fn builder_accepts_a_sound_config() {
-        let cfg = EngineConfig::builder()
-            .nodes(3)
-            .threads_per_node(4)
-            .mem_budget(1 << 30)
-            .chunk_cache_bytes(64 << 20)
-            .prefetch_depth(3)
-            .compress_chunks(false)
-            .build()
-            .unwrap();
-        assert_eq!((cfg.nodes, cfg.threads_per_node), (3, 4));
-        assert_eq!(cfg.prefetch_depth, 3);
-        assert!(!cfg.compress_chunks);
-    }
-
-    #[test]
-    fn builder_rejects_zero_mem_budget() {
-        let err = EngineConfig::builder().mem_budget(0).build().unwrap_err();
+    fn validation_rejects_zero_mem_budget() {
+        let mut c = EngineConfig::for_test(1);
+        c.mem_budget = 0;
+        let err = c.validate().unwrap_err();
         assert!(err.contains("mem_budget"), "{err}");
     }
 
     #[test]
-    fn builder_rejects_prefetch_without_cache() {
-        let err = EngineConfig::builder().prefetch_depth(4).build().unwrap_err();
-        assert!(err.contains("chunk cache") || err.contains("chunk_cache"), "{err}");
-        // the default (unset) depth is fine without a cache…
-        EngineConfig::builder().build().unwrap();
-        // …and an explicit depth of 0 is an explicit "no read-ahead"
-        EngineConfig::builder().prefetch_depth(0).build().unwrap();
-    }
-
-    #[test]
-    fn builder_rejects_malformed_peers() {
-        for bad in ["127.0.0.1", "127.0.0.1:port", ":7000", "host:"] {
-            let err = EngineConfig::builder()
-                .peers(vec![bad.to_string(), "127.0.0.1:7001".into()])
-                .build()
-                .unwrap_err();
+    fn validation_rejects_malformed_peers() {
+        let mut c = EngineConfig::for_test(2);
+        for bad in ["127.0.0.1", "127.0.0.1:port", ":7000", "host:", ""] {
+            c.peers = Some(vec![bad.to_string(), "127.0.0.1:7001".into()]);
+            let err = c.validate().unwrap_err();
             assert!(err.contains("host:port"), "{bad}: {err}");
         }
-        let cfg = EngineConfig::builder()
-            .peers(vec!["127.0.0.1:7000".into(), "node1:7000".into()])
-            .build()
-            .unwrap();
-        assert_eq!(cfg.nodes, 2, "peer list sets the node count");
+        c.peers = Some(vec!["127.0.0.1:7000".into()]);
+        assert!(c.validate().is_err(), "one address for two ranks");
+        c.peers = Some(vec!["127.0.0.1:7000".into(), "node1:7000".into()]);
+        assert!(c.validate().is_ok());
     }
 
     #[test]
-    fn from_env_overrides_is_builder_style() {
-        // no DFO_* vars set in the test environment: the config round-trips
-        let cfg = EngineConfig::for_test(2);
-        let cfg2 = cfg.clone().from_env_overrides();
-        assert_eq!(cfg.nodes, cfg2.nodes);
-        assert_eq!(cfg.chunk_cache_bytes, cfg2.chunk_cache_bytes);
+    fn validation_checks_listener_addr_shape() {
+        let mut c = EngineConfig::for_test(1);
+        c.metrics_addr = Some("nonsense".into());
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("metrics") && err.contains("host:port"), "{err}");
+        c.metrics_addr = Some("127.0.0.1:0".into());
+        c.control_addr = Some("127.0.0.1:".into());
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("control") && err.contains("host:port"), "{err}");
+        c.control_addr = Some("127.0.0.1:0".into());
+        assert!(c.validate().is_ok());
+    }
+
+    /// Every variable the engine reads is listed in `ENV_VARS` (`env`
+    /// panics otherwise) and documented in the README, so the next env var
+    /// cannot land undocumented.
+    #[test]
+    fn every_env_var_is_documented() {
+        // exercises every `env` call: no DFO_* variable is set under
+        // `cargo test`, so the config round-trips
+        let mut c = EngineConfig::for_test(2);
+        c.apply_env_overrides();
+        assert_eq!((c.nodes, c.epoch, &c.peers), (2, 0, &None));
+        assert_eq!(EngineConfig::env_rank(), None);
+
+        let readme = include_str!("../../../README.md");
+        for name in ENV_VARS {
+            assert!(readme.contains(name), "{name} is not documented in README.md");
+        }
     }
 
     #[test]
@@ -933,53 +611,13 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_knobs_default_off() {
+    fn telemetry_and_recovery_knobs_default_off() {
         let c = EngineConfig::for_test(2);
         assert_eq!(c.trace_path, None);
         assert_eq!(c.metrics_addr, None);
-        assert_eq!(c.trace_capacity, 1 << 16);
-        // tracing without a buffer is a contradiction
-        let mut c = EngineConfig::for_test(1);
-        c.trace_path = Some("t.json".into());
-        c.trace_capacity = 0;
-        assert!(c.validate().is_err());
-        c.trace_capacity = 16;
-        assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn builder_checks_metrics_addr_shape() {
-        let err =
-            EngineConfig::builder().metrics_addr(Some("nonsense".into())).build().unwrap_err();
-        assert!(err.contains("host:port"), "{err}");
-        let cfg = EngineConfig::builder()
-            .metrics_addr(Some("127.0.0.1:0".into()))
-            .trace_path(Some("target/t.jsonl".into()))
-            .trace_capacity(1024)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.metrics_addr.as_deref(), Some("127.0.0.1:0"));
-        assert_eq!(cfg.trace_path.as_deref(), Some("target/t.jsonl"));
-        assert_eq!(cfg.trace_capacity, 1024);
-    }
-
-    #[test]
-    fn recovery_knobs_default_off() {
-        let c = EngineConfig::for_test(2);
         assert_eq!(c.epoch, 0);
         assert_eq!(c.max_restarts, 0);
         assert!(c.crash_schedule.is_empty());
         assert_eq!(c.epoch_file, None);
-    }
-
-    #[test]
-    fn validation_checks_peer_list_shape() {
-        let mut c = EngineConfig::for_test(2);
-        c.peers = Some(vec!["127.0.0.1:7000".into()]);
-        assert!(c.validate().is_err(), "one address for two ranks");
-        c.peers = Some(vec!["127.0.0.1:7000".into(), String::new()]);
-        assert!(c.validate().is_err(), "empty address");
-        c.peers = Some(vec!["127.0.0.1:7000".into(), "127.0.0.1:7001".into()]);
-        assert!(c.validate().is_ok());
     }
 }

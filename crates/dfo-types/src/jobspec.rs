@@ -21,10 +21,10 @@
 //! take their `Default` value, which keeps old encodings of a message
 //! decodable forever. Both properties are locked in by tests.
 
-use crate::codec::{read_str, read_u32, read_u64, write_str, write_u32, write_u64};
+use crate::codec::{utf8, write_str, write_u32, write_u64, Cur};
 use crate::error::{DfoError, Result};
 use std::collections::BTreeMap;
-use std::io::{Cursor, Read, Write};
+use std::io::Write;
 
 /// Current version byte stamped on every encoded job message.
 pub const JOB_WIRE_VERSION: u8 = 1;
@@ -77,20 +77,13 @@ impl JobParams {
     }
 
     fn decode(bytes: &[u8]) -> Result<Self> {
-        let mut c = Cursor::new(bytes);
-        let n = read_u32(&mut c).map_err(|e| corrupt("params count", &e))?;
+        let mut c = Cur::new(bytes);
         let mut map = BTreeMap::new();
-        for _ in 0..n {
-            let k = read_str(&mut c).map_err(|e| corrupt("params key", &e))?;
-            let v = read_u64(&mut c).map_err(|e| corrupt("params value", &e))?;
-            map.insert(k, v);
+        for _ in 0..c.u32()? {
+            map.insert(c.str64()?, c.u64()?);
         }
         Ok(Self { map })
     }
-}
-
-fn corrupt(what: &str, e: &dyn std::fmt::Display) -> DfoError {
-    DfoError::Protocol(format!("decoding {what}: {e}"))
 }
 
 /// Writes one `[id][len][payload]` field.
@@ -105,27 +98,12 @@ fn write_field<W: Write>(w: &mut W, id: u8, payload: &[u8]) -> std::io::Result<(
 /// passed through to `f`, which ignores them — the forward-compatibility
 /// rule of the format.
 fn for_each_field(bytes: &[u8], mut f: impl FnMut(u8, &[u8]) -> Result<()>) -> Result<()> {
-    let mut c = Cursor::new(bytes);
-    loop {
-        let mut id = [0u8; 1];
-        match c.read(&mut id) {
-            Ok(0) => return Ok(()),
-            Ok(_) => {}
-            Err(e) => return Err(corrupt("field id", &e)),
-        }
-        let len = read_u32(&mut c).map_err(|e| corrupt("field length", &e))? as usize;
-        let pos = c.position() as usize;
-        let rest = &bytes[pos..];
-        if len > rest.len() {
-            return Err(DfoError::Protocol(format!(
-                "field {} claims {len} bytes, {} remain",
-                id[0],
-                rest.len()
-            )));
-        }
-        f(id[0], &rest[..len])?;
-        c.set_position((pos + len) as u64);
+    let mut c = Cur::new(bytes);
+    while !c.is_empty() {
+        let id = c.u8()?;
+        f(id, c.bytes()?)?;
     }
+    Ok(())
 }
 
 /// Checks and strips the leading version byte.
@@ -136,14 +114,6 @@ fn split_version<'a>(what: &str, bytes: &'a [u8]) -> Result<&'a [u8]> {
         // any version >= 1 decodes: unknown fields are skipped below
         Some(_) => Ok(&bytes[1..]),
     }
-}
-
-fn u64_field(what: &str, payload: &[u8]) -> Result<u64> {
-    read_u64(&mut Cursor::new(payload)).map_err(|e| corrupt(what, &e))
-}
-
-fn str_field(what: &str, payload: &[u8]) -> Result<String> {
-    String::from_utf8(payload.to_vec()).map_err(|e| corrupt(what, &e))
 }
 
 /// What to run: a catalog graph by name, a registered algorithm by name,
@@ -264,15 +234,13 @@ impl JobSpec {
         let mut spec = JobSpec::new("", "");
         for_each_field(fields, |id, payload| {
             match id {
-                F_GRAPH => spec.graph = str_field("graph", payload)?,
-                F_ALGORITHM => spec.algorithm = str_field("algorithm", payload)?,
+                F_GRAPH => spec.graph = utf8(payload)?,
+                F_ALGORITHM => spec.algorithm = utf8(payload)?,
                 F_PARAMS => spec.params = JobParams::decode(payload)?,
-                F_MEM_ESTIMATE => spec.mem_estimate = Some(u64_field("mem_estimate", payload)?),
-                F_MAX_RETRIES => {
-                    spec.max_retries = u64_field("max_retries", &pad8(payload)?)? as u32
-                }
-                F_PRIORITY => spec.priority = u64_field("priority", &pad8(payload)?)? as u32 as i32,
-                F_CLIENT_ID => spec.client_id = str_field("client_id", payload)?,
+                F_MEM_ESTIMATE => spec.mem_estimate = Some(Cur::new(payload).u64()?),
+                F_MAX_RETRIES => spec.max_retries = Cur::new(payload).u32()?,
+                F_PRIORITY => spec.priority = Cur::new(payload).u32()? as i32,
+                F_CLIENT_ID => spec.client_id = utf8(payload)?,
                 _ => {} // unknown field from a newer sender: skip
             }
             Ok(())
@@ -284,16 +252,6 @@ impl JobSpec {
         }
         Ok(spec)
     }
-}
-
-/// Little-endian zero-extension of a ≤ 8-byte integer payload.
-fn pad8(payload: &[u8]) -> Result<[u8; 8]> {
-    if payload.len() > 8 {
-        return Err(DfoError::Protocol(format!("integer field of {} bytes", payload.len())));
-    }
-    let mut b = [0u8; 8];
-    b[..payload.len()].copy_from_slice(payload);
-    Ok(b)
 }
 
 /// Where a job is in its lifecycle.
@@ -395,20 +353,14 @@ impl JobStatus {
         };
         for_each_field(fields, |id, payload| {
             match id {
-                S_ID => st.id = u64_field("id", payload)?,
-                S_PHASE => {
-                    st.phase = JobPhase::from_wire(
-                        *payload
-                            .first()
-                            .ok_or_else(|| DfoError::Protocol("empty phase field".into()))?,
-                    )?
-                }
-                S_GRAPH => st.graph = str_field("graph", payload)?,
-                S_ALGORITHM => st.algorithm = str_field("algorithm", payload)?,
-                S_MEM_ESTIMATE => st.mem_estimate = u64_field("mem_estimate", payload)?,
-                S_RETRIES => st.retries = u64_field("retries", &pad8(payload)?)? as u32,
-                S_PRIORITY => st.priority = u64_field("priority", &pad8(payload)?)? as u32 as i32,
-                S_CLIENT_ID => st.client_id = str_field("client_id", payload)?,
+                S_ID => st.id = Cur::new(payload).u64()?,
+                S_PHASE => st.phase = JobPhase::from_wire(Cur::new(payload).u8()?)?,
+                S_GRAPH => st.graph = utf8(payload)?,
+                S_ALGORITHM => st.algorithm = utf8(payload)?,
+                S_MEM_ESTIMATE => st.mem_estimate = Cur::new(payload).u64()?,
+                S_RETRIES => st.retries = Cur::new(payload).u32()?,
+                S_PRIORITY => st.priority = Cur::new(payload).u32()? as i32,
+                S_CLIENT_ID => st.client_id = utf8(payload)?,
                 _ => {}
             }
             Ok(())
@@ -471,6 +423,25 @@ mod tests {
         assert!(JobSpec::decode(&bytes).is_err());
         // missing required fields
         assert!(JobSpec::decode(&[JOB_WIRE_VERSION]).is_err());
+    }
+
+    /// A params key whose length prefix claims more than the message holds
+    /// (here: far more than any machine holds) is a protocol error, not an
+    /// allocation — this arrives on the client control socket.
+    #[test]
+    fn hostile_params_key_length_is_a_protocol_error() {
+        for claimed in [u64::MAX, 1 << 40] {
+            let mut params = Vec::new();
+            write_u32(&mut params, 1).unwrap(); // one entry…
+            write_u64(&mut params, claimed).unwrap(); // …whose key is "huge"
+            params.extend_from_slice(b"k");
+            let mut bytes = JobSpec::new("g", "wcc").encode();
+            write_field(&mut bytes, F_PARAMS, &params).unwrap();
+            assert!(
+                matches!(JobSpec::decode(&bytes), Err(DfoError::Protocol(_))),
+                "key length {claimed}"
+            );
+        }
     }
 
     #[test]

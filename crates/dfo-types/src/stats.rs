@@ -158,27 +158,12 @@ pub struct PhaseStats {
 }
 
 impl PhaseStats {
+    /// Adds every counter of `other` to this one.
     pub fn merge(&mut self, other: &PhaseStats) {
-        self.generate_disk_read += other.generate_disk_read;
-        self.generate_disk_write += other.generate_disk_write;
-        self.pass_disk_read += other.pass_disk_read;
-        self.pass_net_sent += other.pass_net_sent;
-        self.dispatch_disk_read += other.dispatch_disk_read;
-        self.dispatch_disk_write += other.dispatch_disk_write;
-        self.dispatch_net_recv += other.dispatch_net_recv;
-        self.process_disk_read += other.process_disk_read;
-        self.process_disk_write += other.process_disk_write;
-        self.messages_generated += other.messages_generated;
-        self.messages_sent += other.messages_sent;
-        self.chunk_cache_hits += other.chunk_cache_hits;
-        self.chunk_cache_misses += other.chunk_cache_misses;
-        self.chunk_cache_evicted_bytes += other.chunk_cache_evicted_bytes;
-        self.logical_disk_read += other.logical_disk_read;
-        self.logical_disk_write += other.logical_disk_write;
-        self.generate_nanos += other.generate_nanos;
-        self.pass_nanos += other.pass_nanos;
-        self.dispatch_nanos += other.dispatch_nanos;
-        self.process_nanos += other.process_nanos;
+        let mut other = other.clone();
+        for (mine, theirs) in self.wire_fields_mut().into_iter().zip(other.wire_fields_mut()) {
+            *mine += *theirs;
+        }
     }
 
     /// Summed per-phase wall time in nanoseconds (phases 2 and 3 overlap,
@@ -202,30 +187,32 @@ impl PhaseStats {
         self.pass_net_sent
     }
 
-    /// The fields in wire order — the one place the codec's field layout is
-    /// spelled out. **Append only**: decoders match encodings by position.
-    fn wire_fields(&self) -> [u64; 20] {
+    /// Every field, in wire order — the one place the field list is spelled
+    /// out after the struct itself, shared by the codec and
+    /// [`PhaseStats::merge`]. **Append only**: decoders match encodings by
+    /// position.
+    fn wire_fields_mut(&mut self) -> [&mut u64; 20] {
         [
-            self.generate_disk_read,
-            self.generate_disk_write,
-            self.pass_disk_read,
-            self.pass_net_sent,
-            self.dispatch_disk_read,
-            self.dispatch_disk_write,
-            self.dispatch_net_recv,
-            self.process_disk_read,
-            self.process_disk_write,
-            self.messages_generated,
-            self.messages_sent,
-            self.chunk_cache_hits,
-            self.chunk_cache_misses,
-            self.chunk_cache_evicted_bytes,
-            self.logical_disk_read,
-            self.logical_disk_write,
-            self.generate_nanos,
-            self.pass_nanos,
-            self.dispatch_nanos,
-            self.process_nanos,
+            &mut self.generate_disk_read,
+            &mut self.generate_disk_write,
+            &mut self.pass_disk_read,
+            &mut self.pass_net_sent,
+            &mut self.dispatch_disk_read,
+            &mut self.dispatch_disk_write,
+            &mut self.dispatch_net_recv,
+            &mut self.process_disk_read,
+            &mut self.process_disk_write,
+            &mut self.messages_generated,
+            &mut self.messages_sent,
+            &mut self.chunk_cache_hits,
+            &mut self.chunk_cache_misses,
+            &mut self.chunk_cache_evicted_bytes,
+            &mut self.logical_disk_read,
+            &mut self.logical_disk_write,
+            &mut self.generate_nanos,
+            &mut self.pass_nanos,
+            &mut self.dispatch_nanos,
+            &mut self.process_nanos,
         ]
     }
 
@@ -234,53 +221,28 @@ impl PhaseStats {
     /// zero-fills the missing tail (append-only evolution, like the job
     /// messages in [`crate::jobspec`]).
     pub fn encode_wire(&self) -> Vec<u8> {
-        let fields = self.wire_fields();
+        let mut copy = self.clone();
+        let fields = copy.wire_fields_mut();
         let mut out = Vec::with_capacity(4 + fields.len() * 8);
-        crate::codec::write_u32(&mut out, fields.len() as u32).expect("vec write");
+        out.extend((fields.len() as u32).to_le_bytes());
         for v in fields {
-            crate::codec::write_u64(&mut out, v).expect("vec write");
+            out.extend(v.to_le_bytes());
         }
         out
     }
 
     /// Decodes stats written by [`PhaseStats::encode_wire`] of any vintage.
     pub fn decode_wire(bytes: &[u8]) -> crate::Result<Self> {
-        use std::io::Cursor;
-        let err = |e: &dyn std::fmt::Display| {
-            crate::DfoError::Protocol(format!("decoding PhaseStats: {e}"))
-        };
-        let mut c = Cursor::new(bytes);
-        let n = crate::codec::read_u32(&mut c).map_err(|e| err(&e))? as usize;
-        let mut vals = Vec::with_capacity(n.min(64));
-        for _ in 0..n {
-            vals.push(crate::codec::read_u64(&mut c).map_err(|e| err(&e))?);
-        }
+        let mut c = crate::codec::Cur::new(bytes);
         let mut s = PhaseStats::default();
-        let mut fields = s.wire_fields();
-        let take = fields.len().min(vals.len());
-        fields[..take].copy_from_slice(&vals[..take]);
-        [
-            s.generate_disk_read,
-            s.generate_disk_write,
-            s.pass_disk_read,
-            s.pass_net_sent,
-            s.dispatch_disk_read,
-            s.dispatch_disk_write,
-            s.dispatch_net_recv,
-            s.process_disk_read,
-            s.process_disk_write,
-            s.messages_generated,
-            s.messages_sent,
-            s.chunk_cache_hits,
-            s.chunk_cache_misses,
-            s.chunk_cache_evicted_bytes,
-            s.logical_disk_read,
-            s.logical_disk_write,
-            s.generate_nanos,
-            s.pass_nanos,
-            s.dispatch_nanos,
-            s.process_nanos,
-        ] = fields;
+        let mut fields = s.wire_fields_mut();
+        for i in 0..c.u32()? as usize {
+            // a newer sender's extra trailing fields are read and dropped
+            let v = c.u64()?;
+            if let Some(f) = fields.get_mut(i) {
+                **f = v;
+            }
+        }
         Ok(s)
     }
 }
