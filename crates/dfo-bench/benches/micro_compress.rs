@@ -11,15 +11,26 @@
 //! * the cold iteration reads strictly fewer physical bytes compressed,
 //!   while consuming the same logical bytes.
 //!
+//! It also times the codec alone — frame decode (checksum + LZ4) and the
+//! checksum by itself — over the compressed chunk files it just wrote,
+//! held in memory, so the trajectory records what a decoded byte costs.
+//!
 //! The printed `BENCH_4` line is the JSON committed as `BENCH_4.json`; the
 //! CI bench-gate job compares fresh runs against it (hard-fail when any
-//! byte metric regresses > 5 %, warn-only on wall-clock).
+//! byte metric regresses > 5 %, warn-only on wall-clock — which includes
+//! the two `codec.*_wall_secs`).
 
 use dfo_bench::{fmt_bytes, fmt_secs, pagerank_with_stats, timed, uk_like};
 use dfo_core::Cluster;
+use dfo_part::plan::Plan;
+use dfo_part::preprocess::paths;
+use dfo_storage::FrameReader;
 use dfo_types::{BatchPolicy, EngineConfig, PhaseStats};
+use std::io::Read;
 
 const ITERS: usize = 4;
+/// Passes per codec timing; the fastest one is reported.
+const CODEC_PASSES: usize = 50;
 const SMALL_BUDGET: u64 = 64 << 10;
 const LARGE_BUDGET: u64 = 1 << 30;
 
@@ -37,14 +48,52 @@ struct RunOut {
     rank_bits: Vec<u64>,
 }
 
-fn run(compress: bool, budget: u64) -> RunOut {
-    let g = uk_like();
+fn config(compress: bool, budget: u64) -> EngineConfig {
     let mut cfg = EngineConfig::for_test(2);
     cfg.batch_policy = BatchPolicy::FixedVertices(256);
     cfg.disk_bw = Some(dfo_bench::DISK_BW);
     cfg.net_bw = Some(dfo_bench::NET_BW);
     cfg.compress_chunks = compress;
     cfg.chunk_cache_bytes = budget;
+    cfg
+}
+
+/// Wall seconds of one frame-decode pass and one CRC-32 pass over every
+/// compressed chunk file of the preprocessed graph (fastest of
+/// [`CODEC_PASSES`]; the files are in memory, so no disk time is in it),
+/// then the decoded and the encoded size in bytes.
+fn codec_times() -> (f64, f64, usize, usize) {
+    let mut cfg = config(true, 0);
+    cfg.disk_bw = None;
+    let td = tempfile::TempDir::new().unwrap();
+    let cluster = Cluster::create(cfg, td.path()).unwrap();
+    cluster.preprocess(&uk_like()).unwrap();
+    let disks = cluster.disks();
+    let plan = Plan::load(&disks[0]).unwrap();
+    let files: Vec<Vec<u8>> = (0..plan.nodes())
+        .flat_map(|r| plan.node_meta[r].chunks.iter().map(move |c| (r, c)))
+        .map(|(r, c)| disks[r].read_to_vec(&paths::chunk(c.src_partition, c.batch)).unwrap())
+        .collect();
+    let fastest = |pass: &dyn Fn() -> usize| {
+        (0..CODEC_PASSES).map(|_| timed(pass).1).fold(f64::INFINITY, f64::min)
+    };
+    let decode_all = || {
+        let mut decoded = Vec::new();
+        for f in &files {
+            FrameReader::new(&f[..]).unwrap().read_to_end(&mut decoded).unwrap();
+        }
+        std::hint::black_box(&decoded).len()
+    };
+    let crc_all = || {
+        files.iter().map(|f| dfo_storage::compress::crc32(std::hint::black_box(f)) as usize).sum()
+    };
+    let encoded = files.iter().map(Vec::len).sum();
+    (fastest(&decode_all), fastest(&crc_all), decode_all(), encoded)
+}
+
+fn run(compress: bool, budget: u64) -> RunOut {
+    let g = uk_like();
+    let cfg = config(compress, budget);
     let td = tempfile::TempDir::new().unwrap();
     let cluster = Cluster::create(cfg, td.path()).unwrap();
     cluster.preprocess(&g).unwrap();
@@ -128,6 +177,15 @@ fn main() {
     }
     println!("matrix: ranks bit-identical across {{on,off}} × {{0, 64K, 1G}}");
 
+    let (decode_secs, crc_secs, decoded_bytes, encoded_bytes) = codec_times();
+    println!(
+        "codec: frame decode {} ({:.0} MB/s decoded) | crc32 {} ({:.0} MB/s encoded)",
+        fmt_secs(decode_secs),
+        decoded_bytes as f64 / 1e6 / decode_secs,
+        fmt_secs(crc_secs),
+        encoded_bytes as f64 / 1e6 / crc_secs,
+    );
+
     // the compounding cell for the JSON trajectory: compression + cache
     let both = run(true, LARGE_BUDGET);
     let total = |v: &[u64]| v.iter().sum::<u64>();
@@ -138,7 +196,8 @@ fn main() {
          \"compressed\":{{\"wall_secs\":{:.3},\"prep_write_bytes\":{},\
          \"prep_logical_write_bytes\":{},\"cold_read_bytes\":{},\"total_read_bytes\":{},\
          \"cold_logical_read_bytes\":{}}},\
-         \"compressed_cached\":{{\"wall_secs\":{:.3},\"total_read_bytes\":{}}}}}",
+         \"compressed_cached\":{{\"wall_secs\":{:.3},\"total_read_bytes\":{}}},\
+         \"codec\":{{\"decode_wall_secs\":{:.6},\"crc_wall_secs\":{:.6}}}}}",
         raw.wall_secs,
         raw.prep_write,
         raw.per_iter_read[0],
@@ -151,5 +210,7 @@ fn main() {
         comp.per_iter_logical[0],
         both.wall_secs,
         total(&both.per_iter_read),
+        decode_secs,
+        crc_secs,
     );
 }

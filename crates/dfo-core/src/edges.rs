@@ -34,6 +34,7 @@ use dfo_part::preprocess::paths;
 use dfo_storage::{CachedValue, ChunkKey, NodeDisk, PrefetchJob, Prefetcher};
 use dfo_types::{DfoError, DispatchKind, PhaseStats, Pod, Rank, ReprKind, Result, VertexId};
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -426,7 +427,7 @@ impl NodeCtx {
                     let mut r = RecordReader::new(self.scratch.open(&gen_path(b))?);
                     while let Some((src, msg)) = RecordIter::<M>::next_record(&mut r)? {
                         read_bytes += rec as u64;
-                        for batch in access.batches_of(src)? {
+                        for &batch in access.batches_of(src)?.iter() {
                             sink.write::<M>(batch as usize, src, &msg)?;
                         }
                     }
@@ -486,7 +487,7 @@ impl NodeCtx {
                     while off < chunk.len() {
                         let (src, msg) = parse_record::<M>(&chunk, off);
                         off += rec;
-                        for batch in access.batches_of(src)? {
+                        for &batch in access.batches_of(src)?.iter() {
                             sink.write::<M>(batch as usize, src, &msg)?;
                         }
                     }
@@ -826,19 +827,17 @@ enum DispatchAccess {
 }
 
 impl DispatchAccess {
-    /// Destination batches of `src`'s messages.
-    fn batches_of(&mut self, src: u32) -> Result<Vec<u32>> {
+    /// Destination batches of `src`'s messages — borrowed from the loaded
+    /// graph (this runs once per message), owned only when seeked.
+    fn batches_of(&mut self, src: u32) -> Result<Cow<'_, [u32]>> {
         match self {
             DispatchAccess::Loaded { dg, cursor } => {
-                let range = if dg.csr_idx.is_some() {
-                    dg.edges_of_csr(src)
-                } else {
-                    cursor.edges_of(dg, src)
-                };
-                Ok(dg.dst[range].to_vec())
+                let range =
+                    if dg.has_csr() { dg.edges_of_csr(src) } else { cursor.edges_of(dg, src) };
+                Ok(Cow::Borrowed(&dg.dst[range]))
             }
             DispatchAccess::Seek(seeker) => {
-                Ok(seeker.edges_of(src)?.into_iter().map(|(b, _)| b).collect())
+                Ok(Cow::Owned(seeker.edges_of(src)?.into_iter().map(|(b, _)| b).collect()))
             }
         }
     }

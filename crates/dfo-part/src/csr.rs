@@ -9,7 +9,7 @@
 //! over it* so no disk bytes are spent on it.
 
 use dfo_types::codec::{read_u32, read_u64, write_u32, write_u64};
-use dfo_types::{slice_as_bytes, vec_from_bytes, DfoError, Pod, ReprKind, Result};
+use dfo_types::{pod_zeroed, slice_as_bytes, slice_as_bytes_mut, DfoError, Pod, ReprKind, Result};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 
@@ -155,12 +155,16 @@ impl<E: Pod + PartialEq> IndexedChunk<E> {
     /// (chunks written with `compress_chunks` on) and decoding it
     /// transparently.
     ///
-    /// `want` selects which index to load: with `Some(ReprKind::Dcsr)` a
-    /// stored CSR section is *seeked over* (costing no read bytes for
-    /// uncompressed chunks; compressed frames decode-and-discard instead);
-    /// with `Some(ReprKind::Csr)` the DCSR index is seeked over instead
-    /// (the DCSR source list is still loaded — it is small). `None` loads
-    /// everything.
+    /// `want` selects which index to load. The DCSR index is always loaded
+    /// (it is small, and its last offset validates the edge count). With
+    /// `Some(ReprKind::Dcsr)` a stored CSR section is *seeked over*: an
+    /// uncompressed chunk spends no read bytes on it, a compressed one
+    /// steps over the frame blocks that lie wholly inside the section
+    /// unread and decodes only the block at either edge. `Some(ReprKind::Csr)`
+    /// and `None` load the CSR section too — everything the file holds.
+    ///
+    /// Each column is read straight into the `Vec` it lives in; compressed
+    /// blocks are decoded into those bytes with no buffer in between.
     pub fn read_from<R: Read + Seek>(r: &mut R, want: Option<ReprKind>) -> Result<Self> {
         let io = |e| DfoError::io("reading chunk", e);
         let magic = read_u32(r).map_err(io)?;
@@ -239,16 +243,16 @@ impl<E: Pod + PartialEq> IndexedChunk<E> {
     }
 }
 
+/// Reads `n` values straight into the `Vec<T>` they will live in — for a
+/// compressed chunk the frame reader decodes whole blocks into these very
+/// bytes, with no byte buffer in between.
 fn read_pod_vec<T: Pod, R: Read>(r: &mut R, n: usize) -> Result<Vec<T>> {
-    if std::mem::size_of::<T>() == 0 {
-        // zero-sized payloads (dispatch graphs) occupy no bytes on disk but
-        // must still deserialize to `n` logical elements
-        return Ok(vec![dfo_types::pod::pod_zeroed(); n]);
-    }
-    let mut buf = vec![0u8; n * std::mem::size_of::<T>()];
-    r.read_exact(&mut buf)
+    // zero-sized payloads (dispatch graphs) occupy no bytes on disk but
+    // still deserialize to `n` logical elements: the byte view is empty
+    let mut out: Vec<T> = vec![pod_zeroed(); n];
+    r.read_exact(slice_as_bytes_mut(&mut out))
         .map_err(|e| DfoError::io(format!("reading {n} x {}", std::any::type_name::<T>()), e))?;
-    Ok(vec_from_bytes(&buf))
+    Ok(out)
 }
 
 /// Monotone merge cursor over a DCSR index: visiting sources in ascending
@@ -346,23 +350,16 @@ impl<E: Pod + PartialEq> ChunkSeeker<E> {
         if n == 0 {
             return Ok(Vec::new());
         }
-        let mut dst_buf = vec![0u8; 4 * n];
-        self.file.read_at(&mut dst_buf, self.dst_off + 4 * lo)?;
-        let dsts: Vec<u32> = vec_from_bytes(&dst_buf);
-        let data: Vec<E> = if std::mem::size_of::<E>() > 0 {
-            let mut data_buf = vec![0u8; std::mem::size_of::<E>() * n];
-            self.file
-                .read_at(&mut data_buf, self.data_off + (std::mem::size_of::<E>() as u64) * lo)?;
-            vec_from_bytes(&data_buf)
-        } else {
-            vec![crate::csr::zeroed::<E>(); n]
-        };
+        let mut dsts = vec![0u32; n];
+        self.file.read_at(slice_as_bytes_mut(&mut dsts), self.dst_off + 4 * lo)?;
+        // zero-sized payloads occupy no bytes on disk
+        let mut data: Vec<E> = vec![pod_zeroed(); n];
+        if std::mem::size_of::<E>() > 0 {
+            let at = self.data_off + (std::mem::size_of::<E>() as u64) * lo;
+            self.file.read_at(slice_as_bytes_mut(&mut data), at)?;
+        }
         Ok(dsts.into_iter().zip(data).collect())
     }
-}
-
-pub(crate) fn zeroed<T: Pod>() -> T {
-    dfo_types::pod::pod_zeroed()
 }
 
 /// Whether the seek mode is worth it: γ seeks per message must undercut a

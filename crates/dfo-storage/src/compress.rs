@@ -25,11 +25,23 @@
 //! so one read path serves both formats and `compress_chunks = false`
 //! keeps files byte-identical to the uncompressed layout.
 //!
+//! Decoding: a [`FrameReader`] owns one payload buffer and one block
+//! buffer for its whole life. When the caller's buffer can hold the next
+//! block whole — the chunk codec's multi-megabyte column reads always can —
+//! the block is LZ4-decoded (or, stored raw, read) *directly into it*; the
+//! reader's own block buffer only serves reads smaller than a block. The
+//! checksum is sliced eight bytes at a time and the LZ4 decoder copies a
+//! word at a time; neither loops per byte.
+//!
 //! Seeking: passthrough streams seek natively. Compressed streams support
-//! *forward relative* seeks only, by decode-and-discard — skipping a
-//! section of a compressed chunk still pays its physical read, which is
-//! why the engine's CSR seek-mode bypass does not apply to compressed
-//! chunks.
+//! *forward relative* seeks only. Blocks that lie wholly inside the
+//! skipped range are stepped over *unread*: the reader takes their header,
+//! then moves the inner stream past the payload with a relative seek — no
+//! read, no checksum, no decode. Only the block the seek starts in and the
+//! block it ends in are decoded. Blocks do not align with chunk sections,
+//! so skipping a section still decodes its two edge blocks, and a buffered
+//! device reader still fetches whole buffers — which is why the engine's
+//! CSR seek-mode bypass does not apply to compressed chunks.
 
 use crate::disk::NodeDisk;
 use dfo_types::{DfoError, Result};
@@ -55,26 +67,60 @@ const MAX_BLOCK: usize = 64 << 20;
 
 const BLOCK_HEADER_BYTES: usize = 16;
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`).
-pub fn crc32(data: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic bytewise table,
+/// `CRC_TABLES[k][b]` the CRC of byte `b` followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            k += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
         let mut i = 0;
         while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-                k += 1;
-            }
-            table[i] = c;
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
             i += 1;
         }
-        table
-    };
+        k += 1;
+    }
+    t
+};
+
+/// One bytewise step of the CRC register.
+#[inline]
+fn crc_step(c: u32, b: u8) -> u32 {
+    CRC_TABLES[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8)
+}
+
+/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`), eight input
+/// bytes per step (slicing-by-8) with a bytewise tail.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = !0u32;
-    for &b in data {
-        c = TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = crc_step(c, b);
     }
     !c
 }
@@ -192,7 +238,117 @@ enum ReadMode {
     /// inner stream untouched.
     Passthrough { prefix: [u8; 4], prefix_len: usize, prefix_pos: usize },
     /// Compressed container: serve decoded blocks.
-    Decode { block: Vec<u8>, pos: usize, done: bool, decoded_pos: u64 },
+    Decode(DecodeState),
+}
+
+/// Decode-mode state. Both buffers are allocated once and reused for every
+/// block of the stream.
+#[derive(Default)]
+struct DecodeState {
+    /// Encoded bytes of the LZ4 block being decoded.
+    payload: Vec<u8>,
+    /// The decoded block being served, when the caller's buffer was too
+    /// small to decode into directly.
+    block: Vec<u8>,
+    /// Read cursor within `block`.
+    pos: usize,
+    /// The end trailer has been read.
+    done: bool,
+    /// Decoded bytes served or skipped so far.
+    decoded_pos: u64,
+}
+
+/// A validated block header (the end trailer is `None` to its readers).
+struct BlockHeader {
+    raw_len: usize,
+    enc_len: usize,
+    lz4: bool,
+    crc: u32,
+}
+
+fn truncated_as_corrupt(e: io::Error, what: &str) -> io::Error {
+    if e.kind() == io::ErrorKind::UnexpectedEof {
+        corrupt(format!("compressed stream truncated: {what}"))
+    } else {
+        e
+    }
+}
+
+/// Reads the next block header; `None` is the end trailer.
+fn read_header(inner: &mut impl Read) -> io::Result<Option<BlockHeader>> {
+    let mut header = [0u8; BLOCK_HEADER_BYTES];
+    inner.read_exact(&mut header).map_err(|e| truncated_as_corrupt(e, "missing end trailer"))?;
+    let word = |k: usize| u32::from_le_bytes(header[4 * k..4 * k + 4].try_into().unwrap());
+    let (raw_len, enc_len, flags, crc) = (word(0) as usize, word(1) as usize, word(2), word(3));
+    if flags & FLAG_END != 0 {
+        if raw_len != 0 || enc_len != 0 || flags != FLAG_END || crc != 0 {
+            return Err(corrupt("malformed end trailer"));
+        }
+        return Ok(None);
+    }
+    if raw_len == 0 || raw_len > MAX_BLOCK || enc_len == 0 || enc_len > MAX_BLOCK {
+        return Err(corrupt(format!("implausible block lengths raw={raw_len} enc={enc_len}")));
+    }
+    let lz4 = flags & FLAG_LZ4 != 0;
+    if !lz4 && enc_len != raw_len {
+        return Err(corrupt("raw block length mismatch"));
+    }
+    Ok(Some(BlockHeader { raw_len, enc_len, lz4, crc }))
+}
+
+/// Reads the payload of block `h` and decodes it into `dst`
+/// (`dst.len() == h.raw_len`): an LZ4 payload goes through `payload` and
+/// is decoded straight into `dst`, a raw one is read straight into `dst`.
+/// The checksum is verified before the decoder runs; checksum plus decode
+/// time of every block, raw or not, is charged to `charge_to`.
+fn decode_block(
+    inner: &mut impl Read,
+    payload: &mut Vec<u8>,
+    charge_to: Option<&NodeDisk>,
+    h: &BlockHeader,
+    dst: &mut [u8],
+) -> io::Result<()> {
+    let encoded: &mut [u8] = if h.lz4 {
+        payload.resize(h.enc_len, 0);
+        payload
+    } else {
+        &mut *dst
+    };
+    inner.read_exact(encoded).map_err(|e| truncated_as_corrupt(e, "inside a block"))?;
+    let t0 = std::time::Instant::now();
+    if crc32(encoded) != h.crc {
+        return Err(corrupt("block checksum mismatch"));
+    }
+    if h.lz4 {
+        let n = lz4_flex::decompress_into(payload, dst)
+            .map_err(|e| corrupt(format!("block decode failed: {e}")))?;
+        if n != h.raw_len {
+            return Err(corrupt(format!("block decoded to {n} bytes, header says {}", h.raw_len)));
+        }
+    }
+    if let Some(disk) = charge_to {
+        disk.add_decode_nanos(t0.elapsed().as_nanos() as u64);
+    }
+    Ok(())
+}
+
+impl DecodeState {
+    /// Decodes block `h` into the reader's own block buffer, leaving
+    /// `skip` of its bytes already consumed.
+    fn buffer_block(
+        &mut self,
+        inner: &mut impl Read,
+        charge_to: Option<&NodeDisk>,
+        h: &BlockHeader,
+        skip: usize,
+    ) -> io::Result<()> {
+        self.block.resize(h.raw_len, 0);
+        // a failed decode must leave nothing to serve
+        self.pos = h.raw_len;
+        decode_block(inner, &mut self.payload, charge_to, h, &mut self.block)?;
+        self.pos = skip;
+        Ok(())
+    }
 }
 
 /// Auto-detecting reader over a chunk file: decodes [`FrameWriter`]
@@ -218,8 +374,7 @@ impl<R: Read> FrameReader<R> {
             n += m;
         }
         if n == 4 && u32::from_le_bytes(prefix) == FRAME_MAGIC {
-            let mode = Self::begin_decode(&mut inner)?;
-            Ok(Self { inner, mode, logical_to: None })
+            Self::resume(inner)
         } else {
             Ok(Self {
                 inner,
@@ -232,23 +387,18 @@ impl<R: Read> FrameReader<R> {
     /// Starts decoding a stream whose [`FRAME_MAGIC`] the caller already
     /// consumed (the chunk codec's own auto-detection path).
     pub fn resume(mut inner: R) -> Result<Self> {
-        let mode = Self::begin_decode(&mut inner)?;
-        Ok(Self { inner, mode, logical_to: None })
-    }
-
-    fn begin_decode(inner: &mut R) -> Result<ReadMode> {
         let mut v = [0u8; 4];
         inner.read_exact(&mut v).map_err(|e| DfoError::io("reading frame version", e))?;
         let version = u32::from_le_bytes(v);
         if version != FRAME_VERSION {
             return Err(DfoError::Corrupt(format!("unsupported frame version {version}")));
         }
-        Ok(ReadMode::Decode { block: Vec::new(), pos: 0, done: false, decoded_pos: 0 })
+        Ok(Self { inner, mode: ReadMode::Decode(DecodeState::default()), logical_to: None })
     }
 
     /// True when this stream is a compressed container (not passthrough).
     pub fn is_compressed(&self) -> bool {
-        matches!(self.mode, ReadMode::Decode { .. })
+        matches!(self.mode, ReadMode::Decode(_))
     }
 
     /// Routes logical-byte accounting (bytes *served*, decoded for
@@ -257,93 +407,44 @@ impl<R: Read> FrameReader<R> {
         self.logical_to = Some(disk);
     }
 
-    /// Loads the next block into the decode buffer; flips `done` at the
-    /// trailer. Only called in decode mode with the buffer exhausted.
-    fn next_block(&mut self) -> io::Result<()> {
-        let mut header = [0u8; BLOCK_HEADER_BYTES];
-        self.inner.read_exact(&mut header).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                corrupt("compressed stream truncated: missing end trailer")
-            } else {
-                e
-            }
-        })?;
-        let raw_len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
-        let enc_len = u32::from_le_bytes(header[4..8].try_into().unwrap()) as usize;
-        let flags = u32::from_le_bytes(header[8..12].try_into().unwrap());
-        let crc = u32::from_le_bytes(header[12..16].try_into().unwrap());
-        if flags & FLAG_END != 0 {
-            if raw_len != 0 || enc_len != 0 || flags != FLAG_END || crc != 0 {
-                return Err(corrupt("malformed end trailer"));
-            }
-            if let ReadMode::Decode { done, .. } = &mut self.mode {
-                *done = true;
-            }
-            return Ok(());
-        }
-        if raw_len == 0 || raw_len > MAX_BLOCK || enc_len == 0 || enc_len > MAX_BLOCK {
-            return Err(corrupt(format!("implausible block lengths raw={raw_len} enc={enc_len}")));
-        }
-        let mut payload = vec![0u8; enc_len];
-        self.inner.read_exact(&mut payload).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                corrupt("compressed stream truncated inside a block")
-            } else {
-                e
-            }
-        })?;
-        let t0 = std::time::Instant::now();
-        if crc32(&payload) != crc {
-            return Err(corrupt("block checksum mismatch"));
-        }
-        let decoded = if flags & FLAG_LZ4 != 0 {
-            let d = lz4_flex::decompress(&payload, raw_len)
-                .map_err(|e| corrupt(format!("block decode failed: {e}")))?;
-            if let Some(disk) = &self.logical_to {
-                disk.add_decode_nanos(t0.elapsed().as_nanos() as u64);
-            }
-            d
-        } else {
-            if enc_len != raw_len {
-                return Err(corrupt("raw block length mismatch"));
-            }
-            payload
-        };
-        if let ReadMode::Decode { block, pos, .. } = &mut self.mode {
-            *block = decoded;
-            *pos = 0;
-        }
-        Ok(())
-    }
-
     /// Serves up to `buf.len()` decoded/passthrough bytes (no accounting).
+    /// A block that fits `buf` whole is decoded straight into it; a smaller
+    /// `buf` is served from the reader's block buffer.
     fn read_inner(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        loop {
-            match &mut self.mode {
-                ReadMode::Passthrough { prefix, prefix_len, prefix_pos } => {
-                    if *prefix_pos < *prefix_len {
-                        let n = (*prefix_len - *prefix_pos).min(buf.len());
-                        buf[..n].copy_from_slice(&prefix[*prefix_pos..*prefix_pos + n]);
-                        *prefix_pos += n;
-                        return Ok(n);
-                    }
-                    return self.inner.read(buf);
+        let Self { inner, mode, logical_to } = self;
+        let st = match mode {
+            ReadMode::Passthrough { prefix, prefix_len, prefix_pos } => {
+                if *prefix_pos < *prefix_len {
+                    let n = (*prefix_len - *prefix_pos).min(buf.len());
+                    buf[..n].copy_from_slice(&prefix[*prefix_pos..*prefix_pos + n]);
+                    *prefix_pos += n;
+                    return Ok(n);
                 }
-                ReadMode::Decode { block, pos, done, decoded_pos } => {
-                    if *pos < block.len() {
-                        let n = (block.len() - *pos).min(buf.len());
-                        buf[..n].copy_from_slice(&block[*pos..*pos + n]);
-                        *pos += n;
-                        *decoded_pos += n as u64;
-                        return Ok(n);
-                    }
-                    if *done {
-                        return Ok(0);
-                    }
-                }
+                return inner.read(buf);
             }
-            self.next_block()?;
+            ReadMode::Decode(st) => st,
+        };
+        if st.pos == st.block.len() {
+            if st.done {
+                return Ok(0);
+            }
+            let Some(h) = read_header(inner)? else {
+                st.done = true;
+                return Ok(0);
+            };
+            if buf.len() >= h.raw_len {
+                let dst = &mut buf[..h.raw_len];
+                decode_block(inner, &mut st.payload, logical_to.as_ref(), &h, dst)?;
+                st.decoded_pos += h.raw_len as u64;
+                return Ok(h.raw_len);
+            }
+            st.buffer_block(inner, logical_to.as_ref(), &h, 0)?;
         }
+        let n = (st.block.len() - st.pos).min(buf.len());
+        buf[..n].copy_from_slice(&st.block[st.pos..st.pos + n]);
+        st.pos += n;
+        st.decoded_pos += n as u64;
+        Ok(n)
     }
 }
 
@@ -364,19 +465,25 @@ impl<R: Read> Read for FrameReader<R> {
 
 impl<R: Read + Seek> Seek for FrameReader<R> {
     /// Passthrough streams seek natively. Decode streams support *forward
-    /// relative* seeks only (decode-and-discard) — all the chunk codec's
-    /// section skipping needs.
+    /// relative* seeks only — all the chunk codec's section skipping needs:
+    /// the rest of the current block is dropped, every block that lies
+    /// wholly inside the skipped range is stepped over unread (header
+    /// only), and the block the target falls in is decoded.
     fn seek(&mut self, target: SeekFrom) -> io::Result<u64> {
-        if let ReadMode::Passthrough { prefix_len, prefix_pos, .. } = &mut self.mode {
-            // the consumer sits `remaining` bytes behind the inner stream
-            // while peeked bytes are unserved
-            let remaining = (*prefix_len - *prefix_pos) as i64;
-            *prefix_pos = *prefix_len;
-            return match target {
-                SeekFrom::Current(n) => self.inner.seek(SeekFrom::Current(n - remaining)),
-                other => self.inner.seek(other),
-            };
-        }
+        let Self { inner, mode, logical_to } = self;
+        let st = match mode {
+            ReadMode::Passthrough { prefix_len, prefix_pos, .. } => {
+                // the consumer sits `remaining` bytes behind the inner stream
+                // while peeked bytes are unserved
+                let remaining = (*prefix_len - *prefix_pos) as i64;
+                *prefix_pos = *prefix_len;
+                return match target {
+                    SeekFrom::Current(n) => inner.seek(SeekFrom::Current(n - remaining)),
+                    other => inner.seek(other),
+                };
+            }
+            ReadMode::Decode(st) => st,
+        };
         let mut left = match target {
             SeekFrom::Current(n) if n >= 0 => n as u64,
             _ => {
@@ -386,19 +493,26 @@ impl<R: Read + Seek> Seek for FrameReader<R> {
                 ))
             }
         };
-        let mut scratch = [0u8; 4096];
+        st.decoded_pos += left;
+        let buffered = left.min((st.block.len() - st.pos) as u64);
+        st.pos += buffered as usize;
+        left -= buffered;
         while left > 0 {
-            let want = (left as usize).min(scratch.len());
-            let n = self.read_inner(&mut scratch[..want])?;
-            if n == 0 {
+            let header = if st.done { None } else { read_header(inner)? };
+            let Some(h) = header else {
+                st.done = true;
                 return Err(corrupt("seek past end of compressed stream"));
+            };
+            if h.raw_len as u64 <= left {
+                // relative, so a buffered inner reader keeps its buffer
+                inner.seek_relative(h.enc_len as i64)?;
+                left -= h.raw_len as u64;
+            } else {
+                st.buffer_block(inner, logical_to.as_ref(), &h, left as usize)?;
+                left = 0;
             }
-            left -= n as u64;
         }
-        match &self.mode {
-            ReadMode::Decode { decoded_pos, .. } => Ok(*decoded_pos),
-            ReadMode::Passthrough { .. } => unreachable!("handled above"),
-        }
+        Ok(st.decoded_pos)
     }
 }
 
@@ -425,11 +539,63 @@ mod tests {
         (0u16..256).prop_map(|v| v as u8)
     }
 
+    /// xorshift noise: incompressible, so blocks of it are stored raw.
+    fn noise(n: usize) -> Vec<u8> {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect()
+    }
+
+    /// Compressible blocks, then raw ones, then a compressible partial one:
+    /// every kind of block the reader meets, across several boundaries.
+    fn mixed_payload() -> Vec<u8> {
+        let mut data: Vec<u8> = (0..2 * BLOCK_BYTES + 777).map(|i| ((i / 5) % 239) as u8).collect();
+        data.extend(noise(2 * BLOCK_BYTES));
+        data.extend((0..BLOCK_BYTES / 3).map(|i| (i % 17) as u8));
+        data
+    }
+
+    /// Reads the rest of `r` through a caller buffer of `cap` bytes.
+    fn drain(r: &mut impl Read, cap: usize) -> io::Result<Vec<u8>> {
+        let mut buf = vec![0u8; cap];
+        let mut out = Vec::new();
+        loop {
+            match r.read(&mut buf)? {
+                0 => return Ok(out),
+                n => out.extend_from_slice(&buf[..n]),
+            }
+        }
+    }
+
+    /// The bytewise loop `crc32` was before slicing-by-8, kept as the oracle.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        !data.iter().fold(!0u32, |c, &b| crc_step(c, b))
+    }
+
     #[test]
     fn crc32_known_vectors() {
         // the standard check value for "123456789"
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        // what the bytewise loop of the commit before slicing-by-8 returned
+        assert_eq!(crc32(b"parent-written"), 0xFF73_4E7C);
+    }
+
+    #[test]
+    fn crc32_slicing_matches_bytewise_at_every_short_length() {
+        let data = noise(64 + 7);
+        for start in 0..8 {
+            for len in 0..=64 {
+                let d = &data[start..start + len];
+                assert_eq!(crc32(d), crc32_bytewise(d), "start {start} len {len}");
+            }
+        }
     }
 
     #[test]
@@ -503,6 +669,163 @@ mod tests {
     }
 
     #[test]
+    fn every_caller_buffer_size_serves_the_same_bytes_and_logical_count() {
+        let td = tempfile::TempDir::new().unwrap();
+        let disk = NodeDisk::new(td.path(), None, false).unwrap();
+        let data = mixed_payload();
+        let mut w = disk.create_framed("mixed.bin", true).unwrap();
+        w.write_all(&data).unwrap();
+        w.finish().unwrap().finish().unwrap();
+        for cap in [1, 7, 4096, BLOCK_BYTES, 1 << 20] {
+            let before = disk.stats().logical_read_bytes.get();
+            let mut r = disk.open_framed("mixed.bin").unwrap();
+            assert!(r.is_compressed());
+            assert!(drain(&mut r, cap).unwrap() == data, "bytes differ at buffer size {cap}");
+            let served = disk.stats().logical_read_bytes.get() - before;
+            assert_eq!(served, data.len() as u64, "logical bytes at buffer size {cap}");
+        }
+    }
+
+    #[test]
+    fn raw_blocks_are_charged_decode_time_too() {
+        let td = tempfile::TempDir::new().unwrap();
+        let disk = NodeDisk::new(td.path(), None, false).unwrap();
+        let mut w = disk.create_framed("noise.bin", true).unwrap();
+        w.write_all(&noise(2 * BLOCK_BYTES)).unwrap();
+        w.finish().unwrap().finish().unwrap();
+        // every block is stored raw: nothing below is LZ4 time
+        assert!(disk.len("noise.bin").unwrap() > 2 * BLOCK_BYTES as u64);
+        for cap in [4096, 1 << 20] {
+            let before = disk.stats().decode_nanos.get();
+            drain(&mut disk.open_framed("noise.bin").unwrap(), cap).unwrap();
+            assert!(
+                disk.stats().decode_nanos.get() > before,
+                "checksumming raw blocks went uncharged at buffer size {cap}"
+            );
+        }
+    }
+
+    #[test]
+    fn forward_seek_lands_where_decode_and_discard_does() {
+        let data = mixed_payload();
+        let frames = compress_frames(&data);
+        let b = BLOCK_BYTES;
+        for pre in [0, 10, b - 1, b, b + 1] {
+            let to_end = data.len() - pre;
+            for skip in [0, 1, b - 11, b, 2 * b + 5, 3 * b, to_end - 1, to_end] {
+                let mut r = FrameReader::new(Cursor::new(&frames)).unwrap();
+                let mut head = vec![0u8; pre];
+                r.read_exact(&mut head).unwrap();
+                let at = r.seek(SeekFrom::Current(skip as i64)).unwrap();
+                assert_eq!(at, (pre + skip) as u64, "pre {pre} skip {skip}");
+                let rest = drain(&mut r, 50_000).unwrap();
+                assert!(rest == data[pre + skip..], "pre {pre} skip {skip}");
+            }
+            let mut r = FrameReader::new(Cursor::new(&frames)).unwrap();
+            assert!(r.seek(SeekFrom::Current((data.len() + 1) as i64)).is_err());
+        }
+    }
+
+    /// Counts the bytes actually read from an in-memory file.
+    struct CountingFile<'a> {
+        file: Cursor<&'a [u8]>,
+        read: u64,
+    }
+
+    impl Read for CountingFile<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.file.read(buf)?;
+            self.read += n as u64;
+            Ok(n)
+        }
+    }
+
+    impl Seek for CountingFile<'_> {
+        fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
+            self.file.seek(pos)
+        }
+    }
+
+    #[test]
+    fn whole_blocks_inside_a_seek_are_never_read() {
+        let data = mixed_payload();
+        let mut frames = compress_frames(&data);
+        let (pre, skip) = (100, 3 * BLOCK_BYTES + 1000);
+        let read_tail = |frames: &[u8], skip_by_seek: bool| {
+            let file = CountingFile { file: Cursor::new(frames), read: 0 };
+            let mut r = FrameReader::new(file).unwrap();
+            r.read_exact(&mut vec![0u8; pre]).unwrap();
+            if skip_by_seek {
+                r.seek(SeekFrom::Current(skip as i64))?;
+            } else {
+                r.read_exact(&mut vec![0u8; skip])?;
+            }
+            let tail = drain(&mut r, 4096)?;
+            Ok::<_, io::Error>((tail, r.inner.read))
+        };
+        let (tail_read, physical_read) = read_tail(&frames, false).unwrap();
+        let (tail_seek, physical_seek) = read_tail(&frames, true).unwrap();
+        assert!(tail_read == data[pre + skip..]);
+        assert!(tail_seek == tail_read);
+        assert_eq!(physical_read, frames.len() as u64);
+        // blocks 1 and 2 lie wholly inside the seek: only their headers are read
+        let enc_len = |header_at: usize| {
+            u32::from_le_bytes(frames[header_at + 4..header_at + 8].try_into().unwrap()) as usize
+        };
+        let block1 = 8 + BLOCK_HEADER_BYTES + enc_len(8);
+        let block2 = block1 + BLOCK_HEADER_BYTES + enc_len(block1);
+        assert_eq!(physical_read - physical_seek, (enc_len(block1) + enc_len(block2)) as u64);
+        // ...so damage there goes unseen by the seek, not by the read
+        frames[block2 + BLOCK_HEADER_BYTES + 9] ^= 0x10;
+        assert!(read_tail(&frames, true).unwrap().0 == tail_read);
+        assert!(read_tail(&frames, false).unwrap_err().to_string().contains("checksum"));
+    }
+
+    #[test]
+    fn seeking_a_buffered_disk_file_reads_no_byte_twice() {
+        // the device layer reads whole 256 KiB buffers, so hopping from
+        // header to header saves physical bytes only where a skip outruns
+        // the buffered ones; what it must never do is drop and re-read them
+        let td = tempfile::TempDir::new().unwrap();
+        let disk = NodeDisk::new(td.path(), None, false).unwrap();
+        let data = mixed_payload();
+        let mut w = disk.create_framed("mixed.bin", true).unwrap();
+        w.write_all(&data).unwrap();
+        w.finish().unwrap().finish().unwrap();
+        let mut r = disk.open_framed("mixed.bin").unwrap();
+        r.read_exact(&mut [0u8; 100]).unwrap();
+        let skip = 3 * BLOCK_BYTES + 1000;
+        r.seek(SeekFrom::Current(skip as i64)).unwrap();
+        assert!(drain(&mut r, 4096).unwrap() == data[100 + skip..]);
+        assert!(disk.stats().read_bytes.get() <= disk.len("mixed.bin").unwrap());
+    }
+
+    #[test]
+    fn direct_decode_still_checks_checksums_and_truncation() {
+        // a caller buffer larger than any block: every block takes the
+        // decode-into-the-destination path, LZ4 (first) and raw (fourth)
+        let data = mixed_payload();
+        let frames = compress_frames(&data);
+        let big = 1 << 20;
+        let read_big = |frames: &[u8]| {
+            drain(&mut FrameReader::new(Cursor::new(frames)).unwrap(), big)
+                .map_err(|e| e.to_string())
+        };
+        assert!(read_big(&frames).unwrap() == data);
+        let mut lz4_hit = frames.clone();
+        lz4_hit[8 + BLOCK_HEADER_BYTES + 5] ^= 0x40;
+        assert!(read_big(&lz4_hit).unwrap_err().contains("checksum"));
+        let mut raw_hit = frames.clone();
+        let in_raw_block = frames.len() - BLOCK_BYTES - BLOCK_BYTES / 2;
+        raw_hit[in_raw_block] ^= 0x01;
+        assert!(read_big(&raw_hit).unwrap_err().contains("checksum"));
+        for cut in [frames.len() - 1, frames.len() - BLOCK_HEADER_BYTES, in_raw_block, 30] {
+            let err = read_big(&frames[..cut]).unwrap_err();
+            assert!(err.contains("truncated"), "cut at {cut}: {err}");
+        }
+    }
+
+    #[test]
     fn passthrough_seek_matches_plain_reader() {
         let data: Vec<u8> = (0..9000u32).map(|i| (i % 256) as u8).collect();
         let mut r = FrameReader::new(Cursor::new(&data)).unwrap();
@@ -548,6 +871,13 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn prop_crc32_slicing_matches_bytewise(
+            data in proptest::collection::vec(byte(), 0..3_000),
+        ) {
+            assert_eq!(crc32(&data), crc32_bytewise(&data));
+        }
 
         #[test]
         fn prop_roundtrip(data in proptest::collection::vec(byte(), 0..40_000)) {

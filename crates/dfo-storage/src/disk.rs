@@ -433,8 +433,21 @@ impl Read for DiskReader {
 }
 
 impl Seek for DiskReader {
+    /// Relative seeks keep the read buffer when the target lies inside it
+    /// (`BufReader::seek` always discards it, so a short forward skip would
+    /// read the same physical bytes twice).
     fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
-        self.inner.seek(pos)
+        match pos {
+            SeekFrom::Current(n) => {
+                self.inner.seek_relative(n)?;
+                self.inner.stream_position()
+            }
+            other => self.inner.seek(other),
+        }
+    }
+
+    fn seek_relative(&mut self, offset: i64) -> io::Result<()> {
+        self.inner.seek_relative(offset)
     }
 }
 
@@ -552,6 +565,29 @@ mod tests {
         // 100 KB written through a 256 KB buffer: one underlying op.
         assert_eq!(d.stats().write_bytes.get(), 100_000);
         assert!(d.stats().write_ops.get() <= 2);
+    }
+
+    #[test]
+    fn relative_seek_inside_the_buffer_reads_nothing_twice() {
+        let (_td, d) = disk();
+        let data: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
+        let mut w = d.create("skip.bin").unwrap();
+        w.write_all(&data).unwrap();
+        w.finish().unwrap();
+        let mut r = d.open("skip.bin").unwrap();
+        let mut head = [0u8; 10];
+        r.read_exact(&mut head).unwrap(); // buffers the whole file
+        assert_eq!(r.seek(SeekFrom::Current(1000)).unwrap(), 1010);
+        let mut rest = Vec::new();
+        r.read_to_end(&mut rest).unwrap();
+        assert_eq!(rest, data[1010..]);
+        // BufReader::seek would have dropped the buffer and read 99 KB again
+        assert_eq!(d.stats().read_bytes.get(), data.len() as u64);
+        // absolute and backward seeks still work
+        assert_eq!(r.seek(SeekFrom::Start(5)).unwrap(), 5);
+        r.read_exact(&mut head).unwrap();
+        assert_eq!(head, data[5..15]);
+        assert_eq!(r.seek(SeekFrom::Current(-15)).unwrap(), 0);
     }
 
     #[test]

@@ -69,6 +69,17 @@ pub fn slice_as_bytes<T: Pod>(s: &[T]) -> &[u8] {
     unsafe { std::slice::from_raw_parts(s.as_ptr() as *const u8, len) }
 }
 
+/// Views a slice of Pod values as its raw bytes for writing — readers fill
+/// a typed buffer in place instead of copying through a byte `Vec`. What is
+/// written must be bytes a valid `T` serialized to (the [`Pod`] contract).
+#[inline]
+pub fn slice_as_bytes_mut<T: Pod>(s: &mut [T]) -> &mut [u8] {
+    let len = std::mem::size_of_val(s);
+    // SAFETY: same representation argument as `bytes_of`; the exclusive
+    // borrow of `s` carries over to the returned view.
+    unsafe { std::slice::from_raw_parts_mut(s.as_mut_ptr() as *mut u8, len) }
+}
+
 /// Copies a byte buffer produced by [`slice_as_bytes`] back into an owned,
 /// properly aligned `Vec<T>`.
 pub fn vec_from_bytes<T: Pod>(b: &[u8]) -> Vec<T> {
@@ -128,6 +139,10 @@ mod tests {
         assert_eq!(bytes.len(), 4000);
         let back: Vec<u32> = vec_from_bytes(bytes);
         assert_eq!(back, v);
+        // the mutable view fills typed values in place
+        let mut filled = vec![0u32; 1000];
+        slice_as_bytes_mut(&mut filled).copy_from_slice(bytes);
+        assert_eq!(filled, v);
     }
 
     #[test]
