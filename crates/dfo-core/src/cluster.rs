@@ -1,12 +1,20 @@
 //! Cluster lifecycle: builds the per-node disks and network, preprocesses
 //! graphs, and runs SPMD node programs.
 //!
-//! Every way of running a node program — [`Cluster::run`],
-//! [`Cluster::run_scoped`], [`Cluster::run_distributed`],
-//! [`Cluster::run_supervised`] and [`crate::ResidentMesh::run_job_as`] —
-//! goes through one rank-launch body (`Cluster::run_rank`): the only place
-//! a [`NodeCtx`] is built and a node closure is `catch_unwind`-ed. They
-//! differ in the transport the rank runs over and in nothing else.
+//! Every way of running a node program goes through one rank-launch body
+//! (`Cluster::run_rank`): the only place a [`NodeCtx`] is built and a node
+//! closure is `catch_unwind`-ed. The entry points differ in the transport
+//! the rank runs over and in nothing else:
+//!
+//! * [`Cluster::run`] / [`Cluster::run_scoped`] — every rank a thread of
+//!   this process, over the in-memory simulation.
+//! * [`Cluster::run_distributed`] — this process is one rank: connect a
+//!   [`ResidentMesh`] over TCP, run the program as its one job.
+//! * [`Cluster::run_supervised`] — the same, and
+//!   [relaunch](ResidentMesh::relaunch) the mesh and re-run on a mesh
+//!   failure.
+//! * [`ResidentMesh::run_job_as`] — a long-lived mesh (the service daemon)
+//!   running many jobs, each in its own tag namespace.
 //!
 //! ## The cancel-vs-poison rule
 //!
@@ -19,8 +27,9 @@
 //! [`DfoError::NetClosed`] from their next collective instead of hanging.
 
 use crate::node::NodeCtx;
+use crate::resident::ResidentMesh;
 use dfo_graph::edge::EdgeList;
-use dfo_net::{Endpoint, NetStats, NetTotals, SimCluster, TcpCluster, TcpOpts};
+use dfo_net::{Endpoint, NetStats, NetTotals, SimCluster};
 use dfo_obs::{FlightRecorder, Registry, SpanRecord, Telemetry};
 use dfo_part::plan::Plan;
 use dfo_part::preprocess::preprocess;
@@ -30,11 +39,13 @@ use parking_lot::Mutex;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Per-rank flight-recorder capacity in spans when `cfg.trace_path` is set;
 /// a run that records more overwrites its oldest spans (drops are counted).
 const TRACE_CAPACITY: usize = 1 << 16;
+
+/// Job id (tag namespace) of the one job a batch run's mesh carries.
+const BATCH_JOB: u64 = 0;
 
 fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
     panic
@@ -57,32 +68,9 @@ pub fn panic_to_error(panic: Box<dyn std::any::Any + Send>, who: &str) -> DfoErr
     }
 }
 
-/// Joins the TCP mesh described by `cfg.peers` as `rank` at `epoch`,
-/// blocking until every pairwise connection is up and epoch-handshaken.
-pub(crate) fn connect_mesh(cfg: &EngineConfig, rank: Rank, epoch: u64) -> Result<Endpoint> {
-    let peers = cfg.peers.as_ref().ok_or_else(|| {
-        DfoError::Config("a TCP mesh needs cfg.peers (the rank address list)".into())
-    })?;
-    if rank >= cfg.nodes {
-        return Err(DfoError::Config(format!(
-            "rank {rank} outside cluster of {} nodes",
-            cfg.nodes
-        )));
-    }
-    TcpCluster::connect(
-        rank,
-        peers,
-        cfg.net_bw,
-        cfg.record_traffic,
-        TcpOpts { connect_timeout: Duration::from_secs(cfg.connect_timeout_secs), epoch },
-    )
-}
-
-/// Reads a supervisor-published epoch file: trimmed decimal text, written
-/// atomically (temp + rename) by [`crate::Supervisor`]. Absent, unreadable,
-/// or unparsable files all read as "nothing published yet".
-fn read_epoch_file(path: &str) -> Option<u64> {
-    std::fs::read_to_string(path).ok()?.trim().parse().ok()
+/// Owned label pairs in the borrowed form the registry takes.
+fn borrowed(labels: &[(String, String)]) -> Vec<(&str, &str)> {
+    labels.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect()
 }
 
 /// A simulated DFOGraph cluster rooted at a base directory; node `i`'s disk
@@ -172,16 +160,14 @@ impl Cluster {
         let rollbacks = self.rollbacks.clone();
         let base = self.labels.clone();
         self.registry.register_source(Box::new(move |buf| {
-            let with_rank = |rank: &str| -> Vec<(String, String)> {
+            let with_rank = |rank: usize| -> Vec<(String, String)> {
                 let mut l = base.clone();
-                l.push(("rank".into(), rank.into()));
+                l.push(("rank".into(), rank.to_string()));
                 l
             };
             for (rank, d) in disks.iter().enumerate() {
-                let rank = rank.to_string();
-                let owned = with_rank(&rank);
-                let l: Vec<(&str, &str)> =
-                    owned.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+                let owned = with_rank(rank);
+                let l = borrowed(&owned);
                 let s = d.stats();
                 buf.counter(
                     "dfo_disk_read_bytes_total",
@@ -221,10 +207,8 @@ impl Cluster {
                 );
             }
             for (rank, c) in caches.iter().enumerate() {
-                let rank = rank.to_string();
-                let owned = with_rank(&rank);
-                let l: Vec<(&str, &str)> =
-                    owned.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+                let owned = with_rank(rank);
+                let l = borrowed(&owned);
                 let s = c.stats();
                 buf.counter("dfo_chunk_cache_hits_total", "Decoded-chunk cache hits", &l, s.hits);
                 buf.counter(
@@ -247,14 +231,12 @@ impl Cluster {
                 );
             }
             {
-                let l: Vec<(&str, &str)> =
-                    base.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
-                let r = *recovery.lock();
+                let l = borrowed(&base);
                 buf.counter(
                     "dfo_restarts_total",
                     "Mesh re-bootstraps of the most recent supervised run",
                     &l,
-                    r.restarts,
+                    recovery.lock().restarts,
                 );
                 buf.counter(
                     "dfo_rollbacks_total",
@@ -262,18 +244,10 @@ impl Cluster {
                     &l,
                     rollbacks.load(Ordering::Relaxed),
                 );
-                buf.gauge(
-                    "dfo_mesh_epoch",
-                    "Epoch of the most recent successful mesh bootstrap",
-                    &l,
-                    r.mesh_epoch as f64,
-                );
             }
             for (rank, t) in accum.lock().iter().enumerate() {
-                let rank = rank.to_string();
-                let owned = with_rank(&rank);
-                let l: Vec<(&str, &str)> =
-                    owned.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+                let owned = with_rank(rank);
+                let l = borrowed(&owned);
                 buf.counter(
                     "dfo_net_sent_bytes_total",
                     "Wire bytes sent, accumulated across runs and restarts",
@@ -464,10 +438,10 @@ impl Cluster {
         results.into_iter().collect()
     }
 
-    /// Runs `f` as **one rank of a multi-process cluster**: joins the TCP
-    /// mesh described by `cfg.peers` (every rank must run this with the
-    /// same config and a disk holding the same preprocessed plan), builds
-    /// the rank's [`NodeCtx`] once the full mesh is up, and executes `f`.
+    /// Runs `f` as **one rank of a multi-process cluster**: connects a
+    /// [`ResidentMesh`] over `cfg.peers` (every rank must run this with the
+    /// same config and a disk holding the same preprocessed plan) and runs
+    /// `f` on it as the mesh's one job.
     ///
     /// This is the single-rank sibling of [`Cluster::run`]: the same engine
     /// code runs unchanged, only the transport differs. A rank that fails
@@ -479,17 +453,16 @@ impl Cluster {
         rank: Rank,
         f: impl FnOnce(&mut NodeCtx) -> Result<T>,
     ) -> Result<T> {
-        self.attempt_distributed(rank, self.cfg.epoch, None, f)
+        self.run_on_mesh(&self.connect_mesh(rank)?, f)
     }
 
     /// Runs `f` as one rank of a multi-process cluster **with
     /// checkpoint-restart**: like [`Cluster::run_distributed`], but a mesh
-    /// failure (a peer process died, or the bootstrap handshake failed)
-    /// does not abort the job. Instead the rank quiesces its transport
-    /// (poisons the mesh so nothing blocks, joins the codec threads, drops
-    /// the sockets), bumps the mesh *epoch*, re-bootstraps the TCP mesh —
-    /// stale-epoch connections are rejected in the handshake — and
-    /// re-executes `f` from scratch, up to `cfg.max_restarts` times.
+    /// failure (a peer process died, or a bootstrap handshake failed) does
+    /// not abort the job. Instead the rank [relaunches the
+    /// mesh](ResidentMesh::relaunch) — the protocol it shares with the
+    /// service daemon: quiesce, next epoch, re-bootstrap, up to
+    /// `cfg.max_restarts` times — and re-executes `f` from scratch.
     ///
     /// Pair it with a [`crate::Supervisor`] in the parent process: the
     /// supervisor relaunches the dead rank under the incremented epoch
@@ -512,105 +485,49 @@ impl Cluster {
         rank: Rank,
         mut f: impl FnMut(&mut NodeCtx) -> Result<T>,
     ) -> Result<T> {
-        // the supervisor-published epoch file, when present, is the single
-        // authority: a rank relaunched with a stale DFO_EPOCH (its death
-        // overlapped another failure) starts straight at the published one
-        let mut epoch = self.cfg.epoch.max(self.published_epoch().unwrap_or(0));
-        let mut restarts: u32 = 0;
+        // the mesh gives up by handing the last mesh failure back
+        let exhausted = |e| match e {
+            e @ (DfoError::NetClosed(_) | DfoError::Handshake(_)) => {
+                DfoError::RestartsExhausted { attempts: self.cfg.max_restarts, last: Box::new(e) }
+            }
+            e => e,
+        };
         let rollback_base = self.rollbacks.load(Ordering::Relaxed);
-        let mut recovered_from: Option<Instant> = None;
+        let mut mesh = self.connect_mesh(rank).map_err(exhausted)?;
         loop {
-            let res = self.attempt_distributed(rank, epoch, recovered_from.take(), &mut f);
+            let res = self.run_on_mesh(&mesh, &mut f);
             *self.recovery.lock() = RecoveryStats {
-                restarts: restarts as u64,
-                mesh_epoch: epoch,
+                restarts: mesh.restarts() as u64,
+                mesh_epoch: mesh.epoch(),
                 rollbacks: self.rollbacks.load(Ordering::Relaxed) - rollback_base,
             };
             match res {
-                Ok(v) => return Ok(v),
                 Err(e @ (DfoError::NetClosed(_) | DfoError::Handshake(_))) => {
-                    if restarts >= self.cfg.max_restarts {
-                        return Err(DfoError::RestartsExhausted {
-                            attempts: restarts,
-                            last: Box::new(e),
-                        });
-                    }
-                    restarts += 1;
-                    recovered_from = Some(Instant::now());
-                    epoch = self.next_epoch(epoch);
-                    eprintln!(
-                        "[dfo] rank {rank}: mesh failure ({e}); re-bootstrapping at epoch \
-                         {epoch} (recovery {restarts}/{})",
-                        self.cfg.max_restarts
-                    );
+                    mesh = mesh.relaunch(e).map_err(exhausted)?;
                 }
-                Err(e) => return Err(e),
+                res => return res,
             }
         }
     }
 
-    /// The epoch currently published in `cfg.epoch_file`, if any.
-    fn published_epoch(&self) -> Option<u64> {
-        read_epoch_file(self.cfg.epoch_file.as_deref()?)
+    /// This rank's mesh, publishing its epoch and recovery times into the
+    /// cluster's registry.
+    fn connect_mesh(&self, rank: Rank) -> Result<ResidentMesh> {
+        Ok(ResidentMesh::connect(&self.cfg, rank)?.with_telemetry(self.rank_telemetry(rank, None)))
     }
 
-    /// The epoch for the next recovery attempt. Without an epoch file each
-    /// rank bumps locally (the historical scheme, correct only when
-    /// failures never overlap a recovery window). With one, the rank waits
-    /// — bounded — for the supervisor to publish an epoch above the failed
-    /// attempt's, so every survivor and relaunch converges on the same
-    /// number no matter how many ranks died; on timeout it falls back to
-    /// the local bump rather than hanging (a failed handshake just costs
-    /// another recovery attempt).
-    fn next_epoch(&self, current: u64) -> u64 {
-        let Some(path) = self.cfg.epoch_file.as_deref() else { return current + 1 };
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            if let Some(e) = read_epoch_file(path) {
-                if e > current {
-                    return e;
-                }
-            }
-            if Instant::now() >= deadline {
-                eprintln!(
-                    "[dfo] warning: epoch file {path} did not advance past {current} within \
-                     10s; bumping locally to {}",
-                    current + 1
-                );
-                return current + 1;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-    }
-
-    /// One mesh bootstrap + execution attempt at a given epoch. On exit the
-    /// transport is fully quiesced (writer threads joined, sockets closed)
-    /// whatever happened, so the caller may immediately re-bootstrap.
-    fn attempt_distributed<T>(
+    /// A batch run: `f` as the one job of `mesh`, in the node root, with
+    /// the run's network counters and trace spans accounted to this
+    /// cluster.
+    fn run_on_mesh<T>(
         &self,
-        rank: Rank,
-        epoch: u64,
-        recovered_from: Option<Instant>,
+        mesh: &ResidentMesh,
         f: impl FnOnce(&mut NodeCtx) -> Result<T>,
     ) -> Result<T> {
-        let ep = connect_mesh(&self.cfg, rank, epoch)?;
-        let stats = ep.stats_arc();
+        let stats = mesh.net_stats();
         *self.last_net.lock() = vec![stats.clone()];
         let recorder = self.cfg.trace_path.as_ref().map(|_| FlightRecorder::new(TRACE_CAPACITY));
-        if let Some(t0) = recovered_from {
-            // mesh is up again: failure detection -> rebuilt mesh
-            self.rank_telemetry(rank, None)
-                .duration_histogram(
-                    "dfo_recovery_seconds",
-                    "Time from failure detection to a rebuilt mesh (one supervised recovery)",
-                    &[],
-                )
-                .observe_duration(t0.elapsed());
-        }
-        // the ctx sees the *current* mesh epoch (it may have advanced past
-        // cfg.epoch across recoveries) so `@epoch` crash qualifiers and
-        // diagnostics refer to the attempt actually running
-        let out = self.run_rank(rank, ep, None, recorder.as_ref(), Some(epoch), |ctx| {
+        let out = mesh.launch(BATCH_JOB, self, None, recorder.as_ref(), |ctx| {
             let v = f(ctx)?;
             // collective: every rank ships its spans to rank 0, which
             // writes the merged timeline. cfg.trace_path is part of the
@@ -621,7 +538,7 @@ impl Cluster {
             Ok(v)
         });
         // fold after the trace gather so its frames are counted too
-        self.net_accum.lock()[rank].add_stats(&stats);
+        self.net_accum.lock()[mesh.rank()].add_stats(&stats);
         out
     }
 

@@ -417,6 +417,12 @@ impl NodeCtx {
                      ({pos:?}-commit, epoch {})",
                     self.rank, cp.call, self.cfg.epoch
                 );
+                // the kill lands *at* this boundary: frames of earlier calls
+                // (a relayed collective result, say) that still sit with the
+                // writer threads get their chance to reach the wire first,
+                // so which calls the peers complete does not depend on
+                // thread scheduling
+                std::thread::sleep(std::time::Duration::from_millis(20));
                 std::process::abort();
             }
             panic!(
@@ -641,27 +647,6 @@ impl NodeCtx {
         }
         incoming[rank] = own;
         Ok(incoming)
-    }
-
-    /// **Collective** metrics gather: every rank snapshots its registry and
-    /// ships the encoding to rank 0 over the mesh; rank 0 merges them into
-    /// one cluster-wide [`dfo_obs::Snapshot`] (per-rank series stay distinct
-    /// through their `rank` label). Returns `Some(merged)` on rank 0,
-    /// `None` elsewhere. Like every collective, all ranks must call it at
-    /// the same point or none may.
-    pub fn gather_metrics(&mut self) -> Result<Option<dfo_obs::Snapshot>> {
-        let snap = self.telemetry().registry.snapshot();
-        let mut out = vec![Vec::new(); self.cfg.nodes];
-        out[0] = snap.encode();
-        let incoming = self.exchange_bytes(out)?;
-        if self.rank != 0 {
-            return Ok(None);
-        }
-        let mut merged = dfo_obs::Snapshot::default();
-        for bytes in incoming.iter().filter(|b| !b.is_empty()) {
-            merged.merge_from(&dfo_obs::Snapshot::decode(bytes)?);
-        }
-        Ok(Some(merged))
     }
 
     fn run_vertex_batch<A: Accum>(

@@ -4,30 +4,18 @@
 //! A [`Supervisor`] launches one OS process per rank and babysits them:
 //! a rank that exits cleanly is done; a rank that dies (non-zero exit,
 //! SIGKILL, SIGABRT from the fault-injection hook…) is **relaunched**
-//! under the next mesh *epoch*. Inside each rank process,
-//! [`crate::Cluster::run_supervised`] is the other half of the protocol:
-//! survivors observe the failure as `NetClosed`, quiesce their transport,
-//! learn the next epoch, and re-enter the TCP bootstrap — where they meet
-//! the relaunched process, which received the same epoch via `DFO_EPOCH`.
-//! Stale-epoch connections are rejected by the handshake, so sockets of
-//! the dead incarnation can never rejoin.
+//! under the next mesh *epoch*. Inside each rank process the mesh
+//! lifecycle of [`crate::ResidentMesh`] is the other half of the protocol
+//! (see its module docs): survivors observe the failure as `NetClosed`,
+//! relaunch their mesh at the next epoch, and meet the relaunched process
+//! there, which received the same epoch via `DFO_EPOCH`.
 //!
-//! ## Epoch authority
-//!
-//! Who decides the next epoch? Without coordination each survivor bumps
-//! locally by one per observed failure — correct only while failures never
-//! overlap a recovery window (two deaths observed as one collective
-//! failure by a late joiner, but as two by a long-lived survivor, skews
-//! the counts apart and the mesh never rebuilds). The supervisor closes
-//! this hole by *publishing* the epoch: [`Supervisor::with_epoch_file`]
-//! names a file the supervisor rewrites atomically (temp + rename) each
-//! time it bumps, bumping **once per reap pass** no matter how many ranks
-//! died in it; relaunches get the published epoch via `DFO_EPOCH`, and
-//! survivors (told the file via `DFO_EPOCH_FILE`) wait for the published
-//! value to pass their failed attempt's instead of guessing. Every party
-//! therefore converges on the same number under arbitrarily overlapping
-//! failures; a wrong guess is still safe (the handshake rejects it and
-//! the rank retries), it just costs another recovery attempt.
+//! The supervisor is the **epoch authority** when
+//! [`Supervisor::with_epoch_file`] names a file: it rewrites the file
+//! atomically (temp + rename) each time it bumps, bumping **once per reap
+//! pass** no matter how many ranks died in it; relaunched processes get the
+//! published epoch via `DFO_EPOCH`, and survivors (told the file via
+//! `DFO_EPOCH_FILE`) wait for the published value instead of guessing.
 //!
 //! Ranks that already *finished* are respawned alongside a relaunch: the
 //! rebuilt mesh needs all ranks, and re-running a completed rank program
@@ -36,18 +24,17 @@
 //! finishes and exits while a peer is still relaunching would leave the
 //! mesh forever one rank short.
 //!
-//! ## Failure model
-//!
-//! Fail-stop process crashes, including several per recovery window (see
-//! above). Byzantine behaviour and network partitions are out of scope
-//! (as in the paper, which targets small trusted clusters). Child deaths
-//! are noticed via a `SIGCHLD` self-pipe on Linux (a bounded safety
-//! timeout guards against missed signals) and by sleep-polling elsewhere.
+//! Child deaths are noticed by sweeping `try_wait` over the live children
+//! every few milliseconds — no signal handler, nothing process-global, so
+//! any number of supervisors can run in one process.
 
 use dfo_types::{DfoError, Rank, Result};
 use std::path::PathBuf;
 use std::process::{Child, Command, ExitStatus};
 use std::time::{Duration, Instant};
+
+/// Pause between reap passes (one `try_wait` per live child each).
+const REAP_INTERVAL: Duration = Duration::from_millis(10);
 
 /// What a rank process must be launched (or relaunched) as.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -104,14 +91,11 @@ pub struct SuperviseReport {
 }
 
 /// Relaunching process supervisor for a multi-process cluster; see the
-/// module docs for the protocol it shares with
-/// [`crate::Cluster::run_supervised`].
+/// module docs for the protocol it shares with the ranks'
+/// [`crate::ResidentMesh`].
 pub struct Supervisor {
     peers: Vec<String>,
     max_restarts: u32,
-    /// Upper bound on one child-event wait; SIGCHLD usually wakes the
-    /// supervisor far sooner on Linux.
-    poll: Duration,
     deadline: Duration,
     epoch_file: Option<PathBuf>,
 }
@@ -120,13 +104,7 @@ impl Supervisor {
     /// A supervisor for the mesh `peers` (one `host:port` per rank),
     /// allowing `max_restarts` relaunches in total before giving up.
     pub fn new(peers: Vec<String>, max_restarts: u32) -> Self {
-        Self {
-            peers,
-            max_restarts,
-            poll: Duration::from_millis(500),
-            deadline: Duration::from_secs(300),
-            epoch_file: None,
-        }
+        Self { peers, max_restarts, deadline: Duration::from_secs(300), epoch_file: None }
     }
 
     /// Caps the whole supervised job's wall-clock time (default 300 s); on
@@ -168,58 +146,68 @@ impl Supervisor {
         &self,
         mut spawn: impl FnMut(&RankSpec) -> std::io::Result<Child>,
     ) -> Result<SuperviseReport> {
-        let p = self.peers.len();
+        // a rank is in exactly one state: Some(child) running, or None —
+        // not launched yet, or finished cleanly until a recovery respawns it
+        let mut children: Vec<Option<Child>> = self.peers.iter().map(|_| None).collect();
+        let out = self.supervise(&mut children, &mut spawn);
+        // however the run ended, no child outlives it (all reaped on success)
+        for mut c in children.iter_mut().filter_map(Option::take) {
+            let _ = c.kill();
+            let _ = c.wait();
+        }
+        out
+    }
+
+    fn supervise(
+        &self,
+        children: &mut [Option<Child>],
+        spawn: &mut dyn FnMut(&RankSpec) -> std::io::Result<Child>,
+    ) -> Result<SuperviseReport> {
+        let p = children.len();
         let mut epoch = 0u64;
         self.publish_epoch(epoch)?;
         let mut report = SuperviseReport::default();
         let mut attempts = vec![0u32; p];
-        // a rank is in exactly one state: Some(child) running, or None —
-        // finished cleanly (done[rank]) until a recovery respawns it
-        let mut children: Vec<Option<Child>> = Vec::with_capacity(p);
-        let mut done = vec![false; p];
+        let mut launch = |children: &mut [Option<Child>], rank: Rank, epoch: u64, what: &str| {
+            let spec = RankSpec { rank, epoch, attempt: attempts[rank] };
+            attempts[rank] += 1;
+            children[rank] =
+                Some(spawn(&spec).map_err(|e| DfoError::io(format!("{what} rank {rank}"), e))?);
+            Ok::<(), DfoError>(())
+        };
         for rank in 0..p {
-            let spec = RankSpec { rank, epoch, attempt: 0 };
-            match spawn(&spec) {
-                Ok(c) => children.push(Some(c)),
-                Err(e) => {
-                    Self::kill_all(&mut children);
-                    return Err(DfoError::io(format!("launching rank {rank}"), e));
-                }
-            }
+            launch(children, rank, epoch, "launching")?;
         }
+        let mut done = vec![false; p];
         let deadline = Instant::now() + self.deadline;
+        let mut dead: Vec<(Rank, ExitStatus)> = Vec::new();
         loop {
-            // one reap pass: sweep every child, collecting all deaths
-            // before deciding anything, so simultaneous deaths share one
-            // epoch bump
-            let mut dead: Vec<(Rank, ExitStatus)> = Vec::new();
-            let mut running = false;
+            // one reap pass: sweep every child until a sweep finds no new
+            // death, collecting them all before deciding anything, so
+            // deaths at the same boundary (a few ms apart) share one epoch
+            // bump and no rank is relaunched at an epoch already left behind
+            let seen = dead.len();
             for rank in 0..p {
                 let Some(child) = children[rank].as_mut() else { continue };
-                let status = match child.try_wait() {
-                    Ok(s) => s,
-                    Err(e) => {
-                        Self::kill_all(&mut children);
-                        return Err(DfoError::io(format!("waiting on rank {rank}"), e));
-                    }
-                };
-                match status {
-                    None => running = true,
-                    Some(st) if st.success() => {
-                        children[rank] = None;
-                        done[rank] = true;
-                    }
-                    Some(st) => {
-                        children[rank] = None;
-                        dead.push((rank, st));
-                    }
+                let status = child
+                    .try_wait()
+                    .map_err(|e| DfoError::io(format!("waiting on rank {rank}"), e))?;
+                let Some(st) = status else { continue };
+                children[rank] = None;
+                if st.success() {
+                    done[rank] = true;
+                } else {
+                    dead.push((rank, st));
                 }
+            }
+            if dead.len() > seen {
+                std::thread::sleep(REAP_INTERVAL);
+                continue;
             }
             if !dead.is_empty() {
                 if report.restarts + dead.len() as u32 > self.max_restarts {
                     let names: Vec<String> =
                         dead.iter().map(|(r, st)| format!("rank {r} ({st})")).collect();
-                    Self::kill_all(&mut children);
                     return Err(DfoError::RestartsExhausted {
                         attempts: report.restarts,
                         last: Box::new(DfoError::NetClosed(format!(
@@ -232,60 +220,41 @@ impl Supervisor {
                 // published file is what survivors re-bootstrap against
                 epoch += 1;
                 self.publish_epoch(epoch)?;
-                for (rank, st) in &dead {
+                for (rank, st) in dead.drain(..) {
                     report.restarts += 1;
-                    attempts[*rank] += 1;
-                    report.relaunches.push((*rank, epoch));
+                    report.relaunches.push((rank, epoch));
                     eprintln!(
                         "[dfo] supervisor: rank {rank} died ({st}); relaunching at epoch \
                          {epoch} (restart {}/{})",
                         report.restarts, self.max_restarts
                     );
-                    let spec = RankSpec { rank: *rank, epoch, attempt: attempts[*rank] };
-                    match spawn(&spec) {
-                        Ok(c) => children[*rank] = Some(c),
-                        Err(e) => {
-                            Self::kill_all(&mut children);
-                            return Err(DfoError::io(format!("relaunching rank {rank}"), e));
-                        }
-                    }
+                    launch(children, rank, epoch, "relaunching")?;
                 }
                 // liveness: the rebuilt mesh needs every rank, including
                 // those that already finished and exited — re-running a
                 // completed rank is idempotent (module docs)
-                for rank in 0..p {
-                    if !done[rank] {
+                for (rank, finished) in done.iter_mut().enumerate() {
+                    if !std::mem::take(finished) {
                         continue;
                     }
-                    done[rank] = false;
-                    attempts[rank] += 1;
                     report.respawns.push((rank, epoch));
                     eprintln!(
                         "[dfo] supervisor: respawning finished rank {rank} at epoch {epoch} \
                          so the mesh can rebuild"
                     );
-                    let spec = RankSpec { rank, epoch, attempt: attempts[rank] };
-                    match spawn(&spec) {
-                        Ok(c) => children[rank] = Some(c),
-                        Err(e) => {
-                            Self::kill_all(&mut children);
-                            return Err(DfoError::io(format!("respawning rank {rank}"), e));
-                        }
-                    }
+                    launch(children, rank, epoch, "respawning")?;
                 }
-                running = true;
             }
-            if !running {
+            if children.iter().all(Option::is_none) {
                 return Ok(report);
             }
             if Instant::now() >= deadline {
-                Self::kill_all(&mut children);
                 return Err(DfoError::NetClosed(format!(
                     "supervision deadline ({:?}) passed with ranks still running",
                     self.deadline
                 )));
             }
-            reap_signal::wait_for_child_event(self.poll);
+            std::thread::sleep(REAP_INTERVAL);
         }
     }
 
@@ -297,112 +266,6 @@ impl Supervisor {
         std::fs::write(&tmp, format!("{epoch}\n"))
             .and_then(|()| std::fs::rename(&tmp, path))
             .map_err(|e| DfoError::io(format!("publishing epoch {epoch} to {path:?}"), e))
-    }
-
-    fn kill_all(children: &mut [Option<Child>]) {
-        for c in children.iter_mut().filter_map(Option::take) {
-            let mut c = c;
-            let _ = c.kill();
-            let _ = c.wait();
-        }
-    }
-}
-
-/// SIGCHLD-driven child-event waiting (Linux): a process-global self-pipe
-/// whose write end is fed one byte per `SIGCHLD` by an async-signal-safe
-/// handler, so the supervisor sleeps in `poll(2)` and wakes the moment a
-/// child changes state instead of burning a fixed-interval `try_wait`
-/// loop. The raw syscall declarations keep the crate dependency-free.
-///
-/// The pipe is shared by every supervisor in the process (signal
-/// dispositions are process-global), so a concurrent instance may drain a
-/// byte meant for another; the caller's bounded timeout makes that a
-/// latency blip, never a hang — and callers re-`try_wait` every child on
-/// every wakeup regardless.
-#[cfg(target_os = "linux")]
-mod reap_signal {
-    use std::sync::atomic::{AtomicI32, Ordering};
-    use std::sync::Once;
-    use std::time::Duration;
-
-    #[repr(C)]
-    struct PollFd {
-        fd: i32,
-        events: i16,
-        revents: i16,
-    }
-
-    extern "C" {
-        fn pipe2(fds: *mut i32, flags: i32) -> i32;
-        fn signal(signum: i32, handler: usize) -> usize;
-        fn write(fd: i32, buf: *const u8, count: usize) -> isize;
-        fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
-        fn poll(fds: *mut PollFd, nfds: u64, timeout_ms: i32) -> i32;
-    }
-
-    const SIGCHLD: i32 = 17;
-    const O_NONBLOCK: i32 = 0o4000;
-    const O_CLOEXEC: i32 = 0o2000000;
-    const POLLIN: i16 = 1;
-    const SIG_ERR: usize = usize::MAX;
-
-    static WRITE_FD: AtomicI32 = AtomicI32::new(-1);
-    static READ_FD: AtomicI32 = AtomicI32::new(-1);
-    static INIT: Once = Once::new();
-
-    extern "C" fn on_sigchld(_sig: i32) {
-        // write(2) is async-signal-safe; the pipe is non-blocking so a
-        // full pipe (wakeup already pending many times over) is dropped
-        let fd = WRITE_FD.load(Ordering::Relaxed);
-        if fd >= 0 {
-            unsafe { write(fd, b"c".as_ptr(), 1) };
-        }
-    }
-
-    fn install() -> bool {
-        INIT.call_once(|| {
-            let mut fds = [-1i32; 2];
-            if unsafe { pipe2(fds.as_mut_ptr(), O_NONBLOCK | O_CLOEXEC) } != 0 {
-                return;
-            }
-            WRITE_FD.store(fds[1], Ordering::Relaxed);
-            if unsafe { signal(SIGCHLD, on_sigchld as *const () as usize) } == SIG_ERR {
-                WRITE_FD.store(-1, Ordering::Relaxed);
-                return;
-            }
-            READ_FD.store(fds[0], Ordering::Relaxed);
-        });
-        READ_FD.load(Ordering::Relaxed) >= 0
-    }
-
-    /// Blocks until a child *may* need reaping, or `timeout` elapses.
-    /// Spurious wakeups are fine; the pipe is drained before returning so
-    /// a signal arriving after the drain leaves a byte for the next call
-    /// (no lost-wakeup window as long as callers `try_wait` after this
-    /// returns, which they do).
-    pub fn wait_for_child_event(timeout: Duration) {
-        if !install() {
-            std::thread::sleep(timeout.min(Duration::from_millis(25)));
-            return;
-        }
-        let fd = READ_FD.load(Ordering::Relaxed);
-        let mut pfd = PollFd { fd, events: POLLIN, revents: 0 };
-        let ms = timeout.as_millis().min(i32::MAX as u128) as i32;
-        let n = unsafe { poll(&mut pfd, 1, ms) };
-        if n > 0 {
-            let mut buf = [0u8; 64];
-            while unsafe { read(fd, buf.as_mut_ptr(), buf.len()) } > 0 {}
-        }
-    }
-}
-
-/// Portable fallback: fixed-interval sleep between reap passes.
-#[cfg(not(target_os = "linux"))]
-mod reap_signal {
-    use std::time::Duration;
-
-    pub fn wait_for_child_event(timeout: Duration) {
-        std::thread::sleep(timeout.min(Duration::from_millis(25)));
     }
 }
 

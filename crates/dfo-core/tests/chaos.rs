@@ -291,6 +291,7 @@ fn clean_reference(base: &Path) -> Vec<Vec<u8>> {
 }
 
 #[test]
+#[ignore = "spawns rank processes; run with --include-ignored (CI does)"]
 fn overlapping_rank_deaths_converge_on_the_published_epoch() {
     let clean = case_dir("overlap-clean");
     let reference = clean_reference(&clean.path);
@@ -328,6 +329,7 @@ fn overlapping_rank_deaths_converge_on_the_published_epoch() {
 }
 
 #[test]
+#[ignore = "spawns rank processes; run with --include-ignored (CI does)"]
 fn ahead_rank_rolls_back_one_call_and_matches_clean_run() {
     let clean = case_dir("ahead-clean");
     let reference = clean_reference(&clean.path);
@@ -362,6 +364,7 @@ fn ahead_rank_rolls_back_one_call_and_matches_clean_run() {
 }
 
 #[test]
+#[ignore = "spawns rank processes; run with --include-ignored (CI does)"]
 fn post_final_call_kill_recovers_and_matches_clean_run() {
     let clean = case_dir("tail-clean");
     let reference = clean_reference(&clean.path);
@@ -409,6 +412,7 @@ fn sample_schedule(rng: &mut SmallRng) -> String {
 }
 
 #[test]
+#[ignore = "spawns rank processes; run with --include-ignored (CI does)"]
 fn randomized_kill_schedules_stay_bit_identical() {
     let seed: u64 =
         std::env::var("DFO_CHAOS_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0xDF0_C4A0);

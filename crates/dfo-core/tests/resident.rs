@@ -1,13 +1,15 @@
 //! In-process [`ResidentMesh`] tests: ranks as threads of one process over
 //! localhost TCP, exercising the tag-namespace invariant that lets jobs
-//! overlap on one mesh (see `resident.rs` module docs). The multi-process
-//! deployment of the same machinery is covered end to end by
-//! `crates/dfo-service/tests/remote.rs`.
+//! overlap on one mesh, and the one relaunch protocol batch, supervised and
+//! daemon runs share (see `resident.rs` module docs). The multi-process
+//! deployments of the same machinery are covered end to end by
+//! `restart.rs`, `chaos.rs` and `crates/dfo-service/tests/remote.rs`.
 
 use dfo_core::{Cluster, ResidentMesh};
 use dfo_graph::gen::uniform;
-use dfo_types::{BatchPolicy, EngineConfig};
+use dfo_types::{BatchPolicy, DfoError, EngineConfig};
 use std::net::TcpListener;
+use std::sync::Barrier;
 use tempfile::TempDir;
 
 fn free_addrs(n: usize) -> Vec<String> {
@@ -88,6 +90,168 @@ fn concurrent_jobs_on_one_mesh_match_serial() {
                     }
                 });
                 mesh.barrier().unwrap();
+            });
+        }
+    });
+}
+
+/// A preprocessed 2-rank cluster over fresh localhost addresses, with the
+/// serial batch result every mesh run must reproduce bit for bit.
+fn mesh_cluster(td: &TempDir, tune: impl FnOnce(&mut EngineConfig)) -> (Cluster, Vec<Vec<u64>>) {
+    let mut cfg = EngineConfig::for_test(2);
+    cfg.batch_policy = BatchPolicy::FixedVertices(32);
+    cfg.peers = Some(free_addrs(2));
+    cfg.connect_timeout_secs = 30;
+    tune(&mut cfg);
+    let cluster = Cluster::create(cfg, td.path()).unwrap();
+    cluster.preprocess(&uniform(192, 1400, 5)).unwrap();
+    let reference = cluster.run(in_degree_job).unwrap();
+    (cluster, reference)
+}
+
+/// Both ranks connect, job 0 fails on rank 1 (poisoning the mesh under rank
+/// 0), `publish` runs once while both sit between failure and relaunch,
+/// both relaunch and must land on `want_epoch`, and job 1 on the rebuilt
+/// mesh must match the serial reference.
+fn fail_relaunch_rerun(
+    cluster: &Cluster,
+    reference: &[Vec<u64>],
+    publish: impl Fn() + Sync,
+    want_epoch: u64,
+) {
+    let failed = Barrier::new(2);
+    std::thread::scope(|s| {
+        for (rank, want) in reference.iter().enumerate() {
+            let (failed, publish) = (&failed, &publish);
+            s.spawn(move || {
+                let mesh = ResidentMesh::connect(cluster.config(), rank).unwrap();
+                assert_eq!((mesh.epoch(), mesh.restarts()), (0, 0));
+                let cause = mesh
+                    .run_job_as(0, cluster, "j0", |ctx| {
+                        if rank == 1 {
+                            return Err(DfoError::Config("injected job failure".into()));
+                        }
+                        in_degree_job(ctx)
+                    })
+                    .unwrap_err();
+                match (rank, &cause) {
+                    (1, DfoError::Config(_)) | (0, DfoError::NetClosed(_)) => {}
+                    other => panic!("unexpected failure {other:?}"),
+                }
+                if failed.wait().is_leader() {
+                    publish();
+                }
+                failed.wait();
+                let mesh = mesh.relaunch(cause).unwrap();
+                assert_eq!((mesh.epoch(), mesh.restarts()), (want_epoch, 1), "rank {rank}");
+                let out = mesh.run_job_as(1, cluster, "j1", in_degree_job).unwrap();
+                mesh.job_barrier(1).unwrap();
+                mesh.end_job(1);
+                assert_eq!(out, *want, "rank {rank} on the rebuilt mesh");
+                mesh.barrier().unwrap();
+            });
+        }
+    });
+}
+
+#[test]
+fn poisoned_mesh_relaunches_on_one_epoch_and_matches_serial() {
+    let td = TempDir::new().unwrap();
+    let (cluster, reference) = mesh_cluster(&td, |cfg| cfg.max_restarts = 1);
+    fail_relaunch_rerun(&cluster, &reference, || {}, 1);
+}
+
+/// The overlapping-failure case: the supervisor has moved the published
+/// epoch further than one local bump would. Every rank must land on the
+/// published number — and so must a process that only starts now.
+#[test]
+fn relaunch_and_connect_follow_the_published_epoch() {
+    let td = TempDir::new().unwrap();
+    let epoch_file = td.path().join("EPOCH");
+    let (cluster, reference) = mesh_cluster(&td, |cfg| {
+        cfg.max_restarts = 1;
+        cfg.epoch_file = Some(epoch_file.to_str().unwrap().to_string());
+    });
+    fail_relaunch_rerun(&cluster, &reference, || std::fs::write(&epoch_file, "7\n").unwrap(), 7);
+    std::thread::scope(|s| {
+        for rank in 0..2 {
+            let cluster = &cluster;
+            s.spawn(move || {
+                let mesh = ResidentMesh::connect(cluster.config(), rank).unwrap();
+                assert_eq!((mesh.epoch(), mesh.restarts()), (7, 0), "late joiner rank {rank}");
+            });
+        }
+    });
+}
+
+/// Two deaths in two reap passes: rank 0 was started at epoch 1 just before
+/// the supervisor moved on to 2, where rank 1 waits — and times out first.
+/// A timed-out bootstrap must be retried where the authority points (rank 1
+/// stays at 2, rank 0 moves up to it), never bumped locally past it, or the
+/// two chase each other's epochs until the budget is gone.
+#[test]
+fn stale_epoch_joiner_and_its_waiting_peer_converge_on_the_published_epoch() {
+    let td = TempDir::new().unwrap();
+    let epoch_file = td.path().join("EPOCH");
+    std::fs::write(&epoch_file, "1\n").unwrap();
+    let mut cfg = EngineConfig::for_test(2);
+    cfg.peers = Some(free_addrs(2));
+    cfg.max_restarts = 4;
+    cfg.epoch_file = Some(epoch_file.to_str().unwrap().to_string());
+    std::thread::scope(|s| {
+        let (mut stale, mut waiting) = (cfg.clone(), cfg.clone());
+        stale.connect_timeout_secs = 3;
+        waiting.connect_timeout_secs = 1;
+        let listen_addr = stale.peers.as_ref().unwrap()[0].clone();
+        let stale = s.spawn(move || ResidentMesh::connect(&stale, 0).unwrap());
+        // rank 0 reads the authority before it binds: once a probe connects
+        // (the bootstrap drops it as a non-peer), epoch 1 is what it read
+        while std::net::TcpStream::connect(&listen_addr).is_err() {
+            std::thread::yield_now();
+        }
+        std::fs::write(&epoch_file, "2\n").unwrap();
+        let waiting = ResidentMesh::connect(&waiting, 1).unwrap();
+        let stale = stale.join().unwrap();
+        assert_eq!((stale.epoch(), stale.restarts()), (2, 1));
+        assert_eq!(waiting.epoch(), 2);
+        assert!((2..=3).contains(&waiting.restarts()), "{} timeouts", waiting.restarts());
+    });
+}
+
+/// Past `max_restarts` each front-end keeps the error it returns today:
+/// the mesh hands the cause back (what the daemon exits with), and
+/// `run_supervised` wraps it in `RestartsExhausted`.
+#[test]
+fn exhausted_budget_returns_each_front_ends_typed_error() {
+    let td = TempDir::new().unwrap();
+    let (cluster, _) = mesh_cluster(&td, |cfg| cfg.max_restarts = 1);
+    let (cluster, connected) = (&cluster, &Barrier::new(2));
+    std::thread::scope(|s| {
+        for rank in 0..2 {
+            s.spawn(move || {
+                let mut zero = cluster.config().clone();
+                zero.max_restarts = 0;
+                let mesh = ResidentMesh::connect(&zero, rank).unwrap();
+                connected.wait();
+                match mesh.relaunch(DfoError::NetClosed("the cause".into())) {
+                    Err(DfoError::NetClosed(m)) => assert_eq!(m, "the cause"),
+                    Err(other) => panic!("want the cause back, got {other:?}"),
+                    Ok(_) => panic!("no budget, yet the mesh relaunched"),
+                }
+                // every attempt dies as a mesh failure: one relaunch is
+                // budgeted, the second failure exhausts it
+                let res = cluster.run_supervised(rank, |ctx| -> dfo_types::Result<()> {
+                    ctx.net().barrier();
+                    Err(DfoError::NetClosed(format!("rank {rank} lost its peer")))
+                });
+                match res {
+                    Err(DfoError::RestartsExhausted { attempts: 1, last }) => {
+                        assert!(matches!(*last, DfoError::NetClosed(_)), "{last:?}")
+                    }
+                    other => panic!("want RestartsExhausted after 1 restart, got {other:?}"),
+                }
+                let stats = cluster.recovery_stats();
+                assert_eq!((stats.restarts, stats.mesh_epoch), (1, 1));
             });
         }
     });

@@ -208,6 +208,7 @@ fn read_resume_log(base: &Path, rank: usize) -> Vec<u64> {
 }
 
 #[test]
+#[ignore = "spawns rank processes; run with --include-ignored (CI does)"]
 fn killed_rank_is_relaunched_and_result_is_bit_identical() {
     let g = dist_graph();
     let td_crash = TempDir::new().unwrap();

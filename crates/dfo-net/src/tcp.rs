@@ -33,9 +33,9 @@
 //! incarnation's late dial can never join the new mesh), and a dialer whose
 //! hello is dropped — or whose ack carries a different epoch — keeps
 //! retrying until the deadline, because the peer may simply not have
-//! finished tearing down the old mesh yet. Listeners bind with
-//! `SO_REUSEADDR` so a surviving rank can re-listen on its fixed address
-//! immediately, even while sockets of the previous mesh linger in
+//! finished tearing down the old mesh yet. `std`'s `TcpListener::bind` sets
+//! `SO_REUSEADDR` on Unix, so a surviving rank can re-listen on its fixed
+//! address immediately, even while sockets of the previous mesh linger in
 //! `TIME_WAIT`.
 //!
 //! ## Collectives
@@ -386,12 +386,12 @@ impl TcpTransport {
         let deadline = Instant::now() + opts.connect_timeout;
 
         // bind before dialing anyone so lower ranks never observe a window
-        // where our higher-rank dialers could outrun the listener.
-        // SO_REUSEADDR lets a recovering rank re-listen on its fixed
-        // address while sockets of the torn-down mesh are still in
-        // TIME_WAIT.
+        // where our higher-rank dialers could outrun the listener. std sets
+        // SO_REUSEADDR on Unix listeners, so a recovering rank re-listens on
+        // its fixed address while sockets of the torn-down mesh are still
+        // in TIME_WAIT.
         let listener = if rank + 1 < p {
-            let l = bind_reuse(&peers[rank])
+            let l = TcpListener::bind(&peers[rank])
                 .map_err(|e| handshake_err(format!("rank {rank} binding {}: {e}", peers[rank])))?;
             l.set_nonblocking(true)
                 .map_err(|e| handshake_err(format!("listener nonblocking: {e}")))?;
@@ -709,115 +709,6 @@ fn dial_handshake(
         }
         stream.set_read_timeout(None).map_err(|e| handshake_err(e.to_string()))?;
         return Ok(stream);
-    }
-}
-
-/// Binds a listener with `SO_REUSEADDR` so a recovering rank can re-listen
-/// on its fixed address while connections of the previous mesh incarnation
-/// are still in `TIME_WAIT` (plain `TcpListener::bind` would fail with
-/// `EADDRINUSE` for up to a minute). Uses raw libc calls on Linux — no
-/// crate dependency — for both IPv4 and IPv6; other platforms fall back to
-/// the std bind, so their recovery rebind can hit `EADDRINUSE` until the
-/// `TIME_WAIT` sockets expire (retried by the bootstrap deadline).
-fn bind_reuse(addr: &str) -> std::io::Result<TcpListener> {
-    let sa = addr.to_socket_addrs()?.next().ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::InvalidInput, format!("no address: {addr}"))
-    })?;
-    #[cfg(target_os = "linux")]
-    return bind_reuse_linux(&sa);
-    #[cfg(not(target_os = "linux"))]
-    TcpListener::bind(sa)
-}
-
-#[cfg(target_os = "linux")]
-fn bind_reuse_linux(addr: &std::net::SocketAddr) -> std::io::Result<TcpListener> {
-    use std::net::SocketAddr;
-    use std::os::fd::FromRawFd;
-    const AF_INET: i32 = 2;
-    const AF_INET6: i32 = 10;
-    const SOCK_STREAM: i32 = 1;
-    const SOCK_CLOEXEC: i32 = 0o2000000;
-    const SOL_SOCKET: i32 = 1;
-    const SO_REUSEADDR: i32 = 2;
-    /// `struct sockaddr_in` (fields already in network byte order).
-    #[repr(C)]
-    struct SockaddrIn {
-        family: u16,
-        port_be: u16,
-        addr_be: u32,
-        zero: [u8; 8],
-    }
-    /// `struct sockaddr_in6`.
-    #[repr(C)]
-    struct SockaddrIn6 {
-        family: u16,
-        port_be: u16,
-        flowinfo: u32,
-        addr_be: [u8; 16],
-        scope_id: u32,
-    }
-    extern "C" {
-        fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
-        fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
-        fn bind(fd: i32, addr: *const std::ffi::c_void, len: u32) -> i32;
-        fn listen(fd: i32, backlog: i32) -> i32;
-        fn close(fd: i32) -> i32;
-    }
-    let family = match addr {
-        SocketAddr::V4(_) => AF_INET,
-        SocketAddr::V6(_) => AF_INET6,
-    };
-    unsafe {
-        let fd = socket(family, SOCK_STREAM | SOCK_CLOEXEC, 0);
-        if fd < 0 {
-            return Err(std::io::Error::last_os_error());
-        }
-        let fail = |fd: i32| -> std::io::Error {
-            let e = std::io::Error::last_os_error();
-            close(fd);
-            e
-        };
-        let one: i32 = 1;
-        if setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, 4) != 0 {
-            return Err(fail(fd));
-        }
-        // octets() are already big-endian; keep their memory order
-        let rc = match addr {
-            SocketAddr::V4(v4) => {
-                let sa = SockaddrIn {
-                    family: AF_INET as u16,
-                    port_be: v4.port().to_be(),
-                    addr_be: u32::from_ne_bytes(v4.ip().octets()),
-                    zero: [0; 8],
-                };
-                bind(
-                    fd,
-                    (&sa as *const SockaddrIn).cast(),
-                    std::mem::size_of::<SockaddrIn>() as u32,
-                )
-            }
-            SocketAddr::V6(v6) => {
-                let sa = SockaddrIn6 {
-                    family: AF_INET6 as u16,
-                    port_be: v6.port().to_be(),
-                    flowinfo: v6.flowinfo(),
-                    addr_be: v6.ip().octets(),
-                    scope_id: v6.scope_id(),
-                };
-                bind(
-                    fd,
-                    (&sa as *const SockaddrIn6).cast(),
-                    std::mem::size_of::<SockaddrIn6>() as u32,
-                )
-            }
-        };
-        if rc != 0 {
-            return Err(fail(fd));
-        }
-        if listen(fd, 128) != 0 {
-            return Err(fail(fd));
-        }
-        Ok(TcpListener::from_raw_fd(fd))
     }
 }
 

@@ -277,6 +277,17 @@ fn stale_epoch_never_joins_the_mesh() {
     });
 }
 
+/// Whether a socket bound to local `port` sits in `TIME_WAIT` (state `06`
+/// in `/proc/net/tcp`; ports there are upper-case hex).
+#[cfg(target_os = "linux")]
+fn port_in_time_wait(port: u16) -> bool {
+    let local = format!(":{port:04X}");
+    std::fs::read_to_string("/proc/net/tcp").unwrap().lines().skip(1).any(|l| {
+        let mut f = l.split_whitespace().skip(1);
+        f.next().is_some_and(|a| a.ends_with(&local)) && f.nth(1) == Some("06")
+    })
+}
+
 #[test]
 fn mesh_rebuilds_on_same_addresses_under_new_epoch() {
     // checkpoint-restart re-bootstrap: tear a mesh down (including the
@@ -293,9 +304,25 @@ fn mesh_rebuilds_on_same_addresses_under_new_epoch() {
                     let ep = TcpCluster::connect(rank, &peers, None, false, tcp).unwrap();
                     assert_eq!(ep.allreduce_sum_u64(epoch), 2 * epoch);
                     ep.barrier();
+                    // rank 0 closes first: rank 1 holds its end open until
+                    // it has seen rank 0's EOF, so the connection the old
+                    // incarnation accepted on rank 0's listen address was
+                    // established and is now lingering in TIME_WAIT there
+                    // when the next epoch re-binds the address
+                    if rank == 1 {
+                        match ep.recv_all(0, 99) {
+                            Err(DfoError::NetClosed(_)) => {}
+                            other => panic!("want rank 0's EOF, got {other:?}"),
+                        }
+                    }
                 });
             }
         });
+        #[cfg(target_os = "linux")]
+        {
+            let port: u16 = peers[0].rsplit(':').next().unwrap().parse().unwrap();
+            assert!(port_in_time_wait(port), "epoch {epoch}: no TIME_WAIT socket on port {port}");
+        }
     }
 }
 

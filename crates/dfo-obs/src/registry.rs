@@ -16,12 +16,9 @@
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::io::{self, Cursor, Read};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-use dfo_types::codec::{read_str, read_u32, read_u64, write_str, write_u32, write_u64};
 
 /// Sorted `key=value` label pairs identifying one series within a family.
 pub type LabelSet = Vec<(String, String)>;
@@ -288,9 +285,7 @@ pub struct FamilySnap {
 
 /// A consistent point-in-time copy of everything a [`Registry`] knows,
 /// including pull-source samples. Snapshots render to Prometheus text or
-/// JSON, serialize to a compact binary form for cross-rank aggregation, and
-/// merge ([`Snapshot::merge_from`]) so rank 0 can fold peer snapshots into
-/// one cluster-wide view.
+/// JSON.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Snapshot {
     /// Families keyed by metric name.
@@ -506,18 +501,6 @@ impl Snapshot {
         self.families.get(family).map(|f| f.series.as_slice()).unwrap_or(&[])
     }
 
-    /// Folds another snapshot into this one: series with identical labels
-    /// add (counters, gauges, histogram buckets); new series are inserted.
-    /// Used by rank 0 to aggregate peer snapshots — per-rank labels keep
-    /// distinct series distinct, so in practice this is a union.
-    pub fn merge_from(&mut self, other: &Snapshot) {
-        for (name, fam) in &other.families {
-            for s in &fam.series {
-                self.push(name, fam.kind, &fam.help, s.labels.clone(), s.value.clone());
-            }
-        }
-    }
-
     /// Renders [Prometheus text exposition format](https://prometheus.io/docs/instrumenting/exposition_formats/):
     /// `# HELP` / `# TYPE` headers and one line per sample, histograms as
     /// cumulative `_bucket{le=…}` plus `_sum` / `_count`.
@@ -621,113 +604,6 @@ impl Snapshot {
         out.push('}');
         out
     }
-
-    /// Serializes the snapshot to the compact binary form understood by
-    /// [`Snapshot::decode`] — the wire format ranks use to ship snapshots
-    /// to rank 0 over `exchange_bytes`.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Vec::new();
-        let enc = |w: &mut Vec<u8>| -> io::Result<()> {
-            write_u32(w, SNAPSHOT_MAGIC)?;
-            write_u32(w, self.families.len() as u32)?;
-            for (name, fam) in &self.families {
-                write_str(w, name)?;
-                w.push(match fam.kind {
-                    MetricKind::Counter => 0,
-                    MetricKind::Gauge => 1,
-                    MetricKind::Histogram => 2,
-                });
-                write_str(w, &fam.help)?;
-                write_u32(w, fam.series.len() as u32)?;
-                for s in &fam.series {
-                    write_u32(w, s.labels.len() as u32)?;
-                    for (k, v) in &s.labels {
-                        write_str(w, k)?;
-                        write_str(w, v)?;
-                    }
-                    match &s.value {
-                        SampleValue::Counter(v) => write_u64(w, *v)?,
-                        SampleValue::Gauge(v) => write_u64(w, v.to_bits())?,
-                        SampleValue::Histogram(h) => {
-                            write_u32(w, h.bounds.len() as u32)?;
-                            for b in &h.bounds {
-                                write_u64(w, b.to_bits())?;
-                            }
-                            for c in &h.counts {
-                                write_u64(w, *c)?;
-                            }
-                            write_u64(w, h.sum.to_bits())?;
-                        }
-                    }
-                }
-            }
-            Ok(())
-        };
-        enc(&mut w).expect("writing to a Vec cannot fail");
-        w
-    }
-
-    /// Parses a snapshot encoded by [`Snapshot::encode`].
-    pub fn decode(bytes: &[u8]) -> dfo_types::Result<Snapshot> {
-        let mut r = Cursor::new(bytes);
-        decode_inner(&mut r)
-            .map_err(|e| dfo_types::DfoError::Corrupt(format!("metrics snapshot: {e}")))
-    }
-}
-
-const SNAPSHOT_MAGIC: u32 = 0x4446_4f4d; // "DFOM"
-
-fn decode_inner<R: Read>(r: &mut R) -> io::Result<Snapshot> {
-    let bad = |m: &str| io::Error::new(io::ErrorKind::InvalidData, m.to_string());
-    if read_u32(r)? != SNAPSHOT_MAGIC {
-        return Err(bad("bad magic"));
-    }
-    let mut snap = Snapshot::default();
-    let nfam = read_u32(r)?;
-    for _ in 0..nfam {
-        let name = read_str(r)?;
-        let mut kind_b = [0u8; 1];
-        r.read_exact(&mut kind_b)?;
-        let kind = match kind_b[0] {
-            0 => MetricKind::Counter,
-            1 => MetricKind::Gauge,
-            2 => MetricKind::Histogram,
-            k => return Err(bad(&format!("unknown metric kind {k}"))),
-        };
-        let help = read_str(r)?;
-        let nseries = read_u32(r)?;
-        for _ in 0..nseries {
-            let nlabels = read_u32(r)?;
-            let mut labels = LabelSet::new();
-            for _ in 0..nlabels {
-                let k = read_str(r)?;
-                let v = read_str(r)?;
-                labels.push((k, v));
-            }
-            let value = match kind {
-                MetricKind::Counter => SampleValue::Counter(read_u64(r)?),
-                MetricKind::Gauge => SampleValue::Gauge(f64::from_bits(read_u64(r)?)),
-                MetricKind::Histogram => {
-                    let nb = read_u32(r)? as usize;
-                    if nb > 1 << 16 {
-                        return Err(bad("implausible bucket count"));
-                    }
-                    let mut bounds = Vec::with_capacity(nb);
-                    for _ in 0..nb {
-                        bounds.push(f64::from_bits(read_u64(r)?));
-                    }
-                    let mut counts = Vec::with_capacity(nb + 1);
-                    for _ in 0..=nb {
-                        counts.push(read_u64(r)?);
-                    }
-                    let sum = f64::from_bits(read_u64(r)?);
-                    SampleValue::Histogram(HistogramSnap { bounds, counts, sum })
-                }
-            };
-            snap.push(&name, kind, &help, labels, value);
-        }
-    }
-    Ok(snap)
 }
 
 fn merge_value(into: &mut SampleValue, from: &SampleValue) {
@@ -735,7 +611,7 @@ fn merge_value(into: &mut SampleValue, from: &SampleValue) {
         (SampleValue::Counter(a), SampleValue::Counter(b)) => *a += b,
         (SampleValue::Gauge(a), SampleValue::Gauge(b)) => *a += b,
         (SampleValue::Histogram(a), SampleValue::Histogram(b)) => a.merge_from(b),
-        // kind clash across merged snapshots: keep the existing value
+        // kind clash between a handle and a pull source: keep the existing value
         _ => {}
     }
 }
@@ -890,31 +766,6 @@ mod tests {
         assert!(text.contains("dfo_h_seconds_bucket{le=\"1\"} 1"), "{text}");
         assert!(text.contains("dfo_h_seconds_bucket{le=\"+Inf\"} 1"), "{text}");
         assert!(text.contains("dfo_h_seconds_count 1"), "{text}");
-    }
-
-    #[test]
-    fn snapshot_binary_roundtrip() {
-        let reg = Registry::new();
-        reg.counter("dfo_c_total", "c", &[("rank", "0")]).add(5);
-        reg.gauge("dfo_g", "g", &[("rank", "0"), ("peer", "1")]).set(-1.25);
-        reg.histogram("dfo_h_seconds", "h", &[("rank", "0")], DURATION_BUCKETS).observe(0.003);
-        let snap = reg.snapshot();
-        let decoded = Snapshot::decode(&snap.encode()).unwrap();
-        assert_eq!(snap, decoded);
-        assert!(Snapshot::decode(b"garbage").is_err());
-    }
-
-    #[test]
-    fn merge_sums_matching_series_and_unions_the_rest() {
-        let r0 = Registry::new();
-        r0.counter("dfo_c_total", "c", &[("rank", "0")]).add(2);
-        let r1 = Registry::new();
-        r1.counter("dfo_c_total", "c", &[("rank", "1")]).add(3);
-        r1.counter("dfo_c_total", "c", &[("rank", "0")]).add(10);
-        let mut merged = r0.snapshot();
-        merged.merge_from(&r1.snapshot());
-        assert_eq!(merged.get("dfo_c_total", &[("rank", "0")]).unwrap().as_counter(), Some(12));
-        assert_eq!(merged.get("dfo_c_total", &[("rank", "1")]).unwrap().as_counter(), Some(3));
     }
 
     #[test]

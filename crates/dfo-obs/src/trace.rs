@@ -15,13 +15,12 @@
 //! both formats back for tests and CI validation.
 
 use std::borrow::Cow;
-use std::io::{self, Cursor, Read};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use dfo_types::codec::{read_str, read_u32, read_u64, write_str, write_u32, write_u64};
+use dfo_types::codec::{write_str, write_u32, write_u64, Cur};
 use dfo_types::{DfoError, Result};
 use parking_lot::Mutex;
 
@@ -167,27 +166,28 @@ pub fn encode_spans(spans: &[SpanRecord]) -> Vec<u8> {
     w
 }
 
-/// Parses spans encoded by [`encode_spans`].
-pub fn decode_spans(bytes: &[u8]) -> Result<Vec<SpanRecord>> {
-    let mut r = Cursor::new(bytes);
-    decode_spans_inner(&mut r).map_err(|e| DfoError::Corrupt(format!("span buffer: {e}")))
-}
+/// Wire bytes of the smallest span: two empty strings and three `u64`s.
+const MIN_SPAN_BYTES: usize = 40;
 
-fn decode_spans_inner<R: Read>(r: &mut R) -> io::Result<Vec<SpanRecord>> {
-    if read_u32(r)? != SPANS_MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "bad span-buffer magic"));
+/// Parses spans encoded by [`encode_spans`]. The bytes come off the mesh,
+/// so every length is checked against what the buffer really holds.
+pub fn decode_spans(bytes: &[u8]) -> Result<Vec<SpanRecord>> {
+    let mut c = Cur::new(bytes);
+    if c.u32()? != SPANS_MAGIC {
+        return Err(DfoError::Corrupt("span buffer: bad magic".into()));
     }
-    let n = read_u32(r)? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
+    let n = c.u32()? as usize;
+    let mut out = Vec::with_capacity(n.min(bytes.len() / MIN_SPAN_BYTES));
     for _ in 0..n {
         out.push(SpanRecord {
-            name: Cow::Owned(read_str(r)?),
-            cat: Cow::Owned(read_str(r)?),
-            tid: read_u64(r)?,
-            start_ns: read_u64(r)?,
-            dur_ns: read_u64(r)?,
+            name: Cow::Owned(c.str64()?),
+            cat: Cow::Owned(c.str64()?),
+            tid: c.u64()?,
+            start_ns: c.u64()?,
+            dur_ns: c.u64()?,
         });
     }
+    c.done()?;
     Ok(out)
 }
 
@@ -399,6 +399,24 @@ mod tests {
         let decoded = decode_spans(&encode_spans(&spans)).unwrap();
         assert_eq!(decoded, spans);
         assert!(decode_spans(b"junk").is_err());
+    }
+
+    #[test]
+    fn truncated_and_hostile_span_buffers_fail_cleanly() {
+        let good = encode_spans(&[rec("a", 5, 10), rec("b", 20, 1)]);
+        for cut in 0..good.len() {
+            assert!(decode_spans(&good[..cut]).is_err(), "cut at {cut}");
+        }
+        let mut trailing = good.clone();
+        trailing.push(0);
+        assert!(decode_spans(&trailing).is_err());
+        // a count and a string length that claim far more than the buffer
+        // holds must fail without reserving memory for them
+        let mut hostile = good[..4].to_vec();
+        hostile.extend(u32::MAX.to_le_bytes());
+        hostile.extend(u64::MAX.to_le_bytes());
+        hostile.extend_from_slice(b"abc");
+        assert!(decode_spans(&hostile).is_err());
     }
 
     #[test]

@@ -51,21 +51,25 @@
 //!    — when its error [`DfoError::is_retryable`] and it has attempts left
 //!    under [`JobSpec::max_retries`] — or fails it to its client with the
 //!    typed error),
-//! 2. rebuilds the mesh **in place** under a bumped epoch (every rank
-//!    counts one relaunch per mesh death, so epochs agree), and
+//! 2. rebuilds the mesh **in place** with [`ResidentMesh::relaunch`] — the
+//!    relaunch protocol batch and supervised runs use too: next epoch (the
+//!    supervisor-published one when `cfg.epoch_file` is set, so ranks
+//!    converge even when failures overlap; else every rank bumps by one per
+//!    mesh death), bounded by `cfg.max_restarts`, and
 //! 3. resumes the scheduler: requeued jobs re-run on the fresh mesh, with
 //!    attempts surfaced in [`JobStatus::retries`] / [`JobReport`] and the
-//!    `dfo_job_retries_total` counter.
+//!    `dfo_job_retries_total` counter. Rank 0 counts the relaunch in
+//!    `dfo_mesh_relaunches_total`; the mesh itself publishes
+//!    `dfo_mesh_epoch` and `dfo_recovery_seconds`.
 //!
-//! Relaunches are bounded by `cfg.max_restarts`; past the bound the daemon
-//! fails everything still queued and exits with the error that killed the
-//! last mesh.
+//! Past the relaunch budget the daemon fails everything still queued and
+//! exits with the error that killed the last mesh.
 
 use crate::catalog::{Catalog, CatalogEntry};
 use crate::exec::{self, Executor, Job, JobEvent, JobTable, Next, RanksOut};
 use crate::wire::{self, ClientMsg, DaemonMsg, PeerCmd, RankResult, PROTO_VERSION};
 use dfo_core::ResidentMesh;
-use dfo_obs::Registry;
+use dfo_obs::{Registry, Telemetry};
 use dfo_types::{DfoError, EngineConfig, JobSpec, Result};
 use parking_lot::Mutex;
 use std::net::{TcpListener, TcpStream};
@@ -134,13 +138,13 @@ impl Daemon {
             // the scrape endpoint lives on rank 0 alongside the control listener
             let core = Executor::new(cfg, base, MAX_OVERLAP)?;
             core.catalog.open_all()?;
-            let mesh = ResidentMesh::connect(&core.cfg, 0)?;
+            let mesh = ResidentMesh::connect(&core.cfg, 0)?
+                .with_telemetry(Telemetry::new(core.registry.clone()));
             run_rank0(core, mesh)
         } else {
             let catalog = Catalog::new(cfg.clone(), base, Registry::new());
             catalog.open_all()?;
-            let mesh = ResidentMesh::connect(&cfg, rank)?;
-            run_peer(&cfg, rank, &catalog, mesh)
+            run_peer(&catalog, ResidentMesh::connect(&cfg, rank)?)
         }
     }
 }
@@ -194,49 +198,17 @@ fn run_job_on_rank(
     settled.and(ran)
 }
 
-/// Rebuilds a dead mesh in place: counts the relaunch against
-/// `cfg.max_restarts` (past it, `cause` comes back as the error), drops the
-/// old mesh and reconnects under `cfg.epoch + relaunches`. Every rank
-/// counts one relaunch per mesh death, so the epochs agree.
-fn relaunch(
-    cfg: &EngineConfig,
-    rank: usize,
-    mesh: ResidentMesh,
-    relaunches: &mut u32,
-    cause: DfoError,
-) -> Result<ResidentMesh> {
-    *relaunches += 1;
-    if *relaunches > cfg.max_restarts {
-        return Err(cause);
-    }
-    let mut relaunch_cfg = cfg.clone();
-    relaunch_cfg.epoch = cfg.epoch + *relaunches as u64;
-    eprintln!(
-        "[dfo-daemon] rank {rank} mesh died ({cause}); relaunching under epoch {} \
-         (relaunch {relaunches}/{})",
-        relaunch_cfg.epoch, cfg.max_restarts
-    );
-    drop(mesh); // release the listen port before rebinding
-    ResidentMesh::connect(&relaunch_cfg, rank)
-}
-
 // ---------------------------------------------------------------------------
 // peer ranks: the follower loop
 
 /// Peer follower: one round per mesh generation, relaunching in place — in
 /// lockstep with rank 0 — until the relaunch budget runs out or rank 0
 /// coordinates a shutdown.
-fn run_peer(
-    cfg: &EngineConfig,
-    rank: usize,
-    catalog: &Catalog,
-    mut mesh: ResidentMesh,
-) -> Result<()> {
-    let mut relaunches: u32 = 0;
+fn run_peer(catalog: &Catalog, mut mesh: ResidentMesh) -> Result<()> {
     loop {
         match peer_round(catalog, &mesh) {
             Ok(()) => return Ok(()), // coordinated shutdown
-            Err(e) => mesh = relaunch(cfg, rank, mesh, &mut relaunches, e)?,
+            Err(e) => mesh = mesh.relaunch(e)?,
         }
     }
 }
@@ -340,7 +312,6 @@ fn run_rank0(core: Executor, mut mesh: ResidentMesh) -> Result<()> {
     // runs out. On the fatal path everything still queued fails and
     // shutdown is flagged (so the accept loop releases the port).
     let core = &shared.core;
-    let mut relaunches: u32 = 0;
     let out = loop {
         match run_generation(core, &mesh) {
             Ok(()) => {
@@ -350,16 +321,12 @@ fn run_rank0(core: Executor, mut mesh: ResidentMesh) -> Result<()> {
                     .try_for_each(|peer| mesh.ctrl_send(peer, cmd.clone()))
                     .and_then(|()| mesh.barrier());
             }
-            Err(cause) => match relaunch(&core.cfg, 0, mesh, &mut relaunches, cause) {
+            Err(cause) => match mesh.relaunch(cause) {
                 Ok(rebuilt) => {
                     mesh = rebuilt;
-                    let registry = &core.registry;
-                    registry
+                    core.registry
                         .counter("dfo_mesh_relaunches_total", "In-place mesh relaunches", &[])
                         .inc();
-                    registry
-                        .gauge("dfo_mesh_epoch", "Epoch of the current mesh incarnation", &[])
-                        .set((core.cfg.epoch + relaunches as u64) as f64);
                 }
                 Err(e) => {
                     core.abort(&e);

@@ -215,15 +215,17 @@ pub struct EngineConfig {
     pub peers: Option<Vec<String>>,
     /// Seconds each rank waits for the full TCP mesh at bootstrap.
     pub connect_timeout_secs: u64,
-    /// Mesh epoch this rank bootstraps at (§3.2 checkpoint-restart): the
-    /// TCP handshake carries it and connections from a different epoch are
-    /// rejected, so sockets of a dead incarnation can never join the
-    /// rebuilt mesh. Supervised ranks bump it by one per recovery;
+    /// Mesh epoch this rank asks to bootstrap at (§3.2 checkpoint-restart):
+    /// the TCP handshake carries it and connections from a different epoch
+    /// are rejected, so sockets of a dead incarnation can never join the
+    /// rebuilt mesh. The mesh joins at the larger of this and the epoch
+    /// published in `epoch_file`, and moves on by itself on every relaunch;
     /// relaunched processes receive theirs via the `DFO_EPOCH` override.
     pub epoch: u64,
-    /// How many mesh failures a supervised run may recover from before
-    /// giving up (`Cluster::run_supervised`; 0 = fail on the first one,
-    /// the old fail-stop behaviour). `DFO_MAX_RESTARTS` overrides.
+    /// How many times a rank may relaunch its mesh after a mesh failure —
+    /// a supervised batch run (`Cluster::run_supervised`) and the service
+    /// daemon alike — before giving up (0 = fail on the first one, the
+    /// fail-stop behaviour). `DFO_MAX_RESTARTS` overrides.
     pub max_restarts: u32,
     /// Deterministic fault injection: a schedule of points at which this
     /// process aborts inside a `Process`-call commit sequence. Empty (the
@@ -232,11 +234,12 @@ pub struct EngineConfig {
     pub crash_schedule: Vec<CrashPoint>,
     /// Path of the supervisor-published epoch file: an atomically-rewritten
     /// decimal mesh epoch that is the single authority under overlapping
-    /// failures. Supervised ranks re-read it between recovery attempts so
-    /// every relaunch converges on the same epoch regardless of how many
-    /// ranks died in the window. `None` (the default, and the value for
-    /// unsupervised runs) keeps the local bump-by-one scheme.
-    /// `DFO_EPOCH_FILE` overrides (empty value disables).
+    /// failures. A rank reads it when it connects its mesh and again on
+    /// every relaunch, so every party converges on the same epoch
+    /// regardless of how many ranks died in the window. `None` (the
+    /// default, and the value for unsupervised runs) keeps the local
+    /// bump-by-one scheme. `DFO_EPOCH_FILE` overrides (empty value
+    /// disables).
     pub epoch_file: Option<String>,
     /// Span-trace output path. When set, every rank records pipeline-phase
     /// / collective / storage spans into a bounded flight recorder and the
