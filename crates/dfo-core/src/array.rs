@@ -2,14 +2,19 @@
 //!
 //! A vertex array lives on disk in per-batch blocks managed by the
 //! copy-on-write [`dfo_storage::VersionedArrayStore`]. During a `Process`
-//! call the engine loads exactly the blocks of the batch being worked on —
-//! this is the mechanism that bounds the span of random access (§2.2).
+//! call a worker touches exactly the blocks of the batch it works on — the
+//! mechanism that bounds the span of random access (§2.2). Within the
+//! node's block budget (a share of `mem_budget`) blocks stay resident
+//! between calls, written through: a [`BatchCtx`] checks its batch's blocks
+//! out of the store and back in, every dirty block reaches the disk when
+//! the batch is done, and only the re-read of a block that never left
+//! memory is saved. Past the budget a block is read from disk per batch.
 //!
 //! In the Table 6 "no batching" ablation, arrays are instead accessed
 //! through a bounded [`dfo_storage::PageCache`], modeling the memory-mapped
 //! arrays of semi-out-of-core systems under memory pressure.
 
-use dfo_storage::{NodeDisk, PageCache, VersionedArrayStore};
+use dfo_storage::{MemBudget, NodeDisk, PageCache, VersionedArrayStore};
 use dfo_types::{bytes_of, pod_from_bytes, Pod, Result, VertexId, VertexRange};
 use parking_lot::{Mutex, MutexGuard};
 use std::marker::PhantomData;
@@ -27,8 +32,8 @@ pub struct VertexArray<T> {
 }
 
 impl<T: Pod> VertexArray<T> {
-    pub(crate) fn new(name: &str) -> Self {
-        Self { name: Arc::from(name), _marker: PhantomData }
+    pub(crate) fn new(name: impl Into<Arc<str>>) -> Self {
+        Self { name: name.into(), _marker: PhantomData }
     }
 
     pub fn name(&self) -> &str {
@@ -50,7 +55,9 @@ pub(crate) enum ArrayBackend {
 
 /// Registry entry for one array.
 pub(crate) struct ArrayEntry {
-    pub name: String,
+    /// Shared with every handle [`ArrayEntry::handle`] gives out, so a
+    /// [`BatchCtx`] finds a handle's slot by comparing pointers.
+    pub name: Arc<str>,
     pub elem_bytes: usize,
     pub backend: ArrayBackend,
 }
@@ -60,7 +67,8 @@ impl ArrayEntry {
     /// checkpoint exists, `recover_target` caps the epoch recovery trusts —
     /// the per-call commit record's epoch for this array — so the torn tail
     /// of a crashed multi-array commit is discarded (`None` trusts the
-    /// array's own `CURRENT`).
+    /// array's own `CURRENT`). Blocks stay resident within `pool`.
+    #[allow(clippy::too_many_arguments)]
     pub fn create_blocks(
         disk: &NodeDisk,
         name: &str,
@@ -69,9 +77,10 @@ impl ArrayEntry {
         checkpointing: bool,
         keep: usize,
         recover_target: Option<u64>,
+        pool: &Arc<MemBudget>,
     ) -> Result<Self> {
         let dir = format!("arrays/{name}");
-        let store = if checkpointing && VersionedArrayStore::checkpoint_exists(disk, &dir) {
+        let mut store = if checkpointing && VersionedArrayStore::checkpoint_exists(disk, &dir) {
             VersionedArrayStore::recover_to(disk.clone(), dir, batches.len(), keep, recover_target)?
         } else if !checkpointing && VersionedArrayStore::in_place_exists(disk, &dir) {
             VersionedArrayStore::open_in_place(disk.clone(), dir, batches.len())
@@ -85,11 +94,8 @@ impl ArrayEntry {
                 keep,
             )?
         };
-        Ok(Self {
-            name: name.to_string(),
-            elem_bytes,
-            backend: ArrayBackend::Blocks(Mutex::new(store)),
-        })
+        store.set_resident_budget(pool.clone());
+        Ok(Self { name: name.into(), elem_bytes, backend: ArrayBackend::Blocks(Mutex::new(store)) })
     }
 
     pub fn create_paged(
@@ -102,14 +108,15 @@ impl ArrayEntry {
         let file = disk.open_random(&format!("arrays/{name}/paged.bin"), true)?;
         let len = partition.len() * elem_bytes as u64;
         let cache = PageCache::new(file, PAGE_SIZE, cache_pages.max(1), len);
-        Ok(Self {
-            name: name.to_string(),
-            elem_bytes,
-            backend: ArrayBackend::Paged(Mutex::new(cache)),
-        })
+        Ok(Self { name: name.into(), elem_bytes, backend: ArrayBackend::Paged(Mutex::new(cache)) })
     }
 
-    /// Reads batch `b` bytes (blocks backend only).
+    /// A typed handle to this array.
+    pub fn handle<T: Pod>(&self) -> VertexArray<T> {
+        VertexArray::new(self.name.clone())
+    }
+
+    /// Reads a copy of batch `b`'s bytes (blocks backend only).
     pub fn read_block(&self, b: usize) -> Result<Vec<u8>> {
         match &self.backend {
             ArrayBackend::Blocks(s) => s.lock().read_batch(b),
@@ -182,8 +189,9 @@ pub struct BatchCtx<'a> {
 }
 
 impl<'a> BatchCtx<'a> {
-    /// Loads the named arrays for `batch`. `preloaded` supplies bytes that
-    /// the engine already read (the active bitmap, re-used instead of read
+    /// Checks the named arrays' blocks of `batch` out of their stores (one
+    /// worker owns a batch at a time). `preloaded` supplies bytes that the
+    /// engine already read (the active bitmap, re-used instead of read
     /// twice). `batch_index` selects the block for block-backed arrays.
     pub(crate) fn load(
         entries: &[&'a ArrayEntry],
@@ -197,8 +205,8 @@ impl<'a> BatchCtx<'a> {
             let data = match &entry.backend {
                 ArrayBackend::Blocks(store) => {
                     let buf = match &mut preloaded {
-                        Some((name, bytes)) if *name == entry.name => std::mem::take(bytes),
-                        _ => store.lock().read_batch(batch_index)?,
+                        Some((name, bytes)) if **name == *entry.name => std::mem::take(bytes),
+                        _ => store.lock().take_batch(batch_index)?,
                     };
                     debug_assert_eq!(buf.len(), batch.len() as usize * entry.elem_bytes);
                     SlotData::InMem { buf, dirty: false }
@@ -217,25 +225,27 @@ impl<'a> BatchCtx<'a> {
         self.batch
     }
 
+    /// The slot of the array `name` is a handle to. Handles from
+    /// [`crate::NodeCtx::vertex_array`] share their entry's name allocation,
+    /// so this (twice per edge in a typical `slot`) compares pointers;
+    /// only a handle made some other way is compared by string.
     #[inline]
-    fn slot_index(&self, name: &str, elem: usize) -> usize {
-        for (i, s) in self.slots.iter().enumerate() {
-            if s.entry.name == name {
-                assert_eq!(
-                    s.entry.elem_bytes, elem,
-                    "array {name} accessed with wrong element type"
-                );
-                return i;
-            }
-        }
-        panic!("array {name:?} was not listed in this Process call");
+    fn slot_index(&self, name: &Arc<str>, elem: usize) -> usize {
+        let i = (self.slots.iter().position(|s| Arc::ptr_eq(&s.entry.name, name)))
+            .or_else(|| self.slots.iter().position(|s| s.entry.name == *name))
+            .unwrap_or_else(|| panic!("array {name:?} was not listed in this Process call"));
+        assert_eq!(
+            self.slots[i].entry.elem_bytes, elem,
+            "array {name} accessed with wrong element type"
+        );
+        i
     }
 
     /// Reads vertex `v`'s value from `arr`.
     #[inline]
     pub fn get<T: Pod>(&mut self, arr: &VertexArray<T>, v: VertexId) -> T {
         debug_assert!(self.batch.contains(v), "vertex {v} outside batch {:?}", self.batch);
-        let i = self.slot_index(arr.name(), std::mem::size_of::<T>());
+        let i = self.slot_index(&arr.name, std::mem::size_of::<T>());
         let elem = std::mem::size_of::<T>();
         match &mut self.slots[i].data {
             SlotData::InMem { buf, .. } => {
@@ -255,7 +265,7 @@ impl<'a> BatchCtx<'a> {
     #[inline]
     pub fn set<T: Pod>(&mut self, arr: &VertexArray<T>, v: VertexId, value: T) {
         debug_assert!(self.batch.contains(v), "vertex {v} outside batch {:?}", self.batch);
-        let i = self.slot_index(arr.name(), std::mem::size_of::<T>());
+        let i = self.slot_index(&arr.name, std::mem::size_of::<T>());
         let elem = std::mem::size_of::<T>();
         match &mut self.slots[i].data {
             SlotData::InMem { buf, dirty } => {
@@ -270,15 +280,15 @@ impl<'a> BatchCtx<'a> {
         }
     }
 
-    /// Writes every dirty in-memory slot back to its store (paged slots are
-    /// flushed when the Process call commits).
+    /// Checks every in-memory slot back into its store, dirty ones written
+    /// through to disk first (paged slots are flushed when the Process call
+    /// commits).
     pub(crate) fn write_back(self, batch_index: usize) -> Result<()> {
         for slot in self.slots {
-            if let SlotData::InMem { buf, dirty: true } = slot.data {
+            if let SlotData::InMem { buf, dirty } = slot.data {
                 match &slot.entry.backend {
                     ArrayBackend::Blocks(store) => {
-                        let mut s = store.lock();
-                        s.write_batch(batch_index, &buf)?;
+                        store.lock().put_batch(batch_index, buf, dirty)?
                     }
                     ArrayBackend::Paged(_) => unreachable!(),
                 }
@@ -296,7 +306,8 @@ mod tests {
     fn blocks_entry(td: &TempDir) -> ArrayEntry {
         let disk = NodeDisk::new(td.path(), None, false).unwrap();
         let batches = vec![VertexRange::new(0, 4), VertexRange::new(4, 7)];
-        ArrayEntry::create_blocks(&disk, "dist", 4, &batches, false, 1, None).unwrap()
+        ArrayEntry::create_blocks(&disk, "dist", 4, &batches, false, 1, None, &MemBudget::new(0))
+            .unwrap()
     }
 
     #[test]
@@ -314,6 +325,32 @@ mod tests {
         let mut ctx2 = BatchCtx::load(&[&entry], batch, 1, 0, None).unwrap();
         assert_eq!(ctx2.get(&arr, 5), 2.5);
         assert_eq!(ctx2.get(&arr, 4), 0.0);
+    }
+
+    #[test]
+    fn resident_block_is_checked_out_and_written_through() {
+        let td = TempDir::new().unwrap();
+        let disk = NodeDisk::new(td.path(), None, false).unwrap();
+        let batches = vec![VertexRange::new(0, 4), VertexRange::new(4, 7)];
+        let pool = MemBudget::new(1 << 10);
+        let entry =
+            ArrayEntry::create_blocks(&disk, "dist", 4, &batches, false, 1, None, &pool).unwrap();
+        let arr = entry.handle::<f32>();
+        let (stats, batch) = (disk.stats(), batches[1]);
+        let w0 = stats.write_bytes.get();
+        let mut ctx = BatchCtx::load(&[&entry], batch, 1, 0, None).unwrap();
+        ctx.set(&arr, 5, 2.5);
+        ctx.write_back(1).unwrap();
+        assert_eq!(stats.write_bytes.get() - w0, 12, "the dirty block went to disk at once");
+        assert_eq!(pool.used(), 12, "and stayed resident");
+        // the next worker gets the resident block itself: no read, no copy
+        let r0 = stats.read_bytes.get();
+        let mut ctx = BatchCtx::load(&[&entry], batch, 1, 0, None).unwrap();
+        assert_eq!(pool.used(), 0, "checked out");
+        assert_eq!(ctx.get(&arr, 5), 2.5);
+        ctx.write_back(1).unwrap();
+        assert_eq!((stats.read_bytes.get() - r0, stats.write_bytes.get() - w0), (0, 12));
+        assert_eq!(pool.used(), 12, "checked back in, clean");
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //!
 //! ```text
 //! 1 generating   each batch runs `signal` over its active vertices and
-//!                spills (src, msg) records to disk              [T workers]
+//!                appends (src, msg) records to its buffer       [T workers]
 //! 2 passing      the sender streams the node's messages to each peer in
 //!                round-robin order, filtered against the §4.3 lists
 //!                                                               [1 thread]
-//! 3 dispatching  incoming streams are routed to per-batch message files
-//!                via the dispatching graph (push) or stored raw (none) —
+//! 3 dispatching  incoming streams are routed to per-batch message buffers
+//!                via the dispatching graph (push) or kept raw (none) —
 //!                chosen adaptively (§4.2); the node's own messages are
 //!                dispatched concurrently                       [2 threads]
 //! 4 processing   each batch replays its message segments in source order,
@@ -21,38 +21,89 @@
 //! paper's disk/network overlap comes from. Generation completes before
 //! passing starts: the filter skip rule needs `|M_i|`, and the loss of that
 //! overlap is one batch of latency, not throughput.
+//!
+//! Every message buffer is a [`SpillBuf`] on the node's message pool (a
+//! share of `mem_budget`): in memory while the pool admits it, in a scratch
+//! file under `msgs/` past that — at pool capacity 0 this is the paper's
+//! fully-out-of-core pipeline, file for file. `CallMsgs` owns a call's
+//! buffers and their files and frees both when the call returns.
 
 use crate::accum::Accum;
 use crate::array::{ArrayEntry, BatchCtx, VertexArray};
-use crate::messages::{parse_record, record_bytes, FrameBuilder, RecordIter, RecordReader};
+use crate::messages::{parse_record, push_record, record_bytes, src_of, FrameBuilder};
 use crate::node::NodeCtx;
 use bytes::Bytes;
 use dfo_part::csr::{choose_repr, IndexedChunk, MergeCursor};
 use dfo_part::filter::{should_filter, FilterCursor};
 use dfo_part::plan::ChunkInfo;
 use dfo_part::preprocess::paths;
-use dfo_storage::{CachedValue, ChunkKey, NodeDisk, PrefetchJob, Prefetcher};
+use dfo_storage::{CachedValue, ChunkKey, NodeDisk, PrefetchJob, Prefetcher, SpillBuf};
 use dfo_types::{DfoError, DispatchKind, PhaseStats, Pod, Rank, ReprKind, Result, VertexId};
 use parking_lot::Mutex;
 use std::borrow::Cow;
-use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Target network frame size; 256 KB keeps header overhead ≪ 1 %.
 const FRAME_BYTES: usize = 256 << 10;
-/// Buffer for per-batch dispatch writers (many are open at once).
+/// Write buffer of a spilling message buffer; small for the per-batch
+/// dispatch segments (many are open at once).
+const SPILL_BUF: usize = 256 << 10;
 const DISPATCH_BUF: usize = 32 << 10;
 
-/// Per-call counters for the phases that run concurrently (pass/dispatch);
-/// the sequential phases (generate/process) are measured as disk-stat
-/// deltas around their barriers.
+/// Per-call counters of the sender thread. Every disk field of
+/// [`PhaseStats`] is a disk-stat delta around a phase barrier; passing and
+/// dispatching share one window, so the sender counts what it read (spilled
+/// messages replayed, filter lists) and dispatching is the rest.
 #[derive(Default)]
 struct CallStats {
     pass_disk_read: AtomicU64,
-    dispatch_disk_read: AtomicU64,
-    dispatch_disk_write: AtomicU64,
     messages_sent: AtomicU64,
+}
+
+/// The message buffers one call's phases hand each other.
+struct CallMsgs {
+    /// Bytes per `(src, msg)` record.
+    rec: usize,
+    /// Phase 1: the records batch `b` generated (unset = none).
+    gen: Vec<OnceLock<SpillBuf>>,
+    /// Phase 3, push: at `[b][p]`, the records from partition `p` that have
+    /// edges into batch `b`.
+    seg: Vec<Vec<OnceLock<SpillBuf>>>,
+    /// Phase 3, no dispatch: the whole stream from peer `p`, rescanned by
+    /// every interested batch.
+    raw: Vec<OnceLock<SpillBuf>>,
+    /// No dispatch over the node's own messages: their count, and phase 4
+    /// replays `gen` directly (0 = own messages were pushed or dropped).
+    raw_own: AtomicU64,
+}
+
+impl CallMsgs {
+    fn new(rec: usize, batches: usize, nodes: usize) -> Self {
+        let locks = |n: usize| (0..n).map(|_| OnceLock::new()).collect::<Vec<_>>();
+        Self {
+            rec,
+            gen: locks(batches),
+            seg: (0..batches).map(|_| locks(nodes)).collect(),
+            raw: locks(nodes),
+            raw_own: AtomicU64::new(0),
+        }
+    }
+
+    fn generated(&self) -> impl Iterator<Item = &SpillBuf> {
+        self.gen.iter().filter_map(OnceLock::get)
+    }
+
+    fn records(&self, buf: &OnceLock<SpillBuf>) -> u64 {
+        buf.get().map_or(0, |b| b.len() / self.rec as u64)
+    }
+}
+
+/// Hands a finished buffer to the later phases (each slot has one writer).
+fn publish(slot: &OnceLock<SpillBuf>, mut buf: SpillBuf) -> Result<()> {
+    buf.finish()?;
+    assert!(slot.set(buf).is_ok(), "message buffer published twice");
+    Ok(())
 }
 
 /// How an incoming stream is handled (§4.2 + a drain case for streams that
@@ -107,9 +158,6 @@ impl NodeCtx {
         let p_nodes = self.cfg.nodes;
         let b_count = self.plan.n_batches(rank);
 
-        // previous call's message spill is garbage now
-        let _ = std::fs::remove_dir_all(self.scratch.root().join("msgs"));
-
         let signal_entries = self.entries(signal_arrays);
         let slot_entries = self.entries(slot_arrays);
         let active_entry = active.map(|a| self.entries(&[a.name()]).remove(0));
@@ -136,23 +184,23 @@ impl NodeCtx {
         // ---------------- phase 1: generating --------------------------------
         let t_gen = std::time::Instant::now();
         let gen_span = self.obs_span("phase1_generate", "phase");
-        let gen_counts: Vec<AtomicU64> = (0..b_count).map(|_| AtomicU64::new(0)).collect();
+        let mut msgs = CallMsgs::new(record_bytes::<M>(), b_count, p_nodes);
         let m_total = self.for_each_batch(|b| {
-            let n = self.generate_batch(
+            self.generate_batch(
                 b,
                 &signal_entries,
                 signal_arrays,
                 active_entry.as_deref(),
                 &signal,
-            )?;
-            gen_counts[b].store(n, Ordering::Relaxed);
-            Ok(n)
+                &msgs,
+            )
         })?;
         drop(gen_span);
         let gen_elapsed = t_gen.elapsed();
+        let (r1, w1) = (disk_stats.read_bytes.get(), disk_stats.write_bytes.get());
         stats.messages_generated = m_total;
-        stats.generate_disk_read = disk_stats.read_bytes.get() - r0;
-        stats.generate_disk_write = disk_stats.write_bytes.get() - w0;
+        stats.generate_disk_read = r1 - r0;
+        stats.generate_disk_write = w1 - w0;
         stats.generate_nanos = gen_elapsed.as_nanos() as u64;
         if let Some(o) = &self.obs {
             o.phase_secs[0].observe(gen_elapsed.as_secs_f64());
@@ -160,10 +208,6 @@ impl NodeCtx {
 
         // ---------------- phases 2+3: passing & dispatching ------------------
         let call = CallStats::default();
-        let msg_counts: Vec<Vec<AtomicU64>> =
-            (0..b_count).map(|_| (0..p_nodes).map(|_| AtomicU64::new(0)).collect()).collect();
-        let none_mode: Vec<AtomicBool> = (0..p_nodes).map(|_| AtomicBool::new(false)).collect();
-        let none_counts: Vec<AtomicU64> = (0..p_nodes).map(|_| AtomicU64::new(0)).collect();
         let net_sent0 = self.net.stats().sent_bytes.get();
         let net_recv0 = self.net.stats().recv_bytes.get();
         let t_dispatch = std::time::Instant::now();
@@ -183,7 +227,7 @@ impl NodeCtx {
                     let t_pass = std::time::Instant::now();
                     let _pass_span = self.obs_span("phase2_pass", "phase");
                     for j in self.cfg.send_order(rank) {
-                        if let Err(e) = self.send_to::<M>(j, seq, m_total, &gen_counts, &call) {
+                        if let Err(e) = self.send_to(j, seq, m_total, &msgs, &call) {
                             record_err(e);
                             break;
                         }
@@ -194,35 +238,20 @@ impl NodeCtx {
                         o.phase_secs[1].observe(el.as_secs_f64());
                     }
                 });
-                // self-dispatch: the node's own messages never touch the wire
-                s.spawn(|| {
-                    if let Err(e) = self.dispatch_self::<M>(
-                        m_total,
-                        &gen_counts,
-                        &msg_counts,
-                        &none_mode,
-                        &none_counts,
-                        &call,
-                    ) {
-                        record_err(e);
-                    }
-                });
                 // receiver: peers in mirrored order (§4.5)
                 s.spawn(|| {
                     for p in self.cfg.recv_order(rank) {
-                        if let Err(e) = self.recv_dispatch::<M>(
-                            p,
-                            seq,
-                            &msg_counts,
-                            &none_mode,
-                            &none_counts,
-                            &call,
-                        ) {
+                        if let Err(e) = self.recv_dispatch(p, seq, &msgs) {
                             record_err(e);
                             return;
                         }
                     }
                 });
+                // self-dispatch, on this thread: the node's own messages
+                // never touch the wire
+                if let Err(e) = self.dispatch_self(m_total, &msgs) {
+                    record_err(e);
+                }
             });
             let pending = err.lock().take();
             if let Some(e) = pending {
@@ -233,9 +262,10 @@ impl NodeCtx {
         let dispatch_elapsed = t_dispatch.elapsed();
         stats.pass_net_sent = self.net.stats().sent_bytes.get() - net_sent0;
         stats.dispatch_net_recv = self.net.stats().recv_bytes.get() - net_recv0;
+        let (r2, w2) = (disk_stats.read_bytes.get(), disk_stats.write_bytes.get());
         stats.pass_disk_read = call.pass_disk_read.load(Ordering::Relaxed);
-        stats.dispatch_disk_read = call.dispatch_disk_read.load(Ordering::Relaxed);
-        stats.dispatch_disk_write = call.dispatch_disk_write.load(Ordering::Relaxed);
+        stats.dispatch_disk_read = (r2 - r1).saturating_sub(stats.pass_disk_read);
+        stats.dispatch_disk_write = w2 - w1;
         stats.messages_sent = call.messages_sent.load(Ordering::Relaxed);
         stats.pass_nanos = pass_nanos.load(Ordering::Relaxed);
         stats.dispatch_nanos = dispatch_elapsed.as_nanos() as u64;
@@ -246,23 +276,19 @@ impl NodeCtx {
         // ---------------- phase 4: processing --------------------------------
         let t_proc = std::time::Instant::now();
         let proc_span = self.obs_span("phase4_process", "phase");
-        let (r1, w1) = (disk_stats.read_bytes.get(), disk_stats.write_bytes.get());
+        // everything generated has been sent and dispatched: free it, unless
+        // the batches replay the node's own messages undispatched
+        if msgs.raw_own.load(Ordering::Relaxed) == 0 {
+            msgs.gen.clear();
+        }
         // read-ahead: background threads decode the next batches' chunks
         // into the cache while `slot` runs over the current one
-        let prefetcher = self.spawn_prefetcher::<E>(b_count, &msg_counts, &none_mode, &none_counts);
+        let prefetcher = self.spawn_prefetcher::<E>(b_count, &msgs);
         let local = self.for_each_batch(|b| {
             if let Some(pf) = &prefetcher {
                 pf.notify_claimed(b);
             }
-            self.process_batch::<A, M, E>(
-                b,
-                &slot_entries,
-                &msg_counts,
-                &none_mode,
-                &none_counts,
-                &gen_counts,
-                &slot,
-            )
+            self.process_batch::<A, M, E>(b, &slot_entries, &msgs, &slot)
         })?;
         // join the prefetch threads before sampling counters so their reads
         // land deterministically in the processing window
@@ -273,8 +299,12 @@ impl NodeCtx {
         if let Some(o) = &self.obs {
             o.phase_secs[3].observe(proc_elapsed.as_secs_f64());
         }
-        stats.process_disk_read = disk_stats.read_bytes.get() - r1;
-        stats.process_disk_write = disk_stats.write_bytes.get() - w1;
+        drop(msgs);
+        self.commit_epochs(&epoch_set)?;
+        // the call's checkpoint metadata counts as processing output, so the
+        // disk fields of a call sum to its disk-stat delta
+        stats.process_disk_read = disk_stats.read_bytes.get() - r2;
+        stats.process_disk_write = disk_stats.write_bytes.get() - w2;
         // whole-call logical (pre-compression) totals; the per-phase fields
         // above stay physical
         stats.logical_disk_read = disk_stats.logical_read_bytes.get() - lr0;
@@ -285,14 +315,20 @@ impl NodeCtx {
             stats.chunk_cache_evicted_bytes = cache.stats().delta_since(&s0).evicted_bytes;
         }
 
-        self.commit_epochs(&epoch_set)?;
         self.job_stats.merge(&stats);
         self.last_stats = stats;
         Ok(local.allreduce(&self.net))
     }
 
-    /// Phase 1 for one batch: run `signal` over active vertices, spill
-    /// records to `msgs/gen_b{b}.bin`, write back dirty signal arrays.
+    /// An empty buffer of `rec`-byte messages on this node's pool, spilling
+    /// to `rel`.
+    fn msg_buf(&self, rel: String, rec: usize, file_buf: usize) -> SpillBuf {
+        SpillBuf::new(&self.msg_pool, &self.scratch, rel, rec, file_buf)
+    }
+
+    /// Phase 1 for one batch: run `signal` over active vertices, append the
+    /// records to the batch's buffer (spill: `msgs/gen_b{b}.bin`), write
+    /// back dirty signal arrays.
     fn generate_batch<M: Pod>(
         &self,
         b: usize,
@@ -300,6 +336,7 @@ impl NodeCtx {
         signal_names: &[&str],
         active_entry: Option<&ArrayEntry>,
         signal: &(impl Fn(VertexId, &mut BatchCtx) -> Option<M> + Sync),
+        msgs: &CallMsgs,
     ) -> Result<u64> {
         let Some((mut ctx, mask)) =
             self.open_active_batch(b, signal_entries, signal_names, active_entry)?
@@ -307,44 +344,36 @@ impl NodeCtx {
             return Ok(0);
         };
         let partition_start = self.plan.partitions[self.rank].start;
-        let mut writer = None;
-        let mut count = 0u64;
-        let mut rec_buf: Vec<u8> = Vec::with_capacity(record_bytes::<M>());
+        let mut buf = self.msg_buf(format!("msgs/gen_b{b}.bin"), msgs.rec, SPILL_BUF);
+        let mut rec_buf: Vec<u8> = Vec::with_capacity(msgs.rec);
         for v in ctx.batch().iter() {
             if !mask.is_active(&mut ctx, v) {
                 continue;
             }
             if let Some(msg) = signal(v, &mut ctx) {
-                let w = match &mut writer {
-                    Some(w) => w,
-                    None => {
-                        writer = Some(self.scratch.create(&gen_path(b))?);
-                        writer.as_mut().unwrap()
-                    }
-                };
                 rec_buf.clear();
                 // source stored local to the *partition*: receivers resolve
                 // it against the sender's partition range
-                crate::messages::push_record(&mut rec_buf, (v - partition_start) as u32, &msg);
-                w.write_all(&rec_buf).map_err(|e| DfoError::io("writing generated message", e))?;
-                count += 1;
+                push_record(&mut rec_buf, (v - partition_start) as u32, &msg);
+                buf.append(&rec_buf)?;
             }
         }
-        if let Some(w) = writer {
-            w.finish()?;
-        }
         ctx.write_back(b)?;
+        let count = buf.len() / msgs.rec as u64;
+        if count > 0 {
+            publish(&msgs.gen[b], buf)?;
+        }
         Ok(count)
     }
 
     /// Phase 2 to one peer: stream the node's generated messages, filtered
     /// against `L_{rank,j}` unless the §4.3 skip rule fires.
-    fn send_to<M: Pod>(
+    fn send_to(
         &self,
         j: Rank,
         seq: u64,
         m_total: u64,
-        gen_counts: &[AtomicU64],
+        msgs: &CallMsgs,
         call: &CallStats,
     ) -> Result<()> {
         let l_len = self.plan.node_meta[self.rank].filter_lens[j];
@@ -362,29 +391,30 @@ impl NodeCtx {
         let bound = if do_filter { l_len.min(m_total) } else { m_total };
         self.net.send(j, seq, Bytes::copy_from_slice(&bound.to_le_bytes()), false)?;
 
-        let rec = record_bytes::<M>();
+        let rec = msgs.rec;
         let mut fb = FrameBuilder::new(FRAME_BYTES, rec);
+        let mut emit = |frame: Bytes| self.net.send(j, seq, frame, false);
         let mut sent = 0u64;
         // stats accumulate in locals and flush once per stream — a per-record
         // fetch_add on a shared cache line costs more than the record parse
-        let mut read_bytes = 0u64;
-        for (b, c) in gen_counts.iter().enumerate() {
-            if c.load(Ordering::Relaxed) == 0 {
-                continue;
-            }
-            let mut r = RecordReader::new(self.scratch.open(&gen_path(b))?);
-            while let Some((src, msg)) = RecordIter::<M>::next_record(&mut r)? {
-                read_bytes += rec as u64;
-                if !do_filter || cursor.contains(src) {
-                    sent += 1;
-                    if let Some(frame) = fb.push(src, &msg) {
-                        self.net.send(j, seq, frame, false)?;
-                    }
+        let mut read_bytes = if do_filter { 8 + 4 * list.len() as u64 } else { 0 };
+        for g in msgs.generated() {
+            read_bytes += g.spilled_bytes();
+            g.for_each_run(|run| {
+                if !do_filter {
+                    // frames are cut straight from the generated buffer
+                    sent += (run.len() / rec) as u64;
+                    return fb.push_bytes(run, &mut emit);
                 }
-            }
+                for r in run.chunks_exact(rec).filter(|r| cursor.contains(src_of(r))) {
+                    sent += 1;
+                    fb.push_bytes(r, &mut emit)?;
+                }
+                Ok(())
+            })?;
         }
         if let Some(tail) = fb.finish() {
-            self.net.send(j, seq, tail, false)?;
+            emit(tail)?;
         }
         self.net.finish_stream(j, seq)?;
         call.pass_disk_read.fetch_add(read_bytes, Ordering::Relaxed);
@@ -392,62 +422,33 @@ impl NodeCtx {
         Ok(())
     }
 
-    /// Phase 3 for the node's own messages: they are already on disk (the
-    /// gen files), so dispatching reads them locally.
-    fn dispatch_self<M: Pod>(
-        &self,
-        m_total: u64,
-        gen_counts: &[AtomicU64],
-        msg_counts: &[Vec<AtomicU64>],
-        none_mode: &[AtomicBool],
-        none_counts: &[AtomicU64],
-        call: &CallStats,
-    ) -> Result<()> {
+    /// Phase 3 for the node's own messages: they never touch the wire,
+    /// dispatching reads the generated buffers directly.
+    fn dispatch_self(&self, m_total: u64, msgs: &CallMsgs) -> Result<()> {
         let rank = self.rank;
         let dinfo = self.plan.node_meta[rank].dispatch[rank];
         let strategy = self.choose_strategy(dinfo.as_ref(), rank, m_total);
         match strategy {
             Strategy::Drain => Ok(()),
             Strategy::NoDispatch => {
-                // batches will read the gen files directly in phase 4
-                none_mode[rank].store(true, Ordering::Release);
-                none_counts[rank].store(m_total, Ordering::Release);
+                // batches will replay the generated buffers in phase 4
+                msgs.raw_own.store(m_total, Ordering::Relaxed);
                 Ok(())
             }
             Strategy::Push => {
                 let dinfo = dinfo.expect("push strategy requires a dispatch graph");
                 let mut access = self.open_dispatch_access(rank, m_total, &dinfo)?;
-                let mut sink = PushSink::new(self, rank);
-                let rec = record_bytes::<M>();
-                let mut read_bytes = 0u64;
-                for (b, c) in gen_counts.iter().enumerate() {
-                    if c.load(Ordering::Relaxed) == 0 {
-                        continue;
-                    }
-                    let mut r = RecordReader::new(self.scratch.open(&gen_path(b))?);
-                    while let Some((src, msg)) = RecordIter::<M>::next_record(&mut r)? {
-                        read_bytes += rec as u64;
-                        for &batch in access.batches_of(src)?.iter() {
-                            sink.write::<M>(batch as usize, src, &msg)?;
-                        }
-                    }
+                let mut sink = PushSink::new(self, rank, msgs.rec);
+                for g in msgs.generated() {
+                    g.for_each_run(|run| sink.dispatch(&mut access, run))?;
                 }
-                call.dispatch_disk_read.fetch_add(read_bytes, Ordering::Relaxed);
-                sink.finish(msg_counts, call)
+                sink.finish(msgs)
             }
         }
     }
 
     /// Phase 3 for one remote stream.
-    fn recv_dispatch<M: Pod>(
-        &self,
-        p: Rank,
-        seq: u64,
-        msg_counts: &[Vec<AtomicU64>],
-        none_mode: &[AtomicBool],
-        none_counts: &[AtomicU64],
-        call: &CallStats,
-    ) -> Result<()> {
+    fn recv_dispatch(&self, p: Rank, seq: u64, msgs: &CallMsgs) -> Result<()> {
         let mut stream = self.net.recv_stream(p, seq);
         let header = stream
             .next_chunk()?
@@ -455,7 +456,6 @@ impl NodeCtx {
         let bound = u64::from_le_bytes(header[..8].try_into().unwrap());
         let dinfo = self.plan.node_meta[self.rank].dispatch[p];
         let strategy = self.choose_strategy(dinfo.as_ref(), p, bound);
-        let rec = record_bytes::<M>();
 
         match strategy {
             Strategy::Drain => {
@@ -463,36 +463,21 @@ impl NodeCtx {
                 Ok(())
             }
             Strategy::NoDispatch => {
-                let mut w = self.scratch.create(&none_path(p))?;
-                let mut total = 0u64;
-                let mut write_bytes = 0u64;
+                let mut buf = self.msg_buf(format!("msgs/in_all_p{p}.bin"), msgs.rec, SPILL_BUF);
                 while let Some(chunk) = stream.next_chunk()? {
-                    w.write_all(&chunk).map_err(|e| DfoError::io("spilling raw stream", e))?;
-                    write_bytes += chunk.len() as u64;
-                    total += chunk.len() as u64 / rec as u64;
+                    buf.append(&chunk)?;
                 }
-                w.finish()?;
-                call.dispatch_disk_write.fetch_add(write_bytes, Ordering::Relaxed);
-                none_counts[p].store(total, Ordering::Release);
-                none_mode[p].store(true, Ordering::Release);
-                Ok(())
+                publish(&msgs.raw[p], buf)
             }
             Strategy::Push => {
                 let dinfo = dinfo.expect("push strategy requires a dispatch graph");
                 let mut access = self.open_dispatch_access(p, bound, &dinfo)?;
-                let mut sink = PushSink::new(self, p);
+                let mut sink = PushSink::new(self, p, msgs.rec);
                 while let Some(chunk) = stream.next_chunk()? {
-                    debug_assert_eq!(chunk.len() % rec, 0, "frames carry whole records");
-                    let mut off = 0;
-                    while off < chunk.len() {
-                        let (src, msg) = parse_record::<M>(&chunk, off);
-                        off += rec;
-                        for &batch in access.batches_of(src)?.iter() {
-                            sink.write::<M>(batch as usize, src, &msg)?;
-                        }
-                    }
+                    debug_assert_eq!(chunk.len() % msgs.rec, 0, "frames carry whole records");
+                    sink.dispatch(&mut access, &chunk)?;
                 }
-                sink.finish(msg_counts, call)
+                sink.finish(msgs)
             }
         }
     }
@@ -571,22 +556,15 @@ impl NodeCtx {
     /// `process_batch` and `spawn_prefetcher` must share this rule — if
     /// they disagree, read-ahead decodes chunks under keys the consumer
     /// never looks up.
-    fn batch_messages(
-        &self,
-        b: usize,
-        p: Rank,
-        msg_counts: &[Vec<AtomicU64>],
-        none_mode: &[AtomicBool],
-        none_counts: &[AtomicU64],
-    ) -> Option<(ChunkInfo, u64, u64)> {
+    fn batch_messages(&self, b: usize, p: Rank, msgs: &CallMsgs) -> Option<(ChunkInfo, u64, u64)> {
         let cinfo = self.chunk_map[p][b]?;
-        let pushed = msg_counts[b][p].load(Ordering::Acquire);
-        let in_none = none_mode[p].load(Ordering::Acquire);
-        let count = if pushed > 0 { pushed } else { none_counts[p].load(Ordering::Acquire) };
-        if pushed == 0 && (!in_none || count == 0) {
-            return None;
-        }
-        Some((cinfo, pushed, count))
+        let pushed = msgs.records(&msgs.seg[b][p]);
+        let count = match pushed {
+            0 if p == self.rank => msgs.raw_own.load(Ordering::Relaxed),
+            0 => msgs.records(&msgs.raw[p]),
+            n => n,
+        };
+        (count > 0).then_some((cinfo, pushed, count))
     }
 
     /// §4.1 access choice for the edge chunk `(p, ·)` given `count` incoming
@@ -648,9 +626,7 @@ impl NodeCtx {
     fn spawn_prefetcher<E: Pod + PartialEq>(
         &self,
         b_count: usize,
-        msg_counts: &[Vec<AtomicU64>],
-        none_mode: &[AtomicBool],
-        none_counts: &[AtomicU64],
+        msgs: &CallMsgs,
     ) -> Option<Prefetcher> {
         let cache = self.chunk_cache.as_ref()?;
         if self.cfg.prefetch_depth == 0 {
@@ -660,17 +636,12 @@ impl NodeCtx {
         let mut order = vec![rank];
         order.extend(self.cfg.recv_order(rank));
         let mut jobs = Vec::new();
-        #[allow(clippy::needless_range_loop)] // b indexes batches, chunk_map and msg_counts alike
         for b in 0..b_count {
             if self.plan.batches[rank][b].is_empty() {
                 continue;
             }
             for &p in &order {
-                let Some((cinfo, _, count)) =
-                    self.batch_messages(b, p, msg_counts, none_mode, none_counts)
-                else {
-                    continue;
-                };
+                let Some((cinfo, _, count)) = self.batch_messages(b, p, msgs) else { continue };
                 let Some(want) = self.chunk_repr(&cinfo, p, count) else { continue };
                 let key = chunk_key(p, b, want);
                 if cache.contains(&key) {
@@ -696,15 +667,11 @@ impl NodeCtx {
     }
 
     /// Phase 4 for one destination batch.
-    #[allow(clippy::too_many_arguments)]
     fn process_batch<A, M, E>(
         &self,
         b: usize,
         slot_entries: &[Arc<ArrayEntry>],
-        msg_counts: &[Vec<AtomicU64>],
-        none_mode: &[AtomicBool],
-        none_counts: &[AtomicU64],
-        gen_counts: &[AtomicU64],
+        msgs: &CallMsgs,
         slot: &(impl Fn(M, VertexId, VertexId, &E, &mut BatchCtx) -> A + Sync),
     ) -> Result<A>
     where
@@ -723,9 +690,7 @@ impl NodeCtx {
         order.extend(self.cfg.recv_order(rank));
 
         // anything for this batch at all? (skip = no I/O for idle batches)
-        let has_work = order
-            .iter()
-            .any(|&p| self.batch_messages(b, p, msg_counts, none_mode, none_counts).is_some());
+        let has_work = order.iter().any(|&p| self.batch_messages(b, p, msgs).is_some());
         if !has_work {
             return Ok(A::zero());
         }
@@ -736,11 +701,7 @@ impl NodeCtx {
         let dst_base = self.plan.partitions[rank].start;
 
         for &p in &order {
-            let Some((cinfo, pushed, count)) =
-                self.batch_messages(b, p, msg_counts, none_mode, none_counts)
-            else {
-                continue;
-            };
+            let Some((cinfo, pushed, count)) = self.batch_messages(b, p, msgs) else { continue };
             // §4.1: with few messages and a stored CSR, *seek* into the
             // chunk with positioned reads instead of streaming it whole;
             // full loads go through the chunk cache and prefetcher
@@ -790,27 +751,21 @@ impl NodeCtx {
                 }
                 Ok(())
             };
-            if pushed > 0 {
-                let mut r = RecordReader::new(self.scratch.open(&seg_path(b, p))?);
-                while let Some((src, msg)) = RecordIter::<M>::next_record(&mut r)? {
-                    apply(src, msg, &mut ctx, &mut acc)?;
-                }
-            } else if p == rank {
-                // no-dispatch over our own messages: replay the gen files
-                for (gb, c) in gen_counts.iter().enumerate() {
-                    if c.load(Ordering::Relaxed) == 0 {
-                        continue;
-                    }
-                    let mut r = RecordReader::new(self.scratch.open(&gen_path(gb))?);
-                    while let Some((src, msg)) = RecordIter::<M>::next_record(&mut r)? {
+            // the batch's pushed segment, else the undispatched stream: our
+            // own generated buffers, or the peer's raw one
+            let replay: Vec<&SpillBuf> = match (pushed > 0, p == rank) {
+                (true, _) => msgs.seg[b][p].get().into_iter().collect(),
+                (false, true) => msgs.generated().collect(),
+                (false, false) => msgs.raw[p].get().into_iter().collect(),
+            };
+            for buf in replay {
+                buf.for_each_run(|run| {
+                    for r in run.chunks_exact(msgs.rec) {
+                        let (src, msg) = parse_record::<M>(r, 0);
                         apply(src, msg, &mut ctx, &mut acc)?;
                     }
-                }
-            } else {
-                let mut r = RecordReader::new(self.scratch.open(&none_path(p))?);
-                while let Some((src, msg)) = RecordIter::<M>::next_record(&mut r)? {
-                    apply(src, msg, &mut ctx, &mut acc)?;
-                }
+                    Ok(())
+                })?;
             }
         }
         ctx.write_back(b)?;
@@ -843,58 +798,44 @@ impl DispatchAccess {
     }
 }
 
-/// Lazily-opened per-batch segment writers for push dispatching. Record
-/// counts and byte stats accumulate locally and flush once in
-/// [`PushSink::finish`] — phase 4 only reads `msg_counts` after the
-/// dispatch threads have joined, so per-record atomics bought nothing.
+/// Lazily-created per-batch segment buffers for push dispatching one
+/// source partition's stream (spill: `msgs/in_b{b}_p{p}.bin`), published to
+/// phase 4 in [`PushSink::finish`].
 struct PushSink<'a> {
     node: &'a NodeCtx,
     src_partition: Rank,
-    writers: Vec<Option<dfo_storage::DiskWriter>>,
-    counts: Vec<u64>,
-    write_bytes: u64,
+    rec: usize,
+    bufs: Vec<Option<SpillBuf>>,
 }
 
 impl<'a> PushSink<'a> {
-    fn new(node: &'a NodeCtx, src_partition: Rank) -> Self {
-        let b = node.plan.n_batches(node.rank);
-        Self {
-            node,
-            src_partition,
-            writers: (0..b).map(|_| None).collect(),
-            counts: vec![0; b],
-            write_bytes: 0,
-        }
+    fn new(node: &'a NodeCtx, src_partition: Rank, rec: usize) -> Self {
+        let bufs = (0..node.plan.n_batches(node.rank)).map(|_| None).collect();
+        Self { node, src_partition, rec, bufs }
     }
 
-    fn write<M: Pod>(&mut self, batch: usize, src: u32, msg: &M) -> Result<()> {
-        let w = match &mut self.writers[batch] {
-            Some(w) => w,
-            None => {
-                self.writers[batch] = Some(
-                    self.node
-                        .scratch
-                        .create_with_buffer(&seg_path(batch, self.src_partition), DISPATCH_BUF)?,
-                );
-                self.writers[batch].as_mut().unwrap()
+    /// Routes every record of `run` to the batches its source has edges
+    /// into.
+    fn dispatch(&mut self, access: &mut DispatchAccess, run: &[u8]) -> Result<()> {
+        for r in run.chunks_exact(self.rec) {
+            for &batch in access.batches_of(src_of(r))?.iter() {
+                let (node, p, rec) = (self.node, self.src_partition, self.rec);
+                self.bufs[batch as usize]
+                    .get_or_insert_with(|| {
+                        node.msg_buf(format!("msgs/in_b{batch}_p{p}.bin"), rec, DISPATCH_BUF)
+                    })
+                    .append(r)?;
             }
-        };
-        crate::messages::write_record(w, src, msg)?;
-        self.write_bytes += record_bytes::<M>() as u64;
-        self.counts[batch] += 1;
+        }
         Ok(())
     }
 
-    fn finish(self, msg_counts: &[Vec<AtomicU64>], call: &CallStats) -> Result<()> {
-        for w in self.writers.into_iter().flatten() {
-            w.finish()?;
-        }
-        for (b, &n) in self.counts.iter().enumerate() {
-            if n > 0 {
-                msg_counts[b][self.src_partition].fetch_add(n, Ordering::Release);
+    fn finish(self, msgs: &CallMsgs) -> Result<()> {
+        for (b, buf) in self.bufs.into_iter().enumerate() {
+            if let Some(buf) = buf {
+                publish(&msgs.seg[b][self.src_partition], buf)?;
             }
         }
-        call.dispatch_disk_write.fetch_add(self.write_bytes, Ordering::Relaxed);
         Ok(())
     }
 }
@@ -914,16 +855,4 @@ fn read_indexed<E: Pod + PartialEq>(
 ) -> Result<IndexedChunk<E>> {
     let mut r = disk.open_framed(path)?;
     IndexedChunk::read_from(&mut r, want)
-}
-
-fn gen_path(b: usize) -> String {
-    format!("msgs/gen_b{b}.bin")
-}
-
-fn seg_path(b: usize, p: Rank) -> String {
-    format!("msgs/in_b{b}_p{p}.bin")
-}
-
-fn none_path(p: Rank) -> String {
-    format!("msgs/in_all_p{p}.bin")
 }

@@ -9,7 +9,9 @@ use crate::accum::Accum;
 use crate::array::{ArrayEntry, BatchCtx, VertexArray, PAGE_SIZE};
 use dfo_net::Endpoint;
 use dfo_part::plan::{ChunkInfo, Plan};
-use dfo_storage::{ChunkCache, ChunkCacheStats, CommitLog, NodeDisk, VersionedArrayStore};
+use dfo_storage::{
+    ChunkCache, ChunkCacheStats, ChunkPool, CommitLog, MemBudget, NodeDisk, VersionedArrayStore,
+};
 use dfo_types::{CrashPos, DfoError, EngineConfig, PhaseStats, Pod, Rank, Result, VertexId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -18,6 +20,18 @@ use std::time::Instant;
 
 /// Scratch-relative path of the per-call commit record (one per node).
 const COMMITS_REL: &str = "arrays/COMMITS.bin";
+
+/// The two shares of `mem_budget` that keep bytes which are not edges off
+/// the disk: a quarter for resident vertex-array blocks (written through,
+/// so only their re-reads are saved) and a sixteenth for `ProcessEdges`
+/// message buffers. The batch-sizing rule (§2.2) leaves half the budget to
+/// the batches being worked on; of the rest, vertex state gets the larger
+/// share because it lives as long as the job while messages live for one
+/// call, and because a block a worker checks out *is* the buffer it would
+/// have loaded anyway. Whatever does not fit goes through the disk exactly
+/// as in the fully-out-of-core engine — which is these pools at capacity 0.
+const BLOCK_POOL_SHARE: u64 = 4;
+const MSG_POOL_SHARE: u64 = 16;
 
 /// Telemetry state of one context: the handle itself plus the histograms
 /// the hot paths observe, resolved once in [`NodeCtx::set_telemetry`] so
@@ -58,6 +72,10 @@ pub struct NodeCtx {
     /// shared across `process_edges` calls (and across runs when owned by a
     /// [`crate::Cluster`]). `None` when `chunk_cache_bytes == 0`.
     pub(crate) chunk_cache: Option<Arc<ChunkCache>>,
+    /// Budgets of this context's resident vertex blocks and in-memory
+    /// message buffers (see [`BLOCK_POOL_SHARE`]).
+    pub(crate) block_pool: Arc<MemBudget>,
+    pub(crate) msg_pool: Arc<ChunkPool>,
     pub(crate) call_seq: u64,
     pub(crate) last_stats: PhaseStats,
     /// `Process` calls whose epoch commit completed in this context's
@@ -127,6 +145,8 @@ impl NodeCtx {
             .then(|| parking_lot::Mutex::new(CommitLog::load_or_new(scratch.clone(), COMMITS_REL)));
         Self {
             rank,
+            block_pool: MemBudget::new(cfg.mem_budget / BLOCK_POOL_SHARE),
+            msg_pool: ChunkPool::new(cfg.mem_budget / MSG_POOL_SHARE),
             cfg,
             disk,
             scratch,
@@ -308,7 +328,7 @@ impl NodeCtx {
                     entry.elem_bytes
                 )));
             }
-            return Ok(VertexArray::new(name));
+            return Ok(entry.handle());
         }
         let entry = if self.cfg.batching_enabled {
             // cap recovery at the commit record's epoch for this array: any
@@ -322,6 +342,7 @@ impl NodeCtx {
                 self.cfg.checkpointing,
                 self.cfg.checkpoints_kept,
                 target,
+                &self.block_pool,
             )?
         } else {
             // Table 6 ablation: memory-mapped-style access through a bounded
@@ -336,8 +357,9 @@ impl NodeCtx {
                 pages,
             )?
         };
+        let handle = entry.handle();
         self.arrays.insert(name.to_string(), Arc::new(entry));
-        Ok(VertexArray::new(name))
+        Ok(handle)
     }
 
     /// Resolves registered array entries by name (panics on typos — a
@@ -387,7 +409,7 @@ impl NodeCtx {
             let touched: Vec<(&str, u64)> = entries
                 .iter()
                 .filter(|e| e.checkpointed())
-                .map(|e| (e.name.as_str(), e.epoch()))
+                .map(|e| (&*e.name, e.epoch()))
                 .collect();
             log.lock().record_commit(&touched)?;
         }
@@ -549,7 +571,7 @@ impl NodeCtx {
         // open one epoch over everything this call may write
         let mut epoch_set: Vec<Arc<ArrayEntry>> = entries.clone();
         if let Some(ae) = &active_entry {
-            if !arrays.contains(&ae.name.as_str()) {
+            if !arrays.contains(&&*ae.name) {
                 epoch_set.push(ae.clone());
             }
         }
@@ -562,9 +584,13 @@ impl NodeCtx {
         Ok(local.allreduce(&self.net))
     }
 
-    /// Runs `work(b)` for every local batch on the node's worker threads
-    /// (batches are claimed dynamically, so skew between batches balances
-    /// out) and merges the results. The first error stops its worker and is
+    /// Runs `work(b)` for every local batch on the node's `T` workers — the
+    /// calling thread and `T − 1` spawned ones (batches are claimed
+    /// dynamically, so skew between batches balances out) — and merges the
+    /// results. What a batch leaves behind for later calls (resident
+    /// blocks, message chunks) is thereby allocated on the thread that
+    /// lives as long as the job whenever `T` is 1, not in the arena of a
+    /// thread that is gone a moment later. The first error stops its worker and is
     /// returned once all workers have joined.
     pub(crate) fn for_each_batch<A: Accum>(
         &self,
@@ -574,28 +600,31 @@ impl NodeCtx {
         let next = AtomicUsize::new(0);
         let result: parking_lot::Mutex<A> = parking_lot::Mutex::new(A::zero());
         let err: parking_lot::Mutex<Option<DfoError>> = parking_lot::Mutex::new(None);
-        std::thread::scope(|s| {
-            for _ in 0..self.cfg.threads_per_node {
-                s.spawn(|| {
-                    let mut local = A::zero();
-                    loop {
-                        let b = next.fetch_add(1, Ordering::Relaxed);
-                        if b >= b_count {
-                            break;
-                        }
-                        match work(b) {
-                            Ok(a) => local = local.merge(a),
-                            Err(e) => {
-                                *err.lock() = Some(e);
-                                break;
-                            }
-                        }
+        let worker = || {
+            let mut local = A::zero();
+            loop {
+                let b = next.fetch_add(1, Ordering::Relaxed);
+                if b >= b_count {
+                    break;
+                }
+                match work(b) {
+                    Ok(a) => local = local.merge(a),
+                    Err(e) => {
+                        *err.lock() = Some(e);
+                        break;
                     }
-                    let mut r = result.lock();
-                    let cur = std::mem::replace(&mut *r, A::zero());
-                    *r = cur.merge(local);
-                });
+                }
             }
+            let mut r = result.lock();
+            let cur = std::mem::replace(&mut *r, A::zero());
+            *r = cur.merge(local);
+        };
+        // the calling thread is one of the workers
+        std::thread::scope(|s| {
+            for _ in 1..self.cfg.threads_per_node {
+                s.spawn(worker);
+            }
+            worker();
         });
         match err.into_inner() {
             Some(e) => Err(e),
@@ -697,18 +726,18 @@ impl NodeCtx {
                 }
                 // the UDF may read `active` too: hand the ctx the bytes
                 // already read instead of reading the block twice
-                if names.contains(&e.name.as_str()) {
-                    preloaded = Some((e.name.as_str(), bytes.clone()));
+                if names.contains(&&*e.name) {
+                    preloaded = Some((&*e.name, bytes.clone()));
                 }
                 ActiveMask::Block(bytes)
             }
             // paged mode (Table 6 ablation): activity is read through the
             // page cache inside the ctx
             Some(e) => {
-                if !names.contains(&e.name.as_str()) {
+                if !names.contains(&&*e.name) {
                     refs.push(e);
                 }
-                ActiveMask::Paged(VertexArray::new(&e.name))
+                ActiveMask::Paged(e.handle())
             }
         };
         let partition_start = self.plan.partitions[self.rank].start;

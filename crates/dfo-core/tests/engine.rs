@@ -542,3 +542,91 @@ fn pre_fired_cancel_token_cancels_every_rank_and_never_poisons() {
         assert_eq!(n, NODES, "round {round}: only {n} of {NODES} ranks returned Cancelled");
     }
 }
+
+/// `mem_budget` so small that the resident-block and message pools both
+/// hold nothing: the fully-out-of-core engine.
+const NO_POOLS: u64 = 1;
+
+/// Every disk byte a `ProcessEdges` call moves shows up in exactly one disk
+/// field of its [`dfo_types::PhaseStats`] — with the pools at their default
+/// size and at zero, under both dispatch strategies, with and without
+/// checkpoints — and the pools only ever remove bytes.
+#[test]
+fn phase_stats_account_for_every_disk_byte() {
+    let g = rmat(GenConfig::new(9, 8, 31));
+    let want = brute_in_degrees(&g);
+    for dispatch in [None, Some(DispatchKind::Push), Some(DispatchKind::None)] {
+        for checkpointing in [false, true] {
+            let mut moved = Vec::new();
+            for mem_budget in [EngineConfig::for_test(3).mem_budget, NO_POOLS] {
+                let mut cfg = EngineConfig::for_test(3);
+                cfg.dispatch_override = dispatch;
+                cfg.checkpointing = checkpointing;
+                cfg.mem_budget = mem_budget;
+                let td = TempDir::new().unwrap();
+                let cluster = Cluster::create(cfg, td.path()).unwrap();
+                cluster.preprocess(&g).unwrap();
+                let per_rank = cluster
+                    .run(|ctx| {
+                        let deg = ctx.vertex_array::<u64>("deg")?;
+                        let mut calls = Vec::new();
+                        for _ in 0..2 {
+                            let before = ctx.disk().stats().total_bytes();
+                            ctx.process_edges(&[], &["deg"], None, |_v, _c| Some(1u64), {
+                                let d = deg.clone();
+                                move |m: u64, _s, dst, _e: &(), c| {
+                                    let cur = c.get(&d, dst);
+                                    c.set(&d, dst, cur + m);
+                                    0u64
+                                }
+                            })?;
+                            let delta = ctx.disk().stats().total_bytes() - before;
+                            calls.push((ctx.last_phase_stats().clone(), delta));
+                        }
+                        Ok((read_u64_array(ctx, &deg)?, calls))
+                    })
+                    .unwrap();
+                let mut degs = Vec::new();
+                let mut total = 0;
+                for (d, calls) in per_rank {
+                    degs.extend(d);
+                    for (stats, delta) in calls {
+                        assert_eq!(
+                            stats.total_disk(),
+                            delta,
+                            "{dispatch:?} ckpt={checkpointing} mem_budget={mem_budget}: {stats:?}"
+                        );
+                        if mem_budget == NO_POOLS {
+                            // every generated record went to its scratch file
+                            assert!(stats.generate_disk_write >= 12 * stats.messages_generated);
+                            assert!(stats.pass_disk_read >= 12 * stats.messages_generated);
+                        }
+                        total += delta;
+                    }
+                }
+                assert_eq!(degs, want.iter().map(|d| 2 * d).collect::<Vec<_>>());
+                moved.push(total);
+            }
+            assert!(
+                moved[0] < moved[1],
+                "{dispatch:?} ckpt={checkpointing}: pools moved {} bytes, no pools {}",
+                moved[0],
+                moved[1]
+            );
+        }
+    }
+}
+
+/// This rank's slice of a `u64` array, in vertex order.
+fn read_u64_array(
+    ctx: &mut dfo_core::NodeCtx,
+    arr: &dfo_core::VertexArray<u64>,
+) -> dfo_types::Result<Vec<u64>> {
+    let r = ctx.plan().partitions[ctx.rank()];
+    let out = std::sync::Mutex::new(vec![0u64; r.len() as usize]);
+    ctx.process_vertices(&[arr.name()], None, |v, c| {
+        out.lock().unwrap()[(v - r.start) as usize] = c.get(arr, v);
+        0u64
+    })?;
+    Ok(out.into_inner().unwrap())
+}

@@ -28,9 +28,19 @@ pub fn choose_batch_size(
             by_memory.min(n)
         }
         BatchPolicy::SemiOutOfCore => {
-            // at least 1.5 T batches per partition
-            let min_batches = (3 * threads as u64).div_ceil(2);
-            (n / min_batches.max(1)).max(1)
+            // at least 1.5 T batches per partition. Every batch but the last
+            // has the chosen size, so take the largest size whose leftover
+            // batch is still at least half of it: trying the even splits
+            // into 1.5 T, 1.5 T + 1, … batches finds it (the first already
+            // does once the partition has a few hundred vertices)
+            let min_batches = (3 * threads as u64).div_ceil(2).max(1);
+            (min_batches..=n)
+                .map(|k| n.div_ceil(k))
+                .find(|&size| {
+                    let batches = n.div_ceil(size);
+                    batches >= min_batches && 2 * (n - (batches - 1) * size) >= size
+                })
+                .unwrap_or(1)
         }
     }
 }
@@ -73,6 +83,22 @@ mod tests {
             "got {} batches for {threads} threads",
             batches.len()
         );
+    }
+
+    #[test]
+    fn semi_ooc_leaves_no_degenerate_batch() {
+        let sizes = |n: u64, threads: usize| {
+            let r = VertexRange::new(10, 10 + n);
+            let bs = choose_batch_size(BatchPolicy::SemiOutOfCore, &r, threads, 0);
+            split_into_batches(r, bs).iter().map(|b| b.len()).collect::<Vec<_>>()
+        };
+        // used to be six batches of 200 and a seventh of one vertex
+        assert_eq!(sizes(1201, 4), [201, 201, 201, 201, 201, 196]);
+        for (threads, n) in (1..9).flat_map(|t| (1..2_000).map(move |n| (t, n))) {
+            let s = sizes(n, threads);
+            assert!(s.len() as u64 >= (3 * threads as u64).div_ceil(2).min(n), "n={n} T={threads}");
+            assert!(2 * s[s.len() - 1] >= s[0], "n={n} T={threads}: {s:?}");
+        }
     }
 
     #[test]

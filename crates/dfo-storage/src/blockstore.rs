@@ -28,13 +28,29 @@
 //! back to the newest surviving valid checkpoint (rewriting `CURRENT` to
 //! match), which with `keep ≥ 2` retained checkpoints means a corrupted
 //! in-flight commit costs exactly one checkpoint, never the array.
+//!
+//! ## Resident blocks
+//!
+//! Block files are the truth; within a [`MemBudget`] the store also keeps
+//! their bytes in memory, **written through**: every write reaches the disk
+//! at the instant it always did, so nothing above changes and only re-reads
+//! disappear. A block is admitted while the budget has room and never
+//! evicted for another (batches are scanned cyclically); it leaves when its
+//! file does. Copy-on-write blocks are immutable once written, in-place
+//! blocks (`id == batch`) are replaced by their next write. The engine
+//! *checks a block out* for the one worker that owns its batch
+//! ([`VersionedArrayStore::take_batch`]) and back in
+//! ([`VersionedArrayStore::put_batch`]), so residency costs no copy. A
+//! store never given a budget keeps nothing.
 
 use crate::compress::crc32;
 use crate::disk::NodeDisk;
+use crate::spill::MemBudget;
 use dfo_types::codec::{read_u64, write_u64};
 use dfo_types::{DfoError, Result};
 use std::collections::{HashMap, VecDeque};
 use std::io::{Cursor, Write};
+use std::sync::Arc;
 
 type BlockId = u64;
 
@@ -56,12 +72,48 @@ enum Mode {
     InPlace,
 }
 
+/// In-memory copies of block files, each holding a claim on the budget.
+struct Resident {
+    budget: Arc<MemBudget>,
+    blocks: HashMap<BlockId, Vec<u8>>,
+}
+
+impl Resident {
+    /// Keeps nothing until the store is given a budget.
+    fn none() -> Self {
+        Self { budget: MemBudget::new(0), blocks: HashMap::new() }
+    }
+
+    fn take(&mut self, id: BlockId) -> Option<Vec<u8>> {
+        let buf = self.blocks.remove(&id)?;
+        self.budget.release(buf.len() as u64);
+        Some(buf)
+    }
+
+    /// Makes `make()` the resident copy of `id` if the budget admits
+    /// `len` bytes; whatever was resident under `id` is stale either way.
+    fn put(&mut self, id: BlockId, len: usize, make: impl FnOnce() -> Vec<u8>) {
+        self.take(id);
+        if self.budget.try_reserve(len as u64) {
+            self.blocks.insert(id, make());
+        }
+    }
+}
+
+impl Drop for Resident {
+    fn drop(&mut self) {
+        let held: usize = self.blocks.values().map(Vec::len).sum();
+        self.budget.release(held as u64);
+    }
+}
+
 /// Persistent versioned storage for one vertex array on one node.
 pub struct VersionedArrayStore {
     disk: NodeDisk,
     dir: String,
     n_batches: usize,
     mode: Mode,
+    resident: Resident,
 }
 
 impl VersionedArrayStore {
@@ -80,6 +132,7 @@ impl VersionedArrayStore {
             disk,
             dir,
             n_batches,
+            resident: Resident::none(),
             mode: if checkpointing {
                 Mode::Cow {
                     next_block: 0,
@@ -118,7 +171,14 @@ impl VersionedArrayStore {
     /// Reopens an in-place (non-checkpointed) store whose block files
     /// already exist on disk.
     pub fn open_in_place(disk: NodeDisk, dir: impl Into<String>, n_batches: usize) -> Self {
-        Self { disk, dir: dir.into(), n_batches, mode: Mode::InPlace }
+        Self { disk, dir: dir.into(), n_batches, mode: Mode::InPlace, resident: Resident::none() }
+    }
+
+    /// Lets the store keep blocks resident within `budget` (shared with the
+    /// node's other arrays). Blocks become resident as they are next read
+    /// or written.
+    pub fn set_resident_budget(&mut self, budget: Arc<MemBudget>) {
+        self.resident = Resident { budget, blocks: HashMap::new() };
     }
 
     /// Whether an in-place store exists at `dir` (its first block file is
@@ -237,6 +297,7 @@ impl VersionedArrayStore {
             disk,
             dir,
             n_batches,
+            resident: Resident::none(),
             mode: Mode::Cow {
                 next_block: max_block + 1,
                 epoch: committed,
@@ -266,16 +327,51 @@ impl VersionedArrayStore {
         matches!(self.mode, Mode::Cow { .. })
     }
 
-    /// Reads the bytes of batch `b` (read-your-writes within an open epoch).
-    pub fn read_batch(&self, b: usize) -> Result<Vec<u8>> {
+    /// The block batch `b` currently maps to (read-your-writes within an
+    /// open epoch).
+    fn block_of(&self, b: usize) -> BlockId {
         assert!(b < self.n_batches, "batch {b} out of range");
-        let id = match &self.mode {
+        match &self.mode {
             Mode::InPlace => b as BlockId,
             Mode::Cow { current, pending, .. } => {
                 pending.as_ref().and_then(|p| p[b]).unwrap_or(current[b])
             }
-        };
+        }
+    }
+
+    fn read_block_file(&self, id: BlockId) -> Result<Vec<u8>> {
         self.disk.read_to_vec(&format!("{}/blocks/{id}.bin", self.dir))
+    }
+
+    /// Reads a copy of the bytes of batch `b`; a block read from disk
+    /// becomes resident if the budget admits it.
+    pub fn read_batch(&mut self, b: usize) -> Result<Vec<u8>> {
+        let id = self.block_of(b);
+        if let Some(buf) = self.resident.blocks.get(&id) {
+            return Ok(buf.clone());
+        }
+        let buf = self.read_block_file(id)?;
+        self.resident.put(id, buf.len(), || buf.clone());
+        Ok(buf)
+    }
+
+    /// Checks batch `b` out: the resident block itself when there is one,
+    /// else its bytes from disk. The caller owns the batch until it hands
+    /// the bytes back through [`VersionedArrayStore::put_batch`].
+    pub fn take_batch(&mut self, b: usize) -> Result<Vec<u8>> {
+        let id = self.block_of(b);
+        match self.resident.take(id) {
+            Some(buf) => Ok(buf),
+            None => self.read_block_file(id),
+        }
+    }
+
+    /// Checks batch `b` back in. `dirty` bytes are first written through,
+    /// exactly as [`VersionedArrayStore::write_batch`] would.
+    pub fn put_batch(&mut self, b: usize, buf: Vec<u8>, dirty: bool) -> Result<()> {
+        let id = if dirty { self.write_through(b, &buf)? } else { self.block_of(b) };
+        self.resident.put(id, buf.len(), || buf);
+        Ok(())
     }
 
     /// Opens a new epoch; must be called before `write_batch` when the store
@@ -290,26 +386,33 @@ impl VersionedArrayStore {
 
     /// Writes new bytes for batch `b`.
     pub fn write_batch(&mut self, b: usize, data: &[u8]) -> Result<()> {
+        let id = self.write_through(b, data)?;
+        self.resident.put(id, data.len(), || data.to_vec());
+        Ok(())
+    }
+
+    /// Puts `data` on disk as batch `b`'s block — a new one in an open
+    /// copy-on-write epoch, the batch's own in place — and returns its id.
+    fn write_through(&mut self, b: usize, data: &[u8]) -> Result<BlockId> {
         assert!(b < self.n_batches, "batch {b} out of range");
-        match &mut self.mode {
-            Mode::InPlace => self.write_block_file(b as BlockId, data),
-            Mode::Cow { .. } => {
-                let id = self.alloc_block()?;
-                self.write_block_file(id, data)?;
-                let Mode::Cow { pending, refcounts, .. } = &mut self.mode else { unreachable!() };
-                let slot = pending
-                    .as_mut()
-                    .expect("begin_epoch must be called before write_batch")
-                    .get_mut(b)
-                    .unwrap();
-                if let Some(old) = slot.replace(id) {
-                    // batch written twice in one epoch: drop the older version
-                    debug_assert!(!refcounts.contains_key(&old));
-                    self.remove_block_file(old)?;
-                }
-                Ok(())
-            }
+        if let Mode::InPlace = self.mode {
+            self.write_block_file(b as BlockId, data)?;
+            return Ok(b as BlockId);
         }
+        let id = self.alloc_block()?;
+        self.write_block_file(id, data)?;
+        let Mode::Cow { pending, refcounts, .. } = &mut self.mode else { unreachable!() };
+        let slot = pending
+            .as_mut()
+            .expect("begin_epoch must be called before write_batch")
+            .get_mut(b)
+            .unwrap();
+        if let Some(old) = slot.replace(id) {
+            // batch written twice in one epoch: drop the older version
+            debug_assert!(!refcounts.contains_key(&old));
+            self.remove_block_file(old)?;
+        }
+        Ok(id)
     }
 
     /// Commits the open epoch: persists the new mapping, retires checkpoints
@@ -481,7 +584,8 @@ impl VersionedArrayStore {
         w.finish()
     }
 
-    fn remove_block_file(&self, id: BlockId) -> Result<()> {
+    fn remove_block_file(&mut self, id: BlockId) -> Result<()> {
+        self.resident.take(id);
         self.disk.remove(&format!("{}/blocks/{id}.bin", self.dir))
     }
 
@@ -557,7 +661,7 @@ mod tests {
     #[test]
     fn initial_contents() {
         for cow in [false, true] {
-            let (_t, s) = mk(cow, 1);
+            let (_t, mut s) = mk(cow, 1);
             assert_eq!(s.read_batch(0).unwrap(), vec![0u8; 4]);
             assert_eq!(s.read_batch(2).unwrap(), vec![2u8; 4]);
         }
@@ -635,7 +739,7 @@ mod tests {
             s.write_batch(0, &[42u8; 2]).unwrap();
             s.commit().unwrap();
         }
-        let s = VersionedArrayStore::recover(disk, "arr", 2, 1).unwrap();
+        let mut s = VersionedArrayStore::recover(disk, "arr", 2, 1).unwrap();
         assert_eq!(s.read_batch(0).unwrap(), vec![42u8; 2]);
         assert_eq!(s.read_batch(1).unwrap(), vec![1u8; 2]);
         assert_eq!(s.epoch(), 1);
@@ -653,7 +757,7 @@ mod tests {
             s.write_batch(0, &[99u8; 2]).unwrap();
             // crash: no commit
         }
-        let s = VersionedArrayStore::recover(disk, "arr", 2, 1).unwrap();
+        let mut s = VersionedArrayStore::recover(disk, "arr", 2, 1).unwrap();
         assert_eq!(s.read_batch(0).unwrap(), vec![0u8; 2], "uncommitted write must vanish");
         // orphan pending block file must have been cleaned up
         assert_eq!(s.live_blocks(), 2);
@@ -702,7 +806,7 @@ mod tests {
         bytes[mid] ^= 0x10;
         std::fs::write(&path, &bytes).unwrap();
 
-        let s = VersionedArrayStore::recover(disk, "arr", 3, 2).unwrap();
+        let mut s = VersionedArrayStore::recover(disk, "arr", 3, 2).unwrap();
         assert_eq!(s.epoch(), 1, "must land on the previous complete checkpoint");
         for b in 0..3 {
             assert_eq!(s.read_batch(b).unwrap(), vec![1u8; 4]);
@@ -728,7 +832,7 @@ mod tests {
         s.commit().unwrap();
         assert_eq!(s.epoch(), 2);
         drop(s);
-        let s = VersionedArrayStore::recover(disk, "arr", 3, 2).unwrap();
+        let mut s = VersionedArrayStore::recover(disk, "arr", 3, 2).unwrap();
         assert_eq!(s.read_batch(0).unwrap(), vec![9u8; 4]);
     }
 
@@ -752,7 +856,7 @@ mod tests {
     #[test]
     fn recover_to_discards_epochs_above_target() {
         let (td, disk) = two_checkpoints();
-        let s = VersionedArrayStore::recover_to(disk, "arr", 3, 2, Some(1)).unwrap();
+        let mut s = VersionedArrayStore::recover_to(disk, "arr", 3, 2, Some(1)).unwrap();
         assert_eq!(s.epoch(), 1, "epoch 2 is above the commit-record target");
         for b in 0..3 {
             assert_eq!(s.read_batch(b).unwrap(), vec![1u8; 4]);
@@ -800,7 +904,7 @@ mod tests {
         assert_eq!(s.read_batch(0).unwrap(), vec![9u8; 4]);
         assert_eq!(s.read_batch(1).unwrap(), vec![1u8; 4]);
         drop(s);
-        let s = VersionedArrayStore::recover(disk, "arr", 3, 2).unwrap();
+        let mut s = VersionedArrayStore::recover(disk, "arr", 3, 2).unwrap();
         assert_eq!(s.epoch(), 2);
         assert_eq!(s.read_batch(0).unwrap(), vec![9u8; 4]);
     }

@@ -295,10 +295,17 @@ impl NodeDisk {
         Ok(())
     }
 
+    /// Reads a whole file into one allocation of exactly its length (a
+    /// vector grown by doubling would hold up to twice that for as long as
+    /// the caller keeps it).
     pub fn read_to_vec(&self, rel: &str) -> Result<Vec<u8>> {
-        let mut r = self.open(rel)?;
-        let mut buf = Vec::new();
-        r.read_to_end(&mut buf).map_err(|e| DfoError::io(format!("reading {rel}"), e))?;
+        let file = File::open(self.root.join(rel))
+            .map_err(|e| DfoError::io(format!("opening {rel}"), e))?;
+        let len = file.metadata().map_err(|e| DfoError::io(format!("stat {rel}"), e))?.len();
+        let mut buf = vec![0u8; len as usize];
+        Accounted { file, disk: self.clone(), write: false, count_logical: true }
+            .read_exact(&mut buf)
+            .map_err(|e| DfoError::io(format!("reading {rel}"), e))?;
         Ok(buf)
     }
 

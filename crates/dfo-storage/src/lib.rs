@@ -1,6 +1,8 @@
 //! Storage substrate for DFOGraph: per-node throttled disks with full byte
-//! accounting, buffered sequential streams, an LRU page cache, and the
-//! copy-on-write versioned block store backing checkpointed vertex arrays.
+//! accounting, buffered sequential streams, an LRU page cache, the
+//! copy-on-write versioned block store backing checkpointed vertex arrays,
+//! and the memory budgets under which blocks and message buffers skip the
+//! disk round trip.
 //!
 //! The paper's testbed gives every node a 2 GB/s NVMe SSD; this substrate
 //! reproduces the *bandwidth-bound* behaviour of that hardware on any
@@ -15,6 +17,7 @@ pub mod commitlog;
 pub mod compress;
 pub mod disk;
 pub mod pagecache;
+pub mod spill;
 pub mod throttle;
 
 pub use blockstore::VersionedArrayStore;
@@ -23,4 +26,5 @@ pub use commitlog::CommitLog;
 pub use compress::{FrameReader, FrameWriter, FRAME_MAGIC};
 pub use disk::{DiskReader, DiskStats, DiskWriter, NodeDisk, RandomFile};
 pub use pagecache::{CacheStats, PageCache};
+pub use spill::{ChunkPool, MemBudget, SpillBuf};
 pub use throttle::Throttle;

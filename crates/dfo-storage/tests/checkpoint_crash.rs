@@ -79,7 +79,7 @@ proptest! {
         let manifest = td.path().join(format!("arr/meta/ckpt_{epochs}.bin"));
         apply_damage(&manifest, damage, at, bit);
 
-        let s = VersionedArrayStore::recover(disk, "arr", n_batches, 2).unwrap();
+        let mut s = VersionedArrayStore::recover(disk, "arr", n_batches, 2).unwrap();
         prop_assert_eq!(s.epoch(), epochs - 1, "recovery must land on the previous checkpoint");
         for b in 0..n_batches {
             prop_assert_eq!(
@@ -109,7 +109,7 @@ proptest! {
         s.commit().unwrap();
         drop(s);
 
-        let s = VersionedArrayStore::recover(disk, "arr", n_batches, 2).unwrap();
+        let mut s = VersionedArrayStore::recover(disk, "arr", n_batches, 2).unwrap();
         prop_assert_eq!(s.read_batch(0).unwrap(), fill(9));
         if n_batches > 1 {
             prop_assert_eq!(s.read_batch(1).unwrap(), fill(2), "untouched batch keeps epoch 2");

@@ -156,7 +156,9 @@ pub struct EngineConfig {
     /// Worker threads per node (`T` in the paper; 12 on i3en.3xlarge).
     pub threads_per_node: usize,
     /// Memory budget per node in bytes; drives the fully-out-of-core batch
-    /// sizing rule and the page-cache capacity.
+    /// sizing rule, the page-cache capacity, and the shares within which
+    /// vertex-array blocks stay resident (written through) and
+    /// `ProcessEdges` messages stay in memory instead of scratch files.
     pub mem_budget: u64,
     /// Intra-node batch size policy.
     pub batch_policy: BatchPolicy,
