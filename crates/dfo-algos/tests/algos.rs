@@ -78,8 +78,8 @@ fn algorithms_bit_identical_across_chunk_cache_matrix() {
 /// Chunk compression must likewise be invisible to algorithm results:
 /// PageRank and BFS run bit-identically across the full
 /// {compress on/off} × {chunk_cache_bytes 0/small/large} matrix — the
-/// compressed arm exercises decode-before-cache, the uncompressed arm with
-/// BFS exercises the CSR seek mode that compression bypasses.
+/// compressed arm exercises decode-before-cache, and BFS's sparse
+/// iterations take the CSR seek mode in either layout.
 #[test]
 fn algorithms_bit_identical_across_compression_matrix() {
     let g = rmat(GenConfig::new(9, 6, 77));
@@ -111,6 +111,66 @@ fn algorithms_bit_identical_across_compression_matrix() {
     for compress in [false, true] {
         for budget in [0u64, 16 << 10, 1 << 30] {
             assert_eq!(run(compress, budget), baseline, "compress={compress} budget={budget}");
+        }
+    }
+}
+
+/// Seek mode into compressed chunks: with an eager γ every `ProcessEdges`
+/// call of PageRank and of SSSP on a long chain seeks — single blocks of
+/// the stored chunks fetched and decoded — where the default γ loads whole
+/// chunks. Results must be bit-identical across {compress on, off} ×
+/// {cache 0, fits-all} × {seek, load}, and seeking into compressed chunks
+/// must read less in phase 4 than loading them, which reads exactly the
+/// files of the chunks it touches.
+#[test]
+fn seek_mode_is_invisible_in_results_and_cheaper_on_compressed_chunks() {
+    let unit = web_chain(40, 48, 5, 3, 9);
+    let weighted: EdgeList<f32> =
+        unit.map_data(|e| ((e.src.wrapping_mul(7).wrapping_add(e.dst * 13)) % 4 + 1) as f32);
+    let run = |compress: bool, budget: u64, gamma: u64| -> (Vec<u64>, Vec<u32>, u64) {
+        let mut c = cfg(2, 300);
+        c.compress_chunks = compress;
+        c.chunk_cache_bytes = budget;
+        c.gamma = gamma;
+        let td = TempDir::new().unwrap();
+        let cluster = Cluster::create(c.clone(), td.path().join("unit")).unwrap();
+        cluster.preprocess(&unit).unwrap();
+        let pr = cluster
+            .run(|ctx| {
+                let rank = pagerank(ctx, 3)?;
+                read_local(ctx, &rank)
+            })
+            .unwrap();
+        let cluster = Cluster::create(c, td.path().join("weighted")).unwrap();
+        cluster.preprocess(&weighted).unwrap();
+        let out = cluster
+            .run(|ctx| {
+                let dist = sssp(ctx, 0)?;
+                Ok((read_local(ctx, &dist)?, ctx.job_phase_stats().process_disk_read))
+            })
+            .unwrap();
+        let out = pr.into_iter().zip(out).map(|(pr, (dist, read))| (pr, dist, read));
+        let (mut pr_bits, mut dist_bits, mut sssp_read) = (Vec::new(), Vec::new(), 0);
+        for (pr, dist, read) in out {
+            pr_bits.extend(pr.into_iter().map(f64::to_bits));
+            dist_bits.extend(dist.into_iter().map(f32::to_bits));
+            sssp_read += read;
+        }
+        (pr_bits, dist_bits, sssp_read)
+    };
+    let (pr, dist, loaded) = run(true, 0, 1024);
+    let reached = dist.iter().filter(|&&d| f32::from_bits(d).is_finite()).count();
+    assert!(reached > dist.len() / 2, "SSSP must walk down the chain, reached {reached}");
+    for compress in [true, false] {
+        for budget in [0u64, 1 << 30] {
+            let (pr_seek, dist_seek, seeked) = run(compress, budget, 1);
+            assert_eq!((&pr_seek, &dist_seek), (&pr, &dist), "compress={compress} budget={budget}");
+            if compress && budget == 0 {
+                assert!(
+                    seeked < loaded / 2,
+                    "SSSP phase-4 reads: {seeked} B seeking, {loaded} B loading whole chunks"
+                );
+            }
         }
     }
 }

@@ -78,11 +78,7 @@ fn bench_space(c: &mut Criterion) {
             with_csr.serialized_bytes()
         );
         group.bench_function(BenchmarkId::new("serialize_dcsr", nonzero), |b| {
-            b.iter(|| {
-                let mut buf = Vec::new();
-                no_csr.write_to(&mut buf).unwrap();
-                black_box(buf.len())
-            })
+            b.iter(|| black_box(no_csr.write_to_framed(Vec::new(), false).unwrap().len()))
         });
     }
     group.finish();

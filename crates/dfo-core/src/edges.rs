@@ -33,14 +33,13 @@ use crate::array::{ArrayEntry, BatchCtx, VertexArray};
 use crate::messages::{parse_record, push_record, record_bytes, src_of, FrameBuilder};
 use crate::node::NodeCtx;
 use bytes::Bytes;
-use dfo_part::csr::{choose_repr, IndexedChunk, MergeCursor};
+use dfo_part::csr::{choose_repr, should_seek, ChunkSeeker, IndexedChunk, MergeCursor};
 use dfo_part::filter::{should_filter, FilterCursor};
 use dfo_part::plan::ChunkInfo;
 use dfo_part::preprocess::paths;
 use dfo_storage::{CachedValue, ChunkKey, NodeDisk, PrefetchJob, Prefetcher, SpillBuf};
 use dfo_types::{DfoError, DispatchKind, PhaseStats, Pod, Rank, ReprKind, Result, VertexId};
 use parking_lot::Mutex;
-use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -92,10 +91,6 @@ impl CallMsgs {
 
     fn generated(&self) -> impl Iterator<Item = &SpillBuf> {
         self.gen.iter().filter_map(OnceLock::get)
-    }
-
-    fn records(&self, buf: &OnceLock<SpillBuf>) -> u64 {
-        buf.get().map_or(0, |b| b.len() / self.rec as u64)
     }
 }
 
@@ -437,7 +432,9 @@ impl NodeCtx {
             }
             Strategy::Push => {
                 let dinfo = dinfo.expect("push strategy requires a dispatch graph");
-                let mut access = self.open_dispatch_access(rank, m_total, &dinfo)?;
+                let own: Vec<&SpillBuf> = msgs.generated().collect();
+                let reads = |enough| seek_reads(&own, msgs.rec, enough);
+                let mut access = self.open_dispatch_access(rank, m_total, &dinfo, reads)?;
                 let mut sink = PushSink::new(self, rank, msgs.rec);
                 for g in msgs.generated() {
                     g.for_each_run(|run| sink.dispatch(&mut access, run))?;
@@ -471,7 +468,8 @@ impl NodeCtx {
             }
             Strategy::Push => {
                 let dinfo = dinfo.expect("push strategy requires a dispatch graph");
-                let mut access = self.open_dispatch_access(p, bound, &dinfo)?;
+                // the sources are still on the wire: every message may cost a read
+                let mut access = self.open_dispatch_access(p, bound, &dinfo, |_| bound)?;
                 let mut sink = PushSink::new(self, p, msgs.rec);
                 while let Some(chunk) = stream.next_chunk()? {
                     debug_assert_eq!(chunk.len() % msgs.rec, 0, "frames carry whole records");
@@ -519,74 +517,68 @@ impl NodeCtx {
 
     /// Opens the dispatching graph from partition `p`, either fully loaded
     /// (through the chunk cache when one is configured) or in
-    /// positioned-read seek mode when messages are few (§4.1).
+    /// positioned-read seek mode when `reads` are few (§4.1).
     fn open_dispatch_access(
         &self,
         p: Rank,
         bound: u64,
         dinfo: &ChunkInfo,
+        reads: impl FnOnce(u64) -> u64,
     ) -> Result<DispatchAccess> {
-        let n_src = self.plan.partitions[p].len();
-        // seek mode needs the raw on-disk layout: compressed dispatch
-        // graphs (the compress_chunks default) always load whole
-        if self.cfg.repr_override.is_none()
-            && !self.cfg.compress_chunks
-            && dfo_part::csr::should_seek(dinfo.has_csr, bound, n_src, self.cfg.gamma)
-        {
-            if let Some(seeker) =
-                dfo_part::csr::ChunkSeeker::<()>::open(&self.disk, &paths::dispatch(p))?
-            {
-                return Ok(DispatchAccess::Seek(seeker));
+        let path = paths::dispatch(p);
+        // a version-1 container has no directory to seek by: `None`, load it
+        if self.seeks(dinfo, p, reads) {
+            if let Some(seeker) = ChunkSeeker::open(&self.disk, &path)? {
+                return Ok(DispatchAccess::Seek(Box::new(seeker)));
             }
-            // the file on disk is compressed despite the current config
-            // (stale preprocessing): fall through to a full load
         }
-        let want = self.cfg.repr_override.unwrap_or_else(|| {
-            choose_repr(dinfo.has_csr, dinfo.n_nonzero_src, n_src, bound, self.cfg.gamma)
-        });
-        let key = ChunkKey { partition: p, batch: None, repr: Some(want) };
-        let dg = self.load_indexed::<()>(&paths::dispatch(p), key)?;
+        let key =
+            ChunkKey { partition: p, batch: None, repr: Some(self.full_repr(dinfo, p, bound)) };
+        let dg = self.load_indexed::<()>(&path, key)?;
         Ok(DispatchAccess::Loaded { dg, cursor: MergeCursor::new() })
     }
 
     /// Work arriving at destination batch `b` from partition `p` this call:
     /// `None` if the batch has nothing to replay from `p`, else the chunk
-    /// metadata, the *pushed* record count (0 = replay the undispatched
-    /// buffer) and the total message count driving the §4.1 cost model.
+    /// metadata, the buffers to replay — the batch's pushed segment, else
+    /// the undispatched stream: our own generated buffers, or the peer's
+    /// raw one — and their message count, which drives the §4.1 cost model.
     /// `process_batch` and `spawn_prefetcher` must share this rule — if
     /// they disagree, read-ahead decodes chunks under keys the consumer
     /// never looks up.
-    fn batch_messages(&self, b: usize, p: Rank, msgs: &CallMsgs) -> Option<(ChunkInfo, u64, u64)> {
+    fn batch_messages<'m>(
+        &self,
+        b: usize,
+        p: Rank,
+        msgs: &'m CallMsgs,
+    ) -> Option<(ChunkInfo, Vec<&'m SpillBuf>, u64)> {
         let cinfo = self.chunk_map[p][b]?;
-        let pushed = msgs.records(&msgs.seg[b][p]);
-        let count = match pushed {
-            0 if p == self.rank => msgs.raw_own.load(Ordering::Relaxed),
-            0 => msgs.records(&msgs.raw[p]),
-            n => n,
+        let replay: Vec<&SpillBuf> = match msgs.seg[b][p].get() {
+            Some(pushed) => vec![pushed],
+            // nothing, once phase 4 has freed what was pushed or dropped
+            None if p == self.rank => msgs.generated().collect(),
+            None => msgs.raw[p].get().into_iter().collect(),
         };
-        (count > 0).then_some((cinfo, pushed, count))
+        let count = replay.iter().map(|buf| buf.len()).sum::<u64>() / msgs.rec as u64;
+        (count > 0).then_some((cinfo, replay, count))
     }
 
-    /// §4.1 access choice for the edge chunk `(p, ·)` given `count` incoming
-    /// messages: `None` means seek mode (which bypasses cache and prefetch
-    /// by design — it exists precisely because loading the whole chunk does
-    /// not pay), `Some(want)` means load the chunk decoded with that index.
-    /// Compressed chunks never seek: positioned reads need the raw layout,
-    /// and decode-and-discard would pay the full physical read anyway.
-    fn chunk_repr(&self, cinfo: &ChunkInfo, p: Rank, count: u64) -> Option<ReprKind> {
-        let n_src = self.plan.partitions[p].len();
-        if self.cfg.repr_override.is_none()
-            && !self.cfg.compress_chunks
-            && dfo_part::csr::should_seek(cinfo.has_csr, count, n_src, self.cfg.gamma)
-        {
-            return None;
-        }
-        Some(self.full_repr(cinfo, p, count))
+    /// The one §4.1 seek rule, for edge chunks and dispatching graphs
+    /// alike: `true` means positioned reads into the stored chunk of source
+    /// partition `p` instead of loading it (which bypasses cache and
+    /// prefetch by design — seek mode exists precisely because loading the
+    /// whole chunk does not pay). `reads(enough)` says how many positioned
+    /// reads the access would issue, counting no further than `enough`,
+    /// where the rule is lost anyway.
+    fn seeks(&self, info: &ChunkInfo, p: Rank, reads: impl FnOnce(u64) -> u64) -> bool {
+        let (n_src, gamma) = (self.plan.partitions[p].len(), self.cfg.gamma);
+        self.cfg.repr_override.is_none()
+            && info.has_csr
+            && should_seek(reads(n_src / gamma.max(1) + 1), n_src, gamma)
     }
 
-    /// Index representation for a *full* load of chunk `(p, ·)` (the
-    /// `Some` arm of [`NodeCtx::chunk_repr`], also the fallback when seek
-    /// mode meets a compressed file from a stale config).
+    /// Index representation for a full load of chunk `(p, ·)` given
+    /// `count` incoming messages (§4.1 cost model).
     fn full_repr(&self, cinfo: &ChunkInfo, p: Rank, count: u64) -> ReprKind {
         let n_src = self.plan.partitions[p].len();
         self.cfg.repr_override.unwrap_or_else(|| {
@@ -641,9 +633,13 @@ impl NodeCtx {
                 continue;
             }
             for &p in &order {
-                let Some((cinfo, _, count)) = self.batch_messages(b, p, msgs) else { continue };
-                let Some(want) = self.chunk_repr(&cinfo, p, count) else { continue };
-                let key = chunk_key(p, b, want);
+                let Some((cinfo, replay, count)) = self.batch_messages(b, p, msgs) else {
+                    continue;
+                };
+                if self.seeks(&cinfo, p, |enough| seek_reads(&replay, msgs.rec, enough)) {
+                    continue;
+                }
+                let key = chunk_key(p, b, self.full_repr(&cinfo, p, count));
                 if cache.contains(&key) {
                     continue;
                 }
@@ -701,49 +697,41 @@ impl NodeCtx {
         let dst_base = self.plan.partitions[rank].start;
 
         for &p in &order {
-            let Some((cinfo, pushed, count)) = self.batch_messages(b, p, msgs) else { continue };
-            // §4.1: with few messages and a stored CSR, *seek* into the
+            let Some((cinfo, replay, count)) = self.batch_messages(b, p, msgs) else { continue };
+            // §4.1: with few reads to make and a stored CSR, *seek* into the
             // chunk with positioned reads instead of streaming it whole;
             // full loads go through the chunk cache and prefetcher
-            let load =
-                |want| self.load_indexed::<E>(&paths::chunk(p, b), chunk_key(p, b, want)).map(Some);
-            let (chunk, seeker) = match self.chunk_repr(&cinfo, p, count) {
+            let path = paths::chunk(p, b);
+            let reads = |enough| seek_reads(&replay, msgs.rec, enough);
+            let seeks = self.seeks(&cinfo, p, reads);
+            // (a version-1 container has no directory to seek by: `None`)
+            let mut seeker = if seeks { ChunkSeeker::<E>::open(&self.disk, &path)? } else { None };
+            let chunk = match seeker {
+                Some(_) => None,
                 None => {
-                    match dfo_part::csr::ChunkSeeker::<E>::open(&self.disk, &paths::chunk(p, b))? {
-                        Some(s) => (None, Some(s)),
-                        // the file is compressed despite the current config
-                        // (stale preprocessing): load it whole instead
-                        None => (load(self.full_repr(&cinfo, p, count))?, None),
-                    }
+                    let key = chunk_key(p, b, self.full_repr(&cinfo, p, count));
+                    Some(self.load_indexed::<E>(&path, key)?)
                 }
-                Some(want) => (load(want)?, None),
             };
-            let use_csr = chunk.as_ref().map(|c| c.csr_idx.is_some()).unwrap_or(false);
+            let use_csr = chunk.as_ref().is_some_and(|c| c.csr_idx.is_some());
             let src_base = self.plan.partitions[p].start;
             let mut mc = MergeCursor::new();
             let mut apply = |src: u32, msg: M, ctx: &mut BatchCtx, acc: &mut A| -> Result<()> {
-                if let Some(seeker) = &seeker {
-                    for (dst_local, data) in seeker.edges_of(src)? {
-                        let a = slot(
-                            msg,
-                            src_base + src as VertexId,
-                            dst_base + dst_local as VertexId,
-                            &data,
-                            ctx,
-                        );
-                        let cur = std::mem::replace(acc, A::zero());
-                        *acc = cur.merge(a);
+                let (dst, data): (&[u32], &[E]) = match &mut seeker {
+                    Some(seeker) => seeker.edges_of(src)?,
+                    None => {
+                        let chunk = chunk.as_deref().expect("a chunk is seeked or loaded");
+                        let edges =
+                            if use_csr { chunk.edges_of_csr(src) } else { mc.edges_of(chunk, src) };
+                        (&chunk.dst[edges.clone()], &chunk.data[edges])
                     }
-                    return Ok(());
-                }
-                let chunk = chunk.as_deref().unwrap();
-                let edges = if use_csr { chunk.edges_of_csr(src) } else { mc.edges_of(chunk, src) };
-                for e in edges {
+                };
+                for (&dst_local, data) in dst.iter().zip(data) {
                     let a = slot(
                         msg,
                         src_base + src as VertexId,
-                        dst_base + chunk.dst[e] as VertexId,
-                        &chunk.data[e],
+                        dst_base + dst_local as VertexId,
+                        data,
                         ctx,
                     );
                     let cur = std::mem::replace(acc, A::zero());
@@ -751,14 +739,7 @@ impl NodeCtx {
                 }
                 Ok(())
             };
-            // the batch's pushed segment, else the undispatched stream: our
-            // own generated buffers, or the peer's raw one
-            let replay: Vec<&SpillBuf> = match (pushed > 0, p == rank) {
-                (true, _) => msgs.seg[b][p].get().into_iter().collect(),
-                (false, true) => msgs.generated().collect(),
-                (false, false) => msgs.raw[p].get().into_iter().collect(),
-            };
-            for buf in replay {
+            for buf in &replay {
                 buf.for_each_run(|run| {
                     for r in run.chunks_exact(msgs.rec) {
                         let (src, msg) = parse_record::<M>(r, 0);
@@ -778,22 +759,20 @@ impl NodeCtx {
 /// cache after this stream is done.
 enum DispatchAccess {
     Loaded { dg: Arc<IndexedChunk<()>>, cursor: MergeCursor },
-    Seek(dfo_part::csr::ChunkSeeker<()>),
+    Seek(Box<ChunkSeeker<()>>),
 }
 
 impl DispatchAccess {
-    /// Destination batches of `src`'s messages — borrowed from the loaded
-    /// graph (this runs once per message), owned only when seeked.
-    fn batches_of(&mut self, src: u32) -> Result<Cow<'_, [u32]>> {
+    /// Destination batches of `src`'s messages (this runs once per
+    /// message: nothing is copied either way).
+    fn batches_of(&mut self, src: u32) -> Result<&[u32]> {
         match self {
             DispatchAccess::Loaded { dg, cursor } => {
                 let range =
                     if dg.has_csr() { dg.edges_of_csr(src) } else { cursor.edges_of(dg, src) };
-                Ok(Cow::Borrowed(&dg.dst[range]))
+                Ok(&dg.dst[range])
             }
-            DispatchAccess::Seek(seeker) => {
-                Ok(Cow::Owned(seeker.edges_of(src)?.into_iter().map(|(b, _)| b).collect()))
-            }
+            DispatchAccess::Seek(seeker) => Ok(seeker.edges_of(src)?.0),
         }
     }
 }
@@ -818,7 +797,7 @@ impl<'a> PushSink<'a> {
     /// into.
     fn dispatch(&mut self, access: &mut DispatchAccess, run: &[u8]) -> Result<()> {
         for r in run.chunks_exact(self.rec) {
-            for &batch in access.batches_of(src_of(r))?.iter() {
+            for &batch in access.batches_of(src_of(r))? {
                 let (node, p, rec) = (self.node, self.src_partition, self.rec);
                 self.bufs[batch as usize]
                     .get_or_insert_with(|| {
@@ -838,6 +817,36 @@ impl<'a> PushSink<'a> {
         }
         Ok(())
     }
+}
+
+/// Sources whose entries share a block of a stored CSR index (8 bytes
+/// each), and so the index read of a seek — and, their edges being
+/// neighbours too, mostly the `dst` and `data` reads.
+const INDEX_BLOCK_SRCS: u32 = (dfo_storage::SEEK_BLOCK_BYTES / 8) as u32;
+
+/// Positioned reads a seek-mode pass over the messages in `bufs` would
+/// issue — the `k` of the §4.1 seek rule — counted no further than
+/// `enough`: three (index, `dst`, `data`) per run of sources that share a
+/// block of the stored CSR index, the last block of each being kept; a
+/// record that spilled, whose source is not in memory, counts as a read of
+/// its own. A source sends one message, so `records` of them span at least
+/// `records / INDEX_BLOCK_SRCS` blocks: a dense frontier is told without
+/// looking at it.
+fn seek_reads(bufs: &[&SpillBuf], rec: usize, enough: u64) -> u64 {
+    let records = bufs.iter().map(|buf| buf.len()).sum::<u64>() / rec as u64;
+    let at_least = 3 * records.div_ceil(INDEX_BLOCK_SRCS as u64);
+    let spilled = bufs.iter().map(|buf| buf.spilled_bytes()).sum::<u64>() / rec as u64;
+    let (mut reads, mut last) = (spilled, None);
+    for r in bufs.iter().flat_map(|buf| buf.mem_runs()).flat_map(|run| run.chunks_exact(rec)) {
+        if reads.max(at_least) >= enough {
+            break;
+        }
+        let block = Some(src_of(r) / INDEX_BLOCK_SRCS);
+        if block != last {
+            (reads, last) = (reads + 3, block);
+        }
+    }
+    reads.max(at_least)
 }
 
 /// Cache identity of the edge chunk `(p, b)` decoded with index `want`.

@@ -1,13 +1,15 @@
 //! Chunk compression through the engine: physical reads shrink while
 //! logical reads (and results) stay put, the off switch reproduces the
-//! uncompressed layout byte-for-byte, and a stale-config mismatch (seek
-//! mode meeting a compressed file) degrades to a correct full load.
+//! uncompressed layout byte-for-byte, and files of an older build (seek
+//! mode meeting a version-1 container, which has no block directory)
+//! degrade to a correct full load.
 
 use dfo_core::Cluster;
 use dfo_graph::edge::EdgeList;
 use dfo_graph::gen::{rmat, GenConfig};
 use dfo_part::preprocess::paths;
 use dfo_types::{BatchPolicy, EngineConfig, PhaseStats};
+use std::io::Read;
 use tempfile::TempDir;
 
 fn cfg(compress: bool) -> EngineConfig {
@@ -175,9 +177,26 @@ fn compressed_files_carry_the_frame_magic() {
     assert!(physical < raw, "compressed chunk bytes {physical} vs raw {raw}");
 }
 
-/// Preprocess with compression on, run with it off: the engine may pick
-/// seek mode, meet a compressed file, and must fall back to a full load —
-/// same results, no panic.
+/// `logical` as a version-1 frame container (raw-stored blocks are as
+/// valid as LZ4 ones): what builds before the block directory wrote.
+fn v1_container(logical: &[u8]) -> Vec<u8> {
+    let mut out = dfo_storage::FRAME_MAGIC.to_le_bytes().to_vec();
+    out.extend(1u32.to_le_bytes());
+    for block in logical.chunks(128 << 10) {
+        let len = block.len() as u32;
+        for word in [len, len, 0, dfo_storage::compress::crc32(block)] {
+            out.extend(word.to_le_bytes());
+        }
+        out.extend(block);
+    }
+    out.extend([0u32, 0, 2, 0].into_iter().flat_map(u32::to_le_bytes));
+    out
+}
+
+/// A directory preprocessed by an older build — every chunk and dispatch
+/// graph a version-1 container — opened with compression off in the config
+/// and an eager γ: the engine picks seek mode, meets files it cannot seek
+/// in, and must fall back to a full load — same results, no panic.
 #[test]
 fn stale_config_mismatch_falls_back_to_full_loads() {
     let g = graph();
@@ -187,7 +206,18 @@ fn stale_config_mismatch_falls_back_to_full_loads() {
     let dir = td.path().join("mismatch");
     {
         let cluster = Cluster::create(cfg(true), &dir).unwrap();
-        cluster.preprocess(&g).unwrap();
+        let plan = cluster.preprocess(&g).unwrap();
+        for (i, disk) in cluster.disks().iter().enumerate() {
+            let chunks =
+                plan.node_meta[i].chunks.iter().map(|c| paths::chunk(c.src_partition, c.batch));
+            let dispatch =
+                (0..2).filter(|&p| plan.node_meta[i].dispatch[p].is_some()).map(paths::dispatch);
+            for rel in chunks.chain(dispatch) {
+                let mut logical = Vec::new();
+                disk.open_framed(&rel).unwrap().read_to_end(&mut logical).unwrap();
+                std::fs::write(disk.root().join(&rel), v1_container(&logical)).unwrap();
+            }
+        }
     }
     // reopen the same preprocessed data with compression off and a tiny
     // gamma so the seek heuristic is eager

@@ -176,13 +176,12 @@ fn in_degrees_match_under_forced_strategies() {
 
 #[test]
 fn in_degrees_match_with_seek_mode_gamma() {
-    // gamma=1 makes the engine take the positioned-read CSR seek path for
-    // any message count where a CSR exists — on the raw layout only:
-    // compressed chunks always load whole
+    // gamma=1 makes the engine take the positioned-read CSR seek path
+    // wherever a CSR exists and its index spans few enough blocks — into
+    // compressed chunks (the default) like into raw ones
     let g = uniform(300, 2500, 21);
     let want = brute_in_degrees(&g);
     let mut cfg = EngineConfig::for_test(2);
-    cfg.compress_chunks = false;
     cfg.gamma = 1;
     cfg.batch_policy = BatchPolicy::FixedVertices(32);
     assert_eq!(engine_in_degrees(cfg, &g), want);
@@ -192,7 +191,6 @@ fn in_degrees_match_with_seek_mode_gamma() {
 fn sparse_frontier_with_seek_mode_matches() {
     let g = rmat(GenConfig::new(9, 6, 77));
     let mut cfg = EngineConfig::for_test(2);
-    cfg.compress_chunks = false; // seek mode needs the raw on-disk layout
     cfg.gamma = 2;
     cfg.batch_policy = BatchPolicy::FixedVertices(64);
     // oracle over one-hop frontier of vertex 0

@@ -8,13 +8,61 @@
 //! model favours; when a stored CSR index is not wanted, the reader *skips
 //! over it* so no disk bytes are spent on it.
 
-use dfo_types::codec::{read_u32, read_u64, write_u32, write_u64};
+use dfo_storage::{BlockFile, FrameReader, FrameWriter};
+use dfo_types::codec::Cur;
 use dfo_types::{pod_zeroed, slice_as_bytes, slice_as_bytes_mut, DfoError, Pod, ReprKind, Result};
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::ops::Range;
+use std::ops::{Range, RangeInclusive};
 
 const MAGIC: u32 = 0x4446_4F43; // "DFOC"
 const FLAG_HAS_CSR: u32 = 1;
+const HEADER_BYTES: usize = 32;
+
+/// A chunk's fixed header, and where it says the sections after the DCSR
+/// index start in the logical stream. The counts come from disk: nothing
+/// may allocate or seek by them before the stream they imply has been held
+/// against the length of the one they were read from.
+struct Layout {
+    has_csr: bool,
+    n_src: u32,
+    n_edges: u64,
+    n_nonzero: u64,
+    csr_idx_off: u64,
+    dst_off: u64,
+    data_off: u64,
+}
+
+impl Layout {
+    /// Parses `header` for a chunk of `edge_bytes`-wide payloads whose
+    /// logical stream may be `len` bytes long: a range up to what a
+    /// sequential reader can bound it by, one value where it is known.
+    fn parse(header: &[u8], edge_bytes: usize, len: RangeInclusive<u64>) -> Result<Self> {
+        let mut words = Cur::new(header);
+        let (magic, flags) = (words.u32()?, words.u32()?);
+        let (n_src, n_edges, n_nonzero) = (words.u64()?, words.u64()?, words.u64()?);
+        let has_csr = flags & FLAG_HAS_CSR != 0;
+        // 128 bits hold any sum of a few u64 counts times a few bytes
+        let csr_idx_off = HEADER_BYTES as u128 + 12 * n_nonzero as u128 + 8;
+        let dst_off = csr_idx_off + if has_csr { 8 * (n_src as u128 + 1) } else { 0 };
+        let data_off = dst_off + 4 * n_edges as u128;
+        let end = data_off + edge_bytes as u128 * n_edges as u128;
+        let fits = magic == MAGIC && u64::try_from(end).is_ok_and(|end| len.contains(&end));
+        let n_src = u32::try_from(n_src).ok().filter(|_| fits).ok_or_else(|| {
+            DfoError::Corrupt(format!(
+                "{header:02x?} is not the header of a chunk in a stream of {len:?} bytes"
+            ))
+        })?;
+        Ok(Self {
+            has_csr,
+            n_src,
+            n_edges,
+            n_nonzero,
+            csr_idx_off: csr_idx_off as u64,
+            dst_off: dst_off as u64,
+            data_off: data_off as u64,
+        })
+    }
+}
 
 /// The paper's CSR inflate ratio (§4.1): preprocessing stores a CSR index
 /// next to the DCSR one when `|V_src| / |E_chunk|` is at most this.
@@ -123,123 +171,95 @@ impl<E: Pod + PartialEq> IndexedChunk<E> {
     /// csr_idx [u64; n_src+1]          (iff FLAG_HAS_CSR)
     /// dst [u32]  data [E]
     /// ```
-    pub fn write_to<W: Write>(&self, w: &mut W) -> Result<()> {
+    ///
+    /// These are the *logical* bytes: a passthrough writer puts them in the
+    /// file as they are; a compressing one is told where each column
+    /// starts, how wide its elements are and whether they ascend, and
+    /// stores it as filtered blocks of its own (see
+    /// [`dfo_storage::compress`]) — which is also what lets
+    /// [`ChunkSeeker`] fetch a piece of one column.
+    pub fn write_to<W: Write>(&self, w: &mut FrameWriter<W>) -> Result<()> {
         let io = |e| DfoError::io("writing chunk", e);
-        write_u32(w, MAGIC).map_err(io)?;
-        write_u32(w, if self.has_csr() { FLAG_HAS_CSR } else { 0 }).map_err(io)?;
-        write_u64(w, self.n_src as u64).map_err(io)?;
-        write_u64(w, self.n_edges()).map_err(io)?;
-        write_u64(w, self.n_nonzero_src()).map_err(io)?;
-        w.write_all(slice_as_bytes(&self.dcsr_src)).map_err(io)?;
-        w.write_all(slice_as_bytes(&self.dcsr_idx)).map_err(io)?;
+        let flags = if self.has_csr() { FLAG_HAS_CSR } else { 0 };
+        let magic_flags = MAGIC as u64 | (flags as u64) << 32;
+        let header = [magic_flags, self.n_src as u64, self.n_edges(), self.n_nonzero_src()];
+        w.write_all(slice_as_bytes(&header)).map_err(io)?;
+        let mut column = |bytes: &[u8], width: usize, monotone: bool| {
+            w.begin_section(width, monotone)?;
+            w.write_all(bytes).map_err(io)
+        };
+        column(slice_as_bytes(&self.dcsr_src), 4, true)?;
+        column(slice_as_bytes(&self.dcsr_idx), 8, true)?;
         if let Some(csr) = &self.csr_idx {
-            w.write_all(slice_as_bytes(csr)).map_err(io)?;
+            column(slice_as_bytes(csr), 8, true)?;
         }
-        w.write_all(slice_as_bytes(&self.dst)).map_err(io)?;
-        w.write_all(slice_as_bytes(&self.data)).map_err(io)?;
-        Ok(())
+        column(slice_as_bytes(&self.dst), 4, false)?;
+        column(slice_as_bytes(&self.data), std::mem::size_of::<E>(), false)
     }
 
-    /// Serializes the chunk through the [`dfo_storage::compress`] framing:
-    /// block-compressed when `compress` is true, byte-identical to
-    /// [`IndexedChunk::write_to`] when false. Returns the inner writer for
-    /// the caller to close. [`IndexedChunk::read_from`] detects either
-    /// format on its own.
+    /// [`IndexedChunk::write_to`] a fresh frame stream on `w`:
+    /// block-compressed when `compress` is true, the raw layout when false.
+    /// Returns the inner writer for the caller to close.
     pub fn write_to_framed<W: Write>(&self, w: W, compress: bool) -> Result<W> {
-        let mut fw = dfo_storage::FrameWriter::new(w, compress)?;
+        let mut fw = FrameWriter::new(w, compress)?;
         self.write_to(&mut fw)?;
         fw.finish()
     }
 
-    /// Reads a chunk back, auto-detecting the compressed frame container
-    /// (chunks written with `compress_chunks` on) and decoding it
-    /// transparently.
+    /// Reads a chunk back from a frame reader, which has detected the
+    /// compressed container (chunks written with `compress_chunks` on) or
+    /// passes a raw file through.
     ///
     /// `want` selects which index to load. The DCSR index is always loaded
     /// (it is small, and its last offset validates the edge count). With
     /// `Some(ReprKind::Dcsr)` a stored CSR section is *seeked over*: an
     /// uncompressed chunk spends no read bytes on it, a compressed one
-    /// steps over the frame blocks that lie wholly inside the section
-    /// unread and decodes only the block at either edge. `Some(ReprKind::Csr)`
-    /// and `None` load the CSR section too — everything the file holds.
+    /// steps over its blocks unread. `Some(ReprKind::Csr)` and `None` load
+    /// the CSR section too — everything the file holds.
     ///
     /// Each column is read straight into the `Vec` it lives in; compressed
-    /// blocks are decoded into those bytes with no buffer in between.
-    pub fn read_from<R: Read + Seek>(r: &mut R, want: Option<ReprKind>) -> Result<Self> {
+    /// blocks are decoded into those bytes with no buffer in between. The
+    /// header's counts are held against the most the stream can hold
+    /// before anything is allocated for them.
+    pub fn read_from<R: Read + Seek>(
+        r: &mut FrameReader<R>,
+        want: Option<ReprKind>,
+    ) -> Result<Self> {
         let io = |e| DfoError::io("reading chunk", e);
-        let magic = read_u32(r).map_err(io)?;
-        if magic == dfo_storage::FRAME_MAGIC {
-            let mut fr = dfo_storage::FrameReader::resume(&mut *r)?;
-            let inner_magic = read_u32(&mut fr).map_err(io)?;
-            if inner_magic != MAGIC {
-                return Err(DfoError::Corrupt(format!(
-                    "compressed frame does not hold a chunk (magic {inner_magic:#x})"
-                )));
-            }
-            return Self::read_after_magic(&mut fr, want);
-        }
-        if magic != MAGIC {
-            return Err(DfoError::Corrupt(format!("bad chunk magic {magic:#x}")));
-        }
-        Self::read_after_magic(r, want)
-    }
-
-    /// Shared decode body: everything after a validated chunk magic.
-    fn read_after_magic<R: Read + Seek>(r: &mut R, want: Option<ReprKind>) -> Result<Self> {
-        let io = |e| DfoError::io("reading chunk", e);
-        let flags = read_u32(r).map_err(io)?;
-        let has_csr = flags & FLAG_HAS_CSR != 0;
-        let n_src = read_u64(r).map_err(io)? as u32;
-        let n_edges = read_u64(r).map_err(io)? as usize;
-        let n_nonzero = read_u64(r).map_err(io)? as usize;
-
-        let dcsr_src: Vec<u32> = read_pod_vec(r, n_nonzero)?;
-        let dcsr_idx: Vec<u64> = read_pod_vec(r, n_nonzero + 1)?;
-        let csr_idx = if has_csr {
-            let take_csr = !matches!(want, Some(ReprKind::Dcsr));
-            if take_csr {
-                Some(read_pod_vec::<u64, R>(r, n_src as usize + 1)?)
-            } else {
-                r.seek(SeekFrom::Current(8 * (n_src as i64 + 1))).map_err(io)?;
-                None
-            }
-        } else {
+        let mut header = [0u8; HEADER_BYTES];
+        r.read_exact(&mut header).map_err(io)?;
+        let l = Layout::parse(&header, std::mem::size_of::<E>(), 0..=r.logical_bound())?;
+        let dcsr_src: Vec<u32> = read_pod_vec(r, l.n_nonzero as usize)?;
+        let dcsr_idx: Vec<u64> = read_pod_vec(r, l.n_nonzero as usize + 1)?;
+        let csr_idx = if !l.has_csr {
             None
+        } else if matches!(want, Some(ReprKind::Dcsr)) {
+            r.seek(SeekFrom::Current((l.dst_off - l.csr_idx_off) as i64)).map_err(io)?;
+            None
+        } else {
+            Some(read_pod_vec::<u64, _>(r, l.n_src as usize + 1)?)
         };
-        let dst: Vec<u32> = read_pod_vec(r, n_edges)?;
-        let data: Vec<E> = read_pod_vec(r, n_edges)?;
-        if *dcsr_idx.last().unwrap_or(&0) != n_edges as u64 {
+        let dst: Vec<u32> = read_pod_vec(r, l.n_edges as usize)?;
+        let data: Vec<E> = read_pod_vec(r, l.n_edges as usize)?;
+        if *dcsr_idx.last().unwrap_or(&0) != l.n_edges {
             return Err(DfoError::Corrupt("DCSR index does not cover all edges".into()));
         }
-        Ok(Self { n_src, dcsr_src, dcsr_idx, csr_idx, dst, data })
+        Ok(Self { n_src: l.n_src, dcsr_src, dcsr_idx, csr_idx, dst, data })
     }
 
     /// In-memory footprint of the decoded chunk — what a bounded chunk
     /// cache charges against its byte budget. Deterministic (length-based,
     /// not capacity-based) so cache behaviour is reproducible.
     pub fn decoded_bytes(&self) -> u64 {
-        let mut n = std::mem::size_of::<Self>() as u64;
-        n += 4 * self.dcsr_src.len() as u64;
-        n += 8 * self.dcsr_idx.len() as u64;
-        if let Some(c) = &self.csr_idx {
-            n += 8 * c.len() as u64;
-        }
-        n += 4 * self.dst.len() as u64;
-        n += (std::mem::size_of::<E>() * self.data.len()) as u64;
-        n
+        std::mem::size_of::<Self>() as u64 + self.serialized_bytes() - HEADER_BYTES as u64
     }
 
     /// Serialized byte size (for I/O estimations and tests).
     pub fn serialized_bytes(&self) -> u64 {
-        let mut n = 4 + 4 + 8 + 8 + 8;
-        n += 4 * self.dcsr_src.len() as u64;
-        n += 8 * self.dcsr_idx.len() as u64;
-        if let Some(c) = &self.csr_idx {
-            n += 8 * c.len() as u64;
-        }
-        n += 4 * self.dst.len() as u64;
-        n += (std::mem::size_of::<E>() * self.data.len()) as u64;
-        n
+        let csr = self.csr_idx.as_ref().map_or(0, Vec::len);
+        let edge = 4 + std::mem::size_of::<E>();
+        (HEADER_BYTES + 4 * self.dcsr_src.len() + 8 * (self.dcsr_idx.len() + csr)) as u64
+            + (edge * self.dst.len()) as u64
     }
 }
 
@@ -290,82 +310,72 @@ impl MergeCursor {
     }
 }
 
-/// Positioned-read access to a serialized chunk: the CSR *seeking* mode of
-/// §4.1. Instead of streaming the whole chunk file, each queried source
-/// costs one small read of its two CSR index entries plus one read of its
-/// edge range — exactly the γ-seeks-vs-scan trade the cost model prices.
-/// Only meaningful when the chunk stored a CSR index.
+/// Positioned-read access to a stored chunk: the CSR *seeking* mode of
+/// §4.1. Instead of streaming the whole chunk file, a queried source costs
+/// the block of the CSR index its two entries sit in plus the blocks of
+/// `dst` and `data` its edges sit in — and a [`BlockFile`] keeps the last
+/// block of each of the three, so a run of neighbouring sources pays them
+/// once. The offsets are those of the logical stream, the same whether the
+/// file is a compressed container or raw. Only meaningful when the chunk
+/// stored a CSR index.
 pub struct ChunkSeeker<E: Pod + PartialEq> {
-    file: dfo_storage::RandomFile,
-    n_edges: u64,
-    csr_idx_off: u64,
-    dst_off: u64,
-    data_off: u64,
-    _marker: std::marker::PhantomData<E>,
+    file: BlockFile,
+    layout: Layout,
+    dst: Vec<u32>,
+    data: Vec<E>,
 }
+
+/// [`BlockFile`] slots of the three columns a seek reads.
+const IDX_SLOT: usize = 0;
+const DST_SLOT: usize = 1;
+const DATA_SLOT: usize = 2;
 
 impl<E: Pod + PartialEq> ChunkSeeker<E> {
     /// Opens `rel` on `disk`; returns `None` if the chunk has no CSR index
-    /// — or is stored compressed, where positioned reads into the raw
-    /// layout are impossible (callers fall back to a full decoded load).
+    /// — or is a version-1 compressed container, which holds no block
+    /// directory to seek by (callers fall back to a full decoded load).
     pub fn open(disk: &dfo_storage::NodeDisk, rel: &str) -> Result<Option<Self>> {
-        let file = disk.open_random(rel, false)?;
-        let mut header = [0u8; 32];
-        file.read_at(&mut header, 0)?;
-        let magic = u32::from_le_bytes(header[0..4].try_into().unwrap());
-        if magic == dfo_storage::FRAME_MAGIC {
-            return Ok(None);
-        }
-        if magic != MAGIC {
-            return Err(DfoError::Corrupt(format!("bad chunk magic {magic:#x}")));
-        }
-        let flags = u32::from_le_bytes(header[4..8].try_into().unwrap());
-        if flags & FLAG_HAS_CSR == 0 {
-            return Ok(None);
-        }
-        let n_src = u64::from_le_bytes(header[8..16].try_into().unwrap());
-        let n_edges = u64::from_le_bytes(header[16..24].try_into().unwrap());
-        let n_nonzero = u64::from_le_bytes(header[24..32].try_into().unwrap());
-        let csr_idx_off = 32 + 4 * n_nonzero + 8 * (n_nonzero + 1);
-        let dst_off = csr_idx_off + 8 * (n_src + 1);
-        let data_off = dst_off + 4 * n_edges;
-        Ok(Some(Self {
-            file,
-            n_edges,
-            csr_idx_off,
-            dst_off,
-            data_off,
-            _marker: std::marker::PhantomData,
-        }))
+        let Some(mut file) = BlockFile::open(disk, rel, 3)? else { return Ok(None) };
+        let mut header = [0u8; HEADER_BYTES];
+        file.read_at(IDX_SLOT, &mut header, 0)?;
+        let len = file.logical_len();
+        let layout = Layout::parse(&header, std::mem::size_of::<E>(), len..=len)?;
+        Ok(layout.has_csr.then(|| Self { file, layout, dst: Vec::new(), data: Vec::new() }))
     }
 
-    /// Fetches the `(dst, data)` pairs of `src` with positioned reads.
-    pub fn edges_of(&self, src: u32) -> Result<Vec<(u32, E)>> {
+    /// Fetches the `dst` and `data` of `src`'s edges with positioned reads.
+    pub fn edges_of(&mut self, src: u32) -> Result<(&[u32], &[E])> {
+        let l = &self.layout;
         let mut idx = [0u8; 16];
-        self.file.read_at(&mut idx, self.csr_idx_off + 8 * src as u64)?;
-        let lo = u64::from_le_bytes(idx[0..8].try_into().unwrap());
-        let hi = u64::from_le_bytes(idx[8..16].try_into().unwrap());
-        debug_assert!(lo <= hi && hi <= self.n_edges);
+        if src < l.n_src {
+            self.file.read_at(IDX_SLOT, &mut idx, l.csr_idx_off + 8 * src as u64)?;
+        }
+        let mut entries = Cur::new(&idx);
+        let (lo, hi) = (entries.u64()?, entries.u64()?);
+        if src >= l.n_src || lo > hi || hi > l.n_edges {
+            return Err(DfoError::Corrupt(format!(
+                "CSR index gives source {src} of {} the edges {lo}..{hi} of {}",
+                l.n_src, l.n_edges
+            )));
+        }
         let n = (hi - lo) as usize;
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        let mut dsts = vec![0u32; n];
-        self.file.read_at(slice_as_bytes_mut(&mut dsts), self.dst_off + 4 * lo)?;
+        self.dst.resize(n, 0);
+        self.data.resize(n, pod_zeroed());
+        self.file.read_at(DST_SLOT, slice_as_bytes_mut(&mut self.dst), l.dst_off + 4 * lo)?;
         // zero-sized payloads occupy no bytes on disk
-        let mut data: Vec<E> = vec![pod_zeroed(); n];
-        if std::mem::size_of::<E>() > 0 {
-            let at = self.data_off + (std::mem::size_of::<E>() as u64) * lo;
-            self.file.read_at(slice_as_bytes_mut(&mut data), at)?;
-        }
-        Ok(dsts.into_iter().zip(data).collect())
+        let at = l.data_off + std::mem::size_of::<E>() as u64 * lo;
+        self.file.read_at(DATA_SLOT, slice_as_bytes_mut(&mut self.data), at)?;
+        Ok((&self.dst, &self.data))
     }
 }
 
-/// Whether the seek mode is worth it: γ seeks per message must undercut a
-/// sequential scan of the CSR index (`γ·|M| < |V_src|`).
-pub fn should_seek(has_csr: bool, n_messages: u64, n_src: u64, gamma: u64) -> bool {
-    has_csr && gamma.saturating_mul(n_messages) < n_src
+/// Whether the seek mode is worth it on a chunk with a CSR index: at γ per
+/// positioned read, the `n_reads` a pass over the messages' sources would
+/// issue must undercut a sequential scan of the index (`γ·k < |V_src|`, the
+/// paper's rule with reads for `k`: messages whose sources share a block
+/// share its read).
+pub fn should_seek(n_reads: u64, n_src: u64, gamma: u64) -> bool {
+    gamma.saturating_mul(n_reads) < n_src
 }
 
 /// The paper's §4.1 cost model deciding which index to use for a chunk given
@@ -395,6 +405,13 @@ pub fn choose_repr(
 mod tests {
     use super::*;
     use std::io::Cursor;
+
+    fn read_back<E: Pod + PartialEq>(
+        file: &[u8],
+        want: Option<ReprKind>,
+    ) -> Result<IndexedChunk<E>> {
+        IndexedChunk::read_from(&mut FrameReader::new(Cursor::new(file))?, want)
+    }
 
     /// The paper's Figure 1c/1d example: chunk of 3 edges from partition 0
     /// (vertices 0–3) to batch 2, edges 0→5 "B", 2→4 "D", 2→5 "C".
@@ -453,10 +470,9 @@ mod tests {
     #[test]
     fn roundtrip_full() {
         let c = figure1_chunk();
-        let mut buf = Vec::new();
-        c.write_to(&mut buf).unwrap();
+        let buf = c.write_to_framed(Vec::new(), false).unwrap();
         assert_eq!(buf.len() as u64, c.serialized_bytes());
-        let back = IndexedChunk::<u8>::read_from(&mut Cursor::new(&buf), None).unwrap();
+        let back = read_back::<u8>(&buf, None).unwrap();
         assert_eq!(back, c);
     }
 
@@ -475,7 +491,7 @@ mod tests {
             c.serialized_bytes()
         );
         for want in [None, Some(ReprKind::Dcsr), Some(ReprKind::Csr)] {
-            let back = IndexedChunk::<u32>::read_from(&mut Cursor::new(&framed), want).unwrap();
+            let back = read_back::<u32>(&framed, want).unwrap();
             assert_eq!(back.dst, c.dst);
             assert_eq!(back.data, c.data);
             assert_eq!(back.csr_idx.is_some(), !matches!(want, Some(ReprKind::Dcsr)));
@@ -484,11 +500,23 @@ mod tests {
 
     #[test]
     fn framed_passthrough_is_byte_identical() {
+        // the raw layout, spelled out: header words, then the columns
         let c = figure1_chunk();
-        let mut plain = Vec::new();
-        c.write_to(&mut plain).unwrap();
-        let framed_off = c.write_to_framed(Vec::new(), false).unwrap();
-        assert_eq!(framed_off, plain, "compress=false must reproduce the raw layout");
+        let plain = [
+            slice_as_bytes(&[MAGIC, FLAG_HAS_CSR]),
+            slice_as_bytes(&[4u64, 3, 2]), // n_src, n_edges, n_nonzero
+            slice_as_bytes(&[0u32, 2]),
+            slice_as_bytes(&[0u64, 1, 3]),
+            slice_as_bytes(&[0u64, 1, 1, 3, 3]),
+            slice_as_bytes(&[5u32, 4, 5]),
+            b"BDC",
+        ]
+        .concat();
+        assert_eq!(
+            c.write_to_framed(Vec::new(), false).unwrap(),
+            plain,
+            "compress=false must reproduce the raw layout"
+        );
     }
 
     #[test]
@@ -497,10 +525,8 @@ mod tests {
         let header = std::mem::size_of::<IndexedChunk<u8>>() as u64;
         // dcsr_src 2×4 + dcsr_idx 3×8 + csr 5×8 + dst 3×4 + data 3×1
         assert_eq!(c.decoded_bytes(), header + 8 + 24 + 40 + 12 + 3);
-        let mut buf = Vec::new();
-        c.write_to(&mut buf).unwrap();
-        let dcsr_only =
-            IndexedChunk::<u8>::read_from(&mut Cursor::new(&buf), Some(ReprKind::Dcsr)).unwrap();
+        let buf = c.write_to_framed(Vec::new(), false).unwrap();
+        let dcsr_only = read_back::<u8>(&buf, Some(ReprKind::Dcsr)).unwrap();
         // skipping the CSR section shrinks the decoded footprint too
         assert_eq!(dcsr_only.decoded_bytes(), c.decoded_bytes() - 40);
     }
@@ -508,10 +534,8 @@ mod tests {
     #[test]
     fn read_skipping_csr_section() {
         let c = figure1_chunk();
-        let mut buf = Vec::new();
-        c.write_to(&mut buf).unwrap();
-        let back =
-            IndexedChunk::<u8>::read_from(&mut Cursor::new(&buf), Some(ReprKind::Dcsr)).unwrap();
+        let buf = c.write_to_framed(Vec::new(), false).unwrap();
+        let back = read_back::<u8>(&buf, Some(ReprKind::Dcsr)).unwrap();
         assert!(back.csr_idx.is_none(), "CSR section must be skipped");
         assert_eq!(back.dst, c.dst);
         assert_eq!(back.data, c.data);
@@ -557,9 +581,8 @@ mod tests {
         // dispatching graphs carry no payload: E = ()
         let edges = vec![(0u32, 2u32, ()), (0, 3, ()), (2, 2, ())];
         let c = IndexedChunk::build(4, &edges, 32.0);
-        let mut buf = Vec::new();
-        c.write_to(&mut buf).unwrap();
-        let back = IndexedChunk::<()>::read_from(&mut Cursor::new(&buf), None).unwrap();
+        let buf = c.write_to_framed(Vec::new(), false).unwrap();
+        let back = read_back::<()>(&buf, None).unwrap();
         // Figure 1e: messages from 0 go to batches 2 and 3; from 2 to batch 2
         assert_eq!(back.edges_of_dcsr(0), 0..2);
         assert_eq!(&back.dst[0..2], &[2, 3]);

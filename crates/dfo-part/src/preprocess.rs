@@ -109,8 +109,7 @@ pub fn preprocess<E: Pod + PartialEq>(
     let metas: Vec<Result<NodeMeta>> = chunk_edges
         .into_par_iter()
         .zip(disks.par_iter())
-        .enumerate()
-        .map(|(i, (by_src, disk))| build_node(i, by_src, disk, cfg, &plan))
+        .map(|(by_src, disk)| build_node(by_src, disk, cfg, &plan))
         .collect();
 
     for (i, meta) in metas.into_iter().enumerate() {
@@ -143,9 +142,8 @@ pub fn preprocess<E: Pod + PartialEq>(
 /// of `(src_local, dst_local, data)`.
 type ChunkBuckets<E> = Vec<Vec<Vec<(u32, u32, E)>>>;
 
-/// Builds and persists node `i`'s chunks and dispatch graphs.
+/// Builds and persists one node's chunks and dispatch graphs.
 fn build_node<E: Pod + PartialEq>(
-    i: usize,
     by_src: ChunkBuckets<E>,
     disk: &NodeDisk,
     cfg: &EngineConfig,
@@ -194,7 +192,6 @@ fn build_node<E: Pod + PartialEq>(
                 has_csr: dg.has_csr(),
             });
         }
-        let _ = i;
     }
     Ok(meta)
 }
@@ -255,7 +252,7 @@ mod tests {
 
         // the circled chunk of Figure 1b: edges from partition 0 to batch 2
         // (= node 1, local batch 0): 0→5 B, 2→4 D, 2→5 C
-        let mut r = ds[1].open(&paths::chunk(0, 0)).unwrap();
+        let mut r = ds[1].open_framed(&paths::chunk(0, 0)).unwrap();
         let chunk = IndexedChunk::<u8>::read_from(&mut r, None).unwrap();
         assert_eq!(chunk.dcsr_src, vec![0, 2]);
         assert_eq!(chunk.dcsr_idx, vec![0, 1, 3]);
@@ -272,7 +269,7 @@ mod tests {
         preprocess(&g, &cfg, &ds).unwrap();
         // Figure 1e: dispatching graph node 0 -> node 1:
         // 0→batch2, 0→batch3, 2→batch2 (batches local: 0 and 1)
-        let mut r = ds[1].open(&paths::dispatch(0)).unwrap();
+        let mut r = ds[1].open_framed(&paths::dispatch(0)).unwrap();
         let dg = IndexedChunk::<()>::read_from(&mut r, None).unwrap();
         let got: Vec<(u32, u32)> = dg.iter().map(|(s, b, _)| (s, b)).collect();
         assert_eq!(got, vec![(0, 0), (0, 1), (2, 0)]);
@@ -346,8 +343,8 @@ mod tests {
                 let rel = paths::chunk(c.src_partition, c.batch);
                 compressed_chunk_bytes += ds_on[i].len(&rel).unwrap();
                 raw_chunk_bytes += ds_off[i].len(&rel).unwrap();
-                let mut r_on = ds_on[i].open(&rel).unwrap();
-                let mut r_off = ds_off[i].open(&rel).unwrap();
+                let mut r_on = ds_on[i].open_framed(&rel).unwrap();
+                let mut r_off = ds_off[i].open_framed(&rel).unwrap();
                 assert_eq!(
                     IndexedChunk::<u8>::read_from(&mut r_on, None).unwrap(),
                     IndexedChunk::<u8>::read_from(&mut r_off, None).unwrap(),

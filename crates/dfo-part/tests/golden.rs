@@ -1,11 +1,15 @@
-//! Pins the on-disk chunk format to a file written before the frame
-//! decoder was rewritten (PR 15): `data/golden_chunk_pr14.hex` is the
-//! compressed file the PR-14 commit's `write_to_framed(.., true)` produced
-//! for [`golden_chunk`]. Today's reader must decode it to that chunk, and
-//! today's writer must produce those bytes — encoder, framing and checksum
-//! did not move.
+//! Pins the on-disk chunk format from both sides.
+//!
+//! `data/golden_chunk_pr14.hex` is the version-1 container the PR-14
+//! commit's `write_to_framed(.., true)` produced for [`golden_chunk`]: no
+//! build writes that version any more, every build must go on reading it.
+//! `data/golden_chunk_v2.hex` is the version-2 container of the same chunk
+//! — typed column filters, block directory, footer — which today's reader
+//! must decode *and* today's writer must reproduce byte for byte: encoder,
+//! filters, framing and checksums do not move unnoticed.
 
-use dfo_part::csr::IndexedChunk;
+use dfo_part::csr::{ChunkSeeker, IndexedChunk};
+use dfo_storage::{FrameReader, NodeDisk};
 use dfo_types::ReprKind;
 use std::io::Cursor;
 
@@ -15,24 +19,54 @@ fn golden_chunk() -> IndexedChunk<u32> {
     IndexedChunk::build(64, &edges, 32.0)
 }
 
+fn unhex(text: &str) -> Vec<u8> {
+    let hex: Vec<u8> = text.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
+    hex.chunks(2)
+        .map(|d| u8::from_str_radix(std::str::from_utf8(d).unwrap(), 16).unwrap())
+        .collect()
+}
+
+fn read(file: &[u8], want: Option<ReprKind>) -> IndexedChunk<u32> {
+    IndexedChunk::read_from(&mut FrameReader::new(Cursor::new(file)).unwrap(), want).unwrap()
+}
+
+/// Both ways of loading `file` give the golden chunk.
+fn assert_decodes(file: &[u8]) {
+    let chunk = golden_chunk();
+    assert_eq!(read(file, None), chunk);
+    // skipping the CSR section lands on the same edges
+    let dcsr = read(file, Some(ReprKind::Dcsr));
+    assert!(dcsr.csr_idx.is_none());
+    assert_eq!((dcsr.dst, dcsr.data), (chunk.dst, chunk.data));
+}
+
 #[test]
 fn compressed_chunk_written_by_the_parent_commit_still_decodes() {
-    let hex: Vec<u8> = include_str!("data/golden_chunk_pr14.hex")
-        .bytes()
-        .filter(|b| !b.is_ascii_whitespace())
-        .collect();
-    let golden: Vec<u8> = hex
-        .chunks(2)
-        .map(|d| u8::from_str_radix(std::str::from_utf8(d).unwrap(), 16).unwrap())
-        .collect();
+    let golden = unhex(include_str!("data/golden_chunk_pr14.hex"));
     assert_eq!(golden.len(), 779);
+    assert_decodes(&golden);
+    // it has no block directory: seek mode declines it, and the engine
+    // loads it whole as it always did
+    let td = tempfile::TempDir::new().unwrap();
+    std::fs::write(td.path().join("v1.bin"), &golden).unwrap();
+    let disk = NodeDisk::new(td.path(), None, false).unwrap();
+    assert!(ChunkSeeker::<u32>::open(&disk, "v1.bin").unwrap().is_none());
+}
+
+#[test]
+fn todays_writer_reproduces_the_pinned_v2_file() {
+    let golden = unhex(include_str!("data/golden_chunk_v2.hex"));
+    assert_decodes(&golden);
     let chunk = golden_chunk();
-    let back = IndexedChunk::<u32>::read_from(&mut Cursor::new(&golden), None).unwrap();
-    assert_eq!(back, chunk);
-    // skipping the CSR section lands on the same edges
-    let dcsr =
-        IndexedChunk::<u32>::read_from(&mut Cursor::new(&golden), Some(ReprKind::Dcsr)).unwrap();
-    assert!(dcsr.csr_idx.is_none());
-    assert_eq!((dcsr.dst, dcsr.data), (back.dst, back.data));
     assert_eq!(chunk.write_to_framed(Vec::new(), true).unwrap(), golden, "the format moved");
+    // and a seek into it finds every source's edges
+    let td = tempfile::TempDir::new().unwrap();
+    std::fs::write(td.path().join("v2.bin"), &golden).unwrap();
+    let disk = NodeDisk::new(td.path(), None, false).unwrap();
+    let mut seeker = ChunkSeeker::<u32>::open(&disk, "v2.bin").unwrap().expect("a directory");
+    for src in 0..64 {
+        let edges = chunk.edges_of_csr(src);
+        let (dst, data) = seeker.edges_of(src).unwrap();
+        assert_eq!((dst, data), (&chunk.dst[edges.clone()], &chunk.data[edges]), "source {src}");
+    }
 }

@@ -1,71 +1,116 @@
-//! Transparent block compression for preprocessed chunk files.
+//! Block compression for preprocessed chunk files: the frame container,
+//! its sequential reader and writer, and positioned reads of single blocks.
 //!
 //! DFOGraph's premise is that fully-out-of-core performance is bounded by
 //! bytes moved through disk and network; edge chunks are written once at
 //! preprocessing time and re-read on every `ProcessEdges` call, so
 //! compressing them cuts the one I/O cost a decoded-chunk cache cannot
 //! help with — the cold read — and multiplies the effective cache budget
-//! (GraphMP's observation). This module provides the framing:
+//! (GraphMP's observation). Container version 2 (all integers
+//! little-endian):
 //!
 //! ```text
 //! container:  magic "DFOZ" u32 | version u32
 //! per block:  raw_len u32 | enc_len u32 | flags u32 | crc32 u32   (header)
 //!             payload [enc_len bytes]
 //! trailer:    raw_len = 0 | enc_len = 0 | flags = END | crc32 = 0
+//! directory:  per block: logical offset u64 | file offset u64
+//! footer:     n_blocks u64 | logical_len u64 | crc32 u32 | magic "DFOD" u32
 //! ```
 //!
-//! All integers little-endian. `flags` bit 0 (`LZ4`) marks an
-//! LZ4-block-compressed payload; a block whose LZ4 encoding would not be
-//! smaller than its input is stored **raw** (bit 0 clear) — the
-//! incompressible-data escape, bounding worst-case inflation to one
-//! 16-byte header per 128 KiB block. The CRC-32 (IEEE) covers the
-//! *encoded* payload, so corruption is caught before the decoder runs; a
-//! missing end trailer means truncation. [`FrameReader`] auto-detects the
-//! container magic and passes non-compressed files through byte-for-byte,
-//! so one read path serves both formats and `compress_chunks = false`
+//! **Blocks.** `flags` bit 0 (`LZ4`) marks an LZ4-block-compressed payload,
+//! bits 8..16 name the filter the block's bytes went through *before*
+//! LZ4: `0` none, else the element width (1, 2, 4, 8) plus `0x80` when the
+//! elements were delta-coded. A filter makes a typed column compressible —
+//! delta turns a sorted index into small numbers, the byte shuffle puts
+//! their zero high bytes next to each other — and changes no length. A
+//! block whose encoding would not be smaller than its input is stored
+//! **raw** (no flag set, no filter): the incompressible-data escape. The
+//! CRC-32 (IEEE) covers the *encoded* payload, so corruption is caught
+//! before a decoder runs. A writer told nothing ([`Write`] alone) cuts
+//! plain LZ4 blocks of [`BLOCK_BYTES`]; one told where typed sections start
+//! ([`FrameWriter::begin_section`]) starts a block there and cuts that
+//! section into filtered blocks of [`SEEK_BLOCK_BYTES`].
+//!
+//! **The logical stream is frozen.** Concatenating the decoded blocks gives
+//! byte for byte what `compress = false` writes to a raw file, and readers
+//! outside this workspace's control parse that stream by offset (chunk
+//! header, then `dcsr_src`, then `dcsr_idx`). Everything this container
+//! does — filters, block sizes, the directory — therefore sits *around* the
+//! stream; a column coding that changes it needs those readers to move
+//! first.
+//!
+//! **Directory and footer** follow the end trailer, so a sequential reader
+//! meets them only after the last byte: it checks them (a file cut anywhere
+//! reads as truncated) and is otherwise untouched. A positioned reader
+//! ([`BlockFile`]) takes the fixed-size footer from the end of the file,
+//! the directory in front of it, and from then on fetches, checksums and
+//! decodes exactly the blocks that hold the logical bytes it is asked for.
+//! The footer's CRC covers the directory and the footer's own counts.
+//!
+//! **Versions.** The writer writes version 2 only. Readers accept version 1
+//! as well — version 2 without filters, directory or footer — which
+//! [`BlockFile`] cannot seek in (its `open` says so and the caller loads
+//! the file whole, as it always did). [`FrameReader`] auto-detects the
+//! container magic and passes other files through byte-for-byte, so one
+//! read path serves framed and raw files and `compress_chunks = false`
 //! keeps files byte-identical to the uncompressed layout.
 //!
-//! Decoding: a [`FrameReader`] owns one payload buffer and one block
-//! buffer for its whole life. When the caller's buffer can hold the next
-//! block whole — the chunk codec's multi-megabyte column reads always can —
-//! the block is LZ4-decoded (or, stored raw, read) *directly into it*; the
-//! reader's own block buffer only serves reads smaller than a block. The
-//! checksum is sliced eight bytes at a time and the LZ4 decoder copies a
-//! word at a time; neither loops per byte.
+//! Decoding: a [`FrameReader`] owns its buffers for its whole life. When
+//! the caller's buffer can hold the next block whole — the chunk codec's
+//! column reads always can — the block is decoded (or, stored raw, read)
+//! *directly into it*; the reader's own block buffer only serves reads
+//! smaller than a block. The checksum is sliced eight bytes at a time and
+//! the LZ4 decoder copies a word at a time; neither loops per byte.
 //!
 //! Seeking: passthrough streams seek natively. Compressed streams support
 //! *forward relative* seeks only. Blocks that lie wholly inside the
 //! skipped range are stepped over *unread*: the reader takes their header,
 //! then moves the inner stream past the payload with a relative seek — no
-//! read, no checksum, no decode. Only the block the seek starts in and the
-//! block it ends in are decoded. Blocks do not align with chunk sections,
-//! so skipping a section still decodes its two edge blocks, and a buffered
-//! device reader still fetches whole buffers — which is why the engine's
-//! CSR seek-mode bypass does not apply to compressed chunks.
+//! read, no checksum, no decode. Sections start blocks, so skipping a
+//! section decodes nothing; a buffered device reader still fetches whole
+//! buffers, though, which is why the engine's seek mode goes through
+//! [`BlockFile`] and not through a skipping [`FrameReader`].
 
-use crate::disk::NodeDisk;
+use crate::disk::{NodeDisk, RandomFile};
 use dfo_types::{DfoError, Result};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 
 /// First four bytes of a compressed chunk container ("DFOZ" once the
 /// little-endian u32 is laid down, mirroring the chunk codec's "DFOC").
 pub const FRAME_MAGIC: u32 = 0x4446_4F5A;
-/// Container format version this build writes and accepts.
-pub const FRAME_VERSION: u32 = 1;
-/// Uncompressed payload bytes buffered per block. 128 KiB keeps header
-/// overhead < 0.02 % while bounding decode working memory.
+/// Container format version this build writes; it also reads version 1.
+pub const FRAME_VERSION: u32 = 2;
+/// Last four bytes of a version-2 container ("DFOD").
+const FOOTER_MAGIC: u32 = 0x4446_4F44;
+/// Uncompressed payload bytes per block of an untyped stream. 128 KiB
+/// keeps header overhead < 0.02 % while bounding decode working memory.
 pub const BLOCK_BYTES: usize = 128 << 10;
+/// Uncompressed bytes per block of a typed section, and the span a
+/// [`BlockFile`] fetches from a raw file: what one positioned read brings
+/// in. Measured on the benchmark's graphs, 16 KiB blocks store 3 % more
+/// than 128 KiB ones and decode as fast.
+pub const SEEK_BLOCK_BYTES: usize = 16 << 10;
 
 /// Block flag: payload is an LZ4 block of `raw_len` decoded bytes.
 const FLAG_LZ4: u32 = 1;
 /// Block flag: end-of-stream trailer (zero lengths, no payload).
 const FLAG_END: u32 = 2;
+/// Block flag bits holding the [`Filter`] id.
+const FILTER_SHIFT: u32 = 8;
+const FLAG_FILTER: u32 = 0xff << FILTER_SHIFT;
 /// Upper bound a reader accepts for either length field — far above any
 /// block this writer produces, low enough to refuse absurd allocations
 /// from a corrupt header.
 const MAX_BLOCK: usize = 64 << 20;
+/// An LZ4 block decodes to at most this many times its size (a match
+/// extension byte stands for 255 output bytes), so a framed file of `n`
+/// bytes holds fewer than `n × LZ4_MAX_RATIO` logical ones.
+const LZ4_MAX_RATIO: u64 = 255;
 
 const BLOCK_HEADER_BYTES: usize = 16;
+const DIR_ENTRY_BYTES: usize = 16;
+const FOOTER_BYTES: usize = 24;
 
 /// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic bytewise table,
 /// `CRC_TABLES[k][b]` the CRC of byte `b` followed by `k` zero bytes.
@@ -104,8 +149,13 @@ fn crc_step(c: u32, b: u8) -> u32 {
 /// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`), eight input
 /// bytes per step (slicing-by-8) with a bytewise tail.
 pub fn crc32(data: &[u8]) -> u32 {
+    crc32_more(0, data)
+}
+
+/// The CRC-32 of `a ‖ data`, given `crc = crc32(a)`.
+fn crc32_more(crc: u32, data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut c = !0u32;
+    let mut c = !crc;
     let mut words = data.chunks_exact(8);
     for w in &mut words {
         let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
@@ -129,17 +179,144 @@ fn corrupt(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
+fn le_u32(b: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(b[at..at + 4].try_into().expect("four bytes"))
+}
+
+fn le_u64(b: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(b[at..at + 8].try_into().expect("eight bytes"))
+}
+
+/// The reversible transform a block's bytes go through before LZ4, chosen
+/// per typed section: the byte shuffle of `width`-byte elements (all first
+/// bytes, then all second bytes, ...), after delta-coding them when the
+/// column is monotone. Bytes past the last whole element pass unchanged.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Filter {
+    /// Element width in bytes; `0` is the identity filter.
+    width: u8,
+    delta: bool,
+}
+
+type Kernel = fn(&[u8], &mut [u8]);
+
+impl Filter {
+    const NONE: Self = Self { width: 0, delta: false };
+
+    /// The filter for a column of `width`-byte little-endian integers —
+    /// [`Filter::NONE`] for widths it has no transform for. Delta-coding
+    /// pays on `monotone` columns only (it *costs* on a `dst` column).
+    fn for_column(width: usize, monotone: bool) -> Self {
+        match width {
+            1 if !monotone => Self::NONE,
+            1 | 2 | 4 | 8 => Self { width: width as u8, delta: monotone },
+            _ => Self::NONE,
+        }
+    }
+
+    fn id(self) -> u32 {
+        self.width as u32 | (self.delta as u32) << 7
+    }
+
+    fn from_id(id: u32) -> Option<Self> {
+        let f = Self { width: (id & 0x7f) as u8, delta: id & 0x80 != 0 };
+        (f == Self::NONE || matches!(f.width, 1 | 2 | 4 | 8)).then_some(f)
+    }
+
+    /// The transform and its inverse, both from `src` into a `dst` of the
+    /// same length; `None` where the filter changes nothing.
+    fn kernels(self) -> Option<(Kernel, Kernel)> {
+        Some(match (self.width, self.delta) {
+            (1, true) => (shuffle::<1, true>, unshuffle::<1, true>),
+            (2, false) => (shuffle::<2, false>, unshuffle::<2, false>),
+            (2, true) => (shuffle::<2, true>, unshuffle::<2, true>),
+            (4, false) => (shuffle::<4, false>, unshuffle::<4, false>),
+            (4, true) => (shuffle::<4, true>, unshuffle::<4, true>),
+            (8, false) => (shuffle::<8, false>, unshuffle::<8, false>),
+            (8, true) => (shuffle::<8, true>, unshuffle::<8, true>),
+            _ => return None,
+        })
+    }
+
+    /// Filters `src` into `dst` (same length).
+    fn apply(self, src: &[u8], dst: &mut [u8]) {
+        match self.kernels() {
+            Some((apply, _)) => apply(src, dst),
+            None => dst.copy_from_slice(src),
+        }
+    }
+
+    /// Inverse of [`Filter::apply`].
+    fn undo(self, src: &[u8], dst: &mut [u8]) {
+        match self.kernels() {
+            Some((_, undo)) => undo(src, dst),
+            None => dst.copy_from_slice(src),
+        }
+    }
+}
+
+/// `dst[j·n + i]` = byte `j` of element `i` (of its difference to element
+/// `i − 1` when `DELTA`; the first element's to zero). Arithmetic wraps at
+/// the element width, so any input round-trips.
+fn shuffle<const W: usize, const DELTA: bool>(src: &[u8], dst: &mut [u8]) {
+    let n = src.len() / W;
+    let (body, tail) = src.split_at(n * W);
+    let (planes, dst_tail) = dst.split_at_mut(n * W);
+    let mut prev = 0u64;
+    for (i, e) in body.chunks_exact(W).enumerate() {
+        let mut word = [0u8; 8];
+        word[..W].copy_from_slice(e);
+        let v = u64::from_le_bytes(word);
+        let d = if DELTA { v.wrapping_sub(prev) } else { v };
+        prev = v;
+        for j in 0..W {
+            planes[j * n + i] = (d >> (8 * j)) as u8;
+        }
+    }
+    dst_tail.copy_from_slice(tail);
+}
+
+fn unshuffle<const W: usize, const DELTA: bool>(src: &[u8], dst: &mut [u8]) {
+    let n = src.len() / W;
+    let (planes, tail) = src.split_at(n * W);
+    let (body, dst_tail) = dst.split_at_mut(n * W);
+    let mut prev = 0u64;
+    for (i, e) in body.chunks_exact_mut(W).enumerate() {
+        let mut d = 0u64;
+        for j in 0..W {
+            d |= (planes[j * n + i] as u64) << (8 * j);
+        }
+        // bytes above the element width are never stored: whatever the sum
+        // carries into them is dropped again
+        let v = if DELTA { prev.wrapping_add(d) } else { d };
+        prev = v;
+        e.copy_from_slice(&v.to_le_bytes()[..W]);
+    }
+    dst_tail.copy_from_slice(tail);
+}
+
 /// Block-compressing writer (or transparent passthrough with
 /// `compress = false`, producing byte-identical plain files).
 ///
-/// Buffers up to [`BLOCK_BYTES`] of payload, then writes one checksummed
-/// block — LZ4 if that is smaller, raw otherwise. [`FrameWriter::finish`]
-/// flushes the final partial block and the end trailer and returns the
-/// inner writer for the caller to close.
+/// Buffers up to a block of payload, then writes one checksummed block —
+/// filtered and LZ4-coded if that is smaller, raw otherwise.
+/// [`FrameWriter::finish`] flushes the final partial block, the end
+/// trailer, the block directory and the footer, and returns the inner
+/// writer for the caller to close.
 pub struct FrameWriter<W: Write> {
     inner: W,
     compress: bool,
     buf: Vec<u8>,
+    /// Raw bytes per block and the filter of the section being written.
+    block_cap: usize,
+    filter: Filter,
+    filtered: Vec<u8>,
+    encoded: Vec<u8>,
+    table: lz4_flex::HashTable,
+    /// `(logical offset, file offset)` of every block written.
+    dir: Vec<(u64, u64)>,
+    logical_pos: u64,
+    file_pos: u64,
     logical_to: Option<NodeDisk>,
 }
 
@@ -156,7 +333,15 @@ impl<W: Write> FrameWriter<W> {
         Ok(Self {
             inner,
             compress,
-            buf: if compress { Vec::with_capacity(BLOCK_BYTES) } else { Vec::new() },
+            buf: Vec::new(),
+            block_cap: BLOCK_BYTES,
+            filter: Filter::NONE,
+            filtered: Vec::new(),
+            encoded: Vec::new(),
+            table: lz4_flex::HashTable::new(),
+            dir: Vec::new(),
+            logical_pos: 0,
+            file_pos: 8,
             logical_to: None,
         })
     }
@@ -167,38 +352,84 @@ impl<W: Write> FrameWriter<W> {
         self.logical_to = Some(disk);
     }
 
-    fn flush_block(&mut self) -> io::Result<()> {
-        if self.buf.is_empty() {
-            return Ok(());
+    /// Says that what is written from here on is a column of
+    /// `elem_bytes`-wide little-endian integers, `monotone` or not: the
+    /// column starts a block of its own and is cut into
+    /// [`SEEK_BLOCK_BYTES`] blocks behind the filter that suits it.
+    /// The logical stream does not change; a passthrough writer ignores
+    /// the call.
+    pub fn begin_section(&mut self, elem_bytes: usize, monotone: bool) -> Result<()> {
+        if self.compress {
+            self.flush_buf().map_err(|e| DfoError::io("writing a chunk frame block", e))?;
+            self.filter = Filter::for_column(elem_bytes, monotone);
+            self.block_cap = SEEK_BLOCK_BYTES;
         }
-        let t0 = std::time::Instant::now();
-        let encoded = lz4_flex::compress(&self.buf);
-        if let Some(disk) = &self.logical_to {
-            disk.add_encode_nanos(t0.elapsed().as_nanos() as u64);
-        }
-        let (flags, payload): (u32, &[u8]) =
-            if encoded.len() < self.buf.len() { (FLAG_LZ4, &encoded) } else { (0, &self.buf) };
-        let mut header = [0u8; BLOCK_HEADER_BYTES];
-        header[0..4].copy_from_slice(&(self.buf.len() as u32).to_le_bytes());
-        header[4..8].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        header[8..12].copy_from_slice(&flags.to_le_bytes());
-        header[12..16].copy_from_slice(&crc32(payload).to_le_bytes());
-        self.inner.write_all(&header)?;
-        self.inner.write_all(payload)?;
-        self.buf.clear();
         Ok(())
     }
 
-    /// Flushes the last partial block plus the end trailer and hands the
-    /// inner writer back. Compressed streams not closed through here are
-    /// truncated (readers will say so).
+    /// Writes `raw` as one block.
+    fn write_block(&mut self, raw: &[u8]) -> io::Result<()> {
+        let t0 = std::time::Instant::now();
+        let plain: &[u8] = if self.filter == Filter::NONE {
+            raw
+        } else {
+            self.filtered.resize(raw.len(), 0);
+            self.filter.apply(raw, &mut self.filtered);
+            &self.filtered
+        };
+        lz4_flex::compress_with_table(plain, &mut self.table, &mut self.encoded);
+        if let Some(disk) = &self.logical_to {
+            disk.add_encode_nanos(t0.elapsed().as_nanos() as u64);
+        }
+        let (flags, payload): (u32, &[u8]) = if self.encoded.len() < raw.len() {
+            (FLAG_LZ4 | self.filter.id() << FILTER_SHIFT, &self.encoded)
+        } else {
+            (0, raw)
+        };
+        let mut header = [0u8; BLOCK_HEADER_BYTES];
+        header[0..4].copy_from_slice(&(raw.len() as u32).to_le_bytes());
+        header[4..8].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        header[8..12].copy_from_slice(&flags.to_le_bytes());
+        let crc = crc32_more(crc32(&header[..12]), payload);
+        header[12..16].copy_from_slice(&crc.to_le_bytes());
+        self.inner.write_all(&header)?;
+        self.inner.write_all(payload)?;
+        self.dir.push((self.logical_pos, self.file_pos));
+        self.logical_pos += raw.len() as u64;
+        self.file_pos += (BLOCK_HEADER_BYTES + payload.len()) as u64;
+        Ok(())
+    }
+
+    fn flush_buf(&mut self) -> io::Result<()> {
+        if self.buf.is_empty() {
+            return Ok(());
+        }
+        let buf = std::mem::take(&mut self.buf);
+        let done = self.write_block(&buf);
+        self.buf = buf;
+        self.buf.clear();
+        done
+    }
+
+    /// Flushes the last partial block, the end trailer, the directory and
+    /// the footer and hands the inner writer back. Compressed streams not
+    /// closed through here are truncated (readers will say so).
     pub fn finish(mut self) -> Result<W> {
         let io = |e| DfoError::io("finishing frame stream", e);
         if self.compress {
-            self.flush_block().map_err(io)?;
-            let mut trailer = [0u8; BLOCK_HEADER_BYTES];
-            trailer[8..12].copy_from_slice(&FLAG_END.to_le_bytes());
-            self.inner.write_all(&trailer).map_err(io)?;
+            self.flush_buf().map_err(io)?;
+            let mut tail = vec![0u8; BLOCK_HEADER_BYTES];
+            tail[8..12].copy_from_slice(&FLAG_END.to_le_bytes());
+            for (logical, file) in &self.dir {
+                tail.extend_from_slice(&logical.to_le_bytes());
+                tail.extend_from_slice(&file.to_le_bytes());
+            }
+            tail.extend_from_slice(&(self.dir.len() as u64).to_le_bytes());
+            tail.extend_from_slice(&self.logical_pos.to_le_bytes());
+            let crc = crc32(&tail[BLOCK_HEADER_BYTES..]);
+            tail.extend_from_slice(&crc.to_le_bytes());
+            tail.extend_from_slice(&FOOTER_MAGIC.to_le_bytes());
+            self.inner.write_all(&tail).map_err(io)?;
         }
         self.inner.flush().map_err(io)?;
         Ok(self.inner)
@@ -215,11 +446,18 @@ impl<W: Write> Write for FrameWriter<W> {
         }
         let mut rest = data;
         while !rest.is_empty() {
-            let take = (BLOCK_BYTES - self.buf.len()).min(rest.len());
+            if self.buf.is_empty() && rest.len() >= self.block_cap {
+                // a whole block at hand: no need to copy it first
+                let (block, tail) = rest.split_at(self.block_cap);
+                self.write_block(block)?;
+                rest = tail;
+                continue;
+            }
+            let take = (self.block_cap - self.buf.len()).min(rest.len());
             self.buf.extend_from_slice(&rest[..take]);
             rest = &rest[take..];
-            if self.buf.len() == BLOCK_BYTES {
-                self.flush_block()?;
+            if self.buf.len() == self.block_cap {
+                self.flush_buf()?;
             }
         }
         Ok(data.len())
@@ -227,35 +465,10 @@ impl<W: Write> Write for FrameWriter<W> {
 
     fn flush(&mut self) -> io::Result<()> {
         if self.compress {
-            self.flush_block()?;
+            self.flush_buf()?;
         }
         self.inner.flush()
     }
-}
-
-enum ReadMode {
-    /// Not a compressed container: serve the peeked magic bytes, then the
-    /// inner stream untouched.
-    Passthrough { prefix: [u8; 4], prefix_len: usize, prefix_pos: usize },
-    /// Compressed container: serve decoded blocks.
-    Decode(DecodeState),
-}
-
-/// Decode-mode state. Both buffers are allocated once and reused for every
-/// block of the stream.
-#[derive(Default)]
-struct DecodeState {
-    /// Encoded bytes of the LZ4 block being decoded.
-    payload: Vec<u8>,
-    /// The decoded block being served, when the caller's buffer was too
-    /// small to decode into directly.
-    block: Vec<u8>,
-    /// Read cursor within `block`.
-    pos: usize,
-    /// The end trailer has been read.
-    done: bool,
-    /// Decoded bytes served or skipped so far.
-    decoded_pos: u64,
 }
 
 /// A validated block header (the end trailer is `None` to its readers).
@@ -263,7 +476,23 @@ struct BlockHeader {
     raw_len: usize,
     enc_len: usize,
     lz4: bool,
+    filter: Filter,
+    /// What the checksum of the payload must continue from and come to:
+    /// version 2 checksums the header's lengths and flags with the payload
+    /// (nothing else would notice a flipped filter id), version 1 the
+    /// payload alone.
+    crc_seed: u32,
     crc: u32,
+}
+
+impl BlockHeader {
+    fn check(&self, encoded: &[u8]) -> io::Result<()> {
+        if crc32_more(self.crc_seed, encoded) == self.crc {
+            Ok(())
+        } else {
+            Err(corrupt("block checksum mismatch"))
+        }
+    }
 }
 
 fn truncated_as_corrupt(e: io::Error, what: &str) -> io::Error {
@@ -274,12 +503,11 @@ fn truncated_as_corrupt(e: io::Error, what: &str) -> io::Error {
     }
 }
 
-/// Reads the next block header; `None` is the end trailer.
-fn read_header(inner: &mut impl Read) -> io::Result<Option<BlockHeader>> {
-    let mut header = [0u8; BLOCK_HEADER_BYTES];
-    inner.read_exact(&mut header).map_err(|e| truncated_as_corrupt(e, "missing end trailer"))?;
-    let word = |k: usize| u32::from_le_bytes(header[4 * k..4 * k + 4].try_into().unwrap());
-    let (raw_len, enc_len, flags, crc) = (word(0) as usize, word(1) as usize, word(2), word(3));
+/// Parses and validates a block header of a container of the given
+/// `version`; `None` is the end trailer.
+fn parse_header(header: &[u8], version: u32) -> io::Result<Option<BlockHeader>> {
+    let (raw_len, enc_len) = (le_u32(header, 0) as usize, le_u32(header, 4) as usize);
+    let (flags, crc) = (le_u32(header, 8), le_u32(header, 12));
     if flags & FLAG_END != 0 {
         if raw_len != 0 || enc_len != 0 || flags != FLAG_END || crc != 0 {
             return Err(corrupt("malformed end trailer"));
@@ -290,49 +518,119 @@ fn read_header(inner: &mut impl Read) -> io::Result<Option<BlockHeader>> {
         return Err(corrupt(format!("implausible block lengths raw={raw_len} enc={enc_len}")));
     }
     let lz4 = flags & FLAG_LZ4 != 0;
-    if !lz4 && enc_len != raw_len {
-        return Err(corrupt("raw block length mismatch"));
+    let filter = Filter::from_id((flags & FLAG_FILTER) >> FILTER_SHIFT)
+        .filter(|_| flags & !(FLAG_LZ4 | FLAG_FILTER) == 0)
+        .ok_or_else(|| corrupt(format!("unknown block flags {flags:#x}")))?;
+    // a block that did not shrink is stored as it came: same length, no filter
+    if !lz4 && (enc_len != raw_len || filter != Filter::NONE) {
+        return Err(corrupt("malformed raw block"));
     }
-    Ok(Some(BlockHeader { raw_len, enc_len, lz4, crc }))
+    let crc_seed = if version == 1 { 0 } else { crc32(&header[..12]) };
+    Ok(Some(BlockHeader { raw_len, enc_len, lz4, filter, crc_seed, crc }))
 }
 
-/// Reads the payload of block `h` and decodes it into `dst`
-/// (`dst.len() == h.raw_len`): an LZ4 payload goes through `payload` and
-/// is decoded straight into `dst`, a raw one is read straight into `dst`.
-/// The checksum is verified before the decoder runs; checksum plus decode
-/// time of every block, raw or not, is charged to `charge_to`.
-fn decode_block(
-    inner: &mut impl Read,
-    payload: &mut Vec<u8>,
-    charge_to: Option<&NodeDisk>,
+/// Decodes the LZ4 payload `encoded` of block `h` into `dst`
+/// (`dst.len() == h.raw_len`), through `filtered` when the block went
+/// through a filter. The checksum is verified before any decoder runs.
+fn unpack(
     h: &BlockHeader,
+    encoded: &[u8],
+    filtered: &mut Vec<u8>,
     dst: &mut [u8],
 ) -> io::Result<()> {
-    let encoded: &mut [u8] = if h.lz4 {
-        payload.resize(h.enc_len, 0);
-        payload
-    } else {
-        &mut *dst
-    };
-    inner.read_exact(encoded).map_err(|e| truncated_as_corrupt(e, "inside a block"))?;
-    let t0 = std::time::Instant::now();
-    if crc32(encoded) != h.crc {
-        return Err(corrupt("block checksum mismatch"));
+    h.check(encoded)?;
+    let unfiltered = h.filter == Filter::NONE;
+    if !unfiltered {
+        filtered.resize(h.raw_len, 0);
     }
-    if h.lz4 {
-        let n = lz4_flex::decompress_into(payload, dst)
-            .map_err(|e| corrupt(format!("block decode failed: {e}")))?;
-        if n != h.raw_len {
-            return Err(corrupt(format!("block decoded to {n} bytes, header says {}", h.raw_len)));
-        }
+    let n = lz4_flex::decompress_into(encoded, if unfiltered { &mut *dst } else { filtered })
+        .map_err(|e| corrupt(format!("block decode failed: {e}")))?;
+    if n != h.raw_len {
+        return Err(corrupt(format!("block decoded to {n} bytes, header says {}", h.raw_len)));
     }
-    if let Some(disk) = charge_to {
-        disk.add_decode_nanos(t0.elapsed().as_nanos() as u64);
+    if !unfiltered {
+        h.filter.undo(filtered, dst);
     }
     Ok(())
 }
 
+/// A sequential reader's buffers, allocated once and reused for every
+/// block of the stream.
+#[derive(Default)]
+struct DecodeState {
+    /// Encoded bytes of the LZ4 block being decoded.
+    payload: Vec<u8>,
+    /// Its bytes between LZ4 and the inverse filter.
+    filtered: Vec<u8>,
+    /// The decoded block being served, when the caller's buffer was too
+    /// small to decode into directly.
+    block: Vec<u8>,
+    /// Read cursor within `block`.
+    pos: usize,
+    /// The end trailer has been read.
+    done: bool,
+    /// Decoded bytes served or skipped so far.
+    decoded_pos: u64,
+    /// Container version: 1 ends at the trailer, 2 goes on to list the
+    /// `blocks_seen` so far, read or stepped over, in its directory.
+    version: u32,
+    blocks_seen: u64,
+}
+
 impl DecodeState {
+    /// Reads the next block header; `None` is the end of the stream, with
+    /// a version-2 file's directory and footer read and checked.
+    fn next_header(&mut self, inner: &mut impl Read) -> io::Result<Option<BlockHeader>> {
+        if self.done {
+            return Ok(None);
+        }
+        let mut header = [0u8; BLOCK_HEADER_BYTES];
+        inner
+            .read_exact(&mut header)
+            .map_err(|e| truncated_as_corrupt(e, "missing end trailer"))?;
+        let h = parse_header(&header, self.version)?;
+        if h.is_some() {
+            self.blocks_seen += 1;
+        } else if self.version != 1 {
+            let mut tail = vec![0u8; self.blocks_seen as usize * DIR_ENTRY_BYTES + FOOTER_BYTES];
+            inner.read_exact(&mut tail).map_err(|e| truncated_as_corrupt(e, "no footer"))?;
+            if parse_footer(&tail)? != (self.blocks_seen, self.decoded_pos) {
+                return Err(corrupt("footer disagrees with the blocks before it"));
+            }
+        }
+        self.done = h.is_none();
+        Ok(h)
+    }
+
+    /// Reads the payload of block `h` and decodes it into `dst`
+    /// (`dst.len() == h.raw_len`); a raw block is read straight into `dst`.
+    /// Checksum plus decode time of every block, raw or not, is charged to
+    /// `charge_to`.
+    fn decode_block(
+        &mut self,
+        inner: &mut impl Read,
+        charge_to: Option<&NodeDisk>,
+        h: &BlockHeader,
+        dst: &mut [u8],
+    ) -> io::Result<()> {
+        let inside = |e| truncated_as_corrupt(e, "inside a block");
+        let t0;
+        if h.lz4 {
+            self.payload.resize(h.enc_len, 0);
+            inner.read_exact(&mut self.payload).map_err(inside)?;
+            t0 = std::time::Instant::now();
+            unpack(h, &self.payload, &mut self.filtered, dst)?;
+        } else {
+            inner.read_exact(dst).map_err(inside)?;
+            t0 = std::time::Instant::now();
+            h.check(dst)?;
+        }
+        if let Some(disk) = charge_to {
+            disk.add_decode_nanos(t0.elapsed().as_nanos() as u64);
+        }
+        Ok(())
+    }
+
     /// Decodes block `h` into the reader's own block buffer, leaving
     /// `skip` of its bytes already consumed.
     fn buffer_block(
@@ -342,13 +640,38 @@ impl DecodeState {
         h: &BlockHeader,
         skip: usize,
     ) -> io::Result<()> {
-        self.block.resize(h.raw_len, 0);
+        let mut block = std::mem::take(&mut self.block);
+        block.resize(h.raw_len, 0);
         // a failed decode must leave nothing to serve
         self.pos = h.raw_len;
-        decode_block(inner, &mut self.payload, charge_to, h, &mut self.block)?;
+        let done = self.decode_block(inner, charge_to, h, &mut block);
+        self.block = block;
+        done?;
         self.pos = skip;
         Ok(())
     }
+}
+
+/// Checks the footer at the end of `tail` (a directory followed by the
+/// footer) against its magic and checksum; returns `(n_blocks,
+/// logical_len)`.
+fn parse_footer(tail: &[u8]) -> io::Result<(u64, u64)> {
+    let at = tail.len() - FOOTER_BYTES;
+    if le_u32(tail, at + 20) != FOOTER_MAGIC {
+        return Err(corrupt("compressed stream truncated: no footer magic"));
+    }
+    if crc32(&tail[..at + 16]) != le_u32(tail, at + 16) {
+        return Err(corrupt("block directory checksum mismatch"));
+    }
+    Ok((le_u64(tail, at), le_u64(tail, at + 8)))
+}
+
+enum ReadMode {
+    /// Not a compressed container: serve the peeked magic bytes, then the
+    /// inner stream untouched.
+    Passthrough { prefix: [u8; 4], prefix_len: usize, prefix_pos: usize },
+    /// Compressed container: serve decoded blocks.
+    Decode(DecodeState),
 }
 
 /// Auto-detecting reader over a chunk file: decodes [`FrameWriter`]
@@ -357,48 +680,56 @@ impl DecodeState {
 pub struct FrameReader<R: Read> {
     inner: R,
     mode: ReadMode,
+    /// Bytes of the inner stream, from where this reader started.
+    physical_len: u64,
     logical_to: Option<NodeDisk>,
 }
 
-impl<R: Read> FrameReader<R> {
-    /// Peeks the stream's first four bytes to pick the mode.
+impl<R: Read + Seek> FrameReader<R> {
+    /// Measures the stream, then peeks its first four bytes to pick the
+    /// mode.
     pub fn new(mut inner: R) -> Result<Self> {
-        let mut prefix = [0u8; 4];
+        let io = |e| DfoError::io("opening a chunk frame stream", e);
+        let start = inner.stream_position().map_err(io)?;
+        let end = inner.seek(SeekFrom::End(0)).map_err(io)?;
+        inner.seek(SeekFrom::Start(start)).map_err(io)?;
+        let mut prefix = [0u8; 8];
         let mut n = 0;
         while n < 4 {
-            let m =
-                inner.read(&mut prefix[n..]).map_err(|e| DfoError::io("peeking frame magic", e))?;
+            let m = inner.read(&mut prefix[n..4]).map_err(io)?;
             if m == 0 {
                 break;
             }
             n += m;
         }
-        if n == 4 && u32::from_le_bytes(prefix) == FRAME_MAGIC {
-            Self::resume(inner)
+        let mode = if n == 4 && le_u32(&prefix, 0) == FRAME_MAGIC {
+            inner.read_exact(&mut prefix[4..]).map_err(io)?;
+            let version = le_u32(&prefix, 4);
+            if version != 1 && version != FRAME_VERSION {
+                return Err(DfoError::Corrupt(format!("unsupported frame version {version}")));
+            }
+            ReadMode::Decode(DecodeState { version, ..DecodeState::default() })
         } else {
-            Ok(Self {
-                inner,
-                mode: ReadMode::Passthrough { prefix, prefix_len: n, prefix_pos: 0 },
-                logical_to: None,
-            })
-        }
+            let prefix = [prefix[0], prefix[1], prefix[2], prefix[3]];
+            ReadMode::Passthrough { prefix, prefix_len: n, prefix_pos: 0 }
+        };
+        Ok(Self { inner, mode, physical_len: end.saturating_sub(start), logical_to: None })
     }
+}
 
-    /// Starts decoding a stream whose [`FRAME_MAGIC`] the caller already
-    /// consumed (the chunk codec's own auto-detection path).
-    pub fn resume(mut inner: R) -> Result<Self> {
-        let mut v = [0u8; 4];
-        inner.read_exact(&mut v).map_err(|e| DfoError::io("reading frame version", e))?;
-        let version = u32::from_le_bytes(v);
-        if version != FRAME_VERSION {
-            return Err(DfoError::Corrupt(format!("unsupported frame version {version}")));
-        }
-        Ok(Self { inner, mode: ReadMode::Decode(DecodeState::default()), logical_to: None })
-    }
-
+impl<R: Read> FrameReader<R> {
     /// True when this stream is a compressed container (not passthrough).
     pub fn is_compressed(&self) -> bool {
         matches!(self.mode, ReadMode::Decode(_))
+    }
+
+    /// No more logical bytes than this can come out of the stream: what a
+    /// decoder holds a length field against before it allocates for it.
+    pub fn logical_bound(&self) -> u64 {
+        match self.mode {
+            ReadMode::Passthrough { .. } => self.physical_len,
+            ReadMode::Decode(_) => self.physical_len.saturating_mul(LZ4_MAX_RATIO),
+        }
     }
 
     /// Routes logical-byte accounting (bytes *served*, decoded for
@@ -411,7 +742,7 @@ impl<R: Read> FrameReader<R> {
     /// A block that fits `buf` whole is decoded straight into it; a smaller
     /// `buf` is served from the reader's block buffer.
     fn read_inner(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let Self { inner, mode, logical_to } = self;
+        let Self { inner, mode, logical_to, .. } = self;
         let st = match mode {
             ReadMode::Passthrough { prefix, prefix_len, prefix_pos } => {
                 if *prefix_pos < *prefix_len {
@@ -425,16 +756,11 @@ impl<R: Read> FrameReader<R> {
             ReadMode::Decode(st) => st,
         };
         if st.pos == st.block.len() {
-            if st.done {
-                return Ok(0);
-            }
-            let Some(h) = read_header(inner)? else {
-                st.done = true;
+            let Some(h) = st.next_header(inner)? else {
                 return Ok(0);
             };
             if buf.len() >= h.raw_len {
-                let dst = &mut buf[..h.raw_len];
-                decode_block(inner, &mut st.payload, logical_to.as_ref(), &h, dst)?;
+                st.decode_block(inner, logical_to.as_ref(), &h, &mut buf[..h.raw_len])?;
                 st.decoded_pos += h.raw_len as u64;
                 return Ok(h.raw_len);
             }
@@ -470,7 +796,7 @@ impl<R: Read + Seek> Seek for FrameReader<R> {
     /// wholly inside the skipped range is stepped over unread (header
     /// only), and the block the target falls in is decoded.
     fn seek(&mut self, target: SeekFrom) -> io::Result<u64> {
-        let Self { inner, mode, logical_to } = self;
+        let Self { inner, mode, logical_to, .. } = self;
         let st = match mode {
             ReadMode::Passthrough { prefix_len, prefix_pos, .. } => {
                 // the consumer sits `remaining` bytes behind the inner stream
@@ -493,22 +819,22 @@ impl<R: Read + Seek> Seek for FrameReader<R> {
                 ))
             }
         };
-        st.decoded_pos += left;
         let buffered = left.min((st.block.len() - st.pos) as u64);
         st.pos += buffered as usize;
+        st.decoded_pos += buffered;
         left -= buffered;
         while left > 0 {
-            let header = if st.done { None } else { read_header(inner)? };
-            let Some(h) = header else {
-                st.done = true;
+            let Some(h) = st.next_header(inner)? else {
                 return Err(corrupt("seek past end of compressed stream"));
             };
             if h.raw_len as u64 <= left {
                 // relative, so a buffered inner reader keeps its buffer
                 inner.seek_relative(h.enc_len as i64)?;
+                st.decoded_pos += h.raw_len as u64;
                 left -= h.raw_len as u64;
             } else {
                 st.buffer_block(inner, logical_to.as_ref(), &h, left as usize)?;
+                st.decoded_pos += left;
                 left = 0;
             }
         }
@@ -516,11 +842,187 @@ impl<R: Read + Seek> Seek for FrameReader<R> {
     }
 }
 
+/// Positioned reads of a chunk file's *logical* bytes — the access the
+/// §4.1 seek mode needs — whichever way the file is stored. A version-2
+/// container is read block by block: the directory names the block that
+/// holds an offset, one positioned read fetches it, and it is checksummed,
+/// LZ4-decoded and un-filtered like any other. A raw file is read in
+/// aligned [`SEEK_BLOCK_BYTES`] spans. Either way the caller names one of
+/// its `slots` per read — one per column it walks — and each slot keeps
+/// the last block fetched through it, so a run of neighbouring offsets
+/// costs one fetch per column, not one per read.
+pub struct BlockFile {
+    file: RandomFile,
+    disk: NodeDisk,
+    /// `(logical offset, file offset)` per block plus one closing entry at
+    /// `(logical_len, offset of the end trailer)`; `None` for a raw file.
+    dir: Option<Vec<(u64, u64)>>,
+    logical_len: u64,
+    /// Per slot: logical offset and bytes of the last block fetched.
+    slots: Vec<(u64, Vec<u8>)>,
+    payload: Vec<u8>,
+    filtered: Vec<u8>,
+}
+
+fn as_corrupt(e: io::Error) -> DfoError {
+    DfoError::Corrupt(e.to_string())
+}
+
+impl BlockFile {
+    /// Opens `rel` read-only for positioned reads through `slots` cached
+    /// blocks. `None` is a version-1 container: it has no directory, so it
+    /// can only be read from the front.
+    pub fn open(disk: &NodeDisk, rel: &str, slots: usize) -> Result<Option<Self>> {
+        let file = disk.open_read_only(rel)?;
+        let file_len = file.len()?;
+        let mut head = [0u8; 8];
+        if file_len >= 8 {
+            file.read_at(&mut head, 0)?;
+        }
+        let dir = if le_u32(&head, 0) != FRAME_MAGIC {
+            None
+        } else {
+            match le_u32(&head, 4) {
+                1 => return Ok(None),
+                FRAME_VERSION => {}
+                v => return Err(DfoError::Corrupt(format!("unsupported frame version {v}"))),
+            }
+            Some(read_directory(&file, file_len)?)
+        };
+        Ok(Some(Self {
+            logical_len: dir.as_ref().map_or(file_len, |d| d[d.len() - 1].0),
+            file,
+            disk: disk.clone(),
+            dir,
+            slots: vec![(0, Vec::new()); slots],
+            payload: Vec::new(),
+            filtered: Vec::new(),
+        }))
+    }
+
+    /// Length of the logical stream — exact, from the footer or the file.
+    pub fn logical_len(&self) -> u64 {
+        self.logical_len
+    }
+
+    /// Fills `buf` with the logical bytes at `off`, through `slot`.
+    pub fn read_at(&mut self, slot: usize, mut buf: &mut [u8], mut off: u64) -> Result<()> {
+        if off.checked_add(buf.len() as u64).is_none_or(|end| end > self.logical_len) {
+            return Err(DfoError::Corrupt(format!(
+                "{} bytes at {off} lie outside a {}-byte chunk stream",
+                buf.len(),
+                self.logical_len
+            )));
+        }
+        while !buf.is_empty() {
+            // any slot's block will do (the columns of a small raw file
+            // share a span); a miss replaces the caller's own
+            let holds = |(start, bytes): &(u64, Vec<u8>)| {
+                *start <= off && off < *start + bytes.len() as u64
+            };
+            let slot = match self.slots.iter().position(holds) {
+                Some(hit) => hit,
+                None => {
+                    self.fetch(slot, off)?;
+                    slot
+                }
+            };
+            let (start, bytes) = &self.slots[slot];
+            let at = (off - start) as usize;
+            let (head, rest) = buf.split_at_mut((bytes.len() - at).min(buf.len()));
+            head.copy_from_slice(&bytes[at..at + head.len()]);
+            off += head.len() as u64;
+            buf = rest;
+        }
+        Ok(())
+    }
+
+    /// Makes the block holding logical offset `off` (inside the stream)
+    /// the one `slot` caches; a failed fetch leaves the slot empty.
+    fn fetch(&mut self, slot: usize, off: u64) -> Result<()> {
+        let mut bytes = std::mem::take(&mut self.slots[slot].1);
+        let start = match &self.dir {
+            None => {
+                let span = SEEK_BLOCK_BYTES as u64;
+                let start = off / span * span;
+                bytes.resize(span.min(self.logical_len - start) as usize, 0);
+                self.file.read_at(&mut bytes, start)?;
+                start
+            }
+            Some(dir) => {
+                let k = dir.partition_point(|e| e.0 <= off) - 1;
+                let ((start, file_at), (end, file_end)) = (dir[k], dir[k + 1]);
+                self.payload.resize((file_end - file_at) as usize, 0);
+                self.file.read_at(&mut self.payload, file_at)?;
+                let t0 = std::time::Instant::now();
+                let (header, encoded) = self.payload.split_at(BLOCK_HEADER_BYTES);
+                let h = parse_header(header, FRAME_VERSION).map_err(as_corrupt)?;
+                let h = h.filter(|h| h.raw_len as u64 == end - start && h.enc_len == encoded.len());
+                let h = h.ok_or_else(|| {
+                    DfoError::Corrupt(format!("block {k} disagrees with the directory"))
+                })?;
+                bytes.resize(h.raw_len, 0);
+                if h.lz4 {
+                    unpack(&h, encoded, &mut self.filtered, &mut bytes).map_err(as_corrupt)?;
+                } else {
+                    h.check(encoded).map_err(as_corrupt)?;
+                    bytes.copy_from_slice(encoded);
+                }
+                self.disk.add_decode_nanos(t0.elapsed().as_nanos() as u64);
+                start
+            }
+        };
+        self.disk.add_logical_read(bytes.len() as u64);
+        self.slots[slot] = (start, bytes);
+        Ok(())
+    }
+}
+
+/// Reads and validates the block directory of the version-2 container
+/// `file`: every entry ahead of the next in both offsets, every block of a
+/// plausible size and inside the file. Returns it with its closing entry.
+fn read_directory(file: &RandomFile, file_len: u64) -> Result<Vec<(u64, u64)>> {
+    let truncated = || DfoError::Corrupt("compressed stream truncated: no footer".into());
+    let fixed = (8 + BLOCK_HEADER_BYTES + FOOTER_BYTES) as u64;
+    let room = file_len.checked_sub(fixed).ok_or_else(truncated)?;
+    let mut footer = [0u8; FOOTER_BYTES];
+    file.read_at(&mut footer, file_len - FOOTER_BYTES as u64)?;
+    let dir_bytes = le_u64(&footer, 0)
+        .checked_mul(DIR_ENTRY_BYTES as u64)
+        .filter(|&n| n <= room && le_u32(&footer, 20) == FOOTER_MAGIC)
+        .ok_or_else(truncated)?;
+    let mut tail = vec![0u8; dir_bytes as usize + FOOTER_BYTES];
+    file.read_at(&mut tail[..dir_bytes as usize], file_len - FOOTER_BYTES as u64 - dir_bytes)?;
+    tail[dir_bytes as usize..].copy_from_slice(&footer);
+    let (_, logical_len) = parse_footer(&tail).map_err(as_corrupt)?;
+    let mut dir: Vec<(u64, u64)> = tail[..dir_bytes as usize]
+        .chunks_exact(DIR_ENTRY_BYTES)
+        .map(|e| (le_u64(e, 0), le_u64(e, 8)))
+        .collect();
+    dir.push((logical_len, room - dir_bytes + 8));
+    let sane = dir[0] == (0, 8)
+        && dir.windows(2).all(|w| {
+            let (logical, stored) = (w[1].0.wrapping_sub(w[0].0), w[1].1.wrapping_sub(w[0].1));
+            w[0].0 < w[1].0
+                && w[0].1 < w[1].1
+                && logical <= MAX_BLOCK as u64
+                && stored > BLOCK_HEADER_BYTES as u64
+                && stored <= (MAX_BLOCK + BLOCK_HEADER_BYTES) as u64
+        });
+    sane.then_some(dir).ok_or_else(|| DfoError::Corrupt("malformed block directory".into()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::{proptest, ProptestConfig, Strategy};
     use std::io::Cursor;
+
+    /// Bytes that follow the last block of a container of `n_blocks`: end
+    /// trailer, directory, footer.
+    fn tail_bytes(n_blocks: usize) -> usize {
+        BLOCK_HEADER_BYTES + n_blocks * DIR_ENTRY_BYTES + FOOTER_BYTES
+    }
 
     fn compress_frames(data: &[u8]) -> Vec<u8> {
         let mut w = FrameWriter::new(Vec::new(), true).unwrap();
@@ -625,9 +1127,9 @@ mod tests {
             })
             .collect();
         let frames = compress_frames(&data);
-        // container 8 B + 3 headers (2 blocks + trailer): noise must not
-        // inflate beyond the framing overhead
-        assert!(frames.len() <= data.len() + 8 + 3 * BLOCK_HEADER_BYTES);
+        // container 8 B + 2 block headers + what follows the blocks: noise
+        // must not inflate beyond the framing overhead
+        assert!(frames.len() <= data.len() + 8 + 2 * BLOCK_HEADER_BYTES + tail_bytes(2));
         assert_eq!(decode_all(&frames).unwrap(), data);
     }
 
@@ -816,10 +1318,10 @@ mod tests {
         lz4_hit[8 + BLOCK_HEADER_BYTES + 5] ^= 0x40;
         assert!(read_big(&lz4_hit).unwrap_err().contains("checksum"));
         let mut raw_hit = frames.clone();
-        let in_raw_block = frames.len() - BLOCK_BYTES - BLOCK_BYTES / 2;
+        let in_raw_block = frames.len() - tail_bytes(5) - BLOCK_BYTES - BLOCK_BYTES / 2;
         raw_hit[in_raw_block] ^= 0x01;
         assert!(read_big(&raw_hit).unwrap_err().contains("checksum"));
-        for cut in [frames.len() - 1, frames.len() - BLOCK_HEADER_BYTES, in_raw_block, 30] {
+        for cut in [frames.len() - 1, frames.len() - tail_bytes(5), in_raw_block, 30] {
             let err = read_big(&frames[..cut]).unwrap_err();
             assert!(err.contains("truncated"), "cut at {cut}: {err}");
         }
@@ -844,7 +1346,9 @@ mod tests {
     fn truncation_is_detected() {
         let data = vec![42u8; BLOCK_BYTES + 100];
         let frames = compress_frames(&data);
-        for cut in [frames.len() - 1, frames.len() - BLOCK_HEADER_BYTES, 20, 9] {
+        for cut in
+            [frames.len() - 1, frames.len() - FOOTER_BYTES, frames.len() - tail_bytes(2), 20, 9]
+        {
             assert!(decode_all(&frames[..cut]).is_err(), "cut at {cut} of {}", frames.len());
         }
     }
@@ -869,8 +1373,298 @@ mod tests {
         assert!(decode_all(&frames).is_err());
     }
 
+    /// Every filter the format names.
+    fn filters() -> Vec<Filter> {
+        [1u8, 2, 4, 8]
+            .into_iter()
+            .flat_map(|width| [false, true].map(|delta| Filter { width, delta }))
+            .collect()
+    }
+
+    fn assert_filter_round_trips(f: Filter, data: &[u8]) {
+        let mut filtered = vec![0x55u8; data.len()];
+        f.apply(data, &mut filtered);
+        let mut back = vec![0xAAu8; data.len()];
+        f.undo(&filtered, &mut back);
+        assert!(back == data, "{f:?} over {} bytes", data.len());
+        assert_eq!(Filter::from_id(f.id()), Some(f));
+    }
+
+    #[test]
+    fn every_filter_round_trips_empty_single_and_ragged_sections() {
+        // wrapping deltas in both directions, and every length from nothing
+        // through one element to several plus each possible tail
+        let data: Vec<u8> = noise(40).into_iter().chain((0..40u8).map(|i| 255 - 6 * i)).collect();
+        for f in filters().into_iter().chain([Filter::NONE]) {
+            for len in 0..=data.len() {
+                assert_filter_round_trips(f, &data[..len]);
+            }
+        }
+        assert_eq!(Filter::from_id(3), None, "three-byte elements have no filter");
+        assert_eq!(Filter::from_id(0x80), None, "a delta needs a width");
+    }
+
+    #[test]
+    fn filters_put_a_sorted_column_in_compressible_shape() {
+        let column: Vec<u8> =
+            (0..2048u64).flat_map(|i| (1_000_000 + 37 * i).to_le_bytes()).collect();
+        let mut filtered = vec![0u8; column.len()];
+        Filter::for_column(8, true).apply(&column, &mut filtered);
+        // low bytes of the differences first (the first is the value
+        // itself), then nothing but the zero high bytes
+        assert_eq!(filtered[..3], [1_000_000u64.to_le_bytes()[0], 37, 37]);
+        assert!(filtered[3 * 2048 + 1..].iter().all(|&b| b == 0));
+        assert_eq!(Filter::for_column(1, false), Filter::NONE);
+        assert_eq!(Filter::for_column(12, true), Filter::NONE);
+        assert_eq!(Filter::for_column(0, false), Filter::NONE);
+    }
+
+    /// A stream shaped like a chunk: a short header, two ascending index
+    /// columns, an unordered `dst`-like one, 12-byte payloads no filter
+    /// fits and a ragged tail — with the `(offset, width, monotone)` of the
+    /// typed sections.
+    fn typed_stream() -> (Vec<u8>, Vec<(usize, usize, bool)>) {
+        let mut data = b"a header of exactly thirty-two B".to_vec();
+        let mut sections = Vec::new();
+        let mut section = |data: &mut Vec<u8>, width, monotone, bytes: Vec<u8>| {
+            sections.push((data.len(), width, monotone));
+            data.extend(bytes);
+        };
+        section(
+            &mut data,
+            4,
+            true,
+            (0..9_000u32).flat_map(|i| (3 * i + i % 3).to_le_bytes()).collect(),
+        );
+        section(
+            &mut data,
+            8,
+            true,
+            (0..9_001u64).flat_map(|i| (i * i / 7).to_le_bytes()).collect(),
+        );
+        let dst =
+            (0..30_000u32).flat_map(|i| (i.wrapping_mul(2_654_435_761) % 50_000).to_le_bytes());
+        section(&mut data, 4, false, dst.collect());
+        section(&mut data, 12, false, (0..5_000u32).flat_map(|i| [(i % 7) as u8; 12]).collect());
+        section(&mut data, 8, false, noise(4 * SEEK_BLOCK_BYTES + 5));
+        (data, sections)
+    }
+
+    fn write_typed<W: Write>(mut w: FrameWriter<W>) -> W {
+        let (data, sections) = typed_stream();
+        let mut at = 0;
+        for (start, width, monotone) in sections {
+            w.write_all(&data[at..start]).unwrap();
+            w.begin_section(width, monotone).unwrap();
+            at = start;
+        }
+        w.write_all(&data[at..]).unwrap();
+        w.finish().unwrap()
+    }
+
+    /// A disk holding [`typed_stream`] as a version-2 container and raw.
+    fn typed_files() -> (tempfile::TempDir, NodeDisk) {
+        let td = tempfile::TempDir::new().unwrap();
+        let disk = NodeDisk::new(td.path(), None, false).unwrap();
+        for (rel, compress) in [("framed.bin", true), ("raw.bin", false)] {
+            write_typed(disk.create_framed(rel, compress).unwrap()).finish().unwrap();
+        }
+        (td, disk)
+    }
+
+    #[test]
+    fn typed_sections_start_blocks_decode_to_the_same_stream_and_store_less() {
+        let (data, sections) = typed_stream();
+        let typed = write_typed(FrameWriter::new(Vec::new(), true).unwrap());
+        assert!(decode_all(&typed).unwrap() == data);
+        assert!(write_typed(FrameWriter::new(Vec::new(), false).unwrap()) == data);
+        let untyped = compress_frames(&data);
+        assert!(
+            typed.len() * 3 < untyped.len() * 2,
+            "typed {} B, untyped {} B, logical {} B",
+            typed.len(),
+            untyped.len(),
+            data.len()
+        );
+        // every section starts a block, and typed blocks are seek-sized
+        let (_td, disk) = typed_files();
+        let file = BlockFile::open(&disk, "framed.bin", 1).unwrap().unwrap();
+        assert_eq!(file.logical_len(), data.len() as u64);
+        let dir = file.dir.as_ref().unwrap();
+        for (start, ..) in sections {
+            assert!(dir.iter().any(|e| e.0 == start as u64), "no block starts at {start}");
+        }
+        assert!(dir.windows(2).all(|w| w[1].0 - w[0].0 <= SEEK_BLOCK_BYTES as u64));
+    }
+
+    #[test]
+    fn positioned_reads_count_the_blocks_they_fetch_not_the_file() {
+        let (data, sections) = typed_stream();
+        let (_td, disk) = typed_files();
+        let mut file = BlockFile::open(&disk, "framed.bin", 2).unwrap().unwrap();
+        let (read0, logical0) =
+            (disk.stats().read_bytes.get(), disk.stats().logical_read_bytes.get());
+        // neighbouring entries of the second index column, through one slot
+        let at = sections[1].0 as u64;
+        let mut entry = [0u8; 16];
+        for i in 0..100u64 {
+            file.read_at(1, &mut entry, at + 8 * i).unwrap();
+            assert_eq!(entry, data[(at + 8 * i) as usize..][..16]);
+        }
+        let read = disk.stats().read_bytes.get() - read0;
+        let logical = disk.stats().logical_read_bytes.get() - logical0;
+        assert_eq!(logical, SEEK_BLOCK_BYTES as u64, "one block decoded, once");
+        assert!(read < logical / 2, "{read} B fetched for a sorted 16 KiB block");
+    }
+
+    #[test]
+    fn damage_to_a_block_the_directory_or_the_footer_is_corrupt() {
+        let (data, sections) = typed_stream();
+        let (_td, disk) = typed_files();
+        let good = disk.read_to_vec("framed.bin").unwrap();
+        let n_blocks =
+            BlockFile::open(&disk, "framed.bin", 1).unwrap().unwrap().dir.unwrap().len() - 1;
+        let dir_at = good.len() - FOOTER_BYTES - n_blocks * DIR_ENTRY_BYTES;
+        // reads the first entries of the `dst` section through a copy of
+        // the file with one byte flipped
+        let dst_at = sections[2].0 as u64;
+        let read_damaged = |at: usize| {
+            let mut bad = good.clone();
+            bad[at] ^= 0x04;
+            std::fs::write(disk.root().join("bad.bin"), &bad).unwrap();
+            let mut out = [0u8; 64];
+            BlockFile::open(&disk, "bad.bin", 1)?.unwrap().read_at(0, &mut out, dst_at)?;
+            Ok::<_, DfoError>(out)
+        };
+        let dst_block = {
+            let file = BlockFile::open(&disk, "framed.bin", 1).unwrap().unwrap();
+            let dir = file.dir.as_ref().unwrap();
+            dir[dir.iter().position(|e| e.0 == dst_at).unwrap()].1 as usize
+        };
+        assert_eq!(read_damaged(8 + 40).unwrap(), data[dst_at as usize..][..64], "another block");
+        for (what, at) in [
+            ("block payload", dst_block + BLOCK_HEADER_BYTES + 100),
+            ("block flags", dst_block + 9),
+            ("block length", dst_block + 1),
+            ("directory", dir_at + 3),
+            ("directory", dir_at + n_blocks * DIR_ENTRY_BYTES - 1),
+            ("footer block count", good.len() - FOOTER_BYTES),
+            ("footer logical length", good.len() - 12),
+            ("footer checksum", good.len() - 6),
+            ("footer magic", good.len() - 1),
+        ] {
+            match read_damaged(at) {
+                Err(DfoError::Corrupt(_)) => {}
+                other => panic!("flipped {what} byte at {at}: {:?}", other.map(|_| "read fine")),
+            }
+            // and no front-to-back read gets past it either
+            let bad = std::fs::read(disk.root().join("bad.bin")).unwrap();
+            assert!(decode_all(&bad).is_err(), "flipped {what} byte at {at} decoded");
+        }
+    }
+
+    /// The container as version 1 wrote it: plain LZ4 blocks checksummed
+    /// over the payload alone, nothing after the end trailer.
+    fn v1_frames(data: &[u8]) -> Vec<u8> {
+        let mut out = FRAME_MAGIC.to_le_bytes().to_vec();
+        out.extend(1u32.to_le_bytes());
+        for block in data.chunks(BLOCK_BYTES) {
+            let lz4 = lz4_flex::compress(block);
+            let (flags, payload) =
+                if lz4.len() < block.len() { (FLAG_LZ4, &lz4[..]) } else { (0, block) };
+            for word in [block.len() as u32, payload.len() as u32, flags, crc32(payload)] {
+                out.extend(word.to_le_bytes());
+            }
+            out.extend(payload);
+        }
+        out.extend([0, 0, FLAG_END, 0].into_iter().flat_map(u32::to_le_bytes));
+        out
+    }
+
+    #[test]
+    fn version_1_containers_still_decode_but_cannot_be_seeked() {
+        let data = mixed_payload();
+        let v1 = v1_frames(&data);
+        assert!(decode_all(&v1).unwrap() == data);
+        let mut r = FrameReader::new(Cursor::new(&v1)).unwrap();
+        r.seek(SeekFrom::Current(2 * BLOCK_BYTES as i64 + 9)).unwrap();
+        assert!(drain(&mut r, 4096).unwrap() == data[2 * BLOCK_BYTES + 9..]);
+        let td = tempfile::TempDir::new().unwrap();
+        let disk = NodeDisk::new(td.path(), None, false).unwrap();
+        std::fs::write(td.path().join("v1.bin"), &v1).unwrap();
+        assert!(BlockFile::open(&disk, "v1.bin", 1).unwrap().is_none());
+        // a version this build has not heard of is refused outright
+        let mut v9 = v1.clone();
+        v9[4] = 9;
+        assert!(FrameReader::new(Cursor::new(&v9)).is_err());
+        std::fs::write(td.path().join("v9.bin"), &v9).unwrap();
+        assert!(matches!(BlockFile::open(&disk, "v9.bin", 1), Err(DfoError::Corrupt(_))));
+    }
+
+    #[test]
+    fn logical_bound_is_the_file_for_raw_and_the_lz4_ceiling_for_frames() {
+        let data = vec![7u8; 3 * BLOCK_BYTES];
+        let raw = FrameReader::new(Cursor::new(&data)).unwrap();
+        assert_eq!(raw.logical_bound(), data.len() as u64);
+        let frames = compress_frames(&data);
+        let framed = FrameReader::new(Cursor::new(&frames)).unwrap();
+        assert!(frames.len() * 100 < data.len(), "a run of one byte compresses hard");
+        assert!(framed.logical_bound() >= data.len() as u64);
+        assert_eq!(framed.logical_bound(), frames.len() as u64 * 255);
+    }
+
+    #[test]
+    fn positioned_reads_need_no_write_permission() {
+        use std::os::unix::fs::PermissionsExt;
+        let (td, disk) = typed_files();
+        let (data, _) = typed_stream();
+        let lock = |mode_file, mode_dir| {
+            for rel in ["framed.bin", "raw.bin"] {
+                let p = td.path().join(rel);
+                std::fs::set_permissions(p, std::fs::Permissions::from_mode(mode_file)).unwrap();
+            }
+            std::fs::set_permissions(td.path(), std::fs::Permissions::from_mode(mode_dir)).unwrap();
+        };
+        lock(0o444, 0o555);
+        for rel in ["framed.bin", "raw.bin"] {
+            let mut out = [0u8; 100];
+            BlockFile::open(&disk, rel, 1).unwrap().unwrap().read_at(0, &mut out, 70_000).unwrap();
+            assert_eq!(out, data[70_000..70_100]);
+        }
+        lock(0o644, 0o755);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn prop_every_filter_round_trips(
+            data in proptest::collection::vec(byte(), 0..700),
+            which in 0usize..8,
+        ) {
+            assert_filter_round_trips(filters()[which], &data);
+        }
+
+        #[test]
+        fn prop_positioned_reads_equal_the_slice_of_a_full_decode(
+            reads in proptest::collection::vec((0usize..1_000_000, 0usize..40_000, 0usize..3), 1..12),
+        ) {
+            let (data, _) = typed_stream();
+            let (_td, disk) = typed_files();
+            for rel in ["framed.bin", "raw.bin"] {
+                let mut file = BlockFile::open(&disk, rel, 3).unwrap().unwrap();
+                assert_eq!(file.logical_len(), data.len() as u64);
+                for &(at, len, slot) in &reads {
+                    let at = at % data.len();
+                    let len = len.min(data.len() - at);
+                    let mut out = vec![0u8; len];
+                    file.read_at(slot, &mut out, at as u64).unwrap();
+                    assert!(out == data[at..at + len], "{rel}: {len} bytes at {at}");
+                }
+                let mut past = [0u8; 2];
+                assert!(file.read_at(0, &mut past, data.len() as u64 - 1).is_err());
+            }
+        }
 
         #[test]
         fn prop_crc32_slicing_matches_bytewise(

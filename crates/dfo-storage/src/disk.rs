@@ -232,7 +232,17 @@ impl NodeDisk {
             .create(create)
             .open(&p)
             .map_err(|e| DfoError::io(format!("opening random {rel}"), e))?;
-        Ok(RandomFile { file: f, disk: self.clone() })
+        Ok(RandomFile { file: f, disk: self.clone(), count_logical: true })
+    }
+
+    /// Opens a file for positioned reads only — all a file in a read-only
+    /// directory (a shared graph catalog) allows. Its reads count as
+    /// physical bytes; [`crate::compress::BlockFile`], which it serves,
+    /// owns the logical number.
+    pub(crate) fn open_read_only(&self, rel: &str) -> Result<RandomFile> {
+        let f = File::open(self.root.join(rel))
+            .map_err(|e| DfoError::io(format!("opening {rel} for positioned reads"), e))?;
+        Ok(RandomFile { file: f, disk: self.clone(), count_logical: false })
     }
 
     pub fn exists(&self, rel: &str) -> bool {
@@ -309,11 +319,7 @@ impl NodeDisk {
         Ok(buf)
     }
 
-    fn account_read(&self, bytes: u64) {
-        self.account_read_inner(bytes, true);
-    }
-
-    fn account_read_inner(&self, bytes: u64, logical: bool) {
+    fn account_read(&self, bytes: u64, logical: bool) {
         self.throttle.acquire(bytes);
         self.stats.read_bytes.add(bytes);
         self.stats.read_ops.add(1);
@@ -375,7 +381,7 @@ impl Read for Accounted {
         let t0 = std::time::Instant::now();
         let n = self.file.read(buf)?;
         if n > 0 {
-            self.disk.account_read_inner(n as u64, self.count_logical);
+            self.disk.account_read(n as u64, self.count_logical);
             self.disk.stats.read_nanos.add(t0.elapsed().as_nanos() as u64);
         }
         Ok(n)
@@ -462,6 +468,7 @@ impl Seek for DiskReader {
 pub struct RandomFile {
     file: File,
     disk: NodeDisk,
+    count_logical: bool,
 }
 
 impl RandomFile {
@@ -470,7 +477,7 @@ impl RandomFile {
         self.file
             .read_exact_at(buf, offset)
             .map_err(|e| DfoError::io(format!("read_at offset {offset}"), e))?;
-        self.disk.account_read(buf.len() as u64);
+        self.disk.account_read(buf.len() as u64, self.count_logical);
         self.disk.stats.read_nanos.add(t0.elapsed().as_nanos() as u64);
         Ok(())
     }

@@ -23,7 +23,7 @@ pub mod throttle;
 pub use blockstore::VersionedArrayStore;
 pub use chunkcache::{CachedValue, ChunkCache, ChunkCacheStats, ChunkKey, PrefetchJob, Prefetcher};
 pub use commitlog::CommitLog;
-pub use compress::{FrameReader, FrameWriter, FRAME_MAGIC};
+pub use compress::{BlockFile, FrameReader, FrameWriter, FRAME_MAGIC, SEEK_BLOCK_BYTES};
 pub use disk::{DiskReader, DiskStats, DiskWriter, NodeDisk, RandomFile};
 pub use pagecache::{CacheStats, PageCache};
 pub use spill::{ChunkPool, MemBudget, SpillBuf};

@@ -196,6 +196,12 @@ impl SpillBuf {
         self.spilled
     }
 
+    /// The records held in memory, as [`SpillBuf::for_each_run`] would
+    /// replay them ahead of the spilled tail — without touching the disk.
+    pub fn mem_runs(&self) -> impl Iterator<Item = &[u8]> {
+        self.chunks.iter().map(Vec::as_slice)
+    }
+
     /// Replays the buffer in append order as runs of whole records: the
     /// in-memory chunks, then the spilled tail read back from disk run by
     /// run.

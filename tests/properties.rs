@@ -20,14 +20,15 @@ proptest! {
         n_src in 1u32..200,
         raw in proptest::collection::vec((0u32..200, 0u32..100, 0u16..50), 0..300),
         ratio in prop_oneof![Just(0.0f64), Just(32.0), Just(1e9)],
+        compress in prop_oneof![Just(false), Just(true)],
     ) {
         let mut edges: Vec<(u32, u32, u16)> =
             raw.into_iter().map(|(s, d, x)| (s % n_src, d, x)).collect();
         edges.sort_unstable_by_key(|(s, d, _)| (*s, *d));
         let chunk = IndexedChunk::build(n_src, &edges, ratio);
-        let mut buf = Vec::new();
-        chunk.write_to(&mut buf).unwrap();
-        let back = IndexedChunk::<u16>::read_from(&mut std::io::Cursor::new(&buf), None).unwrap();
+        let file = chunk.write_to_framed(Vec::new(), compress).unwrap();
+        let mut r = dfograph::storage::FrameReader::new(std::io::Cursor::new(&file)).unwrap();
+        let back = IndexedChunk::<u16>::read_from(&mut r, None).unwrap();
         let got: Vec<(u32, u32, u16)> = back.iter().map(|(s, d, &x)| (s, d, x)).collect();
         prop_assert_eq!(got, edges);
     }

@@ -37,7 +37,7 @@ ratchet() {
   fi
 }
 ratchet 5030 dfo-core dfo-service
-ratchet 2831 dfo-types dfo-part
+ratchet 2828 dfo-types dfo-part
 ratchet 2713 dfo-net dfo-obs
-ratchet 3322 dfo-storage
+ratchet 3949 dfo-storage
 exit $status
