@@ -5,17 +5,23 @@
 //! call a worker touches exactly the blocks of the batch it works on — the
 //! mechanism that bounds the span of random access (§2.2). Within the
 //! node's block budget (a share of `mem_budget`) blocks stay resident
-//! between calls, written through: a [`BatchCtx`] checks its batch's blocks
-//! out of the store and back in, every dirty block reaches the disk when
-//! the batch is done, and only the re-read of a block that never left
-//! memory is saved. Past the budget a block is read from disk per batch.
+//! between calls: a [`BatchCtx`] checks its batch's blocks out of the store
+//! and back in. With checkpointing on, a dirty block reaches the disk when
+//! the batch is done (its checkpoint needs it). With checkpointing off it
+//! stays in memory, dirty, and reaches its file only when the job ends and
+//! the rank-launch body flushes the context's arrays — or never, when the
+//! job was scoped or failed and they are discarded. Past the budget a block
+//! is read from disk per batch and written when it is dirty.
+//!
+//! A block's length is checked whenever a batch loads it: an array reopened
+//! under an element type of another size is a typed error, not a misread.
 //!
 //! In the Table 6 "no batching" ablation, arrays are instead accessed
 //! through a bounded [`dfo_storage::PageCache`], modeling the memory-mapped
 //! arrays of semi-out-of-core systems under memory pressure.
 
 use dfo_storage::{MemBudget, NodeDisk, PageCache, VersionedArrayStore};
-use dfo_types::{bytes_of, pod_from_bytes, Pod, Result, VertexId, VertexRange};
+use dfo_types::{bytes_of, pod_from_bytes, DfoError, Pod, Result, VertexId, VertexRange};
 use parking_lot::{Mutex, MutexGuard};
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -80,21 +86,43 @@ impl ArrayEntry {
         pool: &Arc<MemBudget>,
     ) -> Result<Self> {
         let dir = format!("arrays/{name}");
-        let mut store = if checkpointing && VersionedArrayStore::checkpoint_exists(disk, &dir) {
-            VersionedArrayStore::recover_to(disk.clone(), dir, batches.len(), keep, recover_target)?
+        let block_bytes = |b: usize| batches[b].len() as usize * elem_bytes;
+        let reopened = if checkpointing && VersionedArrayStore::checkpoint_exists(disk, &dir) {
+            Some(VersionedArrayStore::recover_to(
+                disk.clone(),
+                dir.clone(),
+                batches.len(),
+                keep,
+                recover_target,
+            )?)
         } else if !checkpointing && VersionedArrayStore::in_place_exists(disk, &dir) {
-            VersionedArrayStore::open_in_place(disk.clone(), dir, batches.len())
+            let stored = disk.len(&format!("{dir}/blocks/0.bin"))?;
+            if stored != block_bytes(0) as u64 {
+                return Err(DfoError::Config(format!(
+                    "vertex array {name:?} reopened with element size {elem_bytes}: its first \
+                     block holds {stored} bytes for {} vertices",
+                    batches[0].len()
+                )));
+            }
+            Some(VersionedArrayStore::open_in_place(disk.clone(), dir.clone(), batches.len()))
         } else {
-            VersionedArrayStore::create(
+            None
+        };
+        let store = match reopened {
+            Some(mut store) => {
+                store.set_resident_budget(pool.clone());
+                store
+            }
+            None => VersionedArrayStore::create_within(
                 disk.clone(),
                 dir,
                 batches.len(),
-                |b| vec![0u8; (batches[b].len() as usize) * elem_bytes],
+                |b| vec![0u8; block_bytes(b)],
                 checkpointing,
                 keep,
-            )?
+                pool.clone(),
+            )?,
         };
-        store.set_resident_budget(pool.clone());
         Ok(Self { name: name.into(), elem_bytes, backend: ArrayBackend::Blocks(Mutex::new(store)) })
     }
 
@@ -116,11 +144,38 @@ impl ArrayEntry {
         VertexArray::new(self.name.clone())
     }
 
-    /// Reads a copy of batch `b`'s bytes (blocks backend only).
-    pub fn read_block(&self, b: usize) -> Result<Vec<u8>> {
+    /// Reads a copy of batch `b`'s bytes, which must hold `batch_len`
+    /// values (blocks backend only).
+    pub fn read_block(&self, b: usize, batch_len: u64) -> Result<Vec<u8>> {
         match &self.backend {
-            ArrayBackend::Blocks(s) => s.lock().read_batch(b),
+            ArrayBackend::Blocks(s) => self.checked(b, batch_len, s.lock().read_batch(b)?),
             ArrayBackend::Paged(_) => unreachable!("read_block on paged array"),
+        }
+    }
+
+    /// `buf`, if it is as long as `batch_len` values of this array; a
+    /// `Corrupt` error naming the array if not.
+    fn checked(&self, b: usize, batch_len: u64, buf: Vec<u8>) -> Result<Vec<u8>> {
+        let want = batch_len as usize * self.elem_bytes;
+        if buf.len() != want {
+            return Err(DfoError::Corrupt(format!(
+                "vertex array {:?}: block {b} holds {} bytes, {batch_len} values of {} bytes \
+                 are {want}",
+                self.name,
+                buf.len(),
+                self.elem_bytes
+            )));
+        }
+        Ok(buf)
+    }
+
+    /// Ends the job's use of the array: writes its dirty blocks in place
+    /// (`keep`) or drops them. Paged arrays were flushed at every commit.
+    pub fn close(&self, keep: bool) -> Result<()> {
+        match &self.backend {
+            ArrayBackend::Blocks(s) if keep => s.lock().flush(),
+            ArrayBackend::Blocks(s) => s.lock().discard(),
+            ArrayBackend::Paged(_) => Ok(()),
         }
     }
 
@@ -159,7 +214,7 @@ impl ArrayEntry {
     pub fn rollback_one(&self) -> Result<u64> {
         match &self.backend {
             ArrayBackend::Blocks(s) => s.lock().rollback_one(),
-            ArrayBackend::Paged(_) => Err(dfo_types::DfoError::Corrupt(format!(
+            ArrayBackend::Paged(_) => Err(DfoError::Corrupt(format!(
                 "{}: rollback_one on a paged (non-checkpointed) array",
                 self.name
             ))),
@@ -208,7 +263,7 @@ impl<'a> BatchCtx<'a> {
                         Some((name, bytes)) if **name == *entry.name => std::mem::take(bytes),
                         _ => store.lock().take_batch(batch_index)?,
                     };
-                    debug_assert_eq!(buf.len(), batch.len() as usize * entry.elem_bytes);
+                    let buf = entry.checked(batch_index, batch.len(), buf)?;
                     SlotData::InMem { buf, dirty: false }
                 }
                 ArrayBackend::Paged(cache) => {
@@ -280,9 +335,8 @@ impl<'a> BatchCtx<'a> {
         }
     }
 
-    /// Checks every in-memory slot back into its store, dirty ones written
-    /// through to disk first (paged slots are flushed when the Process call
-    /// commits).
+    /// Checks every in-memory slot back into its store, marked dirty if the
+    /// UDF wrote it (paged slots are flushed when the Process call commits).
     pub(crate) fn write_back(self, batch_index: usize) -> Result<()> {
         for slot in self.slots {
             if let SlotData::InMem { buf, dirty } = slot.data {
@@ -328,29 +382,55 @@ mod tests {
     }
 
     #[test]
-    fn resident_block_is_checked_out_and_written_through() {
+    fn resident_block_is_checked_out_and_written_back() {
         let td = TempDir::new().unwrap();
         let disk = NodeDisk::new(td.path(), None, false).unwrap();
         let batches = vec![VertexRange::new(0, 4), VertexRange::new(4, 7)];
         let pool = MemBudget::new(1 << 10);
+        let stats = disk.stats();
         let entry =
             ArrayEntry::create_blocks(&disk, "dist", 4, &batches, false, 1, None, &pool).unwrap();
+        assert_eq!(stats.write_bytes.get(), 0, "a new array's zero blocks stay in memory");
+        assert_eq!(pool.used(), 28);
         let arr = entry.handle::<f32>();
-        let (stats, batch) = (disk.stats(), batches[1]);
-        let w0 = stats.write_bytes.get();
+        let batch = batches[1];
         let mut ctx = BatchCtx::load(&[&entry], batch, 1, 0, None).unwrap();
+        assert_eq!(pool.used(), 16, "checked out");
         ctx.set(&arr, 5, 2.5);
         ctx.write_back(1).unwrap();
-        assert_eq!(stats.write_bytes.get() - w0, 12, "the dirty block went to disk at once");
-        assert_eq!(pool.used(), 12, "and stayed resident");
         // the next worker gets the resident block itself: no read, no copy
-        let r0 = stats.read_bytes.get();
         let mut ctx = BatchCtx::load(&[&entry], batch, 1, 0, None).unwrap();
-        assert_eq!(pool.used(), 0, "checked out");
         assert_eq!(ctx.get(&arr, 5), 2.5);
         ctx.write_back(1).unwrap();
-        assert_eq!((stats.read_bytes.get() - r0, stats.write_bytes.get() - w0), (0, 12));
-        assert_eq!(pool.used(), 12, "checked back in, clean");
+        assert_eq!((stats.read_bytes.get(), stats.write_bytes.get()), (0, 0));
+        assert_eq!(pool.used(), 28, "checked back in, still dirty");
+        entry.close(true).unwrap();
+        assert_eq!(stats.write_bytes.get(), 28, "the flush writes each block once");
+        // a later job reopens the flushed files
+        let again =
+            ArrayEntry::create_blocks(&disk, "dist", 4, &batches, false, 1, None, &pool).unwrap();
+        let mut ctx = BatchCtx::load(&[&again], batch, 1, 0, None).unwrap();
+        assert_eq!(ctx.get(&arr, 5), 2.5);
+    }
+
+    #[test]
+    fn reopening_under_another_element_size_is_a_typed_error() {
+        let td = TempDir::new().unwrap();
+        let disk = NodeDisk::new(td.path(), None, false).unwrap();
+        let batches = vec![VertexRange::new(0, 4), VertexRange::new(4, 7)];
+        let none = MemBudget::new(0);
+        ArrayEntry::create_blocks(&disk, "dist", 8, &batches, false, 1, None, &none).unwrap();
+        let reopen = ArrayEntry::create_blocks(&disk, "dist", 4, &batches, false, 1, None, &none);
+        let err = reopen.err().expect("a 4-byte view of 8-byte blocks");
+        assert!(matches!(&err, DfoError::Config(m) if m.contains("\"dist\"")), "{err}");
+        // a block that changed length behind the store's back is caught
+        // where a batch loads it
+        std::fs::write(td.path().join("arrays/dist/blocks/1.bin"), [0u8; 12]).unwrap();
+        let entry =
+            ArrayEntry::create_blocks(&disk, "dist", 8, &batches, false, 1, None, &none).unwrap();
+        let err = BatchCtx::load(&[&entry], batches[1], 1, 0, None).err().unwrap();
+        assert!(matches!(&err, DfoError::Corrupt(m) if m.contains("\"dist\"")), "{err}");
+        assert!(entry.read_block(1, batches[1].len()).is_err());
     }
 
     #[test]

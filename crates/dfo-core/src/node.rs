@@ -22,10 +22,11 @@ use std::time::Instant;
 const COMMITS_REL: &str = "arrays/COMMITS.bin";
 
 /// The two shares of `mem_budget` that keep bytes which are not edges off
-/// the disk: a quarter for resident vertex-array blocks (written through,
-/// so only their re-reads are saved) and a sixteenth for `ProcessEdges`
-/// message buffers. The batch-sizing rule (§2.2) leaves half the budget to
-/// the batches being worked on; of the rest, vertex state gets the larger
+/// the disk: a quarter for resident vertex-array blocks (with checkpointing
+/// off written back once per job, so their per-call writes and re-reads
+/// are both saved; with it on written through) and a sixteenth for
+/// `ProcessEdges` message buffers. The batch-sizing rule (§2.2) leaves half
+/// the budget to the batches being worked on; of the rest, vertex state gets the larger
 /// share because it lives as long as the job while messages live for one
 /// call, and because a block a worker checks out *is* the buffer it would
 /// have loaded anyway. Whatever does not fit goes through the disk exactly
@@ -260,6 +261,14 @@ impl NodeCtx {
         &self.net
     }
 
+    /// Bytes of mutable state this context holds: its scratch files
+    /// (vertex arrays, checkpoints, message spills) plus the vertex blocks
+    /// resident in its block pool, which with checkpointing off may have no
+    /// file until the job ends.
+    pub fn footprint_bytes(&self) -> Result<u64> {
+        Ok(self.scratch.usage_bytes()? + self.block_pool.used())
+    }
+
     /// Installs a cooperative cancellation token. Once any rank's token is
     /// set, the next `Process` call (`process_vertices` / `process_edges`)
     /// on **every** rank fails with [`DfoError::Cancelled`] before touching
@@ -360,6 +369,14 @@ impl NodeCtx {
         let handle = entry.handle();
         self.arrays.insert(name.to_string(), Arc::new(entry));
         Ok(handle)
+    }
+
+    /// Ends the job's use of its vertex arrays: with `keep`, every dirty
+    /// resident block is written in place for the next job to reopen;
+    /// without, dirty blocks are dropped (see
+    /// [`dfo_storage::VersionedArrayStore::discard`]).
+    pub(crate) fn close_arrays(&self, keep: bool) -> Result<()> {
+        self.arrays.values().try_for_each(|e| e.close(keep))
     }
 
     /// Resolves registered array entries by name (panics on typos — a
@@ -720,7 +737,7 @@ impl NodeCtx {
         let mask = match active_entry {
             None => ActiveMask::All,
             Some(e) if self.cfg.batching_enabled => {
-                let bytes = e.read_block(b)?;
+                let bytes = e.read_block(b, range.len())?;
                 if !bytes.iter().any(|&x| x != 0) {
                     return Ok(None);
                 }

@@ -91,39 +91,50 @@ pub struct IndexedChunk<E: Pod + PartialEq> {
 }
 
 impl<E: Pod + PartialEq> IndexedChunk<E> {
-    /// Builds a chunk from `(src, dst, data)` triples sorted by `(src, dst)`.
-    /// A CSR index is added when `n_src as f64 / n_edges ≤ inflate_ratio`
-    /// (preprocessing passes [`CSR_INFLATE_RATIO`]).
+    /// Builds a chunk from `(src, dst, data)` triples; a source's edges keep
+    /// the order they are given in. A CSR index is added when
+    /// `n_src as f64 / n_edges ≤ inflate_ratio` (preprocessing passes
+    /// [`CSR_INFLATE_RATIO`]).
     pub fn build(n_src: u32, edges: &[(u32, u32, E)], inflate_ratio: f64) -> Self {
-        debug_assert!(edges.windows(2).all(|w| w[0].0 <= w[1].0), "edges must be sorted by src");
-        debug_assert!(edges.iter().all(|e| e.0 < n_src), "src out of range");
-        let n_edges = edges.len();
-        let mut dcsr_src = Vec::new();
-        let mut dcsr_idx = Vec::new();
-        let mut dst = Vec::with_capacity(n_edges);
-        let mut data = Vec::with_capacity(n_edges);
-        let mut prev: Option<u32> = None;
-        for (i, (s, d, e)) in edges.iter().enumerate() {
-            if prev != Some(*s) {
-                dcsr_src.push(*s);
-                dcsr_idx.push(i as u64);
-                prev = Some(*s);
-            }
-            dst.push(*d);
-            data.push(*e);
+        Self::by_source(n_src, edges.iter().copied(), inflate_ratio, |_| {})
+    }
+
+    /// Builds a chunk from edges in any order: one counting pass groups
+    /// them by source, each source's run of `(dst, data)` in the order the
+    /// edges came, and `order_run` may then reorder each run. The CSR index
+    /// follows the rule of [`IndexedChunk::build`].
+    pub fn by_source(
+        n_src: u32,
+        edges: impl Iterator<Item = (u32, u32, E)> + Clone,
+        inflate_ratio: f64,
+        order_run: impl Fn(&mut [(u32, E)]),
+    ) -> Self {
+        let mut offsets = vec![0u64; n_src as usize + 1];
+        for (s, _, _) in edges.clone() {
+            offsets[s as usize + 1] += 1;
         }
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
+        }
+        let mut next = offsets.clone();
+        let mut runs = vec![(0u32, pod_zeroed::<E>()); offsets[n_src as usize] as usize];
+        for (s, d, e) in edges {
+            runs[next[s as usize] as usize] = (d, e);
+            next[s as usize] += 1;
+        }
+        let (mut dcsr_src, mut dcsr_idx) = (Vec::new(), Vec::new());
+        for (s, run) in offsets.windows(2).enumerate() {
+            if run[0] < run[1] {
+                order_run(&mut runs[run[0] as usize..run[1] as usize]);
+                dcsr_src.push(s as u32);
+                dcsr_idx.push(run[0]);
+            }
+        }
+        let n_edges = runs.len();
         dcsr_idx.push(n_edges as u64);
+        let (dst, data) = runs.into_iter().unzip();
         let build_csr = n_edges > 0 && (n_src as f64) / (n_edges as f64) <= inflate_ratio;
-        let csr_idx = build_csr.then(|| {
-            let mut idx = vec![0u64; n_src as usize + 1];
-            for (s, _, _) in edges {
-                idx[*s as usize + 1] += 1;
-            }
-            for i in 1..idx.len() {
-                idx[i] += idx[i - 1];
-            }
-            idx
-        });
+        let csr_idx = build_csr.then_some(offsets);
         Self { n_src, dcsr_src, dcsr_idx, csr_idx, dst, data }
     }
 

@@ -159,17 +159,18 @@ fn build_node<E: Pod + PartialEq>(
     };
     for (sp, batches) in by_src.into_iter().enumerate() {
         let n_src = plan.partitions[sp].len() as u32;
-        let mut dispatch_edges: Vec<(u32, u32, ())> = Vec::new();
-        for (b, mut edges) in batches.into_iter().enumerate() {
+        // each chunk's sources, in batch order
+        let mut sources: Vec<(u32, Vec<u32>)> = Vec::new();
+        for (b, edges) in batches.into_iter().enumerate() {
             if edges.is_empty() {
                 continue;
             }
-            edges.sort_unstable_by_key(|(s, d, _)| (*s, *d));
-            let chunk = IndexedChunk::build(n_src, &edges, CSR_INFLATE_RATIO);
+            let mut chunk =
+                IndexedChunk::by_source(n_src, edges.iter().copied(), CSR_INFLATE_RATIO, by_dst);
+            drop(edges);
             let mut w = disk.create_framed(&paths::chunk(sp, b), cfg.compress_chunks)?;
             chunk.write_to(&mut w)?;
             w.finish()?.finish()?;
-            dispatch_edges.extend(chunk.dcsr_src.iter().map(|&s| (s, b as u32, ())));
             meta.chunks.push(ChunkInfo {
                 src_partition: sp,
                 batch: b,
@@ -177,10 +178,12 @@ fn build_node<E: Pod + PartialEq>(
                 n_nonzero_src: chunk.n_nonzero_src(),
                 has_csr: chunk.has_csr(),
             });
+            sources.push((b as u32, std::mem::take(&mut chunk.dcsr_src)));
         }
-        if !dispatch_edges.is_empty() {
-            dispatch_edges.sort_unstable_by_key(|(s, b, _)| (*s, *b));
-            let dg = IndexedChunk::build(n_src, &dispatch_edges, CSR_INFLATE_RATIO);
+        if !sources.is_empty() {
+            // a source's batches, ascending: the chunks come in batch order
+            let edges = sources.iter().flat_map(|(b, src)| src.iter().map(|&s| (s, *b, ())));
+            let dg = IndexedChunk::by_source(n_src, edges, CSR_INFLATE_RATIO, |_| {});
             let mut w = disk.create_framed(&paths::dispatch(sp), cfg.compress_chunks)?;
             dg.write_to(&mut w)?;
             w.finish()?.finish()?;
@@ -194,6 +197,13 @@ fn build_node<E: Pod + PartialEq>(
         }
     }
     Ok(meta)
+}
+
+/// Orders one source's run of a chunk bucket by `dst` — stably, so
+/// duplicate edges keep the order they came in: the chunk a `(src, dst)`
+/// sort of the bucket would give.
+fn by_dst<E: Pod>(run: &mut [(u32, E)]) {
+    run.sort_by_key(|&(d, _)| d);
 }
 
 #[cfg(test)]
@@ -368,6 +378,25 @@ mod tests {
             "compressed run's logical writes must equal the raw run's physical writes"
         );
         assert_eq!(plan_on.n_batches(0), plan_off.n_batches(0));
+    }
+
+    /// The counting passes give the chunk a `(src, dst)` sort gives, down
+    /// to the order of duplicate edges with different payloads.
+    #[test]
+    fn buckets_are_ordered_like_a_stable_src_dst_sort() {
+        let mut x = 7u32;
+        let mut next = || {
+            x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+            x >> 16
+        };
+        let bucket: Vec<(u32, u32, u16)> =
+            (0..5_000).map(|_| (next() % 300, next() % 40, next() as u16)).collect();
+        let mut sorted = bucket.clone();
+        sorted.sort_by_key(|&(s, d, _)| (s, d));
+        let want = IndexedChunk::build(1_000, &sorted, CSR_INFLATE_RATIO);
+        assert!(want.dst.windows(2).any(|w| w[0] == w[1]), "duplicates are exercised");
+        let got = IndexedChunk::by_source(1_000, bucket.into_iter(), CSR_INFLATE_RATIO, by_dst);
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -233,6 +233,15 @@ impl RemoteJobHandle {
     }
 }
 
+impl Drop for RemoteJobHandle {
+    /// Forgets the job's record once its one handle is gone (waited for or
+    /// dropped), so a client that submits without end holds only the jobs
+    /// it still has handles to.
+    fn drop(&mut self) {
+        self.inner.jobs.lock().remove(&self.entry.id);
+    }
+}
+
 /// Routes the daemon's downstream: job events to their entries, request
 /// replies to the in-flight RPC. Exits when the connection closes, failing
 /// everything outstanding.

@@ -31,7 +31,7 @@
 //! peer's FIFO (peer, tag) queue.
 //!
 //! Job results travel **in-band**: every rank encodes its output slice,
-//! [`dfo_types::PhaseStats`] and measured scratch footprint as a
+//! [`dfo_types::PhaseStats`] and measured footprint as a
 //! [`wire::RankResult`] and the job closure gathers them to rank 0 with
 //! `exchange_bytes` — no side channel, no shared filesystem assumption.
 //! The measured footprints feed the executor's estimator, so repeat

@@ -6,8 +6,9 @@
 //! algorithm materializes every declared array at full width — so real
 //! queues serialize jobs that would happily fit together. This module
 //! closes the loop: every completed job reports its **measured** peak
-//! scratch footprint (vertex arrays + checkpoints + spills, summed over the
-//! job's private scratch scope on the busiest rank), and the estimator
+//! footprint (vertex arrays — on disk or resident in the block pool —,
+//! checkpoints and spills of the job's private scratch scope, on the
+//! busiest rank), and the estimator
 //! folds it into an exponentially-weighted moving average keyed by
 //! `(algorithm, graph)`. The next submission of the same pair is admitted
 //! against the learned value instead of the static hint.

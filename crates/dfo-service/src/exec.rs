@@ -161,8 +161,9 @@ impl JobTable {
 
 /// One rank's share of one attempt — the body every runner executes inside
 /// its node closure: install the cancel token, run the algorithm, and
-/// report output, per-job stats and the measured peak scratch footprint
-/// (what the estimator learns; 0 = unmeasured, never a job failure).
+/// report output, per-job stats and the measured footprint — scratch files
+/// plus resident vertex blocks (what the estimator learns; 0 = unmeasured,
+/// never a job failure).
 pub(crate) fn run_rank_job(
     ctx: &mut NodeCtx,
     spec: &JobSpec,
@@ -172,7 +173,7 @@ pub(crate) fn run_rank_job(
     let algo = find_algorithm(&spec.algorithm)?;
     let output = algo.run(ctx, &spec.params)?;
     let stats = ctx.job_phase_stats().clone();
-    let footprint = ctx.scratch().usage_bytes().unwrap_or(0);
+    let footprint = ctx.footprint_bytes().unwrap_or(0);
     Ok(RankResult { output, stats, footprint })
 }
 
@@ -489,7 +490,7 @@ impl Executor {
             self.registry
                 .gauge(
                     "dfo_sched_estimate_error_ratio",
-                    "Charged admission estimate over measured peak scratch footprint \
+                    "Charged admission estimate over measured peak footprint \
                      (last completed job; >1 = over-estimate)",
                     &labels,
                 )

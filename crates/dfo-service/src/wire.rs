@@ -313,7 +313,7 @@ impl PeerCmd {
 // per-rank job results, gathered in-band over `exchange_bytes`
 
 /// One rank's contribution to a job report: its output slice, its
-/// [`PhaseStats`], and its measured peak scratch footprint in bytes.
+/// [`PhaseStats`], and its measured footprint in bytes.
 pub(crate) struct RankResult {
     pub output: AlgoOutput,
     pub stats: PhaseStats,

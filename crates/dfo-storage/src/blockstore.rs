@@ -31,17 +31,34 @@
 //!
 //! ## Resident blocks
 //!
-//! Block files are the truth; within a [`MemBudget`] the store also keeps
-//! their bytes in memory, **written through**: every write reaches the disk
-//! at the instant it always did, so nothing above changes and only re-reads
-//! disappear. A block is admitted while the budget has room and never
-//! evicted for another (batches are scanned cyclically); it leaves when its
-//! file does. Copy-on-write blocks are immutable once written, in-place
-//! blocks (`id == batch`) are replaced by their next write. The engine
-//! *checks a block out* for the one worker that owns its batch
-//! ([`VersionedArrayStore::take_batch`]) and back in
-//! ([`VersionedArrayStore::put_batch`]), so residency costs no copy. A
-//! store never given a budget keeps nothing.
+//! Within a [`MemBudget`] the store keeps block bytes in memory. A block is
+//! admitted while the budget has room and never evicted for another
+//! (batches are scanned cyclically). The engine *checks a block out* for
+//! the one worker that owns its batch ([`VersionedArrayStore::take_batch`])
+//! and back in ([`VersionedArrayStore::put_batch`]), so residency costs no
+//! copy. A store never given a budget keeps nothing.
+//!
+//! How a resident block reaches its file depends on the mode:
+//!
+//! - **Copy-on-write** blocks are **written through**: every write reaches
+//!   the disk at the instant it always did, so a commit is durable and only
+//!   re-reads disappear. A block leaves memory when its file does.
+//! - **In-place** blocks (`id == batch`, checkpointing off) are **written
+//!   back**. A write or check-in that the pool admits marks the block
+//!   dirty and leaves its file alone; one it refuses is written through. The
+//!   mark belongs to the store, not to the caller: a dirty block checked
+//!   out and back in clean stays dirty, and is written if it lost its room
+//!   meanwhile. A new store created with a budget holds its initial blocks
+//!   the same way, so a fresh array costs no write at all.
+//!
+//! Dirty blocks leave memory at the end of a job, by one of two calls:
+//! [`VersionedArrayStore::flush`] writes each in place (a later job reopens
+//! the files), [`VersionedArrayStore::discard`] drops them. After a discard
+//! the files hold what the last flush left, except for blocks the pool
+//! refused, which were written through as the job ran. A store created
+//! since its last flush has incomplete files, so discard deletes them all
+//! and the array does not exist for the next job. Dropping a store
+//! discards its dirty blocks.
 
 use crate::compress::crc32;
 use crate::disk::NodeDisk;
@@ -79,9 +96,8 @@ struct Resident {
 }
 
 impl Resident {
-    /// Keeps nothing until the store is given a budget.
-    fn none() -> Self {
-        Self { budget: MemBudget::new(0), blocks: HashMap::new() }
+    fn new(budget: Arc<MemBudget>) -> Self {
+        Self { budget, blocks: HashMap::new() }
     }
 
     fn take(&mut self, id: BlockId) -> Option<Vec<u8>> {
@@ -90,13 +106,16 @@ impl Resident {
         Some(buf)
     }
 
-    /// Makes `make()` the resident copy of `id` if the budget admits
-    /// `len` bytes; whatever was resident under `id` is stale either way.
-    fn put(&mut self, id: BlockId, len: usize, make: impl FnOnce() -> Vec<u8>) {
+    /// Makes `buf` the resident copy of `id` if the budget admits it, and
+    /// hands it back if not; whatever was resident under `id` is stale
+    /// either way.
+    fn put(&mut self, id: BlockId, buf: Vec<u8>) -> std::result::Result<(), Vec<u8>> {
         self.take(id);
-        if self.budget.try_reserve(len as u64) {
-            self.blocks.insert(id, make());
+        if !self.budget.try_reserve(buf.len() as u64) {
+            return Err(buf);
         }
+        self.blocks.insert(id, buf);
+        Ok(())
     }
 }
 
@@ -114,6 +133,12 @@ pub struct VersionedArrayStore {
     n_batches: usize,
     mode: Mode,
     resident: Resident,
+    /// `dirty[b]`: batch `b`'s bytes in memory (resident or checked out)
+    /// are newer than its in-place file. Never set in copy-on-write mode.
+    dirty: Vec<bool>,
+    /// Created by this handle and not flushed since: the in-place files
+    /// are incomplete.
+    unflushed: bool,
 }
 
 impl VersionedArrayStore {
@@ -123,62 +148,80 @@ impl VersionedArrayStore {
         disk: NodeDisk,
         dir: impl Into<String>,
         n_batches: usize,
-        mut init: impl FnMut(usize) -> Vec<u8>,
+        init: impl FnMut(usize) -> Vec<u8>,
         checkpointing: bool,
         keep: usize,
     ) -> Result<Self> {
-        let dir = dir.into();
-        let mut store = Self {
-            disk,
-            dir,
-            n_batches,
-            resident: Resident::none(),
-            mode: if checkpointing {
-                Mode::Cow {
-                    next_block: 0,
-                    epoch: 0,
-                    current: Vec::new(),
-                    pending: None,
-                    history: VecDeque::new(),
-                    refcounts: HashMap::new(),
-                    keep: keep.max(1),
-                }
-            } else {
-                Mode::InPlace
-            },
+        Self::create_within(disk, dir, n_batches, init, checkpointing, keep, MemBudget::new(0))
+    }
+
+    /// [`VersionedArrayStore::create`] keeping blocks resident within
+    /// `budget` from the start: an in-place store's initial blocks that fit
+    /// are held dirty instead of written.
+    pub fn create_within(
+        disk: NodeDisk,
+        dir: impl Into<String>,
+        n_batches: usize,
+        mut init: impl FnMut(usize) -> Vec<u8>,
+        checkpointing: bool,
+        keep: usize,
+        budget: Arc<MemBudget>,
+    ) -> Result<Self> {
+        let mode = if checkpointing {
+            Mode::Cow {
+                next_block: 0,
+                epoch: 0,
+                current: Vec::new(),
+                pending: None,
+                history: VecDeque::new(),
+                refcounts: HashMap::new(),
+                keep: keep.max(1),
+            }
+        } else {
+            Mode::InPlace
         };
-        match &mut store.mode {
-            Mode::InPlace => {
-                for b in 0..n_batches {
-                    let data = init(b);
-                    store.write_block_file(b as BlockId, &data)?;
-                }
+        let mut store = Self::with_mode(disk, dir.into(), n_batches, mode, budget);
+        if !store.is_cow() {
+            for b in 0..n_batches {
+                store.put_batch(b, init(b), true)?;
             }
-            Mode::Cow { .. } => {
-                let mut mapping = Vec::with_capacity(n_batches);
-                for b in 0..n_batches {
-                    let data = init(b);
-                    let id = store.alloc_block()?;
-                    store.write_block_file(id, &data)?;
-                    mapping.push(id);
-                }
-                store.commit_mapping(mapping)?;
-            }
+            store.unflushed = store.dirty.contains(&true);
+            return Ok(store);
         }
+        let mut mapping = Vec::with_capacity(n_batches);
+        for b in 0..n_batches {
+            let data = init(b);
+            let id = store.alloc_block()?;
+            store.write_block_file(id, &data)?;
+            mapping.push(id);
+        }
+        store.commit_mapping(mapping)?;
         Ok(store)
     }
 
     /// Reopens an in-place (non-checkpointed) store whose block files
     /// already exist on disk.
     pub fn open_in_place(disk: NodeDisk, dir: impl Into<String>, n_batches: usize) -> Self {
-        Self { disk, dir: dir.into(), n_batches, mode: Mode::InPlace, resident: Resident::none() }
+        Self::with_mode(disk, dir.into(), n_batches, Mode::InPlace, MemBudget::new(0))
+    }
+
+    fn with_mode(
+        disk: NodeDisk,
+        dir: String,
+        n_batches: usize,
+        mode: Mode,
+        budget: Arc<MemBudget>,
+    ) -> Self {
+        let (resident, dirty) = (Resident::new(budget), vec![false; n_batches]);
+        Self { disk, dir, n_batches, mode, resident, dirty, unflushed: false }
     }
 
     /// Lets the store keep blocks resident within `budget` (shared with the
     /// node's other arrays). Blocks become resident as they are next read
-    /// or written.
+    /// or written. Must not be called while blocks are dirty.
     pub fn set_resident_budget(&mut self, budget: Arc<MemBudget>) {
-        self.resident = Resident { budget, blocks: HashMap::new() };
+        debug_assert!(!self.dirty.contains(&true), "{}: dirty blocks would be lost", self.dir);
+        self.resident = Resident::new(budget);
     }
 
     /// Whether an in-place store exists at `dir` (its first block file is
@@ -293,21 +336,16 @@ impl VersionedArrayStore {
             }
         }
 
-        Ok(Self {
-            disk,
-            dir,
-            n_batches,
-            resident: Resident::none(),
-            mode: Mode::Cow {
-                next_block: max_block + 1,
-                epoch: committed,
-                current,
-                pending: None,
-                history,
-                refcounts,
-                keep,
-            },
-        })
+        let mode = Mode::Cow {
+            next_block: max_block + 1,
+            epoch: committed,
+            current,
+            pending: None,
+            history,
+            refcounts,
+            keep,
+        };
+        Ok(Self::with_mode(disk, dir, n_batches, mode, MemBudget::new(0)))
     }
 
     pub fn n_batches(&self) -> usize {
@@ -339,8 +377,21 @@ impl VersionedArrayStore {
         }
     }
 
-    fn read_block_file(&self, id: BlockId) -> Result<Vec<u8>> {
+    /// Reads block `id` (batch `b`'s) from its file. A dirty batch that is
+    /// not resident is checked out, and its file is older than its bytes:
+    /// a worker that fails between check-out and check-in loses them.
+    fn read_block_file(&self, b: usize, id: BlockId) -> Result<Vec<u8>> {
+        if self.dirty[b] {
+            return Err(self.lost(b));
+        }
         self.disk.read_to_vec(&format!("{}/blocks/{id}.bin", self.dir))
+    }
+
+    fn lost(&self, b: usize) -> DfoError {
+        DfoError::Corrupt(format!(
+            "{}: batch {b} was checked out and not checked back in; its last write is lost",
+            self.dir
+        ))
     }
 
     /// Reads a copy of the bytes of batch `b`; a block read from disk
@@ -350,27 +401,78 @@ impl VersionedArrayStore {
         if let Some(buf) = self.resident.blocks.get(&id) {
             return Ok(buf.clone());
         }
-        let buf = self.read_block_file(id)?;
-        self.resident.put(id, buf.len(), || buf.clone());
-        Ok(buf)
+        match self.resident.put(id, self.read_block_file(b, id)?) {
+            Ok(()) => Ok(self.resident.blocks[&id].clone()),
+            Err(buf) => Ok(buf),
+        }
     }
 
     /// Checks batch `b` out: the resident block itself when there is one,
     /// else its bytes from disk. The caller owns the batch until it hands
-    /// the bytes back through [`VersionedArrayStore::put_batch`].
+    /// the bytes back through [`VersionedArrayStore::put_batch`]; a dirty
+    /// block stays dirty meanwhile.
     pub fn take_batch(&mut self, b: usize) -> Result<Vec<u8>> {
         let id = self.block_of(b);
         match self.resident.take(id) {
             Some(buf) => Ok(buf),
-            None => self.read_block_file(id),
+            None => self.read_block_file(b, id),
         }
     }
 
-    /// Checks batch `b` back in. `dirty` bytes are first written through,
-    /// exactly as [`VersionedArrayStore::write_batch`] would.
+    /// Checks batch `b` back in, `dirty` if the caller changed it. A
+    /// copy-on-write store writes dirty bytes through, exactly as
+    /// [`VersionedArrayStore::write_batch`] would. An in-place store keeps
+    /// the block resident and dirty if it was dirty before or is now and
+    /// the budget admits it; a dirty block the budget refuses is written.
     pub fn put_batch(&mut self, b: usize, buf: Vec<u8>, dirty: bool) -> Result<()> {
-        let id = if dirty { self.write_through(b, &buf)? } else { self.block_of(b) };
-        self.resident.put(id, buf.len(), || buf);
+        if self.is_cow() {
+            let id = if dirty { self.write_through(b, &buf)? } else { self.block_of(b) };
+            let _ = self.resident.put(id, buf);
+            return Ok(());
+        }
+        assert!(b < self.n_batches, "batch {b} out of range");
+        let dirty = std::mem::take(&mut self.dirty[b]) || dirty;
+        match self.resident.put(b as BlockId, buf) {
+            Ok(()) => self.dirty[b] = dirty,
+            Err(buf) if dirty => self.write_block_file(b as BlockId, &buf)?,
+            Err(_) => {}
+        }
+        Ok(())
+    }
+
+    /// Whether batch `b` has bytes in memory its in-place file lacks.
+    pub fn is_dirty(&self, b: usize) -> bool {
+        self.dirty[b]
+    }
+
+    /// Writes every dirty block in place. They stay resident, now clean,
+    /// and the files are complete.
+    pub fn flush(&mut self) -> Result<()> {
+        for b in 0..self.n_batches {
+            if self.dirty[b] {
+                let id = b as BlockId;
+                let buf = self.resident.blocks.get(&id).ok_or_else(|| self.lost(b))?;
+                self.write_block_file(id, buf)?;
+                self.dirty[b] = false;
+            }
+        }
+        self.unflushed = false;
+        Ok(())
+    }
+
+    /// Drops every dirty block unwritten (see the [module docs](self)). A
+    /// store created since its last flush deletes its block files.
+    pub fn discard(&mut self) -> Result<()> {
+        for b in 0..self.n_batches {
+            if std::mem::take(&mut self.dirty[b]) {
+                self.resident.take(b as BlockId);
+            }
+        }
+        if std::mem::take(&mut self.unflushed) {
+            for b in 0..self.n_batches {
+                self.remove_block_file(b as BlockId)?;
+            }
+        }
         Ok(())
     }
 
@@ -384,21 +486,15 @@ impl VersionedArrayStore {
         }
     }
 
-    /// Writes new bytes for batch `b`.
+    /// Writes new bytes for batch `b`: a checked-in copy of `data`.
     pub fn write_batch(&mut self, b: usize, data: &[u8]) -> Result<()> {
-        let id = self.write_through(b, data)?;
-        self.resident.put(id, data.len(), || data.to_vec());
-        Ok(())
+        self.put_batch(b, data.to_vec(), true)
     }
 
-    /// Puts `data` on disk as batch `b`'s block — a new one in an open
-    /// copy-on-write epoch, the batch's own in place — and returns its id.
+    /// Puts `data` on disk as a new block for batch `b` in the open
+    /// copy-on-write epoch and returns its id.
     fn write_through(&mut self, b: usize, data: &[u8]) -> Result<BlockId> {
         assert!(b < self.n_batches, "batch {b} out of range");
-        if let Mode::InPlace = self.mode {
-            self.write_block_file(b as BlockId, data)?;
-            return Ok(b as BlockId);
-        }
         let id = self.alloc_block()?;
         self.write_block_file(id, data)?;
         let Mode::Cow { pending, refcounts, .. } = &mut self.mode else { unreachable!() };

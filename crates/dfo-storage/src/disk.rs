@@ -16,6 +16,67 @@ use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+/// What a file holds, fixed when it is opened from its disk-relative path
+/// (the layout preprocessing and the engine write).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FileClass {
+    /// `chunks/`: edge chunks.
+    Chunk,
+    /// `dispatch/`: dispatching graphs.
+    Dispatch,
+    /// `filter/`: filter lists.
+    Filter,
+    /// `arrays/<name>/blocks/` and `arrays/<name>/paged.bin`: vertex data.
+    ArrayBlock,
+    /// The rest of `arrays/`: manifests, `CURRENT`, `COMMITS.bin`.
+    ArrayMeta,
+    /// `msgs/`: message spills.
+    Spill,
+    /// `plan.bin`.
+    Plan,
+    /// Any other path.
+    Other,
+}
+
+impl FileClass {
+    pub const ALL: [FileClass; 8] = [
+        FileClass::Chunk,
+        FileClass::Dispatch,
+        FileClass::Filter,
+        FileClass::ArrayBlock,
+        FileClass::ArrayMeta,
+        FileClass::Spill,
+        FileClass::Plan,
+        FileClass::Other,
+    ];
+
+    /// The class of the file at `rel`, from its first component.
+    pub fn of(rel: &str) -> Self {
+        let (first, rest) = rel.split_once('/').unwrap_or((rel, ""));
+        match first {
+            "chunks" => Self::Chunk,
+            "dispatch" => Self::Dispatch,
+            "filter" => Self::Filter,
+            "arrays" if rest.contains("/blocks/") || rest.ends_with("/paged.bin") => {
+                Self::ArrayBlock
+            }
+            "arrays" => Self::ArrayMeta,
+            "msgs" => Self::Spill,
+            "plan.bin" => Self::Plan,
+            _ => Self::Other,
+        }
+    }
+}
+
+/// Physical bytes and operations of one [`FileClass`].
+#[derive(Debug, Default)]
+pub struct ClassStats {
+    pub read_bytes: Counter,
+    pub write_bytes: Counter,
+    pub read_ops: Counter,
+    pub write_ops: Counter,
+}
+
 /// Byte/op counters plus optional traffic time series for one node's disk.
 ///
 /// `read_bytes`/`write_bytes` are *physical*: what actually crossed the
@@ -23,6 +84,8 @@ use std::sync::Arc;
 /// `logical_write_bytes` are what the pipeline consumed or produced —
 /// identical to physical for raw files, larger for compressed chunk frames
 /// (see [`crate::compress`]). The throttle paces physical bytes only.
+/// [`DiskStats::class`] splits the physical bytes and operations by
+/// [`FileClass`]; the classes sum to the totals.
 pub struct DiskStats {
     pub read_bytes: Counter,
     pub write_bytes: Counter,
@@ -41,9 +104,15 @@ pub struct DiskStats {
     /// Wall time spent decoding/checksumming chunk frames on the read
     /// path, ns.
     pub decode_nanos: Counter,
+    by_class: [ClassStats; FileClass::ALL.len()],
 }
 
 impl DiskStats {
+    /// The physical traffic of files of class `c`.
+    pub fn class(&self, c: FileClass) -> &ClassStats {
+        &self.by_class[c as usize]
+    }
+
     fn new(record_traffic: bool) -> Self {
         Self {
             read_bytes: Counter::new(),
@@ -58,6 +127,7 @@ impl DiskStats {
             write_nanos: Counter::new(),
             encode_nanos: Counter::new(),
             decode_nanos: Counter::new(),
+            by_class: Default::default(),
         }
     }
 
@@ -79,6 +149,11 @@ impl DiskStats {
         self.write_nanos.reset();
         self.encode_nanos.reset();
         self.decode_nanos.reset();
+        for c in &self.by_class {
+            for n in [&c.read_bytes, &c.write_bytes, &c.read_ops, &c.write_ops] {
+                n.reset();
+            }
+        }
     }
 }
 
@@ -158,7 +233,13 @@ impl NodeDisk {
         Ok(DiskWriter {
             inner: BufWriter::with_capacity(
                 buf_cap,
-                Accounted { file: f, disk: self.clone(), write: true, count_logical },
+                Accounted {
+                    file: f,
+                    disk: self.clone(),
+                    write: true,
+                    count_logical,
+                    class: FileClass::of(rel),
+                },
             ),
         })
     }
@@ -190,7 +271,13 @@ impl NodeDisk {
         Ok(DiskWriter {
             inner: BufWriter::with_capacity(
                 BUF_CAP,
-                Accounted { file: f, disk: self.clone(), write: true, count_logical: true },
+                Accounted {
+                    file: f,
+                    disk: self.clone(),
+                    write: true,
+                    count_logical: true,
+                    class: FileClass::of(rel),
+                },
             ),
         })
     }
@@ -206,7 +293,13 @@ impl NodeDisk {
         Ok(DiskReader {
             inner: BufReader::with_capacity(
                 BUF_CAP,
-                Accounted { file: f, disk: self.clone(), write: false, count_logical },
+                Accounted {
+                    file: f,
+                    disk: self.clone(),
+                    write: false,
+                    count_logical,
+                    class: FileClass::of(rel),
+                },
             ),
         })
     }
@@ -232,7 +325,12 @@ impl NodeDisk {
             .create(create)
             .open(&p)
             .map_err(|e| DfoError::io(format!("opening random {rel}"), e))?;
-        Ok(RandomFile { file: f, disk: self.clone(), count_logical: true })
+        Ok(RandomFile {
+            file: f,
+            disk: self.clone(),
+            count_logical: true,
+            class: FileClass::of(rel),
+        })
     }
 
     /// Opens a file for positioned reads only — all a file in a read-only
@@ -242,7 +340,12 @@ impl NodeDisk {
     pub(crate) fn open_read_only(&self, rel: &str) -> Result<RandomFile> {
         let f = File::open(self.root.join(rel))
             .map_err(|e| DfoError::io(format!("opening {rel} for positioned reads"), e))?;
-        Ok(RandomFile { file: f, disk: self.clone(), count_logical: false })
+        Ok(RandomFile {
+            file: f,
+            disk: self.clone(),
+            count_logical: false,
+            class: FileClass::of(rel),
+        })
     }
 
     pub fn exists(&self, rel: &str) -> bool {
@@ -300,7 +403,7 @@ impl NodeDisk {
             f.write_all(contents).map_err(|e| DfoError::io(format!("writing {tmp_rel}"), e))?;
             f.sync_all().ok();
         }
-        self.account_write(contents.len() as u64);
+        self.account_write(contents.len() as u64, true, FileClass::of(rel));
         fs::rename(&tmp, &dst).map_err(|e| DfoError::io(format!("renaming into {rel}"), e))?;
         Ok(())
     }
@@ -313,30 +416,33 @@ impl NodeDisk {
             .map_err(|e| DfoError::io(format!("opening {rel}"), e))?;
         let len = file.metadata().map_err(|e| DfoError::io(format!("stat {rel}"), e))?.len();
         let mut buf = vec![0u8; len as usize];
-        Accounted { file, disk: self.clone(), write: false, count_logical: true }
+        let class = FileClass::of(rel);
+        Accounted { file, disk: self.clone(), write: false, count_logical: true, class }
             .read_exact(&mut buf)
             .map_err(|e| DfoError::io(format!("reading {rel}"), e))?;
         Ok(buf)
     }
 
-    fn account_read(&self, bytes: u64, logical: bool) {
+    fn account_read(&self, bytes: u64, logical: bool, class: FileClass) {
         self.throttle.acquire(bytes);
         self.stats.read_bytes.add(bytes);
         self.stats.read_ops.add(1);
+        let c = self.stats.class(class);
+        c.read_bytes.add(bytes);
+        c.read_ops.add(1);
         self.stats.read_traffic.record(bytes);
         if logical {
             self.stats.logical_read_bytes.add(bytes);
         }
     }
 
-    fn account_write(&self, bytes: u64) {
-        self.account_write_inner(bytes, true);
-    }
-
-    fn account_write_inner(&self, bytes: u64, logical: bool) {
+    fn account_write(&self, bytes: u64, logical: bool, class: FileClass) {
         self.throttle.acquire(bytes);
         self.stats.write_bytes.add(bytes);
         self.stats.write_ops.add(1);
+        let c = self.stats.class(class);
+        c.write_bytes.add(bytes);
+        c.write_ops.add(1);
         self.stats.write_traffic.record(bytes);
         if logical {
             self.stats.logical_write_bytes.add(bytes);
@@ -374,6 +480,7 @@ struct Accounted {
     disk: NodeDisk,
     write: bool,
     count_logical: bool,
+    class: FileClass,
 }
 
 impl Read for Accounted {
@@ -381,7 +488,7 @@ impl Read for Accounted {
         let t0 = std::time::Instant::now();
         let n = self.file.read(buf)?;
         if n > 0 {
-            self.disk.account_read(n as u64, self.count_logical);
+            self.disk.account_read(n as u64, self.count_logical, self.class);
             self.disk.stats.read_nanos.add(t0.elapsed().as_nanos() as u64);
         }
         Ok(n)
@@ -393,7 +500,7 @@ impl Write for Accounted {
         let t0 = std::time::Instant::now();
         let n = self.file.write(buf)?;
         if n > 0 {
-            self.disk.account_write_inner(n as u64, self.count_logical);
+            self.disk.account_write(n as u64, self.count_logical, self.class);
             self.disk.stats.write_nanos.add(t0.elapsed().as_nanos() as u64);
         }
         Ok(n)
@@ -469,6 +576,7 @@ pub struct RandomFile {
     file: File,
     disk: NodeDisk,
     count_logical: bool,
+    class: FileClass,
 }
 
 impl RandomFile {
@@ -477,7 +585,7 @@ impl RandomFile {
         self.file
             .read_exact_at(buf, offset)
             .map_err(|e| DfoError::io(format!("read_at offset {offset}"), e))?;
-        self.disk.account_read(buf.len() as u64, self.count_logical);
+        self.disk.account_read(buf.len() as u64, self.count_logical, self.class);
         self.disk.stats.read_nanos.add(t0.elapsed().as_nanos() as u64);
         Ok(())
     }
@@ -487,7 +595,7 @@ impl RandomFile {
         self.file
             .write_all_at(buf, offset)
             .map_err(|e| DfoError::io(format!("write_at offset {offset}"), e))?;
-        self.disk.account_write(buf.len() as u64);
+        self.disk.account_write(buf.len() as u64, true, self.class);
         self.disk.stats.write_nanos.add(t0.elapsed().as_nanos() as u64);
         Ok(())
     }
@@ -617,6 +725,31 @@ mod tests {
         assert!(s.exists("data.bin"));
         assert!(!d.exists("data.bin"));
         assert!(d.exists("jobs/j1/data.bin"));
+    }
+
+    #[test]
+    fn file_classes_follow_the_layout() {
+        for (rel, class) in [
+            ("chunks/p0_b1.chunk", FileClass::Chunk),
+            ("dispatch/from_1.dg", FileClass::Dispatch),
+            ("filter/to_0.lst", FileClass::Filter),
+            ("arrays/rank/blocks/3.bin", FileClass::ArrayBlock),
+            ("arrays/rank/paged.bin", FileClass::ArrayBlock),
+            ("arrays/rank/meta/ckpt_2.bin", FileClass::ArrayMeta),
+            ("arrays/rank/CURRENT", FileClass::ArrayMeta),
+            ("arrays/COMMITS.bin", FileClass::ArrayMeta),
+            ("msgs/gen_b0.bin", FileClass::Spill),
+            ("plan.bin", FileClass::Plan),
+            ("plan.bin.tmp", FileClass::Other),
+        ] {
+            assert_eq!(FileClass::of(rel), class, "{rel}");
+        }
+        // a handle keeps the class of the path it was opened with
+        let (_td, d) = disk();
+        d.write_atomic("arrays/a/CURRENT", &[0u8; 8]).unwrap();
+        d.open_random("arrays/a/blocks/0.bin", true).unwrap().write_at(&[2u8; 16], 0).unwrap();
+        let class = |c| (d.stats().class(c).write_bytes.get(), d.stats().class(c).write_ops.get());
+        assert_eq!((class(FileClass::ArrayMeta), class(FileClass::ArrayBlock)), ((8, 1), (16, 1)));
     }
 
     #[test]

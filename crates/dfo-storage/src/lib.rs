@@ -24,7 +24,7 @@ pub use blockstore::VersionedArrayStore;
 pub use chunkcache::{CachedValue, ChunkCache, ChunkCacheStats, ChunkKey, PrefetchJob, Prefetcher};
 pub use commitlog::CommitLog;
 pub use compress::{BlockFile, FrameReader, FrameWriter, FRAME_MAGIC, SEEK_BLOCK_BYTES};
-pub use disk::{DiskReader, DiskStats, DiskWriter, NodeDisk, RandomFile};
+pub use disk::{ClassStats, DiskReader, DiskStats, DiskWriter, FileClass, NodeDisk, RandomFile};
 pub use pagecache::{CacheStats, PageCache};
 pub use spill::{ChunkPool, MemBudget, SpillBuf};
 pub use throttle::Throttle;

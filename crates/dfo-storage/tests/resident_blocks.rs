@@ -1,7 +1,10 @@
-//! Write-through resident blocks are invisible: a [`VersionedArrayStore`]
-//! that keeps blocks in memory returns, after any sequence of epochs,
-//! writes, check-outs, aborts, rollbacks and recoveries, exactly what an
-//! uncached reopen of the same directory reads from disk.
+//! Resident blocks are invisible. A [`VersionedArrayStore`] that keeps
+//! blocks in memory returns, after any sequence of epochs, writes,
+//! check-outs, aborts, rollbacks, recoveries, flushes and discards, what
+//! its model says. What an uncached reopen of the same directory reads is
+//! modelled too: a copy-on-write store's files hold every committed write,
+//! an in-place store's hold each block's last clean state (a dirty block's
+//! bytes reach the file at a flush, or when the pool refuses them).
 
 use dfo_storage::{MemBudget, NodeDisk, VersionedArrayStore};
 use proptest::prelude::*;
@@ -20,12 +23,17 @@ struct Harness {
     _td: TempDir,
     disk: NodeDisk,
     cow: bool,
+    cap: u64,
     pool: Arc<MemBudget>,
     store: VersionedArrayStore,
     /// An epoch is open: reopening now would garbage-collect its blocks.
     open: bool,
     /// What `read_batch` must return while the epoch is open.
     model: Vec<Vec<u8>>,
+    /// In place: what each block's file holds (`None`: no file yet).
+    files: Vec<Option<Vec<u8>>>,
+    /// In place: created with blocks held in memory and not flushed since.
+    unflushed: bool,
     /// Checkpoints the store retains (a recovery may cap at the older one
     /// only while there are two).
     retained: usize,
@@ -36,12 +44,36 @@ impl Harness {
         let td = TempDir::new().unwrap();
         let disk = NodeDisk::new(td.path(), None, false).unwrap();
         let pool = MemBudget::new(cap);
-        let mut store =
-            VersionedArrayStore::create(disk.clone(), "arr", N, |b| block(b as u8), cow, KEEP)
-                .unwrap();
-        store.set_resident_budget(pool.clone());
-        let model = (0..N).map(|b| block(b as u8)).collect();
-        Self { _td: td, disk, cow, pool, store, open: false, model, retained: 1 }
+        let store = Self::create(&disk, cow, &pool);
+        let mut h = Self {
+            _td: td,
+            disk,
+            cow,
+            cap,
+            pool,
+            store,
+            open: false,
+            model: Vec::new(),
+            files: Vec::new(),
+            unflushed: false,
+            retained: 1,
+        };
+        h.created();
+        h
+    }
+
+    fn create(disk: &NodeDisk, cow: bool, pool: &Arc<MemBudget>) -> VersionedArrayStore {
+        let init = |b| block(b as u8);
+        VersionedArrayStore::create_within(disk.clone(), "arr", N, init, cow, KEEP, pool.clone())
+            .unwrap()
+    }
+
+    /// The models of a store just created: blocks the pool held have no
+    /// file.
+    fn created(&mut self) {
+        self.model = (0..N).map(|b| block(b as u8)).collect();
+        self.files = (0..N).map(|b| (!self.store.is_dirty(b)).then(|| block(b as u8))).collect();
+        self.unflushed = self.files.contains(&None);
     }
 
     fn reopen_uncached(&self) -> VersionedArrayStore {
@@ -52,15 +84,28 @@ impl Harness {
         }
     }
 
-    /// The cached store against the disk (when no epoch is open) and
-    /// against the model (always).
+    /// The cached store against the model (always), and the files against
+    /// theirs (when no epoch is open). A copy-on-write store's model is
+    /// re-read from its files then: they hold every committed write.
     fn check(&mut self) {
         let mut fresh = (!self.open).then(|| self.reopen_uncached());
         for b in 0..N {
-            let got = self.store.read_batch(b).unwrap();
-            if let Some(fresh) = &mut fresh {
-                self.model[b] = fresh.read_batch(b).unwrap();
+            if self.cow {
+                assert!(!self.store.is_dirty(b), "copy-on-write blocks are never dirty");
+                if let Some(fresh) = &mut fresh {
+                    self.model[b] = fresh.read_batch(b).unwrap();
+                }
+            } else {
+                if !self.store.is_dirty(b) {
+                    self.files[b] = Some(self.model[b].clone());
+                }
+                let fresh = fresh.as_mut().expect("in-place stores open no epoch");
+                match &self.files[b] {
+                    Some(want) => assert_eq!(&fresh.read_batch(b).unwrap(), want, "file {b}"),
+                    None => assert!(fresh.read_batch(b).is_err(), "batch {b} has no file yet"),
+                }
             }
+            let got = self.store.read_batch(b).unwrap();
             assert_eq!(got, self.model[b], "batch {b} (epoch open: {})", self.open);
         }
         assert!(self.pool.used() <= (N * (KEEP + 1) * BLOCK) as u64);
@@ -77,8 +122,9 @@ impl Harness {
                 self.store.write_batch(b, &block(val)).unwrap();
                 self.model[b] = block(val);
             }
-            // check-out, maybe modify, check-in — what a BatchCtx does
-            3 | 4 => {
+            // check-out, maybe modify, check-in — what a BatchCtx does; on
+            // 11 the pool fills up while the block is out
+            3 | 4 | 11 => {
                 let mut buf = self.store.take_batch(b).unwrap();
                 assert_eq!(buf, self.model[b], "checked-out bytes");
                 let dirty = kind == 4 && writable;
@@ -86,7 +132,15 @@ impl Harness {
                     buf.fill(val);
                     self.model[b] = block(val);
                 }
+                let filler = self.cap - self.pool.used();
+                if kind == 11 {
+                    assert!(self.pool.try_reserve(filler));
+                }
                 self.store.put_batch(b, buf, dirty).unwrap();
+                if kind == 11 {
+                    assert!(!self.store.is_dirty(b), "a refused dirty block is written");
+                    self.pool.release(filler);
+                }
             }
             5 => {
                 self.store.commit().unwrap();
@@ -119,6 +173,25 @@ impl Harness {
                 self.retained -= back as usize;
                 self.open = false;
             }
+            // a job that succeeded: every block reaches its file
+            9 => {
+                self.store.flush().unwrap();
+                assert!((0..N).all(|b| !self.store.is_dirty(b)));
+                self.unflushed = false;
+            }
+            // a job that failed: dirty blocks fall back to their files, and
+            // an array created since the last flush is deleted — the next
+            // job creates it anew
+            10 => {
+                self.store.discard().unwrap();
+                if self.unflushed {
+                    assert!(!VersionedArrayStore::in_place_exists(&self.disk, "arr"));
+                    self.store = Self::create(&self.disk, false, &self.pool);
+                    self.created();
+                } else if !self.cow {
+                    self.model = self.files.iter().map(|f| f.clone().unwrap()).collect();
+                }
+            }
             _ => {}
         }
     }
@@ -131,7 +204,7 @@ proptest! {
     fn cached_store_reads_what_an_uncached_reopen_reads(
         cow in 0u8..2,
         cap_sel in 0usize..3,
-        ops in proptest::collection::vec((0u8..9, 0usize..N, 0u16..256), 1..40),
+        ops in proptest::collection::vec((0u8..12, 0usize..N, 0u16..256), 1..40),
     ) {
         // room for nothing, for some blocks, for every block
         let cap = [0, 2 * BLOCK as u64, 1 << 20][cap_sel];
@@ -147,17 +220,60 @@ proptest! {
 
 #[test]
 fn resident_blocks_save_the_reread_and_nothing_else() {
-    for cow in [false, true] {
-        let mut h = Harness::new(cow, 1 << 20);
-        let stats = h.disk.stats();
-        h.store.begin_epoch();
-        let (r0, w0) = (stats.read_bytes.get(), stats.write_bytes.get());
-        h.store.write_batch(1, &block(7)).unwrap();
-        assert_eq!(stats.write_bytes.get() - w0, BLOCK as u64, "written through at once");
-        assert_eq!(h.store.read_batch(1).unwrap(), block(7));
-        assert_eq!(h.store.read_batch(0).unwrap(), block(0)); // first read fills
-        assert_eq!(h.store.read_batch(0).unwrap(), block(0));
-        assert_eq!(stats.read_bytes.get() - r0, BLOCK as u64, "one disk read in three");
-        h.store.commit().unwrap();
+    // copy-on-write: every write is a checkpoint's, and goes out at once
+    let mut h = Harness::new(true, 1 << 20);
+    let stats = h.disk.stats();
+    h.store.begin_epoch();
+    let (r0, w0) = (stats.read_bytes.get(), stats.write_bytes.get());
+    h.store.write_batch(1, &block(7)).unwrap();
+    assert_eq!(stats.write_bytes.get() - w0, BLOCK as u64, "written through at once");
+    assert_eq!(h.store.read_batch(1).unwrap(), block(7));
+    assert_eq!(h.store.read_batch(0).unwrap(), block(0)); // first read fills
+    assert_eq!(h.store.read_batch(0).unwrap(), block(0));
+    assert_eq!(stats.read_bytes.get() - r0, BLOCK as u64, "one disk read in three");
+    h.store.commit().unwrap();
+}
+
+#[test]
+fn in_place_blocks_reach_the_disk_once_per_flush() {
+    let mut h = Harness::new(false, 1 << 20);
+    let stats = h.disk.stats();
+    assert_eq!(stats.total_bytes(), 0, "a new array is held in memory");
+    for val in 1..=5u8 {
+        h.store.write_batch(1, &block(val)).unwrap();
+        let mut buf = h.store.take_batch(0).unwrap();
+        buf.fill(val);
+        h.store.put_batch(0, buf, true).unwrap();
     }
+    assert_eq!(stats.total_bytes(), 0, "five rounds of writes, none on disk");
+    h.store.flush().unwrap();
+    assert_eq!(stats.write_bytes.get(), (N * BLOCK) as u64, "one write per block");
+    assert_eq!(stats.write_ops.get(), N as u64);
+    h.store.flush().unwrap();
+    assert_eq!(stats.write_bytes.get(), (N * BLOCK) as u64, "nothing left to write");
+    let mut fresh = h.reopen_uncached();
+    assert_eq!((fresh.read_batch(0).unwrap(), fresh.read_batch(1).unwrap()), (block(5), block(5)));
+    // a discarded job leaves the flushed state behind
+    h.store.write_batch(2, &block(9)).unwrap();
+    h.store.discard().unwrap();
+    assert_eq!(h.store.read_batch(2).unwrap(), block(2));
+    assert_eq!(stats.write_bytes.get(), (N * BLOCK) as u64);
+}
+
+#[test]
+fn a_dirty_block_checked_in_clean_to_a_pool_that_filled_up_is_written() {
+    let mut h = Harness::new(false, 2 * BLOCK as u64);
+    // blocks 0 and 1 are held dirty, block 2 did not fit and was written
+    assert_eq!((0..N).map(|b| h.store.is_dirty(b)).collect::<Vec<_>>(), [true, true, false]);
+    let stats = h.disk.stats();
+    let w0 = stats.write_bytes.get();
+    let buf = h.store.take_batch(0).unwrap();
+    assert!(h.store.is_dirty(0), "dirtiness outlives the check-out");
+    // another array of the node takes the room meanwhile
+    assert!(h.pool.try_reserve(BLOCK as u64));
+    h.store.put_batch(0, buf, false).unwrap();
+    assert!(!h.store.is_dirty(0));
+    assert_eq!(stats.write_bytes.get() - w0, BLOCK as u64, "the pending write happened");
+    assert_eq!(h.reopen_uncached().read_batch(0).unwrap(), block(0));
+    h.pool.release(BLOCK as u64);
 }

@@ -1,9 +1,11 @@
 //! Memory within `mem_budget` is invisible in results: with the
-//! resident-block and message pools at their default share, and at a
-//! `mem_budget` so small that both hold nothing (the fully-out-of-core
-//! engine), every algorithm's output is bit-identical, the same messages
-//! are generated and sent, and the only thing that changes is how many
-//! bytes touch the disk.
+//! resident-block and message pools at their default share, at a share
+//! that holds some of the blocks, and at a `mem_budget` so small that both
+//! hold nothing (the fully-out-of-core engine), every algorithm's output is
+//! bit-identical, the same messages are generated and sent, and the only
+//! thing that changes is how many bytes touch the disk. A second job on the
+//! same cluster reopens what the first left behind: the blocks it held in
+//! memory reached their files when it ended.
 
 use dfograph::algos::{pagerank, read_local, sssp, wcc, wcc::symmetrize};
 use dfograph::core::{Cluster, NodeCtx};
@@ -25,6 +27,7 @@ fn run<E: Pod + PartialEq>(
     checkpointing: bool,
     mem_budget: Option<u64>,
     algo: impl Fn(&mut NodeCtx) -> Result<Vec<u8>> + Sync,
+    reread: impl Fn(&mut NodeCtx) -> Result<Vec<u8>> + Sync,
 ) -> (Outcome, u64) {
     let mut cfg = EngineConfig::for_test(2);
     cfg.batch_policy = BatchPolicy::FixedVertices(96);
@@ -53,6 +56,8 @@ fn run<E: Pod + PartialEq>(
         out.messages_sent += sent;
         disk_bytes += moved;
     }
+    let again = cluster.run(reread).unwrap().concat();
+    assert_eq!(again, out.output, "the next job reopens the result (budget {mem_budget:?})");
     (out, disk_bytes)
 }
 
@@ -63,17 +68,30 @@ fn bytes_of_local<T: Pod>(
     Ok(dfograph::types::slice_as_bytes(&read_local(ctx, arr)?).to_vec())
 }
 
-/// `{default pools, no pools} × {checkpointing off, on}` for one algorithm.
+/// Reopens the result array `name` of a finished job and reads it.
+fn reread<T: Pod>(name: &'static str) -> impl Fn(&mut NodeCtx) -> Result<Vec<u8>> + Sync {
+    move |ctx| {
+        let arr = ctx.vertex_array::<T>(name)?;
+        bytes_of_local(ctx, &arr)
+    }
+}
+
+/// `{default pools, partial pools, no pools} × {checkpointing off, on}` for
+/// one algorithm whose result is the array `reread` reads.
 fn check_matrix<E: Pod + PartialEq>(
     name: &str,
     g: &EdgeList<E>,
     algo: impl Fn(&mut NodeCtx) -> Result<Vec<u8>> + Sync,
+    reread: impl Fn(&mut NodeCtx) -> Result<Vec<u8>> + Sync,
 ) {
     for checkpointing in [false, true] {
-        let (resident, resident_bytes) = run(g, checkpointing, None, &algo);
+        let (resident, resident_bytes) = run(g, checkpointing, None, &algo, &reread);
+        // a 2 KiB block pool holds some of a rank's blocks, not all
+        let (partial, _) = run(g, checkpointing, Some(8 << 10), &algo, &reread);
         // mem_budget 1: a quarter and a sixteenth of it are both 0 bytes
-        let (spilled, spilled_bytes) = run(g, checkpointing, Some(1), &algo);
+        let (spilled, spilled_bytes) = run(g, checkpointing, Some(1), &algo, &reread);
         assert!(resident.messages_generated > 0, "{name}: the job moved no messages");
+        assert_eq!(resident, partial, "{name}, checkpointing {checkpointing}, partial pool");
         assert_eq!(resident, spilled, "{name}, checkpointing {checkpointing}");
         assert!(
             resident_bytes < spilled_bytes,
@@ -86,27 +104,30 @@ fn check_matrix<E: Pod + PartialEq>(
 #[test]
 fn pagerank_is_bit_identical_with_and_without_the_pools() {
     let g = rmat(GenConfig::new(10, 8, 77));
-    check_matrix("pagerank", &g, |ctx| {
+    let algo = |ctx: &mut NodeCtx| {
         let ranks = pagerank(ctx, 4)?;
         bytes_of_local(ctx, &ranks)
-    });
+    };
+    check_matrix("pagerank", &g, algo, reread::<f64>("pr_rank"));
 }
 
 #[test]
 fn sssp_is_bit_identical_with_and_without_the_pools() {
     let g = rmat(GenConfig::new(10, 8, 78))
         .map_data(|e| ((e.src.wrapping_mul(7).wrapping_add(e.dst * 13)) % 9 + 1) as f32);
-    check_matrix("sssp", &g, |ctx| {
+    let algo = |ctx: &mut NodeCtx| {
         let dist = sssp(ctx, 0)?;
         bytes_of_local(ctx, &dist)
-    });
+    };
+    check_matrix("sssp", &g, algo, reread::<f32>("sssp_dist"));
 }
 
 #[test]
 fn wcc_is_bit_identical_with_and_without_the_pools() {
     let g = symmetrize(&rmat(GenConfig::new(10, 4, 79)));
-    check_matrix("wcc", &g, |ctx| {
+    let algo = |ctx: &mut NodeCtx| {
         let labels = wcc(ctx)?;
         bytes_of_local(ctx, &labels)
-    });
+    };
+    check_matrix("wcc", &g, algo, reread::<u64>("wcc_label"));
 }
