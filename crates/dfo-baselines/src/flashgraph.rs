@@ -67,7 +67,7 @@ impl<E: Pod> FlashGraphEngine<E> {
         merge_gap: u64,
         mut f: impl FnMut(u64, u64, E),
     ) -> Result<()> {
-        let file = self.disk.open_random("flash/adj.bin", false)?;
+        let file = self.disk.open_random("flash/adj.bin")?;
         let rec = (4 + std::mem::size_of::<E>()) as u64;
         // build merged request ranges
         let mut ranges: Vec<(u64, u64)> = Vec::new();

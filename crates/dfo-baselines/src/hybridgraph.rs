@@ -127,7 +127,7 @@ impl<E: Pod> HybridGraphEngine<E> {
         let range = self.ranges[node.rank];
         let index: Vec<u64> =
             dfo_types::vec_from_bytes(&node.disk.read_to_vec("hybrid/index.bin")?);
-        let adj = node.disk.open_random("hybrid/adj.bin", false)?;
+        let adj = node.disk.open_random("hybrid/adj.bin")?;
         let rec = 8 + std::mem::size_of::<E>();
         let combinable = std::mem::size_of::<E>() == 0;
 

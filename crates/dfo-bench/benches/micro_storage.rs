@@ -1,40 +1,8 @@
-//! Storage substrate micro-benchmarks: page-cache behaviour under
-//! different locality (the Table 6 mechanism) and throttle fidelity.
+//! Storage substrate micro-benchmark: throttle fidelity.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dfo_storage::{NodeDisk, PageCache, Throttle};
+use criterion::{criterion_group, criterion_main, Criterion};
+use dfo_storage::Throttle;
 use std::hint::black_box;
-use tempfile::TempDir;
-
-fn bench_page_cache(c: &mut Criterion) {
-    let mut group = c.benchmark_group("page_cache");
-    group.sample_size(10);
-    let len = 4096 * 256; // 256 pages of data
-    for &(name, cache_pages) in &[("fits", 512usize), ("thrash", 8usize)] {
-        group.bench_function(BenchmarkId::new("random_writes", name), |b| {
-            b.iter_batched(
-                || {
-                    let td = TempDir::new().unwrap();
-                    let disk = NodeDisk::new(td.path(), None, false).unwrap();
-                    let f = disk.open_random("pc.bin", true).unwrap();
-                    (td, PageCache::new(f, 4096, cache_pages, len))
-                },
-                |(_td, mut cache)| {
-                    // pseudo-random single-word writes across the file
-                    let mut x = 12345u64;
-                    for _ in 0..4096 {
-                        x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                        let off = (x % (len / 8)) * 8;
-                        cache.write_at(off, &x.to_le_bytes()).unwrap();
-                    }
-                    black_box(cache.stats().misses)
-                },
-                criterion::BatchSize::LargeInput,
-            )
-        });
-    }
-    group.finish();
-}
 
 fn bench_throttle_fidelity(c: &mut Criterion) {
     let mut group = c.benchmark_group("throttle");
@@ -53,5 +21,5 @@ fn bench_throttle_fidelity(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_page_cache, bench_throttle_fidelity);
+criterion_group!(benches, bench_throttle_fidelity);
 criterion_main!(benches);

@@ -16,17 +16,20 @@
 //! A block's length is checked whenever a batch loads it: an array reopened
 //! under an element type of another size is a typed error, not a misread.
 //!
-//! In the Table 6 "no batching" ablation, arrays are instead accessed
-//! through a bounded [`dfo_storage::PageCache`], modeling the memory-mapped
-//! arrays of semi-out-of-core systems under memory pressure.
+//! In the Table 6 "no batching" ablation the one batch is the whole
+//! partition, and an array's blocks are *pages* of it (4 KiB of vertices
+//! each) in the same store, under the same budget. The batch
+//! checks out one page at a time, the one holding the vertex it touches:
+//! the memory-mapped arrays of semi-out-of-core systems, which thrash once
+//! the budget holds fewer pages than the vertex data.
 
-use dfo_storage::{MemBudget, NodeDisk, PageCache, VersionedArrayStore};
+use dfo_storage::{MemBudget, NodeDisk, VersionedArrayStore};
 use dfo_types::{bytes_of, pod_from_bytes, DfoError, Pod, Result, VertexId, VertexRange};
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-/// Page size of the [`PageCache`] behind paged (no-batching ablation) arrays.
+/// Bytes of vertex data per page of a paged (no-batching ablation) array.
 pub(crate) const PAGE_SIZE: usize = 4096;
 
 /// Typed handle to a named vertex array. Cheap to clone; the data lives in
@@ -51,47 +54,45 @@ impl<T: Pod> VertexArray<T> {
     }
 }
 
-/// Storage backend of one array on one node.
-pub(crate) enum ArrayBackend {
-    /// Per-batch blocks (the normal fully-out-of-core path).
-    Blocks(Mutex<VersionedArrayStore>),
-    /// One bounded page cache over a flat file (no-batching ablation).
-    Paged(Mutex<PageCache>),
-}
-
 /// Registry entry for one array.
 pub(crate) struct ArrayEntry {
     /// Shared with every handle [`ArrayEntry::handle`] gives out, so a
     /// [`BatchCtx`] finds a handle's slot by comparing pointers.
     pub name: Arc<str>,
     pub elem_bytes: usize,
-    pub backend: ArrayBackend,
+    pub store: Mutex<VersionedArrayStore>,
+    /// Vertices per block of a paged array, whose blocks are pages of the
+    /// one batch; `None` when every batch is one block.
+    pub page: Option<u64>,
 }
 
 impl ArrayEntry {
-    /// Creates or reopens the per-batch block store of one array. When a
-    /// checkpoint exists, `recover_target` caps the epoch recovery trusts —
-    /// the per-call commit record's epoch for this array — so the torn tail
-    /// of a crashed multi-array commit is discarded (`None` trusts the
-    /// array's own `CURRENT`). Blocks stay resident within `pool`.
+    /// Creates or reopens the block store of one array, one block per
+    /// range of `blocks` (the batches, or the pages of a `page`d array).
+    /// When a checkpoint exists, `recover_target` caps the epoch recovery
+    /// trusts — the per-call commit record's epoch for this array — so the
+    /// torn tail of a crashed multi-array commit is discarded (`None`
+    /// trusts the array's own `CURRENT`). Blocks stay resident within
+    /// `pool`.
     #[allow(clippy::too_many_arguments)]
     pub fn create_blocks(
         disk: &NodeDisk,
         name: &str,
         elem_bytes: usize,
-        batches: &[VertexRange],
+        blocks: &[VertexRange],
+        page: Option<u64>,
         checkpointing: bool,
         keep: usize,
         recover_target: Option<u64>,
         pool: &Arc<MemBudget>,
     ) -> Result<Self> {
         let dir = format!("arrays/{name}");
-        let block_bytes = |b: usize| batches[b].len() as usize * elem_bytes;
+        let block_bytes = |b: usize| blocks[b].len() as usize * elem_bytes;
         let reopened = if checkpointing && VersionedArrayStore::checkpoint_exists(disk, &dir) {
             Some(VersionedArrayStore::recover_to(
                 disk.clone(),
                 dir.clone(),
-                batches.len(),
+                blocks.len(),
                 keep,
                 recover_target,
             )?)
@@ -101,10 +102,10 @@ impl ArrayEntry {
                 return Err(DfoError::Config(format!(
                     "vertex array {name:?} reopened with element size {elem_bytes}: its first \
                      block holds {stored} bytes for {} vertices",
-                    batches[0].len()
+                    blocks[0].len()
                 )));
             }
-            Some(VersionedArrayStore::open_in_place(disk.clone(), dir.clone(), batches.len()))
+            Some(VersionedArrayStore::open_in_place(disk.clone(), dir.clone(), blocks.len()))
         } else {
             None
         };
@@ -116,27 +117,14 @@ impl ArrayEntry {
             None => VersionedArrayStore::create_within(
                 disk.clone(),
                 dir,
-                batches.len(),
+                blocks.len(),
                 |b| vec![0u8; block_bytes(b)],
                 checkpointing,
                 keep,
                 pool.clone(),
             )?,
         };
-        Ok(Self { name: name.into(), elem_bytes, backend: ArrayBackend::Blocks(Mutex::new(store)) })
-    }
-
-    pub fn create_paged(
-        disk: &NodeDisk,
-        name: &str,
-        elem_bytes: usize,
-        partition: VertexRange,
-        cache_pages: usize,
-    ) -> Result<Self> {
-        let file = disk.open_random(&format!("arrays/{name}/paged.bin"), true)?;
-        let len = partition.len() * elem_bytes as u64;
-        let cache = PageCache::new(file, PAGE_SIZE, cache_pages.max(1), len);
-        Ok(Self { name: name.into(), elem_bytes, backend: ArrayBackend::Paged(Mutex::new(cache)) })
+        Ok(Self { name: name.into(), elem_bytes, store: Mutex::new(store), page })
     }
 
     /// A typed handle to this array.
@@ -144,13 +132,10 @@ impl ArrayEntry {
         VertexArray::new(self.name.clone())
     }
 
-    /// Reads a copy of batch `b`'s bytes, which must hold `batch_len`
-    /// values (blocks backend only).
+    /// Reads a copy of block `b`'s bytes, which must hold `batch_len`
+    /// values.
     pub fn read_block(&self, b: usize, batch_len: u64) -> Result<Vec<u8>> {
-        match &self.backend {
-            ArrayBackend::Blocks(s) => self.checked(b, batch_len, s.lock().read_batch(b)?),
-            ArrayBackend::Paged(_) => unreachable!("read_block on paged array"),
-        }
+        self.checked(b, batch_len, self.store.lock().read_batch(b)?)
     }
 
     /// `buf`, if it is as long as `batch_len` values of this array; a
@@ -170,67 +155,85 @@ impl ArrayEntry {
     }
 
     /// Ends the job's use of the array: writes its dirty blocks in place
-    /// (`keep`) or drops them. Paged arrays were flushed at every commit.
+    /// (`keep`) or drops them.
     pub fn close(&self, keep: bool) -> Result<()> {
-        match &self.backend {
-            ArrayBackend::Blocks(s) if keep => s.lock().flush(),
-            ArrayBackend::Blocks(s) => s.lock().discard(),
-            ArrayBackend::Paged(_) => Ok(()),
+        let mut store = self.store.lock();
+        if keep {
+            store.flush()
+        } else {
+            store.discard()
         }
     }
 
     pub fn begin_epoch(&self) {
-        if let ArrayBackend::Blocks(s) = &self.backend {
-            s.lock().begin_epoch();
-        }
+        self.store.lock().begin_epoch();
     }
 
     pub fn commit(&self) -> Result<()> {
-        match &self.backend {
-            ArrayBackend::Blocks(s) => s.lock().commit(),
-            ArrayBackend::Paged(c) => c.lock().flush(),
-        }
+        self.store.lock().commit()
     }
 
     /// Whether this array retains checkpoints (i.e. belongs in the
     /// per-call commit record).
     pub fn checkpointed(&self) -> bool {
-        match &self.backend {
-            ArrayBackend::Blocks(s) => s.lock().is_cow(),
-            ArrayBackend::Paged(_) => false,
-        }
+        self.store.lock().is_cow()
     }
 
     /// The array's latest committed epoch (0 for non-checkpointed arrays).
     pub fn epoch(&self) -> u64 {
-        match &self.backend {
-            ArrayBackend::Blocks(s) => s.lock().epoch(),
-            ArrayBackend::Paged(_) => 0,
-        }
+        self.store.lock().epoch()
     }
 
     /// Rolls the array back one committed checkpoint (ahead-rank recovery);
     /// returns the epoch it landed on.
     pub fn rollback_one(&self) -> Result<u64> {
-        match &self.backend {
-            ArrayBackend::Blocks(s) => s.lock().rollback_one(),
-            ArrayBackend::Paged(_) => Err(DfoError::Corrupt(format!(
-                "{}: rollback_one on a paged (non-checkpointed) array",
-                self.name
-            ))),
-        }
+        self.store.lock().rollback_one()
     }
 }
 
-/// One array's data as seen while working on one batch.
-enum SlotData<'a> {
-    InMem { buf: Vec<u8>, dirty: bool },
-    Paged { cache: MutexGuard<'a, PageCache>, partition_start: VertexId },
+/// Page `p` of `batch`, in pages of `n` vertices.
+fn page_range(batch: VertexRange, n: u64, p: usize) -> VertexRange {
+    let start = batch.start + p as u64 * n;
+    VertexRange::new(start, (start + n).min(batch.end))
 }
 
+/// One array's block as checked out while working on one batch: the
+/// batch's own block, or the page of a paged array touched last.
 struct ArraySlot<'a> {
     entry: &'a ArrayEntry,
-    data: SlotData<'a>,
+    block: usize,
+    /// The first vertex `buf` holds.
+    start: VertexId,
+    buf: Vec<u8>,
+    dirty: bool,
+}
+
+impl ArraySlot<'_> {
+    /// Where vertex `v`'s `elem` bytes sit in `buf` — past its end when `v`
+    /// is on another page (below `start` too: the difference wraps).
+    #[inline]
+    fn value_range(&self, v: VertexId, elem: usize) -> std::ops::Range<usize> {
+        let off = (v.wrapping_sub(self.start) as usize).wrapping_mul(elem);
+        off..off.wrapping_add(elem)
+    }
+
+    /// Checks this paged array's page back in and the page of `batch`
+    /// holding `v` out; returns `v`'s bytes in it.
+    #[cold]
+    #[inline(never)]
+    fn turn_page(&mut self, batch: VertexRange, v: VertexId, elem: usize) -> &mut [u8] {
+        let entry = self.entry;
+        let n = entry.page.unwrap_or_else(|| panic!("vertex {v} outside batch {batch:?}"));
+        let p = ((v - batch.start) / n) as usize;
+        let range = page_range(batch, n, p);
+        let mut store = entry.store.lock();
+        let turned = store.put_batch(self.block, std::mem::take(&mut self.buf), self.dirty);
+        let turned = turned.and_then(|()| entry.checked(p, range.len(), store.take_batch(p)?));
+        self.buf = turned.expect("checking out a vertex-array page");
+        (self.block, self.start, self.dirty) = (p, range.start, false);
+        let at = self.value_range(v, elem);
+        &mut self.buf[at]
+    }
 }
 
 /// The view a UDF gets of the vertex arrays of **one batch** (the paper's
@@ -245,32 +248,27 @@ pub struct BatchCtx<'a> {
 
 impl<'a> BatchCtx<'a> {
     /// Checks the named arrays' blocks of `batch` out of their stores (one
-    /// worker owns a batch at a time). `preloaded` supplies bytes that the
-    /// engine already read (the active bitmap, re-used instead of read
-    /// twice). `batch_index` selects the block for block-backed arrays.
+    /// worker owns a batch at a time): block `batch_index`, or the first
+    /// page of a paged array. `preloaded` supplies bytes that the engine
+    /// already read (the active bitmap, re-used instead of read twice).
     pub(crate) fn load(
         entries: &[&'a ArrayEntry],
         batch: VertexRange,
         batch_index: usize,
-        partition_start: VertexId,
         mut preloaded: Option<(&str, Vec<u8>)>,
     ) -> Result<Self> {
         let mut slots = Vec::with_capacity(entries.len());
-        for entry in entries {
-            let data = match &entry.backend {
-                ArrayBackend::Blocks(store) => {
-                    let buf = match &mut preloaded {
-                        Some((name, bytes)) if **name == *entry.name => std::mem::take(bytes),
-                        _ => store.lock().take_batch(batch_index)?,
-                    };
-                    let buf = entry.checked(batch_index, batch.len(), buf)?;
-                    SlotData::InMem { buf, dirty: false }
-                }
-                ArrayBackend::Paged(cache) => {
-                    SlotData::Paged { cache: cache.lock(), partition_start }
-                }
+        for &entry in entries {
+            let (block, range) = match entry.page {
+                None => (batch_index, batch),
+                Some(n) => (0, page_range(batch, n, 0)),
             };
-            slots.push(ArraySlot { entry, data });
+            let buf = match &mut preloaded {
+                Some((name, bytes)) if **name == *entry.name => std::mem::take(bytes),
+                _ => entry.store.lock().take_batch(block)?,
+            };
+            let buf = entry.checked(block, range.len(), buf)?;
+            slots.push(ArraySlot { entry, block, start: range.start, buf, dirty: false });
         }
         Ok(Self { batch, slots })
     }
@@ -296,57 +294,53 @@ impl<'a> BatchCtx<'a> {
         i
     }
 
+    /// The slot of `name`, the batch, and where `v`'s value would sit in
+    /// the slot's buffer. The bounds check a read or write makes anyway is
+    /// what tells a paged array to turn the page, so the other arrays pay
+    /// nothing for paging.
+    #[inline]
+    fn locate(
+        &mut self,
+        name: &Arc<str>,
+        elem: usize,
+        v: VertexId,
+    ) -> (&mut ArraySlot<'a>, VertexRange, std::ops::Range<usize>) {
+        debug_assert!(self.batch.contains(v), "vertex {v} outside batch {:?}", self.batch);
+        let (i, batch) = (self.slot_index(name, elem), self.batch);
+        let slot = &mut self.slots[i];
+        let at = slot.value_range(v, elem);
+        (slot, batch, at)
+    }
+
     /// Reads vertex `v`'s value from `arr`.
     #[inline]
     pub fn get<T: Pod>(&mut self, arr: &VertexArray<T>, v: VertexId) -> T {
-        debug_assert!(self.batch.contains(v), "vertex {v} outside batch {:?}", self.batch);
-        let i = self.slot_index(&arr.name, std::mem::size_of::<T>());
         let elem = std::mem::size_of::<T>();
-        match &mut self.slots[i].data {
-            SlotData::InMem { buf, .. } => {
-                let off = (v - self.batch.start) as usize * elem;
-                pod_from_bytes(&buf[off..off + elem])
-            }
-            SlotData::Paged { cache, partition_start } => {
-                let off = (v - *partition_start) * elem as u64;
-                let mut tmp = vec![0u8; elem];
-                cache.read_at(off, &mut tmp).expect("page cache read");
-                pod_from_bytes(&tmp)
-            }
+        let (slot, batch, at) = self.locate(&arr.name, elem, v);
+        match slot.buf.get(at) {
+            Some(bytes) => pod_from_bytes(bytes),
+            None => pod_from_bytes(slot.turn_page(batch, v, elem)),
         }
     }
 
     /// Writes vertex `v`'s value in `arr`.
     #[inline]
     pub fn set<T: Pod>(&mut self, arr: &VertexArray<T>, v: VertexId, value: T) {
-        debug_assert!(self.batch.contains(v), "vertex {v} outside batch {:?}", self.batch);
-        let i = self.slot_index(&arr.name, std::mem::size_of::<T>());
         let elem = std::mem::size_of::<T>();
-        match &mut self.slots[i].data {
-            SlotData::InMem { buf, dirty } => {
-                let off = (v - self.batch.start) as usize * elem;
-                buf[off..off + elem].copy_from_slice(bytes_of(&value));
-                *dirty = true;
-            }
-            SlotData::Paged { cache, partition_start } => {
-                let off = (v - *partition_start) * elem as u64;
-                cache.write_at(off, bytes_of(&value)).expect("page cache write");
-            }
+        let (slot, batch, at) = self.locate(&arr.name, elem, v);
+        if let Some(bytes) = slot.buf.get_mut(at) {
+            bytes.copy_from_slice(bytes_of(&value));
+        } else {
+            slot.turn_page(batch, v, elem).copy_from_slice(bytes_of(&value));
         }
+        slot.dirty = true;
     }
 
-    /// Checks every in-memory slot back into its store, marked dirty if the
-    /// UDF wrote it (paged slots are flushed when the Process call commits).
-    pub(crate) fn write_back(self, batch_index: usize) -> Result<()> {
+    /// Checks every slot's block back into its store, marked dirty if the
+    /// UDF wrote it.
+    pub(crate) fn write_back(self) -> Result<()> {
         for slot in self.slots {
-            if let SlotData::InMem { buf, dirty } = slot.data {
-                match &slot.entry.backend {
-                    ArrayBackend::Blocks(store) => {
-                        store.lock().put_batch(batch_index, buf, dirty)?
-                    }
-                    ArrayBackend::Paged(_) => unreachable!(),
-                }
-            }
+            slot.entry.store.lock().put_batch(slot.block, slot.buf, slot.dirty)?;
         }
         Ok(())
     }
@@ -355,13 +349,26 @@ impl<'a> BatchCtx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dfo_types::ids::split_into_batches;
     use tempfile::TempDir;
+
+    fn create(
+        disk: &NodeDisk,
+        elem: usize,
+        blocks: &[VertexRange],
+        page: Option<u64>,
+        pool: &Arc<MemBudget>,
+    ) -> Result<ArrayEntry> {
+        ArrayEntry::create_blocks(disk, "dist", elem, blocks, page, false, 1, None, pool)
+    }
+
+    fn batches() -> Vec<VertexRange> {
+        vec![VertexRange::new(0, 4), VertexRange::new(4, 7)]
+    }
 
     fn blocks_entry(td: &TempDir) -> ArrayEntry {
         let disk = NodeDisk::new(td.path(), None, false).unwrap();
-        let batches = vec![VertexRange::new(0, 4), VertexRange::new(4, 7)];
-        ArrayEntry::create_blocks(&disk, "dist", 4, &batches, false, 1, None, &MemBudget::new(0))
-            .unwrap()
+        create(&disk, 4, &batches(), None, &MemBudget::new(0)).unwrap()
     }
 
     #[test]
@@ -370,13 +377,13 @@ mod tests {
         let entry = blocks_entry(&td);
         let arr = VertexArray::<f32>::new("dist");
         let batch = VertexRange::new(4, 7);
-        let mut ctx = BatchCtx::load(&[&entry], batch, 1, 0, None).unwrap();
+        let mut ctx = BatchCtx::load(&[&entry], batch, 1, None).unwrap();
         assert_eq!(ctx.get(&arr, 5), 0.0);
         ctx.set(&arr, 5, 2.5);
         assert_eq!(ctx.get(&arr, 5), 2.5);
-        ctx.write_back(1).unwrap();
+        ctx.write_back().unwrap();
         // reload sees the persisted value
-        let mut ctx2 = BatchCtx::load(&[&entry], batch, 1, 0, None).unwrap();
+        let mut ctx2 = BatchCtx::load(&[&entry], batch, 1, None).unwrap();
         assert_eq!(ctx2.get(&arr, 5), 2.5);
         assert_eq!(ctx2.get(&arr, 4), 0.0);
     }
@@ -385,31 +392,29 @@ mod tests {
     fn resident_block_is_checked_out_and_written_back() {
         let td = TempDir::new().unwrap();
         let disk = NodeDisk::new(td.path(), None, false).unwrap();
-        let batches = vec![VertexRange::new(0, 4), VertexRange::new(4, 7)];
+        let batches = batches();
         let pool = MemBudget::new(1 << 10);
         let stats = disk.stats();
-        let entry =
-            ArrayEntry::create_blocks(&disk, "dist", 4, &batches, false, 1, None, &pool).unwrap();
+        let entry = create(&disk, 4, &batches, None, &pool).unwrap();
         assert_eq!(stats.write_bytes.get(), 0, "a new array's zero blocks stay in memory");
         assert_eq!(pool.used(), 28);
         let arr = entry.handle::<f32>();
         let batch = batches[1];
-        let mut ctx = BatchCtx::load(&[&entry], batch, 1, 0, None).unwrap();
+        let mut ctx = BatchCtx::load(&[&entry], batch, 1, None).unwrap();
         assert_eq!(pool.used(), 16, "checked out");
         ctx.set(&arr, 5, 2.5);
-        ctx.write_back(1).unwrap();
+        ctx.write_back().unwrap();
         // the next worker gets the resident block itself: no read, no copy
-        let mut ctx = BatchCtx::load(&[&entry], batch, 1, 0, None).unwrap();
+        let mut ctx = BatchCtx::load(&[&entry], batch, 1, None).unwrap();
         assert_eq!(ctx.get(&arr, 5), 2.5);
-        ctx.write_back(1).unwrap();
+        ctx.write_back().unwrap();
         assert_eq!((stats.read_bytes.get(), stats.write_bytes.get()), (0, 0));
         assert_eq!(pool.used(), 28, "checked back in, still dirty");
         entry.close(true).unwrap();
         assert_eq!(stats.write_bytes.get(), 28, "the flush writes each block once");
         // a later job reopens the flushed files
-        let again =
-            ArrayEntry::create_blocks(&disk, "dist", 4, &batches, false, 1, None, &pool).unwrap();
-        let mut ctx = BatchCtx::load(&[&again], batch, 1, 0, None).unwrap();
+        let again = create(&disk, 4, &batches, None, &pool).unwrap();
+        let mut ctx = BatchCtx::load(&[&again], batch, 1, None).unwrap();
         assert_eq!(ctx.get(&arr, 5), 2.5);
     }
 
@@ -417,18 +422,16 @@ mod tests {
     fn reopening_under_another_element_size_is_a_typed_error() {
         let td = TempDir::new().unwrap();
         let disk = NodeDisk::new(td.path(), None, false).unwrap();
-        let batches = vec![VertexRange::new(0, 4), VertexRange::new(4, 7)];
+        let batches = batches();
         let none = MemBudget::new(0);
-        ArrayEntry::create_blocks(&disk, "dist", 8, &batches, false, 1, None, &none).unwrap();
-        let reopen = ArrayEntry::create_blocks(&disk, "dist", 4, &batches, false, 1, None, &none);
-        let err = reopen.err().expect("a 4-byte view of 8-byte blocks");
+        create(&disk, 8, &batches, None, &none).unwrap();
+        let err = create(&disk, 4, &batches, None, &none).err().expect("a 4-byte view");
         assert!(matches!(&err, DfoError::Config(m) if m.contains("\"dist\"")), "{err}");
         // a block that changed length behind the store's back is caught
         // where a batch loads it
         std::fs::write(td.path().join("arrays/dist/blocks/1.bin"), [0u8; 12]).unwrap();
-        let entry =
-            ArrayEntry::create_blocks(&disk, "dist", 8, &batches, false, 1, None, &none).unwrap();
-        let err = BatchCtx::load(&[&entry], batches[1], 1, 0, None).err().unwrap();
+        let entry = create(&disk, 8, &batches, None, &none).unwrap();
+        let err = BatchCtx::load(&[&entry], batches[1], 1, None).err().unwrap();
         assert!(matches!(&err, DfoError::Corrupt(m) if m.contains("\"dist\"")), "{err}");
         assert!(entry.read_block(1, batches[1].len()).is_err());
     }
@@ -439,7 +442,7 @@ mod tests {
         let td = TempDir::new().unwrap();
         let entry = blocks_entry(&td);
         let wrong = VertexArray::<u64>::new("dist");
-        let mut ctx = BatchCtx::load(&[&entry], VertexRange::new(0, 4), 0, 0, None).unwrap();
+        let mut ctx = BatchCtx::load(&[&entry], VertexRange::new(0, 4), 0, None).unwrap();
         let _ = ctx.get(&wrong, 0);
     }
 
@@ -449,7 +452,7 @@ mod tests {
         let td = TempDir::new().unwrap();
         let entry = blocks_entry(&td);
         let other = VertexArray::<f32>::new("rank");
-        let mut ctx = BatchCtx::load(&[&entry], VertexRange::new(0, 4), 0, 0, None).unwrap();
+        let mut ctx = BatchCtx::load(&[&entry], VertexRange::new(0, 4), 0, None).unwrap();
         let _ = ctx.get(&other, 0);
     }
 
@@ -457,20 +460,29 @@ mod tests {
     fn paged_backend_get_set() {
         let td = TempDir::new().unwrap();
         let disk = NodeDisk::new(td.path(), None, false).unwrap();
-        // four pages of u64s behind a two-page cache, so values survive eviction
-        let partition = VertexRange::new(10, 10 + 4 * PAGE_SIZE as u64 / 8);
-        let entry = ArrayEntry::create_paged(&disk, "val", 8, partition, 2).unwrap();
-        let arr = VertexArray::<u64>::new("val");
-        {
-            let mut ctx = BatchCtx::load(&[&entry], partition, 0, 10, None).unwrap();
-            for v in partition.iter() {
-                ctx.set(&arr, v, v * 3);
-            }
-            for v in (partition.start..partition.end).rev() {
-                assert_eq!(ctx.get(&arr, v), v * 3);
-            }
+        // four pages of u64s behind a two-page pool: the batch holds one page
+        // at a time, and the pages the pool has no room for go to disk
+        let n = (PAGE_SIZE / 8) as u64;
+        let partition = VertexRange::new(10, 10 + 4 * n - 3);
+        let pages = split_into_batches(partition, n);
+        let pool = MemBudget::new(2 * PAGE_SIZE as u64);
+        let entry = create(&disk, 8, &pages, Some(n), &pool).unwrap();
+        let arr = entry.handle::<u64>();
+        let mut ctx = BatchCtx::load(&[&entry], partition, 0, None).unwrap();
+        for v in partition.iter() {
+            ctx.set(&arr, v, v * 3);
         }
-        entry.commit().unwrap(); // flush pages
+        for v in (partition.start..partition.end).rev() {
+            assert_eq!(ctx.get(&arr, v), v * 3);
+        }
+        ctx.write_back().unwrap();
+        assert!(disk.stats().read_bytes.get() > 0, "pages past the pool thrash");
+        entry.close(true).unwrap();
+        let again = create(&disk, 8, &pages, Some(n), &pool).unwrap();
+        let mut ctx = BatchCtx::load(&[&again], partition, 0, None).unwrap();
+        for v in [partition.end - 1, partition.start + n, partition.start] {
+            assert_eq!(ctx.get(&arr, v), v * 3, "vertex {v} after reopening");
+        }
     }
 
     #[test]
@@ -481,7 +493,7 @@ mod tests {
         // hand the loader fabricated bytes: it must use them, not re-read
         let fake = bytes_of(&7.0f32).iter().copied().cycle().take(16).collect::<Vec<u8>>();
         let mut ctx =
-            BatchCtx::load(&[&entry], VertexRange::new(0, 4), 0, 0, Some(("dist", fake))).unwrap();
+            BatchCtx::load(&[&entry], VertexRange::new(0, 4), 0, Some(("dist", fake))).unwrap();
         assert_eq!(ctx.get(&arr, 2), 7.0);
     }
 }

@@ -353,7 +353,7 @@ impl NodeCtx {
                 buf.append(&rec_buf)?;
             }
         }
-        ctx.write_back(b)?;
+        ctx.write_back()?;
         let count = buf.len() / msgs.rec as u64;
         if count > 0 {
             publish(&msgs.gen[b], buf)?;
@@ -526,11 +526,8 @@ impl NodeCtx {
         reads: impl FnOnce(u64) -> u64,
     ) -> Result<DispatchAccess> {
         let path = paths::dispatch(p);
-        // a version-1 container has no directory to seek by: `None`, load it
         if self.seeks(dinfo, p, reads) {
-            if let Some(seeker) = ChunkSeeker::open(&self.disk, &path)? {
-                return Ok(DispatchAccess::Seek(Box::new(seeker)));
-            }
+            return Ok(DispatchAccess::Seek(Box::new(ChunkSeeker::open(&self.disk, &path)?)));
         }
         let key =
             ChunkKey { partition: p, batch: None, repr: Some(self.full_repr(dinfo, p, bound)) };
@@ -588,25 +585,25 @@ impl NodeCtx {
 
     /// Loads the decoded edge chunk or dispatching graph at `path` with the
     /// index `key.repr`, through the chunk cache (and any in-flight
-    /// prefetch) when one is configured. Hits and misses are counted here,
-    /// per context, not diffed from the shared cache's counters.
+    /// prefetch, which in turn waits for this load) when one is configured.
+    /// Hits and misses are counted here, per context, not diffed from the
+    /// shared cache's counters.
     fn load_indexed<E: Pod + PartialEq>(
         &self,
         path: &str,
         key: ChunkKey,
     ) -> Result<Arc<IndexedChunk<E>>> {
         let read = || self.timed_chunk_read(|| read_indexed::<E>(&self.disk, path, key.repr));
-        let Some(cache) = &self.chunk_cache else {
-            return Ok(Arc::new(read()?));
+        let value = match &self.chunk_cache {
+            None => read()?.0,
+            Some(cache) => {
+                let (value, hit) = cache.get_or_load(key, read)?;
+                let counter = if hit { &self.cache_hits } else { &self.cache_misses };
+                counter.fetch_add(1, Ordering::Relaxed);
+                value
+            }
         };
-        if let Some(v) = cache.lookup(&key) {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(v.downcast::<IndexedChunk<E>>().expect("chunk cache holds IndexedChunk<E>"));
-        }
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let chunk = Arc::new(read()?);
-        cache.insert(key, chunk.clone() as CachedValue, chunk.decoded_bytes());
-        Ok(chunk)
+        Ok(value.downcast::<IndexedChunk<E>>().expect("chunk cache holds IndexedChunk<E>"))
     }
 
     /// Builds and starts the phase-4 read-ahead pool: the batch processing
@@ -648,11 +645,7 @@ impl NodeCtx {
                 jobs.push(PrefetchJob {
                     key,
                     group: b,
-                    load: Box::new(move || {
-                        let chunk = read_indexed::<E>(&disk, &path, key.repr)?;
-                        let bytes = chunk.decoded_bytes();
-                        Ok((Arc::new(chunk) as CachedValue, bytes))
-                    }),
+                    load: Box::new(move || read_indexed::<E>(&disk, &path, key.repr)),
                 });
             }
         }
@@ -692,7 +685,7 @@ impl NodeCtx {
         }
 
         let refs: Vec<&ArrayEntry> = slot_entries.iter().map(|e| e.as_ref()).collect();
-        let mut ctx = BatchCtx::load(&refs, range, b, self.plan.partitions[rank].start, None)?;
+        let mut ctx = BatchCtx::load(&refs, range, b, None)?;
         let mut acc = A::zero();
         let dst_base = self.plan.partitions[rank].start;
 
@@ -703,15 +696,11 @@ impl NodeCtx {
             // full loads go through the chunk cache and prefetcher
             let path = paths::chunk(p, b);
             let reads = |enough| seek_reads(&replay, msgs.rec, enough);
-            let seeks = self.seeks(&cinfo, p, reads);
-            // (a version-1 container has no directory to seek by: `None`)
-            let mut seeker = if seeks { ChunkSeeker::<E>::open(&self.disk, &path)? } else { None };
-            let chunk = match seeker {
-                Some(_) => None,
-                None => {
-                    let key = chunk_key(p, b, self.full_repr(&cinfo, p, count));
-                    Some(self.load_indexed::<E>(&path, key)?)
-                }
+            let (mut seeker, chunk) = if self.seeks(&cinfo, p, reads) {
+                (Some(ChunkSeeker::<E>::open(&self.disk, &path)?), None)
+            } else {
+                let key = chunk_key(p, b, self.full_repr(&cinfo, p, count));
+                (None, Some(self.load_indexed::<E>(&path, key)?))
             };
             let use_csr = chunk.as_ref().is_some_and(|c| c.csr_idx.is_some());
             let src_base = self.plan.partitions[p].start;
@@ -749,7 +738,7 @@ impl NodeCtx {
                 })?;
             }
         }
-        ctx.write_back(b)?;
+        ctx.write_back()?;
         Ok(acc)
     }
 }
@@ -856,12 +845,13 @@ fn chunk_key(p: Rank, b: usize, want: ReprKind) -> ChunkKey {
 
 /// Opens `path` through the framing auto-detector and decodes it with the
 /// index `want` — the one chunk reader `load_indexed` and the prefetch
-/// threads share.
+/// threads share — into a cache value and its decoded size.
 fn read_indexed<E: Pod + PartialEq>(
     disk: &NodeDisk,
     path: &str,
     want: Option<ReprKind>,
-) -> Result<IndexedChunk<E>> {
-    let mut r = disk.open_framed(path)?;
-    IndexedChunk::read_from(&mut r, want)
+) -> Result<(CachedValue, u64)> {
+    let chunk = IndexedChunk::<E>::read_from(&mut disk.open_framed(path)?, want)?;
+    let bytes = chunk.decoded_bytes();
+    Ok((Arc::new(chunk), bytes))
 }

@@ -12,6 +12,7 @@ use dfo_part::plan::{ChunkInfo, Plan};
 use dfo_storage::{
     ChunkCache, ChunkCacheStats, ChunkPool, CommitLog, MemBudget, NodeDisk, VersionedArrayStore,
 };
+use dfo_types::ids::split_into_batches;
 use dfo_types::{CrashPos, DfoError, EngineConfig, PhaseStats, Pod, Rank, Result, VertexId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -140,9 +141,9 @@ impl NodeCtx {
         for c in &plan.node_meta[rank].chunks {
             chunk_map[c.src_partition][c.batch] = Some(*c);
         }
-        // the commit record lives beside the arrays it covers; paged mode
-        // (the no-batching ablation) has no checkpoints to record
-        let commit_log = (cfg.checkpointing && cfg.batching_enabled)
+        // the commit record lives beside the arrays it covers
+        let commit_log = cfg
+            .checkpointing
             .then(|| parking_lot::Mutex::new(CommitLog::load_or_new(scratch.clone(), COMMITS_REL)));
         Self {
             rank,
@@ -339,33 +340,27 @@ impl NodeCtx {
             }
             return Ok(entry.handle());
         }
-        let entry = if self.cfg.batching_enabled {
-            // cap recovery at the commit record's epoch for this array: any
-            // newer checkpoint belongs to a call whose record never landed
-            let target = self.commit_log.as_ref().map(|l| l.lock().target_epoch(name));
-            ArrayEntry::create_blocks(
-                &self.scratch,
-                name,
-                elem,
-                &self.plan.batches[self.rank],
-                self.cfg.checkpointing,
-                self.cfg.checkpoints_kept,
-                target,
-                &self.block_pool,
-            )?
-        } else {
-            // Table 6 ablation: memory-mapped-style access through a bounded
-            // page cache (a quarter of the budget per array, mirroring an OS
-            // page cache shared by a handful of hot mmapped arrays)
-            let pages = (self.cfg.mem_budget as usize / PAGE_SIZE / 4).max(1);
-            ArrayEntry::create_paged(
-                &self.scratch,
-                name,
-                elem,
-                self.plan.partitions[self.rank],
-                pages,
-            )?
+        // without batching (the Table 6 ablation) the one batch is the
+        // partition, and the array's blocks are pages of it
+        let page = (!self.cfg.batching_enabled).then(|| (PAGE_SIZE / elem).max(1) as u64);
+        let blocks = match page {
+            Some(n) => split_into_batches(self.plan.partitions[self.rank], n),
+            None => self.plan.batches[self.rank].clone(),
         };
+        // cap recovery at the commit record's epoch for this array: any
+        // newer checkpoint belongs to a call whose record never landed
+        let target = self.commit_log.as_ref().map(|l| l.lock().target_epoch(name));
+        let entry = ArrayEntry::create_blocks(
+            &self.scratch,
+            name,
+            elem,
+            &blocks,
+            page,
+            self.cfg.checkpointing,
+            self.cfg.checkpoints_kept,
+            target,
+            &self.block_pool,
+        )?;
         let handle = entry.handle();
         self.arrays.insert(name.to_string(), Arc::new(entry));
         Ok(handle)
@@ -538,6 +533,9 @@ impl NodeCtx {
         for (arr, want_epoch) in &restored {
             let landed = match self.arrays.get(arr) {
                 Some(entry) => entry.rollback_one()?,
+                // a paged array's block count depends on its element type:
+                // opening it recovers to the same capped epoch
+                None if !self.cfg.batching_enabled => continue,
                 None => {
                     // not opened yet this incarnation: recovery with the
                     // (already stepped-back) record epoch as the cap lands
@@ -712,7 +710,7 @@ impl NodeCtx {
                 acc = acc.merge(work(v, &mut ctx));
             }
         }
-        ctx.write_back(b)?;
+        ctx.write_back()?;
         Ok(acc)
     }
 
@@ -736,7 +734,7 @@ impl NodeCtx {
         let mut preloaded = None;
         let mask = match active_entry {
             None => ActiveMask::All,
-            Some(e) if self.cfg.batching_enabled => {
+            Some(e) if e.page.is_none() => {
                 let bytes = e.read_block(b, range.len())?;
                 if !bytes.iter().any(|&x| x != 0) {
                     return Ok(None);
@@ -748,8 +746,7 @@ impl NodeCtx {
                 }
                 ActiveMask::Block(bytes)
             }
-            // paged mode (Table 6 ablation): activity is read through the
-            // page cache inside the ctx
+            // a paged array is read through the ctx, a page at a time
             Some(e) => {
                 if !names.contains(&&*e.name) {
                     refs.push(e);
@@ -757,8 +754,7 @@ impl NodeCtx {
                 ActiveMask::Paged(e.handle())
             }
         };
-        let partition_start = self.plan.partitions[self.rank].start;
-        let ctx = BatchCtx::load(&refs, range, b, partition_start, preloaded)?;
+        let ctx = BatchCtx::load(&refs, range, b, preloaded)?;
         Ok(Some((ctx, mask)))
     }
 }
@@ -770,7 +766,7 @@ pub(crate) enum ActiveMask {
     All,
     /// The batch's block of the `active` array, one byte per vertex.
     Block(Vec<u8>),
-    /// Paged mode: `active` is read through the batch context.
+    /// A paged `active` array, read through the batch context.
     Paged(VertexArray<bool>),
 }
 

@@ -1,14 +1,13 @@
 //! Chunk compression through the engine: physical reads shrink while
 //! logical reads (and results) stay put, the off switch reproduces the
-//! uncompressed layout byte-for-byte, and files of an older build (seek
-//! mode meeting a version-1 container, which has no block directory)
-//! degrade to a correct full load.
+//! uncompressed layout byte-for-byte, and files of an older build
+//! (version-1 containers) fail the run with a typed error.
 
 use dfo_core::Cluster;
 use dfo_graph::edge::EdgeList;
 use dfo_graph::gen::{rmat, GenConfig};
 use dfo_part::preprocess::paths;
-use dfo_types::{BatchPolicy, EngineConfig, PhaseStats};
+use dfo_types::{BatchPolicy, DfoError, EngineConfig, PhaseStats};
 use std::io::Read;
 use tempfile::TempDir;
 
@@ -194,61 +193,49 @@ fn v1_container(logical: &[u8]) -> Vec<u8> {
 }
 
 /// A directory preprocessed by an older build — every chunk and dispatch
-/// graph a version-1 container — opened with compression off in the config
-/// and an eager γ: the engine picks seek mode, meets files it cannot seek
-/// in, and must fall back to a full load — same results, no panic.
+/// graph a version-1 container — is refused whether the engine loads its
+/// files whole or, with an eager γ, seeks into them: the run fails with a
+/// typed error that names the file and says to preprocess again, and
+/// nothing panics. One node, so no peer's failure can surface first.
 #[test]
-fn stale_config_mismatch_falls_back_to_full_loads() {
+fn a_version_1_directory_fails_the_run_typed_without_a_panic() {
     let g = graph();
     let td = TempDir::new().unwrap();
-    let baseline = push_once(cfg(false), &g, &td.path().join("base")).values;
-
-    let dir = td.path().join("mismatch");
-    {
-        let cluster = Cluster::create(cfg(true), &dir).unwrap();
-        let plan = cluster.preprocess(&g).unwrap();
-        for (i, disk) in cluster.disks().iter().enumerate() {
-            let chunks =
-                plan.node_meta[i].chunks.iter().map(|c| paths::chunk(c.src_partition, c.batch));
-            let dispatch =
-                (0..2).filter(|&p| plan.node_meta[i].dispatch[p].is_some()).map(paths::dispatch);
-            for rel in chunks.chain(dispatch) {
-                let mut logical = Vec::new();
-                disk.open_framed(&rel).unwrap().read_to_end(&mut logical).unwrap();
-                std::fs::write(disk.root().join(&rel), v1_container(&logical)).unwrap();
-            }
+    let mut one_node = cfg(true);
+    one_node.nodes = 1;
+    let cluster = Cluster::create(one_node.clone(), td.path()).unwrap();
+    let plan = cluster.preprocess(&g).unwrap();
+    let disk = &cluster.disks()[0];
+    let chunks = plan.node_meta[0].chunks.iter().map(|c| paths::chunk(c.src_partition, c.batch));
+    let dispatch = plan.node_meta[0].dispatch[0].map(|_| paths::dispatch(0));
+    for rel in chunks.chain(dispatch) {
+        let mut logical = Vec::new();
+        disk.open_framed(&rel).unwrap().read_to_end(&mut logical).unwrap();
+        std::fs::write(disk.root().join(&rel), v1_container(&logical)).unwrap();
+    }
+    for gamma in [one_node.gamma, 1] {
+        let mut c = one_node.clone();
+        c.gamma = gamma;
+        let err = Cluster::create(c, td.path())
+            .unwrap()
+            .run(|ctx| {
+                let acc = ctx.vertex_array::<u64>("acc")?;
+                ctx.process_edges(
+                    &[],
+                    &["acc"],
+                    None,
+                    |_v, _c| Some(1u64),
+                    move |m: u64, _s, d, _e: &(), cx| {
+                        let cur = cx.get(&acc, d);
+                        cx.set(&acc, d, cur + m);
+                        0u64
+                    },
+                )
+            })
+            .err();
+        match err {
+            Some(DfoError::Corrupt(m)) if m.contains("version-1") && m.contains("preprocess") => {}
+            other => panic!("gamma {gamma}: {other:?}"),
         }
     }
-    // reopen the same preprocessed data with compression off and a tiny
-    // gamma so the seek heuristic is eager
-    let mut stale = cfg(false);
-    stale.gamma = 1;
-    let cluster = Cluster::create(stale, &dir).unwrap();
-    let per_node = cluster
-        .run(|ctx| {
-            let acc = ctx.vertex_array::<u64>("acc")?;
-            let a = acc.clone();
-            ctx.process_edges(
-                &[],
-                &["acc"],
-                None,
-                |_v, _c| Some(1u64),
-                move |m: u64, _s, d, _e: &(), cx| {
-                    let cur = cx.get(&a, d);
-                    cx.set(&a, d, cur + m);
-                    0u64
-                },
-            )?;
-            let r = ctx.plan().partitions[ctx.rank()];
-            let out = std::sync::Mutex::new(vec![0u64; r.len() as usize]);
-            let a = acc.clone();
-            ctx.process_vertices(&["acc"], None, |v, c| {
-                out.lock().unwrap()[(v - r.start) as usize] = c.get(&a, v);
-                0u64
-            })?;
-            Ok(out.into_inner().unwrap())
-        })
-        .unwrap();
-    let vals: Vec<u64> = per_node.into_iter().flatten().collect();
-    assert_eq!(vals, baseline);
 }

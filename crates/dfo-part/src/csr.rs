@@ -342,16 +342,19 @@ const DST_SLOT: usize = 1;
 const DATA_SLOT: usize = 2;
 
 impl<E: Pod + PartialEq> ChunkSeeker<E> {
-    /// Opens `rel` on `disk`; returns `None` if the chunk has no CSR index
-    /// — or is a version-1 compressed container, which holds no block
-    /// directory to seek by (callers fall back to a full decoded load).
-    pub fn open(disk: &dfo_storage::NodeDisk, rel: &str) -> Result<Option<Self>> {
-        let Some(mut file) = BlockFile::open(disk, rel, 3)? else { return Ok(None) };
+    /// Opens `rel` on `disk`. Callers seek only where the plan says a CSR
+    /// index was stored, so a chunk without one is `Corrupt`.
+    pub fn open(disk: &dfo_storage::NodeDisk, rel: &str) -> Result<Self> {
+        let mut file = BlockFile::open(disk, rel, 3)?;
         let mut header = [0u8; HEADER_BYTES];
         file.read_at(IDX_SLOT, &mut header, 0)?;
         let len = file.logical_len();
-        let layout = Layout::parse(&header, std::mem::size_of::<E>(), len..=len)?;
-        Ok(layout.has_csr.then(|| Self { file, layout, dst: Vec::new(), data: Vec::new() }))
+        match Layout::parse(&header, std::mem::size_of::<E>(), len..=len)? {
+            layout if layout.has_csr => {
+                Ok(Self { file, layout, dst: Vec::new(), data: Vec::new() })
+            }
+            _ => Err(DfoError::Corrupt(format!("{rel}: no CSR index to seek by"))),
+        }
     }
 
     /// Fetches the `dst` and `data` of `src`'s edges with positioned reads.

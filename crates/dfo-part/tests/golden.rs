@@ -1,16 +1,17 @@
 //! Pins the on-disk chunk format from both sides.
 //!
-//! `data/golden_chunk_pr14.hex` is the version-1 container the PR-14
-//! commit's `write_to_framed(.., true)` produced for [`golden_chunk`]: no
-//! build writes that version any more, every build must go on reading it.
-//! `data/golden_chunk_v2.hex` is the version-2 container of the same chunk
-//! — typed column filters, block directory, footer — which today's reader
-//! must decode *and* today's writer must reproduce byte for byte: encoder,
-//! filters, framing and checksums do not move unnoticed.
+//! `data/golden_chunk_pr14.hex` is the version-1 container an older build's
+//! `write_to_framed(.., true)` produced for [`golden_chunk`]: no build
+//! writes or reads that version any more, and both readers refuse it with
+//! an error that says to preprocess again. `data/golden_chunk_v2.hex` is
+//! the version-2 container of the same chunk — typed column filters, block
+//! directory, footer — which today's reader must decode *and* today's
+//! writer must reproduce byte for byte: encoder, filters, framing and
+//! checksums do not move unnoticed.
 
 use dfo_part::csr::{ChunkSeeker, IndexedChunk};
 use dfo_storage::{FrameReader, NodeDisk};
-use dfo_types::ReprKind;
+use dfo_types::{DfoError, ReprKind};
 use std::io::Cursor;
 
 fn golden_chunk() -> IndexedChunk<u32> {
@@ -41,16 +42,21 @@ fn assert_decodes(file: &[u8]) {
 }
 
 #[test]
-fn compressed_chunk_written_by_the_parent_commit_still_decodes() {
+fn version_1_golden_chunk_is_refused_with_a_typed_error() {
     let golden = unhex(include_str!("data/golden_chunk_pr14.hex"));
     assert_eq!(golden.len(), 779);
-    assert_decodes(&golden);
-    // it has no block directory: seek mode declines it, and the engine
-    // loads it whole as it always did
+    assert!(FrameReader::new(Cursor::new(&golden)).is_err());
     let td = tempfile::TempDir::new().unwrap();
     std::fs::write(td.path().join("v1.bin"), &golden).unwrap();
     let disk = NodeDisk::new(td.path(), None, false).unwrap();
-    assert!(ChunkSeeker::<u32>::open(&disk, "v1.bin").unwrap().is_none());
+    let loaded = disk.open_framed("v1.bin").err();
+    let seeked = ChunkSeeker::<u32>::open(&disk, "v1.bin").err();
+    for err in [loaded, seeked] {
+        assert!(
+            matches!(&err, Some(DfoError::Corrupt(m)) if m.contains("v1.bin") && m.contains("preprocess")),
+            "{err:?}"
+        );
+    }
 }
 
 #[test]
@@ -63,7 +69,7 @@ fn todays_writer_reproduces_the_pinned_v2_file() {
     let td = tempfile::TempDir::new().unwrap();
     std::fs::write(td.path().join("v2.bin"), &golden).unwrap();
     let disk = NodeDisk::new(td.path(), None, false).unwrap();
-    let mut seeker = ChunkSeeker::<u32>::open(&disk, "v2.bin").unwrap().expect("a directory");
+    let mut seeker = ChunkSeeker::<u32>::open(&disk, "v2.bin").unwrap();
     for src in 0..64 {
         let edges = chunk.edges_of_csr(src);
         let (dst, data) = seeker.edges_of(src).unwrap();

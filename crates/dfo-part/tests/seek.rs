@@ -37,7 +37,7 @@ fn header_counts_are_held_against_the_stream_before_anything_is_sized_by_them() 
             let refused = matches!(loaded, Err(DfoError::Corrupt(_)));
             assert!(refused || (byte == 0 && loaded.is_err()), "{what}: {loaded:?}");
             std::fs::write(td.path().join(rel), &file).unwrap();
-            let seeker = ChunkSeeker::<u8>::open(&disk, rel).map(|s| s.is_some());
+            let seeker = ChunkSeeker::<u8>::open(&disk, rel).map(|_| ());
             assert!(matches!(seeker, Err(DfoError::Corrupt(_))), "{what}: {seeker:?}");
         }
     }
@@ -59,7 +59,7 @@ fn seeker_matches_the_loaded_chunk_on_either_layout() {
         let mut w = disk.create_framed("c.bin", compress).unwrap();
         c.write_to(&mut w).unwrap();
         w.finish().unwrap().finish().unwrap();
-        let mut seeker = ChunkSeeker::<u32>::open(&disk, "c.bin").unwrap().unwrap();
+        let mut seeker = ChunkSeeker::<u32>::open(&disk, "c.bin").unwrap();
         let before = disk.stats().read_bytes.get();
         for src in (0..8_100).step_by(3) {
             let edges = c.edges_of_csr(src);
@@ -71,9 +71,10 @@ fn seeker_matches_the_loaded_chunk_on_either_layout() {
         assert!(read <= disk.len("c.bin").unwrap(), "compress={compress}: read {read} B");
         assert!(matches!(seeker.edges_of(8_100), Err(DfoError::Corrupt(_))));
     }
-    // no CSR index stored: nothing to seek by
+    // no CSR index stored: the plan that sent a seek here is wrong
     let sparse = IndexedChunk::build(100_000, &edges[..10], 32.0);
     std::fs::write(td.path().join("s.bin"), sparse.write_to_framed(Vec::new(), true).unwrap())
         .unwrap();
-    assert!(ChunkSeeker::<u32>::open(&disk, "s.bin").unwrap().is_none());
+    let err = ChunkSeeker::<u32>::open(&disk, "s.bin").err();
+    assert!(matches!(&err, Some(DfoError::Corrupt(m)) if m.contains("s.bin")), "{err:?}");
 }

@@ -348,10 +348,6 @@ impl VersionedArrayStore {
         Ok(Self::with_mode(disk, dir, n_batches, mode, MemBudget::new(0)))
     }
 
-    pub fn n_batches(&self) -> usize {
-        self.n_batches
-    }
-
     /// Latest committed epoch (0 for in-place stores).
     pub fn epoch(&self) -> u64 {
         match &self.mode {

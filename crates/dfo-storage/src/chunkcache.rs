@@ -20,7 +20,8 @@
 //! background threads loads the chunks of the next few batches while the
 //! current one is being processed. An in-flight table lets a consumer that
 //! misses the cache wait for a load already in progress instead of issuing a
-//! duplicate read.
+//! duplicate read, and a consumer's own load registers there too, so a
+//! prefetch thread that reaches the same chunk meanwhile skips it.
 
 use dfo_types::{ReprKind, Result};
 use parking_lot::{Condvar, Mutex};
@@ -152,10 +153,6 @@ impl ChunkCache {
         }
     }
 
-    pub fn budget(&self) -> u64 {
-        self.budget
-    }
-
     /// Consumer-side lookup: cache first, then any in-flight or completed
     /// prefetch of the same key (waiting for it instead of duplicating the
     /// read). Counts one hit or one miss.
@@ -166,6 +163,15 @@ impl ChunkCache {
     /// would make prefetch read every chunk twice (once in the pool, once
     /// synchronously), worse than no cache at all.
     pub fn lookup(&self, key: &ChunkKey) -> Option<CachedValue> {
+        let found = self.probe(key);
+        if found.is_none() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+        }
+        found
+    }
+
+    /// [`ChunkCache::lookup`] counting hits only.
+    fn probe(&self, key: &ChunkKey) -> Option<CachedValue> {
         if let Some(v) = self.touch(key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Some(v);
@@ -189,8 +195,36 @@ impl ChunkCache {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Some(v);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         None
+    }
+
+    /// [`ChunkCache::lookup`], and on a miss `load()` — registered in the
+    /// in-flight table while it runs, so a prefetch thread that reaches
+    /// `key` meanwhile skips it instead of reading the chunk a second time.
+    /// Returns the value and whether it was a hit.
+    pub fn get_or_load(
+        &self,
+        key: ChunkKey,
+        load: impl FnOnce() -> Result<(CachedValue, u64)>,
+    ) -> Result<(CachedValue, bool)> {
+        let slot = loop {
+            if let Some(v) = self.probe(&key) {
+                return Ok((v, true));
+            }
+            // a prefetch that registered since the probe missed is waited
+            // for by the next probe; a failed one was consumed by this one
+            if let Some(slot) = self.begin_load(key) {
+                break slot;
+            }
+        };
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let mut guard = FulfillGuard { cache: self, key, slot, loaded: None };
+        let loaded = load();
+        guard.loaded = loaded.as_ref().ok().map(|(v, bytes)| (v.clone(), *bytes));
+        drop(guard);
+        // the slot's one consumer is this call
+        self.purge_inflight(&[key]);
+        Ok((loaded?.0, false))
     }
 
     /// Whether `key` is resident, without touching recency or counters

@@ -48,13 +48,13 @@
 //! decodes exactly the blocks that hold the logical bytes it is asked for.
 //! The footer's CRC covers the directory and the footer's own counts.
 //!
-//! **Versions.** The writer writes version 2 only. Readers accept version 1
-//! as well — version 2 without filters, directory or footer — which
-//! [`BlockFile`] cannot seek in (its `open` says so and the caller loads
-//! the file whole, as it always did). [`FrameReader`] auto-detects the
-//! container magic and passes other files through byte-for-byte, so one
-//! read path serves framed and raw files and `compress_chunks = false`
-//! keeps files byte-identical to the uncompressed layout.
+//! **Versions.** Readers and the writer speak version 2 only. A container
+//! of any other version — version 1 had neither filters nor a directory —
+//! is refused with an error that names the file and says to preprocess the
+//! graph again. [`FrameReader`] auto-detects the container magic and
+//! passes other files through byte-for-byte, so one read path serves
+//! framed and raw files and `compress_chunks = false` keeps files
+//! byte-identical to the uncompressed layout.
 //!
 //! Decoding: a [`FrameReader`] owns its buffers for its whole life. When
 //! the caller's buffer can hold the next block whole — the chunk codec's
@@ -79,7 +79,7 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 /// First four bytes of a compressed chunk container ("DFOZ" once the
 /// little-endian u32 is laid down, mirroring the chunk codec's "DFOC").
 pub const FRAME_MAGIC: u32 = 0x4446_4F5A;
-/// Container format version this build writes; it also reads version 1.
+/// The one container format version this build writes and reads.
 pub const FRAME_VERSION: u32 = 2;
 /// Last four bytes of a version-2 container ("DFOD").
 const FOOTER_MAGIC: u32 = 0x4446_4F44;
@@ -478,9 +478,8 @@ struct BlockHeader {
     lz4: bool,
     filter: Filter,
     /// What the checksum of the payload must continue from and come to:
-    /// version 2 checksums the header's lengths and flags with the payload
-    /// (nothing else would notice a flipped filter id), version 1 the
-    /// payload alone.
+    /// the header's lengths and flags are checksummed with the payload
+    /// (nothing else would notice a flipped filter id).
     crc_seed: u32,
     crc: u32,
 }
@@ -503,9 +502,8 @@ fn truncated_as_corrupt(e: io::Error, what: &str) -> io::Error {
     }
 }
 
-/// Parses and validates a block header of a container of the given
-/// `version`; `None` is the end trailer.
-fn parse_header(header: &[u8], version: u32) -> io::Result<Option<BlockHeader>> {
+/// Parses and validates a block header; `None` is the end trailer.
+fn parse_header(header: &[u8]) -> io::Result<Option<BlockHeader>> {
     let (raw_len, enc_len) = (le_u32(header, 0) as usize, le_u32(header, 4) as usize);
     let (flags, crc) = (le_u32(header, 8), le_u32(header, 12));
     if flags & FLAG_END != 0 {
@@ -525,7 +523,7 @@ fn parse_header(header: &[u8], version: u32) -> io::Result<Option<BlockHeader>> 
     if !lz4 && (enc_len != raw_len || filter != Filter::NONE) {
         return Err(corrupt("malformed raw block"));
     }
-    let crc_seed = if version == 1 { 0 } else { crc32(&header[..12]) };
+    let crc_seed = crc32(&header[..12]);
     Ok(Some(BlockHeader { raw_len, enc_len, lz4, filter, crc_seed, crc }))
 }
 
@@ -571,15 +569,13 @@ struct DecodeState {
     done: bool,
     /// Decoded bytes served or skipped so far.
     decoded_pos: u64,
-    /// Container version: 1 ends at the trailer, 2 goes on to list the
-    /// `blocks_seen` so far, read or stepped over, in its directory.
-    version: u32,
+    /// Blocks read or stepped over so far, which the directory lists.
     blocks_seen: u64,
 }
 
 impl DecodeState {
     /// Reads the next block header; `None` is the end of the stream, with
-    /// a version-2 file's directory and footer read and checked.
+    /// the directory and footer read and checked.
     fn next_header(&mut self, inner: &mut impl Read) -> io::Result<Option<BlockHeader>> {
         if self.done {
             return Ok(None);
@@ -588,10 +584,10 @@ impl DecodeState {
         inner
             .read_exact(&mut header)
             .map_err(|e| truncated_as_corrupt(e, "missing end trailer"))?;
-        let h = parse_header(&header, self.version)?;
+        let h = parse_header(&header)?;
         if h.is_some() {
             self.blocks_seen += 1;
-        } else if self.version != 1 {
+        } else {
             let mut tail = vec![0u8; self.blocks_seen as usize * DIR_ENTRY_BYTES + FOOTER_BYTES];
             inner.read_exact(&mut tail).map_err(|e| truncated_as_corrupt(e, "no footer"))?;
             if parse_footer(&tail)? != (self.blocks_seen, self.decoded_pos) {
@@ -688,8 +684,13 @@ pub struct FrameReader<R: Read> {
 impl<R: Read + Seek> FrameReader<R> {
     /// Measures the stream, then peeks its first four bytes to pick the
     /// mode.
-    pub fn new(mut inner: R) -> Result<Self> {
-        let io = |e| DfoError::io("opening a chunk frame stream", e);
+    pub fn new(inner: R) -> Result<Self> {
+        Self::named(inner, "a chunk frame stream")
+    }
+
+    /// [`FrameReader::new`] over the file `name`, which errors name.
+    pub(crate) fn named(mut inner: R, name: &str) -> Result<Self> {
+        let io = |e| DfoError::io(format!("opening {name}"), e);
         let start = inner.stream_position().map_err(io)?;
         let end = inner.seek(SeekFrom::End(0)).map_err(io)?;
         inner.seek(SeekFrom::Start(start)).map_err(io)?;
@@ -704,11 +705,8 @@ impl<R: Read + Seek> FrameReader<R> {
         }
         let mode = if n == 4 && le_u32(&prefix, 0) == FRAME_MAGIC {
             inner.read_exact(&mut prefix[4..]).map_err(io)?;
-            let version = le_u32(&prefix, 4);
-            if version != 1 && version != FRAME_VERSION {
-                return Err(DfoError::Corrupt(format!("unsupported frame version {version}")));
-            }
-            ReadMode::Decode(DecodeState { version, ..DecodeState::default() })
+            check_version(le_u32(&prefix, 4), name)?;
+            ReadMode::Decode(DecodeState::default())
         } else {
             let prefix = [prefix[0], prefix[1], prefix[2], prefix[3]];
             ReadMode::Passthrough { prefix, prefix_len: n, prefix_pos: 0 }
@@ -718,11 +716,6 @@ impl<R: Read + Seek> FrameReader<R> {
 }
 
 impl<R: Read> FrameReader<R> {
-    /// True when this stream is a compressed container (not passthrough).
-    pub fn is_compressed(&self) -> bool {
-        matches!(self.mode, ReadMode::Decode(_))
-    }
-
     /// No more logical bytes than this can come out of the stream: what a
     /// decoder holds a length field against before it allocates for it.
     pub fn logical_bound(&self) -> u64 {
@@ -868,12 +861,24 @@ fn as_corrupt(e: io::Error) -> DfoError {
     DfoError::Corrupt(e.to_string())
 }
 
+/// Refuses a container of another version than [`FRAME_VERSION`], naming
+/// the file `what`.
+fn check_version(version: u32, what: &str) -> Result<()> {
+    if version == FRAME_VERSION {
+        return Ok(());
+    }
+    Err(DfoError::Corrupt(format!(
+        "{what} is a version-{version} frame container; this build reads version \
+         {FRAME_VERSION} only: preprocess the graph again"
+    )))
+}
+
 impl BlockFile {
     /// Opens `rel` read-only for positioned reads through `slots` cached
-    /// blocks. `None` is a version-1 container: it has no directory, so it
-    /// can only be read from the front.
-    pub fn open(disk: &NodeDisk, rel: &str, slots: usize) -> Result<Option<Self>> {
-        let file = disk.open_read_only(rel)?;
+    /// blocks.
+    pub fn open(disk: &NodeDisk, rel: &str, slots: usize) -> Result<Self> {
+        let mut file = disk.open_random(rel)?;
+        file.count_logical = false;
         let file_len = file.len()?;
         let mut head = [0u8; 8];
         if file_len >= 8 {
@@ -882,14 +887,10 @@ impl BlockFile {
         let dir = if le_u32(&head, 0) != FRAME_MAGIC {
             None
         } else {
-            match le_u32(&head, 4) {
-                1 => return Ok(None),
-                FRAME_VERSION => {}
-                v => return Err(DfoError::Corrupt(format!("unsupported frame version {v}"))),
-            }
+            check_version(le_u32(&head, 4), rel)?;
             Some(read_directory(&file, file_len)?)
         };
-        Ok(Some(Self {
+        Ok(Self {
             logical_len: dir.as_ref().map_or(file_len, |d| d[d.len() - 1].0),
             file,
             disk: disk.clone(),
@@ -897,7 +898,7 @@ impl BlockFile {
             slots: vec![(0, Vec::new()); slots],
             payload: Vec::new(),
             filtered: Vec::new(),
-        }))
+        })
     }
 
     /// Length of the logical stream — exact, from the footer or the file.
@@ -956,7 +957,7 @@ impl BlockFile {
                 self.file.read_at(&mut self.payload, file_at)?;
                 let t0 = std::time::Instant::now();
                 let (header, encoded) = self.payload.split_at(BLOCK_HEADER_BYTES);
-                let h = parse_header(header, FRAME_VERSION).map_err(as_corrupt)?;
+                let h = parse_header(header).map_err(as_corrupt)?;
                 let h = h.filter(|h| h.raw_len as u64 == end - start && h.enc_len == encoded.len());
                 let h = h.ok_or_else(|| {
                     DfoError::Corrupt(format!("block {k} disagrees with the directory"))
@@ -1137,7 +1138,6 @@ mod tests {
     fn passthrough_serves_raw_files_byte_identical() {
         for data in [&b""[..], b"ab", b"DFOC and then some", &[7u8; 5000][..]] {
             let mut r = FrameReader::new(Cursor::new(data)).unwrap();
-            assert!(!r.is_compressed());
             let mut out = Vec::new();
             r.read_to_end(&mut out).unwrap();
             assert_eq!(out, data);
@@ -1156,7 +1156,6 @@ mod tests {
         let data: Vec<u8> = (0..200_000u32).map(|i| (i % 256) as u8).collect();
         let frames = compress_frames(&data);
         let mut r = FrameReader::new(Cursor::new(&frames)).unwrap();
-        assert!(r.is_compressed());
         let mut head = [0u8; 10];
         r.read_exact(&mut head).unwrap();
         assert_eq!(head, data[..10]);
@@ -1181,7 +1180,6 @@ mod tests {
         for cap in [1, 7, 4096, BLOCK_BYTES, 1 << 20] {
             let before = disk.stats().logical_read_bytes.get();
             let mut r = disk.open_framed("mixed.bin").unwrap();
-            assert!(r.is_compressed());
             assert!(drain(&mut r, cap).unwrap() == data, "bytes differ at buffer size {cap}");
             let served = disk.stats().logical_read_bytes.get() - before;
             assert_eq!(served, data.len() as u64, "logical bytes at buffer size {cap}");
@@ -1488,7 +1486,7 @@ mod tests {
         );
         // every section starts a block, and typed blocks are seek-sized
         let (_td, disk) = typed_files();
-        let file = BlockFile::open(&disk, "framed.bin", 1).unwrap().unwrap();
+        let file = BlockFile::open(&disk, "framed.bin", 1).unwrap();
         assert_eq!(file.logical_len(), data.len() as u64);
         let dir = file.dir.as_ref().unwrap();
         for (start, ..) in sections {
@@ -1501,7 +1499,7 @@ mod tests {
     fn positioned_reads_count_the_blocks_they_fetch_not_the_file() {
         let (data, sections) = typed_stream();
         let (_td, disk) = typed_files();
-        let mut file = BlockFile::open(&disk, "framed.bin", 2).unwrap().unwrap();
+        let mut file = BlockFile::open(&disk, "framed.bin", 2).unwrap();
         let (read0, logical0) =
             (disk.stats().read_bytes.get(), disk.stats().logical_read_bytes.get());
         // neighbouring entries of the second index column, through one slot
@@ -1522,8 +1520,7 @@ mod tests {
         let (data, sections) = typed_stream();
         let (_td, disk) = typed_files();
         let good = disk.read_to_vec("framed.bin").unwrap();
-        let n_blocks =
-            BlockFile::open(&disk, "framed.bin", 1).unwrap().unwrap().dir.unwrap().len() - 1;
+        let n_blocks = BlockFile::open(&disk, "framed.bin", 1).unwrap().dir.unwrap().len() - 1;
         let dir_at = good.len() - FOOTER_BYTES - n_blocks * DIR_ENTRY_BYTES;
         // reads the first entries of the `dst` section through a copy of
         // the file with one byte flipped
@@ -1533,11 +1530,11 @@ mod tests {
             bad[at] ^= 0x04;
             std::fs::write(disk.root().join("bad.bin"), &bad).unwrap();
             let mut out = [0u8; 64];
-            BlockFile::open(&disk, "bad.bin", 1)?.unwrap().read_at(0, &mut out, dst_at)?;
+            BlockFile::open(&disk, "bad.bin", 1)?.read_at(0, &mut out, dst_at)?;
             Ok::<_, DfoError>(out)
         };
         let dst_block = {
-            let file = BlockFile::open(&disk, "framed.bin", 1).unwrap().unwrap();
+            let file = BlockFile::open(&disk, "framed.bin", 1).unwrap();
             let dir = file.dir.as_ref().unwrap();
             dir[dir.iter().position(|e| e.0 == dst_at).unwrap()].1 as usize
         };
@@ -1563,42 +1560,28 @@ mod tests {
         }
     }
 
-    /// The container as version 1 wrote it: plain LZ4 blocks checksummed
-    /// over the payload alone, nothing after the end trailer.
-    fn v1_frames(data: &[u8]) -> Vec<u8> {
-        let mut out = FRAME_MAGIC.to_le_bytes().to_vec();
-        out.extend(1u32.to_le_bytes());
-        for block in data.chunks(BLOCK_BYTES) {
-            let lz4 = lz4_flex::compress(block);
-            let (flags, payload) =
-                if lz4.len() < block.len() { (FLAG_LZ4, &lz4[..]) } else { (0, block) };
-            for word in [block.len() as u32, payload.len() as u32, flags, crc32(payload)] {
-                out.extend(word.to_le_bytes());
-            }
-            out.extend(payload);
-        }
-        out.extend([0, 0, FLAG_END, 0].into_iter().flat_map(u32::to_le_bytes));
-        out
-    }
-
     #[test]
-    fn version_1_containers_still_decode_but_cannot_be_seeked() {
-        let data = mixed_payload();
-        let v1 = v1_frames(&data);
-        assert!(decode_all(&v1).unwrap() == data);
-        let mut r = FrameReader::new(Cursor::new(&v1)).unwrap();
-        r.seek(SeekFrom::Current(2 * BLOCK_BYTES as i64 + 9)).unwrap();
-        assert!(drain(&mut r, 4096).unwrap() == data[2 * BLOCK_BYTES + 9..]);
+    fn version_1_containers_are_refused_with_a_typed_error() {
+        // the version word is the first thing either reader checks (the
+        // golden file in `dfo-part` is a real version-1 container)
         let td = tempfile::TempDir::new().unwrap();
         let disk = NodeDisk::new(td.path(), None, false).unwrap();
-        std::fs::write(td.path().join("v1.bin"), &v1).unwrap();
-        assert!(BlockFile::open(&disk, "v1.bin", 1).unwrap().is_none());
-        // a version this build has not heard of is refused outright
-        let mut v9 = v1.clone();
-        v9[4] = 9;
-        assert!(FrameReader::new(Cursor::new(&v9)).is_err());
-        std::fs::write(td.path().join("v9.bin"), &v9).unwrap();
-        assert!(matches!(BlockFile::open(&disk, "v9.bin", 1), Err(DfoError::Corrupt(_))));
+        for version in [1u8, 9] {
+            let rel = &format!("v{version}.bin");
+            let mut file = compress_frames(&mixed_payload());
+            file[4] = version;
+            assert!(decode_all(&file).is_err(), "{rel} decoded");
+            std::fs::write(td.path().join(rel), &file).unwrap();
+            // both readers name the file and say what to do about it
+            let sequential = disk.open_framed(rel).err();
+            let positioned = BlockFile::open(&disk, rel, 1).err();
+            for err in [sequential, positioned] {
+                match err {
+                    Some(DfoError::Corrupt(m)) if m.contains(rel) && m.contains("preprocess") => {}
+                    other => panic!("{rel}: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]
@@ -1628,7 +1611,7 @@ mod tests {
         lock(0o444, 0o555);
         for rel in ["framed.bin", "raw.bin"] {
             let mut out = [0u8; 100];
-            BlockFile::open(&disk, rel, 1).unwrap().unwrap().read_at(0, &mut out, 70_000).unwrap();
+            BlockFile::open(&disk, rel, 1).unwrap().read_at(0, &mut out, 70_000).unwrap();
             assert_eq!(out, data[70_000..70_100]);
         }
         lock(0o644, 0o755);
@@ -1652,7 +1635,7 @@ mod tests {
             let (data, _) = typed_stream();
             let (_td, disk) = typed_files();
             for rel in ["framed.bin", "raw.bin"] {
-                let mut file = BlockFile::open(&disk, rel, 3).unwrap().unwrap();
+                let mut file = BlockFile::open(&disk, rel, 3).unwrap();
                 assert_eq!(file.logical_len(), data.len() as u64);
                 for &(at, len, slot) in &reads {
                     let at = at % data.len();

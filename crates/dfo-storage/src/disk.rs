@@ -4,7 +4,7 @@
 //! Sequential access goes through [`DiskWriter`]/[`DiskReader`] (buffered,
 //! so throttling and accounting happen at buffer granularity, matching how
 //! an SSD sees large sequential requests). Random access goes through
-//! [`RandomFile`] (positioned reads/writes, one accounting event per call —
+//! [`RandomFile`] (positioned reads, one accounting event per call —
 //! matching how page-sized random I/O hits an SSD).
 
 use crate::compress::{FrameReader, FrameWriter};
@@ -26,7 +26,7 @@ pub enum FileClass {
     Dispatch,
     /// `filter/`: filter lists.
     Filter,
-    /// `arrays/<name>/blocks/` and `arrays/<name>/paged.bin`: vertex data.
+    /// `arrays/<name>/blocks/`: vertex data.
     ArrayBlock,
     /// The rest of `arrays/`: manifests, `CURRENT`, `COMMITS.bin`.
     ArrayMeta,
@@ -57,9 +57,7 @@ impl FileClass {
             "chunks" => Self::Chunk,
             "dispatch" => Self::Dispatch,
             "filter" => Self::Filter,
-            "arrays" if rest.contains("/blocks/") || rest.ends_with("/paged.bin") => {
-                Self::ArrayBlock
-            }
+            "arrays" if rest.contains("/blocks/") => Self::ArrayBlock,
             "arrays" => Self::ArrayMeta,
             "msgs" => Self::Spill,
             "plan.bin" => Self::Plan,
@@ -311,39 +309,20 @@ impl NodeDisk {
     /// reader *serves* (decoded payload for compressed files).
     pub fn open_framed(&self, rel: &str) -> Result<FrameReader<DiskReader>> {
         let inner = self.open_inner(rel, false)?;
-        let mut r = FrameReader::new(inner)?;
+        let mut r = FrameReader::named(inner, rel)?;
         r.account_logical_to(self.clone());
         Ok(r)
     }
 
-    /// Opens a file for positioned (random) reads and writes.
-    pub fn open_random(&self, rel: &str, create: bool) -> Result<RandomFile> {
-        let p = self.path(rel)?;
-        let f = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(create)
-            .open(&p)
-            .map_err(|e| DfoError::io(format!("opening random {rel}"), e))?;
-        Ok(RandomFile {
-            file: f,
-            disk: self.clone(),
-            count_logical: true,
-            class: FileClass::of(rel),
-        })
-    }
-
-    /// Opens a file for positioned reads only — all a file in a read-only
-    /// directory (a shared graph catalog) allows. Its reads count as
-    /// physical bytes; [`crate::compress::BlockFile`], which it serves,
-    /// owns the logical number.
-    pub(crate) fn open_read_only(&self, rel: &str) -> Result<RandomFile> {
+    /// Opens a file for positioned reads — all a file in a read-only
+    /// directory (a shared graph catalog) needs.
+    pub fn open_random(&self, rel: &str) -> Result<RandomFile> {
         let f = File::open(self.root.join(rel))
             .map_err(|e| DfoError::io(format!("opening {rel} for positioned reads"), e))?;
         Ok(RandomFile {
             file: f,
             disk: self.clone(),
-            count_logical: false,
+            count_logical: true,
             class: FileClass::of(rel),
         })
     }
@@ -571,11 +550,13 @@ impl Seek for DiskReader {
     }
 }
 
-/// Positioned-I/O file handle; every call is one accounted disk operation.
+/// Positioned-read file handle; every call is one accounted disk operation.
 pub struct RandomFile {
     file: File,
     disk: NodeDisk,
-    count_logical: bool,
+    /// False when a codec above this file owns the logical-byte number
+    /// ([`crate::compress::BlockFile`]).
+    pub(crate) count_logical: bool,
     class: FileClass,
 }
 
@@ -590,26 +571,8 @@ impl RandomFile {
         Ok(())
     }
 
-    pub fn write_at(&self, buf: &[u8], offset: u64) -> Result<()> {
-        let t0 = std::time::Instant::now();
-        self.file
-            .write_all_at(buf, offset)
-            .map_err(|e| DfoError::io(format!("write_at offset {offset}"), e))?;
-        self.disk.account_write(buf.len() as u64, true, self.class);
-        self.disk.stats.write_nanos.add(t0.elapsed().as_nanos() as u64);
-        Ok(())
-    }
-
-    pub fn len(&self) -> Result<u64> {
+    pub(crate) fn len(&self) -> Result<u64> {
         self.file.metadata().map(|m| m.len()).map_err(|e| DfoError::io("random file len", e))
-    }
-
-    pub fn is_empty(&self) -> Result<bool> {
-        self.len().map(|n| n == 0)
-    }
-
-    pub fn set_len(&self, len: u64) -> Result<()> {
-        self.file.set_len(len).map_err(|e| DfoError::io("random file set_len", e))
     }
 }
 
@@ -652,14 +615,17 @@ mod tests {
     #[test]
     fn random_file_positioned_io() {
         let (_td, d) = disk();
-        let f = d.open_random("rand.bin", true).unwrap();
-        f.set_len(16).unwrap();
-        f.write_at(&[7u8; 4], 8).unwrap();
+        let mut w = d.create("rand.bin").unwrap();
+        w.write_all(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]).unwrap();
+        w.finish().unwrap();
+        let f = d.open_random("rand.bin").unwrap();
         let mut buf = [0u8; 4];
-        f.read_at(&mut buf, 8).unwrap();
-        assert_eq!(buf, [7u8; 4]);
-        assert_eq!(d.stats().write_bytes.get(), 4);
-        assert_eq!(d.stats().read_bytes.get(), 4);
+        f.read_at(&mut buf, 6).unwrap();
+        assert_eq!(buf, [6, 7, 8, 9]);
+        assert_eq!(f.len().unwrap(), 10);
+        assert_eq!((d.stats().read_bytes.get(), d.stats().read_ops.get()), (4, 1));
+        assert_eq!(d.stats().logical_read_bytes.get(), 4);
+        assert!(f.read_at(&mut buf, 8).is_err(), "past the end");
     }
 
     #[test]
@@ -734,7 +700,6 @@ mod tests {
             ("dispatch/from_1.dg", FileClass::Dispatch),
             ("filter/to_0.lst", FileClass::Filter),
             ("arrays/rank/blocks/3.bin", FileClass::ArrayBlock),
-            ("arrays/rank/paged.bin", FileClass::ArrayBlock),
             ("arrays/rank/meta/ckpt_2.bin", FileClass::ArrayMeta),
             ("arrays/rank/CURRENT", FileClass::ArrayMeta),
             ("arrays/COMMITS.bin", FileClass::ArrayMeta),
@@ -747,7 +712,9 @@ mod tests {
         // a handle keeps the class of the path it was opened with
         let (_td, d) = disk();
         d.write_atomic("arrays/a/CURRENT", &[0u8; 8]).unwrap();
-        d.open_random("arrays/a/blocks/0.bin", true).unwrap().write_at(&[2u8; 16], 0).unwrap();
+        let mut w = d.create("arrays/a/blocks/0.bin").unwrap();
+        w.write_all(&[2u8; 16]).unwrap();
+        w.finish().unwrap();
         let class = |c| (d.stats().class(c).write_bytes.get(), d.stats().class(c).write_ops.get());
         assert_eq!((class(FileClass::ArrayMeta), class(FileClass::ArrayBlock)), ((8, 1), (16, 1)));
     }

@@ -1,8 +1,9 @@
 //! Storage substrate for DFOGraph: per-node throttled disks with full byte
-//! accounting, buffered sequential streams, an LRU page cache, the
-//! copy-on-write versioned block store backing checkpointed vertex arrays,
-//! and the memory budgets under which blocks and message buffers skip the
-//! disk round trip.
+//! accounting, buffered sequential streams, the chunk frame container and
+//! its decoded-chunk cache, the versioned block store behind every vertex
+//! array (per-batch blocks, or pages of the partition in the no-batching
+//! ablation), and the memory budgets under which blocks and message buffers
+//! skip the disk round trip.
 //!
 //! The paper's testbed gives every node a 2 GB/s NVMe SSD; this substrate
 //! reproduces the *bandwidth-bound* behaviour of that hardware on any
@@ -16,7 +17,6 @@ pub mod chunkcache;
 pub mod commitlog;
 pub mod compress;
 pub mod disk;
-pub mod pagecache;
 pub mod spill;
 pub mod throttle;
 
@@ -25,6 +25,5 @@ pub use chunkcache::{CachedValue, ChunkCache, ChunkCacheStats, ChunkKey, Prefetc
 pub use commitlog::CommitLog;
 pub use compress::{BlockFile, FrameReader, FrameWriter, FRAME_MAGIC, SEEK_BLOCK_BYTES};
 pub use disk::{ClassStats, DiskReader, DiskStats, DiskWriter, FileClass, NodeDisk, RandomFile};
-pub use pagecache::{CacheStats, PageCache};
 pub use spill::{ChunkPool, MemBudget, SpillBuf};
 pub use throttle::Throttle;

@@ -52,10 +52,6 @@ impl Throttle {
         }
     }
 
-    pub fn is_limited(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// Blocks until a transfer of `bytes` would have completed on the
     /// modeled device. Unused idle time is *not* banked: the device never
     /// bursts above its configured rate.

@@ -156,9 +156,10 @@ pub struct EngineConfig {
     /// Worker threads per node (`T` in the paper; 12 on i3en.3xlarge).
     pub threads_per_node: usize,
     /// Memory budget per node in bytes; drives the fully-out-of-core batch
-    /// sizing rule, the page-cache capacity, and the shares within which
-    /// vertex-array blocks stay resident (written through) and
-    /// `ProcessEdges` messages stay in memory instead of scratch files.
+    /// sizing rule and the shares within which vertex-array blocks stay
+    /// resident (a quarter: with checkpointing off written back once per
+    /// job, with it on written through) and `ProcessEdges` messages stay in
+    /// memory instead of scratch files (a sixteenth).
     pub mem_budget: u64,
     /// Intra-node batch size policy.
     pub batch_policy: BatchPolicy,
@@ -180,7 +181,9 @@ pub struct EngineConfig {
     /// Number of checkpoints retained (typically 1 or 2, §3.2).
     pub checkpoints_kept: usize,
     /// Disables intra-node batching (Table 6 ablation): one batch per
-    /// partition, vertex arrays accessed through a bounded page cache.
+    /// partition, whose vertex arrays are 4 KiB pages in the block store,
+    /// checked out one at a time within the same resident-block share of
+    /// `mem_budget` (and checkpointed like any array).
     pub batching_enabled: bool,
     /// Disables inter-node message filtering (§4.3 ablation).
     pub filtering_enabled: bool,
@@ -207,8 +210,9 @@ pub struct EngineConfig {
     /// and preprocessing output at a small decode cost. On by default;
     /// `false` reproduces the uncompressed on-disk layout byte-for-byte.
     /// Readers auto-detect the format, so flipping this only affects newly
-    /// preprocessed data. While on, the §4.1 CSR seek mode is bypassed for
-    /// full chunk loads (positioned reads need the uncompressed layout).
+    /// preprocessed data. The §4.1 CSR seek mode works either way: the
+    /// container's block directory lets a positioned read fetch and decode
+    /// just the blocks it needs.
     pub compress_chunks: bool,
     /// Peer socket addresses (`host:port`, one per rank, index = rank) for
     /// the multi-process TCP transport used by `run_distributed`; `None`

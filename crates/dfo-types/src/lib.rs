@@ -20,7 +20,6 @@ pub use error::{DfoError, Result};
 pub use ids::{BatchId, PartitionId, Rank, VertexId, VertexRange};
 pub use jobspec::{JobParams, JobPhase, JobSpec, JobStatus, JOB_WIRE_VERSION};
 pub use pod::{
-    bytes_of, pod_from_bytes, pod_size, pod_zeroed, slice_as_bytes, slice_as_bytes_mut,
-    vec_from_bytes, Pod,
+    bytes_of, pod_from_bytes, pod_zeroed, slice_as_bytes, slice_as_bytes_mut, vec_from_bytes, Pod,
 };
 pub use stats::{Counter, PhaseStats, RecoveryStats, TrafficRecorder, TrafficSample};

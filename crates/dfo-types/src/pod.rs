@@ -105,12 +105,6 @@ pub fn vec_from_bytes<T: Pod>(b: &[u8]) -> Vec<T> {
     out
 }
 
-/// Size in bytes of one `T`, as `u64` (convenient for I/O arithmetic).
-#[inline]
-pub fn pod_size<T: Pod>() -> u64 {
-    std::mem::size_of::<T>() as u64
-}
-
 /// The all-zero value of `T` — the initial content of a fresh vertex array.
 #[inline]
 pub fn pod_zeroed<T: Pod>() -> T {

@@ -3,9 +3,11 @@
 //! that holds some of the blocks, and at a `mem_budget` so small that both
 //! hold nothing (the fully-out-of-core engine), every algorithm's output is
 //! bit-identical, the same messages are generated and sent, and the only
-//! thing that changes is how many bytes touch the disk. A second job on the
-//! same cluster reopens what the first left behind: the blocks it held in
-//! memory reached their files when it ended.
+//! thing that changes is how many bytes touch the disk. So is batching:
+//! without it (the Table 6 ablation) arrays are pages of the partition,
+//! checked out one at a time through a pool that holds some of them. A
+//! second job on the same cluster reopens what the first left behind: the
+//! blocks it held in memory reached their files when it ended.
 
 use dfograph::algos::{pagerank, read_local, sssp, wcc, wcc::symmetrize};
 use dfograph::core::{Cluster, NodeCtx};
@@ -26,6 +28,7 @@ fn run<E: Pod + PartialEq>(
     g: &EdgeList<E>,
     checkpointing: bool,
     mem_budget: Option<u64>,
+    batching: bool,
     algo: impl Fn(&mut NodeCtx) -> Result<Vec<u8>> + Sync,
     reread: impl Fn(&mut NodeCtx) -> Result<Vec<u8>> + Sync,
 ) -> (Outcome, u64) {
@@ -33,6 +36,7 @@ fn run<E: Pod + PartialEq>(
     cfg.batch_policy = BatchPolicy::FixedVertices(96);
     cfg.checkpointing = checkpointing;
     cfg.checkpoints_kept = 2;
+    cfg.batching_enabled = batching;
     if let Some(b) = mem_budget {
         cfg.mem_budget = b;
     }
@@ -76,8 +80,8 @@ fn reread<T: Pod>(name: &'static str) -> impl Fn(&mut NodeCtx) -> Result<Vec<u8>
     }
 }
 
-/// `{default pools, partial pools, no pools} × {checkpointing off, on}` for
-/// one algorithm whose result is the array `reread` reads.
+/// `{default pools, partial pools, no pools, no batching} × {checkpointing
+/// off, on}` for one algorithm whose result is the array `reread` reads.
 fn check_matrix<E: Pod + PartialEq>(
     name: &str,
     g: &EdgeList<E>,
@@ -85,14 +89,17 @@ fn check_matrix<E: Pod + PartialEq>(
     reread: impl Fn(&mut NodeCtx) -> Result<Vec<u8>> + Sync,
 ) {
     for checkpointing in [false, true] {
-        let (resident, resident_bytes) = run(g, checkpointing, None, &algo, &reread);
+        let (resident, resident_bytes) = run(g, checkpointing, None, true, &algo, &reread);
         // a 2 KiB block pool holds some of a rank's blocks, not all
-        let (partial, _) = run(g, checkpointing, Some(8 << 10), &algo, &reread);
+        let (partial, _) = run(g, checkpointing, Some(8 << 10), true, &algo, &reread);
         // mem_budget 1: a quarter and a sixteenth of it are both 0 bytes
-        let (spilled, spilled_bytes) = run(g, checkpointing, Some(1), &algo, &reread);
+        let (spilled, spilled_bytes) = run(g, checkpointing, Some(1), true, &algo, &reread);
+        // an 8 KiB block pool holds two 4 KiB pages of a rank's three or more
+        let (paged, _) = run(g, checkpointing, Some(32 << 10), false, &algo, &reread);
         assert!(resident.messages_generated > 0, "{name}: the job moved no messages");
         assert_eq!(resident, partial, "{name}, checkpointing {checkpointing}, partial pool");
         assert_eq!(resident, spilled, "{name}, checkpointing {checkpointing}");
+        assert_eq!(resident, paged, "{name}, checkpointing {checkpointing}, no batching");
         assert!(
             resident_bytes < spilled_bytes,
             "{name}, checkpointing {checkpointing}: {resident_bytes} bytes with the pools, \
@@ -103,7 +110,7 @@ fn check_matrix<E: Pod + PartialEq>(
 
 #[test]
 fn pagerank_is_bit_identical_with_and_without_the_pools() {
-    let g = rmat(GenConfig::new(10, 8, 77));
+    let g = rmat(GenConfig::new(12, 8, 77));
     let algo = |ctx: &mut NodeCtx| {
         let ranks = pagerank(ctx, 4)?;
         bytes_of_local(ctx, &ranks)
@@ -113,7 +120,7 @@ fn pagerank_is_bit_identical_with_and_without_the_pools() {
 
 #[test]
 fn sssp_is_bit_identical_with_and_without_the_pools() {
-    let g = rmat(GenConfig::new(10, 8, 78))
+    let g = rmat(GenConfig::new(12, 8, 78))
         .map_data(|e| ((e.src.wrapping_mul(7).wrapping_add(e.dst * 13)) % 9 + 1) as f32);
     let algo = |ctx: &mut NodeCtx| {
         let dist = sssp(ctx, 0)?;
@@ -124,7 +131,7 @@ fn sssp_is_bit_identical_with_and_without_the_pools() {
 
 #[test]
 fn wcc_is_bit_identical_with_and_without_the_pools() {
-    let g = symmetrize(&rmat(GenConfig::new(10, 4, 79)));
+    let g = symmetrize(&rmat(GenConfig::new(12, 4, 79)));
     let algo = |ctx: &mut NodeCtx| {
         let labels = wcc(ctx)?;
         bytes_of_local(ctx, &labels)

@@ -36,8 +36,8 @@ ratchet() {
     status=1
   fi
 }
-ratchet 5125 dfo-core dfo-service
-ratchet 2853 dfo-types dfo-part
+ratchet 5106 dfo-core dfo-service
+ratchet 2852 dfo-types dfo-part
 ratchet 2713 dfo-net dfo-obs
-ratchet 4115 dfo-storage
+ratchet 3814 dfo-storage
 exit $status
