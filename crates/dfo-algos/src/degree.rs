@@ -3,14 +3,15 @@
 //! PageRank divides each vertex's rank by its out-degree. In the original
 //! system out-degrees are a preprocessing by-product (the partitioner
 //! already counted them); this module reconstructs them the same way: each
-//! node scans the width-independent DCSR indices of its edge chunks —
-//! `idx[i+1] − idx[i]` edges per listed source — and ships the per-source
+//! node reads the DCSR indices of its edge chunks — positioned reads of the
+//! header and the two index columns, none of the edges — counts
+//! `idx[i+1] − idx[i]` edges per listed source and ships the per-source
 //! counts to the source's owning partition with one all-to-all exchange.
 
 use dfo_core::{NodeCtx, VertexArray};
+use dfo_part::csr::read_dcsr_index;
 use dfo_part::preprocess::paths;
 use dfo_types::{slice_as_bytes, vec_from_bytes, DfoError, Result};
-use std::io::Read;
 
 /// Materializes each vertex's out-degree into the `"pr_deg"` array.
 pub fn out_degree_array(ctx: &mut NodeCtx) -> Result<VertexArray<u64>> {
@@ -22,9 +23,10 @@ pub fn out_degree_array(ctx: &mut NodeCtx) -> Result<VertexArray<u64>> {
     // per source partition: counts of edges stored on THIS node
     let mut per_target: Vec<Vec<u64>> =
         (0..p).map(|t| vec![0u64; ctx.plan().partitions[t].len() as usize]).collect();
-    let chunks = ctx.plan().node_meta[rank].chunks.clone();
-    for c in &chunks {
-        let (srcs, idx) = read_chunk_index(ctx, c.src_partition, c.batch)?;
+    let edge_bytes = ctx.plan().edge_data_bytes as usize;
+    for c in &ctx.plan().node_meta[rank].chunks {
+        let rel = paths::chunk(c.src_partition, c.batch);
+        let (srcs, idx) = read_dcsr_index(ctx.disk(), &rel, edge_bytes)?;
         let target = &mut per_target[c.src_partition];
         for (i, &s) in srcs.iter().enumerate() {
             target[s as usize] += idx[i + 1] - idx[i];
@@ -60,27 +62,4 @@ pub fn out_degree_array(ctx: &mut NodeCtx) -> Result<VertexArray<u64>> {
         0u64
     })?;
     Ok(deg)
-}
-
-/// Reads only the (src, idx) DCSR arrays of a chunk — they sit right after
-/// the header, before any width-dependent payload. The framed reader
-/// transparently decodes compressed chunks, so only the blocks holding the
-/// header and index are ever decompressed.
-fn read_chunk_index(
-    ctx: &NodeCtx,
-    src_partition: usize,
-    batch: usize,
-) -> Result<(Vec<u32>, Vec<u64>)> {
-    use dfo_types::codec::{read_u32, read_u64};
-    let mut r = ctx.disk().open_framed(&paths::chunk(src_partition, batch))?;
-    let _magic = read_u32(&mut r).map_err(|e| DfoError::io("chunk magic", e))?;
-    let _flags = read_u32(&mut r).map_err(|e| DfoError::io("chunk flags", e))?;
-    let _n_src = read_u64(&mut r).map_err(|e| DfoError::io("chunk n_src", e))?;
-    let _n_edges = read_u64(&mut r).map_err(|e| DfoError::io("chunk n_edges", e))?;
-    let n_nonzero = read_u64(&mut r).map_err(|e| DfoError::io("chunk nz", e))? as usize;
-    let mut src_bytes = vec![0u8; n_nonzero * 4];
-    r.read_exact(&mut src_bytes).map_err(|e| DfoError::io("chunk dcsr src", e))?;
-    let mut idx_bytes = vec![0u8; (n_nonzero + 1) * 8];
-    r.read_exact(&mut idx_bytes).map_err(|e| DfoError::io("chunk dcsr idx", e))?;
-    Ok((vec_from_bytes(&src_bytes), vec_from_bytes(&idx_bytes)))
 }

@@ -1,7 +1,7 @@
 //! Algorithm correctness on the DFOGraph engine vs exact oracles.
 
 use dfo_algos::{bfs, embedding, label_propagation, pagerank, read_local, sssp, wcc};
-use dfo_core::Cluster;
+use dfo_core::{Cluster, NodeCtx};
 use dfo_graph::gen::{grid2d, rmat, uniform, web_chain, GenConfig};
 use dfo_graph::EdgeList;
 use dfo_types::{BatchPolicy, EngineConfig};
@@ -375,4 +375,89 @@ fn pagerank_ranks_sum_near_one_minus_dangling_leak() {
         .collect();
     let total: f64 = got.iter().sum();
     assert!(total > 0.3 && total <= 1.0 + 1e-9, "rank mass {total}");
+}
+
+/// Runs `job` on every rank of `cluster` on a thread of its own, failing
+/// the test if it has not returned within `secs` (a deadlocked exchange
+/// hangs, it does not fail): the ranks' results in rank order, and the
+/// job's messages generated and sent, summed over ranks.
+fn run_watched<T: Send + 'static>(
+    cluster: Cluster,
+    secs: u64,
+    job: fn(&mut NodeCtx) -> dfo_types::Result<Vec<T>>,
+) -> (Vec<T>, (u64, u64)) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let out = cluster.run(|ctx| {
+            let local = job(ctx)?;
+            let s = ctx.job_phase_stats();
+            Ok((local, (s.messages_generated, s.messages_sent)))
+        });
+        tx.send(out.unwrap())
+    });
+    let out = rx
+        .recv_timeout(std::time::Duration::from_secs(secs))
+        .unwrap_or_else(|e| panic!("no result within {secs} s ({e}): an exchange deadlocked?"));
+    let counts = out.iter().fold((0, 0), |a, (_, s)| (a.0 + s.0, a.1 + s.1));
+    (out.into_iter().flat_map(|(local, _)| local).collect(), counts)
+}
+
+/// Whether a rank's exchange runs on its calling thread is decided per rank
+/// and per call, by whether all it sends fits one 256 KiB frame per peer.
+/// On a star whose hub sits in a small partition 0 and whose leaves fill two
+/// large partitions 1 and 2, the round in which every leaf signals has rank
+/// 0 sending one frame (and receiving many) inline while ranks 1 and 2
+/// stream several frames from sender threads. SSSP, BFS and WCC must still
+/// give the oracle's results bit for bit and the message counts the graph
+/// implies.
+#[test]
+fn one_frame_and_multi_frame_exchanges_mix_in_one_round() {
+    const FRAME: u64 = 256 << 10;
+    let n = 150_000u64;
+    let edges =
+        (1..n).flat_map(|v| [dfo_graph::Edge::new(0, v, ()), dfo_graph::Edge::new(v, 0, ())]);
+    let star = EdgeList::new(n, edges.collect());
+    let weighted: EdgeList<f32> =
+        star.map_data(|e| ((e.src.wrapping_mul(7).wrapping_add(e.dst * 13)) % 4 + 1) as f32);
+    let mut c = cfg(3, 20_000);
+    // hub weight ≈ 2n against a total of ≈ 7n: partition 0 is the hub and
+    // about n / 15 leaves
+    c.alpha = Some(3);
+    let td = TempDir::new().unwrap();
+    let cluster = |dir: &str| Cluster::create(c.clone(), td.path().join(dir)).unwrap();
+    let unit = cluster("unit");
+    let parts = unit.preprocess(&star).unwrap().partitions;
+    let (n0, n1, n2) = (parts[0].len(), parts[1].len(), parts[2].len());
+    // records are 4 (BFS), 8 (SSSP) and 12 (WCC) bytes
+    assert!(12 * n0 <= FRAME && 4 * n1.min(n2) > FRAME, "partitions {n0}, {n1}, {n2}");
+
+    // the hub → every peer, filtered to the hub alone; then every leaf of
+    // partitions 1 and 2 → the hub (partition 0's leaves reach no peer)
+    let one_hop = (n, 2 + n - n0);
+    let (levels, counts) = run_watched(unit, 600, |ctx| {
+        let level = bfs(ctx, 0)?;
+        read_local(ctx, &level)
+    });
+    assert_eq!(levels, dfo_algos::bfs::bfs_oracle(&star, 0));
+    assert_eq!(counts, one_hop, "BFS (generated, sent)");
+
+    let weighted_cluster = cluster("weighted");
+    weighted_cluster.preprocess(&weighted).unwrap();
+    let (dist, counts) = run_watched(weighted_cluster, 600, |ctx| {
+        let dist = sssp(ctx, 0)?;
+        read_local(ctx, &dist)
+    });
+    let bits = |d: &[f32]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&dist), bits(&dfo_algos::sssp::sssp_oracle(&weighted, 0)));
+    assert_eq!(counts, one_hop, "SSSP (generated, sent)");
+
+    // every vertex signals, then every leaf once more with the hub's label
+    let wcc_cluster = cluster("wcc");
+    wcc_cluster.preprocess(&star).unwrap();
+    let (labels, counts) = run_watched(wcc_cluster, 600, |ctx| {
+        let label = wcc(ctx)?;
+        read_local(ctx, &label)
+    });
+    assert_eq!(labels, dfo_algos::wcc::wcc_oracle(&star));
+    assert_eq!(counts, (2 * n - 1, 2 + 2 * (n - n0)), "WCC (generated, sent)");
 }

@@ -5,11 +5,11 @@
 //!                appends (src, msg) records to its buffer       [T workers]
 //! 2 passing      the sender streams the node's messages to each peer in
 //!                round-robin order, filtered against the §4.3 lists
-//!                                                               [1 thread]
+//!                                              [1 thread, or the caller]
 //! 3 dispatching  incoming streams are routed to per-batch message buffers
 //!                via the dispatching graph (push) or kept raw (none) —
 //!                chosen adaptively (§4.2); the node's own messages are
-//!                dispatched concurrently                       [2 threads]
+//!                dispatched concurrently      [2 threads, or the caller]
 //! 4 processing   each batch replays its message segments in source order,
 //!                looks edges up through CSR or DCSR (§4.1 cost model) and
 //!                runs `slot`; no atomics needed — one thread per batch
@@ -22,6 +22,23 @@
 //! passing starts: the filter skip rule needs `|M_i|`, and the loss of that
 //! overlap is one batch of latency, not throughput.
 //!
+//! A round whose messages fit one frame (`|M_i| × record ≤ FRAME_BYTES`,
+//! so at most one frame per peer) has nothing to overlap when the
+//! transport buffers such a stream whole ([`dfo_net::Endpoint::buffers_whole`]:
+//! the channel backend does, TCP — whose per-peer buffers every job on the
+//! connection shares — does not). Then the calling thread sends to every
+//! peer, dispatches its own messages, then receives: header, frame and end
+//! marker wait in the per-pair channel without the receiver taking part,
+//! so this cannot deadlock, and a sparse round spawns no thread. Each rank
+//! decides for itself, per call.
+//!
+//! Seek mode (§4.1) reads stored chunks through [`ChunkSeeker`]s whose
+//! files outlive the call: the next call resumes a seeker on the open
+//! file, block directory and last block per column, so a frontier that
+//! moves along a chain re-reads neither footer nor block. The fetched
+//! edges are not kept, a call drops the files it did not use when it ends,
+//! and at most `HELD_SEEKERS` are held.
+//!
 //! Every message buffer is a [`SpillBuf`] on the node's message pool (a
 //! share of `mem_budget`): in memory while the pool admits it, in a scratch
 //! file under `msgs/` past that — at pool capacity 0 this is the paper's
@@ -31,20 +48,25 @@
 use crate::accum::Accum;
 use crate::array::{ArrayEntry, BatchCtx, VertexArray};
 use crate::messages::{parse_record, push_record, record_bytes, src_of, FrameBuilder};
-use crate::node::NodeCtx;
+use crate::node::{exchange, NodeCtx};
 use bytes::Bytes;
+use dfo_net::endpoint::STREAM_CHUNK;
 use dfo_part::csr::{choose_repr, should_seek, ChunkSeeker, IndexedChunk, MergeCursor};
 use dfo_part::filter::{should_filter, FilterCursor};
 use dfo_part::plan::ChunkInfo;
 use dfo_part::preprocess::paths;
 use dfo_storage::{CachedValue, ChunkKey, NodeDisk, PrefetchJob, Prefetcher, SpillBuf};
 use dfo_types::{DfoError, DispatchKind, PhaseStats, Pod, Rank, ReprKind, Result, VertexId};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Target network frame size; 256 KB keeps header overhead ≪ 1 %.
-const FRAME_BYTES: usize = 256 << 10;
+/// Network frame size: the transport's, so a call's messages fit one frame
+/// exactly when [`dfo_net::Endpoint::buffers_whole`] says they do.
+const FRAME_BYTES: usize = STREAM_CHUNK;
+/// Most seeker files a context holds between calls ([`NodeCtx::seekers`]):
+/// each keeps a file descriptor, its block directory and a few blocks, so
+/// their count bounds what seeking holds outside `mem_budget`.
+const HELD_SEEKERS: usize = 16;
 /// Write buffer of a spilling message buffer; small for the per-batch
 /// dispatch segments (many are open at once).
 const SPILL_BUF: usize = 256 << 10;
@@ -207,51 +229,34 @@ impl NodeCtx {
         let net_recv0 = self.net.stats().recv_bytes.get();
         let t_dispatch = std::time::Instant::now();
         let dispatch_span = self.obs_span("phase3_dispatch", "phase");
-        // phase-2 wall time, measured on the sender thread (the phases
-        // overlap, so the main thread's window can't see it)
+        // phase-2 wall time, measured around the sends (when they overlap
+        // dispatching, the main thread's window can't see it)
         let pass_nanos = AtomicU64::new(0);
 
         {
-            let err: Mutex<Option<DfoError>> = Mutex::new(None);
-            let record_err = |e: DfoError| {
-                *err.lock() = Some(e);
-            };
-            std::thread::scope(|s| {
-                // sender: round-robin over peers (§4.4)
-                s.spawn(|| {
-                    let t_pass = std::time::Instant::now();
-                    let _pass_span = self.obs_span("phase2_pass", "phase");
-                    for j in self.cfg.send_order(rank) {
-                        if let Err(e) = self.send_to(j, seq, m_total, &msgs, &call) {
-                            record_err(e);
-                            break;
-                        }
-                    }
-                    let el = t_pass.elapsed();
-                    pass_nanos.store(el.as_nanos() as u64, Ordering::Relaxed);
-                    if let Some(o) = &self.obs {
-                        o.phase_secs[1].observe(el.as_secs_f64());
-                    }
-                });
-                // receiver: peers in mirrored order (§4.5)
-                s.spawn(|| {
-                    for p in self.cfg.recv_order(rank) {
-                        if let Err(e) = self.recv_dispatch(p, seq, &msgs) {
-                            record_err(e);
-                            return;
-                        }
-                    }
-                });
-                // self-dispatch, on this thread: the node's own messages
-                // never touch the wire
-                if let Err(e) = self.dispatch_self(m_total, &msgs) {
-                    record_err(e);
+            // sender: round-robin over peers (§4.4)
+            let pass = || {
+                let t_pass = std::time::Instant::now();
+                let _pass_span = self.obs_span("phase2_pass", "phase");
+                let sent = (self.cfg.send_order(rank).into_iter())
+                    .try_for_each(|j| self.send_to(j, seq, m_total, &msgs, &call));
+                let el = t_pass.elapsed();
+                pass_nanos.store(el.as_nanos() as u64, Ordering::Relaxed);
+                if let Some(o) = &self.obs {
+                    o.phase_secs[1].observe(el.as_secs_f64());
                 }
-            });
-            let pending = err.lock().take();
-            if let Some(e) = pending {
-                return Err(e);
-            }
+                sent
+            };
+            // receiver: peers in mirrored order (§4.5)
+            let receive = || {
+                (self.cfg.recv_order(rank).into_iter())
+                    .try_for_each(|p| self.recv_dispatch(p, seq, &msgs))
+            };
+            // the node's own messages never touch the wire
+            let dispatch_own = || self.dispatch_self(m_total, &msgs);
+            // every stream to a peer carries at most the call's messages
+            let inline = self.net.buffers_whole(m_total * msgs.rec as u64);
+            exchange(inline, pass, dispatch_own, receive)?;
         }
         drop(dispatch_span);
         let dispatch_elapsed = t_dispatch.elapsed();
@@ -295,6 +300,9 @@ impl NodeCtx {
             o.phase_secs[3].observe(proc_elapsed.as_secs_f64());
         }
         drop(msgs);
+        // a seeker this call did not use is worth no more to the next one
+        let call_seq = self.call_seq;
+        self.seekers.get_mut().retain(|_, (call, _)| *call == call_seq);
         self.commit_epochs(&epoch_set)?;
         // the call's checkpoint metadata counts as processing output, so the
         // disk fields of a call sum to its disk-stat delta
@@ -439,6 +447,7 @@ impl NodeCtx {
                 for g in msgs.generated() {
                     g.for_each_run(|run| sink.dispatch(&mut access, run))?;
                 }
+                self.close_dispatch_access(rank, access);
                 sink.finish(msgs)
             }
         }
@@ -475,6 +484,7 @@ impl NodeCtx {
                     debug_assert_eq!(chunk.len() % msgs.rec, 0, "frames carry whole records");
                     sink.dispatch(&mut access, &chunk)?;
                 }
+                self.close_dispatch_access(p, access);
                 sink.finish(msgs)
             }
         }
@@ -527,12 +537,20 @@ impl NodeCtx {
     ) -> Result<DispatchAccess> {
         let path = paths::dispatch(p);
         if self.seeks(dinfo, p, reads) {
-            return Ok(DispatchAccess::Seek(Box::new(ChunkSeeker::open(&self.disk, &path)?)));
+            return Ok(DispatchAccess::Seek(Box::new(self.take_seeker(&path)?)));
         }
         let key =
             ChunkKey { partition: p, batch: None, repr: Some(self.full_repr(dinfo, p, bound)) };
         let dg = self.load_indexed::<()>(&path, key)?;
         Ok(DispatchAccess::Loaded { dg, cursor: MergeCursor::new() })
+    }
+
+    /// Ends a stream's use of the dispatching graph from partition `p`: a
+    /// seeker is kept for the next call.
+    fn close_dispatch_access(&self, p: Rank, access: DispatchAccess) {
+        if let DispatchAccess::Seek(seeker) = access {
+            self.keep_seeker(paths::dispatch(p), *seeker);
+        }
     }
 
     /// Work arriving at destination batch `b` from partition `p` this call:
@@ -697,7 +715,7 @@ impl NodeCtx {
             let path = paths::chunk(p, b);
             let reads = |enough| seek_reads(&replay, msgs.rec, enough);
             let (mut seeker, chunk) = if self.seeks(&cinfo, p, reads) {
-                (Some(ChunkSeeker::<E>::open(&self.disk, &path)?), None)
+                (Some(self.take_seeker::<E>(&path)?), None)
             } else {
                 let key = chunk_key(p, b, self.full_repr(&cinfo, p, count));
                 (None, Some(self.load_indexed::<E>(&path, key)?))
@@ -737,9 +755,30 @@ impl NodeCtx {
                     Ok(())
                 })?;
             }
+            if let Some(seeker) = seeker {
+                self.keep_seeker(path, seeker);
+            }
         }
         ctx.write_back()?;
         Ok(acc)
+    }
+
+    /// A seeker of the stored chunk at `path`: on the file a previous call
+    /// left (see [`NodeCtx::seekers`]), else on a freshly opened one.
+    fn take_seeker<E: Pod + PartialEq>(&self, path: &str) -> Result<ChunkSeeker<E>> {
+        match self.seekers.lock().remove(path) {
+            Some((_, file)) => Ok(ChunkSeeker::resume(file)),
+            None => ChunkSeeker::open(&self.disk, path),
+        }
+    }
+
+    /// Keeps the file of a seeker this call used for the next call, unless
+    /// [`HELD_SEEKERS`] others are held; the edges it fetched are dropped.
+    fn keep_seeker<E: Pod + PartialEq>(&self, path: String, seeker: ChunkSeeker<E>) {
+        let mut held = self.seekers.lock();
+        if held.len() < HELD_SEEKERS || held.contains_key(&path) {
+            held.insert(path, (self.call_seq, seeker.into_file()));
+        }
     }
 }
 

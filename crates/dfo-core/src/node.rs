@@ -8,6 +8,7 @@
 use crate::accum::Accum;
 use crate::array::{ArrayEntry, BatchCtx, VertexArray, PAGE_SIZE};
 use dfo_net::Endpoint;
+use dfo_part::csr::SeekFile;
 use dfo_part::plan::{ChunkInfo, Plan};
 use dfo_storage::{
     ChunkCache, ChunkCacheStats, ChunkPool, CommitLog, MemBudget, NodeDisk, VersionedArrayStore,
@@ -115,6 +116,13 @@ pub struct NodeCtx {
     /// Sum of every `ProcessEdges` call's [`PhaseStats`] over this
     /// context's lifetime — the per-job totals a service reports.
     pub(crate) job_stats: PhaseStats,
+    /// Files of stored edge chunks and dispatching graphs that seek-mode
+    /// readers of the last `ProcessEdges` calls used, by path, with the
+    /// `call_seq` of the call that last did: the next call resumes a seeker
+    /// on one (file, directory and last blocks) instead of reopening it,
+    /// and a call drops those it did not use when it ends. Graph files are
+    /// read-only for the life of the context.
+    pub(crate) seekers: parking_lot::Mutex<HashMap<String, (u64, SeekFile)>>,
     /// Metrics + tracing context; `None` (contexts built outside a
     /// telemetry-wired [`crate::Cluster`]) costs one branch per
     /// instrumentation point and nothing else.
@@ -167,6 +175,7 @@ impl NodeCtx {
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             job_stats: PhaseStats::default(),
+            seekers: Default::default(),
             obs: None,
         }
     }
@@ -650,10 +659,11 @@ impl NodeCtx {
     /// All-to-all byte exchange: sends `outgoing[j]` to node `j` and returns
     /// what every node sent here (`result[rank] == outgoing[rank]`).
     ///
-    /// Uses the same round-robin pairing as `ProcessEdges` (§4.4), with the
-    /// sender on its own thread so bounded channels cannot deadlock. Used
-    /// for preprocessing by-products such as shipping out-degree counts to
-    /// their owning partitions.
+    /// Uses the same round-robin pairing as `ProcessEdges` (§4.4) and the
+    /// same rule: sending and receiving get threads of their own unless the
+    /// transport buffers every payload whole ([`Endpoint::buffers_whole`]).
+    /// Used for preprocessing by-products such as shipping out-degree
+    /// counts to their owning partitions.
     pub fn exchange_bytes(&mut self, outgoing: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>> {
         assert_eq!(outgoing.len(), self.cfg.nodes);
         let seq = self.call_seq;
@@ -664,31 +674,19 @@ impl NodeCtx {
         let mut outgoing = outgoing;
         let own = std::mem::take(&mut outgoing[rank]);
         let outgoing: Vec<bytes::Bytes> = outgoing.into_iter().map(bytes::Bytes::from).collect();
-        let mut incoming: Vec<Vec<u8>> = vec![Vec::new(); self.cfg.nodes];
-        let err: parking_lot::Mutex<Option<DfoError>> = parking_lot::Mutex::new(None);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                for j in self.cfg.send_order(rank) {
-                    if let Err(e) = self.net.send_stream(j, seq, outgoing[j].clone()) {
-                        *err.lock() = Some(e);
-                        return;
-                    }
-                }
-            });
+        let inline = outgoing.iter().all(|b| self.net.buffers_whole(b.len() as u64));
+        let send = || {
+            (self.cfg.send_order(rank).into_iter())
+                .try_for_each(|j| self.net.send_stream(j, seq, outgoing[j].clone()))
+        };
+        let receive = || -> Result<Vec<Vec<u8>>> {
+            let mut incoming = vec![Vec::new(); self.cfg.nodes];
             for p in self.cfg.recv_order(rank) {
-                match self.net.recv_all(p, seq) {
-                    Ok(bytes) => incoming[p] = bytes,
-                    Err(e) => {
-                        *err.lock() = Some(e);
-                        break;
-                    }
-                }
+                incoming[p] = self.net.recv_all(p, seq)?;
             }
-        });
-        let pending = err.lock().take();
-        if let Some(e) = pending {
-            return Err(e);
-        }
+            Ok(incoming)
+        };
+        let ((), mut incoming) = exchange(inline, send, || Ok(()), receive)?;
         incoming[rank] = own;
         Ok(incoming)
     }
@@ -779,4 +777,33 @@ impl ActiveMask {
             ActiveMask::Paged(h) => ctx.get(h, v),
         }
     }
+}
+
+/// One rank's share of an all-to-all exchange: `send` streams to every
+/// peer, `local` handles the rank's own share and `receive` drains every
+/// peer. With `inline` — every stream the rank sends is one the transport
+/// buffers whole ([`Endpoint::buffers_whole`]) — the three run in that
+/// order on the calling thread: no thread is spawned and none can deadlock.
+/// Otherwise `send` and `receive` get a thread each and overlap `local`,
+/// which runs here. The first error in send, local, receive order wins.
+pub(crate) fn exchange<L, R: Send>(
+    inline: bool,
+    send: impl FnOnce() -> Result<()> + Send,
+    local: impl FnOnce() -> Result<L>,
+    receive: impl FnOnce() -> Result<R> + Send,
+) -> Result<(L, R)> {
+    fn join<T>(h: std::thread::ScopedJoinHandle<'_, T>) -> T {
+        h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    }
+    let (sent, own, received) = if inline {
+        (send(), local(), receive())
+    } else {
+        std::thread::scope(|s| {
+            let (sender, receiver) = (s.spawn(send), s.spawn(receive));
+            let own = local();
+            (join(sender), own, join(receiver))
+        })
+    };
+    sent?;
+    Ok((own?, received?))
 }

@@ -628,3 +628,83 @@ fn read_u64_array(
     })?;
     Ok(out.into_inner().unwrap())
 }
+
+/// One `ProcessEdges` call that folds each message into `mix[dst]` in
+/// arrival order, so results pin the order too. The active sources are one
+/// run of neighbours per partition, whose index and edges share a block per
+/// column (`dense`: every vertex). Returns the chunk-file reads it issued.
+fn mix_call(ctx: &mut dfo_core::NodeCtx, dense: bool) -> dfo_types::Result<u64> {
+    let (active, mix) = (ctx.vertex_array::<bool>("active")?, ctx.vertex_array::<u64>("mix")?);
+    let a = active.clone();
+    ctx.process_vertices(&["active"], None, move |v, c| {
+        c.set(&a, v, dense || (100..104).contains(&v) || (20_000..20_004).contains(&v));
+        0u64
+    })?;
+    let chunk_reads = |ctx: &dfo_core::NodeCtx| {
+        ctx.disk().stats().class(dfo_storage::FileClass::Chunk).read_ops.get()
+    };
+    let before = chunk_reads(ctx);
+    let m = mix.clone();
+    ctx.process_edges(
+        &[],
+        &["mix"],
+        Some(&active),
+        |v, _| Some(v),
+        move |msg: u64, _, dst, _: &(), c| {
+            let folded = c.get(&m, dst).wrapping_mul(31).wrapping_add(msg);
+            c.set(&m, dst, folded);
+            0u64
+        },
+    )?;
+    Ok(chunk_reads(ctx) - before)
+}
+
+/// Seek-mode readers outlive the call that opened them: a sparse call
+/// repeated over the same sources finds every block it needs in the
+/// seekers the first one left and reads no chunk file; a dense call in
+/// between uses none and releases them, so the sparse call after it
+/// reopens them (and reads what the first did). Every result equals a run
+/// whose calls each start from fresh seekers.
+#[test]
+fn seekers_are_held_across_sparse_calls_and_released_by_a_dense_one() {
+    // 12.5 k sources per partition: a run of four active sources seeks at
+    // the default γ, all of them load
+    let g = dfo_graph::gen::web_chain(260, 96, 5, 3, 7);
+    let mut cfg = EngineConfig::for_test(2);
+    cfg.batch_policy = BatchPolicy::FixedVertices(5_000);
+    let calls = [false, false, true, false];
+    let td = TempDir::new().unwrap();
+    let held = Cluster::create(cfg.clone(), td.path().join("held")).unwrap();
+    held.preprocess(&g).unwrap();
+    let out = held
+        .run(|ctx| {
+            let mut reads = Vec::new();
+            for &dense in &calls {
+                reads.push(mix_call(ctx, dense)?);
+            }
+            let mix = ctx.vertex_array::<u64>("mix")?;
+            Ok((reads, read_u64_array(ctx, &mix)?))
+        })
+        .unwrap();
+    for (rank, (reads, _)) in out.iter().enumerate() {
+        assert!(reads[0] > 0 && reads[2] > 0, "rank {rank}: chunk reads per call {reads:?}");
+        assert_eq!(
+            (reads[1], reads[3]),
+            (0, reads[0]),
+            "rank {rank}: chunk reads per call {reads:?}"
+        );
+    }
+
+    let fresh = Cluster::create(cfg, td.path().join("fresh")).unwrap();
+    fresh.preprocess(&g).unwrap();
+    for &dense in &calls {
+        fresh.run(|ctx| mix_call(ctx, dense)).unwrap();
+    }
+    let mix = fresh
+        .run(|ctx| {
+            let mix = ctx.vertex_array::<u64>("mix")?;
+            read_u64_array(ctx, &mix)
+        })
+        .unwrap();
+    assert_eq!(out.into_iter().map(|(_, m)| m).collect::<Vec<_>>(), mix);
+}

@@ -95,6 +95,66 @@ fn concurrent_jobs_on_one_mesh_match_serial() {
     });
 }
 
+/// Two jobs overlap on one mesh, each with one rank whose exchange fits a
+/// frame and one whose exchange is far larger than every buffer between
+/// the two ranks: job 0 is small on rank 0, job 1 on rank 1, and each small
+/// side starts once the other job's large stream is under way. Over TCP a
+/// stream shares its connection's writer queue and demux reader with every
+/// other job's, so a small side that sent everything before receiving
+/// could wait behind a large stream the other rank's small side never
+/// drains. Both exchanges must complete, intact.
+#[test]
+fn overlapping_jobs_with_swapped_small_and_large_ranks_both_exchange() {
+    const LARGE: usize = 32 << 20;
+    let td = TempDir::new().unwrap();
+    let mut cfg = EngineConfig::for_test(2);
+    cfg.peers = Some(free_addrs(2));
+    cfg.connect_timeout_secs = 30;
+    let cluster = Cluster::create(cfg.clone(), td.path()).unwrap();
+    cluster.preprocess(&uniform(64, 200, 5)).unwrap();
+    let exchange = move |ctx: &mut dfo_core::NodeCtx, job: u64| {
+        let size = |rank: usize| if rank as u64 == job { 100 } else { LARGE };
+        let fill = |rank: usize| (2 * job + rank as u64) as u8;
+        let (rank, peer) = (ctx.rank(), 1 - ctx.rank());
+        if size(rank) < LARGE {
+            std::thread::sleep(std::time::Duration::from_millis(300));
+        }
+        let mut outgoing = vec![Vec::new(); 2];
+        outgoing[peer] = vec![fill(rank); size(rank)];
+        let got = ctx.exchange_bytes(outgoing)?;
+        let intact = got[peer].len() == size(peer) && got[peer].iter().all(|&b| b == fill(peer));
+        assert!(intact, "job {job} rank {rank}: {} bytes from {peer}", got[peer].len());
+        Ok(())
+    };
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let (cluster, cfg) = (&cluster, &cfg);
+        std::thread::scope(|s| {
+            for rank in 0..2 {
+                s.spawn(move || {
+                    let mesh = ResidentMesh::connect(cfg, rank).unwrap();
+                    let mesh = &mesh;
+                    std::thread::scope(|sj| {
+                        for job in 0..2 {
+                            sj.spawn(move || {
+                                let scope = format!("x{job}");
+                                mesh.run_job_as(job, cluster, &scope, |ctx| exchange(ctx, job))
+                                    .unwrap();
+                                mesh.job_barrier(job).unwrap();
+                                mesh.end_job(job);
+                            });
+                        }
+                    });
+                    mesh.barrier().unwrap();
+                });
+            }
+        });
+        done.send(()).unwrap();
+    });
+    let waited = finished.recv_timeout(std::time::Duration::from_secs(60));
+    waited.expect("the overlapping exchanges deadlocked (or a rank failed)");
+}
+
 /// A preprocessed 2-rank cluster over fresh localhost addresses, with the
 /// serial batch result every mesh run must reproduce bit for bit.
 fn mesh_cluster(td: &TempDir, tune: impl FnOnce(&mut EngineConfig)) -> (Cluster, Vec<Vec<u64>>) {

@@ -294,6 +294,17 @@ impl Endpoint {
         self.finish_stream(dst, tag)
     }
 
+    /// Whether a stream of at most `payload` bytes to a peer — a header
+    /// frame, one [`STREAM_CHUNK`] frame and the end marker — sits whole in
+    /// the transport's buffers with no help from the receiver. A rank whose
+    /// every stream of an exchange passes may send to all peers before it
+    /// receives from any, on one thread, and cannot deadlock. True on the
+    /// channel backend, never on TCP (see
+    /// [`Transport::private_stream_frames`]).
+    pub fn buffers_whole(&self, payload: u64) -> bool {
+        payload <= STREAM_CHUNK as u64 && self.transport.private_stream_frames() >= 3
+    }
+
     /// Opens the receiving side of stream `tag` from `src` (matched in
     /// this endpoint's namespace).
     pub fn recv_stream(&self, src: Rank, tag: u64) -> StreamRecv<'_> {

@@ -94,6 +94,12 @@ impl Transport for SimTransport {
         self.collective.poison();
     }
 
+    /// One channel per pair, and one stream per direction of a pair live
+    /// at a time: all of a channel's depth is the stream's.
+    fn private_stream_frames(&self) -> usize {
+        CHANNEL_DEPTH
+    }
+
     fn allreduce_u64(
         &self,
         _tag: u64,

@@ -668,14 +668,15 @@ fn dial_handshake(
     epoch: u64,
     deadline: Instant,
 ) -> Result<TcpStream> {
+    let mut pause = Duration::from_millis(1);
     loop {
-        let retry = |what: &str| -> Result<()> {
+        let mut retry = |what: &str| -> Result<()> {
             if Instant::now() >= deadline {
                 return Err(handshake_err(format!(
                     "rank {rank} dialing rank {dst}: mesh bootstrap timed out ({what})"
                 )));
             }
-            std::thread::sleep(Duration::from_millis(25));
+            back_off(&mut pause, 25);
             Ok(())
         };
         let stream = dial_retry(addr, deadline)
@@ -717,7 +718,7 @@ fn dial_handshake(
 /// yet under orchestrators that register pods lazily) — is retried, so
 /// process start order genuinely does not matter.
 fn dial_retry(addr: &str, deadline: Instant) -> std::io::Result<TcpStream> {
-    let mut last_err = None;
+    let (mut last_err, mut pause) = (None, Duration::from_millis(1));
     while Instant::now() < deadline {
         let resolved = addr.to_socket_addrs().and_then(|mut it| {
             it.next().ok_or_else(|| {
@@ -728,7 +729,7 @@ fn dial_retry(addr: &str, deadline: Instant) -> std::io::Result<TcpStream> {
             Ok(s) => return Ok(s),
             Err(e) => {
                 last_err = Some(e);
-                std::thread::sleep(Duration::from_millis(25));
+                back_off(&mut pause, 25);
             }
         }
     }
@@ -744,6 +745,7 @@ fn accept_retry(
     listener: &TcpListener,
     deadline: Instant,
 ) -> Result<(TcpStream, std::net::SocketAddr)> {
+    let mut pause = Duration::from_millis(1);
     loop {
         match listener.accept() {
             Ok(pair) => return Ok(pair),
@@ -753,8 +755,16 @@ fn accept_retry(
                         "mesh bootstrap timed out waiting for inbound peers (last: {e})"
                     )));
                 }
-                std::thread::sleep(Duration::from_millis(10));
+                back_off(&mut pause, 10);
             }
         }
     }
+}
+
+/// Sleeps `pause` between two bootstrap attempts, then doubles it up to
+/// `cap_ms`: from 1 ms, a peer that is a moment late costs a moment, and
+/// one that is slow to start is polled no more often than at the cap.
+fn back_off(pause: &mut Duration, cap_ms: u64) {
+    std::thread::sleep(*pause);
+    *pause = (*pause * 2).min(Duration::from_millis(cap_ms));
 }

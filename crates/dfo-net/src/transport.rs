@@ -87,4 +87,13 @@ pub trait Transport: Send + Sync {
     /// job that died mid-stream can neither leak queues nor head-of-line
     /// block an overlapping job. No-op on backends without per-tag queues.
     fn reclaim_job(&self, _job_id: u64) {}
+
+    /// Frames of one stream to a peer this backend holds with no help from
+    /// the receiver, whatever other streams it carries meanwhile. None by
+    /// default: a backend whose per-peer buffers every stream shares (TCP,
+    /// where one full demux queue stalls the peer's reader for every tag of
+    /// every job on the connection) can promise nothing per stream.
+    fn private_stream_frames(&self) -> usize {
+        0
+    }
 }

@@ -8,7 +8,7 @@
 //! model favours; when a stored CSR index is not wanted, the reader *skips
 //! over it* so no disk bytes are spent on it.
 
-use dfo_storage::{BlockFile, FrameReader, FrameWriter};
+use dfo_storage::{BlockFile, FrameReader, FrameWriter, NodeDisk};
 use dfo_types::codec::Cur;
 use dfo_types::{pod_zeroed, slice_as_bytes, slice_as_bytes_mut, DfoError, Pod, ReprKind, Result};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -330,10 +330,33 @@ impl MergeCursor {
 /// file is a compressed container or raw. Only meaningful when the chunk
 /// stored a CSR index.
 pub struct ChunkSeeker<E: Pod + PartialEq> {
-    file: BlockFile,
-    layout: Layout,
+    file: SeekFile,
     dst: Vec<u32>,
     data: Vec<E>,
+}
+
+/// A stored chunk open for positioned reads: its [`BlockFile`] — block
+/// directory and last block per column included — and its parsed header.
+/// What a [`ChunkSeeker`] keeps from one use to the next; it holds no
+/// fetched edges and no payload type, so it can be kept for any.
+pub struct SeekFile {
+    blocks: BlockFile,
+    layout: Layout,
+    edge_bytes: usize,
+}
+
+impl SeekFile {
+    /// Opens the stored chunk `rel` of `edge_bytes`-wide payloads through
+    /// `slots` cached blocks, and parses its header against the exact
+    /// length of its logical stream.
+    fn open(disk: &NodeDisk, rel: &str, slots: usize, edge_bytes: usize) -> Result<Self> {
+        let mut blocks = BlockFile::open(disk, rel, slots)?;
+        let mut header = [0u8; HEADER_BYTES];
+        blocks.read_at(0, &mut header, 0)?;
+        let len = blocks.logical_len();
+        let layout = Layout::parse(&header, edge_bytes, len..=len)?;
+        Ok(Self { blocks, layout, edge_bytes })
+    }
 }
 
 /// [`BlockFile`] slots of the three columns a seek reads.
@@ -344,25 +367,32 @@ const DATA_SLOT: usize = 2;
 impl<E: Pod + PartialEq> ChunkSeeker<E> {
     /// Opens `rel` on `disk`. Callers seek only where the plan says a CSR
     /// index was stored, so a chunk without one is `Corrupt`.
-    pub fn open(disk: &dfo_storage::NodeDisk, rel: &str) -> Result<Self> {
-        let mut file = BlockFile::open(disk, rel, 3)?;
-        let mut header = [0u8; HEADER_BYTES];
-        file.read_at(IDX_SLOT, &mut header, 0)?;
-        let len = file.logical_len();
-        match Layout::parse(&header, std::mem::size_of::<E>(), len..=len)? {
-            layout if layout.has_csr => {
-                Ok(Self { file, layout, dst: Vec::new(), data: Vec::new() })
-            }
+    pub fn open(disk: &NodeDisk, rel: &str) -> Result<Self> {
+        match SeekFile::open(disk, rel, 3, std::mem::size_of::<E>())? {
+            file if file.layout.has_csr => Ok(Self::resume(file)),
             _ => Err(DfoError::Corrupt(format!("{rel}: no CSR index to seek by"))),
         }
     }
 
+    /// A seeker over the file an earlier one of the same payload type left
+    /// ([`ChunkSeeker::into_file`]): no reopening, no block fetched again.
+    pub fn resume(file: SeekFile) -> Self {
+        assert_eq!(file.edge_bytes, std::mem::size_of::<E>(), "a chunk's payloads have one width");
+        Self { file, dst: Vec::new(), data: Vec::new() }
+    }
+
+    /// Ends the seeker, keeping its open file and dropping the edges it
+    /// fetched last.
+    pub fn into_file(self) -> SeekFile {
+        self.file
+    }
+
     /// Fetches the `dst` and `data` of `src`'s edges with positioned reads.
     pub fn edges_of(&mut self, src: u32) -> Result<(&[u32], &[E])> {
-        let l = &self.layout;
+        let SeekFile { blocks, layout: l, .. } = &mut self.file;
         let mut idx = [0u8; 16];
         if src < l.n_src {
-            self.file.read_at(IDX_SLOT, &mut idx, l.csr_idx_off + 8 * src as u64)?;
+            blocks.read_at(IDX_SLOT, &mut idx, l.csr_idx_off + 8 * src as u64)?;
         }
         let mut entries = Cur::new(&idx);
         let (lo, hi) = (entries.u64()?, entries.u64()?);
@@ -375,12 +405,37 @@ impl<E: Pod + PartialEq> ChunkSeeker<E> {
         let n = (hi - lo) as usize;
         self.dst.resize(n, 0);
         self.data.resize(n, pod_zeroed());
-        self.file.read_at(DST_SLOT, slice_as_bytes_mut(&mut self.dst), l.dst_off + 4 * lo)?;
+        blocks.read_at(DST_SLOT, slice_as_bytes_mut(&mut self.dst), l.dst_off + 4 * lo)?;
         // zero-sized payloads occupy no bytes on disk
         let at = l.data_off + std::mem::size_of::<E>() as u64 * lo;
-        self.file.read_at(DATA_SLOT, slice_as_bytes_mut(&mut self.data), at)?;
+        blocks.read_at(DATA_SLOT, slice_as_bytes_mut(&mut self.data), at)?;
         Ok((&self.dst, &self.data))
     }
+}
+
+/// The DCSR index `(dcsr_src, dcsr_idx)` of the stored chunk `rel`, whose
+/// payloads are `edge_bytes` wide, read with positioned reads of the header
+/// and those two columns alone — a few blocks, not the file. Sources must
+/// ascend below the chunk's source count and offsets must not fall on the
+/// way to the edge count, else the chunk is `Corrupt`.
+pub fn read_dcsr_index(
+    disk: &NodeDisk,
+    rel: &str,
+    edge_bytes: usize,
+) -> Result<(Vec<u32>, Vec<u64>)> {
+    let SeekFile { mut blocks, layout: l, .. } = SeekFile::open(disk, rel, 1, edge_bytes)?;
+    let mut src = vec![0u32; l.n_nonzero as usize];
+    let mut idx = vec![0u64; l.n_nonzero as usize + 1];
+    blocks.read_at(0, slice_as_bytes_mut(&mut src), HEADER_BYTES as u64)?;
+    blocks.read_at(0, slice_as_bytes_mut(&mut idx), HEADER_BYTES as u64 + 4 * l.n_nonzero)?;
+    // `None < Some(_)`: no sources is in order
+    if src.windows(2).any(|w| w[0] >= w[1]) || src.last() >= Some(&l.n_src) {
+        return Err(DfoError::Corrupt(format!("{rel}: DCSR sources out of order or range")));
+    }
+    if idx.windows(2).any(|w| w[0] > w[1]) || idx[l.n_nonzero as usize] != l.n_edges {
+        return Err(DfoError::Corrupt(format!("{rel}: DCSR index does not cover all edges")));
+    }
+    Ok((src, idx))
 }
 
 /// Whether the seek mode is worth it on a chunk with a CSR index: at γ per

@@ -1,9 +1,9 @@
-//! Seek mode against stored chunks: a [`ChunkSeeker`] finds what a full
-//! load finds, on compressed containers and raw files alike, and neither
-//! reader sizes anything by a header count it has not held against the
-//! stream.
+//! Seek mode against stored chunks: a [`ChunkSeeker`] — fresh or resumed on
+//! a kept file — and the degree scan's index reader find what a full load
+//! finds, on compressed containers and raw files alike, and no reader sizes
+//! anything by a header count it has not held against the stream.
 
-use dfo_part::csr::{ChunkSeeker, IndexedChunk};
+use dfo_part::csr::{read_dcsr_index, ChunkSeeker, IndexedChunk};
 use dfo_storage::{FrameReader, FrameWriter, NodeDisk};
 use dfo_types::{DfoError, Pod, ReprKind, Result};
 use std::io::{Cursor, Write};
@@ -77,4 +77,79 @@ fn seeker_matches_the_loaded_chunk_on_either_layout() {
         .unwrap();
     let err = ChunkSeeker::<u32>::open(&disk, "s.bin").err();
     assert!(matches!(&err, Some(DfoError::Corrupt(m)) if m.contains("s.bin")), "{err:?}");
+}
+
+/// The degree scan's reader returns the DCSR index a full load decodes —
+/// so the same degrees — on either layout, reading less than the file
+/// holds; an index whose last offset is not the edge count is refused.
+#[test]
+fn dcsr_index_reader_matches_the_full_load_and_reads_less_than_the_file() {
+    let edges: Vec<(u32, u32, u32)> =
+        (0..40_000u32).map(|i| (i / 5, i.wrapping_mul(2_654_435_761) % 9_000, i % 13)).collect();
+    let c = IndexedChunk::build(8_100, &edges, 32.0);
+    let td = tempfile::TempDir::new().unwrap();
+    let disk = NodeDisk::new(td.path(), None, false).unwrap();
+    for compress in [true, false] {
+        let mut w = disk.create_framed("c.bin", compress).unwrap();
+        c.write_to(&mut w).unwrap();
+        w.finish().unwrap().finish().unwrap();
+        let before = disk.stats().read_bytes.get();
+        let index = read_dcsr_index(&disk, "c.bin", 4).unwrap();
+        let read = disk.stats().read_bytes.get() - before;
+        let loaded = IndexedChunk::<u32>::read_from(&mut disk.open_framed("c.bin").unwrap(), None);
+        let loaded = loaded.unwrap();
+        assert_eq!(index, (loaded.dcsr_src, loaded.dcsr_idx), "compress={compress}");
+        let len = disk.len("c.bin").unwrap();
+        assert!(read < len, "compress={compress}: read {read} B of a {len}-byte file");
+    }
+    // figure 1 lists sources [0, 2] at byte 32 and offsets [0, 1, 3] at
+    // byte 40: claim 2 edges; an offset that falls (0, 5, 3); a source past
+    // the chunk's 4; sources that do not ascend (0, 0)
+    let raw = figure1_chunk().write_to_framed(Vec::new(), false).unwrap();
+    for (byte, value, what) in
+        [(56, 2, "cover"), (48, 5, "cover"), (36, 9, "order"), (36, 0, "order")]
+    {
+        let mut bad = raw.clone();
+        bad[byte] = value;
+        std::fs::write(td.path().join("bad.bin"), bad).unwrap();
+        let err = read_dcsr_index(&disk, "bad.bin", 1).err();
+        assert!(
+            matches!(&err, Some(DfoError::Corrupt(m)) if m.contains(what)),
+            "byte {byte}: {err:?}"
+        );
+    }
+}
+
+/// A seeker resumed on the file an earlier one left finds the same edges
+/// and fetches no block that one still holds — after seeking into a hub
+/// whose edges span many blocks, whose copy the kept file does not hold.
+#[test]
+fn a_resumed_seeker_keeps_the_blocks_and_not_the_edges() {
+    // source 0 is a hub of 30 000 edges; then 2 000 sources of five
+    let hub = (0..30_000u32).map(|i| (0, i % 9_000, i));
+    let edges: Vec<(u32, u32, u32)> =
+        hub.chain((5..10_005u32).map(|i| (i / 5, i % 9_000, i))).collect();
+    let c = IndexedChunk::build(2_002, &edges, 32.0);
+    let td = tempfile::TempDir::new().unwrap();
+    let disk = NodeDisk::new(td.path(), None, false).unwrap();
+    let mut w = disk.create_framed("c.bin", true).unwrap();
+    c.write_to(&mut w).unwrap();
+    w.finish().unwrap().finish().unwrap();
+    let expect = |src: u32| {
+        let e = c.edges_of_csr(src);
+        (c.dst[e.clone()].to_vec(), c.data[e].to_vec())
+    };
+    let fetch = |seeker: &mut ChunkSeeker<u32>, src| {
+        let (dst, data) = seeker.edges_of(src).unwrap();
+        (dst.to_vec(), data.to_vec())
+    };
+    let mut seeker = ChunkSeeker::<u32>::open(&disk, "c.bin").unwrap();
+    assert_eq!(fetch(&mut seeker, 0), expect(0));
+    assert_eq!(fetch(&mut seeker, 1_000), expect(1_000));
+    let mut seeker = ChunkSeeker::<u32>::resume(seeker.into_file());
+    let before = disk.stats().read_ops.get();
+    assert_eq!(fetch(&mut seeker, 1_000), expect(1_000));
+    assert_eq!(fetch(&mut seeker, 1_001), expect(1_001));
+    assert_eq!(disk.stats().read_ops.get(), before, "a held block was fetched again");
+    assert_eq!(fetch(&mut seeker, 0), expect(0));
 }

@@ -36,8 +36,8 @@ ratchet() {
     status=1
   fi
 }
-ratchet 5106 dfo-core dfo-service
-ratchet 2852 dfo-types dfo-part
-ratchet 2713 dfo-net dfo-obs
+ratchet 5126 dfo-core dfo-service
+ratchet 2885 dfo-types dfo-part
+ratchet 2728 dfo-net dfo-obs
 ratchet 3814 dfo-storage
 exit $status
