@@ -35,17 +35,16 @@ fn pagerank_matches_oracle() {
     }
 }
 
-/// The chunk cache and prefetcher must be invisible to algorithm results:
-/// PageRank (fixed iteration count, f64 state) and BFS (data-dependent
-/// frontier, seek-mode-prone sparse iterations) run bit-identically across
-/// the cache/prefetch matrix.
+/// The chunk cache must be invisible to algorithm results: PageRank (fixed
+/// iteration count, f64 state) and BFS (data-dependent frontier,
+/// seek-mode-prone sparse iterations) run bit-identically across cache
+/// budgets.
 #[test]
 fn algorithms_bit_identical_across_chunk_cache_matrix() {
     let g = rmat(GenConfig::new(9, 6, 77));
-    let run = |budget: u64, depth: usize| -> (Vec<u64>, Vec<u32>) {
+    let run = |budget: u64| -> (Vec<u64>, Vec<u32>) {
         let mut c = cfg(3, 64);
         c.chunk_cache_bytes = budget;
-        c.prefetch_depth = depth;
         let td = TempDir::new().unwrap();
         let cluster = Cluster::create(c, td.path()).unwrap();
         cluster.preprocess(&g).unwrap();
@@ -67,11 +66,9 @@ fn algorithms_bit_identical_across_chunk_cache_matrix() {
         }
         (pr_bits, levels)
     };
-    let baseline = run(0, 0);
+    let baseline = run(0);
     for budget in [16 << 10, 1 << 30] {
-        for depth in [0usize, 2] {
-            assert_eq!(run(budget, depth), baseline, "budget={budget} depth={depth}");
-        }
+        assert_eq!(run(budget), baseline, "budget={budget}");
     }
 }
 

@@ -1,8 +1,9 @@
 //! Chunk cache micro-benchmark: multi-iteration PageRank with the cache off
-//! (budget 0, today's fully-out-of-core behaviour) vs a fits-all budget
-//! with read-ahead. Prints per-iteration disk read bytes and asserts the
-//! cached run reads strictly fewer bytes on every iteration after the
-//! first — the cross-iteration chunk reuse the cache exists for.
+//! (budget 0, the fully-out-of-core behaviour) vs a fits-all budget.
+//! Prints per-iteration disk read bytes and asserts that the cached run's
+//! first iteration reads exactly what an uncached one does — every chunk
+//! once — and that every later iteration reads strictly fewer bytes: the
+//! cross-iteration chunk reuse the cache exists for.
 //!
 //! The printed `BENCH_3` line is the JSON committed as `BENCH_3.json` so
 //! future PRs have a trajectory to compare against.
@@ -34,7 +35,6 @@ fn run(budget: u64) -> RunOut {
     cfg.disk_bw = Some(dfo_bench::DISK_BW);
     cfg.net_bw = Some(dfo_bench::NET_BW);
     cfg.chunk_cache_bytes = budget;
-    cfg.prefetch_depth = 2;
     let td = tempfile::TempDir::new().unwrap();
     let cluster = Cluster::create(cfg, td.path()).unwrap();
     cluster.preprocess(&g).unwrap();
@@ -102,6 +102,11 @@ fn bench_chunk_cache(c: &mut Criterion) {
         );
     }
 
+    // a cold cache reads each chunk once, like no cache at all
+    assert_eq!(
+        warm.per_iter_read[0], cold.per_iter_read[0],
+        "the fits-all run's first iteration must read exactly what budget 0 reads"
+    );
     // the whole point: once the chunks are resident, every later iteration
     // reads strictly fewer disk bytes than the cold first one
     for (i, &bytes) in warm.per_iter_read.iter().enumerate().skip(1) {

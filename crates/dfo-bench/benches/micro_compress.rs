@@ -92,13 +92,8 @@ fn codec_times() -> (f64, f64, usize, usize) {
 }
 
 fn run(compress: bool, budget: u64) -> RunOut {
-    run_with(compress, budget, config(compress, budget).prefetch_depth)
-}
-
-fn run_with(compress: bool, budget: u64, prefetch_depth: usize) -> RunOut {
     let g = uk_like();
-    let mut cfg = config(compress, budget);
-    cfg.prefetch_depth = prefetch_depth;
+    let cfg = config(compress, budget);
     let td = tempfile::TempDir::new().unwrap();
     let cluster = Cluster::create(cfg, td.path()).unwrap();
     cluster.preprocess(&g).unwrap();
@@ -191,11 +186,8 @@ fn main() {
         encoded_bytes as f64 / 1e6 / crc_secs,
     );
 
-    // the compounding cell for the JSON trajectory: compression + cache.
-    // Without read-ahead: a prefetch that races a demand load reads one
-    // chunk twice, and since chunks shrank to a few KB that is 5–10 % of
-    // all this cell reads — more than the gate's tolerance
-    let both = run_with(true, LARGE_BUDGET, 0);
+    // the compounding cell for the JSON trajectory: compression + cache
+    let both = run(true, LARGE_BUDGET);
     let total = |v: &[u64]| v.iter().sum::<u64>();
     println!(
         "BENCH_4 {{\"bench\":\"micro_compress\",\"iters\":{ITERS},\

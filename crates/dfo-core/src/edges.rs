@@ -32,6 +32,11 @@
 //! so this cannot deadlock, and a sparse round spawns no thread. Each rank
 //! decides for itself, per call.
 //!
+//! Phase 4 reads each chunk it loads whole on the worker that processes
+//! the chunk's batch, through the node's chunk cache when one is
+//! configured; nothing is read ahead. The cache is single-flight, so
+//! concurrent jobs on one rank read a chunk they both miss once.
+//!
 //! Seek mode (§4.1) reads stored chunks through [`ChunkSeeker`]s whose
 //! files outlive the call: the next call resumes a seeker on the open
 //! file, block directory and last block per column, so a frontier that
@@ -55,7 +60,7 @@ use dfo_part::csr::{choose_repr, should_seek, ChunkSeeker, IndexedChunk, MergeCu
 use dfo_part::filter::{should_filter, FilterCursor};
 use dfo_part::plan::ChunkInfo;
 use dfo_part::preprocess::paths;
-use dfo_storage::{CachedValue, ChunkKey, NodeDisk, PrefetchJob, Prefetcher, SpillBuf};
+use dfo_storage::{CachedValue, ChunkKey, SpillBuf};
 use dfo_types::{DfoError, DispatchKind, PhaseStats, Pod, Rank, ReprKind, Result, VertexId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -173,7 +178,6 @@ impl NodeCtx {
         self.call_seq += 1;
         let rank = self.rank;
         let p_nodes = self.cfg.nodes;
-        let b_count = self.plan.n_batches(rank);
 
         let signal_entries = self.entries(signal_arrays);
         let slot_entries = self.entries(slot_arrays);
@@ -201,7 +205,7 @@ impl NodeCtx {
         // ---------------- phase 1: generating --------------------------------
         let t_gen = std::time::Instant::now();
         let gen_span = self.obs_span("phase1_generate", "phase");
-        let mut msgs = CallMsgs::new(record_bytes::<M>(), b_count, p_nodes);
+        let mut msgs = CallMsgs::new(record_bytes::<M>(), self.plan.n_batches(rank), p_nodes);
         let m_total = self.for_each_batch(|b| {
             self.generate_batch(
                 b,
@@ -281,18 +285,8 @@ impl NodeCtx {
         if msgs.raw_own.load(Ordering::Relaxed) == 0 {
             msgs.gen.clear();
         }
-        // read-ahead: background threads decode the next batches' chunks
-        // into the cache while `slot` runs over the current one
-        let prefetcher = self.spawn_prefetcher::<E>(b_count, &msgs);
-        let local = self.for_each_batch(|b| {
-            if let Some(pf) = &prefetcher {
-                pf.notify_claimed(b);
-            }
-            self.process_batch::<A, M, E>(b, &slot_entries, &msgs, &slot)
-        })?;
-        // join the prefetch threads before sampling counters so their reads
-        // land deterministically in the processing window
-        drop(prefetcher);
+        let local =
+            self.for_each_batch(|b| self.process_batch::<A, M, E>(b, &slot_entries, &msgs, &slot))?;
         drop(proc_span);
         let proc_elapsed = t_proc.elapsed();
         stats.process_nanos = proc_elapsed.as_nanos() as u64;
@@ -453,24 +447,34 @@ impl NodeCtx {
         }
     }
 
-    /// Phase 3 for one remote stream.
+    /// Phase 3 for one remote stream. The peer's framing is checked, not
+    /// trusted: a header that is not one `u64` or a frame that is not whole
+    /// records is a `Corrupt` error naming the peer.
     fn recv_dispatch(&self, p: Rank, seq: u64, msgs: &CallMsgs) -> Result<()> {
         let mut stream = self.net.recv_stream(p, seq);
-        let header = stream
-            .next_chunk()?
-            .ok_or_else(|| DfoError::Corrupt(format!("stream from {p} missing header")))?;
-        let bound = u64::from_le_bytes(header[..8].try_into().unwrap());
+        let corrupt = |what: String| DfoError::Corrupt(format!("stream from rank {p}: {what}"));
+        let header = stream.next_chunk()?.ok_or_else(|| corrupt("no header".into()))?;
+        let bound = <[u8; 8]>::try_from(&header[..])
+            .map(u64::from_le_bytes)
+            .map_err(|_| corrupt(format!("{}-byte header", header.len())))?;
+        let rec = msgs.rec;
+        let mut next_frame = || match stream.next_chunk()? {
+            Some(f) if f.len() % rec != 0 => {
+                Err(corrupt(format!("{}-byte frame of {rec}-byte records", f.len())))
+            }
+            f => Ok(f),
+        };
         let dinfo = self.plan.node_meta[self.rank].dispatch[p];
         let strategy = self.choose_strategy(dinfo.as_ref(), p, bound);
 
         match strategy {
             Strategy::Drain => {
-                while stream.next_chunk()?.is_some() {}
+                while next_frame()?.is_some() {}
                 Ok(())
             }
             Strategy::NoDispatch => {
-                let mut buf = self.msg_buf(format!("msgs/in_all_p{p}.bin"), msgs.rec, SPILL_BUF);
-                while let Some(chunk) = stream.next_chunk()? {
+                let mut buf = self.msg_buf(format!("msgs/in_all_p{p}.bin"), rec, SPILL_BUF);
+                while let Some(chunk) = next_frame()? {
                     buf.append(&chunk)?;
                 }
                 publish(&msgs.raw[p], buf)
@@ -479,9 +483,8 @@ impl NodeCtx {
                 let dinfo = dinfo.expect("push strategy requires a dispatch graph");
                 // the sources are still on the wire: every message may cost a read
                 let mut access = self.open_dispatch_access(p, bound, &dinfo, |_| bound)?;
-                let mut sink = PushSink::new(self, p, msgs.rec);
-                while let Some(chunk) = stream.next_chunk()? {
-                    debug_assert_eq!(chunk.len() % msgs.rec, 0, "frames carry whole records");
+                let mut sink = PushSink::new(self, p, rec);
+                while let Some(chunk) = next_frame()? {
                     sink.dispatch(&mut access, &chunk)?;
                 }
                 self.close_dispatch_access(p, access);
@@ -558,9 +561,6 @@ impl NodeCtx {
     /// metadata, the buffers to replay — the batch's pushed segment, else
     /// the undispatched stream: our own generated buffers, or the peer's
     /// raw one — and their message count, which drives the §4.1 cost model.
-    /// `process_batch` and `spawn_prefetcher` must share this rule — if
-    /// they disagree, read-ahead decodes chunks under keys the consumer
-    /// never looks up.
     fn batch_messages<'m>(
         &self,
         b: usize,
@@ -580,11 +580,11 @@ impl NodeCtx {
 
     /// The one §4.1 seek rule, for edge chunks and dispatching graphs
     /// alike: `true` means positioned reads into the stored chunk of source
-    /// partition `p` instead of loading it (which bypasses cache and
-    /// prefetch by design — seek mode exists precisely because loading the
-    /// whole chunk does not pay). `reads(enough)` says how many positioned
-    /// reads the access would issue, counting no further than `enough`,
-    /// where the rule is lost anyway.
+    /// partition `p` instead of loading it (which bypasses the cache by
+    /// design — seek mode exists precisely because loading the whole chunk
+    /// does not pay). `reads(enough)` says how many positioned reads the
+    /// access would issue, counting no further than `enough`, where the
+    /// rule is lost anyway.
     fn seeks(&self, info: &ChunkInfo, p: Rank, reads: impl FnOnce(u64) -> u64) -> bool {
         let (n_src, gamma) = (self.plan.partitions[p].len(), self.cfg.gamma);
         self.cfg.repr_override.is_none()
@@ -602,8 +602,7 @@ impl NodeCtx {
     }
 
     /// Loads the decoded edge chunk or dispatching graph at `path` with the
-    /// index `key.repr`, through the chunk cache (and any in-flight
-    /// prefetch, which in turn waits for this load) when one is configured.
+    /// index `key.repr`, through the chunk cache when one is configured.
     /// Hits and misses are counted here, per context, not diffed from the
     /// shared cache's counters.
     fn load_indexed<E: Pod + PartialEq>(
@@ -611,7 +610,14 @@ impl NodeCtx {
         path: &str,
         key: ChunkKey,
     ) -> Result<Arc<IndexedChunk<E>>> {
-        let read = || self.timed_chunk_read(|| read_indexed::<E>(&self.disk, path, key.repr));
+        let read = || {
+            self.timed_chunk_read(|| {
+                let chunk =
+                    IndexedChunk::<E>::read_from(&mut self.disk.open_framed(path)?, key.repr)?;
+                let bytes = chunk.decoded_bytes();
+                Ok((Arc::new(chunk) as CachedValue, bytes))
+            })
+        };
         let value = match &self.chunk_cache {
             None => read()?.0,
             Some(cache) => {
@@ -622,55 +628,6 @@ impl NodeCtx {
             }
         };
         Ok(value.downcast::<IndexedChunk<E>>().expect("chunk cache holds IndexedChunk<E>"))
-    }
-
-    /// Builds and starts the phase-4 read-ahead pool: the batch processing
-    /// order and each chunk's access mode are fully known once dispatching
-    /// finished, so background threads can load and decode the next batches'
-    /// chunks while `slot` runs over the current one. Returns `None` when
-    /// the cache is off (budget 0 spawns no threads), read-ahead is disabled,
-    /// or every needed chunk is already resident or in seek mode.
-    fn spawn_prefetcher<E: Pod + PartialEq>(
-        &self,
-        b_count: usize,
-        msgs: &CallMsgs,
-    ) -> Option<Prefetcher> {
-        let cache = self.chunk_cache.as_ref()?;
-        if self.cfg.prefetch_depth == 0 {
-            return None;
-        }
-        let rank = self.rank;
-        let mut order = vec![rank];
-        order.extend(self.cfg.recv_order(rank));
-        let mut jobs = Vec::new();
-        for b in 0..b_count {
-            if self.plan.batches[rank][b].is_empty() {
-                continue;
-            }
-            for &p in &order {
-                let Some((cinfo, replay, count)) = self.batch_messages(b, p, msgs) else {
-                    continue;
-                };
-                if self.seeks(&cinfo, p, |enough| seek_reads(&replay, msgs.rec, enough)) {
-                    continue;
-                }
-                let key = chunk_key(p, b, self.full_repr(&cinfo, p, count));
-                if cache.contains(&key) {
-                    continue;
-                }
-                let disk = self.disk.clone();
-                let path = paths::chunk(p, b);
-                jobs.push(PrefetchJob {
-                    key,
-                    group: b,
-                    load: Box::new(move || read_indexed::<E>(&disk, &path, key.repr)),
-                });
-            }
-        }
-        if jobs.is_empty() {
-            return None;
-        }
-        Some(Prefetcher::spawn(cache.clone(), jobs, self.cfg.prefetch_depth))
     }
 
     /// Phase 4 for one destination batch.
@@ -711,7 +668,7 @@ impl NodeCtx {
             let Some((cinfo, replay, count)) = self.batch_messages(b, p, msgs) else { continue };
             // §4.1: with few reads to make and a stored CSR, *seek* into the
             // chunk with positioned reads instead of streaming it whole;
-            // full loads go through the chunk cache and prefetcher
+            // full loads go through the chunk cache
             let path = paths::chunk(p, b);
             let reads = |enough| seek_reads(&replay, msgs.rec, enough);
             let (mut seeker, chunk) = if self.seeks(&cinfo, p, reads) {
@@ -880,17 +837,4 @@ fn seek_reads(bufs: &[&SpillBuf], rec: usize, enough: u64) -> u64 {
 /// Cache identity of the edge chunk `(p, b)` decoded with index `want`.
 fn chunk_key(p: Rank, b: usize, want: ReprKind) -> ChunkKey {
     ChunkKey { partition: p, batch: Some(b), repr: Some(want) }
-}
-
-/// Opens `path` through the framing auto-detector and decodes it with the
-/// index `want` — the one chunk reader `load_indexed` and the prefetch
-/// threads share — into a cache value and its decoded size.
-fn read_indexed<E: Pod + PartialEq>(
-    disk: &NodeDisk,
-    path: &str,
-    want: Option<ReprKind>,
-) -> Result<(CachedValue, u64)> {
-    let chunk = IndexedChunk::<E>::read_from(&mut disk.open_framed(path)?, want)?;
-    let bytes = chunk.decoded_bytes();
-    Ok((Arc::new(chunk), bytes))
 }

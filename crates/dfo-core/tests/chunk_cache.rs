@@ -1,6 +1,5 @@
-//! Chunk cache + read-ahead prefetch: cross-call chunk reuse, eviction
-//! under a tiny budget, budget-0 inertness, and bit-identical results
-//! across the whole (budget × prefetch depth) matrix.
+//! Chunk cache: cross-call chunk reuse, eviction under a tiny budget,
+//! budget-0 inertness, and bit-identical results across budgets.
 
 use dfo_core::Cluster;
 use dfo_graph::edge::EdgeList;
@@ -8,11 +7,10 @@ use dfo_graph::gen::{rmat, GenConfig};
 use dfo_types::{BatchPolicy, EngineConfig, PhaseStats};
 use tempfile::TempDir;
 
-fn cache_cfg(budget: u64, depth: usize) -> EngineConfig {
+fn cache_cfg(budget: u64) -> EngineConfig {
     let mut c = EngineConfig::for_test(2);
     c.batch_policy = BatchPolicy::FixedVertices(64);
     c.chunk_cache_bytes = budget;
-    c.prefetch_depth = depth;
     c
 }
 
@@ -71,7 +69,7 @@ fn iterate(cfg: EngineConfig, g: &EdgeList<()>, iters: usize) -> (Vec<u64>, Vec<
 #[test]
 fn warm_iterations_read_strictly_fewer_bytes() {
     let g = graph();
-    let (_, stats) = iterate(cache_cfg(1 << 30, 2), &g, 3);
+    let (_, stats) = iterate(cache_cfg(1 << 30), &g, 3);
     // iteration 1 is cold: every loaded chunk is a miss
     assert!(stats[0].chunk_cache_misses > 0, "cold run must miss: {:?}", stats[0]);
     // warm iterations reuse every decoded chunk: phase-4 reads drop to the
@@ -94,10 +92,10 @@ fn warm_iterations_read_strictly_fewer_bytes() {
 fn budget_zero_is_inert() {
     let g = graph();
     let td = TempDir::new().unwrap();
-    let cluster = Cluster::create(cache_cfg(0, 2), td.path()).unwrap();
+    let cluster = Cluster::create(cache_cfg(0), td.path()).unwrap();
     cluster.preprocess(&g).unwrap();
     assert!(cluster.chunk_cache_stats().is_empty(), "budget 0 must not allocate caches");
-    let (_, stats) = iterate(cache_cfg(0, 2), &g, 2);
+    let (_, stats) = iterate(cache_cfg(0), &g, 2);
     for s in &stats {
         assert_eq!(s.chunk_cache_hits, 0);
         assert_eq!(s.chunk_cache_misses, 0);
@@ -108,8 +106,8 @@ fn budget_zero_is_inert() {
 #[test]
 fn tiny_budget_evicts_and_stays_correct() {
     let g = graph();
-    let (baseline, _) = iterate(cache_cfg(0, 0), &g, 3);
-    let (vals, stats) = iterate(cache_cfg(16 << 10, 2), &g, 3);
+    let (baseline, _) = iterate(cache_cfg(0), &g, 3);
+    let (vals, stats) = iterate(cache_cfg(16 << 10), &g, 3);
     assert_eq!(vals, baseline, "eviction must never change results");
     let evicted: u64 = stats.iter().map(|s| s.chunk_cache_evicted_bytes).sum();
     assert!(evicted > 0, "a 16 KB budget cannot hold this graph's chunks without evicting");
@@ -120,7 +118,7 @@ fn resident_bytes_respect_the_budget() {
     let g = graph();
     let budget = 16 << 10;
     let td = TempDir::new().unwrap();
-    let cluster = Cluster::create(cache_cfg(budget, 2), td.path()).unwrap();
+    let cluster = Cluster::create(cache_cfg(budget), td.path()).unwrap();
     cluster.preprocess(&g).unwrap();
     cluster
         .run(|ctx| {
@@ -151,13 +149,11 @@ fn resident_bytes_respect_the_budget() {
 }
 
 #[test]
-fn results_identical_across_budget_and_depth_matrix() {
+fn results_identical_across_budget_matrix() {
     let g = graph();
-    let (baseline, _) = iterate(cache_cfg(0, 0), &g, 3);
-    for budget in [0u64, 16 << 10, 1 << 30] {
-        for depth in [0usize, 2] {
-            let (vals, _) = iterate(cache_cfg(budget, depth), &g, 3);
-            assert_eq!(vals, baseline, "budget={budget} depth={depth}");
-        }
+    let (baseline, _) = iterate(cache_cfg(0), &g, 3);
+    for budget in [16 << 10, 1 << 30] {
+        let (vals, _) = iterate(cache_cfg(budget), &g, 3);
+        assert_eq!(vals, baseline, "budget={budget}");
     }
 }

@@ -708,3 +708,51 @@ fn seekers_are_held_across_sparse_calls_and_released_by_a_dense_one() {
         .unwrap();
     assert_eq!(out.into_iter().map(|(_, m)| m).collect::<Vec<_>>(), mix);
 }
+
+/// A peer's stream framing is checked, not trusted: rank 1 hand-sends a
+/// malformed stream on the tag of rank 0's first `ProcessEdges` call, and
+/// that call fails with a `Corrupt` error naming the peer — in release
+/// builds too, and whatever dispatch strategy the stream gets.
+#[test]
+fn malformed_peer_streams_are_corrupt_errors() {
+    let g = rmat(GenConfig::new(8, 4, 3));
+    // a 3-byte header; a valid header followed by a 5-byte frame, which is
+    // no whole number of 12-byte (u32 source, u64 message) records
+    let header = 1u64.to_le_bytes().to_vec();
+    let cases = [(vec![vec![0u8; 3]], None), (vec![header.clone(), vec![0; 5]], None)];
+    let dispatch = [Some(DispatchKind::Push), Some(DispatchKind::None)]
+        .map(|kind| (vec![header.clone(), vec![0; 5]], kind));
+    for (frames, kind) in cases.into_iter().chain(dispatch) {
+        let mut cfg = EngineConfig::for_test(2);
+        cfg.dispatch_override = kind;
+        let td = TempDir::new().unwrap();
+        let cluster = Cluster::create(cfg, td.path()).unwrap();
+        cluster.preprocess(&g).unwrap();
+        let res = cluster.run(|ctx| {
+            if ctx.rank() == 1 {
+                for f in &frames {
+                    ctx.net().send(0, 0, bytes::Bytes::copy_from_slice(f), false)?;
+                }
+                ctx.net().finish_stream(0, 0)?;
+                // drain rank 0's stream, so it never sends to a closed peer
+                ctx.net().recv_all(0, 0)?;
+                return Ok(());
+            }
+            ctx.vertex_array::<u64>("acc")?;
+            ctx.process_edges(
+                &[],
+                &["acc"],
+                None,
+                |_, _| Some(1u64),
+                |_m: u64, _, _, _: &(), _| 0u64,
+            )
+            .map(drop)
+        });
+        match res {
+            Err(dfo_types::DfoError::Corrupt(msg)) => {
+                assert!(msg.contains("rank 1"), "{kind:?}: {msg}")
+            }
+            other => panic!("{kind:?} {:?}: want Corrupt, got {other:?}", frames[0].len()),
+        }
+    }
+}

@@ -11,7 +11,6 @@ fn cfg(nodes: usize) -> EngineConfig {
     let mut c = EngineConfig::for_test(nodes);
     c.batch_policy = BatchPolicy::FixedVertices(64);
     c.chunk_cache_bytes = 4 << 20;
-    c.prefetch_depth = 2;
     c
 }
 

@@ -1,5 +1,4 @@
-//! Memory-budgeted cache of *decoded* edge chunks plus a read-ahead
-//! prefetcher — the engine's phase-4 I/O pipeline.
+//! Memory-budgeted cache of *decoded* edge chunks and dispatching graphs.
 //!
 //! DFOGraph's edge chunks are immutable after preprocessing, so an iterative
 //! algorithm that would fit its working set in spare memory should not pay
@@ -15,13 +14,12 @@
 //! the same on-disk chunk decoded as CSR and as DCSR are different in-memory
 //! objects and cache separately.
 //!
-//! The [`Prefetcher`] overlaps chunk reads with `slot` compute: phase-4
-//! workers visit destination batches in a known order, so a small pool of
-//! background threads loads the chunks of the next few batches while the
-//! current one is being processed. An in-flight table lets a consumer that
-//! misses the cache wait for a load already in progress instead of issuing a
-//! duplicate read, and a consumer's own load registers there too, so a
-//! prefetch thread that reaches the same chunk meanwhile skips it.
+//! Every chunk is read by the worker that needs it. Concurrent jobs share
+//! one cache per rank, so [`ChunkCache::get_or_load`] is single-flight: a
+//! miss registers its load in an in-flight table, and a second caller that
+//! misses the same key meanwhile waits for that load instead of reading the
+//! chunk again. The loader inserts the value, wakes its waiters and
+//! deregisters; a waiter whose loader failed loads the chunk itself.
 
 use dfo_types::{ReprKind, Result};
 use parking_lot::{Condvar, Mutex};
@@ -90,37 +88,29 @@ struct Inner {
     tick: u64,
 }
 
-enum SlotState {
-    Pending,
-    Done(Option<CachedValue>),
-}
-
-/// One in-flight load: consumers wait on it instead of re-reading the chunk.
-pub struct InflightSlot {
-    state: Mutex<SlotState>,
+/// One in-flight load: waiters block on it instead of re-reading the
+/// chunk. `done` is `None` while the load runs.
+#[derive(Default)]
+struct InflightSlot {
+    done: Mutex<Option<Option<CachedValue>>>,
     cond: Condvar,
 }
 
 impl InflightSlot {
-    fn new() -> Self {
-        Self { state: Mutex::new(SlotState::Pending), cond: Condvar::new() }
-    }
-
     /// Blocks until the load finishes; `None` means the load failed (the
-    /// caller falls back to a synchronous read, which surfaces the error).
+    /// caller loads the chunk itself, which surfaces the error).
     fn wait(&self) -> Option<CachedValue> {
-        let mut st = self.state.lock();
-        while matches!(*st, SlotState::Pending) {
-            self.cond.wait(&mut st);
-        }
-        match &*st {
-            SlotState::Done(v) => v.clone(),
-            SlotState::Pending => unreachable!(),
+        let mut done = self.done.lock();
+        loop {
+            if let Some(value) = &*done {
+                return value.clone();
+            }
+            self.cond.wait(&mut done);
         }
     }
 
     fn fulfill(&self, value: Option<CachedValue>) {
-        *self.state.lock() = SlotState::Done(value);
+        *self.done.lock() = Some(value);
         self.cond.notify_all();
     }
 }
@@ -153,54 +143,28 @@ impl ChunkCache {
         }
     }
 
-    /// Consumer-side lookup: cache first, then any in-flight or completed
-    /// prefetch of the same key (waiting for it instead of duplicating the
-    /// read). Counts one hit or one miss.
-    ///
-    /// A fulfilled prefetch slot stays registered until consumed here, so a
-    /// prefetched chunk that was immediately *evicted* (tiny budget) is
-    /// still handed over — without this, a budget below the working set
-    /// would make prefetch read every chunk twice (once in the pool, once
-    /// synchronously), worse than no cache at all.
+    /// Looks `key` up in the cache, else waits for a load of it in flight
+    /// instead of duplicating the read. Counts one hit or one miss.
     pub fn lookup(&self, key: &ChunkKey) -> Option<CachedValue> {
         let found = self.probe(key);
-        if found.is_none() {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
+        let counter = if found.is_some() { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
         found
     }
 
-    /// [`ChunkCache::lookup`] counting hits only.
+    /// [`ChunkCache::lookup`] without the counters: `None` if the key is
+    /// neither resident nor being loaded, or its load failed.
     fn probe(&self, key: &ChunkKey) -> Option<CachedValue> {
         if let Some(v) = self.touch(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
             return Some(v);
         }
         let slot = self.inflight.lock().get(key).cloned();
-        if let Some(slot) = slot {
-            let loaded = slot.wait();
-            // consume the slot (first taker wins; racers re-probe the cache)
-            let mut inflight = self.inflight.lock();
-            if inflight.get(key).is_some_and(|s| Arc::ptr_eq(s, &slot)) {
-                inflight.remove(key);
-            }
-            drop(inflight);
-            if let Some(v) = loaded {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(v);
-            }
-        } else if let Some(v) = self.touch(key) {
-            // fulfilled between the first probe and the in-flight check:
-            // loads insert into the cache before the slot is consumed
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(v);
-        }
-        None
+        slot?.wait()
     }
 
     /// [`ChunkCache::lookup`], and on a miss `load()` — registered in the
-    /// in-flight table while it runs, so a prefetch thread that reaches
-    /// `key` meanwhile skips it instead of reading the chunk a second time.
+    /// in-flight table while it runs, so another caller that misses `key`
+    /// meanwhile waits for this load instead of reading the chunk again.
     /// Returns the value and whether it was a hit.
     pub fn get_or_load(
         &self,
@@ -209,28 +173,21 @@ impl ChunkCache {
     ) -> Result<(CachedValue, bool)> {
         let slot = loop {
             if let Some(v) = self.probe(&key) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok((v, true));
             }
-            // a prefetch that registered since the probe missed is waited
-            // for by the next probe; a failed one was consumed by this one
+            // a load registered or finished since the probe is found by the
+            // next one; a failed one has deregistered, so this call loads
             if let Some(slot) = self.begin_load(key) {
                 break slot;
             }
         };
         self.misses.fetch_add(1, Ordering::Relaxed);
+        // an error or a panic in `load` wakes the waiters empty-handed
         let mut guard = FulfillGuard { cache: self, key, slot, loaded: None };
-        let loaded = load();
-        guard.loaded = loaded.as_ref().ok().map(|(v, bytes)| (v.clone(), *bytes));
-        drop(guard);
-        // the slot's one consumer is this call
-        self.purge_inflight(&[key]);
-        Ok((loaded?.0, false))
-    }
-
-    /// Whether `key` is resident, without touching recency or counters
-    /// (prefetch threads use this to skip already-cached work).
-    pub fn contains(&self, key: &ChunkKey) -> bool {
-        self.inner.lock().map.contains_key(key)
+        let (value, bytes) = load()?;
+        guard.loaded = Some((value.clone(), bytes));
+        Ok((value, false))
     }
 
     /// Inserts a decoded chunk of `bytes` decoded size, evicting LRU entries
@@ -241,7 +198,7 @@ impl ChunkCache {
         if bytes > self.budget {
             return;
         }
-        let mut inner = self.inner.lock();
+        let inner = &mut *self.inner.lock();
         if inner.map.contains_key(&key) {
             return;
         }
@@ -253,9 +210,8 @@ impl ChunkCache {
             self.evicted.fetch_add(e.bytes, Ordering::Relaxed);
         }
         inner.tick += 1;
-        let t = inner.tick;
-        inner.lru.insert(t, key);
-        inner.map.insert(key, Entry { value, bytes, tick: t });
+        inner.lru.insert(inner.tick, key);
+        inner.map.insert(key, Entry { value, bytes, tick: inner.tick });
         inner.resident += bytes;
         self.inserted.fetch_add(bytes, Ordering::Relaxed);
     }
@@ -263,11 +219,7 @@ impl ChunkCache {
     /// Drops every resident entry (counted as evictions). Called when the
     /// on-disk chunks are about to change (re-preprocessing a cluster).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        let dropped = inner.resident;
-        inner.map.clear();
-        inner.lru.clear();
-        inner.resident = 0;
+        let dropped = std::mem::take(&mut *self.inner.lock()).resident;
         self.evicted.fetch_add(dropped, Ordering::Relaxed);
     }
 
@@ -281,92 +233,44 @@ impl ChunkCache {
         }
     }
 
-    /// Registers an in-flight load of `key`; `None` if one is already
-    /// running (the caller should skip).
+    /// Registers a load of `key`; `None` if one is in flight or one has
+    /// finished since the caller probed (a loader inserts before it
+    /// deregisters).
     fn begin_load(&self, key: ChunkKey) -> Option<Arc<InflightSlot>> {
         let mut inflight = self.inflight.lock();
-        if inflight.contains_key(&key) {
+        if inflight.contains_key(&key) || self.inner.lock().map.contains_key(&key) {
             return None;
         }
-        let slot = Arc::new(InflightSlot::new());
+        let slot = Arc::<InflightSlot>::default();
         inflight.insert(key, slot.clone());
         Some(slot)
     }
 
-    /// Completes an in-flight load: inserts the value (if the load
-    /// succeeded) and fulfills the slot. The slot stays registered until a
-    /// consumer takes it in [`ChunkCache::lookup`] (or the prefetcher purges
-    /// it on shutdown) so the handed-over `Arc` survives even if the cache
-    /// insert was refused or immediately evicted.
+    /// Completes the load registered as `slot`: inserts the value (if the
+    /// load succeeded), deregisters, then wakes the waiters. They hold the
+    /// slot, so they get the value even if the insert was refused.
     fn finish_load(&self, key: ChunkKey, slot: &InflightSlot, loaded: Option<(CachedValue, u64)>) {
-        let value = loaded.as_ref().map(|(v, _)| v.clone());
-        if let Some((v, bytes)) = loaded {
-            self.insert(key, v, bytes);
-        }
+        let value = loaded.map(|(v, bytes)| {
+            self.insert(key, v.clone(), bytes);
+            v
+        });
+        self.inflight.lock().remove(&key);
         slot.fulfill(value);
-    }
-
-    /// Drops any fulfilled-but-unconsumed slots for `keys` (loads still
-    /// pending are left alone). The prefetcher calls this after joining its
-    /// threads so abandoned read-ahead does not pin memory across calls.
-    fn purge_inflight(&self, keys: &[ChunkKey]) {
-        let mut inflight = self.inflight.lock();
-        for key in keys {
-            if let Some(slot) = inflight.get(key) {
-                if matches!(*slot.state.lock(), SlotState::Done(_)) {
-                    inflight.remove(key);
-                }
-            }
-        }
     }
 
     /// Cache probe that refreshes recency on hit; no counters.
     fn touch(&self, key: &ChunkKey) -> Option<CachedValue> {
-        let mut inner = self.inner.lock();
-        let entry = inner.map.get(key)?;
-        let (old_tick, value) = (entry.tick, entry.value.clone());
+        let inner = &mut *self.inner.lock();
+        let entry = inner.map.get_mut(key)?;
         inner.tick += 1;
-        let t = inner.tick;
-        inner.lru.remove(&old_tick);
-        inner.lru.insert(t, *key);
-        inner.map.get_mut(key).expect("checked above").tick = t;
-        Some(value)
+        inner.lru.remove(&entry.tick);
+        inner.lru.insert(inner.tick, *key);
+        entry.tick = inner.tick;
+        Some(entry.value.clone())
     }
 }
 
-/// One chunk load the prefetcher may run ahead of the consumer.
-pub struct PrefetchJob {
-    pub key: ChunkKey,
-    /// Gating group (the destination batch index): the job runs only once
-    /// the consumer frontier is within `depth` groups of it, which bounds
-    /// read-ahead memory to roughly `depth` batches' worth of chunks.
-    pub group: usize,
-    /// Reads and decodes the chunk; returns the value and its decoded size.
-    #[allow(clippy::type_complexity)]
-    pub load: Box<dyn FnOnce() -> Result<(CachedValue, u64)> + Send>,
-}
-
-struct PrefetchState {
-    next: usize,
-    frontier: usize,
-    stop: bool,
-}
-
-struct PrefetchShared {
-    cache: Arc<ChunkCache>,
-    /// `jobs[i]` is taken exactly once by the thread that claimed index `i`.
-    jobs: Mutex<Vec<Option<PrefetchJob>>>,
-    /// Group of each job, in claim order (non-decreasing by construction).
-    groups: Vec<usize>,
-    /// Key of each job, for purging unconsumed slots at shutdown.
-    keys: Vec<ChunkKey>,
-    depth: usize,
-    state: Mutex<PrefetchState>,
-    cond: Condvar,
-}
-
-/// Fulfills the in-flight slot even if the load panics, so consumers never
-/// wait forever.
+/// Completes the load on drop, so waiters wake even if it fails or panics.
 struct FulfillGuard<'a> {
     cache: &'a ChunkCache,
     key: ChunkKey,
@@ -377,102 +281,6 @@ struct FulfillGuard<'a> {
 impl Drop for FulfillGuard<'_> {
     fn drop(&mut self) {
         self.cache.finish_load(self.key, &self.slot, self.loaded.take());
-    }
-}
-
-/// Background read-ahead pool over an ordered list of chunk loads.
-///
-/// Threads claim jobs in order but a job for group `g` only starts once the
-/// consumer has claimed group `g − depth` (reported via
-/// [`Prefetcher::notify_claimed`]). Dropping the pool stops and joins all
-/// threads; at most one load per thread finishes after the stop signal.
-pub struct Prefetcher {
-    shared: Arc<PrefetchShared>,
-    threads: Vec<std::thread::JoinHandle<()>>,
-}
-
-/// Loader-pool size cap: `depth` is a read-ahead *distance* (batches), not
-/// a parallelism knob, so a deep horizon must not spawn a thread army
-/// against one disk.
-const MAX_PREFETCH_THREADS: usize = 4;
-
-impl Prefetcher {
-    /// Spawns `min(depth, jobs, MAX_PREFETCH_THREADS)` loader threads over
-    /// `jobs` (must be sorted by `group`).
-    pub fn spawn(cache: Arc<ChunkCache>, jobs: Vec<PrefetchJob>, depth: usize) -> Self {
-        debug_assert!(jobs.windows(2).all(|w| w[0].group <= w[1].group), "jobs sorted by group");
-        let depth = depth.max(1);
-        let groups: Vec<usize> = jobs.iter().map(|j| j.group).collect();
-        let n_threads = depth.min(groups.len()).min(MAX_PREFETCH_THREADS);
-        let keys: Vec<ChunkKey> = jobs.iter().map(|j| j.key).collect();
-        let shared = Arc::new(PrefetchShared {
-            cache,
-            groups,
-            keys,
-            jobs: Mutex::new(jobs.into_iter().map(Some).collect()),
-            depth,
-            state: Mutex::new(PrefetchState { next: 0, frontier: 0, stop: false }),
-            cond: Condvar::new(),
-        });
-        let threads = (0..n_threads)
-            .map(|_| {
-                let sh = shared.clone();
-                std::thread::spawn(move || prefetch_loop(sh))
-            })
-            .collect();
-        Self { shared, threads }
-    }
-
-    /// The consumer claimed `group`; wakes loads now within `depth` of it.
-    pub fn notify_claimed(&self, group: usize) {
-        let mut st = self.shared.state.lock();
-        if group > st.frontier {
-            st.frontier = group;
-            self.shared.cond.notify_all();
-        }
-    }
-}
-
-impl Drop for Prefetcher {
-    fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock();
-            st.stop = true;
-        }
-        self.shared.cond.notify_all();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-        // all loads are fulfilled now; drop any nobody consumed so abandoned
-        // read-ahead does not pin decoded chunks past this call
-        self.shared.cache.purge_inflight(&self.shared.keys);
-    }
-}
-
-fn prefetch_loop(sh: Arc<PrefetchShared>) {
-    loop {
-        let i = {
-            let mut st = sh.state.lock();
-            loop {
-                if st.stop || st.next >= sh.groups.len() {
-                    return;
-                }
-                if sh.groups[st.next] <= st.frontier + sh.depth {
-                    let i = st.next;
-                    st.next += 1;
-                    break i;
-                }
-                sh.cond.wait(&mut st);
-            }
-        };
-        let Some(job) = sh.jobs.lock()[i].take() else { continue };
-        if sh.cache.contains(&job.key) {
-            continue;
-        }
-        let Some(slot) = sh.cache.begin_load(job.key) else { continue };
-        let mut guard = FulfillGuard { cache: &sh.cache, key: job.key, slot, loaded: None };
-        guard.loaded = (job.load)().ok();
-        drop(guard);
     }
 }
 
@@ -515,7 +323,6 @@ mod tests {
     fn oversized_value_is_refused() {
         let c = ChunkCache::new(10);
         c.insert(key(0, 0), val(1), 11);
-        assert!(!c.contains(&key(0, 0)));
         assert_eq!(c.stats().resident_bytes, 0);
         assert_eq!(c.stats().evicted_bytes, 0);
     }
@@ -526,8 +333,8 @@ mod tests {
         let csr = ChunkKey { partition: 0, batch: Some(0), repr: Some(ReprKind::Csr) };
         let dcsr = ChunkKey { partition: 0, batch: Some(0), repr: Some(ReprKind::Dcsr) };
         c.insert(csr, val(1), 10);
-        assert!(c.contains(&csr));
-        assert!(!c.contains(&dcsr));
+        assert!(c.lookup(&csr).is_some());
+        assert!(c.lookup(&dcsr).is_none());
     }
 
     #[test]
@@ -553,25 +360,25 @@ mod tests {
         c.finish_load(key(1, 1), &slot, Some((val(7), 8)));
         let got = waiter.join().unwrap().expect("fulfilled");
         assert_eq!(*got.downcast::<u64>().unwrap(), 7);
-        assert!(c.contains(&key(1, 1)), "fulfilled load is resident");
+        assert_eq!(c.stats().resident_bytes, 8, "fulfilled load is resident");
+        assert!(c.inflight.lock().is_empty(), "the loader deregistered");
         assert_eq!(c.stats().hits, 1, "a wait on in-flight counts as a hit");
+        assert!(c.begin_load(key(1, 1)).is_none(), "a resident key is not loaded again");
     }
 
     #[test]
     fn fulfilled_slot_survives_refused_insert() {
-        // a budget too small for the chunk refuses the insert, but the
-        // consumer still gets the loaded value through the slot — prefetch
-        // must never make a tiny-budget run read a chunk twice
-        let c = Arc::new(ChunkCache::new(10));
+        // a budget too small for the chunk refuses the insert, but a caller
+        // already waiting on the load still gets the value through the slot
+        let c = ChunkCache::new(10);
         let slot = c.begin_load(key(4, 0)).expect("fresh key");
+        let waiting = c.inflight.lock().get(&key(4, 0)).cloned().expect("registered");
         c.finish_load(key(4, 0), &slot, Some((val(5), 100)));
-        assert!(!c.contains(&key(4, 0)), "oversized insert refused");
-        let got = c.lookup(&key(4, 0)).expect("handed over via the slot");
-        assert_eq!(*got.downcast::<u64>().unwrap(), 5);
-        // consumed: a second lookup is a genuine miss
+        assert_eq!(c.stats().resident_bytes, 0, "oversized insert refused");
+        assert_eq!(*waiting.wait().expect("handed over").downcast::<u64>().unwrap(), 5);
+        // deregistered: a later caller misses and loads the chunk itself
         assert!(c.lookup(&key(4, 0)).is_none());
-        // purge of a consumed key is a no-op
-        c.purge_inflight(&[key(4, 0)]);
+        assert!(c.begin_load(key(4, 0)).is_some());
     }
 
     #[test]
@@ -586,67 +393,10 @@ mod tests {
         c.finish_load(key(2, 0), &slot, None);
         assert!(waiter.join().unwrap().is_none(), "failed load surfaces as a miss");
         assert_eq!(c.stats().misses, 1);
-    }
-
-    #[test]
-    fn prefetcher_loads_within_depth_and_waits_beyond() {
-        let cache = Arc::new(ChunkCache::new(1 << 20));
-        let loaded: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
-        let jobs: Vec<PrefetchJob> = (0..6)
-            .map(|g| {
-                let loaded = loaded.clone();
-                PrefetchJob {
-                    key: key(0, g),
-                    group: g,
-                    load: Box::new(move || {
-                        loaded.lock().push(g);
-                        Ok((val(g as u64), 16))
-                    }),
-                }
-            })
-            .collect();
-        let pf = Prefetcher::spawn(cache.clone(), jobs, 2);
-        // frontier starts at 0: groups 0..=2 may load, 3+ must wait
-        std::thread::sleep(Duration::from_millis(50));
-        {
-            let l = loaded.lock();
-            assert!(l.iter().all(|&g| g <= 2), "read-ahead past depth: {:?}", *l);
-            assert!(l.contains(&0), "depth-0 job should have run");
-        }
-        pf.notify_claimed(3);
-        std::thread::sleep(Duration::from_millis(50));
-        assert_eq!(loaded.lock().len(), 6, "frontier 3 unlocks all groups ≤ 5");
-        for g in 0..6 {
-            assert!(cache.contains(&key(0, g)), "group {g} cached");
-        }
-        drop(pf);
-    }
-
-    #[test]
-    fn prefetcher_skips_resident_keys_and_stops_on_drop() {
-        let cache = Arc::new(ChunkCache::new(1 << 20));
-        cache.insert(key(0, 0), val(9), 8);
-        let ran = Arc::new(AtomicU64::new(0));
-        let jobs: Vec<PrefetchJob> = (0..2)
-            .map(|g| {
-                let ran = ran.clone();
-                PrefetchJob {
-                    key: key(0, g),
-                    group: g,
-                    load: Box::new(move || {
-                        ran.fetch_add(1, Ordering::Relaxed);
-                        Ok((val(0), 8))
-                    }),
-                }
-            })
-            .collect();
-        let pf = Prefetcher::spawn(cache.clone(), jobs, 2);
-        std::thread::sleep(Duration::from_millis(50));
-        drop(pf); // joins
-        assert_eq!(ran.load(Ordering::Relaxed), 1, "resident key skipped");
-        // the cached value is the pre-inserted one, not a reload
-        let v = cache.lookup(&key(0, 0)).unwrap();
-        assert_eq!(*v.downcast::<u64>().unwrap(), 9);
+        // the failed loader deregistered: the next caller loads
+        let (v, hit) = c.get_or_load(key(2, 0), || Ok((val(3), 8))).unwrap();
+        assert!(!hit);
+        assert_eq!(*v.downcast::<u64>().unwrap(), 3);
     }
 
     #[test]
@@ -668,16 +418,23 @@ mod tests {
     #[test]
     fn panicking_load_still_fulfills_waiters() {
         let cache = Arc::new(ChunkCache::new(1 << 20));
-        let jobs = vec![PrefetchJob {
-            key: key(3, 0),
-            group: 0,
-            load: Box::new(|| panic!("corrupt chunk")),
-        }];
-        let pf = Prefetcher::spawn(cache.clone(), jobs, 1);
-        // the panic kills the loader thread, but the guard fulfilled the
-        // slot first, so a lookup degrades to a miss instead of hanging
-        std::thread::sleep(Duration::from_millis(50));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let loader = {
+            let cache = cache.clone();
+            std::thread::spawn(move || {
+                let _ = cache.get_or_load(key(3, 0), || {
+                    // hand the registered slot out, as a waiter holds it
+                    tx.send(cache.inflight.lock().get(&key(3, 0)).cloned()).unwrap();
+                    panic!("corrupt chunk")
+                });
+            })
+        };
+        let waiting = rx.recv().unwrap().expect("registered while loading");
+        // the panic kills the loader, but the guard woke the waiter first
+        // and deregistered, so nothing hangs and the next caller loads
+        assert!(waiting.wait().is_none());
+        assert!(loader.join().is_err());
         assert!(cache.lookup(&key(3, 0)).is_none());
-        drop(pf);
+        assert!(cache.begin_load(key(3, 0)).is_some());
     }
 }

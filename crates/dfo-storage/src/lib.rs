@@ -21,7 +21,7 @@ pub mod spill;
 pub mod throttle;
 
 pub use blockstore::VersionedArrayStore;
-pub use chunkcache::{CachedValue, ChunkCache, ChunkCacheStats, ChunkKey, PrefetchJob, Prefetcher};
+pub use chunkcache::{CachedValue, ChunkCache, ChunkCacheStats, ChunkKey};
 pub use commitlog::CommitLog;
 pub use compress::{BlockFile, FrameReader, FrameWriter, FRAME_MAGIC, SEEK_BLOCK_BYTES};
 pub use disk::{ClassStats, DiskReader, DiskStats, DiskWriter, FileClass, NodeDisk, RandomFile};

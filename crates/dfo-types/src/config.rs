@@ -194,17 +194,13 @@ pub struct EngineConfig {
     /// Records disk/network traffic time series (Figure 5); off by default
     /// because sampling adds a lock per transfer.
     pub record_traffic: bool,
-    /// Memory budget in bytes for the decoded edge-chunk cache shared
-    /// across `ProcessEdges` calls (bytes, not entries). `0` — the default —
-    /// disables the subsystem entirely: no cache is allocated and no
-    /// prefetch threads are spawned, preserving the fully-out-of-core
-    /// behaviour.
+    /// Memory budget in bytes for the cache of decoded edge chunks and
+    /// dispatching graphs shared across `ProcessEdges` calls and concurrent
+    /// jobs (bytes, not entries). A chunk is read and decoded when a worker
+    /// first needs it, then reused until evicted. `0` — the default —
+    /// allocates no cache: every call reads its chunks again, the
+    /// fully-out-of-core behaviour.
     pub chunk_cache_bytes: u64,
-    /// Read-ahead depth of the phase-4 chunk prefetcher: how many vertex
-    /// batches ahead of the processing frontier background threads may load
-    /// and decode edge chunks. Only active when `chunk_cache_bytes > 0`;
-    /// `0` disables read-ahead while keeping the cache.
-    pub prefetch_depth: usize,
     /// Write preprocessed edge chunks and dispatching graphs through the
     /// checksummed LZ4 block framing (GraphMP-style), shrinking cold reads
     /// and preprocessing output at a small decode cost. On by default;
@@ -291,7 +287,6 @@ impl EngineConfig {
             repr_override: None,
             record_traffic: false,
             chunk_cache_bytes: 0,
-            prefetch_depth: 2,
             compress_chunks: true,
             peers: None,
             connect_timeout_secs: 30,
@@ -489,7 +484,6 @@ mod tests {
     fn chunk_cache_defaults_off_and_compression_on() {
         let c = EngineConfig::for_test(2);
         assert_eq!(c.chunk_cache_bytes, 0);
-        assert_eq!(c.prefetch_depth, 2);
         assert!(c.compress_chunks);
     }
 

@@ -26,7 +26,6 @@ fn main() -> dfograph::types::Result<()> {
     let _ = std::fs::remove_dir_all(&dir);
     let mut cfg = EngineConfig::for_test(2);
     cfg.chunk_cache_bytes = 8 << 20;
-    cfg.prefetch_depth = 2;
     cfg.metrics_addr = Some("127.0.0.1:0".into());
     let svc = Service::new(cfg, &dir)?;
 
