@@ -44,11 +44,15 @@
 //! edges are not kept, a call drops the files it did not use when it ends,
 //! and at most `HELD_SEEKERS` are held.
 //!
-//! Every message buffer is a [`SpillBuf`] on the node's message pool (a
-//! share of `mem_budget`): in memory while the pool admits it, in a scratch
-//! file under `msgs/` past that — at pool capacity 0 this is the paper's
-//! fully-out-of-core pipeline, file for file. `CallMsgs` owns a call's
-//! buffers and their files and frees both when the call returns.
+//! Every message buffer is a [`SpillBuf`] on the node's memory pool (half
+//! of `mem_budget`, shared with resident vertex blocks): in memory while
+//! the pool admits it, in a scratch file under `msgs/` past that.
+//! `CallMsgs` owns a call's buffers and their files and frees both when
+//! the call returns. The §4.3 filter lists come from the same pool: a call
+//! reads and checks the lists it filters against before phase 2 starts,
+//! and a list the pool admits is held for the rest of the job, so later
+//! calls read none. At pool capacity 0 this is the paper's
+//! fully-out-of-core pipeline, file for file.
 
 use crate::accum::Accum;
 use crate::array::{ArrayEntry, BatchCtx, VertexArray};
@@ -57,7 +61,7 @@ use crate::node::{exchange, NodeCtx};
 use bytes::Bytes;
 use dfo_net::endpoint::STREAM_CHUNK;
 use dfo_part::csr::{choose_repr, should_seek, ChunkSeeker, IndexedChunk, MergeCursor};
-use dfo_part::filter::{should_filter, FilterCursor};
+use dfo_part::filter::{read_filter_list, should_filter, FilterCursor};
 use dfo_part::plan::ChunkInfo;
 use dfo_part::preprocess::paths;
 use dfo_storage::{CachedValue, ChunkKey, SpillBuf};
@@ -79,8 +83,9 @@ const DISPATCH_BUF: usize = 32 << 10;
 
 /// Per-call counters of the sender thread. Every disk field of
 /// [`PhaseStats`] is a disk-stat delta around a phase barrier; passing and
-/// dispatching share one window, so the sender counts what it read (spilled
-/// messages replayed, filter lists) and dispatching is the rest.
+/// dispatching share one window, so passing counts what it read (filter
+/// lists not yet held, spilled messages replayed) and dispatching is the
+/// rest.
 #[derive(Default)]
 struct CallStats {
     pass_disk_read: AtomicU64,
@@ -228,7 +233,10 @@ impl NodeCtx {
         }
 
         // ---------------- phases 2+3: passing & dispatching ------------------
+        // the lists are read (and checked) before any stream starts, so a
+        // bad one fails the call here and not halfway through a send
         let call = CallStats::default();
+        let lists = self.filter_lists(m_total, &call)?;
         let net_sent0 = self.net.stats().sent_bytes.get();
         let net_recv0 = self.net.stats().recv_bytes.get();
         let t_dispatch = std::time::Instant::now();
@@ -242,8 +250,9 @@ impl NodeCtx {
             let pass = || {
                 let t_pass = std::time::Instant::now();
                 let _pass_span = self.obs_span("phase2_pass", "phase");
-                let sent = (self.cfg.send_order(rank).into_iter())
-                    .try_for_each(|j| self.send_to(j, seq, m_total, &msgs, &call));
+                let sent = (self.cfg.send_order(rank).into_iter()).try_for_each(|j| {
+                    self.send_to(j, seq, m_total, lists[j].as_deref(), &msgs, &call)
+                });
                 let el = t_pass.elapsed();
                 pass_nanos.store(el.as_nanos() as u64, Ordering::Relaxed);
                 if let Some(o) = &self.obs {
@@ -363,29 +372,51 @@ impl NodeCtx {
         Ok(count)
     }
 
+    /// The §4.3 lists this call filters its sends against, `[j]` for each
+    /// peer `j` the skip rule lets it filter. A list the context holds costs
+    /// nothing; one it reads is counted as passing's and held for the rest
+    /// of the job if the pool admits its bytes.
+    fn filter_lists(&self, m_total: u64, call: &CallStats) -> Result<Vec<Option<Arc<[u32]>>>> {
+        let mut lists = vec![None; self.cfg.nodes];
+        for j in self.cfg.send_order(self.rank) {
+            let len = self.plan.node_meta[self.rank].filter_lens[j];
+            if !self.cfg.filtering_enabled
+                || !should_filter(len, m_total, self.cfg.filter_skip_ratio)
+            {
+                continue;
+            }
+            let list = match self.filters[j].get() {
+                Some(held) => held.clone(),
+                None => {
+                    let list: Arc<[u32]> =
+                        read_filter_list(&self.disk, &paths::filter(j), len)?.into();
+                    let bytes = 8 + 4 * len;
+                    call.pass_disk_read.fetch_add(bytes, Ordering::Relaxed);
+                    if self.pool.try_reserve(bytes) {
+                        let _ = self.filters[j].set(list.clone());
+                    }
+                    list
+                }
+            };
+            lists[j] = Some(list);
+        }
+        Ok(lists)
+    }
+
     /// Phase 2 to one peer: stream the node's generated messages, filtered
-    /// against `L_{rank,j}` unless the §4.3 skip rule fires.
+    /// against `list` (`L_{rank,j}`) unless the §4.3 skip rule fired.
     fn send_to(
         &self,
         j: Rank,
         seq: u64,
         m_total: u64,
+        list: Option<&[u32]>,
         msgs: &CallMsgs,
         call: &CallStats,
     ) -> Result<()> {
-        let l_len = self.plan.node_meta[self.rank].filter_lens[j];
-        let do_filter =
-            self.cfg.filtering_enabled && should_filter(l_len, m_total, self.cfg.filter_skip_ratio);
-        let list = if do_filter {
-            dfo_part::filter::read_filter_list(&self.disk, &paths::filter(j))?
-        } else {
-            Vec::new()
-        };
-        let mut cursor = FilterCursor::new(&list);
-
         // header frame: an upper bound on the records to follow, so the
         // receiver can pick its dispatch strategy before data arrives
-        let bound = if do_filter { l_len.min(m_total) } else { m_total };
+        let bound = list.map_or(m_total, |l| (l.len() as u64).min(m_total));
         self.net.send(j, seq, Bytes::copy_from_slice(&bound.to_le_bytes()), false)?;
 
         let rec = msgs.rec;
@@ -394,15 +425,16 @@ impl NodeCtx {
         let mut sent = 0u64;
         // stats accumulate in locals and flush once per stream — a per-record
         // fetch_add on a shared cache line costs more than the record parse
-        let mut read_bytes = if do_filter { 8 + 4 * list.len() as u64 } else { 0 };
+        let mut read_bytes = 0;
+        let mut cursor = list.map(FilterCursor::new);
         for g in msgs.generated() {
             read_bytes += g.spilled_bytes();
             g.for_each_run(|run| {
-                if !do_filter {
+                let Some(cursor) = &mut cursor else {
                     // frames are cut straight from the generated buffer
                     sent += (run.len() / rec) as u64;
                     return fb.push_bytes(run, &mut emit);
-                }
+                };
                 for r in run.chunks_exact(rec).filter(|r| cursor.contains(src_of(r))) {
                     sent += 1;
                     fb.push_bytes(r, &mut emit)?;

@@ -17,24 +17,11 @@ use dfo_types::ids::split_into_batches;
 use dfo_types::{CrashPos, DfoError, EngineConfig, PhaseStats, Pod, Rank, Result, VertexId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Scratch-relative path of the per-call commit record (one per node).
 const COMMITS_REL: &str = "arrays/COMMITS.bin";
-
-/// The two shares of `mem_budget` that keep bytes which are not edges off
-/// the disk: a quarter for resident vertex-array blocks (with checkpointing
-/// off written back once per job, so their per-call writes and re-reads
-/// are both saved; with it on written through) and a sixteenth for
-/// `ProcessEdges` message buffers. The batch-sizing rule (§2.2) leaves half
-/// the budget to the batches being worked on; of the rest, vertex state gets the larger
-/// share because it lives as long as the job while messages live for one
-/// call, and because a block a worker checks out *is* the buffer it would
-/// have loaded anyway. Whatever does not fit goes through the disk exactly
-/// as in the fully-out-of-core engine — which is these pools at capacity 0.
-const BLOCK_POOL_SHARE: u64 = 4;
-const MSG_POOL_SHARE: u64 = 16;
 
 /// Telemetry state of one context: the handle itself plus the histograms
 /// the hot paths observe, resolved once in [`NodeCtx::set_telemetry`] so
@@ -75,10 +62,22 @@ pub struct NodeCtx {
     /// shared across `process_edges` calls (and across runs when owned by a
     /// [`crate::Cluster`]). `None` when `chunk_cache_bytes == 0`.
     pub(crate) chunk_cache: Option<Arc<ChunkCache>>,
-    /// Budgets of this context's resident vertex blocks and in-memory
-    /// message buffers (see [`BLOCK_POOL_SHARE`]).
-    pub(crate) block_pool: Arc<MemBudget>,
+    /// The one budget that keeps bytes which are not edges off the disk:
+    /// half of `mem_budget`, the half the batch-sizing rule (§2.2) leaves to
+    /// everything but the batches being worked on. Resident vertex-array
+    /// blocks (with checkpointing off written back once per job, so their
+    /// per-call writes and re-reads are both saved; with it on written
+    /// through), `ProcessEdges` message chunks (`msg_pool`) and held filter
+    /// lists (`filters`) all draw on it, admitted until it is full and
+    /// never evicted. Whatever does not fit goes through the disk exactly as
+    /// in the fully-out-of-core engine — which is this budget at capacity 0.
+    pub(crate) pool: Arc<MemBudget>,
     pub(crate) msg_pool: Arc<ChunkPool>,
+    /// `filters[j]`: the §4.3 list `L_{rank,j}` once a `ProcessEdges` call
+    /// has read it and `pool` admitted its `8 + 4·len` bytes, held for the
+    /// rest of the job (graph files are read-only for the life of the
+    /// context).
+    pub(crate) filters: Vec<OnceLock<Arc<[u32]>>>,
     pub(crate) call_seq: u64,
     pub(crate) last_stats: PhaseStats,
     /// `Process` calls whose epoch commit completed in this context's
@@ -153,10 +152,12 @@ impl NodeCtx {
         let commit_log = cfg
             .checkpointing
             .then(|| parking_lot::Mutex::new(CommitLog::load_or_new(scratch.clone(), COMMITS_REL)));
+        let pool = MemBudget::new(cfg.mem_budget / 2);
         Self {
             rank,
-            block_pool: MemBudget::new(cfg.mem_budget / BLOCK_POOL_SHARE),
-            msg_pool: ChunkPool::new(cfg.mem_budget / MSG_POOL_SHARE),
+            msg_pool: ChunkPool::new(pool.clone()),
+            pool,
+            filters: (0..plan.nodes()).map(|_| OnceLock::new()).collect(),
             cfg,
             disk,
             scratch,
@@ -271,12 +272,12 @@ impl NodeCtx {
         &self.net
     }
 
-    /// Bytes of mutable state this context holds: its scratch files
-    /// (vertex arrays, checkpoints, message spills) plus the vertex blocks
-    /// resident in its block pool, which with checkpointing off may have no
-    /// file until the job ends.
+    /// Bytes of state this context holds: its scratch files (vertex arrays,
+    /// checkpoints, message spills) plus everything its memory budget holds
+    /// — resident vertex blocks, which with checkpointing off may have no
+    /// file until the job ends, message chunks and held filter lists.
     pub fn footprint_bytes(&self) -> Result<u64> {
-        Ok(self.scratch.usage_bytes()? + self.block_pool.used())
+        Ok(self.scratch.usage_bytes()? + self.pool.used())
     }
 
     /// Installs a cooperative cancellation token. Once any rank's token is
@@ -368,7 +369,7 @@ impl NodeCtx {
             self.cfg.checkpointing,
             self.cfg.checkpoints_kept,
             target,
-            &self.block_pool,
+            &self.pool,
         )?;
         let handle = entry.handle();
         self.arrays.insert(name.to_string(), Arc::new(entry));

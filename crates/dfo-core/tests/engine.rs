@@ -541,14 +541,14 @@ fn pre_fired_cancel_token_cancels_every_rank_and_never_poisons() {
     }
 }
 
-/// `mem_budget` so small that the resident-block and message pools both
-/// hold nothing: the fully-out-of-core engine.
+/// `mem_budget` so small that the pool of resident blocks, message chunks
+/// and filter lists holds nothing: the fully-out-of-core engine.
 const NO_POOLS: u64 = 1;
 
 /// Every disk byte a `ProcessEdges` call moves shows up in exactly one disk
-/// field of its [`dfo_types::PhaseStats`] — with the pools at their default
+/// field of its [`dfo_types::PhaseStats`] — with the pool at its default
 /// size and at zero, under both dispatch strategies, with and without
-/// checkpoints — and the pools only ever remove bytes.
+/// checkpoints — and the pool only ever removes bytes.
 #[test]
 fn phase_stats_account_for_every_disk_byte() {
     let g = rmat(GenConfig::new(9, 8, 31));
@@ -753,6 +753,47 @@ fn malformed_peer_streams_are_corrupt_errors() {
                 assert!(msg.contains("rank 1"), "{kind:?}: {msg}")
             }
             other => panic!("{kind:?} {:?}: want Corrupt, got {other:?}", frames[0].len()),
+        }
+    }
+}
+
+/// A filter list is checked, not trusted: rank 0's list to rank 1 with a
+/// header claiming 2^40 sources (which would have been allocated), or with
+/// two sources swapped (which would have dropped messages), fails the call
+/// with a `Corrupt` error naming the file.
+#[test]
+fn corrupt_filter_lists_are_corrupt_errors() {
+    let g = rmat(GenConfig::new(8, 4, 3));
+    for what in ["header", "order"] {
+        let td = TempDir::new().unwrap();
+        let cluster = Cluster::create(EngineConfig::for_test(2), td.path()).unwrap();
+        let plan = cluster.preprocess(&g).unwrap();
+        assert!(plan.node_meta[0].filter_lens[1] >= 2, "the list has two sources to swap");
+        let path = cluster.disks()[0].path(&paths::filter(1)).unwrap();
+        let mut list = std::fs::read(&path).unwrap();
+        match what {
+            "header" => list[..8].copy_from_slice(&(1u64 << 40).to_le_bytes()),
+            _ => {
+                let (first, second) = list[8..16].split_at_mut(4);
+                first.swap_with_slice(second);
+            }
+        }
+        std::fs::write(&path, list).unwrap();
+        let res = cluster.run(|ctx| {
+            ctx.vertex_array::<u64>("acc")?;
+            ctx.process_edges(
+                &[],
+                &["acc"],
+                None,
+                |_, _| Some(1u64),
+                |_m: u64, _, _, _: &(), _| 0u64,
+            )
+        });
+        match res {
+            Err(dfo_types::DfoError::Corrupt(msg)) => {
+                assert!(msg.contains(&paths::filter(1)), "{what}: {msg}")
+            }
+            other => panic!("{what}: want Corrupt, got {other:?}"),
         }
     }
 }

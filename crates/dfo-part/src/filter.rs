@@ -8,7 +8,7 @@
 
 use dfo_storage::NodeDisk;
 use dfo_types::codec::{read_u64, write_u64};
-use dfo_types::{slice_as_bytes, vec_from_bytes, DfoError, Result};
+use dfo_types::{slice_as_bytes, slice_as_bytes_mut, DfoError, Result};
 use std::io::{Read, Write};
 
 /// Writes a sorted filter list to `disk` at `rel`.
@@ -21,13 +21,24 @@ pub fn write_filter_list(disk: &NodeDisk, rel: &str, sorted_srcs: &[u32]) -> Res
     w.finish()
 }
 
-/// Reads back a filter list.
-pub fn read_filter_list(disk: &NodeDisk, rel: &str) -> Result<Vec<u32>> {
+/// Reads back a filter list the plan says holds `len` sources. The file is
+/// checked, not trusted: its header and its length must both agree with
+/// `len`, and its sources must be strictly ascending, or [`FilterCursor`]
+/// would drop messages; anything else is a `Corrupt` error naming `rel`.
+pub fn read_filter_list(disk: &NodeDisk, rel: &str, len: u64) -> Result<Vec<u32>> {
+    let corrupt = |what: String| DfoError::Corrupt(format!("filter list {rel}: {what}"));
     let mut r = disk.open(rel)?;
-    let n = read_u64(&mut r).map_err(|e| DfoError::io("filter list header", e))? as usize;
-    let mut buf = vec![0u8; n * 4];
-    r.read_exact(&mut buf).map_err(|e| DfoError::io("filter list body", e))?;
-    Ok(vec_from_bytes(&buf))
+    let n = read_u64(&mut r).map_err(|e| DfoError::io("filter list header", e))?;
+    let file_len = disk.len(rel)?;
+    if n != len || file_len != len.saturating_mul(4).saturating_add(8) {
+        return Err(corrupt(format!("{n} sources in {file_len} bytes, the plan says {len}")));
+    }
+    let mut list = vec![0u32; len as usize];
+    r.read_exact(slice_as_bytes_mut(&mut list)).map_err(|e| DfoError::io("filter list body", e))?;
+    match list.windows(2).find(|w| w[0] >= w[1]) {
+        Some(w) => Err(corrupt(format!("source {} follows {}: not ascending", w[1], w[0]))),
+        None => Ok(list),
+    }
 }
 
 /// Streaming sorted-merge filter: retains the elements of `messages` (sorted
@@ -75,7 +86,7 @@ mod tests {
         let d = NodeDisk::new(td.path(), None, false).unwrap();
         let list: Vec<u32> = vec![1, 5, 9, 1000];
         write_filter_list(&d, "filter/to_3.lst", &list).unwrap();
-        assert_eq!(read_filter_list(&d, "filter/to_3.lst").unwrap(), list);
+        assert_eq!(read_filter_list(&d, "filter/to_3.lst", 4).unwrap(), list);
     }
 
     #[test]
@@ -83,7 +94,7 @@ mod tests {
         let td = TempDir::new().unwrap();
         let d = NodeDisk::new(td.path(), None, false).unwrap();
         write_filter_list(&d, "f.lst", &[]).unwrap();
-        assert!(read_filter_list(&d, "f.lst").unwrap().is_empty());
+        assert!(read_filter_list(&d, "f.lst", 0).unwrap().is_empty());
     }
 
     #[test]

@@ -293,12 +293,12 @@ mod tests {
         let out = preprocess(&g, &cfg, &ds).unwrap();
         // Figure 3: the filtering list to node 1 is {0, 2} — vertex 1 and 3
         // have no outgoing edges into partition 1
-        let l01 = read_filter_list(&ds[0], &paths::filter(1)).unwrap();
+        let l01 = read_filter_list(&ds[0], &paths::filter(1), 2).unwrap();
         assert_eq!(l01, vec![0, 2]);
         assert_eq!(out.plan.node_meta[0].filter_lens[1], 2);
         // node 1 -> node 0: 4→3 and 5→0 cross into partition 0; locals of
         // vertices 4 and 5 are 0 and 1
-        let l10 = read_filter_list(&ds[1], &paths::filter(0)).unwrap();
+        let l10 = read_filter_list(&ds[1], &paths::filter(0), 2).unwrap();
         assert_eq!(l10, vec![0, 1]);
     }
 

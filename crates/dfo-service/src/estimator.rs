@@ -6,9 +6,10 @@
 //! algorithm materializes every declared array at full width — so real
 //! queues serialize jobs that would happily fit together. This module
 //! closes the loop: every completed job reports its **measured** peak
-//! footprint (vertex arrays — on disk or resident in the block pool —,
-//! checkpoints and spills of the job's private scratch scope, on the
-//! busiest rank), and the estimator
+//! footprint (vertex arrays — on disk or resident in the memory pool —,
+//! checkpoints and spills of the job's private scratch scope, message
+//! chunks and filter lists the pool holds, on the busiest rank), and the
+//! estimator
 //! folds it into an exponentially-weighted moving average keyed by
 //! `(algorithm, graph)`. The next submission of the same pair is admitted
 //! against the learned value instead of the static hint.

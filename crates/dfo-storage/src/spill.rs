@@ -1,15 +1,16 @@
 //! Memory that is budgeted, and a record buffer that overflows to disk.
 //!
 //! DFOGraph is *fully* out of core: every message and every vertex block
-//! has a home on disk. Whatever fits a share of the node's memory budget
-//! need not make the trip, though. [`MemBudget`] is that share — one shared
-//! byte count per pool, admitting until it is full and never evicting
+//! has a home on disk. Whatever fits the node's memory budget need not make
+//! the trip, though. [`MemBudget`] is that budget — one shared byte count
+//! that every resident user of a node draws on (vertex blocks, message
+//! chunks, filter lists), admitting until it is full and never evicting
 //! (batches are scanned cyclically, where LRU is the worst policy).
 //! [`ChunkPool`] hands a budget out in fixed-size chunks, and [`SpillBuf`]
 //! is the message half: an append-only record buffer that stays in memory
 //! while the pool has chunks and continues into a scratch file past that.
-//! A pool of capacity 0 *is* the fully-out-of-core engine: every byte goes
-//! to the file, through the same code.
+//! A budget of capacity 0 *is* the fully-out-of-core engine: every byte
+//! goes to the file, through the same code.
 
 use crate::disk::{DiskWriter, NodeDisk};
 use dfo_types::{DfoError, Result};
@@ -17,7 +18,7 @@ use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// A byte budget shared by the buffers of one pool.
+/// A byte budget shared by every resident buffer of one node.
 #[derive(Debug)]
 pub struct MemBudget {
     cap: u64,
@@ -53,25 +54,22 @@ impl MemBudget {
 /// the runs its spilled tail is read back in.
 pub const CHUNK: usize = 64 << 10;
 
-/// A memory budget handed out as [`CHUNK`]-byte buffers that are kept and
-/// reused, not freed: the pool's footprint is its high-water mark and never
-/// more than its cap. (Message buffers live for one `ProcessEdges` call;
-/// left to the allocator, a call's worth of buffers freed on one thread and
-/// the next call's allocated on another pile up in per-thread arenas as
-/// resident memory several times the bytes ever in use.)
+/// A [`MemBudget`] handed out as [`CHUNK`]-byte buffers that are kept and
+/// reused, not freed: a chunk handed back stays claimed on the budget, so
+/// the pool's footprint is its high-water mark and the budget's other
+/// users get only what chunks never claimed. (Message buffers live for
+/// one `ProcessEdges` call; left to the allocator, a call's worth of
+/// buffers freed on one thread and the next call's allocated on another
+/// pile up in per-thread arenas as resident memory several times the bytes
+/// ever in use.)
 pub struct ChunkPool {
     budget: Arc<MemBudget>,
     idle: Mutex<Vec<Vec<u8>>>,
 }
 
 impl ChunkPool {
-    pub fn new(cap: u64) -> Arc<Self> {
-        Arc::new(Self { budget: MemBudget::new(cap), idle: Mutex::new(Vec::new()) })
-    }
-
-    /// Bytes the pool has allocated so far (in use or idle).
-    pub fn allocated(&self) -> u64 {
-        self.budget.used()
+    pub fn new(budget: Arc<MemBudget>) -> Arc<Self> {
+        Arc::new(Self { budget, idle: Mutex::new(Vec::new()) })
     }
 
     /// An empty chunk, while the pool has or may allocate one.
@@ -279,8 +277,9 @@ mod tests {
     #[test]
     fn within_budget_nothing_touches_the_disk() {
         let (_td, d) = disk();
-        let pool = ChunkPool::new(1 << 20);
-        let mut buf = SpillBuf::new(&pool, &d, "msgs/a.bin".into(), 4, 4096);
+        let budget = MemBudget::new(1 << 20);
+        let mut buf =
+            SpillBuf::new(&ChunkPool::new(budget.clone()), &d, "msgs/a.bin".into(), 4, 4096);
         for r in counting(1000).chunks(4) {
             buf.append(r).unwrap();
         }
@@ -289,13 +288,13 @@ mod tests {
         assert_eq!(replay(&buf, 4), counting(1000));
         assert_eq!(d.stats().total_bytes(), 0);
         assert!(!d.exists("msgs/a.bin"));
-        assert_eq!(pool.allocated(), CHUNK as u64);
+        assert_eq!(budget.used(), CHUNK as u64);
     }
 
     #[test]
     fn capacity_zero_is_the_plain_scratch_file() {
         let (_td, d) = disk();
-        let pool = ChunkPool::new(0);
+        let pool = ChunkPool::new(MemBudget::new(0));
         let mut buf = SpillBuf::new(&pool, &d, "msgs/a.bin".into(), 4, 4096);
         for r in counting(1000).chunks(4) {
             buf.append(r).unwrap();
@@ -314,7 +313,8 @@ mod tests {
     #[test]
     fn buffers_share_one_pool_and_chunks_are_reused() {
         let (_td, d) = disk();
-        let pool = ChunkPool::new(CHUNK as u64);
+        let budget = MemBudget::new(CHUNK as u64);
+        let pool = ChunkPool::new(budget.clone());
         let mut a = SpillBuf::new(&pool, &d, "a.bin".into(), 8, 4096);
         let mut b = SpillBuf::new(&pool, &d, "b.bin".into(), 8, 4096);
         a.append(&[1; 8]).unwrap(); // takes the pool's only chunk
@@ -326,13 +326,13 @@ mod tests {
         c.finish().unwrap();
         assert_eq!(c.spilled_bytes(), 0, "a's chunk went back to the pool");
         assert_eq!(replay(&c, 8), [3; 8], "and came back empty");
-        assert_eq!(pool.allocated(), CHUNK as u64, "nothing new was allocated");
+        assert_eq!(budget.used(), CHUNK as u64, "nothing new was allocated");
     }
 
     #[test]
     fn a_run_longer_than_a_chunk_splits_at_record_boundaries() {
         let (_td, d) = disk();
-        let pool = ChunkPool::new(2 * CHUNK as u64);
+        let pool = ChunkPool::new(MemBudget::new(2 * CHUNK as u64));
         let rec = 12; // does not divide CHUNK
         let run: Vec<u8> = (0..3 * CHUNK / rec * rec).map(|i| (i / rec) as u8).collect();
         let mut buf = SpillBuf::new(&pool, &d, "r.bin".into(), rec, 4096);
@@ -354,7 +354,8 @@ mod tests {
             let (_td, d) = disk();
             let total = rec * n;
             let cap = [0, rec as u64, CHUNK as u64, (total / 2) as u64, u64::MAX][cap_sel];
-            let pool = ChunkPool::new(cap);
+            let budget = MemBudget::new(cap);
+            let pool = ChunkPool::new(budget.clone());
             let mut buf = SpillBuf::new(&pool, &d, "msgs/p.bin".into(), rec, 1 << 10);
             let mut want = Vec::with_capacity(total);
             let mut record = vec![0u8; rec];
@@ -368,7 +369,7 @@ mod tests {
             buf.finish().unwrap();
             prop_assert_eq!(buf.len(), total as u64);
             let in_mem = buf.len() - buf.spilled_bytes();
-            prop_assert!(in_mem <= cap && pool.allocated() <= cap);
+            prop_assert!(in_mem <= cap && budget.used() <= cap);
             prop_assert!(cap >= CHUNK as u64 || in_mem == 0);
             prop_assert!(cap < u64::MAX || buf.spilled_bytes() == 0);
             prop_assert!(cap_sel != 3 || n < 2 * CHUNK / rec || buf.spilled_bytes().min(in_mem) > 0);

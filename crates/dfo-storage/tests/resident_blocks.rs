@@ -6,7 +6,8 @@
 //! an in-place store's hold each block's last clean state (a dirty block's
 //! bytes reach the file at a flush, or when the pool refuses them).
 
-use dfo_storage::{MemBudget, NodeDisk, VersionedArrayStore};
+use dfo_storage::spill::CHUNK;
+use dfo_storage::{ChunkPool, MemBudget, NodeDisk, SpillBuf, VersionedArrayStore};
 use proptest::prelude::*;
 use std::sync::Arc;
 use tempfile::TempDir;
@@ -276,4 +277,37 @@ fn a_dirty_block_checked_in_clean_to_a_pool_that_filled_up_is_written() {
     assert_eq!(stats.write_bytes.get() - w0, BLOCK as u64, "the pending write happened");
     assert_eq!(h.reopen_uncached().read_batch(0).unwrap(), block(0));
     h.pool.release(BLOCK as u64);
+}
+
+/// One budget, two users: the blocks a store claims first leave the rest
+/// to message chunks, rounded down to whole chunks; chunks a buffer hands
+/// back stay claimed for the next buffer; capacity 0 admits neither.
+#[test]
+fn blocks_and_message_chunks_share_one_budget() {
+    let blocks = (N * BLOCK) as u64;
+    for cap in [0, blocks + 3 * CHUNK as u64 - 1] {
+        let h = Harness::new(false, cap);
+        let held = h.pool.used();
+        assert_eq!(held, if cap == 0 { 0 } else { blocks }, "cap {cap}: blocks come first");
+        let written = h.disk.stats().write_bytes.get();
+        assert_eq!(written, blocks - held, "cap {cap}: a refused block is written");
+        let pool = ChunkPool::new(h.pool.clone());
+        let records: Vec<u8> = (0..4 * CHUNK).map(|i| (i / 8) as u8).collect();
+        for name in ["a.bin", "b.bin"] {
+            let mut buf = SpillBuf::new(&pool, &h.disk, name.into(), 8, 4096);
+            buf.append(&records).unwrap();
+            buf.finish().unwrap();
+            let in_mem = buf.len() - buf.spilled_bytes();
+            assert_eq!(in_mem, (cap - held) / CHUNK as u64 * CHUNK as u64, "cap {cap}, {name}");
+            let mut replayed = Vec::new();
+            buf.for_each_run(|run| {
+                replayed.extend_from_slice(run);
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(replayed, records);
+            drop(buf);
+            assert_eq!(h.pool.used(), held + in_mem, "cap {cap}: chunks stay claimed");
+        }
+    }
 }

@@ -156,10 +156,11 @@ pub struct EngineConfig {
     /// Worker threads per node (`T` in the paper; 12 on i3en.3xlarge).
     pub threads_per_node: usize,
     /// Memory budget per node in bytes; drives the fully-out-of-core batch
-    /// sizing rule and the shares within which vertex-array blocks stay
-    /// resident (a quarter: with checkpointing off written back once per
-    /// job, with it on written through) and `ProcessEdges` messages stay in
-    /// memory instead of scratch files (a sixteenth).
+    /// sizing rule, and its other half is the one pool within which
+    /// vertex-array blocks stay resident (with checkpointing off written
+    /// back once per job, with it on written through), `ProcessEdges`
+    /// messages stay in memory instead of scratch files, and filter lists
+    /// are held for the job.
     pub mem_budget: u64,
     /// Intra-node batch size policy.
     pub batch_policy: BatchPolicy,

@@ -1,7 +1,7 @@
-//! Memory within `mem_budget` is invisible in results: with the
-//! resident-block and message pools at their default share, at a share
-//! that holds some of the blocks, and at a `mem_budget` so small that both
-//! hold nothing (the fully-out-of-core engine), every algorithm's output is
+//! Memory within `mem_budget` is invisible in results: with the pool that
+//! holds resident blocks, message chunks and filter lists at its default
+//! size, at a size that holds some of the blocks, and at a `mem_budget` so
+//! small that it holds nothing (the fully-out-of-core engine), every algorithm's output is
 //! bit-identical, the same messages are generated and sent, and the only
 //! thing that changes is how many bytes touch the disk. So is batching:
 //! without it (the Table 6 ablation) arrays are pages of the partition,
@@ -90,12 +90,13 @@ fn check_matrix<E: Pod + PartialEq>(
 ) {
     for checkpointing in [false, true] {
         let (resident, resident_bytes) = run(g, checkpointing, None, true, &algo, &reread);
-        // a 2 KiB block pool holds some of a rank's blocks, not all
-        let (partial, _) = run(g, checkpointing, Some(8 << 10), true, &algo, &reread);
-        // mem_budget 1: a quarter and a sixteenth of it are both 0 bytes
+        // a 2 KiB pool holds some of a rank's blocks, not all, and no
+        // message chunk
+        let (partial, _) = run(g, checkpointing, Some(4 << 10), true, &algo, &reread);
+        // mem_budget 1: half of it is 0 bytes
         let (spilled, spilled_bytes) = run(g, checkpointing, Some(1), true, &algo, &reread);
-        // an 8 KiB block pool holds two 4 KiB pages of a rank's three or more
-        let (paged, _) = run(g, checkpointing, Some(32 << 10), false, &algo, &reread);
+        // an 8 KiB pool holds two 4 KiB pages of a rank's three or more
+        let (paged, _) = run(g, checkpointing, Some(16 << 10), false, &algo, &reread);
         assert!(resident.messages_generated > 0, "{name}: the job moved no messages");
         assert_eq!(resident, partial, "{name}, checkpointing {checkpointing}, partial pool");
         assert_eq!(resident, spilled, "{name}, checkpointing {checkpointing}");

@@ -1,14 +1,15 @@
 //! Vertex state leaves memory only when it must. With checkpointing off a
-//! job's vertex blocks stay in the block pool and reach their files once:
+//! job's vertex blocks stay in the memory pool and reach their files once:
 //! when an unscoped job ends, because the next job reopens them, and never
 //! when a scoped job's scratch is thrown away. With checkpointing on every
 //! write is a checkpoint's and goes out as it happens, as it always did.
+//! Messages and filter lists that fit the same budget never touch the disk.
 //! Disk traffic is counted per file class, and the classes add up to the
 //! totals.
 
 use dfograph::algos::{pagerank, read_local, sssp};
 use dfograph::core::Cluster;
-use dfograph::graph::gen::{rmat, web_chain, GenConfig};
+use dfograph::graph::gen::{rmat, uniform, web_chain, GenConfig};
 use dfograph::graph::EdgeList;
 use dfograph::storage::{CommitLog, FileClass, NodeDisk};
 use dfograph::types::{BatchPolicy, EngineConfig};
@@ -175,4 +176,53 @@ fn price_of_durability_on_the_sssp_chain_graph() {
             println!("{label:<14} {rb:>10} {wb:>12} {ro:>10} {wo:>10} {calls:>8}");
         }
     }
+}
+
+/// Messages and filter lists within the pool never touch the disk. A
+/// 2-rank PageRank on a uniform degree-2 graph whose per-call messages are
+/// more than a sixteenth of `mem_budget` but fit in half of it spills no
+/// message, and reads each filter list once per rank for the whole job.
+/// With no pool (`mem_budget = 1`) every call spills its messages and
+/// reads every list again, as the fully-out-of-core engine does.
+#[test]
+fn messages_and_filter_lists_within_the_pool_never_touch_the_disk() {
+    const ITERS: u64 = 3;
+    let g = uniform(1 << 16, 2 << 16, 5);
+    let budget = 8 << 20;
+    let mut ranks = Vec::new();
+    for mem_budget in [budget, 1] {
+        let mut cfg = config(false, mem_budget);
+        cfg.batch_policy = BatchPolicy::FixedVertices(1 << 14);
+        let td = TempDir::new().unwrap();
+        let cluster = Cluster::create(cfg, td.path()).unwrap();
+        let plan = cluster.preprocess(&g).unwrap();
+        cluster.reset_disk_stats();
+        let per_rank = cluster
+            .run(|ctx| {
+                let pr = pagerank(ctx, ITERS as usize)?;
+                Ok((read_local(ctx, &pr)?, ctx.job_phase_stats().messages_generated))
+            })
+            .unwrap();
+        let generated: u64 = per_rank.iter().map(|(_, m)| m).sum();
+        ranks.push(per_rank.into_iter().flat_map(|(r, _)| r).collect::<Vec<f64>>());
+        let disks = cluster.disks();
+        let (spill, filter) = (traffic(disks, FileClass::Spill), traffic(disks, FileClass::Filter));
+        // Σ over ranks i and peers j of the bytes of L_ij
+        let lists: u64 = (plan.node_meta.iter().enumerate())
+            .flat_map(|(i, m)| m.filter_lens.iter().enumerate().filter(move |&(j, _)| j != i))
+            .map(|(_, len)| 8 + 4 * len)
+            .sum();
+        assert_eq!(filter[1], 0);
+        if mem_budget == budget {
+            assert_eq!(spill, [0; 4], "messages within the pool");
+            assert_eq!(filter[0], lists, "each list read once per rank and job");
+        } else {
+            assert_eq!(filter[0], ITERS * lists, "each list read by every call");
+            assert!(spill[1] >= 12 * generated, "every generated record went to a file");
+            // what a call spills here is what the pool holds above: more
+            // than a sixteenth of the budget per rank
+            assert!(spill[1] / (2 * ITERS) > budget / 16, "{spill:?}");
+        }
+    }
+    assert_eq!(ranks[0], ranks[1]);
 }

@@ -36,8 +36,8 @@ ratchet() {
     status=1
   fi
 }
-ratchet 5082 dfo-core dfo-service
-ratchet 2882 dfo-types dfo-part
+ratchet 5104 dfo-core dfo-service
+ratchet 2890 dfo-types dfo-part
 ratchet 2728 dfo-net dfo-obs
 ratchet 3627 dfo-storage
 exit $status
