@@ -11,7 +11,7 @@
 use dfo_core::{NodeCtx, VertexArray};
 use dfo_part::csr::read_dcsr_index;
 use dfo_part::preprocess::paths;
-use dfo_types::{slice_as_bytes, vec_from_bytes, DfoError, Result};
+use dfo_types::{DfoError, Result};
 
 /// Materializes each vertex's out-degree into the `"pr_deg"` array.
 pub fn out_degree_array(ctx: &mut NodeCtx) -> Result<VertexArray<u64>> {
@@ -34,14 +34,12 @@ pub fn out_degree_array(ctx: &mut NodeCtx) -> Result<VertexArray<u64>> {
     }
 
     // ship counts home and sum contributions from every node
-    let outgoing: Vec<Vec<u8>> = per_target.iter().map(|v| slice_as_bytes(v).to_vec()).collect();
-    let incoming = ctx.exchange_bytes(outgoing)?;
+    let incoming = ctx.exchange(per_target)?;
     let mut counts = vec![0u64; my_range.len() as usize];
-    for bytes in incoming {
-        if bytes.is_empty() {
+    for vec in incoming {
+        if vec.is_empty() {
             continue;
         }
-        let vec: Vec<u64> = vec_from_bytes(&bytes);
         if vec.len() != counts.len() {
             return Err(DfoError::Corrupt(format!(
                 "degree vector length {} != partition size {}",

@@ -72,6 +72,8 @@ fn main() {
                 (vi * (rec + 3 * vertex_rec)) * overhead,
             ),
             ("pass-read", s.pass_disk_read, ((p_u - 1) * vi + eout) * rec * overhead),
+            // raw records are the most a stream carries: a frame is coded
+            // only when that is smaller, so this bound is an upper one
             ("pass-net", s.pass_net_sent, eout * rec * overhead + (p_u - 1) * 64),
             ("dispatch", s.dispatch_disk_read + s.dispatch_disk_write, ein * rec * overhead),
             ("disp-net", s.dispatch_net_recv, ein * rec * overhead + (p_u - 1) * 64),

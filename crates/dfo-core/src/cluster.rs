@@ -589,7 +589,7 @@ impl Cluster {
         let Some(path) = self.cfg.trace_path.as_deref() else { return };
         let mut out = vec![Vec::new(); self.cfg.nodes];
         out[0] = dfo_obs::encode_spans(&recorder.snapshot());
-        match ctx.exchange_bytes(out) {
+        match ctx.exchange(out) {
             Ok(incoming) => {
                 if ctx.rank() != 0 {
                     return;

@@ -4,12 +4,13 @@
 //! 1 generating   each batch runs `signal` over its active vertices and
 //!                appends (src, msg) records to its buffer       [T workers]
 //! 2 passing      the sender streams the node's messages to each peer in
-//!                round-robin order, filtered against the §4.3 lists
-//!                                              [1 thread, or the caller]
-//! 3 dispatching  incoming streams are routed to per-batch message buffers
-//!                via the dispatching graph (push) or kept raw (none) —
-//!                chosen adaptively (§4.2); the node's own messages are
-//!                dispatched concurrently      [2 threads, or the caller]
+//!                round-robin order, filtered against the §4.3 lists, each
+//!                frame coded when that is smaller [1 thread, or the caller]
+//! 3 dispatching  incoming frames are decoded to records and routed to
+//!                per-batch message buffers via the dispatching graph
+//!                (push) or kept whole (none) — chosen adaptively (§4.2);
+//!                the node's own messages are dispatched concurrently
+//!                                             [2 threads, or the caller]
 //! 4 processing   each batch replays its message segments in source order,
 //!                looks edges up through CSR or DCSR (§4.1 cost model) and
 //!                runs `slot`; no atomics needed — one thread per batch
@@ -21,6 +22,16 @@
 //! paper's disk/network overlap comes from. Generation completes before
 //! passing starts: the filter skip rule needs `|M_i|`, and the loss of that
 //! overlap is one batch of latency, not throughput.
+//!
+//! On the wire a frame is raw records or a coded frame — ids as a bitmap
+//! or plain, payloads as a packed column — whichever is smaller
+//! ([`crate::messages`]). One codec per sender thread codes them, with one
+//! LZ4 match table; one per incoming stream decodes every frame into the
+//! same record buffer, so dispatching, spilling and phase 4 see records
+//! only, and a peer's frame that does not decode fails the call with a
+//! `Corrupt` error naming the peer, whatever the strategy — drained
+//! streams are decoded too. The context keeps the codecs from call to
+//! call, so only a job's first call allocates their buffers.
 //!
 //! A round whose messages fit one frame (`|M_i| × record ≤ FRAME_BYTES`,
 //! so at most one frame per peer) has nothing to overlap when the
@@ -56,10 +67,10 @@
 
 use crate::accum::Accum;
 use crate::array::{ArrayEntry, BatchCtx, VertexArray};
-use crate::messages::{parse_record, push_record, record_bytes, src_of, FrameBuilder};
+use crate::messages::{parse_record, push_record, record_bytes, src_of};
+use crate::messages::{FrameBuilder, FrameCodec, FRAME_BYTES};
 use crate::node::{exchange, NodeCtx};
 use bytes::Bytes;
-use dfo_net::endpoint::STREAM_CHUNK;
 use dfo_part::csr::{choose_repr, should_seek, ChunkSeeker, IndexedChunk, MergeCursor};
 use dfo_part::filter::{read_filter_list, should_filter, FilterCursor};
 use dfo_part::plan::ChunkInfo;
@@ -69,9 +80,6 @@ use dfo_types::{DfoError, DispatchKind, PhaseStats, Pod, Rank, ReprKind, Result,
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Network frame size: the transport's, so a call's messages fit one frame
-/// exactly when [`dfo_net::Endpoint::buffers_whole`] says they do.
-const FRAME_BYTES: usize = STREAM_CHUNK;
 /// Most seeker files a context holds between calls ([`NodeCtx::seekers`]):
 /// each keeps a file descriptor, its block directory and a few blocks, so
 /// their count bounds what seeking holds outside `mem_budget`.
@@ -81,16 +89,8 @@ const HELD_SEEKERS: usize = 16;
 const SPILL_BUF: usize = 256 << 10;
 const DISPATCH_BUF: usize = 32 << 10;
 
-/// Per-call counters of the sender thread. Every disk field of
-/// [`PhaseStats`] is a disk-stat delta around a phase barrier; passing and
-/// dispatching share one window, so passing counts what it read (filter
-/// lists not yet held, spilled messages replayed) and dispatching is the
-/// rest.
-#[derive(Default)]
-struct CallStats {
-    pass_disk_read: AtomicU64,
-    messages_sent: AtomicU64,
-}
+/// The §4.3 lists one call filters against, `[j]` for peer `j`.
+type FilterLists = Vec<Option<Arc<[u32]>>>;
 
 /// The message buffers one call's phases hand each other.
 struct CallMsgs {
@@ -235,52 +235,56 @@ impl NodeCtx {
         // ---------------- phases 2+3: passing & dispatching ------------------
         // the lists are read (and checked) before any stream starts, so a
         // bad one fails the call here and not halfway through a send
-        let call = CallStats::default();
-        let lists = self.filter_lists(m_total, &call)?;
+        let (lists, list_reads) = self.filter_lists(m_total)?;
         let net_sent0 = self.net.stats().sent_bytes.get();
         let net_recv0 = self.net.stats().recv_bytes.get();
         let t_dispatch = std::time::Instant::now();
         let dispatch_span = self.obs_span("phase3_dispatch", "phase");
-        // phase-2 wall time, measured around the sends (when they overlap
-        // dispatching, the main thread's window can't see it)
-        let pass_nanos = AtomicU64::new(0);
 
-        {
-            // sender: round-robin over peers (§4.4)
-            let pass = || {
-                let t_pass = std::time::Instant::now();
-                let _pass_span = self.obs_span("phase2_pass", "phase");
-                let sent = (self.cfg.send_order(rank).into_iter()).try_for_each(|j| {
-                    self.send_to(j, seq, m_total, lists[j].as_deref(), &msgs, &call)
-                });
-                let el = t_pass.elapsed();
-                pass_nanos.store(el.as_nanos() as u64, Ordering::Relaxed);
-                if let Some(o) = &self.obs {
-                    o.phase_secs[1].observe(el.as_secs_f64());
-                }
-                sent
-            };
-            // receiver: peers in mirrored order (§4.5)
-            let receive = || {
-                (self.cfg.recv_order(rank).into_iter())
-                    .try_for_each(|p| self.recv_dispatch(p, seq, &msgs))
-            };
-            // the node's own messages never touch the wire
-            let dispatch_own = || self.dispatch_self(m_total, &msgs);
-            // every stream to a peer carries at most the call's messages
-            let inline = self.net.buffers_whole(m_total * msgs.rec as u64);
+        // sender: round-robin over peers (§4.4). Every disk field of
+        // `PhaseStats` is a disk-stat delta around a phase barrier; passing
+        // and dispatching share one window, so passing counts what it read
+        // (filter lists not yet held, spilled messages replayed), and its
+        // wall time is measured around the sends (when they overlap
+        // dispatching, the main thread's window can't see it)
+        let pass = || {
+            let t_pass = std::time::Instant::now();
+            let _pass_span = self.obs_span("phase2_pass", "phase");
+            let mut enc = self.take_codec(msgs.rec, self.plan.partitions[rank].len());
+            let (mut read, mut sent) = (list_reads, 0);
+            for j in self.cfg.send_order(rank) {
+                let (r, s) = self.send_to(j, seq, m_total, lists[j].as_deref(), &msgs, &mut enc)?;
+                (read, sent) = (read + r, sent + s);
+            }
+            self.codecs.lock().push(enc);
+            let el = t_pass.elapsed();
+            if let Some(o) = &self.obs {
+                o.phase_secs[1].observe(el.as_secs_f64());
+            }
+            Ok((read, sent, el.as_nanos() as u64))
+        };
+        // receiver: peers in mirrored order (§4.5)
+        let receive = || {
+            (self.cfg.recv_order(rank).into_iter())
+                .try_for_each(|p| self.recv_dispatch(p, seq, &msgs))
+        };
+        // the node's own messages never touch the wire
+        let dispatch_own = || self.dispatch_self(m_total, &msgs);
+        // every stream to a peer carries at most the call's messages, and a
+        // coded frame is never longer than the raw one
+        let inline = self.net.buffers_whole(m_total * msgs.rec as u64);
+        let ((pass_read, sent, pass_nanos), (), ()) =
             exchange(inline, pass, dispatch_own, receive)?;
-        }
         drop(dispatch_span);
         let dispatch_elapsed = t_dispatch.elapsed();
         stats.pass_net_sent = self.net.stats().sent_bytes.get() - net_sent0;
         stats.dispatch_net_recv = self.net.stats().recv_bytes.get() - net_recv0;
         let (r2, w2) = (disk_stats.read_bytes.get(), disk_stats.write_bytes.get());
-        stats.pass_disk_read = call.pass_disk_read.load(Ordering::Relaxed);
+        stats.pass_disk_read = pass_read;
         stats.dispatch_disk_read = (r2 - r1).saturating_sub(stats.pass_disk_read);
         stats.dispatch_disk_write = w2 - w1;
-        stats.messages_sent = call.messages_sent.load(Ordering::Relaxed);
-        stats.pass_nanos = pass_nanos.load(Ordering::Relaxed);
+        stats.messages_sent = sent;
+        stats.pass_nanos = pass_nanos;
         stats.dispatch_nanos = dispatch_elapsed.as_nanos() as u64;
         if let Some(o) = &self.obs {
             o.phase_secs[2].observe(dispatch_elapsed.as_secs_f64());
@@ -349,7 +353,7 @@ impl NodeCtx {
         else {
             return Ok(0);
         };
-        let partition_start = self.plan.partitions[self.rank].start;
+        let partition = self.plan.partitions[self.rank];
         let mut buf = self.msg_buf(format!("msgs/gen_b{b}.bin"), msgs.rec, SPILL_BUF);
         let mut rec_buf: Vec<u8> = Vec::with_capacity(msgs.rec);
         for v in ctx.batch().iter() {
@@ -359,8 +363,10 @@ impl NodeCtx {
             if let Some(msg) = signal(v, &mut ctx) {
                 rec_buf.clear();
                 // source stored local to the *partition*: receivers resolve
-                // it against the sender's partition range
-                push_record(&mut rec_buf, (v - partition_start) as u32, &msg);
+                // it against the sender's partition range. Preprocessing
+                // keeps partitions below 2^31 vertices, so the id fits and
+                // leaves bit 31 to the frame codec
+                push_record(&mut rec_buf, partition.local(v), &msg);
                 buf.append(&rec_buf)?;
             }
         }
@@ -373,11 +379,11 @@ impl NodeCtx {
     }
 
     /// The §4.3 lists this call filters its sends against, `[j]` for each
-    /// peer `j` the skip rule lets it filter. A list the context holds costs
-    /// nothing; one it reads is counted as passing's and held for the rest
-    /// of the job if the pool admits its bytes.
-    fn filter_lists(&self, m_total: u64, call: &CallStats) -> Result<Vec<Option<Arc<[u32]>>>> {
-        let mut lists = vec![None; self.cfg.nodes];
+    /// peer `j` the skip rule lets it filter, and the bytes it read. A list
+    /// the context holds costs nothing; one it reads is counted as passing's
+    /// and held for the rest of the job if the pool admits its bytes.
+    fn filter_lists(&self, m_total: u64) -> Result<(FilterLists, u64)> {
+        let (mut lists, mut read) = (vec![None; self.cfg.nodes], 0);
         for j in self.cfg.send_order(self.rank) {
             let len = self.plan.node_meta[self.rank].filter_lens[j];
             if !self.cfg.filtering_enabled
@@ -391,7 +397,7 @@ impl NodeCtx {
                     let list: Arc<[u32]> =
                         read_filter_list(&self.disk, &paths::filter(j), len)?.into();
                     let bytes = 8 + 4 * len;
-                    call.pass_disk_read.fetch_add(bytes, Ordering::Relaxed);
+                    read += bytes;
                     if self.pool.try_reserve(bytes) {
                         let _ = self.filters[j].set(list.clone());
                     }
@@ -400,11 +406,13 @@ impl NodeCtx {
             };
             lists[j] = Some(list);
         }
-        Ok(lists)
+        Ok((lists, read))
     }
 
     /// Phase 2 to one peer: stream the node's generated messages, filtered
-    /// against `list` (`L_{rank,j}`) unless the §4.3 skip rule fired.
+    /// against `list` (`L_{rank,j}`) unless the §4.3 skip rule fired, each
+    /// frame in its wire form. Returns the spilled bytes it read and the
+    /// messages it sent.
     fn send_to(
         &self,
         j: Rank,
@@ -412,8 +420,8 @@ impl NodeCtx {
         m_total: u64,
         list: Option<&[u32]>,
         msgs: &CallMsgs,
-        call: &CallStats,
-    ) -> Result<()> {
+        enc: &mut FrameCodec,
+    ) -> Result<(u64, u64)> {
         // header frame: an upper bound on the records to follow, so the
         // receiver can pick its dispatch strategy before data arrives
         let bound = list.map_or(m_total, |l| (l.len() as u64).min(m_total));
@@ -421,10 +429,8 @@ impl NodeCtx {
 
         let rec = msgs.rec;
         let mut fb = FrameBuilder::new(FRAME_BYTES, rec);
-        let mut emit = |frame: Bytes| self.net.send(j, seq, frame, false);
+        let mut emit = |frame: &[u8]| self.net.send(j, seq, enc.encode(frame), false);
         let mut sent = 0u64;
-        // stats accumulate in locals and flush once per stream — a per-record
-        // fetch_add on a shared cache line costs more than the record parse
         let mut read_bytes = 0;
         let mut cursor = list.map(FilterCursor::new);
         for g in msgs.generated() {
@@ -446,9 +452,7 @@ impl NodeCtx {
             emit(tail)?;
         }
         self.net.finish_stream(j, seq)?;
-        call.pass_disk_read.fetch_add(read_bytes, Ordering::Relaxed);
-        call.messages_sent.fetch_add(sent, Ordering::Relaxed);
-        Ok(())
+        Ok((read_bytes, sent))
     }
 
     /// Phase 3 for the node's own messages: they never touch the wire,
@@ -479,9 +483,11 @@ impl NodeCtx {
         }
     }
 
-    /// Phase 3 for one remote stream. The peer's framing is checked, not
-    /// trusted: a header that is not one `u64` or a frame that is not whole
-    /// records is a `Corrupt` error naming the peer.
+    /// Phase 3 for one remote stream. The peer's stream is checked, not
+    /// trusted: a header that is not one `u64` or a frame that does not
+    /// decode to whole records of its partition is a `Corrupt` error naming
+    /// the peer. Every frame, coded or raw, is decoded into one record
+    /// buffer of the stream, so the strategies below see records only.
     fn recv_dispatch(&self, p: Rank, seq: u64, msgs: &CallMsgs) -> Result<()> {
         let mut stream = self.net.recv_stream(p, seq);
         let corrupt = |what: String| DfoError::Corrupt(format!("stream from rank {p}: {what}"));
@@ -490,25 +496,21 @@ impl NodeCtx {
             .map(u64::from_le_bytes)
             .map_err(|_| corrupt(format!("{}-byte header", header.len())))?;
         let rec = msgs.rec;
-        let mut next_frame = || match stream.next_chunk()? {
-            Some(f) if f.len() % rec != 0 => {
-                Err(corrupt(format!("{}-byte frame of {rec}-byte records", f.len())))
+        let mut dec = self.take_codec(rec, self.plan.partitions[p].len());
+        let mut for_each_frame = |f: &mut dyn FnMut(&[u8]) -> Result<()>| {
+            while let Some(frame) = stream.next_chunk()? {
+                f(dec.decode(&frame).map_err(corrupt)?)?;
             }
-            f => Ok(f),
+            Ok(())
         };
         let dinfo = self.plan.node_meta[self.rank].dispatch[p];
         let strategy = self.choose_strategy(dinfo.as_ref(), p, bound);
 
-        match strategy {
-            Strategy::Drain => {
-                while next_frame()?.is_some() {}
-                Ok(())
-            }
+        let done = match strategy {
+            Strategy::Drain => for_each_frame(&mut |_| Ok(())),
             Strategy::NoDispatch => {
                 let mut buf = self.msg_buf(format!("msgs/in_all_p{p}.bin"), rec, SPILL_BUF);
-                while let Some(chunk) = next_frame()? {
-                    buf.append(&chunk)?;
-                }
+                for_each_frame(&mut |recs| buf.append(recs))?;
                 publish(&msgs.raw[p], buf)
             }
             Strategy::Push => {
@@ -516,13 +518,20 @@ impl NodeCtx {
                 // the sources are still on the wire: every message may cost a read
                 let mut access = self.open_dispatch_access(p, bound, &dinfo, |_| bound)?;
                 let mut sink = PushSink::new(self, p, rec);
-                while let Some(chunk) = next_frame()? {
-                    sink.dispatch(&mut access, &chunk)?;
-                }
+                for_each_frame(&mut |recs| sink.dispatch(&mut access, recs))?;
                 self.close_dispatch_access(p, access);
                 sink.finish(msgs)
             }
-        }
+        };
+        self.codecs.lock().push(dec);
+        done
+    }
+
+    /// A frame codec for a stream of `rec`-byte records from a partition of
+    /// `n_src` vertices: one a finished stream left (see
+    /// [`NodeCtx::codecs`]), else a new one.
+    fn take_codec(&self, rec: usize, n_src: u64) -> FrameCodec {
+        self.codecs.lock().pop().unwrap_or_default().retarget(rec, n_src)
     }
 
     /// §4.2 adaptive choice. Push pays the index plus one read and one write

@@ -7,6 +7,8 @@
 
 use crate::accum::Accum;
 use crate::array::{ArrayEntry, BatchCtx, VertexArray, PAGE_SIZE};
+use crate::messages::{pack_vector, unpack_vector, FrameCodec};
+use bytes::Bytes;
 use dfo_net::Endpoint;
 use dfo_part::csr::SeekFile;
 use dfo_part::plan::{ChunkInfo, Plan};
@@ -122,6 +124,11 @@ pub struct NodeCtx {
     /// and a call drops those it did not use when it ends. Graph files are
     /// read-only for the life of the context.
     pub(crate) seekers: parking_lot::Mutex<HashMap<String, (u64, SeekFile)>>,
+    /// Frame codecs of the last `ProcessEdges` call's streams — one sender,
+    /// a receiver per peer, as calls never overlap: the next call's streams
+    /// take them, buffers and match table, so a call past the first codes
+    /// and decodes its frames without allocating.
+    pub(crate) codecs: parking_lot::Mutex<Vec<FrameCodec>>,
     /// Metrics + tracing context; `None` (contexts built outside a
     /// telemetry-wired [`crate::Cluster`]) costs one branch per
     /// instrumentation point and nothing else.
@@ -177,6 +184,7 @@ impl NodeCtx {
             cache_misses: AtomicU64::new(0),
             job_stats: PhaseStats::default(),
             seekers: Default::default(),
+            codecs: Default::default(),
             obs: None,
         }
     }
@@ -657,39 +665,50 @@ impl NodeCtx {
         }
     }
 
-    /// All-to-all byte exchange: sends `outgoing[j]` to node `j` and returns
-    /// what every node sent here (`result[rank] == outgoing[rank]`).
+    /// All-to-all exchange of typed vectors: sends `outgoing[j]` to node `j`
+    /// and returns what every node sent here (`result[rank] ==
+    /// outgoing[rank]`).
     ///
-    /// Uses the same round-robin pairing as `ProcessEdges` (§4.4) and the
-    /// same rule: sending and receiving get threads of their own unless the
-    /// transport buffers every payload whole ([`Endpoint::buffers_whole`]).
-    /// Used for preprocessing by-products such as shipping out-degree
-    /// counts to their owning partitions.
-    pub fn exchange_bytes(&mut self, outgoing: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>> {
+    /// Each vector travels as its byte length and one packed column of `T`
+    /// — byte-shuffled by its width, each byte plane LZ4-coded or as it is,
+    /// whichever is smaller (see [`crate::messages`]); what does not decode
+    /// to whole `T`s is a `Corrupt` error naming the peer. Uses the same round-robin pairing as
+    /// `ProcessEdges` (§4.4) and the same rule: sending and receiving get
+    /// threads of their own unless the transport buffers every payload whole
+    /// ([`Endpoint::buffers_whole`]). Used for preprocessing by-products
+    /// such as shipping out-degree counts to their owning partitions, and
+    /// with `T = u8` for gathers.
+    pub fn exchange<T: Pod>(&mut self, mut outgoing: Vec<Vec<T>>) -> Result<Vec<Vec<T>>> {
         assert_eq!(outgoing.len(), self.cfg.nodes);
+        assert!(std::mem::size_of::<T>() > 0, "exchanged elements must not be zero-sized");
         let seq = self.call_seq;
         self.call_seq += 1;
         let rank = self.rank;
-        // freeze each payload once; per-chunk frames below are zero-copy
-        // slices of the frozen buffer (no per-256-KiB memcpy)
-        let mut outgoing = outgoing;
         let own = std::mem::take(&mut outgoing[rank]);
-        let outgoing: Vec<bytes::Bytes> = outgoing.into_iter().map(bytes::Bytes::from).collect();
-        let inline = outgoing.iter().all(|b| self.net.buffers_whole(b.len() as u64));
+        // each payload is coded once; per-chunk frames below are zero-copy
+        // slices of it
+        let wire: Vec<Bytes> = outgoing.drain(..).map(|v| pack_vector(&v)).collect();
+        let inline = wire.iter().all(|b| self.net.buffers_whole(b.len() as u64));
         let send = || {
             (self.cfg.send_order(rank).into_iter())
-                .try_for_each(|j| self.net.send_stream(j, seq, outgoing[j].clone()))
+                .try_for_each(|j| self.net.send_stream(j, seq, wire[j].clone()))
         };
-        let receive = || -> Result<Vec<Vec<u8>>> {
+        let receive = || -> Result<Vec<Vec<T>>> {
             let mut incoming = vec![Vec::new(); self.cfg.nodes];
             for p in self.cfg.recv_order(rank) {
-                incoming[p] = self.net.recv_all(p, seq)?;
+                incoming[p] = unpack_vector(&self.net.recv_all(p, seq)?)
+                    .map_err(|what| DfoError::Corrupt(format!("exchange from rank {p}: {what}")))?;
             }
             Ok(incoming)
         };
-        let ((), mut incoming) = exchange(inline, send, || Ok(()), receive)?;
+        let ((), (), mut incoming) = exchange(inline, send, || Ok(()), receive)?;
         incoming[rank] = own;
         Ok(incoming)
+    }
+
+    /// [`NodeCtx::exchange`] of byte vectors.
+    pub fn exchange_bytes(&mut self, outgoing: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>> {
+        self.exchange(outgoing)
     }
 
     fn run_vertex_batch<A: Accum>(
@@ -787,12 +806,12 @@ impl ActiveMask {
 /// order on the calling thread: no thread is spawned and none can deadlock.
 /// Otherwise `send` and `receive` get a thread each and overlap `local`,
 /// which runs here. The first error in send, local, receive order wins.
-pub(crate) fn exchange<L, R: Send>(
+pub(crate) fn exchange<S: Send, L, R: Send>(
     inline: bool,
-    send: impl FnOnce() -> Result<()> + Send,
+    send: impl FnOnce() -> Result<S> + Send,
     local: impl FnOnce() -> Result<L>,
     receive: impl FnOnce() -> Result<R> + Send,
-) -> Result<(L, R)> {
+) -> Result<(S, L, R)> {
     fn join<T>(h: std::thread::ScopedJoinHandle<'_, T>) -> T {
         h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
     }
@@ -805,6 +824,5 @@ pub(crate) fn exchange<L, R: Send>(
             (join(sender), own, join(receiver))
         })
     };
-    sent?;
-    Ok((own?, received?))
+    Ok((sent?, own?, received?))
 }

@@ -719,10 +719,29 @@ fn malformed_peer_streams_are_corrupt_errors() {
     // a 3-byte header; a valid header followed by a 5-byte frame, which is
     // no whole number of 12-byte (u32 source, u64 message) records
     let header = 1u64.to_le_bytes().to_vec();
-    let cases = [(vec![vec![0u8; 3]], None), (vec![header.clone(), vec![0; 5]], None)];
+    let bad_frame = "5-byte frame of 12-byte records";
+    let cases = [
+        (vec![vec![0u8; 3]], None, "3-byte header"),
+        (vec![header.clone(), vec![0; 5]], None, bad_frame),
+    ];
     let dispatch = [Some(DispatchKind::Push), Some(DispatchKind::None)]
-        .map(|kind| (vec![header.clone(), vec![0; 5]], kind));
-    for (frames, kind) in cases.into_iter().chain(dispatch) {
+        .map(|kind| (vec![header.clone(), vec![0; 5]], kind, bad_frame));
+    // coded frames (bit 31 of the first word set): a count past the 21 845
+    // records of a frame; a bitmap of two ids for a count of three; plain
+    // ids 0 and 1 whose payload column starts with an LZ4-flagged plane of
+    // garbage — each under push, no dispatch and drain (a bound of 0)
+    let le = |words: &[u32]| words.iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<u8>>();
+    let coded = [
+        ([le(&[1 << 31 | 21_846]), vec![0; 64]].concat(), "21846 records"),
+        ([le(&[1 << 31 | 1 << 30 | 3, 0, 8]), vec![0b11], vec![0; 24]].concat(), "bitmap"),
+        ([le(&[1 << 31 | 2, 0, 1, 1 << 31 | 8]), vec![0xff; 8]].concat(), "packed column"),
+    ];
+    let strategies = [(1u64, Some(DispatchKind::Push)), (1, Some(DispatchKind::None)), (0, None)];
+    let coded = coded.iter().flat_map(|(frame, want)| {
+        strategies
+            .map(|(bound, kind)| (vec![bound.to_le_bytes().to_vec(), frame.clone()], kind, *want))
+    });
+    for (frames, kind, want) in cases.into_iter().chain(dispatch).chain(coded) {
         let mut cfg = EngineConfig::for_test(2);
         cfg.dispatch_override = kind;
         let td = TempDir::new().unwrap();
@@ -750,10 +769,37 @@ fn malformed_peer_streams_are_corrupt_errors() {
         });
         match res {
             Err(dfo_types::DfoError::Corrupt(msg)) => {
-                assert!(msg.contains("rank 1"), "{kind:?}: {msg}")
+                assert!(
+                    msg.contains("stream from rank 1: ") && msg.contains(want),
+                    "{kind:?}: {msg}"
+                )
             }
-            other => panic!("{kind:?} {:?}: want Corrupt, got {other:?}", frames[0].len()),
+            other => panic!("{kind:?} {frames:?}: want Corrupt, got {other:?}"),
         }
+    }
+}
+
+/// An exchanged vector is checked, not trusted: rank 1 hand-sends rank 0
+/// five bytes where `u64`s are due, and rank 0's exchange fails with a
+/// `Corrupt` error naming the peer.
+#[test]
+fn malformed_exchanged_vectors_are_corrupt_errors() {
+    let td = TempDir::new().unwrap();
+    let cluster = Cluster::create(EngineConfig::for_test(2), td.path()).unwrap();
+    cluster.preprocess(&rmat(GenConfig::new(8, 4, 3))).unwrap();
+    let res = cluster.run(|ctx| {
+        if ctx.rank() == 1 {
+            ctx.net().send_stream(0, 0, dfo_core::messages::pack_vector(&[7u8; 5]))?;
+            ctx.net().recv_all(0, 0)?;
+            return Ok(());
+        }
+        ctx.exchange::<u64>(vec![Vec::new(), vec![1, 2, 3]]).map(drop)
+    });
+    match res {
+        Err(dfo_types::DfoError::Corrupt(msg)) => {
+            assert!(msg.contains("exchange from rank 1") && msg.contains("8-byte"), "{msg}")
+        }
+        other => panic!("want Corrupt, got {other:?}"),
     }
 }
 
@@ -794,6 +840,293 @@ fn corrupt_filter_lists_are_corrupt_errors() {
                 assert!(msg.contains(&paths::filter(1)), "{what}: {msg}")
             }
             other => panic!("{what}: want Corrupt, got {other:?}"),
+        }
+    }
+}
+
+/// What the last `ProcessEdges` call of `ctx` would have sent with every
+/// frame raw: per peer the 8-byte header frame and the end marker, then 16
+/// bytes of framing per data frame and `rec` bytes per message sent. Data
+/// frames are counted as one per peer plus one per full frame of the
+/// call's messages — exact whenever every peer gets fewer than a frame's
+/// worth and some, an upper bound otherwise.
+fn raw_pass_bytes(ctx: &dfo_core::NodeCtx, rec: u64) -> u64 {
+    let (s, peers) = (ctx.last_phase_stats(), ctx.nodes() as u64 - 1);
+    let cap = dfo_core::messages::FRAME_BYTES as u64 / rec;
+    let frames = if s.messages_sent == 0 { 0 } else { peers + s.messages_sent / cap };
+    peers * (16 + 8 + 16) + 16 * frames + rec * s.messages_sent
+}
+
+/// Per `ProcessEdges` call of one rank: the bytes it passed and the raw
+/// bound on them.
+type PassLog = Vec<(u64, u64)>;
+
+/// A `ProcessEdges` call of `M` messages, its pass bytes logged.
+fn logged<M: dfo_types::Pod>(
+    ctx: &mut dfo_core::NodeCtx,
+    log: &mut PassLog,
+    call: impl FnOnce(&mut dfo_core::NodeCtx) -> dfo_types::Result<u64>,
+) -> dfo_types::Result<u64> {
+    let out = call(ctx)?;
+    let rec = dfo_core::messages::record_bytes::<M>() as u64;
+    log.push((ctx.last_phase_stats().pass_net_sent, raw_pass_bytes(ctx, rec)));
+    Ok(out)
+}
+
+/// Label-propagation kernels of BFS (`()` messages, levels), SSSP (`f32`
+/// distances over integer weights), WCC-style min-label propagation (`u64`
+/// labels) and PageRank (`f64` ranks): each run on the engine with every
+/// call's pass bytes logged, and by brute force.
+mod kernels {
+    use super::{logged, PassLog};
+    use dfo_core::NodeCtx;
+    use dfo_graph::edge::EdgeList;
+    use dfo_types::{Pod, Result};
+
+    pub const ITERS: usize = 3;
+
+    /// This rank's slice of `name`, in vertex order.
+    fn read<T: Pod + Default>(ctx: &mut NodeCtx, name: &str) -> Result<Vec<T>> {
+        let arr = ctx.vertex_array::<T>(name)?;
+        let r = ctx.plan().partitions[ctx.rank()];
+        let out = std::sync::Mutex::new(vec![T::default(); r.len() as usize]);
+        ctx.process_vertices(&[name], None, |v, c| {
+            out.lock().unwrap()[(v - r.start) as usize] = c.get(&arr, v);
+            0u64
+        })?;
+        Ok(out.into_inner().unwrap())
+    }
+
+    pub fn bfs(ctx: &mut NodeCtx, log: &mut PassLog) -> Result<Vec<u32>> {
+        let (level, active) = (ctx.vertex_array::<u32>("lvl")?, ctx.vertex_array::<bool>("act")?);
+        let (l, a) = (level.clone(), active.clone());
+        ctx.process_vertices(&["lvl", "act"], None, move |v, c| {
+            c.set(&l, v, if v == 0 { 0 } else { u32::MAX });
+            c.set(&a, v, v == 0);
+            0u64
+        })?;
+        for depth in 1.. {
+            let (l, a, a1) = (level.clone(), active.clone(), active.clone());
+            let signal = move |v, c: &mut dfo_core::BatchCtx| {
+                c.set(&a1, v, false);
+                Some(())
+            };
+            let slot = move |_: (), _, dst, _: &(), c: &mut dfo_core::BatchCtx| {
+                let new = c.get(&l, dst) == u32::MAX;
+                if new {
+                    c.set(&l, dst, depth);
+                    c.set(&a, dst, true);
+                }
+                new as u64
+            };
+            let call = |ctx: &mut NodeCtx| {
+                ctx.process_edges(&["act"], &["lvl", "act"], Some(&active), signal, slot)
+            };
+            if logged::<()>(ctx, log, call)? == 0 {
+                break;
+            }
+        }
+        read(ctx, "lvl")
+    }
+
+    pub fn bfs_oracle(g: &EdgeList<()>) -> Vec<u32> {
+        let mut level = vec![u32::MAX; g.n_vertices as usize];
+        level[0] = 0;
+        for depth in 1.. {
+            let frontier: Vec<bool> = level.iter().map(|&l| l == depth - 1).collect();
+            let mut grew = false;
+            for e in g.edges.iter().filter(|e| frontier[e.src as usize]) {
+                if level[e.dst as usize] == u32::MAX {
+                    (level[e.dst as usize], grew) = (depth, true);
+                }
+            }
+            if !grew {
+                return level;
+            }
+        }
+        unreachable!()
+    }
+
+    /// SSSP from vertex 0 (`min_label = false`) or min-label propagation
+    /// (`true`, labels are vertex ids): both relax `value[dst]` down to
+    /// `value[src] + weight` until nothing changes.
+    pub fn relax<M: Pod + PartialOrd + std::ops::Add<Output = M> + Default>(
+        ctx: &mut NodeCtx,
+        log: &mut PassLog,
+        init: impl Fn(u64) -> M + Sync + Send + 'static,
+        weight: impl Fn(f32) -> M + Sync + Send + Copy + 'static,
+    ) -> Result<Vec<M>> {
+        let (val, active) = (ctx.vertex_array::<M>("val")?, ctx.vertex_array::<bool>("act")?);
+        let (d, a) = (val.clone(), active.clone());
+        ctx.process_vertices(&["val", "act"], None, move |v, c| {
+            c.set(&d, v, init(v));
+            c.set(&a, v, true);
+            0u64
+        })?;
+        loop {
+            let (d1, a1, d2, a2) = (val.clone(), active.clone(), val.clone(), active.clone());
+            let signal = move |v, c: &mut dfo_core::BatchCtx| {
+                c.set(&a1, v, false);
+                Some(c.get(&d1, v))
+            };
+            let slot = move |m: M, _, dst, w: &f32, c: &mut dfo_core::BatchCtx| {
+                let better = m + weight(*w) < c.get(&d2, dst);
+                if better {
+                    c.set(&d2, dst, m + weight(*w));
+                    c.set(&a2, dst, true);
+                }
+                better as u64
+            };
+            let call = |ctx: &mut NodeCtx| {
+                ctx.process_edges(&["val", "act"], &["val", "act"], Some(&active), signal, slot)
+            };
+            if logged::<M>(ctx, log, call)? == 0 {
+                return read(ctx, "val");
+            }
+        }
+    }
+
+    pub fn relax_oracle<M: Copy + PartialOrd + std::ops::Add<Output = M>>(
+        g: &EdgeList<f32>,
+        init: impl Fn(u64) -> M,
+        weight: impl Fn(f32) -> M,
+    ) -> Vec<M> {
+        let mut val: Vec<M> = (0..g.n_vertices).map(init).collect();
+        loop {
+            let mut changed = false;
+            for e in &g.edges {
+                let cand = val[e.src as usize] + weight(e.data);
+                if cand < val[e.dst as usize] {
+                    (val[e.dst as usize], changed) = (cand, true);
+                }
+            }
+            if !changed {
+                return val;
+            }
+        }
+    }
+
+    pub fn pagerank(ctx: &mut NodeCtx, log: &mut PassLog, deg: Vec<u64>) -> Result<Vec<f64>> {
+        let n = ctx.plan().n_vertices as f64;
+        let (rank, next) = (ctx.vertex_array::<f64>("rank")?, ctx.vertex_array::<f64>("next")?);
+        let r = rank.clone();
+        ctx.process_vertices(&["rank"], None, move |v, c| {
+            c.set(&r, v, 1.0 / n);
+            0u64
+        })?;
+        let deg = std::sync::Arc::new(deg);
+        for _ in 0..ITERS {
+            let nx = next.clone();
+            ctx.process_vertices(&["next"], None, move |v, c| {
+                c.set(&nx, v, 0.0);
+                0u64
+            })?;
+            let (r, nx, deg) = (rank.clone(), next.clone(), deg.clone());
+            let signal = move |v, c: &mut dfo_core::BatchCtx| {
+                let d = deg[v as usize];
+                (d > 0).then(|| c.get(&r, v) / d as f64)
+            };
+            let slot = move |m: f64, _, dst, _: &(), c: &mut dfo_core::BatchCtx| {
+                let cur = c.get(&nx, dst);
+                c.set(&nx, dst, cur + m);
+                0u64
+            };
+            let call =
+                |ctx: &mut NodeCtx| ctx.process_edges(&["rank"], &["next"], None, signal, slot);
+            logged::<f64>(ctx, log, call)?;
+            let (r, nx) = (rank.clone(), next.clone());
+            ctx.process_vertices(&["rank", "next"], None, move |v, c| {
+                let sum = c.get(&nx, v);
+                c.set(&r, v, 0.15 / n + 0.85 * sum);
+                0u64
+            })?;
+        }
+        read(ctx, "rank")
+    }
+
+    pub fn pagerank_oracle(g: &EdgeList<()>, deg: &[u64]) -> Vec<f64> {
+        let n = g.n_vertices as usize;
+        let mut rank = vec![1.0 / n as f64; n];
+        for _ in 0..ITERS {
+            let mut next = vec![0.0f64; n];
+            for e in &g.edges {
+                next[e.dst as usize] += rank[e.src as usize] / deg[e.src as usize] as f64;
+            }
+            rank = next.iter().map(|s| 0.15 / n as f64 + 0.85 * s).collect();
+        }
+        rank
+    }
+}
+
+/// A coded frame is never larger than the raw one: on 2 and 3 ranks, every
+/// `ProcessEdges` call of BFS, SSSP, min-label propagation and PageRank
+/// passes at most what its frames would have cost raw, and the first
+/// PageRank call over the dense uniform graph — ascending ids covering most
+/// of the partition, ranks `1/(n·deg)` — at most 0.6 of it. Results equal the
+/// brute-force oracles: bit for bit for the integer-valued kernels, to
+/// rounding for PageRank, whose sums the engine adds in another order.
+#[test]
+fn coded_frames_are_never_larger_than_raw() {
+    use dfo_types::slice_as_bytes;
+    use kernels::*;
+    type Job<'a> =
+        &'a (dyn Fn(&mut dfo_core::NodeCtx, &mut PassLog) -> dfo_types::Result<Vec<u8>> + Sync);
+    let unit = uniform(8_000, 64_000, 13);
+    let weighted: EdgeList<f32> = unit.map_data(|e| ((e.src * 7 + e.dst * 13) % 29 + 1) as f32);
+    let mut deg = vec![0u64; unit.n_vertices as usize];
+    unit.edges.iter().for_each(|e| deg[e.src as usize] += 1);
+    let sssp_init = |v: u64| if v == 0 { 0.0 } else { f32::INFINITY };
+    for nodes in [2, 3] {
+        let mut cfg = EngineConfig::for_test(nodes);
+        cfg.batch_policy = BatchPolicy::FixedVertices(256);
+        let td = TempDir::new().unwrap();
+        // runs `job` on a fresh cluster over `g`: its bytes, every rank's log
+        let run = |name: &str, weighted_graph: bool, job: Job| {
+            let cluster = Cluster::create(cfg.clone(), td.path().join(name)).unwrap();
+            if weighted_graph {
+                cluster.preprocess(&weighted).unwrap();
+            } else {
+                cluster.preprocess(&unit).unwrap();
+            }
+            let out = cluster
+                .run(|ctx| {
+                    let mut log = PassLog::new();
+                    Ok((job(ctx, &mut log)?, log))
+                })
+                .unwrap();
+            for (rank, (_, log)) in out.iter().enumerate() {
+                for (call, &(sent, raw)) in log.iter().enumerate() {
+                    let at = format!("{name} on {nodes} ranks, rank {rank} call {call}");
+                    assert!(sent <= raw, "{at}: {sent} bytes > raw {raw}");
+                }
+            }
+            let logs: Vec<PassLog> = out.iter().map(|(_, log)| log.clone()).collect();
+            (out.into_iter().flat_map(|(bytes, _)| bytes).collect::<Vec<u8>>(), logs)
+        };
+        let (got, _) = run("bfs", false, &|ctx, log| Ok(slice_as_bytes(&bfs(ctx, log)?).to_vec()));
+        assert_eq!(got, slice_as_bytes(&bfs_oracle(&unit)), "bfs on {nodes} ranks");
+        let (got, _) = run("sssp", true, &|ctx, log| {
+            Ok(slice_as_bytes(&relax(ctx, log, sssp_init, |w| w)?).to_vec())
+        });
+        let want = relax_oracle(&weighted, sssp_init, |w| w);
+        assert_eq!(got, slice_as_bytes(&want), "sssp on {nodes} ranks");
+        let (got, _) = run("labels", true, &|ctx, log| {
+            Ok(slice_as_bytes(&relax(ctx, log, |v| v, |_| 0u64)?).to_vec())
+        });
+        let want = relax_oracle(&weighted, |v| v, |_| 0u64);
+        assert_eq!(got, slice_as_bytes(&want), "labels on {nodes} ranks");
+        let (got, logs) = run("pagerank", false, &|ctx, log| {
+            Ok(slice_as_bytes(&pagerank(ctx, log, deg.clone())?).to_vec())
+        });
+        let got: Vec<f64> = dfo_types::vec_from_bytes(&got);
+        for (v, (a, b)) in got.iter().zip(pagerank_oracle(&unit, &deg)).enumerate() {
+            assert!((a - b).abs() <= 1e-12 * b, "pagerank vertex {v} on {nodes} ranks: {a} vs {b}");
+        }
+        for (rank, log) in logs.iter().enumerate() {
+            for (call, &(sent, raw)) in log.iter().enumerate() {
+                let at = format!("pagerank on {nodes} ranks, rank {rank} call {call}");
+                assert!(call > 0 || 10 * sent <= 6 * raw, "{at}: {sent} bytes of raw {raw}");
+            }
         }
     }
 }

@@ -114,15 +114,26 @@ fn overlapping_jobs_with_swapped_small_and_large_ranks_both_exchange() {
     cluster.preprocess(&uniform(64, 200, 5)).unwrap();
     let exchange = move |ctx: &mut dfo_core::NodeCtx, job: u64| {
         let size = |rank: usize| if rank as u64 == job { 100 } else { LARGE };
-        let fill = |rank: usize| (2 * job + rank as u64) as u8;
+        // xorshift noise: incompressible, so the large side stays large on
+        // the wire
+        let fill = |rank: usize| -> Vec<u8> {
+            let mut x = 2 * job + rank as u64 + 1;
+            let mut word = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x.to_le_bytes()
+            };
+            (0..size(rank).div_ceil(8)).flat_map(|_| word()).take(size(rank)).collect()
+        };
         let (rank, peer) = (ctx.rank(), 1 - ctx.rank());
         if size(rank) < LARGE {
             std::thread::sleep(std::time::Duration::from_millis(300));
         }
         let mut outgoing = vec![Vec::new(); 2];
-        outgoing[peer] = vec![fill(rank); size(rank)];
-        let got = ctx.exchange_bytes(outgoing)?;
-        let intact = got[peer].len() == size(peer) && got[peer].iter().all(|&b| b == fill(peer));
+        outgoing[peer] = fill(rank);
+        let got = ctx.exchange(outgoing)?;
+        let intact = got[peer] == fill(peer);
         assert!(intact, "job {job} rank {rank}: {} bytes from {peer}", got[peer].len());
         Ok(())
     };

@@ -24,7 +24,7 @@ use crate::plan::{ChunkInfo, NodeMeta, Plan};
 use dfo_graph::degree::degrees;
 use dfo_graph::edge::EdgeList;
 use dfo_storage::NodeDisk;
-use dfo_types::{EngineConfig, Pod, Result};
+use dfo_types::{DfoError, EngineConfig, Pod, Result, VertexRange};
 use rayon::prelude::*;
 
 /// Paths of the structures a node stores, kept in one place so the engine
@@ -39,6 +39,20 @@ pub mod paths {
     pub fn filter(j: usize) -> String {
         format!("filter/to_{j}.lst")
     }
+}
+
+/// Vertices a partition must stay below: sources travel as `u32` ids local
+/// to their partition, and message frames keep bit 31 of their first word
+/// to tell coded frames from raw ones (`dfo_core::messages`).
+pub const MAX_PARTITION_VERTICES: u64 = 1 << 31;
+
+/// Refuses, naming it, a partition whose local ids reach bit 31.
+pub fn check_local_ids(partitions: &[VertexRange]) -> Result<()> {
+    let Some(p) = partitions.iter().position(|r| r.len() >= MAX_PARTITION_VERTICES) else {
+        return Ok(());
+    };
+    let n = partitions[p].len();
+    Err(DfoError::Config(format!("partition {p} holds {n} vertices; local ids stop at 2^31")))
 }
 
 /// Result of preprocessing (the plan plus anything harnesses want to log).
@@ -57,10 +71,11 @@ pub fn preprocess<E: Pod + PartialEq>(
     disks: &[NodeDisk],
 ) -> Result<PreprocessOutput> {
     assert_eq!(disks.len(), cfg.nodes, "one disk per node");
-    cfg.validate().map_err(dfo_types::DfoError::Config)?;
+    cfg.validate().map_err(DfoError::Config)?;
     let p = cfg.nodes;
     let (din, dout) = degrees(g);
     let partitions = partition_vertices(g.n_vertices, &din, &dout, p, cfg.effective_alpha());
+    check_local_ids(&partitions)?;
 
     let batch_sizes: Vec<u64> = partitions
         .iter()

@@ -33,7 +33,7 @@
 //! Job results travel **in-band**: every rank encodes its output slice,
 //! [`dfo_types::PhaseStats`] and measured footprint as a
 //! [`wire::RankResult`] and the job closure gathers them to rank 0 with
-//! `exchange_bytes` — no side channel, no shared filesystem assumption.
+//! `NodeCtx::exchange` — no side channel, no shared filesystem assumption.
 //! The measured footprints feed the executor's estimator, so repeat
 //! submissions of an `(algorithm, graph)` pair are admitted against learned
 //! estimates.
@@ -173,7 +173,7 @@ fn run_job_on_rank(
         let mine = exec::run_rank_job(ctx, spec, token)?;
         let mut outgoing = vec![Vec::new(); mesh.nodes()];
         outgoing[0] = mine.encode();
-        let gathered = ctx.exchange_bytes(outgoing)?;
+        let gathered = ctx.exchange(outgoing)?;
         if mesh.rank() != 0 {
             return Ok(None);
         }

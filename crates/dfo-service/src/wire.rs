@@ -310,7 +310,7 @@ impl PeerCmd {
 }
 
 // ---------------------------------------------------------------------------
-// per-rank job results, gathered in-band over `exchange_bytes`
+// per-rank job results, gathered in-band over `NodeCtx::exchange`
 
 /// One rank's contribution to a job report: its output slice, its
 /// [`PhaseStats`], and its measured footprint in bytes.

@@ -106,7 +106,7 @@ const MAX_BLOCK: usize = 64 << 20;
 /// An LZ4 block decodes to at most this many times its size (a match
 /// extension byte stands for 255 output bytes), so a framed file of `n`
 /// bytes holds fewer than `n × LZ4_MAX_RATIO` logical ones.
-const LZ4_MAX_RATIO: u64 = 255;
+pub const LZ4_MAX_RATIO: u64 = 255;
 
 const BLOCK_HEADER_BYTES: usize = 16;
 const DIR_ENTRY_BYTES: usize = 16;
@@ -293,6 +293,74 @@ fn unshuffle<const W: usize, const DELTA: bool>(src: &[u8], dst: &mut [u8]) {
         e.copy_from_slice(&v.to_le_bytes()[..W]);
     }
     dst_tail.copy_from_slice(tail);
+}
+
+/// Bytes of a column's byte plane LZ4 is tried on first: a plane whose
+/// sample does not shrink — the low bytes of floating-point numbers, say —
+/// is stored as it is, and the match finder never runs over the rest of it.
+const PLANE_SAMPLE: usize = 1 << 10;
+/// Bit 63 of a plane's length word: the plane is LZ4-coded.
+const PLANE_LZ4: u64 = 1 << 63;
+
+/// The wire form of one typed column — a frame's message payloads, an
+/// exchanged vector. Its `width`-byte elements are byte-shuffled as a typed
+/// section's blocks are (widths 2, 4 and 8; other columns are one plane),
+/// and each byte plane follows as a `u64` length word, with bit 63 set
+/// when LZ4 shrank the plane, then its bytes: LZ4-coded, or as they are.
+/// Keeps the match table and the buffers across columns, so a sender
+/// packing many of them allocates nothing per column.
+#[derive(Default)]
+pub struct ColumnCodec {
+    table: lz4_flex::HashTable,
+    filtered: Vec<u8>,
+    plane: Vec<u8>,
+}
+
+impl ColumnCodec {
+    /// Appends the packed `column` to `out`.
+    pub fn pack(&mut self, width: usize, column: &[u8], out: &mut Vec<u8>) {
+        let filter = Filter::for_column(width, false);
+        self.filtered.resize(column.len(), 0);
+        filter.apply(column, &mut self.filtered);
+        for plane in self.filtered.chunks((column.len() / filter.width.max(1) as usize).max(1)) {
+            // one LZ4 block addresses less than 4 GiB
+            let sample = &plane[..plane.len().min(PLANE_SAMPLE)];
+            let lz4 = plane.len() >> 32 == 0
+                && [sample, plane].iter().all(|bytes| {
+                    lz4_flex::compress_with_table(bytes, &mut self.table, &mut self.plane);
+                    self.plane.len() < bytes.len()
+                });
+            let (body, flag) = if lz4 { (&self.plane[..], PLANE_LZ4) } else { (plane, 0) };
+            out.extend_from_slice(&(body.len() as u64 | flag).to_le_bytes());
+            out.extend_from_slice(body);
+        }
+    }
+
+    /// Inverse of [`ColumnCodec::pack`]: decodes `packed` into `dst`, which
+    /// it must fill exactly, or says why not.
+    pub fn unpack(&mut self, width: usize, packed: &[u8], dst: &mut [u8]) -> io::Result<()> {
+        let filter = Filter::for_column(width, false);
+        self.filtered.resize(dst.len(), 0);
+        let mut rest = packed;
+        for plane in self.filtered.chunks_mut((dst.len() / filter.width.max(1) as usize).max(1)) {
+            let word = rest.first_chunk().map_or(0, |w| u64::from_le_bytes(*w));
+            let len = (word & !PLANE_LZ4) as usize;
+            let body = rest.get(8..).and_then(|r| r.get(..len)).unwrap_or_default();
+            let whole = match word & PLANE_LZ4 {
+                0 => (body.len() == plane.len()).then(|| plane.copy_from_slice(body)).is_some(),
+                _ => lz4_flex::decompress_into(body, plane) == Ok(plane.len()),
+            };
+            if !whole {
+                return Err(corrupt(format!("malformed {}-byte packed column", packed.len())));
+            }
+            rest = &rest[8 + len..];
+        }
+        if !rest.is_empty() {
+            return Err(corrupt(format!("{} bytes past a packed column", rest.len())));
+        }
+        filter.undo(&self.filtered, dst);
+        Ok(())
+    }
 }
 
 /// Block-compressing writer (or transparent passthrough with

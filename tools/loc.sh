@@ -36,8 +36,8 @@ ratchet() {
     status=1
   fi
 }
-ratchet 5104 dfo-core dfo-service
-ratchet 2890 dfo-types dfo-part
+ratchet 5248 dfo-core dfo-service
+ratchet 2899 dfo-types dfo-part
 ratchet 2728 dfo-net dfo-obs
-ratchet 3627 dfo-storage
+ratchet 3676 dfo-storage
 exit $status
