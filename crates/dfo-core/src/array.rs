@@ -13,8 +13,17 @@
 //! job was scoped or failed and they are discarded. Past the budget a block
 //! is read from disk per batch and written when it is dirty.
 //!
-//! A block's length is checked whenever a batch loads it: an array reopened
-//! under an element type of another size is a typed error, not a misread.
+//! A block is read when a call first needs its old bytes, not when the call
+//! checks it out. A block that is not resident is checked out empty; `set`s
+//! in ascending vertex order from its first vertex — every init pass — grow
+//! a written prefix, and the first `get` past that prefix or any other `set`
+//! reads the block once, keeping the prefix. At write-back a block written
+//! whole goes in without ever being read, one written in part is completed
+//! by one read, and one not touched is neither read nor written. Its file's
+//! length is checked (a `stat`) at check-out, before any byte is used, so an
+//! array reopened under an element type of another size is a typed error,
+//! not a misread; a deferred read that fails fails the call at write-back.
+//! Pages of a paged array are read when they are checked out.
 //!
 //! In the Table 6 "no batching" ablation the one batch is the whole
 //! partition, and an array's blocks are *pages* of it (4 KiB of vertices
@@ -138,20 +147,39 @@ impl ArrayEntry {
         self.checked(b, batch_len, self.store.lock().read_batch(b)?)
     }
 
+    /// Checks block `b` of `batch_len` values out: its bytes, or an empty
+    /// buffer when the block of a non-paged array is not resident and its
+    /// file holds as many bytes as it should (see the [module docs](self)).
+    fn check_out(&self, b: usize, batch_len: u64) -> Result<Vec<u8>> {
+        let mut store = self.store.lock();
+        if self.page.is_some() {
+            return self.checked(b, batch_len, store.take_batch(b)?);
+        }
+        match store.take_resident(b)? {
+            Ok(buf) => self.checked(b, batch_len, buf),
+            Err(len) => self
+                .check_len(b, batch_len, len as usize)
+                .map(|()| Vec::with_capacity(len as usize)),
+        }
+    }
+
     /// `buf`, if it is as long as `batch_len` values of this array; a
     /// `Corrupt` error naming the array if not.
     fn checked(&self, b: usize, batch_len: u64, buf: Vec<u8>) -> Result<Vec<u8>> {
+        self.check_len(b, batch_len, buf.len()).map(|()| buf)
+    }
+
+    /// Whether block `b` may hold `len` bytes for `batch_len` values.
+    fn check_len(&self, b: usize, batch_len: u64, len: usize) -> Result<()> {
         let want = batch_len as usize * self.elem_bytes;
-        if buf.len() != want {
+        if len != want {
             return Err(DfoError::Corrupt(format!(
-                "vertex array {:?}: block {b} holds {} bytes, {batch_len} values of {} bytes \
+                "vertex array {:?}: block {b} holds {len} bytes, {batch_len} values of {} bytes \
                  are {want}",
-                self.name,
-                buf.len(),
-                self.elem_bytes
+                self.name, self.elem_bytes
             )));
         }
-        Ok(buf)
+        Ok(())
     }
 
     /// Ends the job's use of the array: writes its dirty blocks in place
@@ -204,8 +232,15 @@ struct ArraySlot<'a> {
     block: usize,
     /// The first vertex `buf` holds.
     start: VertexId,
+    /// The block's bytes, or while `owed > 0` the prefix of them written
+    /// so far; the block is on disk.
     buf: Vec<u8>,
+    /// Bytes of the block past `buf` that are still on disk.
+    owed: usize,
     dirty: bool,
+    /// Why reading the block failed; `buf` holds zeros in its place and
+    /// the call fails at write-back.
+    failed: Option<DfoError>,
 }
 
 impl ArraySlot<'_> {
@@ -217,10 +252,35 @@ impl ArraySlot<'_> {
         off..off.wrapping_add(elem)
     }
 
-    /// Checks this paged array's page back in and the page of `batch`
-    /// holding `v` out; returns `v`'s bytes in it.
+    /// The miss arm of `get`, and of a `set` that does not append to the
+    /// written prefix of a block left on disk: `v`'s bytes are not in
+    /// `buf`. A block left on disk is read; a paged array turns its page.
     #[cold]
     #[inline(never)]
+    fn miss(&mut self, batch: VertexRange, v: VertexId, elem: usize) -> &mut [u8] {
+        if self.owed > 0 && batch.contains(v) {
+            if let Err(e) = self.fill(batch.len()) {
+                self.buf.resize(std::mem::take(&mut self.owed) + self.buf.len(), 0);
+                self.failed = Some(e);
+            }
+            let at = self.value_range(v, elem);
+            return &mut self.buf[at];
+        }
+        self.turn_page(batch, v, elem)
+    }
+
+    /// Reads the block left on disk under the prefix `buf` holds.
+    fn fill(&mut self, batch_len: u64) -> Result<()> {
+        let entry = self.entry;
+        let old = entry.store.lock().take_batch(self.block)?;
+        let mut old = entry.checked(self.block, batch_len, old)?;
+        old[..self.buf.len()].copy_from_slice(&self.buf);
+        (self.buf, self.owed) = (old, 0);
+        Ok(())
+    }
+
+    /// Checks this paged array's page back in and the page of `batch`
+    /// holding `v` out; returns `v`'s bytes in it.
     fn turn_page(&mut self, batch: VertexRange, v: VertexId, elem: usize) -> &mut [u8] {
         let entry = self.entry;
         let n = entry.page.unwrap_or_else(|| panic!("vertex {v} outside batch {batch:?}"));
@@ -233,6 +293,20 @@ impl ArraySlot<'_> {
         (self.block, self.start, self.dirty) = (p, range.start, false);
         let at = self.value_range(v, elem);
         &mut self.buf[at]
+    }
+
+    /// Checks the block back in (see [`BatchCtx::write_back`]).
+    fn check_in(mut self, batch: VertexRange) -> Result<()> {
+        if let Some(e) = self.failed {
+            return Err(e);
+        }
+        if self.owed > 0 {
+            if self.buf.is_empty() {
+                return Ok(());
+            }
+            self.fill(batch.len())?;
+        }
+        self.entry.store.lock().put_batch(self.block, self.buf, self.dirty)
     }
 }
 
@@ -248,9 +322,10 @@ pub struct BatchCtx<'a> {
 
 impl<'a> BatchCtx<'a> {
     /// Checks the named arrays' blocks of `batch` out of their stores (one
-    /// worker owns a batch at a time): block `batch_index`, or the first
-    /// page of a paged array. `preloaded` supplies bytes that the engine
-    /// already read (the active bitmap, re-used instead of read twice).
+    /// worker owns a batch at a time): block `batch_index`, left on disk
+    /// until it is needed when it is not resident, or the first page of a
+    /// paged array. `preloaded` supplies bytes that the engine already read
+    /// (the active bitmap, re-used instead of read twice).
     pub(crate) fn load(
         entries: &[&'a ArrayEntry],
         batch: VertexRange,
@@ -264,11 +339,13 @@ impl<'a> BatchCtx<'a> {
                 Some(n) => (0, page_range(batch, n, 0)),
             };
             let buf = match &mut preloaded {
-                Some((name, bytes)) if **name == *entry.name => std::mem::take(bytes),
-                _ => entry.store.lock().take_batch(block)?,
+                Some((name, bytes)) if **name == *entry.name => {
+                    entry.checked(block, range.len(), std::mem::take(bytes))?
+                }
+                _ => entry.check_out(block, range.len())?,
             };
-            let buf = entry.checked(block, range.len(), buf)?;
-            slots.push(ArraySlot { entry, block, start: range.start, buf, dirty: false });
+            let (start, owed) = (range.start, range.len() as usize * entry.elem_bytes - buf.len());
+            slots.push(ArraySlot { entry, block, start, buf, owed, dirty: false, failed: None });
         }
         Ok(Self { batch, slots })
     }
@@ -319,7 +396,7 @@ impl<'a> BatchCtx<'a> {
         let (slot, batch, at) = self.locate(&arr.name, elem, v);
         match slot.buf.get(at) {
             Some(bytes) => pod_from_bytes(bytes),
-            None => pod_from_bytes(slot.turn_page(batch, v, elem)),
+            None => pod_from_bytes(slot.miss(batch, v, elem)),
         }
     }
 
@@ -328,21 +405,27 @@ impl<'a> BatchCtx<'a> {
     pub fn set<T: Pod>(&mut self, arr: &VertexArray<T>, v: VertexId, value: T) {
         let elem = std::mem::size_of::<T>();
         let (slot, batch, at) = self.locate(&arr.name, elem, v);
-        if let Some(bytes) = slot.buf.get_mut(at) {
+        if let Some(bytes) = slot.buf.get_mut(at.clone()) {
             bytes.copy_from_slice(bytes_of(&value));
+        } else if at.start == slot.buf.len() && elem <= slot.owed {
+            // the vertex after the written prefix of a block left on disk
+            slot.buf.extend_from_slice(bytes_of(&value));
+            slot.owed -= elem;
         } else {
-            slot.turn_page(batch, v, elem).copy_from_slice(bytes_of(&value));
+            slot.miss(batch, v, elem).copy_from_slice(bytes_of(&value));
         }
         slot.dirty = true;
     }
 
     /// Checks every slot's block back into its store, marked dirty if the
-    /// UDF wrote it.
+    /// UDF wrote it. A block left on disk is completed by one read if the
+    /// UDF wrote part of it, and stays there if the UDF did not touch it.
+    /// The first error — a deferred read that failed — is returned once
+    /// every other slot is back in.
     pub(crate) fn write_back(self) -> Result<()> {
-        for slot in self.slots {
-            slot.entry.store.lock().put_batch(slot.block, slot.buf, slot.dirty)?;
-        }
-        Ok(())
+        let batch = self.batch;
+        let done: Vec<_> = self.slots.into_iter().map(|s| s.check_in(batch)).collect();
+        done.into_iter().collect()
     }
 }
 

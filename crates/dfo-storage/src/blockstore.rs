@@ -36,7 +36,10 @@
 //! (batches are scanned cyclically). The engine *checks a block out* for
 //! the one worker that owns its batch ([`VersionedArrayStore::take_batch`])
 //! and back in ([`VersionedArrayStore::put_batch`]), so residency costs no
-//! copy. A store never given a budget keeps nothing.
+//! copy. A block that is not resident can be checked out without its bytes
+//! ([`VersionedArrayStore::take_resident`]): the caller reads it when it
+//! first needs them, and a caller that overwrites it whole never does. A
+//! store never given a budget keeps nothing.
 //!
 //! How a resident block reaches its file depends on the mode:
 //!
@@ -412,6 +415,20 @@ impl VersionedArrayStore {
         match self.resident.take(id) {
             Some(buf) => Ok(buf),
             None => self.read_block_file(b, id),
+        }
+    }
+
+    /// Checks batch `b` out only if its block is resident: `Ok(block)`, or
+    /// `Err(len)` with the length of its file — a `stat`, no read. A caller
+    /// that needs the bytes later reads them with
+    /// [`VersionedArrayStore::take_batch`]; one that overwrites them whole
+    /// never does.
+    pub fn take_resident(&mut self, b: usize) -> Result<std::result::Result<Vec<u8>, u64>> {
+        let id = self.block_of(b);
+        match self.resident.take(id) {
+            Some(buf) => Ok(Ok(buf)),
+            None if self.dirty[b] => Err(self.lost(b)),
+            None => self.disk.len(&format!("{}/blocks/{id}.bin", self.dir)).map(Err),
         }
     }
 

@@ -8,6 +8,8 @@
 //! of types we need is small and the unsafe surface is concentrated in this
 //! one module.
 
+use std::any::TypeId;
+
 /// Marker for types that may be serialized by copying their bytes.
 ///
 /// # Safety
@@ -16,10 +18,14 @@
 /// requirements beyond what the byte copy preserves; the all-zero byte
 /// pattern must be a valid value (used by [`pod_zeroed`] to initialize fresh
 /// vertex arrays); and every byte pattern *produced by serializing a valid
-/// value* must deserialize to a valid value. DFOGraph only ever deserializes
-/// bytes it previously serialized (on-disk formats are private to the
-/// system), so types like `bool` — where not every arbitrary byte is valid —
-/// are still safe under this contract.
+/// value* must deserialize to a valid value.
+///
+/// Bytes read back from a file or a socket need not be self-produced: a
+/// corrupt or hostile byte can be anything. [`pod_from_bytes`] and
+/// [`vec_from_bytes`] therefore decode a `bool` as `byte != 0` rather than
+/// by copying the byte. A composite (`[bool; N]`, a tuple) holding a `bool`
+/// or padding is still copied, so it must only be decoded from bytes it
+/// serialized to.
 pub unsafe trait Pod: Copy + Send + Sync + 'static {}
 
 unsafe impl Pod for u8 {}
@@ -45,7 +51,8 @@ pub fn bytes_of<T: Pod>(v: &T) -> &[u8] {
     unsafe { std::slice::from_raw_parts(v as *const T as *const u8, std::mem::size_of::<T>()) }
 }
 
-/// Reconstructs a value from bytes previously produced by [`bytes_of`].
+/// Reconstructs a value from bytes previously produced by [`bytes_of`]; a
+/// `bool` is `byte != 0`.
 ///
 /// Uses an unaligned read so byte buffers need no particular alignment.
 #[inline]
@@ -57,6 +64,10 @@ pub fn pod_from_bytes<T: Pod>(b: &[u8]) -> T {
         b.len(),
         std::mem::size_of::<T>()
     );
+    if TypeId::of::<T>() == TypeId::of::<bool>() {
+        // SAFETY: `T` is `bool`
+        return unsafe { std::mem::transmute_copy(&(b[0] != 0)) };
+    }
     // SAFETY: length checked above; Pod contract covers validity.
     unsafe { (b.as_ptr() as *const T).read_unaligned() }
 }
@@ -81,7 +92,7 @@ pub fn slice_as_bytes_mut<T: Pod>(s: &mut [T]) -> &mut [u8] {
 }
 
 /// Copies a byte buffer produced by [`slice_as_bytes`] back into an owned,
-/// properly aligned `Vec<T>`.
+/// properly aligned `Vec<T>`; each `bool` is `byte != 0`.
 pub fn vec_from_bytes<T: Pod>(b: &[u8]) -> Vec<T> {
     let size = std::mem::size_of::<T>();
     if size == 0 {
@@ -94,6 +105,9 @@ pub fn vec_from_bytes<T: Pod>(b: &[u8]) -> Vec<T> {
         std::any::type_name::<T>(),
         size
     );
+    if TypeId::of::<T>() == TypeId::of::<bool>() {
+        return b.iter().map(|x| pod_from_bytes(std::slice::from_ref(x))).collect();
+    }
     let n = b.len() / size;
     let mut out: Vec<T> = Vec::with_capacity(n);
     // SAFETY: capacity reserved above; copy fills exactly `n` elements whose
@@ -124,6 +138,12 @@ mod tests {
         assert_eq!(pod_from_bytes::<f64>(bytes_of(&f)), f);
         let b = true;
         assert!(pod_from_bytes::<bool>(bytes_of(&b)));
+    }
+
+    #[test]
+    fn a_corrupt_bool_byte_decodes_as_true() {
+        assert_eq!(pod_from_bytes::<bool>(&[2]) as u8, 1);
+        assert_eq!(vec_from_bytes::<bool>(&[2, 2]).iter().map(|&b| b as u8).sum::<u8>(), 2);
     }
 
     #[test]

@@ -36,8 +36,8 @@ ratchet() {
     status=1
   fi
 }
-ratchet 5248 dfo-core dfo-service
-ratchet 2899 dfo-types dfo-part
+ratchet 5298 dfo-core dfo-service
+ratchet 2911 dfo-types dfo-part
 ratchet 2728 dfo-net dfo-obs
-ratchet 3676 dfo-storage
+ratchet 3684 dfo-storage
 exit $status
