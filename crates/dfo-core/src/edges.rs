@@ -46,7 +46,11 @@
 //! Phase 4 reads each chunk it loads whole on the worker that processes
 //! the chunk's batch, through the node's chunk cache when one is
 //! configured; nothing is read ahead. The cache is single-flight, so
-//! concurrent jobs on one rank read a chunk they both miss once.
+//! concurrent jobs on one rank read a chunk they both miss once. A load
+//! ([`IndexedChunk::load`], edge chunks and dispatching graphs alike)
+//! reads the blocks of the header, the DCSR index, `dst` and `data` and no
+//! others: a stored CSR index is read only by seek mode, and a load that
+//! wants CSR offsets rebuilds them from the DCSR index in memory.
 //!
 //! Seek mode (§4.1) reads stored chunks through [`ChunkSeeker`]s whose
 //! files outlive the call: the next call resumes a seeker on the open
@@ -394,10 +398,13 @@ impl NodeCtx {
             let list = match self.filters[j].get() {
                 Some(held) => held.clone(),
                 None => {
+                    // stored raw or framed: what it cost is what the disk
+                    // served (no stream runs yet to share the counter)
+                    let read0 = self.disk.stats().read_bytes.get();
                     let list: Arc<[u32]> =
                         read_filter_list(&self.disk, &paths::filter(j), len)?.into();
+                    read += self.disk.stats().read_bytes.get() - read0;
                     let bytes = 8 + 4 * len;
-                    read += bytes;
                     if self.pool.try_reserve(bytes) {
                         let _ = self.filters[j].set(list.clone());
                     }
@@ -653,8 +660,7 @@ impl NodeCtx {
     ) -> Result<Arc<IndexedChunk<E>>> {
         let read = || {
             self.timed_chunk_read(|| {
-                let chunk =
-                    IndexedChunk::<E>::read_from(&mut self.disk.open_framed(path)?, key.repr)?;
+                let chunk = IndexedChunk::<E>::load(&self.disk, path, key.repr)?;
                 let bytes = chunk.decoded_bytes();
                 Ok((Arc::new(chunk) as CachedValue, bytes))
             })

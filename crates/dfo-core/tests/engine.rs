@@ -806,17 +806,26 @@ fn malformed_exchanged_vectors_are_corrupt_errors() {
 /// A filter list is checked, not trusted: rank 0's list to rank 1 with a
 /// header claiming 2^40 sources (which would have been allocated), or with
 /// two sources swapped (which would have dropped messages), fails the call
-/// with a `Corrupt` error naming the file.
+/// with a `Corrupt` error naming the file — stored in a frame container
+/// (compression on) or raw.
 #[test]
 fn corrupt_filter_lists_are_corrupt_errors() {
+    use std::io::{Read, Write};
     let g = rmat(GenConfig::new(8, 4, 3));
-    for what in ["header", "order"] {
+    for (what, compress) in [("header", true), ("order", true), ("header", false), ("order", false)]
+    {
         let td = TempDir::new().unwrap();
-        let cluster = Cluster::create(EngineConfig::for_test(2), td.path()).unwrap();
+        let mut cfg = EngineConfig::for_test(2);
+        cfg.compress_chunks = compress;
+        let cluster = Cluster::create(cfg, td.path()).unwrap();
         let plan = cluster.preprocess(&g).unwrap();
         assert!(plan.node_meta[0].filter_lens[1] >= 2, "the list has two sources to swap");
-        let path = cluster.disks()[0].path(&paths::filter(1)).unwrap();
-        let mut list = std::fs::read(&path).unwrap();
+        // the list's logical bytes, damaged, stored again in the form it had
+        let (disk, rel) = (&cluster.disks()[0], paths::filter(1));
+        let framed = disk.read_to_vec(&rel).unwrap()[..4] == dfo_storage::FRAME_MAGIC.to_le_bytes();
+        assert_eq!(framed, compress, "a list this long is framed when compression is on");
+        let mut list = Vec::new();
+        disk.open_framed(&rel).unwrap().read_to_end(&mut list).unwrap();
         match what {
             "header" => list[..8].copy_from_slice(&(1u64 << 40).to_le_bytes()),
             _ => {
@@ -824,7 +833,9 @@ fn corrupt_filter_lists_are_corrupt_errors() {
                 first.swap_with_slice(second);
             }
         }
-        std::fs::write(&path, list).unwrap();
+        let mut w = disk.create_framed(&rel, framed).unwrap();
+        w.write_all(&list).unwrap();
+        w.finish().unwrap().finish().unwrap();
         let res = cluster.run(|ctx| {
             ctx.vertex_array::<u64>("acc")?;
             ctx.process_edges(
@@ -837,9 +848,50 @@ fn corrupt_filter_lists_are_corrupt_errors() {
         });
         match res {
             Err(dfo_types::DfoError::Corrupt(msg)) => {
-                assert!(msg.contains(&paths::filter(1)), "{what}: {msg}")
+                assert!(msg.contains(&paths::filter(1)), "{what} framed={framed}: {msg}")
             }
-            other => panic!("{what}: want Corrupt, got {other:?}"),
+            other => panic!("{what} framed={framed}: want Corrupt, got {other:?}"),
+        }
+    }
+}
+
+/// A chunk is checked, not trusted: one stored with two of its DCSR
+/// sources swapped — which a merge over the index would silently drop
+/// edges for — fails the call with a `Corrupt` error naming the file,
+/// compressed or raw. One node, so no peer's failure can surface first.
+#[test]
+fn a_chunk_with_swapped_sources_fails_the_job_naming_the_file() {
+    let g = rmat(GenConfig::new(8, 4, 3));
+    for compress in [true, false] {
+        let td = TempDir::new().unwrap();
+        let mut cfg = EngineConfig::for_test(1);
+        cfg.compress_chunks = compress;
+        cfg.batch_policy = BatchPolicy::FixedVertices(64);
+        let cluster = Cluster::create(cfg, td.path()).unwrap();
+        cluster.preprocess(&g).unwrap();
+        let rel = paths::chunk(0, 1);
+        let disk = &cluster.disks()[0];
+        let mut chunk =
+            IndexedChunk::<()>::read_from(&mut disk.open_framed(&rel).unwrap(), None).unwrap();
+        assert!(chunk.dcsr_src.len() >= 2, "the chunk has two sources to swap");
+        chunk.dcsr_src.swap(0, 1);
+        let file = chunk.write_to_framed(Vec::new(), compress).unwrap();
+        std::fs::write(disk.path(&rel).unwrap(), file).unwrap();
+        let res = cluster.run(|ctx| {
+            ctx.vertex_array::<u64>("acc")?;
+            ctx.process_edges(
+                &[],
+                &["acc"],
+                None,
+                |_, _| Some(1u64),
+                |_m: u64, _, _, _: &(), _| 0u64,
+            )
+        });
+        match res {
+            Err(dfo_types::DfoError::Corrupt(msg)) => {
+                assert!(msg.contains(&rel), "compress={compress}: {msg}")
+            }
+            other => panic!("compress={compress}: want Corrupt, got {other:?}"),
         }
     }
 }

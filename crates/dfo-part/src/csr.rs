@@ -5,13 +5,15 @@
 //! when the chunk is dense enough (`|V_src| / |E| ≤` [`CSR_INFLATE_RATIO`]), an
 //! additional CSR index (`idx` over the whole source range) that supports
 //! O(1) seeking. At access time the engine picks whichever index the cost
-//! model favours; when a stored CSR index is not wanted, the reader *skips
-//! over it* so no disk bytes are spent on it.
+//! model favours. Only seeking ([`ChunkSeeker`]) reads a stored CSR index:
+//! a full load ([`IndexedChunk::load`]) reads the DCSR index and the edges,
+//! and when CSR is wanted it rebuilds the offsets from the DCSR index in
+//! memory, so no disk bytes are spent on them.
 
 use dfo_storage::{BlockFile, FrameReader, FrameWriter, NodeDisk};
 use dfo_types::codec::Cur;
 use dfo_types::{pod_zeroed, slice_as_bytes, slice_as_bytes_mut, DfoError, Pod, ReprKind, Result};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Seek, Write};
 use std::ops::{Range, RangeInclusive};
 
 const MAGIC: u32 = 0x4446_4F43; // "DFOC"
@@ -217,16 +219,16 @@ impl<E: Pod + PartialEq> IndexedChunk<E> {
         fw.finish()
     }
 
-    /// Reads a chunk back from a frame reader, which has detected the
-    /// compressed container (chunks written with `compress_chunks` on) or
-    /// passes a raw file through.
+    /// Reads a chunk front to back from a frame reader, which has detected
+    /// the compressed container (chunks written with `compress_chunks` on)
+    /// or passes a raw file through: the oracle a full [`IndexedChunk::load`]
+    /// is held against, and the reader of a stream with no file behind it.
     ///
-    /// `want` selects which index to load. The DCSR index is always loaded
-    /// (it is small, and its last offset validates the edge count). With
-    /// `Some(ReprKind::Dcsr)` a stored CSR section is *seeked over*: an
-    /// uncompressed chunk spends no read bytes on it, a compressed one
-    /// steps over its blocks unread. `Some(ReprKind::Csr)` and `None` load
-    /// the CSR section too — everything the file holds.
+    /// `want` selects which index to keep. The DCSR index is always loaded
+    /// and checked as [`IndexedChunk::load`] checks it. With
+    /// `Some(ReprKind::Dcsr)` a stored CSR section is read and dropped;
+    /// `Some(ReprKind::Csr)` and `None` keep it as stored — everything the
+    /// file holds.
     ///
     /// Each column is read straight into the `Vec` it lives in; compressed
     /// blocks are decoded into those bytes with no buffer in between. The
@@ -242,19 +244,37 @@ impl<E: Pod + PartialEq> IndexedChunk<E> {
         let l = Layout::parse(&header, std::mem::size_of::<E>(), 0..=r.logical_bound())?;
         let dcsr_src: Vec<u32> = read_pod_vec(r, l.n_nonzero as usize)?;
         let dcsr_idx: Vec<u64> = read_pod_vec(r, l.n_nonzero as usize + 1)?;
-        let csr_idx = if !l.has_csr {
-            None
-        } else if matches!(want, Some(ReprKind::Dcsr)) {
-            r.seek(SeekFrom::Current((l.dst_off - l.csr_idx_off) as i64)).map_err(io)?;
-            None
-        } else {
-            Some(read_pod_vec::<u64, _>(r, l.n_src as usize + 1)?)
-        };
+        let csr_idx = l.has_csr.then(|| read_pod_vec(r, l.n_src as usize + 1)).transpose()?;
         let dst: Vec<u32> = read_pod_vec(r, l.n_edges as usize)?;
         let data: Vec<E> = read_pod_vec(r, l.n_edges as usize)?;
-        if *dcsr_idx.last().unwrap_or(&0) != l.n_edges {
-            return Err(DfoError::Corrupt("DCSR index does not cover all edges".into()));
-        }
+        check_dcsr("a chunk stream", &l, &dcsr_src, &dcsr_idx)?;
+        let csr_idx = csr_idx.filter(|_| want != Some(ReprKind::Dcsr));
+        Ok(Self { n_src: l.n_src, dcsr_src, dcsr_idx, csr_idx, dst, data })
+    }
+
+    /// Loads the stored chunk `rel` whole, reading exactly the blocks of
+    /// the columns it decodes: the header, the DCSR index, then `dst` and
+    /// `data`, each in as few positioned reads as [`BlockFile::read_ranges`]
+    /// takes. A stored CSR section is never read: with `want` other than
+    /// `Some(ReprKind::Dcsr)` the CSR offsets are rebuilt from the DCSR
+    /// index in memory, so the chunk equals what
+    /// [`IndexedChunk::read_from`] returns for the same `want`. The header
+    /// is parsed against the exact length of the logical stream, and the
+    /// DCSR index is checked before anything walks it: sources ascending
+    /// below `n_src`, offsets from 0 up to the edge count, never falling —
+    /// else the chunk is `Corrupt`, naming `rel`.
+    pub fn load(disk: &NodeDisk, rel: &str, want: Option<ReprKind>) -> Result<Self> {
+        let (mut blocks, l) = open_columns(disk, rel, std::mem::size_of::<E>())?;
+        let (dcsr_src, dcsr_idx) = read_dcsr(&mut blocks, &l, rel)?;
+        let mut dst = vec![0u32; l.n_edges as usize];
+        let mut data = vec![pod_zeroed::<E>(); l.n_edges as usize];
+        blocks.read_ranges(&mut [
+            (l.dst_off, slice_as_bytes_mut(&mut dst)),
+            // zero-sized payloads occupy no bytes on disk
+            (l.data_off, slice_as_bytes_mut(&mut data)),
+        ])?;
+        let csr_idx = (l.has_csr && want != Some(ReprKind::Dcsr))
+            .then(|| expand_csr(l.n_src, &dcsr_src, &dcsr_idx));
         Ok(Self { n_src: l.n_src, dcsr_src, dcsr_idx, csr_idx, dst, data })
     }
 
@@ -415,27 +435,65 @@ impl<E: Pod + PartialEq> ChunkSeeker<E> {
 
 /// The DCSR index `(dcsr_src, dcsr_idx)` of the stored chunk `rel`, whose
 /// payloads are `edge_bytes` wide, read with positioned reads of the header
-/// and those two columns alone — a few blocks, not the file. Sources must
-/// ascend below the chunk's source count and offsets must not fall on the
-/// way to the edge count, else the chunk is `Corrupt`.
+/// and those two columns alone — a few blocks, not the file — and checked
+/// as [`IndexedChunk::load`] checks it.
 pub fn read_dcsr_index(
     disk: &NodeDisk,
     rel: &str,
     edge_bytes: usize,
 ) -> Result<(Vec<u32>, Vec<u64>)> {
-    let SeekFile { mut blocks, layout: l, .. } = SeekFile::open(disk, rel, 1, edge_bytes)?;
+    let (mut blocks, l) = open_columns(disk, rel, edge_bytes)?;
+    read_dcsr(&mut blocks, &l, rel)
+}
+
+/// Opens the stored chunk `rel` of `edge_bytes`-wide payloads for column
+/// reads, and reads and parses its header against the exact length of its
+/// logical stream.
+fn open_columns(disk: &NodeDisk, rel: &str, edge_bytes: usize) -> Result<(BlockFile, Layout)> {
+    let mut blocks = BlockFile::open(disk, rel, 0)?;
+    let mut header = [0u8; HEADER_BYTES];
+    blocks.read_ranges(&mut [(0, &mut header[..])])?;
+    let len = blocks.logical_len();
+    Ok((blocks, Layout::parse(&header, edge_bytes, len..=len)?))
+}
+
+/// Reads the DCSR index of the chunk `rel` open in `blocks` and checks it.
+fn read_dcsr(blocks: &mut BlockFile, l: &Layout, rel: &str) -> Result<(Vec<u32>, Vec<u64>)> {
     let mut src = vec![0u32; l.n_nonzero as usize];
     let mut idx = vec![0u64; l.n_nonzero as usize + 1];
-    blocks.read_at(0, slice_as_bytes_mut(&mut src), HEADER_BYTES as u64)?;
-    blocks.read_at(0, slice_as_bytes_mut(&mut idx), HEADER_BYTES as u64 + 4 * l.n_nonzero)?;
+    blocks.read_ranges(&mut [
+        (HEADER_BYTES as u64, slice_as_bytes_mut(&mut src)),
+        (HEADER_BYTES as u64 + 4 * l.n_nonzero, slice_as_bytes_mut(&mut idx)),
+    ])?;
+    check_dcsr(rel, l, &src, &idx)?;
+    Ok((src, idx))
+}
+
+/// The one check of a DCSR index read from `what`, before anything walks
+/// it: sources strictly ascending below `n_src` (or [`MergeCursor`] drops
+/// edges, and the CSR rebuild writes out of place), offsets starting at 0,
+/// never falling, ending at the edge count.
+fn check_dcsr(what: &str, l: &Layout, src: &[u32], idx: &[u64]) -> Result<()> {
     // `None < Some(_)`: no sources is in order
     if src.windows(2).any(|w| w[0] >= w[1]) || src.last() >= Some(&l.n_src) {
-        return Err(DfoError::Corrupt(format!("{rel}: DCSR sources out of order or range")));
+        return Err(DfoError::Corrupt(format!("{what}: DCSR sources out of order or range")));
     }
-    if idx.windows(2).any(|w| w[0] > w[1]) || idx[l.n_nonzero as usize] != l.n_edges {
-        return Err(DfoError::Corrupt(format!("{rel}: DCSR index does not cover all edges")));
+    if idx[0] != 0 || idx.windows(2).any(|w| w[0] > w[1]) || idx[idx.len() - 1] != l.n_edges {
+        return Err(DfoError::Corrupt(format!("{what}: DCSR index does not cover all edges")));
     }
-    Ok((src, idx))
+    Ok(())
+}
+
+/// The CSR offsets of a chunk of `n_src` sources (`n_src + 1` of them)
+/// from its checked DCSR index: a source's edges start where those of the
+/// next listed source at or after it do, and past the last, at the end.
+fn expand_csr(n_src: u32, src: &[u32], idx: &[u64]) -> Vec<u64> {
+    let mut csr = Vec::with_capacity(n_src as usize + 1);
+    for (&s, &at) in src.iter().zip(idx) {
+        csr.resize(s as usize + 1, at);
+    }
+    csr.resize(n_src as usize + 1, idx[src.len()]);
+    csr
 }
 
 /// Whether the seek mode is worth it on a chunk with a CSR index: at γ per

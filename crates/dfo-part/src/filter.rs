@@ -6,35 +6,55 @@
 //! computed in preprocessing and stored on node *i*, sorted, so filtering is
 //! a merge of two sorted streams.
 
-use dfo_storage::NodeDisk;
-use dfo_types::codec::{read_u64, write_u64};
+use dfo_storage::{FrameWriter, NodeDisk};
+use dfo_types::codec::read_u64;
 use dfo_types::{slice_as_bytes, slice_as_bytes_mut, DfoError, Result};
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 
-/// Writes a sorted filter list to `disk` at `rel`.
-pub fn write_filter_list(disk: &NodeDisk, rel: &str, sorted_srcs: &[u32]) -> Result<()> {
-    debug_assert!(sorted_srcs.windows(2).all(|w| w[0] < w[1]), "list must be sorted unique");
-    let mut w = disk.create(rel)?;
-    write_u64(&mut w, sorted_srcs.len() as u64)
-        .map_err(|e| DfoError::io("filter list header", e))?;
-    w.write_all(slice_as_bytes(sorted_srcs)).map_err(|e| DfoError::io("filter list body", e))?;
+/// Writes a sorted filter list to `disk` at `rel`: its length as a `u64`,
+/// then the sources as `u32`s. With `compress` the list is stored in a
+/// frame container, the sources as a delta-coded column, when that is
+/// smaller than the raw bytes — a list of a few sources is not.
+/// [`read_filter_list`] reads either form.
+pub fn write_filter_list(disk: &NodeDisk, rel: &str, list: &[u32], compress: bool) -> Result<()> {
+    debug_assert!(list.windows(2).all(|w| w[0] < w[1]), "list must be sorted unique");
+    let framed = compress
+        && write_list(FrameWriter::new(Vec::new(), true)?, list)?.len() < 8 + 4 * list.len();
+    write_list(disk.create_framed(rel, framed)?, list)?.finish()
+}
+
+/// The logical bytes of a filter list, through `w`.
+fn write_list<W: Write>(mut w: FrameWriter<W>, list: &[u32]) -> Result<W> {
+    let io = |e| DfoError::io("writing a filter list", e);
+    w.write_all(&(list.len() as u64).to_le_bytes()).map_err(io)?;
+    w.begin_section(4, true)?;
+    w.write_all(slice_as_bytes(list)).map_err(io)?;
     w.finish()
 }
 
-/// Reads back a filter list the plan says holds `len` sources. The file is
-/// checked, not trusted: its header and its length must both agree with
-/// `len`, and its sources must be strictly ascending, or [`FilterCursor`]
-/// would drop messages; anything else is a `Corrupt` error naming `rel`.
+/// Reads back a filter list the plan says holds `len` sources, stored raw
+/// or framed. The file is checked, not trusted: its header must agree with
+/// `len`, its logical bytes must be exactly the `8 + 4·len` that many
+/// sources take, a container's blocks and footer must check out, and its
+/// sources must be strictly ascending, or [`FilterCursor`] would drop
+/// messages; anything else is a `Corrupt` error naming `rel`.
 pub fn read_filter_list(disk: &NodeDisk, rel: &str, len: u64) -> Result<Vec<u32>> {
     let corrupt = |what: String| DfoError::Corrupt(format!("filter list {rel}: {what}"));
-    let mut r = disk.open(rel)?;
-    let n = read_u64(&mut r).map_err(|e| DfoError::io("filter list header", e))?;
-    let file_len = disk.len(rel)?;
-    if n != len || file_len != len.saturating_mul(4).saturating_add(8) {
-        return Err(corrupt(format!("{n} sources in {file_len} bytes, the plan says {len}")));
+    let failed = |e: io::Error| match e.kind() {
+        io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof => corrupt(e.to_string()),
+        _ => DfoError::io(format!("reading filter list {rel}"), e),
+    };
+    let mut r = disk.open_framed(rel)?;
+    let n = read_u64(&mut r).map_err(failed)?;
+    let bound = r.logical_bound();
+    if n != len || len.saturating_mul(4).saturating_add(8) > bound {
+        return Err(corrupt(format!("{n} sources in at most {bound} bytes, the plan says {len}")));
     }
     let mut list = vec![0u32; len as usize];
-    r.read_exact(slice_as_bytes_mut(&mut list)).map_err(|e| DfoError::io("filter list body", e))?;
+    r.read_exact(slice_as_bytes_mut(&mut list)).map_err(failed)?;
+    if r.read(&mut [0u8; 1]).map_err(failed)? != 0 {
+        return Err(corrupt(format!("bytes past its {len} sources")));
+    }
     match list.windows(2).find(|w| w[0] >= w[1]) {
         Some(w) => Err(corrupt(format!("source {} follows {}: not ascending", w[1], w[0]))),
         None => Ok(list),
@@ -85,7 +105,7 @@ mod tests {
         let td = TempDir::new().unwrap();
         let d = NodeDisk::new(td.path(), None, false).unwrap();
         let list: Vec<u32> = vec![1, 5, 9, 1000];
-        write_filter_list(&d, "filter/to_3.lst", &list).unwrap();
+        write_filter_list(&d, "filter/to_3.lst", &list, true).unwrap();
         assert_eq!(read_filter_list(&d, "filter/to_3.lst", 4).unwrap(), list);
     }
 
@@ -93,7 +113,7 @@ mod tests {
     fn empty_list_roundtrip() {
         let td = TempDir::new().unwrap();
         let d = NodeDisk::new(td.path(), None, false).unwrap();
-        write_filter_list(&d, "f.lst", &[]).unwrap();
+        write_filter_list(&d, "f.lst", &[], true).unwrap();
         assert!(read_filter_list(&d, "f.lst", 0).unwrap().is_empty());
     }
 

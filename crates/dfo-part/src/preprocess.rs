@@ -13,8 +13,9 @@
 //! All writes go through the accounted node disks, so preprocessing time in
 //! the benchmark tables reflects the same throttled I/O as iterations do.
 //! Chunks and dispatching graphs are written through the checksummed LZ4
-//! block framing when `cfg.compress_chunks` is on (the default); readers
-//! auto-detect either layout.
+//! block framing when `cfg.compress_chunks` is on (the default), and so are
+//! filter lists where that makes them smaller; readers auto-detect either
+//! layout.
 
 use crate::batching::choose_batch_size;
 use crate::csr::{IndexedChunk, CSR_INFLATE_RATIO};
@@ -141,7 +142,7 @@ pub fn preprocess<E: Pod + PartialEq>(
             let list: Vec<u32> =
                 bits.iter().enumerate().filter(|(_, &b)| b).map(|(v, _)| v as u32).collect();
             plan.node_meta[i].filter_lens[j] = list.len() as u64;
-            write_filter_list(&disks[i], &paths::filter(j), &list)?;
+            write_filter_list(&disks[i], &paths::filter(j), &list, cfg.compress_chunks)?;
         }
     }
     drop(need);

@@ -4,7 +4,7 @@
 //! anything by a header count it has not held against the stream.
 
 use dfo_part::csr::{read_dcsr_index, ChunkSeeker, IndexedChunk};
-use dfo_storage::{FrameReader, FrameWriter, NodeDisk};
+use dfo_storage::{FileClass, FrameReader, FrameWriter, NodeDisk};
 use dfo_types::{DfoError, Pod, ReprKind, Result};
 use std::io::{Cursor, Write};
 
@@ -152,4 +152,106 @@ fn a_resumed_seeker_keeps_the_blocks_and_not_the_edges() {
     assert_eq!(fetch(&mut seeker, 1_001), expect(1_001));
     assert_eq!(disk.stats().read_ops.get(), before, "a held block was fetched again");
     assert_eq!(fetch(&mut seeker, 0), expect(0));
+}
+
+/// The stored bytes of the blocks a column load of `file` — a version-2
+/// container of a chunk whose CSR section spans logical `csr` — must fetch:
+/// every block outside that section, from the directory the footer lists;
+/// and the bytes of the head, the footer and the directory it reads first.
+fn column_blocks_and_framing(file: &[u8], csr: std::ops::Range<u64>) -> (u64, u64) {
+    let word = |at: usize| u64::from_le_bytes(file[at..at + 8].try_into().unwrap());
+    let n_blocks = word(file.len() - 24) as usize;
+    let dir_at = file.len() - 24 - 16 * n_blocks;
+    let mut dir: Vec<(u64, u64)> =
+        (0..n_blocks).map(|k| (word(dir_at + 16 * k), word(dir_at + 16 * k + 8))).collect();
+    // the end trailer closes the last block
+    dir.push((word(file.len() - 16), (dir_at - 16) as u64));
+    let blocks = dir.windows(2).filter(|w| !csr.contains(&w[0].0)).map(|w| w[1].1 - w[0].1).sum();
+    (blocks, 8 + 24 + 16 * n_blocks as u64)
+}
+
+/// A full load reads the header, the DCSR index, `dst` and `data` — the
+/// blocks of a container that hold them, or exactly those bytes of a raw
+/// file — plus what it takes to find them, and never the stored CSR index,
+/// whether it keeps the DCSR index or rebuilds CSR offsets from it.
+#[test]
+fn a_full_load_reads_only_the_columns_it_decodes() {
+    let edges: Vec<(u32, u32, u32)> = (0..40_000u32)
+        .filter(|i| i % 7 != 0)
+        .map(|i| (i / 5, i.wrapping_mul(2_654_435_761) % 9_000, i % 13))
+        .collect();
+    let c = IndexedChunk::build(8_100, &edges, 32.0);
+    assert!(c.has_csr());
+    let rel = "chunks/p0_b0.chunk";
+    // the CSR section sits behind the header and the DCSR index
+    let csr_at = 32 + 4 * c.dcsr_src.len() as u64 + 8 * c.dcsr_idx.len() as u64;
+    let csr = csr_at..csr_at + 8 * (c.n_src as u64 + 1);
+    let td = tempfile::TempDir::new().unwrap();
+    let disk = NodeDisk::new(td.path(), None, false).unwrap();
+    for compress in [true, false] {
+        let mut w = disk.create_framed(rel, compress).unwrap();
+        c.write_to(&mut w).unwrap();
+        w.finish().unwrap().finish().unwrap();
+        let file = disk.read_to_vec(rel).unwrap();
+        let expect = if compress {
+            let (blocks, framing) = column_blocks_and_framing(&file, csr.clone());
+            blocks + framing
+        } else {
+            // the head a reader checks for the container magic, then the
+            // columns as they are
+            8 + file.len() as u64 - (csr.end - csr.start)
+        };
+        for want in [ReprKind::Dcsr, ReprKind::Csr] {
+            let chunk_reads = || disk.stats().class(FileClass::Chunk).read_bytes.get();
+            let before = chunk_reads();
+            let loaded = IndexedChunk::<u32>::load(&disk, rel, Some(want)).unwrap();
+            let read = chunk_reads() - before;
+            assert_eq!(loaded.csr_idx.is_some(), want == ReprKind::Csr);
+            let expected = read_back::<u32>(&file, Some(want)).unwrap();
+            assert_eq!(loaded, expected, "compress={compress} {want:?}");
+            assert_eq!(read, expect, "compress={compress} {want:?}: physical bytes");
+        }
+    }
+}
+
+/// A full load trusts no byte it reads: a flipped block, a file cut short
+/// and a directory entry that disagrees with its block are `Corrupt`, and
+/// so is a DCSR index whose sources do not ascend — which a merge over it
+/// would silently drop edges for.
+#[test]
+fn a_full_load_refuses_a_damaged_chunk_typed() {
+    let edges: Vec<(u32, u32, u32)> =
+        (0..20_000u32).map(|i| (i / 4, i.wrapping_mul(2_654_435_761) % 9_000, i % 13)).collect();
+    let c = IndexedChunk::build(5_000, &edges, 32.0);
+    let td = tempfile::TempDir::new().unwrap();
+    let disk = NodeDisk::new(td.path(), None, false).unwrap();
+    let good = c.write_to_framed(Vec::new(), true).unwrap();
+    let n_blocks = u64::from_le_bytes(good[good.len() - 24..][..8].try_into().unwrap()) as usize;
+    let dir_at = good.len() - 24 - 16 * n_blocks;
+    let mut swapped = c.clone();
+    swapped.dcsr_src.swap(1, 2);
+    let damaged = |at: usize| {
+        let mut bad = good.clone();
+        bad[at] ^= 0x10;
+        bad
+    };
+    for (what, file) in [
+        ("header block", damaged(8 + 16 + 3)),
+        ("dst block", damaged(good.len() / 2)),
+        ("cut", good[..good.len() - 100].to_vec()),
+        ("directory", damaged(dir_at + 16 * (n_blocks / 2) + 8)),
+        ("footer", damaged(good.len() - 20)),
+        ("sources", swapped.write_to_framed(Vec::new(), true).unwrap()),
+        ("raw sources", swapped.write_to_framed(Vec::new(), false).unwrap()),
+    ] {
+        std::fs::write(td.path().join("bad.bin"), file).unwrap();
+        for want in [Some(ReprKind::Dcsr), Some(ReprKind::Csr)] {
+            match IndexedChunk::<u32>::load(&disk, "bad.bin", want) {
+                // what is wrong with the index is said of the file
+                Err(DfoError::Corrupt(m)) if !what.contains("sources") || m.contains("bad.bin") => {
+                }
+                other => panic!("{what}, {want:?}: {:?}", other.map(|_| "loaded")),
+            }
+        }
+    }
 }

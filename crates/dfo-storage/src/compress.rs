@@ -63,14 +63,12 @@
 //! smaller than a block. The checksum is sliced eight bytes at a time and
 //! the LZ4 decoder copies a word at a time; neither loops per byte.
 //!
-//! Seeking: passthrough streams seek natively. Compressed streams support
-//! *forward relative* seeks only. Blocks that lie wholly inside the
-//! skipped range are stepped over *unread*: the reader takes their header,
-//! then moves the inner stream past the payload with a relative seek — no
-//! read, no checksum, no decode. Sections start blocks, so skipping a
-//! section decodes nothing; a buffered device reader still fetches whole
-//! buffers, though, which is why the engine's seek mode goes through
-//! [`BlockFile`] and not through a skipping [`FrameReader`].
+//! A [`FrameReader`] does not seek: it reads what it is asked for from
+//! the front, and the bytes a caller does not want it reads and drops.
+//! Whatever reads part of a file goes through [`BlockFile`] instead —
+//! single blocks for the engine's seek mode, whole columns for a chunk
+//! load ([`BlockFile::read_ranges`]). Sections start blocks, so a column is
+//! whole blocks, and a column nobody decodes is never fetched.
 
 use crate::disk::{NodeDisk, RandomFile};
 use dfo_types::{DfoError, Result};
@@ -91,6 +89,10 @@ pub const BLOCK_BYTES: usize = 128 << 10;
 /// in. Measured on the benchmark's graphs, 16 KiB blocks store 3 % more
 /// than 128 KiB ones and decode as fast.
 pub const SEEK_BLOCK_BYTES: usize = 16 << 10;
+/// Most stored bytes one positioned read of [`BlockFile::read_ranges`]
+/// brings in: what the sequential reader's buffer holds, so a load of whole
+/// columns needs no more memory than a front-to-back read.
+const SPAN_BYTES: u64 = 256 << 10;
 
 /// Block flag: payload is an LZ4 block of `raw_len` decoded bytes.
 const FLAG_LZ4: u32 = 1;
@@ -635,9 +637,9 @@ struct DecodeState {
     pos: usize,
     /// The end trailer has been read.
     done: bool,
-    /// Decoded bytes served or skipped so far.
+    /// Decoded bytes served so far.
     decoded_pos: u64,
-    /// Blocks read or stepped over so far, which the directory lists.
+    /// Blocks read so far, which the directory lists.
     blocks_seen: u64,
 }
 
@@ -695,14 +697,12 @@ impl DecodeState {
         Ok(())
     }
 
-    /// Decodes block `h` into the reader's own block buffer, leaving
-    /// `skip` of its bytes already consumed.
+    /// Decodes block `h` into the reader's own block buffer.
     fn buffer_block(
         &mut self,
         inner: &mut impl Read,
         charge_to: Option<&NodeDisk>,
         h: &BlockHeader,
-        skip: usize,
     ) -> io::Result<()> {
         let mut block = std::mem::take(&mut self.block);
         block.resize(h.raw_len, 0);
@@ -711,7 +711,7 @@ impl DecodeState {
         let done = self.decode_block(inner, charge_to, h, &mut block);
         self.block = block;
         done?;
-        self.pos = skip;
+        self.pos = 0;
         Ok(())
     }
 }
@@ -825,7 +825,7 @@ impl<R: Read> FrameReader<R> {
                 st.decoded_pos += h.raw_len as u64;
                 return Ok(h.raw_len);
             }
-            st.buffer_block(inner, logical_to.as_ref(), &h, 0)?;
+            st.buffer_block(inner, logical_to.as_ref(), &h)?;
         }
         let n = (st.block.len() - st.pos).min(buf.len());
         buf[..n].copy_from_slice(&st.block[st.pos..st.pos + n]);
@@ -850,68 +850,17 @@ impl<R: Read> Read for FrameReader<R> {
     }
 }
 
-impl<R: Read + Seek> Seek for FrameReader<R> {
-    /// Passthrough streams seek natively. Decode streams support *forward
-    /// relative* seeks only — all the chunk codec's section skipping needs:
-    /// the rest of the current block is dropped, every block that lies
-    /// wholly inside the skipped range is stepped over unread (header
-    /// only), and the block the target falls in is decoded.
-    fn seek(&mut self, target: SeekFrom) -> io::Result<u64> {
-        let Self { inner, mode, logical_to, .. } = self;
-        let st = match mode {
-            ReadMode::Passthrough { prefix_len, prefix_pos, .. } => {
-                // the consumer sits `remaining` bytes behind the inner stream
-                // while peeked bytes are unserved
-                let remaining = (*prefix_len - *prefix_pos) as i64;
-                *prefix_pos = *prefix_len;
-                return match target {
-                    SeekFrom::Current(n) => inner.seek(SeekFrom::Current(n - remaining)),
-                    other => inner.seek(other),
-                };
-            }
-            ReadMode::Decode(st) => st,
-        };
-        let mut left = match target {
-            SeekFrom::Current(n) if n >= 0 => n as u64,
-            _ => {
-                return Err(io::Error::new(
-                    io::ErrorKind::Unsupported,
-                    "compressed frames only seek forward from the current position",
-                ))
-            }
-        };
-        let buffered = left.min((st.block.len() - st.pos) as u64);
-        st.pos += buffered as usize;
-        st.decoded_pos += buffered;
-        left -= buffered;
-        while left > 0 {
-            let Some(h) = st.next_header(inner)? else {
-                return Err(corrupt("seek past end of compressed stream"));
-            };
-            if h.raw_len as u64 <= left {
-                // relative, so a buffered inner reader keeps its buffer
-                inner.seek_relative(h.enc_len as i64)?;
-                st.decoded_pos += h.raw_len as u64;
-                left -= h.raw_len as u64;
-            } else {
-                st.buffer_block(inner, logical_to.as_ref(), &h, left as usize)?;
-                st.decoded_pos += left;
-                left = 0;
-            }
-        }
-        Ok(st.decoded_pos)
-    }
-}
-
-/// Positioned reads of a chunk file's *logical* bytes — the access the
-/// §4.1 seek mode needs — whichever way the file is stored. A version-2
-/// container is read block by block: the directory names the block that
-/// holds an offset, one positioned read fetches it, and it is checksummed,
-/// LZ4-decoded and un-filtered like any other. A raw file is read in
-/// aligned [`SEEK_BLOCK_BYTES`] spans. Either way the caller names one of
-/// its `slots` per read — one per column it walks — and each slot keeps
-/// the last block fetched through it, so a run of neighbouring offsets
-/// costs one fetch per column, not one per read.
+/// Positioned reads of a chunk file's *logical* bytes, whichever way the
+/// file is stored: pieces of columns for the §4.1 seek mode
+/// ([`BlockFile::read_at`]), whole columns for a full load
+/// ([`BlockFile::read_ranges`]). A version-2 container is read by block:
+/// the directory names the blocks that hold an offset, positioned reads
+/// fetch them, and each is checksummed, LZ4-decoded and un-filtered like
+/// any other. For `read_at` a raw file is read in aligned
+/// [`SEEK_BLOCK_BYTES`] spans, and the caller names one of its `slots` per
+/// read — one per column it walks — each keeping the last block fetched
+/// through it, so a run of neighbouring offsets costs one fetch per
+/// column, not one per read.
 pub struct BlockFile {
     file: RandomFile,
     disk: NodeDisk,
@@ -1024,25 +973,118 @@ impl BlockFile {
                 self.payload.resize((file_end - file_at) as usize, 0);
                 self.file.read_at(&mut self.payload, file_at)?;
                 let t0 = std::time::Instant::now();
-                let (header, encoded) = self.payload.split_at(BLOCK_HEADER_BYTES);
-                let h = parse_header(header).map_err(as_corrupt)?;
-                let h = h.filter(|h| h.raw_len as u64 == end - start && h.enc_len == encoded.len());
-                let h = h.ok_or_else(|| {
-                    DfoError::Corrupt(format!("block {k} disagrees with the directory"))
-                })?;
-                bytes.resize(h.raw_len, 0);
-                if h.lz4 {
-                    unpack(&h, encoded, &mut self.filtered, &mut bytes).map_err(as_corrupt)?;
-                } else {
-                    h.check(encoded).map_err(as_corrupt)?;
-                    bytes.copy_from_slice(encoded);
-                }
+                bytes.resize((end - start) as usize, 0);
+                decode_stored(k, &self.payload, &mut self.filtered, &mut bytes)?;
                 self.disk.add_decode_nanos(t0.elapsed().as_nanos() as u64);
                 start
             }
         };
         self.disk.add_logical_read(bytes.len() as u64);
         self.slots[slot] = (start, bytes);
+        Ok(())
+    }
+
+    /// Fills every `(offset, buf)` of `ranges` — ascending, none reaching
+    /// into the next — with the logical bytes at `offset`, past the slots:
+    /// what a load of whole columns needs. A raw file serves each range with
+    /// one positioned read of exactly its bytes. A container fetches each
+    /// block the ranges touch once, a run of blocks that lie next to each
+    /// other in the file in as few positioned reads of at most 256 KiB
+    /// (`SPAN_BYTES`) as it takes, checks each block against its checksum
+    /// and the directory, and decodes it straight into the range that holds
+    /// it — through a block buffer only where a range starts or ends inside
+    /// it. Logical bytes counted are the bytes served.
+    pub fn read_ranges(&mut self, ranges: &mut [(u64, &mut [u8])]) -> Result<()> {
+        let mut served = 0;
+        for (i, (off, buf)) in ranges.iter().enumerate() {
+            let end = off.checked_add(buf.len() as u64);
+            if end.is_none_or(|end| end > self.logical_len) {
+                return Err(DfoError::Corrupt(format!(
+                    "{} bytes at {off} lie outside a {}-byte chunk stream",
+                    buf.len(),
+                    self.logical_len
+                )));
+            }
+            assert!(i == 0 || ranges[i - 1].0 + ranges[i - 1].1.len() as u64 <= *off);
+            served += buf.len() as u64;
+        }
+        let Self { file, disk, dir, payload, filtered, .. } = self;
+        let Some(dir) = dir else {
+            for (off, buf) in ranges.iter_mut().filter(|r| !r.1.is_empty()) {
+                file.read_at(buf, *off)?;
+            }
+            disk.add_logical_read(served);
+            return Ok(());
+        };
+        // the blocks the ranges touch, in file order, each once
+        let mut blocks: Vec<usize> = Vec::new();
+        for (off, buf) in ranges.iter().filter(|r| !r.1.is_empty()) {
+            let first = dir.partition_point(|e| e.0 <= *off) - 1;
+            let last = dir.partition_point(|e| e.0 < *off + buf.len() as u64) - 1;
+            let from = blocks.last().map_or(first, |&b| first.max(b + 1));
+            blocks.extend(from..=last);
+        }
+        let (mut block, mut next) = (Vec::new(), 0);
+        for run in blocks.chunk_by(|a, b| a + 1 == *b) {
+            let mut run = run;
+            while let Some(&first) = run.first() {
+                // the longest prefix of the run that fits one read (one
+                // block at least)
+                let file_at = dir[first].1;
+                let fits =
+                    run.iter().skip(1).take_while(|&&k| dir[k + 1].1 - file_at <= SPAN_BYTES);
+                let (span, rest) = run.split_at(1 + fits.count());
+                run = rest;
+                payload.resize((dir[span[span.len() - 1] + 1].1 - file_at) as usize, 0);
+                file.read_at(payload, file_at)?;
+                let t0 = std::time::Instant::now();
+                for &k in span {
+                    let ((lo, stored_at), (hi, stored_end)) = (dir[k], dir[k + 1]);
+                    let stored =
+                        &payload[(stored_at - file_at) as usize..(stored_end - file_at) as usize];
+                    // ranges wholly before this block are served
+                    while ranges[next].0 + (ranges[next].1.len() as u64) <= lo {
+                        next += 1;
+                    }
+                    let (off, buf) = &mut ranges[next];
+                    if *off <= lo && hi <= *off + buf.len() as u64 {
+                        let at = (lo - *off) as usize;
+                        decode_stored(k, stored, filtered, &mut buf[at..at + (hi - lo) as usize])?;
+                        continue;
+                    }
+                    block.resize((hi - lo) as usize, 0);
+                    decode_stored(k, stored, filtered, &mut block)?;
+                    for (off, buf) in ranges[next..].iter_mut().take_while(|r| r.0 < hi) {
+                        let (from, to) = ((*off).max(lo), (*off + buf.len() as u64).min(hi));
+                        if from < to {
+                            let dst = &mut buf[(from - *off) as usize..(to - *off) as usize];
+                            dst.copy_from_slice(&block[(from - lo) as usize..(to - lo) as usize]);
+                        }
+                    }
+                }
+                disk.add_decode_nanos(t0.elapsed().as_nanos() as u64);
+            }
+        }
+        disk.add_logical_read(served);
+        Ok(())
+    }
+}
+
+/// Checks block `k` of a container — `stored`, its header and payload as
+/// the directory places them — against its checksum and against the
+/// directory's lengths, then decodes it into `dst`, the logical bytes the
+/// directory gives it.
+fn decode_stored(k: usize, stored: &[u8], filtered: &mut Vec<u8>, dst: &mut [u8]) -> Result<()> {
+    let (header, encoded) = stored.split_at(BLOCK_HEADER_BYTES);
+    let h = parse_header(header).map_err(as_corrupt)?;
+    let h = h.filter(|h| h.raw_len == dst.len() && h.enc_len == encoded.len());
+    let h =
+        h.ok_or_else(|| DfoError::Corrupt(format!("block {k} disagrees with the directory")))?;
+    if h.lz4 {
+        unpack(&h, encoded, filtered, dst).map_err(as_corrupt)
+    } else {
+        h.check(encoded).map_err(as_corrupt)?;
+        dst.copy_from_slice(encoded);
         Ok(())
     }
 }
@@ -1220,24 +1262,6 @@ mod tests {
     }
 
     #[test]
-    fn forward_seek_in_decode_mode() {
-        let data: Vec<u8> = (0..200_000u32).map(|i| (i % 256) as u8).collect();
-        let frames = compress_frames(&data);
-        let mut r = FrameReader::new(Cursor::new(&frames)).unwrap();
-        let mut head = [0u8; 10];
-        r.read_exact(&mut head).unwrap();
-        assert_eq!(head, data[..10]);
-        r.seek(SeekFrom::Current(150_000)).unwrap();
-        let mut tail = Vec::new();
-        r.read_to_end(&mut tail).unwrap();
-        assert_eq!(tail, data[150_010..]);
-        // backward seeks are refused, not silently wrong
-        let mut r2 = FrameReader::new(Cursor::new(&frames)).unwrap();
-        assert!(r2.seek(SeekFrom::Current(-1)).is_err());
-        assert!(r2.seek(SeekFrom::Start(3)).is_err());
-    }
-
-    #[test]
     fn every_caller_buffer_size_serves_the_same_bytes_and_logical_count() {
         let td = tempfile::TempDir::new().unwrap();
         let disk = NodeDisk::new(td.path(), None, false).unwrap();
@@ -1274,101 +1298,6 @@ mod tests {
     }
 
     #[test]
-    fn forward_seek_lands_where_decode_and_discard_does() {
-        let data = mixed_payload();
-        let frames = compress_frames(&data);
-        let b = BLOCK_BYTES;
-        for pre in [0, 10, b - 1, b, b + 1] {
-            let to_end = data.len() - pre;
-            for skip in [0, 1, b - 11, b, 2 * b + 5, 3 * b, to_end - 1, to_end] {
-                let mut r = FrameReader::new(Cursor::new(&frames)).unwrap();
-                let mut head = vec![0u8; pre];
-                r.read_exact(&mut head).unwrap();
-                let at = r.seek(SeekFrom::Current(skip as i64)).unwrap();
-                assert_eq!(at, (pre + skip) as u64, "pre {pre} skip {skip}");
-                let rest = drain(&mut r, 50_000).unwrap();
-                assert!(rest == data[pre + skip..], "pre {pre} skip {skip}");
-            }
-            let mut r = FrameReader::new(Cursor::new(&frames)).unwrap();
-            assert!(r.seek(SeekFrom::Current((data.len() + 1) as i64)).is_err());
-        }
-    }
-
-    /// Counts the bytes actually read from an in-memory file.
-    struct CountingFile<'a> {
-        file: Cursor<&'a [u8]>,
-        read: u64,
-    }
-
-    impl Read for CountingFile<'_> {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            let n = self.file.read(buf)?;
-            self.read += n as u64;
-            Ok(n)
-        }
-    }
-
-    impl Seek for CountingFile<'_> {
-        fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
-            self.file.seek(pos)
-        }
-    }
-
-    #[test]
-    fn whole_blocks_inside_a_seek_are_never_read() {
-        let data = mixed_payload();
-        let mut frames = compress_frames(&data);
-        let (pre, skip) = (100, 3 * BLOCK_BYTES + 1000);
-        let read_tail = |frames: &[u8], skip_by_seek: bool| {
-            let file = CountingFile { file: Cursor::new(frames), read: 0 };
-            let mut r = FrameReader::new(file).unwrap();
-            r.read_exact(&mut vec![0u8; pre]).unwrap();
-            if skip_by_seek {
-                r.seek(SeekFrom::Current(skip as i64))?;
-            } else {
-                r.read_exact(&mut vec![0u8; skip])?;
-            }
-            let tail = drain(&mut r, 4096)?;
-            Ok::<_, io::Error>((tail, r.inner.read))
-        };
-        let (tail_read, physical_read) = read_tail(&frames, false).unwrap();
-        let (tail_seek, physical_seek) = read_tail(&frames, true).unwrap();
-        assert!(tail_read == data[pre + skip..]);
-        assert!(tail_seek == tail_read);
-        assert_eq!(physical_read, frames.len() as u64);
-        // blocks 1 and 2 lie wholly inside the seek: only their headers are read
-        let enc_len = |header_at: usize| {
-            u32::from_le_bytes(frames[header_at + 4..header_at + 8].try_into().unwrap()) as usize
-        };
-        let block1 = 8 + BLOCK_HEADER_BYTES + enc_len(8);
-        let block2 = block1 + BLOCK_HEADER_BYTES + enc_len(block1);
-        assert_eq!(physical_read - physical_seek, (enc_len(block1) + enc_len(block2)) as u64);
-        // ...so damage there goes unseen by the seek, not by the read
-        frames[block2 + BLOCK_HEADER_BYTES + 9] ^= 0x10;
-        assert!(read_tail(&frames, true).unwrap().0 == tail_read);
-        assert!(read_tail(&frames, false).unwrap_err().to_string().contains("checksum"));
-    }
-
-    #[test]
-    fn seeking_a_buffered_disk_file_reads_no_byte_twice() {
-        // the device layer reads whole 256 KiB buffers, so hopping from
-        // header to header saves physical bytes only where a skip outruns
-        // the buffered ones; what it must never do is drop and re-read them
-        let td = tempfile::TempDir::new().unwrap();
-        let disk = NodeDisk::new(td.path(), None, false).unwrap();
-        let data = mixed_payload();
-        let mut w = disk.create_framed("mixed.bin", true).unwrap();
-        w.write_all(&data).unwrap();
-        w.finish().unwrap().finish().unwrap();
-        let mut r = disk.open_framed("mixed.bin").unwrap();
-        r.read_exact(&mut [0u8; 100]).unwrap();
-        let skip = 3 * BLOCK_BYTES + 1000;
-        r.seek(SeekFrom::Current(skip as i64)).unwrap();
-        assert!(drain(&mut r, 4096).unwrap() == data[100 + skip..]);
-        assert!(disk.stats().read_bytes.get() <= disk.len("mixed.bin").unwrap());
-    }
-
-    #[test]
     fn direct_decode_still_checks_checksums_and_truncation() {
         // a caller buffer larger than any block: every block takes the
         // decode-into-the-destination path, LZ4 (first) and raw (fourth)
@@ -1391,21 +1320,6 @@ mod tests {
             let err = read_big(&frames[..cut]).unwrap_err();
             assert!(err.contains("truncated"), "cut at {cut}: {err}");
         }
-    }
-
-    #[test]
-    fn passthrough_seek_matches_plain_reader() {
-        let data: Vec<u8> = (0..9000u32).map(|i| (i % 256) as u8).collect();
-        let mut r = FrameReader::new(Cursor::new(&data)).unwrap();
-        let mut head = [0u8; 2]; // leaves two peeked bytes unserved
-        r.read_exact(&mut head).unwrap();
-        r.seek(SeekFrom::Current(98)).unwrap();
-        let mut b = [0u8; 4];
-        r.read_exact(&mut b).unwrap();
-        assert_eq!(b, data[100..104]);
-        r.seek(SeekFrom::Start(7000)).unwrap();
-        r.read_exact(&mut b).unwrap();
-        assert_eq!(b, data[7000..7004]);
     }
 
     #[test]
@@ -1584,6 +1498,48 @@ mod tests {
     }
 
     #[test]
+    fn range_reads_fetch_each_block_once_in_reads_of_at_most_a_span() {
+        let (data, sections) = typed_stream();
+        let (_td, disk) = typed_files();
+        let stats = disk.stats();
+        // the two index columns, then `dst` without its first 100 bytes and
+        // the last 7 bytes of the payloads: whole blocks and partial ones
+        let cols = [
+            (sections[0].0, sections[2].0),
+            (sections[2].0 + 100, sections[3].0),
+            (data.len() - 7, data.len()),
+        ];
+        for rel in ["framed.bin", "raw.bin"] {
+            let mut file = BlockFile::open(&disk, rel, 0).unwrap();
+            let mut bufs: Vec<Vec<u8>> = cols.iter().map(|&(a, b)| vec![0u8; b - a]).collect();
+            let mut ranges: Vec<(u64, &mut [u8])> =
+                cols.iter().zip(&mut bufs).map(|(c, b)| (c.0 as u64, &mut b[..])).collect();
+            let (read0, ops0, logical0) =
+                (stats.read_bytes.get(), stats.read_ops.get(), stats.logical_read_bytes.get());
+            file.read_ranges(&mut ranges).unwrap();
+            let (read, ops) = (stats.read_bytes.get() - read0, stats.read_ops.get() - ops0);
+            for (&(a, b), buf) in cols.iter().zip(&bufs) {
+                assert!(buf[..] == data[a..b], "{rel}: bytes {a}..{b}");
+            }
+            let served: usize = cols.iter().map(|(a, b)| b - a).sum();
+            assert_eq!(stats.logical_read_bytes.get() - logical0, served as u64, "{rel}");
+            let Some(dir) = &file.dir else {
+                assert_eq!((read, ops), (served as u64, 3), "a raw file reads exactly its ranges");
+                continue;
+            };
+            // the blocks the ranges touch, each fetched once: two runs of
+            // neighbours (the index columns and `dst` lie next to each
+            // other), each smaller than a span, so one read each
+            let touched = |k: usize| {
+                cols.iter().any(|&(a, b)| dir[k].0 < b as u64 && (a as u64) < dir[k + 1].0)
+            };
+            let stored: u64 =
+                (0..dir.len() - 1).filter(|&k| touched(k)).map(|k| dir[k + 1].1 - dir[k].1).sum();
+            assert_eq!((read, ops), (stored, 2), "only the blocks of the ranges are fetched");
+        }
+    }
+
+    #[test]
     fn damage_to_a_block_the_directory_or_the_footer_is_corrupt() {
         let (data, sections) = typed_stream();
         let (_td, disk) = typed_files();
@@ -1598,7 +1554,16 @@ mod tests {
             bad[at] ^= 0x04;
             std::fs::write(disk.root().join("bad.bin"), &bad).unwrap();
             let mut out = [0u8; 64];
-            BlockFile::open(&disk, "bad.bin", 1)?.read_at(0, &mut out, dst_at)?;
+            let seek = BlockFile::open(&disk, "bad.bin", 1)
+                .and_then(|mut file| file.read_at(0, &mut out, dst_at));
+            // a column read through the same blocks fails alike
+            let mut column = [0u8; 64];
+            let load = BlockFile::open(&disk, "bad.bin", 0)
+                .and_then(|mut file| file.read_ranges(&mut [(dst_at, &mut column[..])]));
+            assert!(matches!(load, Ok(()) | Err(DfoError::Corrupt(_))), "{load:?}");
+            assert_eq!(seek.is_ok(), load.is_ok(), "flipped byte at {at}");
+            seek?;
+            assert_eq!(column, out);
             Ok::<_, DfoError>(out)
         };
         let dst_block = {
@@ -1714,6 +1679,30 @@ mod tests {
                 }
                 let mut past = [0u8; 2];
                 assert!(file.read_at(0, &mut past, data.len() as u64 - 1).is_err());
+            }
+        }
+
+        #[test]
+        fn prop_range_reads_equal_the_slices_of_a_full_decode(
+            cuts in proptest::collection::vec(0usize..1_000_000, 0..12),
+        ) {
+            // ascending cut points pair up into ranges with gaps between
+            let (data, _) = typed_stream();
+            let (_td, disk) = typed_files();
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (data.len() + 1)).collect();
+            cuts.sort_unstable();
+            let spans: Vec<(usize, usize)> = cuts.chunks_exact(2).map(|p| (p[0], p[1])).collect();
+            for rel in ["framed.bin", "raw.bin"] {
+                let mut file = BlockFile::open(&disk, rel, 0).unwrap();
+                let mut bufs: Vec<Vec<u8>> = spans.iter().map(|&(a, b)| vec![0u8; b - a]).collect();
+                let mut ranges: Vec<(u64, &mut [u8])> =
+                    spans.iter().zip(&mut bufs).map(|(s, b)| (s.0 as u64, &mut b[..])).collect();
+                file.read_ranges(&mut ranges).unwrap();
+                for (&(a, b), buf) in spans.iter().zip(&bufs) {
+                    assert!(buf[..] == data[a..b], "{rel}: bytes {a}..{b}");
+                }
+                let past = file.read_ranges(&mut [(data.len() as u64 - 1, &mut [0u8; 2][..])]);
+                assert!(matches!(past, Err(DfoError::Corrupt(_))));
             }
         }
 

@@ -544,10 +544,6 @@ impl Seek for DiskReader {
             other => self.inner.seek(other),
         }
     }
-
-    fn seek_relative(&mut self, offset: i64) -> io::Result<()> {
-        self.inner.seek_relative(offset)
-    }
 }
 
 /// Positioned-read file handle; every call is one accounted disk operation.

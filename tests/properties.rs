@@ -6,8 +6,9 @@ use dfograph::core::Cluster;
 use dfograph::graph::{Edge, EdgeList};
 use dfograph::part::csr::{IndexedChunk, MergeCursor};
 use dfograph::part::filter::FilterCursor;
+use dfograph::storage::NodeDisk;
 use dfograph::types::ids::{find_range, split_into_batches};
-use dfograph::types::{BatchPolicy, EngineConfig, VertexRange};
+use dfograph::types::{BatchPolicy, EngineConfig, ReprKind, VertexRange};
 use proptest::prelude::*;
 
 // ---------- CSR/DCSR -------------------------------------------------------
@@ -33,21 +34,44 @@ proptest! {
         prop_assert_eq!(got, edges);
     }
 
+    // CSR seeks, the DCSR merge cursor and a full load agree: the load
+    // rebuilds from the DCSR index exactly the CSR index the chunk
+    // stored — for empty chunks and for edges of the last source too —
+    // and returns what a front-to-back read does, whatever index is
+    // wanted, compressed or raw.
     #[test]
     fn csr_and_dcsr_always_agree(
         n_src in 1u32..128,
-        raw in proptest::collection::vec((0u32..128, 0u32..64), 1..200),
+        raw in proptest::collection::vec((0u32..128, 0u32..64), 0..200),
+        at_last in 0u32..3,
+        compress in prop_oneof![Just(false), Just(true)],
     ) {
         let mut edges: Vec<(u32, u32, ())> =
             raw.into_iter().map(|(s, d)| (s % n_src, d, ())).collect();
+        edges.extend((0..at_last).map(|d| (n_src - 1, d, ())));
         edges.sort_unstable_by_key(|(s, d, _)| (*s, *d));
         let chunk = IndexedChunk::build(n_src, &edges, 1e9); // force CSR
-        prop_assert!(chunk.has_csr());
+        prop_assert_eq!(chunk.has_csr(), !edges.is_empty());
         let mut cursor = MergeCursor::new();
-        for src in 0..n_src {
+        for src in (0..n_src).filter(|_| chunk.has_csr()) {
             let a = chunk.edges_of_csr(src);
             let b = cursor.edges_of(&chunk, src);
             prop_assert_eq!(&chunk.dst[a.clone()], &chunk.dst[b.clone()], "src {}", src);
+        }
+        let td = tempfile::TempDir::new().unwrap();
+        let disk = NodeDisk::new(td.path(), None, false).unwrap();
+        let mut w = disk.create_framed("c.bin", compress).unwrap();
+        chunk.write_to(&mut w).unwrap();
+        w.finish().unwrap().finish().unwrap();
+        for want in [None, Some(ReprKind::Dcsr), Some(ReprKind::Csr)] {
+            let loaded = IndexedChunk::<()>::load(&disk, "c.bin", want).unwrap();
+            let read = IndexedChunk::read_from(&mut disk.open_framed("c.bin").unwrap(), want);
+            prop_assert_eq!(&loaded, &read.unwrap(), "{:?}", want);
+            if want == Some(ReprKind::Dcsr) {
+                prop_assert_eq!(&loaded.csr_idx, &None);
+            } else {
+                prop_assert_eq!(&loaded, &chunk, "{:?}", want);
+            }
         }
     }
 

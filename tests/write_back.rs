@@ -210,10 +210,13 @@ fn messages_and_filter_lists_within_the_pool_never_touch_the_disk() {
         ranks.push(per_rank.into_iter().flat_map(|(r, _)| r).collect::<Vec<f64>>());
         let disks = cluster.disks();
         let (spill, filter) = (traffic(disks, FileClass::Spill), traffic(disks, FileClass::Filter));
-        // Σ over ranks i and peers j of the bytes of L_ij
+        // Σ over ranks i and peers j of the stored bytes of L_ij (framed
+        // where that is smaller than its 8 + 4·|L_ij| raw bytes)
         let lists: u64 = (plan.node_meta.iter().enumerate())
-            .flat_map(|(i, m)| m.filter_lens.iter().enumerate().filter(move |&(j, _)| j != i))
-            .map(|(_, len)| 8 + 4 * len)
+            .flat_map(|(i, m)| {
+                (0..m.filter_lens.len()).filter(move |&j| j != i).map(move |j| (i, j))
+            })
+            .map(|(i, j)| disks[i].len(&dfograph::part::preprocess::paths::filter(j)).unwrap())
             .sum();
         assert_eq!(filter[1], 0);
         if mem_budget == budget {

@@ -37,7 +37,7 @@ ratchet() {
   fi
 }
 ratchet 5298 dfo-core dfo-service
-ratchet 2911 dfo-types dfo-part
+ratchet 2952 dfo-types dfo-part
 ratchet 2728 dfo-net dfo-obs
-ratchet 3684 dfo-storage
+ratchet 3663 dfo-storage
 exit $status
