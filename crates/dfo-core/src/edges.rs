@@ -54,10 +54,11 @@
 //!
 //! Seek mode (§4.1) reads stored chunks through [`ChunkSeeker`]s whose
 //! files outlive the call: the next call resumes a seeker on the open
-//! file, block directory and last block per column, so a frontier that
-//! moves along a chain re-reads neither footer nor block. The fetched
-//! edges are not kept, a call drops the files it did not use when it ends,
-//! and at most `HELD_SEEKERS` are held.
+//! file, block directory and last two blocks per column, so a frontier that
+//! moves along a chain, or replays sources on both sides of a block
+//! boundary round after round, re-reads neither footer nor block. The
+//! fetched edges are not kept, a call drops the files it did not use when
+//! it ends, and at most `HELD_SEEKERS` are held.
 //!
 //! Every message buffer is a [`SpillBuf`] on the node's memory pool (half
 //! of `mem_budget`, shared with resident vertex blocks): in memory while
@@ -85,8 +86,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Most seeker files a context holds between calls ([`NodeCtx::seekers`]):
-/// each keeps a file descriptor, its block directory and a few blocks, so
-/// their count bounds what seeking holds outside `mem_budget`.
+/// each keeps a file descriptor, its block directory and two blocks of
+/// each of its three columns, so seeking holds at most 16 × 3 × 2 blocks
+/// of ≤ 16 KiB logical bytes (1.5 MiB) plus directories outside
+/// `mem_budget`.
 const HELD_SEEKERS: usize = 16;
 /// Write buffer of a spilling message buffer; small for the per-batch
 /// dispatch segments (many are open at once).

@@ -345,8 +345,10 @@ impl MergeCursor {
 /// §4.1. Instead of streaming the whole chunk file, a queried source costs
 /// the block of the CSR index its two entries sit in plus the blocks of
 /// `dst` and `data` its edges sit in — and a [`BlockFile`] keeps the last
-/// block of each of the three, so a run of neighbouring sources pays them
-/// once. The offsets are those of the logical stream, the same whether the
+/// two blocks of each of the three, so a run of neighbouring sources pays
+/// them once, and so does a frontier that returns to a block it left (a
+/// hub whose edges end just before a `dst` block boundary, queried before
+/// its neighbours in every round). The offsets are those of the logical stream, the same whether the
 /// file is a compressed container or raw. Only meaningful when the chunk
 /// stored a CSR index.
 pub struct ChunkSeeker<E: Pod + PartialEq> {
@@ -356,7 +358,8 @@ pub struct ChunkSeeker<E: Pod + PartialEq> {
 }
 
 /// A stored chunk open for positioned reads: its [`BlockFile`] — block
-/// directory and last block per column included — and its parsed header.
+/// directory and last two blocks per column included — and its parsed
+/// header.
 /// What a [`ChunkSeeker`] keeps from one use to the next; it holds no
 /// fetched edges and no payload type, so it can be kept for any.
 pub struct SeekFile {
@@ -367,10 +370,10 @@ pub struct SeekFile {
 
 impl SeekFile {
     /// Opens the stored chunk `rel` of `edge_bytes`-wide payloads through
-    /// `slots` cached blocks, and parses its header against the exact
+    /// `columns` columns of cached blocks, and parses its header against the exact
     /// length of its logical stream.
-    fn open(disk: &NodeDisk, rel: &str, slots: usize, edge_bytes: usize) -> Result<Self> {
-        let mut blocks = BlockFile::open(disk, rel, slots)?;
+    fn open(disk: &NodeDisk, rel: &str, columns: usize, edge_bytes: usize) -> Result<Self> {
+        let mut blocks = BlockFile::open(disk, rel, columns)?;
         let mut header = [0u8; HEADER_BYTES];
         blocks.read_at(0, &mut header, 0)?;
         let len = blocks.logical_len();
@@ -379,7 +382,7 @@ impl SeekFile {
     }
 }
 
-/// [`BlockFile`] slots of the three columns a seek reads.
+/// [`BlockFile`] columns of the three a seek reads.
 const IDX_SLOT: usize = 0;
 const DST_SLOT: usize = 1;
 const DATA_SLOT: usize = 2;

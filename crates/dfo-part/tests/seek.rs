@@ -4,8 +4,9 @@
 //! anything by a header count it has not held against the stream.
 
 use dfo_part::csr::{read_dcsr_index, ChunkSeeker, IndexedChunk};
-use dfo_storage::{FileClass, FrameReader, FrameWriter, NodeDisk};
+use dfo_storage::{BlockFile, FileClass, FrameReader, FrameWriter, NodeDisk, SEEK_BLOCK_BYTES};
 use dfo_types::{DfoError, Pod, ReprKind, Result};
+use proptest::{proptest, ProptestConfig};
 use std::io::{Cursor, Write};
 
 /// The paper's Figure 1c/1d chunk: 3 edges over 4 sources, with a CSR index.
@@ -154,11 +155,10 @@ fn a_resumed_seeker_keeps_the_blocks_and_not_the_edges() {
     assert_eq!(fetch(&mut seeker, 0), expect(0));
 }
 
-/// The stored bytes of the blocks a column load of `file` — a version-2
-/// container of a chunk whose CSR section spans logical `csr` — must fetch:
-/// every block outside that section, from the directory the footer lists;
-/// and the bytes of the head, the footer and the directory it reads first.
-fn column_blocks_and_framing(file: &[u8], csr: std::ops::Range<u64>) -> (u64, u64) {
+/// The directory the footer of `file`, a version-2 container, lists:
+/// `(logical offset, file offset)` per block, then `(logical length, end
+/// trailer offset)`.
+fn directory(file: &[u8]) -> Vec<(u64, u64)> {
     let word = |at: usize| u64::from_le_bytes(file[at..at + 8].try_into().unwrap());
     let n_blocks = word(file.len() - 24) as usize;
     let dir_at = file.len() - 24 - 16 * n_blocks;
@@ -166,8 +166,134 @@ fn column_blocks_and_framing(file: &[u8], csr: std::ops::Range<u64>) -> (u64, u6
         (0..n_blocks).map(|k| (word(dir_at + 16 * k), word(dir_at + 16 * k + 8))).collect();
     // the end trailer closes the last block
     dir.push((word(file.len() - 16), (dir_at - 16) as u64));
+    dir
+}
+
+/// The stored bytes of the blocks a column load of `file` — a version-2
+/// container of a chunk whose CSR section spans logical `csr` — must fetch:
+/// every block outside that section, from the directory the footer lists;
+/// and the bytes of the head, the footer and the directory it reads first.
+fn column_blocks_and_framing(file: &[u8], csr: std::ops::Range<u64>) -> (u64, u64) {
+    let dir = directory(file);
     let blocks = dir.windows(2).filter(|w| !csr.contains(&w[0].0)).map(|w| w[1].1 - w[0].1).sum();
-    (blocks, 8 + 24 + 16 * n_blocks as u64)
+    (blocks, 8 + 24 + 16 * (dir.len() as u64 - 1))
+}
+
+/// A hub whose edges end just before a `dst` block boundary, queried before
+/// its neighbours round after round, as SSSP replays a community: each
+/// round goes back and forth between two blocks of `dst` (and of `data`),
+/// which a seeker keeping one block per column fetched again every round.
+/// Kept across resumes, each block is fetched once.
+#[test]
+fn a_seeker_revisiting_two_blocks_of_a_column_fetches_each_once() {
+    // sources 0..10 have 2 edges, the hub 10 up to a boundary, the members
+    // 11..19 five each, the other 45 sources one
+    let (n_src, hub, members) = (64u32, 10u32, 11..19u32);
+    // CSR is stored, every source has an edge: the layout's offsets
+    let dst_off = 32 + 12 * n_src as u64 + 8 + 8 * (n_src as u64 + 1);
+    let block = SEEK_BLOCK_BYTES as u64;
+    for compress in [true, false] {
+        // a container's `dst` section starts a block; a raw file is read in
+        // aligned spans of the file
+        let boundary = if compress { dst_off + block } else { dst_off.next_multiple_of(block) };
+        let hub_end = (boundary - dst_off) / 4;
+        let degree = |s: u32| match s {
+            s if s < hub => 2,
+            s if s == hub => hub_end - 2 * hub as u64,
+            s if members.contains(&s) => 5,
+            _ => 1,
+        };
+        let edges: Vec<(u32, u32, u32)> = (0..n_src)
+            .flat_map(|s| (0..degree(s)).map(move |i| (s, (s * 31 + i as u32) % 5_000, i as u32)))
+            .collect();
+        let c = IndexedChunk::build(n_src, &edges, 32.0);
+        assert!(c.has_csr() && c.edges_of_csr(hub).end as u64 == hub_end, "compress={compress}");
+        let td = tempfile::TempDir::new().unwrap();
+        let disk = NodeDisk::new(td.path(), None, false).unwrap();
+        let mut w = disk.create_framed("chunks/p0_b0.chunk", compress).unwrap();
+        c.write_to(&mut w).unwrap();
+        w.finish().unwrap().finish().unwrap();
+        let chunk_ops = || disk.stats().class(FileClass::Chunk).read_ops.get();
+        let mut seeker = ChunkSeeker::<u32>::open(&disk, "chunks/p0_b0.chunk").unwrap();
+        let mut after_first = 0;
+        for pass in 0..50 {
+            seeker = ChunkSeeker::resume(seeker.into_file());
+            for src in [hub, members.start, members.end - 1] {
+                let e = c.edges_of_csr(src);
+                let (dst, data) = seeker.edges_of(src).unwrap();
+                assert_eq!((dst, data), (&c.dst[e.clone()], &c.data[e]), "pass {pass}: {src}");
+            }
+            if pass == 0 {
+                after_first = chunk_ops();
+            }
+        }
+        assert_eq!(chunk_ops() - after_first, 0, "compress={compress}: blocks fetched again");
+    }
+}
+
+/// Fetches and stored bytes of `reads` — `(column, offset, len)` of the
+/// logical stream — through a cache that keeps one block per column and
+/// serves a read from any column's block: what a [`BlockFile`] did before
+/// it kept two. `blocks` are `(logical offset, stored bytes)`, ascending.
+fn one_block_per_column(blocks: &[(u64, u64)], reads: &[(usize, u64, u64)]) -> (u64, u64) {
+    let (mut held, mut fetches, mut bytes) = ([None; 3], 0, 0);
+    for &(column, at, len) in reads.iter().filter(|r| r.2 > 0) {
+        let first = blocks.partition_point(|b| b.0 <= at) - 1;
+        let last = blocks.partition_point(|b| b.0 < at + len) - 1;
+        for (k, block) in blocks.iter().enumerate().take(last + 1).skip(first) {
+            if !held.contains(&Some(k)) {
+                held[column] = Some(k);
+                (fetches, bytes) = (fetches + 1, bytes + block.1);
+            }
+        }
+    }
+    (fetches, bytes)
+}
+
+// Positioned reads through three columns return the bytes a full decode
+// holds, compressed and raw, and fetch no more blocks — nor bytes — than a
+// cache of one block per column would.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn prop_column_reads_equal_a_full_decode_and_fetch_no_more_than_one_block_per_column(
+        reads in proptest::collection::vec((0usize..3, 0u64..1_000_000, 0u64..40_000), 1..40),
+    ) {
+        let edges: Vec<(u32, u32, u32)> =
+            (0..30_000u32).map(|i| (i / 9, i.wrapping_mul(2_654_435_761) % 9_000, i % 13)).collect();
+        let c = IndexedChunk::build(3_400, &edges, 32.0);
+        let td = tempfile::TempDir::new().unwrap();
+        let disk = NodeDisk::new(td.path(), None, false).unwrap();
+        let stream = c.write_to_framed(Vec::new(), false).unwrap();
+        let len = stream.len() as u64;
+        let reads: Vec<(usize, u64, u64)> =
+            reads.iter().map(|&(col, at, n)| (col, at % len, n.min(len - at % len))).collect();
+        for compress in [true, false] {
+            let file = c.write_to_framed(Vec::new(), compress).unwrap();
+            std::fs::write(td.path().join("c.bin"), &file).unwrap();
+            let blocks: Vec<(u64, u64)> = if compress {
+                directory(&file).windows(2).map(|w| (w[0].0, w[1].1 - w[0].1)).collect()
+            } else {
+                let span = SEEK_BLOCK_BYTES as u64;
+                (0..len.div_ceil(span)).map(|k| (k * span, span.min(len - k * span))).collect()
+            };
+            let mut blocks_file = BlockFile::open(&disk, "c.bin", 3).unwrap();
+            let stats = disk.stats();
+            let (ops0, bytes0) = (stats.read_ops.get(), stats.read_bytes.get());
+            for &(column, at, n) in &reads {
+                let mut out = vec![0u8; n as usize];
+                blocks_file.read_at(column, &mut out, at).unwrap();
+                assert!(out[..] == stream[at as usize..(at + n) as usize], "{n} B at {at}");
+            }
+            let fetched = (stats.read_ops.get() - ops0, stats.read_bytes.get() - bytes0);
+            let (fetches, bytes) = one_block_per_column(&blocks, &reads);
+            assert!(
+                fetched.0 <= fetches && fetched.1 <= bytes,
+                "compress={compress}: {fetched:?}, one block per column {fetches} / {bytes} B"
+            );
+        }
+    }
 }
 
 /// A full load reads the header, the DCSR index, `dst` and `data` — the

@@ -66,9 +66,10 @@
 //! A [`FrameReader`] does not seek: it reads what it is asked for from
 //! the front, and the bytes a caller does not want it reads and drops.
 //! Whatever reads part of a file goes through [`BlockFile`] instead —
-//! single blocks for the engine's seek mode, whole columns for a chunk
-//! load ([`BlockFile::read_ranges`]). Sections start blocks, so a column is
-//! whole blocks, and a column nobody decodes is never fetched.
+//! single blocks for the engine's seek mode ([`BlockFile::read_at`], which
+//! keeps the last two blocks of each column it walks), whole columns for a
+//! chunk load ([`BlockFile::read_ranges`]). Sections start blocks, so a
+//! column is whole blocks, and a column nobody decodes is never fetched.
 
 use crate::disk::{NodeDisk, RandomFile};
 use dfo_types::{DfoError, Result};
@@ -857,10 +858,12 @@ impl<R: Read> Read for FrameReader<R> {
 /// the directory names the blocks that hold an offset, positioned reads
 /// fetch them, and each is checksummed, LZ4-decoded and un-filtered like
 /// any other. For `read_at` a raw file is read in aligned
-/// [`SEEK_BLOCK_BYTES`] spans, and the caller names one of its `slots` per
-/// read — one per column it walks — each keeping the last block fetched
-/// through it, so a run of neighbouring offsets costs one fetch per
-/// column, not one per read.
+/// [`SEEK_BLOCK_BYTES`] spans, and the caller names one of its `columns`
+/// per read — one per column it walks. Each column keeps the last two
+/// blocks it took (`WAYS`), so a run of neighbouring offsets costs one
+/// fetch per column, and so does a frontier that goes back and forth
+/// between two blocks of a column (a hub's edges end in one, its
+/// neighbours' start in the next).
 pub struct BlockFile {
     file: RandomFile,
     disk: NodeDisk,
@@ -868,11 +871,19 @@ pub struct BlockFile {
     /// `(logical_len, offset of the end trailer)`; `None` for a raw file.
     dir: Option<Vec<(u64, u64)>>,
     logical_len: u64,
-    /// Per slot: logical offset and bytes of the last block fetched.
-    slots: Vec<(u64, Vec<u8>)>,
+    /// Per column, most recent first: logical offset and bytes of a block.
+    columns: Vec<[(u64, Vec<u8>); WAYS]>,
     payload: Vec<u8>,
     filtered: Vec<u8>,
 }
+
+/// Blocks each column of a [`BlockFile`] keeps for [`BlockFile::read_at`].
+/// A column's most recent block is the one a cache of a single block per
+/// column would hold, so a seek never fetches a block that cache would
+/// have kept. Two are what a hub and its neighbours on either side of a
+/// block boundary need; more kept no further fetch on the benchmark's
+/// graphs.
+const WAYS: usize = 2;
 
 fn as_corrupt(e: io::Error) -> DfoError {
     DfoError::Corrupt(e.to_string())
@@ -891,9 +902,9 @@ fn check_version(version: u32, what: &str) -> Result<()> {
 }
 
 impl BlockFile {
-    /// Opens `rel` read-only for positioned reads through `slots` cached
-    /// blocks.
-    pub fn open(disk: &NodeDisk, rel: &str, slots: usize) -> Result<Self> {
+    /// Opens `rel` read-only for positioned reads through `columns` columns
+    /// of two cached blocks each.
+    pub fn open(disk: &NodeDisk, rel: &str, columns: usize) -> Result<Self> {
         let mut file = disk.open_random(rel)?;
         file.count_logical = false;
         let file_len = file.len()?;
@@ -912,7 +923,7 @@ impl BlockFile {
             file,
             disk: disk.clone(),
             dir,
-            slots: vec![(0, Vec::new()); slots],
+            columns: vec![Default::default(); columns],
             payload: Vec::new(),
             filtered: Vec::new(),
         })
@@ -923,8 +934,8 @@ impl BlockFile {
         self.logical_len
     }
 
-    /// Fills `buf` with the logical bytes at `off`, through `slot`.
-    pub fn read_at(&mut self, slot: usize, mut buf: &mut [u8], mut off: u64) -> Result<()> {
+    /// Fills `buf` with the logical bytes at `off`, through `column`.
+    pub fn read_at(&mut self, column: usize, mut buf: &mut [u8], mut off: u64) -> Result<()> {
         if off.checked_add(buf.len() as u64).is_none_or(|end| end > self.logical_len) {
             return Err(DfoError::Corrupt(format!(
                 "{} bytes at {off} lie outside a {}-byte chunk stream",
@@ -933,19 +944,35 @@ impl BlockFile {
             )));
         }
         while !buf.is_empty() {
-            // any slot's block will do (the columns of a small raw file
-            // share a span); a miss replaces the caller's own
+            // any column's block will do (the columns of a small raw file
+            // share a span). A hit on a column's most recent block changes
+            // nothing; one on an older block makes it the caller's most
+            // recent, and a miss replaces the caller's least recent — so a
+            // column's most recent block is always the one a cache of one
+            // block per column would hold
             let holds = |(start, bytes): &(u64, Vec<u8>)| {
                 *start <= off && off < *start + bytes.len() as u64
             };
-            let slot = match self.slots.iter().position(holds) {
+            let mut held = self.columns.iter().enumerate();
+            let found = held.find_map(|(c, ways)| Some((c, ways.iter().position(holds)?)));
+            let (mut c, mut way) = match found {
                 Some(hit) => hit,
                 None => {
-                    self.fetch(slot, off)?;
-                    slot
+                    self.fetch(column, off)?;
+                    (column, WAYS - 1)
                 }
             };
-            let (start, bytes) = &self.slots[slot];
+            if way > 0 {
+                if c != column {
+                    // the caller's least recent block takes its place
+                    let taken = std::mem::take(&mut self.columns[c][way]);
+                    self.columns[c][way] =
+                        std::mem::replace(&mut self.columns[column][WAYS - 1], taken);
+                    (c, way) = (column, WAYS - 1);
+                }
+                self.columns[c][..=way].rotate_right(1);
+            }
+            let (start, bytes) = &self.columns[c][0];
             let at = (off - start) as usize;
             let (head, rest) = buf.split_at_mut((bytes.len() - at).min(buf.len()));
             head.copy_from_slice(&bytes[at..at + head.len()]);
@@ -955,10 +982,11 @@ impl BlockFile {
         Ok(())
     }
 
-    /// Makes the block holding logical offset `off` (inside the stream)
-    /// the one `slot` caches; a failed fetch leaves the slot empty.
-    fn fetch(&mut self, slot: usize, off: u64) -> Result<()> {
-        let mut bytes = std::mem::take(&mut self.slots[slot].1);
+    /// Puts the block holding logical offset `off` (inside the stream) in
+    /// place of `column`'s least recent block; a failed fetch leaves that
+    /// way empty.
+    fn fetch(&mut self, column: usize, off: u64) -> Result<()> {
+        let mut bytes = std::mem::take(&mut self.columns[column][WAYS - 1].1);
         let start = match &self.dir {
             None => {
                 let span = SEEK_BLOCK_BYTES as u64;
@@ -980,20 +1008,20 @@ impl BlockFile {
             }
         };
         self.disk.add_logical_read(bytes.len() as u64);
-        self.slots[slot] = (start, bytes);
+        self.columns[column][WAYS - 1] = (start, bytes);
         Ok(())
     }
 
-    /// Fills every `(offset, buf)` of `ranges` — ascending, none reaching
-    /// into the next — with the logical bytes at `offset`, past the slots:
+    /// Fills every `(offset, buf)` of `ranges` — ascending, none reaching into
+    /// the next — with the logical bytes at `offset`, past the cached blocks:
     /// what a load of whole columns needs. A raw file serves each range with
-    /// one positioned read of exactly its bytes. A container fetches each
-    /// block the ranges touch once, a run of blocks that lie next to each
-    /// other in the file in as few positioned reads of at most 256 KiB
-    /// (`SPAN_BYTES`) as it takes, checks each block against its checksum
-    /// and the directory, and decodes it straight into the range that holds
-    /// it — through a block buffer only where a range starts or ends inside
-    /// it. Logical bytes counted are the bytes served.
+    /// one positioned read of exactly its bytes. A container fetches each block
+    /// the ranges touch once, a run of blocks that lie next to each other in
+    /// the file in as few positioned reads of at most 256 KiB (`SPAN_BYTES`) as
+    /// it takes, checks each block against its checksum and the directory, and
+    /// decodes it straight into the range that holds it — through a block
+    /// buffer only where a range starts or ends inside it. Logical bytes
+    /// counted are the bytes served.
     pub fn read_ranges(&mut self, ranges: &mut [(u64, &mut [u8])]) -> Result<()> {
         let mut served = 0;
         for (i, (off, buf)) in ranges.iter().enumerate() {

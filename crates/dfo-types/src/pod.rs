@@ -24,9 +24,21 @@ use std::any::TypeId;
 /// corrupt or hostile byte can be anything. [`pod_from_bytes`] and
 /// [`vec_from_bytes`] therefore decode a `bool` as `byte != 0` rather than
 /// by copying the byte. A composite (`[bool; N]`, a tuple) holding a `bool`
-/// or padding is still copied, so it must only be decoded from bytes it
-/// serialized to.
-pub unsafe trait Pod: Copy + Send + Sync + 'static {}
+/// is still copied, so it must only be decoded from bytes it serialized to.
+///
+/// A tuple is `Pod` only when its fields fill it: `(u32, f64)` has four
+/// padding bytes, which a byte view would read uninitialised. The check
+/// is [`Pod::NO_PADDING`], evaluated wherever a value's bytes are viewed,
+/// so viewing a padded tuple fails to compile:
+///
+/// ```compile_fail,E0080
+/// dfo_types::bytes_of(&(1u32, 2.0f64));
+/// ```
+pub unsafe trait Pod: Copy + Send + Sync + 'static {
+    /// Evaluates to `()` for a type without padding bytes and fails to
+    /// compile for one with them (a tuple whose fields do not fill it).
+    const NO_PADDING: () = ();
+}
 
 unsafe impl Pod for u8 {}
 unsafe impl Pod for u16 {}
@@ -41,12 +53,22 @@ unsafe impl Pod for f32 {}
 unsafe impl Pod for f64 {}
 unsafe impl Pod for bool {}
 unsafe impl Pod for () {}
-unsafe impl<T: Pod, const N: usize> Pod for [T; N] {}
-unsafe impl<A: Pod, B: Pod> Pod for (A, B) {}
+unsafe impl<T: Pod, const N: usize> Pod for [T; N] {
+    const NO_PADDING: () = T::NO_PADDING;
+}
+unsafe impl<A: Pod, B: Pod> Pod for (A, B) {
+    const NO_PADDING: () = {
+        let () = A::NO_PADDING;
+        let () = B::NO_PADDING;
+        let (a, b) = (std::mem::size_of::<A>(), std::mem::size_of::<B>());
+        assert!(std::mem::size_of::<(A, B)>() == a + b, "a tuple with padding is not Pod");
+    };
+}
 
 /// Views a value as its raw bytes.
 #[inline]
 pub fn bytes_of<T: Pod>(v: &T) -> &[u8] {
+    let () = T::NO_PADDING;
     // SAFETY: `T: Pod` guarantees the representation is a plain byte block.
     unsafe { std::slice::from_raw_parts(v as *const T as *const u8, std::mem::size_of::<T>()) }
 }
@@ -57,6 +79,7 @@ pub fn bytes_of<T: Pod>(v: &T) -> &[u8] {
 /// Uses an unaligned read so byte buffers need no particular alignment.
 #[inline]
 pub fn pod_from_bytes<T: Pod>(b: &[u8]) -> T {
+    let () = T::NO_PADDING;
     assert!(
         b.len() >= std::mem::size_of::<T>(),
         "buffer too short for {}: {} < {}",
@@ -75,6 +98,7 @@ pub fn pod_from_bytes<T: Pod>(b: &[u8]) -> T {
 /// Views a slice of Pod values as raw bytes (zero copy).
 #[inline]
 pub fn slice_as_bytes<T: Pod>(s: &[T]) -> &[u8] {
+    let () = T::NO_PADDING;
     let len = std::mem::size_of_val(s);
     // SAFETY: same representation argument as `bytes_of`.
     unsafe { std::slice::from_raw_parts(s.as_ptr() as *const u8, len) }
@@ -85,6 +109,7 @@ pub fn slice_as_bytes<T: Pod>(s: &[T]) -> &[u8] {
 /// written must be bytes a valid `T` serialized to (the [`Pod`] contract).
 #[inline]
 pub fn slice_as_bytes_mut<T: Pod>(s: &mut [T]) -> &mut [u8] {
+    let () = T::NO_PADDING;
     let len = std::mem::size_of_val(s);
     // SAFETY: same representation argument as `bytes_of`; the exclusive
     // borrow of `s` carries over to the returned view.
@@ -94,6 +119,7 @@ pub fn slice_as_bytes_mut<T: Pod>(s: &mut [T]) -> &mut [u8] {
 /// Copies a byte buffer produced by [`slice_as_bytes`] back into an owned,
 /// properly aligned `Vec<T>`; each `bool` is `byte != 0`.
 pub fn vec_from_bytes<T: Pod>(b: &[u8]) -> Vec<T> {
+    let () = T::NO_PADDING;
     let size = std::mem::size_of::<T>();
     if size == 0 {
         return Vec::new();
@@ -165,6 +191,18 @@ mod tests {
         assert_eq!(pod_from_bytes::<[f32; 4]>(bytes_of(&v)), v);
         let t: (u32, f32) = (7, 2.5);
         assert_eq!(pod_from_bytes::<(u32, f32)>(bytes_of(&t)), t);
+    }
+
+    #[test]
+    fn tuples_whose_fields_fill_them_round_trip() {
+        let t: (u64, f64) = (u64::MAX - 3, -0.25);
+        assert_eq!(pod_from_bytes::<(u64, f64)>(bytes_of(&t)), t);
+        let pairs: Vec<[(u32, u32); 2]> = vec![[(1, 2), (3, 4)], [(5, 6), (7, u32::MAX)]];
+        assert_eq!(slice_as_bytes(&pairs).len(), 32);
+        assert_eq!(vec_from_bytes::<[(u32, u32); 2]>(slice_as_bytes(&pairs)), pairs);
+        let mut filled = vec![(0u32, 0f32); 2];
+        slice_as_bytes_mut(&mut filled).copy_from_slice(slice_as_bytes(&[(7u32, 2.5f32); 2]));
+        assert_eq!(filled, [(7, 2.5); 2]);
     }
 
     #[test]
