@@ -25,21 +25,25 @@
 //!
 //! On the wire a frame is raw records or a coded frame — ids as a bitmap
 //! or plain, payloads as a packed column — whichever is smaller
-//! ([`crate::messages`]). One codec per sender thread codes them, with one
-//! LZ4 match table; one per incoming stream decodes every frame into the
-//! same record buffer, so dispatching, spilling and phase 4 see records
-//! only, and a peer's frame that does not decode fails the call with a
-//! `Corrupt` error naming the peer, whatever the strategy — drained
-//! streams are decoded too. The context keeps the codecs from call to
-//! call, so only a job's first call allocates their buffers.
+//! ([`crate::messages`]). A stream to a peer is its frames and nothing
+//! else: the first starts with the 8-byte bound on the stream's records
+//! that the receiver picks its strategy by, the last is final, and a peer
+//! that gets no record gets one empty final frame (16 bytes on the wire).
+//! One codec per sender thread codes the frames, with one LZ4 match table;
+//! one per incoming stream decodes every frame into the same record
+//! buffer, so dispatching, spilling and phase 4 see records only, and a
+//! peer's frame that does not decode fails the call with a `Corrupt` error
+//! naming the peer, whatever the strategy — drained streams are decoded
+//! too. The context keeps the codecs from call to call, so only a job's
+//! first call allocates their buffers.
 //!
 //! A round whose messages fit one frame (`|M_i| × record ≤ FRAME_BYTES`,
 //! so at most one frame per peer) has nothing to overlap when the
 //! transport buffers such a stream whole ([`dfo_net::Endpoint::buffers_whole`]:
 //! the channel backend does, TCP — whose per-peer buffers every job on the
 //! connection shares — does not). Then the calling thread sends to every
-//! peer, dispatches its own messages, then receives: header, frame and end
-//! marker wait in the per-pair channel without the receiver taking part,
+//! peer, dispatches its own messages, then receives: each stream's one
+//! frame waits in the per-pair channel without the receiver taking part,
 //! so this cannot deadlock, and a sparse round spawns no thread. Each rank
 //! decides for itself, per call.
 //!
@@ -421,8 +425,11 @@ impl NodeCtx {
 
     /// Phase 2 to one peer: stream the node's generated messages, filtered
     /// against `list` (`L_{rank,j}`) unless the §4.3 skip rule fired, each
-    /// frame in its wire form. Returns the spilled bytes it read and the
-    /// messages it sent.
+    /// frame in its wire form. The first frame starts with an upper bound on
+    /// the records of the stream, so the receiver can pick its dispatch
+    /// strategy before it decodes any; the last is final. A peer the filter
+    /// leaves no record gets one empty final frame and no bound. Returns the
+    /// spilled bytes it read and the messages it sent.
     fn send_to(
         &self,
         j: Rank,
@@ -432,14 +439,16 @@ impl NodeCtx {
         msgs: &CallMsgs,
         enc: &mut FrameCodec,
     ) -> Result<(u64, u64)> {
-        // header frame: an upper bound on the records to follow, so the
-        // receiver can pick its dispatch strategy before data arrives
         let bound = list.map_or(m_total, |l| (l.len() as u64).min(m_total));
-        self.net.send(j, seq, Bytes::copy_from_slice(&bound.to_le_bytes()), false)?;
-
         let rec = msgs.rec;
         let mut fb = FrameBuilder::new(FRAME_BYTES, rec);
-        let mut emit = |frame: &[u8]| self.net.send(j, seq, enc.encode(frame), false);
+        // one frame, in its wire form, is held back so the last goes out final
+        let mut held: Option<Bytes> = None;
+        let mut emit = |frame: &[u8]| {
+            let head = if held.is_none() { &bound.to_le_bytes()[..] } else { &[] };
+            let prev = held.replace(enc.encode(head, frame));
+            prev.map_or(Ok(()), |prev| self.net.send(j, seq, prev, false))
+        };
         let mut sent = 0u64;
         let mut read_bytes = 0;
         let mut cursor = list.map(FilterCursor::new);
@@ -461,7 +470,7 @@ impl NodeCtx {
         if let Some(tail) = fb.finish() {
             emit(tail)?;
         }
-        self.net.finish_stream(j, seq)?;
+        self.net.send(j, seq, held.unwrap_or_default(), true)?;
         Ok((read_bytes, sent))
     }
 
@@ -494,21 +503,29 @@ impl NodeCtx {
     }
 
     /// Phase 3 for one remote stream. The peer's stream is checked, not
-    /// trusted: a header that is not one `u64` or a frame that does not
-    /// decode to whole records of its partition is a `Corrupt` error naming
-    /// the peer. Every frame, coded or raw, is decoded into one record
-    /// buffer of the stream, so the strategies below see records only.
+    /// trusted: a first frame too short for its bound, a bound with no frame
+    /// behind it, or a frame that does not decode to whole records of its
+    /// partition is a `Corrupt` error naming the peer. A stream that is one
+    /// empty final frame has no record and no bound: its bound is 0. Every
+    /// frame, coded or raw, is decoded into one record buffer of the
+    /// stream, so the strategies below see records only.
     fn recv_dispatch(&self, p: Rank, seq: u64, msgs: &CallMsgs) -> Result<()> {
         let mut stream = self.net.recv_stream(p, seq);
         let corrupt = |what: String| DfoError::Corrupt(format!("stream from rank {p}: {what}"));
-        let header = stream.next_chunk()?.ok_or_else(|| corrupt("no header".into()))?;
-        let bound = <[u8; 8]>::try_from(&header[..])
-            .map(u64::from_le_bytes)
-            .map_err(|_| corrupt(format!("{}-byte header", header.len())))?;
+        let first = stream.next_chunk()?;
+        let bound = match first.as_ref().map(|c| c.first_chunk().ok_or(c.len())) {
+            None => 0,
+            Some(Ok(head)) => u64::from_le_bytes(*head),
+            Some(Err(n)) => return Err(corrupt(format!("{n}-byte first frame"))),
+        };
+        // the rest of the first frame is the stream's first message frame
+        let mut first = first.map(|c| c.slice(8..));
         let rec = msgs.rec;
         let mut dec = self.take_codec(rec, self.plan.partitions[p].len());
         let mut for_each_frame = |f: &mut dyn FnMut(&[u8]) -> Result<()>| {
-            while let Some(frame) = stream.next_chunk()? {
+            while let Some(frame) =
+                first.take().map_or_else(|| stream.next_chunk(), |c| Ok(Some(c)))?
+            {
                 f(dec.decode(&frame).map_err(corrupt)?)?;
             }
             Ok(())
@@ -551,12 +568,9 @@ impl NodeCtx {
     /// soon as it has pulled), which this engine's phase barrier before
     /// processing cannot exploit.
     fn choose_strategy(&self, dinfo: Option<&ChunkInfo>, p: Rank, bound: u64) -> Strategy {
-        let Some(dinfo) = dinfo else {
+        let Some(dinfo) = dinfo.filter(|_| bound > 0) else {
             return Strategy::Drain;
         };
-        if bound == 0 {
-            return Strategy::Drain;
-        }
         if let Some(kind) = self.cfg.dispatch_override {
             return match kind {
                 DispatchKind::Push => Strategy::Push,

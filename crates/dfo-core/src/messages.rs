@@ -145,10 +145,11 @@ impl FrameCodec {
         Self { rec, n_src, ..self }
     }
 
-    /// The wire form of the raw frame `raw` (whole records, at least one):
-    /// coded when strictly smaller, else `raw` itself.
-    pub fn encode(&mut self, raw: &[u8]) -> Bytes {
-        Bytes::copy_from_slice(if self.code(raw) { &self.out } else { raw })
+    /// `head` followed by the wire form of the raw frame `raw` (whole
+    /// records, at least one): coded when strictly smaller, else `raw`
+    /// itself.
+    pub fn encode(&mut self, head: &[u8], raw: &[u8]) -> Bytes {
+        Bytes::from([head, if self.code(raw) { &self.out } else { raw }].concat())
     }
 
     /// Codes `raw` into `self.out`; `false` when that would not be smaller.

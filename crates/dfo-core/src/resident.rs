@@ -293,11 +293,12 @@ impl ResidentMesh {
     }
 
     /// Sends one control-plane message to `dst` as a complete stream on the
-    /// reserved control tag. Concurrent control senders must serialize
-    /// whole messages per peer (a message spans several frames and the
-    /// demux queue is FIFO per (peer, tag)) and keep the outstanding
-    /// control-frame count within the demux head-of-line budget
-    /// ([`dfo_net::DEMUX_QUEUE_DEPTH`]) — the daemon does both.
+    /// reserved control tag: one final frame, unless it is longer than
+    /// [`dfo_net::endpoint::STREAM_CHUNK`]. Concurrent control senders must
+    /// serialize whole messages per peer (a long message spans several
+    /// frames and the demux queue is FIFO per (peer, tag)) and keep the
+    /// outstanding control-frame count within the demux head-of-line
+    /// budget ([`dfo_net::DEMUX_QUEUE_DEPTH`]) — the daemon does both.
     pub fn ctrl_send(&self, dst: Rank, payload: Vec<u8>) -> Result<()> {
         self.ep.send_stream(dst, CTRL_TAG_BIT, Bytes::from(payload))
     }

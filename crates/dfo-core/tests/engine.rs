@@ -712,34 +712,38 @@ fn seekers_are_held_across_sparse_calls_and_released_by_a_dense_one() {
 /// A peer's stream framing is checked, not trusted: rank 1 hand-sends a
 /// malformed stream on the tag of rank 0's first `ProcessEdges` call, and
 /// that call fails with a `Corrupt` error naming the peer — in release
-/// builds too, and whatever dispatch strategy the stream gets.
+/// builds too, and whatever dispatch strategy the stream gets. A stream is
+/// its frames: the first starts with the 8-byte bound, the last is final.
 #[test]
 fn malformed_peer_streams_are_corrupt_errors() {
     let g = rmat(GenConfig::new(8, 4, 3));
-    // a 3-byte header; a valid header followed by a 5-byte frame, which is
-    // no whole number of 12-byte (u32 source, u64 message) records
-    let header = 1u64.to_le_bytes().to_vec();
+    let bound = |b: u64| b.to_le_bytes().to_vec();
+    // a 3-byte first frame; a bound followed by a 5-byte frame, which is no
+    // whole number of 12-byte (u32 source, u64 message) records; a bare
+    // bound, alone or followed by an empty final frame
     let bad_frame = "5-byte frame of 12-byte records";
     let cases = [
-        (vec![vec![0u8; 3]], None, "3-byte header"),
-        (vec![header.clone(), vec![0; 5]], None, bad_frame),
+        (vec![vec![0u8; 3]], None, "3-byte first frame"),
+        (vec![[bound(1), vec![0; 5]].concat()], None, bad_frame),
+        (vec![bound(1)], None, "empty frame"),
+        (vec![bound(1), vec![]], None, "empty frame"),
     ];
-    let dispatch = [Some(DispatchKind::Push), Some(DispatchKind::None)]
-        .map(|kind| (vec![header.clone(), vec![0; 5]], kind, bad_frame));
+    // the 5-byte frame under push, no dispatch and drain (a bound of 0)
+    let strategies = [(1u64, Some(DispatchKind::Push)), (1, Some(DispatchKind::None)), (0, None)];
+    let dispatch =
+        strategies.map(|(b, kind)| (vec![[bound(b), vec![0; 5]].concat()], kind, bad_frame));
     // coded frames (bit 31 of the first word set): a count past the 21 845
     // records of a frame; a bitmap of two ids for a count of three; plain
     // ids 0 and 1 whose payload column starts with an LZ4-flagged plane of
-    // garbage — each under push, no dispatch and drain (a bound of 0)
+    // garbage — each under push, no dispatch and drain
     let le = |words: &[u32]| words.iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<u8>>();
     let coded = [
         ([le(&[1 << 31 | 21_846]), vec![0; 64]].concat(), "21846 records"),
         ([le(&[1 << 31 | 1 << 30 | 3, 0, 8]), vec![0b11], vec![0; 24]].concat(), "bitmap"),
         ([le(&[1 << 31 | 2, 0, 1, 1 << 31 | 8]), vec![0xff; 8]].concat(), "packed column"),
     ];
-    let strategies = [(1u64, Some(DispatchKind::Push)), (1, Some(DispatchKind::None)), (0, None)];
     let coded = coded.iter().flat_map(|(frame, want)| {
-        strategies
-            .map(|(bound, kind)| (vec![bound.to_le_bytes().to_vec(), frame.clone()], kind, *want))
+        strategies.map(|(b, kind)| (vec![[bound(b), frame.clone()].concat()], kind, *want))
     });
     for (frames, kind, want) in cases.into_iter().chain(dispatch).chain(coded) {
         let mut cfg = EngineConfig::for_test(2);
@@ -749,10 +753,10 @@ fn malformed_peer_streams_are_corrupt_errors() {
         cluster.preprocess(&g).unwrap();
         let res = cluster.run(|ctx| {
             if ctx.rank() == 1 {
-                for f in &frames {
-                    ctx.net().send(0, 0, bytes::Bytes::copy_from_slice(f), false)?;
+                for (i, f) in frames.iter().enumerate() {
+                    let last = i + 1 == frames.len();
+                    ctx.net().send(0, 0, bytes::Bytes::copy_from_slice(f), last)?;
                 }
-                ctx.net().finish_stream(0, 0)?;
                 // drain rank 0's stream, so it never sends to a closed peer
                 ctx.net().recv_all(0, 0)?;
                 return Ok(());
@@ -897,16 +901,47 @@ fn a_chunk_with_swapped_sources_fails_the_job_naming_the_file() {
 }
 
 /// What the last `ProcessEdges` call of `ctx` would have sent with every
-/// frame raw: per peer the 8-byte header frame and the end marker, then 16
-/// bytes of framing per data frame and `rec` bytes per message sent. Data
-/// frames are counted as one per peer plus one per full frame of the
-/// call's messages — exact whenever every peer gets fewer than a frame's
-/// worth and some, an upper bound otherwise.
+/// frame raw: 16 bytes for a peer that gets nothing — one empty final
+/// frame — else the 8-byte bound, 16 bytes of framing per frame and `rec`
+/// bytes per message sent. Frames are counted as one per peer plus one per
+/// full frame of the call's messages — exact whenever every peer gets no
+/// message, or fewer than a frame's worth and some; an upper bound
+/// otherwise.
 fn raw_pass_bytes(ctx: &dfo_core::NodeCtx, rec: u64) -> u64 {
     let (s, peers) = (ctx.last_phase_stats(), ctx.nodes() as u64 - 1);
+    if s.messages_sent == 0 {
+        return 16 * peers;
+    }
     let cap = dfo_core::messages::FRAME_BYTES as u64 / rec;
-    let frames = if s.messages_sent == 0 { 0 } else { peers + s.messages_sent / cap };
-    peers * (16 + 8 + 16) + 16 * frames + rec * s.messages_sent
+    let frames = peers + s.messages_sent / cap;
+    8 * peers + 16 * frames + rec * s.messages_sent
+}
+
+/// A stream is its frames: a `ProcessEdges` call that sends its peers no
+/// record costs each of them exactly one frame of `FRAME_HEADER_BYTES` —
+/// no frame opens or closes a stream.
+#[test]
+fn a_call_that_sends_no_record_costs_one_frame_per_peer() {
+    use dfo_net::FRAME_HEADER_BYTES;
+    for nodes in [2, 3] {
+        let td = TempDir::new().unwrap();
+        let cluster = Cluster::create(EngineConfig::for_test(nodes), td.path()).unwrap();
+        cluster.preprocess(&rmat(GenConfig::new(8, 4, 3))).unwrap();
+        let out = cluster
+            .run(|ctx| {
+                ctx.vertex_array::<u64>("acc")?;
+                let frames0 = ctx.net().stats().sent_frames.get();
+                let signal = |_, _: &mut dfo_core::BatchCtx| None::<u64>;
+                ctx.process_edges(&[], &["acc"], None, signal, |_m: u64, _, _, _: &(), _| 0u64)?;
+                let frames = ctx.net().stats().sent_frames.get() - frames0;
+                Ok((frames, ctx.last_phase_stats().pass_net_sent))
+            })
+            .unwrap();
+        let peers = nodes as u64 - 1;
+        for (rank, got) in out.into_iter().enumerate() {
+            assert_eq!(got, (peers, peers * FRAME_HEADER_BYTES), "rank {rank} of {nodes}");
+        }
+    }
 }
 
 /// Per `ProcessEdges` call of one rank: the bytes it passed and the raw

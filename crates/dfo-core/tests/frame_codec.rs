@@ -56,7 +56,7 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let raw = raw_frame(&ids, w, kind, seed);
-        let wire = FrameCodec::new(4 + w, N_SRC).encode(&raw);
+        let wire = FrameCodec::new(4 + w, N_SRC).encode(&[], &raw);
         prop_assert!(wire.len() <= raw.len(), "{} > {} bytes", wire.len(), raw.len());
         prop_assert_eq!(decode(w, &wire), Ok(raw));
     }
@@ -85,7 +85,7 @@ proptest! {
         extra in vec((0u16..256).prop_map(|b| b as u8), 1..9),
     ) {
         let raw = raw_frame(&ids, w, kind, 3);
-        let wire = FrameCodec::new(4 + w, N_SRC).encode(&raw);
+        let wire = FrameCodec::new(4 + w, N_SRC).encode(&[], &raw);
         prop_assert!(wire.len() < raw.len(), "these frames code");
         for cut in 0..wire.len() {
             prop_assert!(decode(w, &wire[..cut]).is_err(), "cut at {cut} of {}", wire.len());
@@ -111,7 +111,7 @@ proptest! {
 fn a_dense_frame_of_small_numbers_codes_to_a_fraction() {
     let ids: BTreeSet<u32> = (100..20_100).collect();
     let raw = raw_frame(&ids, 8, 1, 5);
-    let wire = FrameCodec::new(12, N_SRC).encode(&raw);
+    let wire = FrameCodec::new(12, N_SRC).encode(&[], &raw);
     assert!(wire.len() * 8 < raw.len(), "{} of {} bytes", wire.len(), raw.len());
     assert_eq!(decode(8, &wire), Ok(raw));
 }

@@ -166,6 +166,41 @@ fn overlapping_jobs_with_swapped_small_and_large_ranks_both_exchange() {
     waited.expect("the overlapping exchanges deadlocked (or a rank failed)");
 }
 
+/// A stream is its frames over TCP too: a `ProcessEdges` call that sends
+/// the peer no record costs it exactly one frame of `FRAME_HEADER_BYTES`,
+/// counted by the mesh's endpoint like any other.
+#[test]
+fn a_call_that_sends_no_record_costs_one_frame_over_tcp() {
+    use dfo_net::FRAME_HEADER_BYTES;
+    let td = TempDir::new().unwrap();
+    let mut cfg = EngineConfig::for_test(2);
+    cfg.peers = Some(free_addrs(2));
+    cfg.connect_timeout_secs = 30;
+    let cluster = Cluster::create(cfg.clone(), td.path()).unwrap();
+    cluster.preprocess(&uniform(64, 200, 5)).unwrap();
+    let empty_call = |ctx: &mut dfo_core::NodeCtx| {
+        ctx.vertex_array::<u64>("acc")?;
+        let frames0 = ctx.net().stats().sent_frames.get();
+        let signal = |_, _: &mut dfo_core::BatchCtx| None::<u64>;
+        ctx.process_edges(&[], &["acc"], None, signal, |_m: u64, _, _, _: &(), _| 0u64)?;
+        let frames = ctx.net().stats().sent_frames.get() - frames0;
+        Ok((frames, ctx.last_phase_stats().pass_net_sent))
+    };
+    let (cluster, cfg) = (&cluster, &cfg);
+    std::thread::scope(|s| {
+        for rank in 0..2 {
+            s.spawn(move || {
+                let mesh = ResidentMesh::connect(cfg, rank).unwrap();
+                let got = mesh.run_job_as(0, cluster, "empty", empty_call).unwrap();
+                mesh.job_barrier(0).unwrap();
+                mesh.end_job(0);
+                assert_eq!(got, (1, FRAME_HEADER_BYTES), "rank {rank}");
+                mesh.barrier().unwrap();
+            });
+        }
+    });
+}
+
 /// A preprocessed 2-rank cluster over fresh localhost addresses, with the
 /// serial batch result every mesh run must reproduce bit for bit.
 fn mesh_cluster(td: &TempDir, tune: impl FnOnce(&mut EngineConfig)) -> (Cluster, Vec<Vec<u64>>) {

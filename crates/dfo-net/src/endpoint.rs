@@ -277,32 +277,26 @@ impl Endpoint {
         self.transport.send_frame(dst, frame)
     }
 
-    /// Convenience: sends an empty final frame, closing stream `tag`.
-    pub fn finish_stream(&self, dst: Rank, tag: u64) -> Result<()> {
-        self.send(dst, tag, Bytes::new(), true)
-    }
-
     /// Streams an entire payload to `dst` as [`STREAM_CHUNK`]-sized frames
-    /// — zero-copy slices of the shared buffer — and closes the stream.
+    /// — zero-copy slices of the shared buffer — the last of them final. A
+    /// payload of at most [`STREAM_CHUNK`] bytes is one frame; an empty one
+    /// is one empty final frame.
     pub fn send_stream(&self, dst: Rank, tag: u64, payload: Bytes) -> Result<()> {
-        let mut off = 0;
-        while off < payload.len() {
-            let end = (off + STREAM_CHUNK).min(payload.len());
-            self.send(dst, tag, payload.slice(off..end), false)?;
-            off = end;
-        }
-        self.finish_stream(dst, tag)
+        let frames = payload.len().div_ceil(STREAM_CHUNK).max(1);
+        (0..frames).try_for_each(|i| {
+            let end = ((i + 1) * STREAM_CHUNK).min(payload.len());
+            self.send(dst, tag, payload.slice(i * STREAM_CHUNK..end), i + 1 == frames)
+        })
     }
 
-    /// Whether a stream of at most `payload` bytes to a peer — a header
-    /// frame, one [`STREAM_CHUNK`] frame and the end marker — sits whole in
-    /// the transport's buffers with no help from the receiver. A rank whose
-    /// every stream of an exchange passes may send to all peers before it
-    /// receives from any, on one thread, and cannot deadlock. True on the
-    /// channel backend, never on TCP (see
-    /// [`Transport::private_stream_frames`]).
+    /// Whether a stream of at most `payload` bytes to a peer — one frame
+    /// (see [`Endpoint::send_stream`]) — sits whole in the transport's
+    /// buffers with no help from the receiver. A rank whose every stream of
+    /// an exchange passes may send to all peers before it receives from
+    /// any, on one thread, and cannot deadlock. True on the channel
+    /// backend, never on TCP (see [`Transport::private_stream_frames`]).
     pub fn buffers_whole(&self, payload: u64) -> bool {
-        payload <= STREAM_CHUNK as u64 && self.transport.private_stream_frames() >= 3
+        payload <= STREAM_CHUNK as u64 && self.transport.private_stream_frames() >= 1
     }
 
     /// Opens the receiving side of stream `tag` from `src` (matched in
@@ -397,35 +391,26 @@ pub struct StreamRecv<'a> {
 
 impl StreamRecv<'_> {
     /// Returns the next payload chunk, or `None` once the stream is closed.
-    /// Empty final frames are swallowed (they carry no data).
+    /// An empty final frame carries no chunk; any other frame is one, empty
+    /// or not.
     pub fn next_chunk(&mut self) -> Result<Option<Bytes>> {
-        loop {
-            if self.done {
-                return Ok(None);
-            }
-            let frame = self.ep.transport.recv_frame(self.src, self.tag)?;
-            if frame.tag != self.tag {
-                return Err(DfoError::Corrupt(format!(
-                    "stream tag mismatch from {}: got {}, want {} (overlapping streams?)",
-                    self.src, frame.tag, self.tag
-                )));
-            }
-            let wire = frame.wire_bytes();
-            self.ep.ingress.acquire(wire);
-            self.ep.stats.recv_bytes.add(wire);
-            self.ep.stats.recv_traffic.record(wire);
-            self.ep.stats.per_peer[self.src].recv_bytes.add(wire);
-            if frame.last {
-                self.done = true;
-                if frame.payload.is_empty() {
-                    return Ok(None);
-                }
-                return Ok(Some(frame.payload));
-            }
-            if !frame.payload.is_empty() {
-                return Ok(Some(frame.payload));
-            }
+        if self.done {
+            return Ok(None);
         }
+        let frame = self.ep.transport.recv_frame(self.src, self.tag)?;
+        if frame.tag != self.tag {
+            return Err(DfoError::Corrupt(format!(
+                "stream tag mismatch from {}: got {}, want {} (overlapping streams?)",
+                self.src, frame.tag, self.tag
+            )));
+        }
+        let wire = frame.wire_bytes();
+        self.ep.ingress.acquire(wire);
+        self.ep.stats.recv_bytes.add(wire);
+        self.ep.stats.recv_traffic.record(wire);
+        self.ep.stats.per_peer[self.src].recv_bytes.add(wire);
+        self.done = frame.last;
+        Ok((!frame.last || !frame.payload.is_empty()).then_some(frame.payload))
     }
 }
 
@@ -457,9 +442,8 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(|| {
                 for i in 0..100u8 {
-                    e0.send(1, 1, Bytes::copy_from_slice(&[i]), false).unwrap();
+                    e0.send(1, 1, Bytes::copy_from_slice(&[i]), i == 99).unwrap();
                 }
-                e0.finish_stream(1, 1).unwrap();
             });
             let got = e1.recv_all(0, 1).unwrap();
             assert_eq!(got, (0..100u8).collect::<Vec<_>>());
@@ -490,10 +474,9 @@ mod tests {
             s.spawn(|| {
                 let start = Instant::now();
                 let payload = Bytes::from(vec![0u8; 256 << 10]);
-                for _ in 0..8 {
-                    e0.send(1, 5, payload.clone(), false).unwrap();
+                for i in 0..8 {
+                    e0.send(1, 5, payload.clone(), i == 7).unwrap();
                 }
-                e0.finish_stream(1, 5).unwrap();
                 assert!(start.elapsed() >= Duration::from_millis(150));
             });
             let got = e1.recv_all(0, 5).unwrap();
@@ -503,17 +486,26 @@ mod tests {
 
     #[test]
     fn stats_count_wire_bytes() {
+        // a stream is its frames: up to one STREAM_CHUNK is one final
+        // frame, an empty payload one empty final frame
+        let cases = [(0, 1), (4, 1), (STREAM_CHUNK, 1), (STREAM_CHUNK + 1, 2)];
         let mut eps = SimCluster::build(2, None, false);
         let e1 = eps.pop().unwrap();
         let e0 = eps.pop().unwrap();
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                e0.send(1, 2, Bytes::from_static(b"abcd"), true).unwrap();
+        let (mut frames, mut wire) = (0, 0);
+        for (tag, (len, n)) in cases.into_iter().enumerate() {
+            std::thread::scope(|s| {
+                s.spawn(|| e0.send_stream(1, tag as u64, Bytes::from(vec![7u8; len])).unwrap());
+                assert_eq!(e1.recv_all(0, tag as u64).unwrap(), vec![7u8; len]);
             });
-            let _ = e1.recv_all(0, 2).unwrap();
-        });
-        assert_eq!(e0.stats().sent_bytes.get(), 4 + crate::FRAME_HEADER_BYTES);
-        assert_eq!(e1.stats().recv_bytes.get(), 4 + crate::FRAME_HEADER_BYTES);
+            (frames, wire) = (frames + n, wire + len as u64 + n * crate::FRAME_HEADER_BYTES);
+            assert_eq!(e0.stats().sent_frames.get(), frames, "{len}-byte stream");
+            assert_eq!(e0.stats().sent_bytes.get(), wire, "{len}-byte stream");
+            assert_eq!(e1.stats().recv_bytes.get(), wire, "{len}-byte stream");
+        }
+        assert!(
+            e0.buffers_whole(STREAM_CHUNK as u64) && !e0.buffers_whole(1 + STREAM_CHUNK as u64)
+        );
     }
 
     #[test]

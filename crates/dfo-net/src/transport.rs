@@ -89,7 +89,9 @@ pub trait Transport: Send + Sync {
     fn reclaim_job(&self, _job_id: u64) {}
 
     /// Frames of one stream to a peer this backend holds with no help from
-    /// the receiver, whatever other streams it carries meanwhile. None by
+    /// the receiver, whatever other streams it carries meanwhile. A stream
+    /// of at most one [`crate::endpoint::STREAM_CHUNK`] is one frame, so
+    /// one is what [`crate::Endpoint::buffers_whole`] asks for. None by
     /// default: a backend whose per-peer buffers every stream shares (TCP,
     /// where one full demux queue stalls the peer's reader for every tag of
     /// every job on the connection) can promise nothing per stream.

@@ -60,9 +60,8 @@ fn frames_preserve_order_and_chunking() {
     with_mesh(2, |rank, ep| {
         if rank == 0 {
             for i in 0..200u8 {
-                ep.send(1, 3, Bytes::copy_from_slice(&[i]), false).unwrap();
+                ep.send(1, 3, Bytes::copy_from_slice(&[i]), i == 199).unwrap();
             }
-            ep.finish_stream(1, 3).unwrap();
         } else {
             assert_eq!(ep.recv_all(0, 3).unwrap(), (0..200u8).collect::<Vec<_>>());
         }
@@ -82,11 +81,10 @@ fn concurrent_streams_demux_by_tag() {
     with_mesh(2, |rank, ep| {
         if rank == 0 {
             for i in 0..N {
-                ep.send(1, 100, Bytes::copy_from_slice(&i.to_le_bytes()), false).unwrap();
-                ep.send(1, 200, Bytes::copy_from_slice(&(i * 2).to_le_bytes()), false).unwrap();
+                let last = i == N - 1;
+                ep.send(1, 100, Bytes::copy_from_slice(&i.to_le_bytes()), last).unwrap();
+                ep.send(1, 200, Bytes::copy_from_slice(&(i * 2).to_le_bytes()), last).unwrap();
             }
-            ep.finish_stream(1, 100).unwrap();
-            ep.finish_stream(1, 200).unwrap();
         } else {
             // drain tag 200 first even though tag 100 frames arrived first
             let b = ep.recv_all(0, 200).unwrap();
@@ -167,6 +165,31 @@ fn stats_count_wire_bytes_like_sim() {
 }
 
 #[test]
+fn a_stream_is_its_frames_over_tcp() {
+    // `send_stream` sends no frame to open or close a stream: up to one
+    // STREAM_CHUNK is one frame, the last, and an empty payload one empty
+    // final frame
+    use dfo_net::endpoint::STREAM_CHUNK;
+    const CASES: [(usize, u64); 4] = [(0, 1), (1, 1), (STREAM_CHUNK, 1), (STREAM_CHUNK + 1, 2)];
+    with_mesh(2, |rank, ep| {
+        for (tag, &(len, frames)) in CASES.iter().enumerate() {
+            let tag = tag as u64;
+            if rank == 0 {
+                let (bytes0, frames0) = (ep.stats().sent_bytes.get(), ep.stats().sent_frames.get());
+                ep.send_stream(1, tag, Bytes::from(vec![7u8; len])).unwrap();
+                let sent = ep.stats().sent_frames.get() - frames0;
+                assert_eq!(sent, frames, "{len}-byte stream");
+                let wire = len as u64 + frames * dfo_net::FRAME_HEADER_BYTES;
+                assert_eq!(ep.stats().sent_bytes.get() - bytes0, wire, "{len}-byte stream");
+            } else {
+                assert_eq!(ep.recv_all(0, tag).unwrap(), vec![7u8; len]);
+            }
+        }
+        ep.barrier();
+    });
+}
+
+#[test]
 fn throttle_paces_tcp_sender() {
     // 10 MB/s egress; 2 MB payload => >= ~150 ms even over loopback
     let peers = free_addrs(2);
@@ -177,10 +200,9 @@ fn throttle_paces_tcp_sender() {
                 let ep = TcpCluster::connect(0, &peers, Some(10 << 20), false, opts()).unwrap();
                 let start = std::time::Instant::now();
                 let payload = Bytes::from(vec![0u8; 256 << 10]);
-                for _ in 0..8 {
-                    ep.send(1, 5, payload.clone(), false).unwrap();
+                for i in 0..8 {
+                    ep.send(1, 5, payload.clone(), i == 7).unwrap();
                 }
-                ep.finish_stream(1, 5).unwrap();
                 assert!(start.elapsed() >= Duration::from_millis(150));
                 ep.barrier();
             });
@@ -353,9 +375,10 @@ fn pending_control_frames_never_stall_engine_traffic() {
     const ROUNDS: usize = 4;
     with_mesh(2, |rank, ep| {
         if rank == 0 {
-            // park control frames at rank 1: sent, enqueued, not consumed
-            for i in 0..(DEMUX_QUEUE_DEPTH - 1) as u8 {
-                ep.send(1, CTRL_TAG_BIT, Bytes::copy_from_slice(&[i]), false).unwrap();
+            // park one control stream at rank 1: sent, enqueued, not consumed
+            let parked = (DEMUX_QUEUE_DEPTH - 1) as u8;
+            for i in 0..parked {
+                ep.send(1, CTRL_TAG_BIT, Bytes::copy_from_slice(&[i]), i + 1 == parked).unwrap();
             }
         }
         ep.barrier(); // control frames are in flight or queued at rank 1
@@ -375,9 +398,7 @@ fn pending_control_frames_never_stall_engine_traffic() {
         ep.barrier();
         // only now does rank 1 drain the control tag; everything is there,
         // in order, untouched by the interleaved engine traffic
-        if rank == 0 {
-            ep.finish_stream(1, CTRL_TAG_BIT).unwrap();
-        } else {
+        if rank == 1 {
             let ctrl = ep.recv_all(0, CTRL_TAG_BIT).unwrap();
             assert_eq!(ctrl, (0..(DEMUX_QUEUE_DEPTH - 1) as u8).collect::<Vec<_>>());
         }

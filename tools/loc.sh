@@ -36,8 +36,8 @@ ratchet() {
     status=1
   fi
 }
-ratchet 5298 dfo-core dfo-service
+ratchet 5304 dfo-core dfo-service
 ratchet 2979 dfo-types dfo-part
-ratchet 2728 dfo-net dfo-obs
+ratchet 2718 dfo-net dfo-obs
 ratchet 3675 dfo-storage
 exit $status
