@@ -1,5 +1,6 @@
 //! Table 7 — DFOGraph scalability on 1, 2, 4, 8 and 16 nodes (RMAT-like):
-//! preprocessing and the four algorithms, with speedups relative to P = 1.
+//! preprocessing (wall and process CPU-seconds) and the four algorithms,
+//! with speedups relative to P = 1.
 //!
 //! Expected shape (paper): overall 1.42× / 3.01× / 6.56× / 21.32× at
 //! P = 2/4/8/16 (super-linear tail from aggregate page cache).
@@ -13,10 +14,10 @@ fn main() {
     println!("{}", describe("RMAT-like", &g));
     let td = TempDir::new().unwrap();
     println!(
-        "\n{:<6} {:>9} {:>9} {:>9} {:>9} {:>9} {:>12}",
-        "P", "Prep", "PR", "BFS", "WCC", "SSSP", "overall-x"
+        "\n{:<6} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>12}",
+        "P", "Prep", "Prep CPU", "PR", "BFS", "WCC", "SSSP", "overall-x"
     );
-    let mut base: Option<(f64, f64, f64, f64, f64)> = None;
+    let mut base: Option<(f64, f64, f64, f64, f64, f64)> = None;
     for p in [1usize, 2, 4, 8, 16] {
         let t = dfo_suite(&td.path().join(format!("p{p}")), p, &g, 5);
         let overall = match &base {
@@ -27,8 +28,9 @@ fn main() {
             Some(b) => geomean(&[b.1 / t.1, b.2 / t.2, b.3 / t.3, b.4 / t.4]),
         };
         println!(
-            "{p:<6} {:>9} {:>9} {:>9} {:>9} {:>9} {:>11.2}x",
+            "{p:<6} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>11.2}x",
             fmt_secs(t.0),
+            fmt_secs(t.5),
             fmt_secs(t.1),
             fmt_secs(t.2),
             fmt_secs(t.3),

@@ -189,20 +189,36 @@ pub fn fmt_bytes(b: u64) -> String {
     }
 }
 
+/// CPU-seconds this process has used, user plus system (`utime + stime`
+/// of `/proc/self/stat`, in 100 Hz ticks); 0 where that file is missing.
+pub fn process_cpu_secs() -> f64 {
+    let Ok(stat) = std::fs::read_to_string("/proc/self/stat") else {
+        return 0.0;
+    };
+    // fields after the parenthesised command name, which may hold spaces
+    let fields: Vec<&str> =
+        stat.rsplit_once(')').map_or("", |(_, r)| r).split_whitespace().collect();
+    let ticks = |i: usize| fields.get(i).and_then(|f| f.parse::<u64>().ok()).unwrap_or(0);
+    (ticks(11) + ticks(12)) as f64 / 100.0
+}
+
 /// Runs the DFOGraph suite (prep + PR + BFS + WCC + SSSP) at `nodes` nodes,
-/// returning (prep, pr, bfs, wcc, sssp) seconds.
+/// returning (prep, pr, bfs, wcc, sssp) seconds and, last, preprocessing's
+/// process CPU-seconds.
 pub fn dfo_suite(
     base_dir: &std::path::Path,
     nodes: usize,
     g: &EdgeList<()>,
     pr_iters: usize,
-) -> (f64, f64, f64, f64, f64) {
+) -> (f64, f64, f64, f64, f64, f64) {
     let sym = dfo_algos::wcc::symmetrize(g);
     let w = weighted(g);
     let cfg = dfo_config(nodes);
 
     let cluster = Cluster::create(cfg.clone(), base_dir.join("base")).unwrap();
+    let cpu = process_cpu_secs();
     let (_, prep) = timed(|| cluster.preprocess(g).unwrap());
+    let prep_cpu = process_cpu_secs() - cpu;
 
     let (_, pr) = timed(|| {
         cluster
@@ -243,5 +259,5 @@ pub fn dfo_suite(
             .unwrap()
     });
 
-    (prep, pr, bfs_t, wcc_t, sssp_t)
+    (prep, pr, bfs_t, wcc_t, sssp_t, prep_cpu)
 }

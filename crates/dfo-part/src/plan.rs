@@ -95,13 +95,6 @@ impl Plan {
         dfo_types::ids::find_range(&self.partitions, v).expect("vertex outside all partitions")
     }
 
-    /// Which batch of its owning partition holds `v`.
-    pub fn batch_of(&self, p: PartitionId, v: VertexId) -> BatchId {
-        let r = &self.partitions[p];
-        debug_assert!(r.contains(v));
-        ((v - r.start) / self.batch_sizes[p]) as usize
-    }
-
     pub fn n_batches(&self, node: Rank) -> usize {
         self.batches[node].len()
     }
@@ -270,8 +263,6 @@ mod tests {
         assert_eq!(plan.batches[1][0], VertexRange::new(4, 6));
         assert_eq!(plan.batches[1][1], VertexRange::new(6, 7));
         assert_eq!(plan.partition_of(5), 1);
-        assert_eq!(plan.batch_of(1, 6), 1);
-        assert_eq!(plan.batch_of(0, 3), 1);
     }
 
     #[test]

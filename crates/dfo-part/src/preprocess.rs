@@ -10,6 +10,21 @@
 //!   filter/to_{j}.lst            sources of partition i needed by node j
 //! ```
 //!
+//! The stages run on the rayon pool, and no file depends on its size:
+//!
+//! 1. The edge list is cut into one contiguous slice per worker. Each slice
+//!    counts its degrees, then its edges per `(dst node, src partition,
+//!    dst batch)` bucket; prefix sums over those counts give each slice its
+//!    run of each exact-size bucket, and the slices fill their runs in
+//!    parallel. The fill is stable: a bucket holds its edges in input order.
+//! 2. Each non-empty bucket becomes one chunk, one task per chunk.
+//! 3. Each `(node j, partition i)` pair builds its dispatching graph from the
+//!    sources of node j's chunks from partition i. Their sorted union — the
+//!    graph's sources — is the filter list `L_ij`, stored on node i.
+//!
+//! Memory is O(|E| + |V|): per-slice degree counts and the buckets; nothing
+//! is P × |V|.
+//!
 //! All writes go through the accounted node disks, so preprocessing time in
 //! the benchmark tables reflects the same throttled I/O as iterations do.
 //! Chunks and dispatching graphs are written through the checksummed LZ4
@@ -21,12 +36,13 @@ use crate::batching::choose_batch_size;
 use crate::csr::{IndexedChunk, CSR_INFLATE_RATIO};
 use crate::filter::write_filter_list;
 use crate::partition::partition_vertices;
-use crate::plan::{ChunkInfo, NodeMeta, Plan};
+use crate::plan::{ChunkInfo, Plan};
 use dfo_graph::degree::degrees;
-use dfo_graph::edge::EdgeList;
+use dfo_graph::edge::{Edge, EdgeList};
 use dfo_storage::NodeDisk;
-use dfo_types::{DfoError, EngineConfig, Pod, Result, VertexRange};
+use dfo_types::{pod_zeroed, DfoError, EngineConfig, Pod, Result, VertexRange};
 use rayon::prelude::*;
+use std::cmp::Reverse;
 
 /// Paths of the structures a node stores, kept in one place so the engine
 /// and the preprocessor cannot drift apart.
@@ -47,6 +63,10 @@ pub mod paths {
 /// to tell coded frames from raw ones (`dfo_core::messages`).
 pub const MAX_PARTITION_VERTICES: u64 = 1 << 31;
 
+/// Edges a slice gets at least: smaller inputs are bucketed on fewer
+/// workers, a graph below twice this on the calling thread.
+const MIN_SLICE_EDGES: usize = 1 << 12;
+
 /// Refuses, naming it, a partition whose local ids reach bit 31.
 pub fn check_local_ids(partitions: &[VertexRange]) -> Result<()> {
     let Some(p) = partitions.iter().position(|r| r.len() >= MAX_PARTITION_VERTICES) else {
@@ -66,6 +86,8 @@ pub struct PreprocessOutput {
 /// The input follows the paper's contract for DFOGraph: edges sorted by
 /// source (§5.2, "DFOGraph needs input edges in order"); sorting is the
 /// caller's job and is *not* part of timed preprocessing (§5.2 footnote 5).
+/// Input in any other order gives the same files a stable sort by source
+/// would.
 pub fn preprocess<E: Pod + PartialEq>(
     g: &EdgeList<E>,
     cfg: &EngineConfig,
@@ -74,8 +96,10 @@ pub fn preprocess<E: Pod + PartialEq>(
     assert_eq!(disks.len(), cfg.nodes, "one disk per node");
     cfg.validate().map_err(DfoError::Config)?;
     let p = cfg.nodes;
-    let (din, dout) = degrees(g);
+    let slices = slices(&g.edges);
+    let (din, dout) = degrees(g.n_vertices, &slices);
     let partitions = partition_vertices(g.n_vertices, &din, &dout, p, cfg.effective_alpha());
+    drop((din, dout));
     check_local_ids(&partitions)?;
 
     let batch_sizes: Vec<u64> = partitions
@@ -98,54 +122,46 @@ pub fn preprocess<E: Pod + PartialEq>(
         batch_sizes,
     );
 
-    // --- group edges by (dst node, src partition, dst batch) ---------------
-    let n_batches: Vec<usize> = (0..p).map(|i| plan.batches[i].len()).collect();
-    let mut chunk_edges: Vec<ChunkBuckets<E>> =
-        (0..p).map(|i| (0..p).map(|_| vec![Vec::new(); n_batches[i]]).collect()).collect();
-    // filter bitsets: need[src_node][dst_node][src_local]
-    let mut need: Vec<Vec<Vec<bool>>> = (0..p)
-        .map(|i| (0..p).map(|_| vec![false; plan.partitions[i].len() as usize]).collect())
-        .collect();
-    let mut in_edges = vec![0u64; p];
-    let mut out_edges = vec![0u64; p];
-
-    for e in &g.edges {
-        let sp = plan.partition_of(e.src);
-        let dp = plan.partition_of(e.dst);
-        let b = plan.batch_of(dp, e.dst);
-        let src_local = plan.partitions[sp].local(e.src);
-        let dst_local = plan.partitions[dp].local(e.dst);
-        chunk_edges[dp][sp][b].push((src_local, dst_local, e.data));
-        need[sp][dp][src_local as usize] = true;
-        out_edges[sp] += 1;
-        in_edges[dp] += 1;
-    }
-
-    // --- per destination node: chunks and dispatch graphs -------------------
-    let metas: Vec<Result<NodeMeta>> = chunk_edges
-        .into_par_iter()
-        .zip(disks.par_iter())
-        .map(|(by_src, disk)| build_node(by_src, disk, cfg, &plan))
-        .collect();
-
-    for (i, meta) in metas.into_iter().enumerate() {
-        let mut meta = meta?;
-        meta.n_in_edges = in_edges[i];
-        meta.n_out_edges = out_edges[i];
-        meta.filter_lens = vec![0; p];
-        plan.node_meta[i] = meta;
-    }
-
-    // --- filter lists: stored on the *source* node ------------------------
-    for i in 0..p {
-        for (j, bits) in need[i].iter().enumerate() {
-            let list: Vec<u32> =
-                bits.iter().enumerate().filter(|(_, &b)| b).map(|(v, _)| v as u32).collect();
-            plan.node_meta[i].filter_lens[j] = list.len() as u64;
-            write_filter_list(&disks[i], &paths::filter(j), &list, cfg.compress_chunks)?;
+    // --- bucket edges by (dst node, src partition, dst batch) ---------------
+    let router = Router::new(&plan);
+    let counts: Vec<Vec<usize>> = slices.par_iter().map(|s| router.count(s)).collect();
+    let buckets = router.scatter(&slices, &counts);
+    let mut tasks = Vec::new();
+    for (key @ (dp, sp, _), bucket) in router.keys().zip(buckets) {
+        let n = bucket.src.len() as u64;
+        plan.node_meta[dp].n_in_edges += n;
+        plan.node_meta[sp].n_out_edges += n;
+        if n > 0 {
+            tasks.push((key, bucket));
         }
     }
-    drop(need);
+
+    // --- chunks, one task each, the largest first ---------------------------
+    tasks.sort_by_key(|(_, b)| Reverse(b.src.len()));
+    let mut built: Vec<(Key, ChunkInfo, Vec<u32>)> = tasks
+        .into_par_iter()
+        .map(|(key, bucket)| build_chunk(key, bucket, &disks[key.0], cfg, &plan))
+        .collect::<Result<_>>()?;
+    built.sort_by_key(|c| c.0);
+    // each (node, partition) pair's chunk sources, in batch order
+    let mut sources: Vec<Vec<(u32, Vec<u32>)>> = vec![Vec::new(); p * p];
+    for ((dp, sp, b), info, src) in built {
+        plan.node_meta[dp].chunks.push(info);
+        sources[dp * p + sp].push((b as u32, src));
+    }
+
+    // --- dispatching graphs on the destination node, filter lists on the
+    // source node, one task per (node, partition) pair -----------------------
+    let pairs: Vec<(Option<ChunkInfo>, u64)> = sources
+        .into_par_iter()
+        .enumerate()
+        .map(|(k, src)| dispatch_and_filter(k / p, k % p, &src, disks, cfg, &plan))
+        .collect::<Result<_>>()?;
+    for (k, (dispatch, list_len)) in pairs.into_iter().enumerate() {
+        let (dp, sp) = (k / p, k % p);
+        plan.node_meta[dp].dispatch[sp] = dispatch;
+        plan.node_meta[sp].filter_lens[dp] = list_len;
+    }
 
     // --- replicate the plan -------------------------------------------------
     for disk in disks {
@@ -154,65 +170,211 @@ pub fn preprocess<E: Pod + PartialEq>(
     Ok(PreprocessOutput { plan })
 }
 
-/// Local edges of one node, bucketed as `[src partition][dst batch]` lists
-/// of `(src_local, dst_local, data)`.
-type ChunkBuckets<E> = Vec<Vec<Vec<(u32, u32, E)>>>;
+/// Cuts `edges` into one contiguous slice per worker, each of at least
+/// [`MIN_SLICE_EDGES`] edges; always at least one slice.
+fn slices<E>(edges: &[Edge<E>]) -> Vec<&[Edge<E>]> {
+    let m = edges.len();
+    let n = rayon::current_num_threads().min(m / MIN_SLICE_EDGES).max(1);
+    (0..n).map(|i| &edges[i * m / n..(i + 1) * m / n]).collect()
+}
 
-/// Builds and persists one node's chunks and dispatch graphs.
-fn build_node<E: Pod + PartialEq>(
-    by_src: ChunkBuckets<E>,
+/// A bucket's place: `(dst node, src partition, dst batch)`.
+type Key = (usize, usize, usize);
+
+/// One bucket's edges, `(src_local, dst_local, data)` as columns.
+struct Bucket<E> {
+    src: Vec<u32>,
+    dst: Vec<u32>,
+    data: Vec<E>,
+}
+
+/// One slice's run of a bucket.
+type Run<'a, E> = (&'a mut [u32], &'a mut [u32], &'a mut [E]);
+
+/// Where an edge goes: its bucket, numbered in [`Key`] order, and its ids
+/// local to their partitions.
+struct Router {
+    parts: Vec<Part>,
+    /// Starts of partitions `1..P`: a vertex's partition is how many of
+    /// them it reaches (empty partitions are passed over).
+    bounds: Vec<u64>,
+    n_buckets: usize,
+}
+
+/// What routing needs of one partition.
+#[derive(Clone, Copy)]
+struct Part {
+    start: u64,
+    n_batches: usize,
+    /// First bucket of the partition's node.
+    base: usize,
+    /// `local / batch size` is `(local · mul) >> shift`, with no division.
+    mul: u64,
+    shift: u32,
+}
+
+impl Part {
+    fn new(start: u64, n_batches: usize, base: usize, batch_size: u64) -> Self {
+        // `mul` = ⌈2^(31+l) / size⌉ with l = ⌈log2 size⌉: the quotient is
+        // exact for every local id below 2^31, and the product fits a u64
+        let l = 64 - (batch_size - 1).leading_zeros();
+        let mul = (1u64 << (31 + l)).div_ceil(batch_size);
+        Self { start, n_batches, base, mul, shift: 31 + l }
+    }
+
+    /// Batch of the local id `local` (below 2^31, `check_local_ids`).
+    #[inline]
+    fn batch(&self, local: u64) -> usize {
+        ((local * self.mul) >> self.shift) as usize
+    }
+}
+
+impl Router {
+    fn new(plan: &Plan) -> Self {
+        let p = plan.nodes();
+        let mut base = 0;
+        let parts = (0..p)
+            .map(|i| {
+                let (r, n_batches) = (plan.partitions[i], plan.batches[i].len());
+                // a batch size past the partition's end puts all in batch 0
+                let part =
+                    Part::new(r.start, n_batches, base, plan.batch_sizes[i].min(r.len().max(1)));
+                base += p * n_batches;
+                part
+            })
+            .collect();
+        let bounds = plan.partitions[1..].iter().map(|r| r.start).collect();
+        Self { parts, bounds, n_buckets: base }
+    }
+
+    /// Every bucket's key, in bucket order.
+    fn keys(&self) -> impl Iterator<Item = Key> + '_ {
+        let p = self.parts.len();
+        (0..p).flat_map(move |dp| {
+            (0..p).flat_map(move |sp| (0..self.parts[dp].n_batches).map(move |b| (dp, sp, b)))
+        })
+    }
+
+    #[inline]
+    fn partition(&self, v: u64) -> usize {
+        self.bounds.iter().filter(|&&b| v >= b).count()
+    }
+
+    /// Calls `f(bucket, src_local, dst_local, data)` for each edge in order.
+    /// Both partitions are counted from the boundaries, without a branch
+    /// to mispredict on input in any order.
+    #[inline]
+    fn route<E: Pod>(&self, edges: &[Edge<E>], mut f: impl FnMut(usize, u32, u32, E)) {
+        for e in edges {
+            let sp = self.partition(e.src);
+            let d = self.parts[self.partition(e.dst)];
+            let dst = e.dst - d.start;
+            let b = d.base + sp * d.n_batches + d.batch(dst);
+            f(b, (e.src - self.parts[sp].start) as u32, dst as u32, e.data);
+        }
+    }
+
+    /// Edges of `edges` per bucket.
+    fn count<E: Pod>(&self, edges: &[Edge<E>]) -> Vec<usize> {
+        let mut counts = vec![0; self.n_buckets];
+        self.route(edges, |b, _, _, _| counts[b] += 1);
+        counts
+    }
+
+    /// Fills exact-size buckets, each slice its own run of each bucket at
+    /// the prefix sum of the slices before it: a bucket holds its edges in
+    /// input order, whatever the slice count.
+    fn scatter<E: Pod>(&self, slices: &[&[Edge<E>]], counts: &[Vec<usize>]) -> Vec<Bucket<E>> {
+        let mut buckets: Vec<Bucket<E>> = (0..self.n_buckets)
+            .map(|b| {
+                let n = counts.iter().map(|c| c[b]).sum();
+                Bucket { src: vec![0; n], dst: vec![0; n], data: vec![pod_zeroed(); n] }
+            })
+            .collect();
+        let mut runs: Vec<Vec<Run<E>>> = slices.iter().map(|_| Vec::new()).collect();
+        for (b, bucket) in buckets.iter_mut().enumerate() {
+            let mut rest: Run<E> = (&mut bucket.src, &mut bucket.dst, &mut bucket.data);
+            for (slice_runs, c) in runs.iter_mut().zip(counts) {
+                let (s, d, x) = std::mem::take(&mut rest);
+                let ((s, s_rest), (d, d_rest), (x, x_rest)) =
+                    (s.split_at_mut(c[b]), d.split_at_mut(c[b]), x.split_at_mut(c[b]));
+                slice_runs.push((s, d, x));
+                rest = (s_rest, d_rest, x_rest);
+            }
+        }
+        slices.par_iter().zip(runs).for_each(|(edges, mut runs)| {
+            let mut at = vec![0; runs.len()];
+            self.route(edges, |b, s, d, x| {
+                let (i, run) = (at[b], &mut runs[b]);
+                (run.0[i], run.1[i], run.2[i]) = (s, d, x);
+                at[b] += 1;
+            });
+        });
+        buckets
+    }
+}
+
+/// The inventory entry of a chunk or dispatching graph.
+fn chunk_info<E: Pod + PartialEq>(
+    chunk: &IndexedChunk<E>,
+    src_partition: usize,
+    batch: usize,
+) -> ChunkInfo {
+    ChunkInfo {
+        src_partition,
+        batch,
+        n_edges: chunk.n_edges(),
+        n_nonzero_src: chunk.n_nonzero_src(),
+        has_csr: chunk.has_csr(),
+    }
+}
+
+/// Builds and persists one chunk; returns its entry and its sources.
+fn build_chunk<E: Pod + PartialEq>(
+    key @ (_, sp, b): Key,
+    bucket: Bucket<E>,
     disk: &NodeDisk,
     cfg: &EngineConfig,
     plan: &Plan,
-) -> Result<NodeMeta> {
-    let p = plan.nodes();
-    let mut meta = NodeMeta {
-        chunks: Vec::new(),
-        dispatch: vec![None; p],
-        filter_lens: vec![0; p],
-        n_in_edges: 0,
-        n_out_edges: 0,
-    };
-    for (sp, batches) in by_src.into_iter().enumerate() {
+) -> Result<(Key, ChunkInfo, Vec<u32>)> {
+    let n_src = plan.partitions[sp].len() as u32;
+    let edges =
+        bucket.src.iter().zip(&bucket.dst).zip(&bucket.data).map(|((&s, &d), &x)| (s, d, x));
+    let mut chunk = IndexedChunk::by_source(n_src, edges, CSR_INFLATE_RATIO, by_dst);
+    drop(bucket);
+    let mut w = disk.create_framed(&paths::chunk(sp, b), cfg.compress_chunks)?;
+    chunk.write_to(&mut w)?;
+    w.finish()?.finish()?;
+    let info = chunk_info(&chunk, sp, b);
+    Ok((key, info, std::mem::take(&mut chunk.dcsr_src)))
+}
+
+/// Persists node `dp`'s dispatching graph from partition `sp`, built from
+/// its chunks' `(batch, sources)`, and the filter list `L_{sp,dp}` — the
+/// graph's sources — on node `sp`; returns the graph's entry and the
+/// list's length.
+fn dispatch_and_filter(
+    dp: usize,
+    sp: usize,
+    sources: &[(u32, Vec<u32>)],
+    disks: &[NodeDisk],
+    cfg: &EngineConfig,
+    plan: &Plan,
+) -> Result<(Option<ChunkInfo>, u64)> {
+    let (mut entry, mut list) = (None, Vec::new());
+    if !sources.is_empty() {
+        // a source's batches, ascending: the chunks come in batch order
+        let edges = sources.iter().flat_map(|(b, src)| src.iter().map(|&s| (s, *b, ())));
         let n_src = plan.partitions[sp].len() as u32;
-        // each chunk's sources, in batch order
-        let mut sources: Vec<(u32, Vec<u32>)> = Vec::new();
-        for (b, edges) in batches.into_iter().enumerate() {
-            if edges.is_empty() {
-                continue;
-            }
-            let mut chunk =
-                IndexedChunk::by_source(n_src, edges.iter().copied(), CSR_INFLATE_RATIO, by_dst);
-            drop(edges);
-            let mut w = disk.create_framed(&paths::chunk(sp, b), cfg.compress_chunks)?;
-            chunk.write_to(&mut w)?;
-            w.finish()?.finish()?;
-            meta.chunks.push(ChunkInfo {
-                src_partition: sp,
-                batch: b,
-                n_edges: chunk.n_edges(),
-                n_nonzero_src: chunk.n_nonzero_src(),
-                has_csr: chunk.has_csr(),
-            });
-            sources.push((b as u32, std::mem::take(&mut chunk.dcsr_src)));
-        }
-        if !sources.is_empty() {
-            // a source's batches, ascending: the chunks come in batch order
-            let edges = sources.iter().flat_map(|(b, src)| src.iter().map(|&s| (s, *b, ())));
-            let dg = IndexedChunk::by_source(n_src, edges, CSR_INFLATE_RATIO, |_| {});
-            let mut w = disk.create_framed(&paths::dispatch(sp), cfg.compress_chunks)?;
-            dg.write_to(&mut w)?;
-            w.finish()?.finish()?;
-            meta.dispatch[sp] = Some(ChunkInfo {
-                src_partition: sp,
-                batch: usize::MAX,
-                n_edges: dg.n_edges(),
-                n_nonzero_src: dg.n_nonzero_src(),
-                has_csr: dg.has_csr(),
-            });
-        }
+        let dg = IndexedChunk::by_source(n_src, edges, CSR_INFLATE_RATIO, |_| {});
+        let mut w = disks[dp].create_framed(&paths::dispatch(sp), cfg.compress_chunks)?;
+        dg.write_to(&mut w)?;
+        w.finish()?.finish()?;
+        entry = Some(chunk_info(&dg, sp, usize::MAX));
+        list = dg.dcsr_src;
     }
-    Ok(meta)
+    write_filter_list(&disks[sp], &paths::filter(dp), &list, cfg.compress_chunks)?;
+    Ok((entry, list.len() as u64))
 }
 
 /// Orders one source's run of a chunk bucket by `dst` — stably, so
@@ -413,6 +575,20 @@ mod tests {
         assert!(want.dst.windows(2).any(|w| w[0] == w[1]), "duplicates are exercised");
         let got = IndexedChunk::by_source(1_000, bucket.into_iter(), CSR_INFLATE_RATIO, by_dst);
         assert_eq!(got, want);
+    }
+
+    /// The multiply-shift batch index is the quotient, at the edges of every
+    /// batch and at the largest local id.
+    #[test]
+    fn batch_index_is_the_exact_quotient() {
+        let sizes = (1..=300).chain([4_095, 65_536, 300_000, 1 << 30, (1 << 31) - 1, 1 << 31]);
+        for size in sizes {
+            let part = Part::new(0, 0, 0, size);
+            let locals = (0..4u64).flat_map(|k| [k * size, (k + 1) * size - 1]);
+            for local in locals.chain([(1 << 31) - 1]).filter(|&l| l < 1 << 31) {
+                assert_eq!(part.batch(local) as u64, local / size, "{local} / {size}");
+            }
+        }
     }
 
     #[test]

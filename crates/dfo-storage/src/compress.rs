@@ -260,42 +260,145 @@ impl Filter {
 
 /// `dst[j·n + i]` = byte `j` of element `i` (of its difference to element
 /// `i − 1` when `DELTA`; the first element's to zero). Arithmetic wraps at
-/// the element width, so any input round-trips.
+/// the element width, so any input round-trips. A delta column is
+/// differenced a stack block at a time, then shuffled plainly.
 fn shuffle<const W: usize, const DELTA: bool>(src: &[u8], dst: &mut [u8]) {
     let n = src.len() / W;
     let (body, tail) = src.split_at(n * W);
     let (planes, dst_tail) = dst.split_at_mut(n * W);
-    let mut prev = 0u64;
-    for (i, e) in body.chunks_exact(W).enumerate() {
-        let mut word = [0u8; 8];
-        word[..W].copy_from_slice(e);
-        let v = u64::from_le_bytes(word);
-        let d = if DELTA { v.wrapping_sub(prev) } else { v };
-        prev = v;
-        for j in 0..W {
-            planes[j * n + i] = (d >> (8 * j)) as u8;
+    if DELTA {
+        let (mut prev, mut diff) = (0u64, [0u8; DELTA_BLOCK]);
+        for (k, block) in body.chunks(DELTA_BLOCK).enumerate() {
+            let diff = &mut diff[..block.len()];
+            for (d, e) in diff.chunks_exact_mut(W).zip(block.chunks_exact(W)) {
+                let v = load::<W>(e);
+                d.copy_from_slice(&v.wrapping_sub(prev).to_le_bytes()[..W]);
+                prev = v;
+            }
+            shuffle_into::<W>(diff, planes, k * DELTA_BLOCK / W);
+        }
+    } else {
+        shuffle_into::<W>(body, planes, 0);
+    }
+    dst_tail.copy_from_slice(tail);
+}
+
+/// Inverse of [`shuffle`]: the plain unshuffle, then a running sum for a
+/// delta column (the carry past the element width is never stored).
+fn unshuffle<const W: usize, const DELTA: bool>(src: &[u8], dst: &mut [u8]) {
+    let n = src.len() / W;
+    let (planes, tail) = src.split_at(n * W);
+    let (body, dst_tail) = dst.split_at_mut(n * W);
+    unshuffle_from::<W>(planes, body);
+    if DELTA {
+        let mut sum = 0u64;
+        for e in body.chunks_exact_mut(W) {
+            sum = sum.wrapping_add(load::<W>(e));
+            e.copy_from_slice(&sum.to_le_bytes()[..W]);
         }
     }
     dst_tail.copy_from_slice(tail);
 }
 
-fn unshuffle<const W: usize, const DELTA: bool>(src: &[u8], dst: &mut [u8]) {
-    let n = src.len() / W;
-    let (planes, tail) = src.split_at(n * W);
-    let (body, dst_tail) = dst.split_at_mut(n * W);
-    let mut prev = 0u64;
-    for (i, e) in body.chunks_exact_mut(W).enumerate() {
-        let mut d = 0u64;
-        for j in 0..W {
-            d |= (planes[j * n + i] as u64) << (8 * j);
+/// Bytes a delta column is differenced in before its shuffle: a multiple
+/// of every width and of a 64-byte transpose block.
+const DELTA_BLOCK: usize = 4096;
+
+/// A `W`-byte little-endian element, zero-extended.
+#[inline(always)]
+fn load<const W: usize>(e: &[u8]) -> u64 {
+    let mut w = [0u8; 8];
+    w[..W].copy_from_slice(e);
+    u64::from_le_bytes(w)
+}
+
+/// Shuffles the whole elements of `elems` into `planes` (`W` planes of
+/// `planes.len() / W` bytes) as elements `at..`. Eight `u64` elements go
+/// at a time through an 8 × 8 byte transpose; narrower ones, and the tail,
+/// byte by byte.
+#[inline(always)]
+fn shuffle_into<const W: usize>(elems: &[u8], planes: &mut [u8], at: usize) {
+    let n = planes.len() / W;
+    let mut blocks = elems.chunks_exact(64);
+    let mut i = at;
+    if W == 8 {
+        for block in &mut blocks {
+            let mut rows = [0u64; 8];
+            for (row, e) in rows.iter_mut().zip(block.chunks_exact(8)) {
+                *row = u64::from_le_bytes(e.try_into().expect("eight bytes"));
+            }
+            transpose8(&mut rows);
+            for (j, row) in rows.iter().enumerate() {
+                planes[j * n + i..j * n + i + 8].copy_from_slice(&row.to_le_bytes());
+            }
+            i += 8;
         }
-        // bytes above the element width are never stored: whatever the sum
-        // carries into them is dropped again
-        let v = if DELTA { prev.wrapping_add(d) } else { d };
-        prev = v;
+    }
+    let rest = if W == 8 { blocks.remainder() } else { elems };
+    for (k, e) in rest.chunks_exact(W).enumerate() {
+        let v = load::<W>(e);
+        for j in 0..W {
+            planes[j * n + i + k] = (v >> (8 * j)) as u8;
+        }
+    }
+}
+
+/// Inverse of [`shuffle_into`] for a whole column: `planes` into `elems`.
+#[inline(always)]
+fn unshuffle_from<const W: usize>(planes: &[u8], elems: &mut [u8]) {
+    let n = planes.len() / W;
+    let mut blocks = elems.chunks_exact_mut(64);
+    let mut i = 0;
+    if W == 8 {
+        for block in &mut blocks {
+            let mut rows = [0u64; 8];
+            for (j, row) in rows.iter_mut().enumerate() {
+                *row = le_u64(planes, j * n + i);
+            }
+            transpose8(&mut rows);
+            for (row, e) in rows.iter().zip(block.chunks_exact_mut(8)) {
+                e.copy_from_slice(&row.to_le_bytes());
+            }
+            i += 8;
+        }
+    }
+    let rest = if W == 8 { blocks.into_remainder() } else { elems };
+    for (k, e) in rest.chunks_exact_mut(W).enumerate() {
+        let mut v = 0u64;
+        for j in 0..W {
+            v |= (planes[j * n + i + k] as u64) << (8 * j);
+        }
         e.copy_from_slice(&v.to_le_bytes()[..W]);
     }
-    dst_tail.copy_from_slice(tail);
+}
+
+/// Transposes an 8 × 8 byte matrix held as eight little-endian rows: byte
+/// `c` of row `r` trades places with byte `r` of row `c`. Three rounds swap
+/// the off-diagonal 4 × 4, 2 × 2 and 1 × 1 blocks, written out so that
+/// every shift and mask is a constant.
+#[inline(always)]
+fn transpose8(x: &mut [u64; 8]) {
+    #[inline(always)]
+    fn swap(x: &mut [u64; 8], r: usize, s: usize, keep: u64) {
+        let t = ((x[r] >> (8 * s)) ^ x[r + s]) & keep;
+        x[r + s] ^= t;
+        x[r] ^= t << (8 * s);
+    }
+    const K4: u64 = 0x0000_0000_FFFF_FFFF;
+    const K2: u64 = 0x0000_FFFF_0000_FFFF;
+    const K1: u64 = 0x00FF_00FF_00FF_00FF;
+    swap(x, 0, 4, K4);
+    swap(x, 1, 4, K4);
+    swap(x, 2, 4, K4);
+    swap(x, 3, 4, K4);
+    swap(x, 0, 2, K2);
+    swap(x, 1, 2, K2);
+    swap(x, 4, 2, K2);
+    swap(x, 5, 2, K2);
+    swap(x, 0, 1, K1);
+    swap(x, 2, 1, K1);
+    swap(x, 4, 1, K1);
+    swap(x, 6, 1, K1);
 }
 
 /// Bytes of a column's byte plane LZ4 is tried on first: a plane whose
@@ -1412,6 +1515,64 @@ mod tests {
         assert_eq!(Filter::from_id(0x80), None, "a delta needs a width");
     }
 
+    /// The per-byte loops the kernels replaced, for any filter: the oracle
+    /// [`shuffle`] and [`unshuffle`] are held to.
+    fn shuffle_bytes(f: Filter, src: &[u8]) -> Vec<u8> {
+        let w = f.width.max(1) as usize;
+        let n = src.len() / w;
+        let mut dst = src.to_vec();
+        let mut prev = 0u64;
+        for (i, e) in src[..n * w].chunks_exact(w).enumerate() {
+            let mut word = [0u8; 8];
+            word[..w].copy_from_slice(e);
+            let v = u64::from_le_bytes(word);
+            let d = if f.delta { v.wrapping_sub(prev) } else { v };
+            prev = v;
+            for j in 0..w {
+                dst[j * n + i] = (d >> (8 * j)) as u8;
+            }
+        }
+        dst
+    }
+
+    fn unshuffle_bytes(f: Filter, src: &[u8]) -> Vec<u8> {
+        let w = f.width.max(1) as usize;
+        let n = src.len() / w;
+        let mut dst = src.to_vec();
+        let mut prev = 0u64;
+        for (i, e) in dst[..n * w].chunks_exact_mut(w).enumerate() {
+            let mut d = 0u64;
+            for j in 0..w {
+                d |= (src[j * n + i] as u64) << (8 * j);
+            }
+            let v = if f.delta { prev.wrapping_add(d) } else { d };
+            prev = v;
+            e.copy_from_slice(&v.to_le_bytes()[..w]);
+        }
+        dst
+    }
+
+    fn assert_kernels_match_the_loops(f: Filter, data: &[u8]) {
+        let mut got = vec![0x55u8; data.len()];
+        f.apply(data, &mut got);
+        assert!(got == shuffle_bytes(f, data), "{f:?} shuffles {} bytes", data.len());
+        f.undo(data, &mut got);
+        assert!(got == unshuffle_bytes(f, data), "{f:?} unshuffles {} bytes", data.len());
+    }
+
+    /// Every length through a few transpose blocks, and around the block a
+    /// delta column is differenced in.
+    #[test]
+    fn kernels_equal_the_per_byte_loops_at_every_tail() {
+        let data = noise(3 * DELTA_BLOCK + 77);
+        let lens = (0..=600).chain((DELTA_BLOCK - 9..DELTA_BLOCK + 9).chain([data.len()]));
+        for len in lens {
+            for f in filters() {
+                assert_kernels_match_the_loops(f, &data[..len]);
+            }
+        }
+    }
+
     #[test]
     fn filters_put_a_sorted_column_in_compressible_shape() {
         let column: Vec<u8> =
@@ -1680,6 +1841,14 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn prop_kernels_equal_the_per_byte_loops(
+            data in proptest::collection::vec(byte(), 0..9_000),
+            which in 0usize..8,
+        ) {
+            assert_kernels_match_the_loops(filters()[which], &data);
+        }
 
         #[test]
         fn prop_every_filter_round_trips(

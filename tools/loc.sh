@@ -37,7 +37,7 @@ ratchet() {
   fi
 }
 ratchet 5304 dfo-core dfo-service
-ratchet 2979 dfo-types dfo-part
+ratchet 3085 dfo-types dfo-part
 ratchet 2718 dfo-net dfo-obs
-ratchet 3675 dfo-storage
+ratchet 3817 dfo-storage
 exit $status
