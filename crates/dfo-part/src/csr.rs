@@ -6,15 +6,15 @@
 //! additional CSR index (`idx` over the whole source range) that supports
 //! O(1) seeking. At access time the engine picks whichever index the cost
 //! model favours. Only seeking ([`ChunkSeeker`]) reads a stored CSR index:
-//! a full load ([`IndexedChunk::load`]) reads the DCSR index and the edges,
-//! and when CSR is wanted it rebuilds the offsets from the DCSR index in
-//! memory, so no disk bytes are spent on them.
+//! a full load ([`IndexedChunk::read_from`]) reads the DCSR index and the
+//! edges, and when CSR is wanted it rebuilds the offsets from the DCSR
+//! index in memory, so no disk bytes are spent on them.
 
-use dfo_storage::{BlockFile, FrameReader, FrameWriter, NodeDisk};
+use dfo_storage::{BlockFile, FrameWriter, NodeDisk};
 use dfo_types::codec::Cur;
 use dfo_types::{pod_zeroed, slice_as_bytes, slice_as_bytes_mut, DfoError, Pod, ReprKind, Result};
-use std::io::{Read, Seek, Write};
-use std::ops::{Range, RangeInclusive};
+use std::io::Write;
+use std::ops::Range;
 
 const MAGIC: u32 = 0x4446_4F43; // "DFOC"
 const FLAG_HAS_CSR: u32 = 1;
@@ -23,7 +23,7 @@ const HEADER_BYTES: usize = 32;
 /// A chunk's fixed header, and where it says the sections after the DCSR
 /// index start in the logical stream. The counts come from disk: nothing
 /// may allocate or seek by them before the stream they imply has been held
-/// against the length of the one they were read from.
+/// against the exact length of the one they were read from.
 struct Layout {
     has_csr: bool,
     n_src: u32,
@@ -36,9 +36,8 @@ struct Layout {
 
 impl Layout {
     /// Parses `header` for a chunk of `edge_bytes`-wide payloads whose
-    /// logical stream may be `len` bytes long: a range up to what a
-    /// sequential reader can bound it by, one value where it is known.
-    fn parse(header: &[u8], edge_bytes: usize, len: RangeInclusive<u64>) -> Result<Self> {
+    /// logical stream is `len` bytes long.
+    fn parse(header: &[u8], edge_bytes: usize, len: u64) -> Result<Self> {
         let mut words = Cur::new(header);
         let (magic, flags) = (words.u32()?, words.u32()?);
         let (n_src, n_edges, n_nonzero) = (words.u64()?, words.u64()?, words.u64()?);
@@ -48,10 +47,10 @@ impl Layout {
         let dst_off = csr_idx_off + if has_csr { 8 * (n_src as u128 + 1) } else { 0 };
         let data_off = dst_off + 4 * n_edges as u128;
         let end = data_off + edge_bytes as u128 * n_edges as u128;
-        let fits = magic == MAGIC && u64::try_from(end).is_ok_and(|end| len.contains(&end));
+        let fits = magic == MAGIC && end == len as u128;
         let n_src = u32::try_from(n_src).ok().filter(|_| fits).ok_or_else(|| {
             DfoError::Corrupt(format!(
-                "{header:02x?} is not the header of a chunk in a stream of {len:?} bytes"
+                "{header:02x?} is not the header of a chunk in a stream of {len} bytes"
             ))
         })?;
         Ok(Self {
@@ -219,56 +218,28 @@ impl<E: Pod + PartialEq> IndexedChunk<E> {
         fw.finish()
     }
 
-    /// Reads a chunk front to back from a frame reader, which has detected
-    /// the compressed container (chunks written with `compress_chunks` on)
-    /// or passes a raw file through: the oracle a full [`IndexedChunk::load`]
-    /// is held against, and the reader of a stream with no file behind it.
+    /// Reads the chunk stored in `file` whole, fetching exactly the blocks
+    /// of the columns it decodes: the header, the DCSR index, then `dst`
+    /// and `data`, each in as few positioned reads as
+    /// [`BlockFile::read_ranges`] takes. A stored CSR section is never
+    /// read: with `want` other than `Some(ReprKind::Dcsr)` the CSR offsets
+    /// are rebuilt from the DCSR index in memory, which gives the offsets
+    /// the chunk stored — `None` returns everything the file holds. The
+    /// header is parsed against the exact length of the logical stream,
+    /// and the DCSR index is checked before anything walks it: sources
+    /// ascending below `n_src`, offsets from 0 up to the edge count, never
+    /// falling — else the chunk is `Corrupt`, naming the file.
     ///
-    /// `want` selects which index to keep. The DCSR index is always loaded
-    /// and checked as [`IndexedChunk::load`] checks it. With
-    /// `Some(ReprKind::Dcsr)` a stored CSR section is read and dropped;
-    /// `Some(ReprKind::Csr)` and `None` keep it as stored — everything the
-    /// file holds.
-    ///
-    /// Each column is read straight into the `Vec` it lives in; compressed
-    /// blocks are decoded into those bytes with no buffer in between. The
-    /// header's counts are held against the most the stream can hold
-    /// before anything is allocated for them.
-    pub fn read_from<R: Read + Seek>(
-        r: &mut FrameReader<R>,
-        want: Option<ReprKind>,
-    ) -> Result<Self> {
-        let io = |e| DfoError::io("reading chunk", e);
-        let mut header = [0u8; HEADER_BYTES];
-        r.read_exact(&mut header).map_err(io)?;
-        let l = Layout::parse(&header, std::mem::size_of::<E>(), 0..=r.logical_bound())?;
-        let dcsr_src: Vec<u32> = read_pod_vec(r, l.n_nonzero as usize)?;
-        let dcsr_idx: Vec<u64> = read_pod_vec(r, l.n_nonzero as usize + 1)?;
-        let csr_idx = l.has_csr.then(|| read_pod_vec(r, l.n_src as usize + 1)).transpose()?;
-        let dst: Vec<u32> = read_pod_vec(r, l.n_edges as usize)?;
-        let data: Vec<E> = read_pod_vec(r, l.n_edges as usize)?;
-        check_dcsr("a chunk stream", &l, &dcsr_src, &dcsr_idx)?;
-        let csr_idx = csr_idx.filter(|_| want != Some(ReprKind::Dcsr));
-        Ok(Self { n_src: l.n_src, dcsr_src, dcsr_idx, csr_idx, dst, data })
-    }
-
-    /// Loads the stored chunk `rel` whole, reading exactly the blocks of
-    /// the columns it decodes: the header, the DCSR index, then `dst` and
-    /// `data`, each in as few positioned reads as [`BlockFile::read_ranges`]
-    /// takes. A stored CSR section is never read: with `want` other than
-    /// `Some(ReprKind::Dcsr)` the CSR offsets are rebuilt from the DCSR
-    /// index in memory, so the chunk equals what
-    /// [`IndexedChunk::read_from`] returns for the same `want`. The header
-    /// is parsed against the exact length of the logical stream, and the
-    /// DCSR index is checked before anything walks it: sources ascending
-    /// below `n_src`, offsets from 0 up to the edge count, never falling —
-    /// else the chunk is `Corrupt`, naming `rel`.
-    pub fn load(disk: &NodeDisk, rel: &str, want: Option<ReprKind>) -> Result<Self> {
-        let (mut blocks, l) = open_columns(disk, rel, std::mem::size_of::<E>())?;
-        let (dcsr_src, dcsr_idx) = read_dcsr(&mut blocks, &l, rel)?;
+    /// [`IndexedChunk::load`] opens the file and calls this. The two entry
+    /// points stay side by side only because the benchmark
+    /// (`examples/dfo_benchmark`) calls this one on a file it opened with
+    /// [`NodeDisk::open_framed`].
+    pub fn read_from(file: &mut BlockFile, want: Option<ReprKind>) -> Result<Self> {
+        let l = read_layout(file, std::mem::size_of::<E>())?;
+        let (dcsr_src, dcsr_idx) = read_dcsr(file, &l)?;
         let mut dst = vec![0u32; l.n_edges as usize];
         let mut data = vec![pod_zeroed::<E>(); l.n_edges as usize];
-        blocks.read_ranges(&mut [
+        file.read_ranges(&mut [
             (l.dst_off, slice_as_bytes_mut(&mut dst)),
             // zero-sized payloads occupy no bytes on disk
             (l.data_off, slice_as_bytes_mut(&mut data)),
@@ -276,6 +247,12 @@ impl<E: Pod + PartialEq> IndexedChunk<E> {
         let csr_idx = (l.has_csr && want != Some(ReprKind::Dcsr))
             .then(|| expand_csr(l.n_src, &dcsr_src, &dcsr_idx));
         Ok(Self { n_src: l.n_src, dcsr_src, dcsr_idx, csr_idx, dst, data })
+    }
+
+    /// Loads the stored chunk `rel` whole: [`IndexedChunk::read_from`] on
+    /// the file, opened for column reads.
+    pub fn load(disk: &NodeDisk, rel: &str, want: Option<ReprKind>) -> Result<Self> {
+        Self::read_from(&mut BlockFile::open(disk, rel, 0)?, want)
     }
 
     /// In-memory footprint of the decoded chunk — what a bounded chunk
@@ -292,18 +269,6 @@ impl<E: Pod + PartialEq> IndexedChunk<E> {
         (HEADER_BYTES + 4 * self.dcsr_src.len() + 8 * (self.dcsr_idx.len() + csr)) as u64
             + (edge * self.dst.len()) as u64
     }
-}
-
-/// Reads `n` values straight into the `Vec<T>` they will live in — for a
-/// compressed chunk the frame reader decodes whole blocks into these very
-/// bytes, with no byte buffer in between.
-fn read_pod_vec<T: Pod, R: Read>(r: &mut R, n: usize) -> Result<Vec<T>> {
-    // zero-sized payloads (dispatch graphs) occupy no bytes on disk but
-    // still deserialize to `n` logical elements: the byte view is empty
-    let mut out: Vec<T> = vec![pod_zeroed(); n];
-    r.read_exact(slice_as_bytes_mut(&mut out))
-        .map_err(|e| DfoError::io(format!("reading {n} x {}", std::any::type_name::<T>()), e))?;
-    Ok(out)
 }
 
 /// Monotone merge cursor over a DCSR index: visiting sources in ascending
@@ -376,8 +341,7 @@ impl SeekFile {
         let mut blocks = BlockFile::open(disk, rel, columns)?;
         let mut header = [0u8; HEADER_BYTES];
         blocks.read_at(0, &mut header, 0)?;
-        let len = blocks.logical_len();
-        let layout = Layout::parse(&header, edge_bytes, len..=len)?;
+        let layout = Layout::parse(&header, edge_bytes, blocks.logical_len())?;
         Ok(Self { blocks, layout, edge_bytes })
     }
 }
@@ -439,52 +403,45 @@ impl<E: Pod + PartialEq> ChunkSeeker<E> {
 /// The DCSR index `(dcsr_src, dcsr_idx)` of the stored chunk `rel`, whose
 /// payloads are `edge_bytes` wide, read with positioned reads of the header
 /// and those two columns alone — a few blocks, not the file — and checked
-/// as [`IndexedChunk::load`] checks it.
+/// as [`IndexedChunk::read_from`] checks it.
 pub fn read_dcsr_index(
     disk: &NodeDisk,
     rel: &str,
     edge_bytes: usize,
 ) -> Result<(Vec<u32>, Vec<u64>)> {
-    let (mut blocks, l) = open_columns(disk, rel, edge_bytes)?;
-    read_dcsr(&mut blocks, &l, rel)
+    let mut file = BlockFile::open(disk, rel, 0)?;
+    let l = read_layout(&mut file, edge_bytes)?;
+    read_dcsr(&mut file, &l)
 }
 
-/// Opens the stored chunk `rel` of `edge_bytes`-wide payloads for column
-/// reads, and reads and parses its header against the exact length of its
-/// logical stream.
-fn open_columns(disk: &NodeDisk, rel: &str, edge_bytes: usize) -> Result<(BlockFile, Layout)> {
-    let mut blocks = BlockFile::open(disk, rel, 0)?;
+/// Reads the header of the chunk of `edge_bytes`-wide payloads open in
+/// `file` and parses it against the exact length of its logical stream.
+fn read_layout(file: &mut BlockFile, edge_bytes: usize) -> Result<Layout> {
     let mut header = [0u8; HEADER_BYTES];
-    blocks.read_ranges(&mut [(0, &mut header[..])])?;
-    let len = blocks.logical_len();
-    Ok((blocks, Layout::parse(&header, edge_bytes, len..=len)?))
+    file.read_ranges(&mut [(0, &mut header[..])])?;
+    Layout::parse(&header, edge_bytes, file.logical_len())
 }
 
-/// Reads the DCSR index of the chunk `rel` open in `blocks` and checks it.
-fn read_dcsr(blocks: &mut BlockFile, l: &Layout, rel: &str) -> Result<(Vec<u32>, Vec<u64>)> {
+/// Reads the DCSR index of the chunk open in `file` and checks it before
+/// anything walks it: sources strictly ascending below `n_src` (or
+/// [`MergeCursor`] drops edges, and the CSR rebuild writes out of place),
+/// offsets starting at 0, never falling, ending at the edge count.
+fn read_dcsr(file: &mut BlockFile, l: &Layout) -> Result<(Vec<u32>, Vec<u64>)> {
     let mut src = vec![0u32; l.n_nonzero as usize];
     let mut idx = vec![0u64; l.n_nonzero as usize + 1];
-    blocks.read_ranges(&mut [
+    file.read_ranges(&mut [
         (HEADER_BYTES as u64, slice_as_bytes_mut(&mut src)),
         (HEADER_BYTES as u64 + 4 * l.n_nonzero, slice_as_bytes_mut(&mut idx)),
     ])?;
-    check_dcsr(rel, l, &src, &idx)?;
-    Ok((src, idx))
-}
-
-/// The one check of a DCSR index read from `what`, before anything walks
-/// it: sources strictly ascending below `n_src` (or [`MergeCursor`] drops
-/// edges, and the CSR rebuild writes out of place), offsets starting at 0,
-/// never falling, ending at the edge count.
-fn check_dcsr(what: &str, l: &Layout, src: &[u32], idx: &[u64]) -> Result<()> {
+    let rel = file.rel();
     // `None < Some(_)`: no sources is in order
     if src.windows(2).any(|w| w[0] >= w[1]) || src.last() >= Some(&l.n_src) {
-        return Err(DfoError::Corrupt(format!("{what}: DCSR sources out of order or range")));
+        return Err(DfoError::Corrupt(format!("{rel}: DCSR sources out of order or range")));
     }
     if idx[0] != 0 || idx.windows(2).any(|w| w[0] > w[1]) || idx[idx.len() - 1] != l.n_edges {
-        return Err(DfoError::Corrupt(format!("{what}: DCSR index does not cover all edges")));
+        return Err(DfoError::Corrupt(format!("{rel}: DCSR index does not cover all edges")));
     }
-    Ok(())
+    Ok((src, idx))
 }
 
 /// The CSR offsets of a chunk of `n_src` sources (`n_src + 1` of them)
@@ -534,13 +491,15 @@ pub fn choose_repr(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
 
+    /// Stores `file` on a disk of its own and loads the chunk it holds.
     fn read_back<E: Pod + PartialEq>(
         file: &[u8],
         want: Option<ReprKind>,
     ) -> Result<IndexedChunk<E>> {
-        IndexedChunk::read_from(&mut FrameReader::new(Cursor::new(file))?, want)
+        let td = tempfile::TempDir::new().unwrap();
+        std::fs::write(td.path().join("c.bin"), file).unwrap();
+        IndexedChunk::load(&NodeDisk::new(td.path(), None, false)?, "c.bin", want)
     }
 
     /// The paper's Figure 1c/1d example: chunk of 3 edges from partition 0

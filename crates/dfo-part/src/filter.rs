@@ -6,10 +6,9 @@
 //! computed in preprocessing and stored on node *i*, sorted, so filtering is
 //! a merge of two sorted streams.
 
-use dfo_storage::{FrameWriter, NodeDisk};
-use dfo_types::codec::read_u64;
+use dfo_storage::{BlockFile, FrameWriter, NodeDisk};
 use dfo_types::{slice_as_bytes, slice_as_bytes_mut, DfoError, Result};
-use std::io::{self, Read, Write};
+use std::io::Write;
 
 /// Writes a sorted filter list to `disk` at `rel`: its length as a `u64`,
 /// then the sources as `u32`s. With `compress` the list is stored in a
@@ -33,27 +32,30 @@ fn write_list<W: Write>(mut w: FrameWriter<W>, list: &[u32]) -> Result<W> {
 }
 
 /// Reads back a filter list the plan says holds `len` sources, stored raw
-/// or framed. The file is checked, not trusted: its header must agree with
-/// `len`, its logical bytes must be exactly the `8 + 4·len` that many
-/// sources take, a container's blocks and footer must check out, and its
-/// sources must be strictly ascending, or [`FilterCursor`] would drop
-/// messages; anything else is a `Corrupt` error naming `rel`.
+/// or framed. The file is checked, not trusted: its logical bytes must be
+/// exactly the `8 + 4·len` that many sources take before anything is
+/// allocated for them, its header must agree with `len`, a container's
+/// blocks, directory and footer must check out, and its sources must be
+/// strictly ascending, or [`FilterCursor`] would drop messages; anything
+/// else is a `Corrupt` error naming `rel`.
 pub fn read_filter_list(disk: &NodeDisk, rel: &str, len: u64) -> Result<Vec<u32>> {
     let corrupt = |what: String| DfoError::Corrupt(format!("filter list {rel}: {what}"));
-    let failed = |e: io::Error| match e.kind() {
-        io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof => corrupt(e.to_string()),
-        _ => DfoError::io(format!("reading filter list {rel}"), e),
+    let named = |e| match e {
+        DfoError::Corrupt(what) => corrupt(what),
+        e => e,
     };
-    let mut r = disk.open_framed(rel)?;
-    let n = read_u64(&mut r).map_err(failed)?;
-    let bound = r.logical_bound();
-    if n != len || len.saturating_mul(4).saturating_add(8) > bound {
-        return Err(corrupt(format!("{n} sources in at most {bound} bytes, the plan says {len}")));
+    let mut file = BlockFile::open(disk, rel, 0).map_err(named)?;
+    let stored = file.logical_len();
+    if len.checked_mul(4).and_then(|n| n.checked_add(8)) != Some(stored) {
+        return Err(corrupt(format!("{stored} logical bytes, the plan says {len} sources")));
     }
+    let mut count = [0u8; 8];
     let mut list = vec![0u32; len as usize];
-    r.read_exact(slice_as_bytes_mut(&mut list)).map_err(failed)?;
-    if r.read(&mut [0u8; 1]).map_err(failed)? != 0 {
-        return Err(corrupt(format!("bytes past its {len} sources")));
+    file.read_ranges(&mut [(0, &mut count[..]), (8, slice_as_bytes_mut(&mut list))])
+        .map_err(named)?;
+    let n = u64::from_le_bytes(count);
+    if n != len {
+        return Err(corrupt(format!("{n} sources, the plan says {len}")));
     }
     match list.windows(2).find(|w| w[0] >= w[1]) {
         Some(w) => Err(corrupt(format!("source {} follows {}: not ascending", w[1], w[0]))),

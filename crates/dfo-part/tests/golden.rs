@@ -2,17 +2,17 @@
 //!
 //! `data/golden_chunk_pr14.hex` is the version-1 container an older build's
 //! `write_to_framed(.., true)` produced for [`golden_chunk`]: no build
-//! writes or reads that version any more, and both readers refuse it with
-//! an error that says to preprocess again. `data/golden_chunk_v2.hex` is
+//! writes or reads that version any more, and the reader refuses it — to
+//! a load, a seek or a read from the front — with an error that says to
+//! preprocess again. `data/golden_chunk_v2.hex` is
 //! the version-2 container of the same chunk — typed column filters, block
 //! directory, footer — which today's reader must decode *and* today's
 //! writer must reproduce byte for byte: encoder, filters, framing and
 //! checksums do not move unnoticed.
 
 use dfo_part::csr::{ChunkSeeker, IndexedChunk};
-use dfo_storage::{FrameReader, NodeDisk};
+use dfo_storage::NodeDisk;
 use dfo_types::{DfoError, ReprKind};
-use std::io::Cursor;
 
 fn golden_chunk() -> IndexedChunk<u32> {
     let edges: Vec<(u32, u32, u32)> =
@@ -27,8 +27,12 @@ fn unhex(text: &str) -> Vec<u8> {
         .collect()
 }
 
+/// Stores `file` on a disk of its own and loads the chunk it holds.
 fn read(file: &[u8], want: Option<ReprKind>) -> IndexedChunk<u32> {
-    IndexedChunk::read_from(&mut FrameReader::new(Cursor::new(file)).unwrap(), want).unwrap()
+    let td = tempfile::TempDir::new().unwrap();
+    std::fs::write(td.path().join("c.bin"), file).unwrap();
+    let disk = NodeDisk::new(td.path(), None, false).unwrap();
+    IndexedChunk::load(&disk, "c.bin", want).unwrap()
 }
 
 /// Both ways of loading `file` give the golden chunk.
@@ -45,13 +49,13 @@ fn assert_decodes(file: &[u8]) {
 fn version_1_golden_chunk_is_refused_with_a_typed_error() {
     let golden = unhex(include_str!("data/golden_chunk_pr14.hex"));
     assert_eq!(golden.len(), 779);
-    assert!(FrameReader::new(Cursor::new(&golden)).is_err());
     let td = tempfile::TempDir::new().unwrap();
     std::fs::write(td.path().join("v1.bin"), &golden).unwrap();
     let disk = NodeDisk::new(td.path(), None, false).unwrap();
-    let loaded = disk.open_framed("v1.bin").err();
+    let opened = disk.open_framed("v1.bin").err();
+    let loaded = IndexedChunk::<u32>::load(&disk, "v1.bin", None).err();
     let seeked = ChunkSeeker::<u32>::open(&disk, "v1.bin").err();
-    for err in [loaded, seeked] {
+    for err in [opened, loaded, seeked] {
         assert!(
             matches!(&err, Some(DfoError::Corrupt(m)) if m.contains("v1.bin") && m.contains("preprocess")),
             "{err:?}"

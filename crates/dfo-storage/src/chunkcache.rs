@@ -39,8 +39,8 @@ pub struct ChunkKey {
     /// Destination batch; `None` addresses the partition's dispatching
     /// graph (which is not batch-addressed).
     pub batch: Option<usize>,
-    /// Index representation the chunk was decoded with (`read_from`'s
-    /// `want` argument).
+    /// Index representation the chunk was decoded with (the `want`
+    /// argument of `IndexedChunk::load`).
     pub repr: Option<ReprKind>,
 }
 

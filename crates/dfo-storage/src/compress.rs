@@ -1,5 +1,5 @@
 //! Block compression for preprocessed chunk files: the frame container,
-//! its sequential reader and writer, and positioned reads of single blocks.
+//! its writer, and its one reader, which reads any part of a file by block.
 //!
 //! DFOGraph's premise is that fully-out-of-core performance is bounded by
 //! bytes moved through disk and network; edge chunks are written once at
@@ -40,40 +40,34 @@
 //! stream; a column coding that changes it needs those readers to move
 //! first.
 //!
-//! **Directory and footer** follow the end trailer, so a sequential reader
-//! meets them only after the last byte: it checks them (a file cut anywhere
-//! reads as truncated) and is otherwise untouched. A positioned reader
-//! ([`BlockFile`]) takes the fixed-size footer from the end of the file,
-//! the directory in front of it, and from then on fetches, checksums and
-//! decodes exactly the blocks that hold the logical bytes it is asked for.
-//! The footer's CRC covers the directory and the footer's own counts.
+//! **Reading.** [`BlockFile`] is the one reader. It takes the fixed-size
+//! footer from the end of the file, then the end trailer and the directory
+//! in front of it in one positioned read, checks all three (the footer's
+//! CRC covers the directory and the footer's own counts), and from then on
+//! fetches, checksums and decodes exactly the blocks that hold the logical
+//! bytes it is asked for: single blocks for the engine's seek mode
+//! ([`BlockFile::read_at`], which keeps the last two blocks of each column
+//! it walks), whole columns for a chunk load ([`BlockFile::read_ranges`]),
+//! and the stream from the front through [`Read`] (column 0's blocks, so
+//! each block once). Sections start blocks, so a column is whole blocks,
+//! and a column nobody decodes is never fetched. Every stored byte past
+//! the magic is checked by whatever reads it: a block by its checksum and
+//! the directory's lengths, the rest when the file is opened. A file that
+//! does not start with the container magic is served byte for byte, so
+//! `compress_chunks = false` keeps files byte-identical to the
+//! uncompressed layout.
 //!
-//! **Versions.** Readers and the writer speak version 2 only. A container
-//! of any other version — version 1 had neither filters nor a directory —
-//! is refused with an error that names the file and says to preprocess the
-//! graph again. [`FrameReader`] auto-detects the container magic and
-//! passes other files through byte-for-byte, so one read path serves
-//! framed and raw files and `compress_chunks = false` keeps files
-//! byte-identical to the uncompressed layout.
+//! **Versions.** The reader and the writer speak version 2 only. A
+//! container of any other version — version 1 had neither filters nor a
+//! directory — is refused with an error that names the file and says to
+//! preprocess the graph again.
 //!
-//! Decoding: a [`FrameReader`] owns its buffers for its whole life. When
-//! the caller's buffer can hold the next block whole — the chunk codec's
-//! column reads always can — the block is decoded (or, stored raw, read)
-//! *directly into it*; the reader's own block buffer only serves reads
-//! smaller than a block. The checksum is sliced eight bytes at a time and
-//! the LZ4 decoder copies a word at a time; neither loops per byte.
-//!
-//! A [`FrameReader`] does not seek: it reads what it is asked for from
-//! the front, and the bytes a caller does not want it reads and drops.
-//! Whatever reads part of a file goes through [`BlockFile`] instead —
-//! single blocks for the engine's seek mode ([`BlockFile::read_at`], which
-//! keeps the last two blocks of each column it walks), whole columns for a
-//! chunk load ([`BlockFile::read_ranges`]). Sections start blocks, so a
-//! column is whole blocks, and a column nobody decodes is never fetched.
+//! The checksum is sliced eight bytes at a time and the LZ4 decoder copies
+//! a word at a time; neither loops per byte.
 
 use crate::disk::{NodeDisk, RandomFile};
 use dfo_types::{DfoError, Result};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Write};
 
 /// First four bytes of a compressed chunk container ("DFOZ" once the
 /// little-endian u32 is laid down, mirroring the chunk codec's "DFOC").
@@ -91,8 +85,8 @@ pub const BLOCK_BYTES: usize = 128 << 10;
 /// than 128 KiB ones and decode as fast.
 pub const SEEK_BLOCK_BYTES: usize = 16 << 10;
 /// Most stored bytes one positioned read of [`BlockFile::read_ranges`]
-/// brings in: what the sequential reader's buffer holds, so a load of whole
-/// columns needs no more memory than a front-to-back read.
+/// brings in, so a load of whole columns holds at most this much of the
+/// file at a time.
 const SPAN_BYTES: u64 = 256 << 10;
 
 /// Block flag: payload is an LZ4 block of `raw_len` decoded bytes.
@@ -178,8 +172,8 @@ fn crc32_more(crc: u32, data: &[u8]) -> u32 {
     !c
 }
 
-fn corrupt(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
+fn corrupt(msg: impl Into<String>) -> DfoError {
+    DfoError::Corrupt(msg.into())
 }
 
 fn le_u32(b: &[u8], at: usize) -> u32 {
@@ -457,12 +451,14 @@ impl ColumnCodec {
                 _ => lz4_flex::decompress_into(body, plane) == Ok(plane.len()),
             };
             if !whole {
-                return Err(corrupt(format!("malformed {}-byte packed column", packed.len())));
+                let what = format!("malformed {}-byte packed column", packed.len());
+                return Err(io::Error::new(io::ErrorKind::InvalidData, what));
             }
             rest = &rest[8 + len..];
         }
         if !rest.is_empty() {
-            return Err(corrupt(format!("{} bytes past a packed column", rest.len())));
+            let what = format!("{} bytes past a packed column", rest.len());
+            return Err(io::Error::new(io::ErrorKind::InvalidData, what));
         }
         filter.undo(&self.filtered, dst);
         Ok(())
@@ -645,7 +641,7 @@ impl<W: Write> Write for FrameWriter<W> {
     }
 }
 
-/// A validated block header (the end trailer is `None` to its readers).
+/// A validated block header (the end trailer is `None` to its reader).
 struct BlockHeader {
     raw_len: usize,
     enc_len: usize,
@@ -658,26 +654,8 @@ struct BlockHeader {
     crc: u32,
 }
 
-impl BlockHeader {
-    fn check(&self, encoded: &[u8]) -> io::Result<()> {
-        if crc32_more(self.crc_seed, encoded) == self.crc {
-            Ok(())
-        } else {
-            Err(corrupt("block checksum mismatch"))
-        }
-    }
-}
-
-fn truncated_as_corrupt(e: io::Error, what: &str) -> io::Error {
-    if e.kind() == io::ErrorKind::UnexpectedEof {
-        corrupt(format!("compressed stream truncated: {what}"))
-    } else {
-        e
-    }
-}
-
 /// Parses and validates a block header; `None` is the end trailer.
-fn parse_header(header: &[u8]) -> io::Result<Option<BlockHeader>> {
+fn parse_header(header: &[u8]) -> Result<Option<BlockHeader>> {
     let (raw_len, enc_len) = (le_u32(header, 0) as usize, le_u32(header, 4) as usize);
     let (flags, crc) = (le_u32(header, 8), le_u32(header, 12));
     if flags & FLAG_END != 0 {
@@ -701,279 +679,29 @@ fn parse_header(header: &[u8]) -> io::Result<Option<BlockHeader>> {
     Ok(Some(BlockHeader { raw_len, enc_len, lz4, filter, crc_seed, crc }))
 }
 
-/// Decodes the LZ4 payload `encoded` of block `h` into `dst`
-/// (`dst.len() == h.raw_len`), through `filtered` when the block went
-/// through a filter. The checksum is verified before any decoder runs.
-fn unpack(
-    h: &BlockHeader,
-    encoded: &[u8],
-    filtered: &mut Vec<u8>,
-    dst: &mut [u8],
-) -> io::Result<()> {
-    h.check(encoded)?;
-    let unfiltered = h.filter == Filter::NONE;
-    if !unfiltered {
-        filtered.resize(h.raw_len, 0);
-    }
-    let n = lz4_flex::decompress_into(encoded, if unfiltered { &mut *dst } else { filtered })
-        .map_err(|e| corrupt(format!("block decode failed: {e}")))?;
-    if n != h.raw_len {
-        return Err(corrupt(format!("block decoded to {n} bytes, header says {}", h.raw_len)));
-    }
-    if !unfiltered {
-        h.filter.undo(filtered, dst);
-    }
-    Ok(())
-}
-
-/// A sequential reader's buffers, allocated once and reused for every
-/// block of the stream.
-#[derive(Default)]
-struct DecodeState {
-    /// Encoded bytes of the LZ4 block being decoded.
-    payload: Vec<u8>,
-    /// Its bytes between LZ4 and the inverse filter.
-    filtered: Vec<u8>,
-    /// The decoded block being served, when the caller's buffer was too
-    /// small to decode into directly.
-    block: Vec<u8>,
-    /// Read cursor within `block`.
-    pos: usize,
-    /// The end trailer has been read.
-    done: bool,
-    /// Decoded bytes served so far.
-    decoded_pos: u64,
-    /// Blocks read so far, which the directory lists.
-    blocks_seen: u64,
-}
-
-impl DecodeState {
-    /// Reads the next block header; `None` is the end of the stream, with
-    /// the directory and footer read and checked.
-    fn next_header(&mut self, inner: &mut impl Read) -> io::Result<Option<BlockHeader>> {
-        if self.done {
-            return Ok(None);
-        }
-        let mut header = [0u8; BLOCK_HEADER_BYTES];
-        inner
-            .read_exact(&mut header)
-            .map_err(|e| truncated_as_corrupt(e, "missing end trailer"))?;
-        let h = parse_header(&header)?;
-        if h.is_some() {
-            self.blocks_seen += 1;
-        } else {
-            let mut tail = vec![0u8; self.blocks_seen as usize * DIR_ENTRY_BYTES + FOOTER_BYTES];
-            inner.read_exact(&mut tail).map_err(|e| truncated_as_corrupt(e, "no footer"))?;
-            if parse_footer(&tail)? != (self.blocks_seen, self.decoded_pos) {
-                return Err(corrupt("footer disagrees with the blocks before it"));
-            }
-        }
-        self.done = h.is_none();
-        Ok(h)
-    }
-
-    /// Reads the payload of block `h` and decodes it into `dst`
-    /// (`dst.len() == h.raw_len`); a raw block is read straight into `dst`.
-    /// Checksum plus decode time of every block, raw or not, is charged to
-    /// `charge_to`.
-    fn decode_block(
-        &mut self,
-        inner: &mut impl Read,
-        charge_to: Option<&NodeDisk>,
-        h: &BlockHeader,
-        dst: &mut [u8],
-    ) -> io::Result<()> {
-        let inside = |e| truncated_as_corrupt(e, "inside a block");
-        let t0;
-        if h.lz4 {
-            self.payload.resize(h.enc_len, 0);
-            inner.read_exact(&mut self.payload).map_err(inside)?;
-            t0 = std::time::Instant::now();
-            unpack(h, &self.payload, &mut self.filtered, dst)?;
-        } else {
-            inner.read_exact(dst).map_err(inside)?;
-            t0 = std::time::Instant::now();
-            h.check(dst)?;
-        }
-        if let Some(disk) = charge_to {
-            disk.add_decode_nanos(t0.elapsed().as_nanos() as u64);
-        }
-        Ok(())
-    }
-
-    /// Decodes block `h` into the reader's own block buffer.
-    fn buffer_block(
-        &mut self,
-        inner: &mut impl Read,
-        charge_to: Option<&NodeDisk>,
-        h: &BlockHeader,
-    ) -> io::Result<()> {
-        let mut block = std::mem::take(&mut self.block);
-        block.resize(h.raw_len, 0);
-        // a failed decode must leave nothing to serve
-        self.pos = h.raw_len;
-        let done = self.decode_block(inner, charge_to, h, &mut block);
-        self.block = block;
-        done?;
-        self.pos = 0;
-        Ok(())
-    }
-}
-
-/// Checks the footer at the end of `tail` (a directory followed by the
-/// footer) against its magic and checksum; returns `(n_blocks,
-/// logical_len)`.
-fn parse_footer(tail: &[u8]) -> io::Result<(u64, u64)> {
-    let at = tail.len() - FOOTER_BYTES;
-    if le_u32(tail, at + 20) != FOOTER_MAGIC {
-        return Err(corrupt("compressed stream truncated: no footer magic"));
-    }
-    if crc32(&tail[..at + 16]) != le_u32(tail, at + 16) {
-        return Err(corrupt("block directory checksum mismatch"));
-    }
-    Ok((le_u64(tail, at), le_u64(tail, at + 8)))
-}
-
-enum ReadMode {
-    /// Not a compressed container: serve the peeked magic bytes, then the
-    /// inner stream untouched.
-    Passthrough { prefix: [u8; 4], prefix_len: usize, prefix_pos: usize },
-    /// Compressed container: serve decoded blocks.
-    Decode(DecodeState),
-}
-
-/// Auto-detecting reader over a chunk file: decodes [`FrameWriter`]
-/// containers, passes anything else through byte-for-byte (including the
-/// four peeked bytes).
-pub struct FrameReader<R: Read> {
-    inner: R,
-    mode: ReadMode,
-    /// Bytes of the inner stream, from where this reader started.
-    physical_len: u64,
-    logical_to: Option<NodeDisk>,
-}
-
-impl<R: Read + Seek> FrameReader<R> {
-    /// Measures the stream, then peeks its first four bytes to pick the
-    /// mode.
-    pub fn new(inner: R) -> Result<Self> {
-        Self::named(inner, "a chunk frame stream")
-    }
-
-    /// [`FrameReader::new`] over the file `name`, which errors name.
-    pub(crate) fn named(mut inner: R, name: &str) -> Result<Self> {
-        let io = |e| DfoError::io(format!("opening {name}"), e);
-        let start = inner.stream_position().map_err(io)?;
-        let end = inner.seek(SeekFrom::End(0)).map_err(io)?;
-        inner.seek(SeekFrom::Start(start)).map_err(io)?;
-        let mut prefix = [0u8; 8];
-        let mut n = 0;
-        while n < 4 {
-            let m = inner.read(&mut prefix[n..4]).map_err(io)?;
-            if m == 0 {
-                break;
-            }
-            n += m;
-        }
-        let mode = if n == 4 && le_u32(&prefix, 0) == FRAME_MAGIC {
-            inner.read_exact(&mut prefix[4..]).map_err(io)?;
-            check_version(le_u32(&prefix, 4), name)?;
-            ReadMode::Decode(DecodeState::default())
-        } else {
-            let prefix = [prefix[0], prefix[1], prefix[2], prefix[3]];
-            ReadMode::Passthrough { prefix, prefix_len: n, prefix_pos: 0 }
-        };
-        Ok(Self { inner, mode, physical_len: end.saturating_sub(start), logical_to: None })
-    }
-}
-
-impl<R: Read> FrameReader<R> {
-    /// No more logical bytes than this can come out of the stream: what a
-    /// decoder holds a length field against before it allocates for it.
-    pub fn logical_bound(&self) -> u64 {
-        match self.mode {
-            ReadMode::Passthrough { .. } => self.physical_len,
-            ReadMode::Decode(_) => self.physical_len.saturating_mul(LZ4_MAX_RATIO),
-        }
-    }
-
-    /// Routes logical-byte accounting (bytes *served*, decoded for
-    /// compressed streams) to `disk`.
-    pub(crate) fn account_logical_to(&mut self, disk: NodeDisk) {
-        self.logical_to = Some(disk);
-    }
-
-    /// Serves up to `buf.len()` decoded/passthrough bytes (no accounting).
-    /// A block that fits `buf` whole is decoded straight into it; a smaller
-    /// `buf` is served from the reader's block buffer.
-    fn read_inner(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let Self { inner, mode, logical_to, .. } = self;
-        let st = match mode {
-            ReadMode::Passthrough { prefix, prefix_len, prefix_pos } => {
-                if *prefix_pos < *prefix_len {
-                    let n = (*prefix_len - *prefix_pos).min(buf.len());
-                    buf[..n].copy_from_slice(&prefix[*prefix_pos..*prefix_pos + n]);
-                    *prefix_pos += n;
-                    return Ok(n);
-                }
-                return inner.read(buf);
-            }
-            ReadMode::Decode(st) => st,
-        };
-        if st.pos == st.block.len() {
-            let Some(h) = st.next_header(inner)? else {
-                return Ok(0);
-            };
-            if buf.len() >= h.raw_len {
-                st.decode_block(inner, logical_to.as_ref(), &h, &mut buf[..h.raw_len])?;
-                st.decoded_pos += h.raw_len as u64;
-                return Ok(h.raw_len);
-            }
-            st.buffer_block(inner, logical_to.as_ref(), &h)?;
-        }
-        let n = (st.block.len() - st.pos).min(buf.len());
-        buf[..n].copy_from_slice(&st.block[st.pos..st.pos + n]);
-        st.pos += n;
-        st.decoded_pos += n as u64;
-        Ok(n)
-    }
-}
-
-impl<R: Read> Read for FrameReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if buf.is_empty() {
-            return Ok(0);
-        }
-        let n = self.read_inner(buf)?;
-        if n > 0 {
-            if let Some(disk) = &self.logical_to {
-                disk.add_logical_read(n as u64);
-            }
-        }
-        Ok(n)
-    }
-}
-
 /// Positioned reads of a chunk file's *logical* bytes, whichever way the
 /// file is stored: pieces of columns for the §4.1 seek mode
 /// ([`BlockFile::read_at`]), whole columns for a full load
-/// ([`BlockFile::read_ranges`]). A version-2 container is read by block:
-/// the directory names the blocks that hold an offset, positioned reads
-/// fetch them, and each is checksummed, LZ4-decoded and un-filtered like
-/// any other. For `read_at` a raw file is read in aligned
-/// [`SEEK_BLOCK_BYTES`] spans, and the caller names one of its `columns`
-/// per read — one per column it walks. Each column keeps the last two
-/// blocks it took (`WAYS`), so a run of neighbouring offsets costs one
-/// fetch per column, and so does a frontier that goes back and forth
-/// between two blocks of a column (a hub's edges end in one, its
-/// neighbours' start in the next).
+/// ([`BlockFile::read_ranges`]), the stream from the front through
+/// [`Read`]. A version-2 container is read by block: the directory names
+/// the blocks that hold an offset, positioned reads fetch them, and each is
+/// checksummed, LZ4-decoded and un-filtered like any other. For `read_at` a
+/// raw file is read in aligned [`SEEK_BLOCK_BYTES`] spans, and the caller
+/// names one of its `columns` per read — one per column it walks. Each
+/// column keeps the last two blocks it took (`WAYS`), so a run of
+/// neighbouring offsets costs one fetch per column, and so does a frontier
+/// that goes back and forth between two blocks of a column (a hub's edges
+/// end in one, its neighbours' start in the next).
 pub struct BlockFile {
     file: RandomFile,
     disk: NodeDisk,
+    rel: String,
     /// `(logical offset, file offset)` per block plus one closing entry at
     /// `(logical_len, offset of the end trailer)`; `None` for a raw file.
     dir: Option<Vec<(u64, u64)>>,
     logical_len: u64,
+    /// Where the next [`Read::read`] starts.
+    pos: u64,
     /// Per column, most recent first: logical offset and bytes of a block.
     columns: Vec<[(u64, Vec<u8>); WAYS]>,
     payload: Vec<u8>,
@@ -988,17 +716,13 @@ pub struct BlockFile {
 /// graphs.
 const WAYS: usize = 2;
 
-fn as_corrupt(e: io::Error) -> DfoError {
-    DfoError::Corrupt(e.to_string())
-}
-
 /// Refuses a container of another version than [`FRAME_VERSION`], naming
 /// the file `what`.
 fn check_version(version: u32, what: &str) -> Result<()> {
     if version == FRAME_VERSION {
         return Ok(());
     }
-    Err(DfoError::Corrupt(format!(
+    Err(corrupt(format!(
         "{what} is a version-{version} frame container; this build reads version \
          {FRAME_VERSION} only: preprocess the graph again"
     )))
@@ -1006,7 +730,7 @@ fn check_version(version: u32, what: &str) -> Result<()> {
 
 impl BlockFile {
     /// Opens `rel` read-only for positioned reads through `columns` columns
-    /// of two cached blocks each.
+    /// of two cached blocks each ([`Read`] takes column 0).
     pub fn open(disk: &NodeDisk, rel: &str, columns: usize) -> Result<Self> {
         let mut file = disk.open_random(rel)?;
         file.count_logical = false;
@@ -1025,11 +749,18 @@ impl BlockFile {
             logical_len: dir.as_ref().map_or(file_len, |d| d[d.len() - 1].0),
             file,
             disk: disk.clone(),
+            rel: rel.to_owned(),
             dir,
+            pos: 0,
             columns: vec![Default::default(); columns],
             payload: Vec::new(),
             filtered: Vec::new(),
         })
+    }
+
+    /// The disk-relative path this file was opened from.
+    pub fn rel(&self) -> &str {
+        &self.rel
     }
 
     /// Length of the logical stream — exact, from the footer or the file.
@@ -1037,15 +768,20 @@ impl BlockFile {
         self.logical_len
     }
 
-    /// Fills `buf` with the logical bytes at `off`, through `column`.
-    pub fn read_at(&mut self, column: usize, mut buf: &mut [u8], mut off: u64) -> Result<()> {
-        if off.checked_add(buf.len() as u64).is_none_or(|end| end > self.logical_len) {
-            return Err(DfoError::Corrupt(format!(
-                "{} bytes at {off} lie outside a {}-byte chunk stream",
-                buf.len(),
-                self.logical_len
+    /// Refuses `len` bytes at `off` unless the logical stream holds them.
+    fn check_inside(&self, off: u64, len: usize) -> Result<()> {
+        if off.checked_add(len as u64).is_none_or(|end| end > self.logical_len) {
+            let stream = self.logical_len;
+            return Err(corrupt(format!(
+                "{len} bytes at {off} lie outside a {stream}-byte stream"
             )));
         }
+        Ok(())
+    }
+
+    /// Fills `buf` with the logical bytes at `off`, through `column`.
+    pub fn read_at(&mut self, column: usize, mut buf: &mut [u8], mut off: u64) -> Result<()> {
+        self.check_inside(off, buf.len())?;
         while !buf.is_empty() {
             // any column's block will do (the columns of a small raw file
             // share a span). A hit on a column's most recent block changes
@@ -1128,14 +864,7 @@ impl BlockFile {
     pub fn read_ranges(&mut self, ranges: &mut [(u64, &mut [u8])]) -> Result<()> {
         let mut served = 0;
         for (i, (off, buf)) in ranges.iter().enumerate() {
-            let end = off.checked_add(buf.len() as u64);
-            if end.is_none_or(|end| end > self.logical_len) {
-                return Err(DfoError::Corrupt(format!(
-                    "{} bytes at {off} lie outside a {}-byte chunk stream",
-                    buf.len(),
-                    self.logical_len
-                )));
-            }
+            self.check_inside(*off, buf.len())?;
             assert!(i == 0 || ranges[i - 1].0 + ranges[i - 1].1.len() as u64 <= *off);
             served += buf.len() as u64;
         }
@@ -1202,29 +931,44 @@ impl BlockFile {
 }
 
 /// Checks block `k` of a container — `stored`, its header and payload as
-/// the directory places them — against its checksum and against the
-/// directory's lengths, then decodes it into `dst`, the logical bytes the
-/// directory gives it.
+/// the directory places them — against the directory's lengths and then
+/// its checksum, before any decoder runs, and decodes it into `dst`, the
+/// logical bytes the directory gives it: a raw block as it is, an LZ4 one
+/// through `filtered` when the block went through a filter.
 fn decode_stored(k: usize, stored: &[u8], filtered: &mut Vec<u8>, dst: &mut [u8]) -> Result<()> {
     let (header, encoded) = stored.split_at(BLOCK_HEADER_BYTES);
-    let h = parse_header(header).map_err(as_corrupt)?;
-    let h = h.filter(|h| h.raw_len == dst.len() && h.enc_len == encoded.len());
-    let h =
-        h.ok_or_else(|| DfoError::Corrupt(format!("block {k} disagrees with the directory")))?;
-    if h.lz4 {
-        unpack(&h, encoded, filtered, dst).map_err(as_corrupt)
-    } else {
-        h.check(encoded).map_err(as_corrupt)?;
-        dst.copy_from_slice(encoded);
-        Ok(())
+    let h = parse_header(header)?.filter(|h| h.raw_len == dst.len() && h.enc_len == encoded.len());
+    let h = h.ok_or_else(|| corrupt(format!("block {k} disagrees with the directory")))?;
+    if crc32_more(h.crc_seed, encoded) != h.crc {
+        return Err(corrupt("block checksum mismatch"));
     }
+    if !h.lz4 {
+        dst.copy_from_slice(encoded);
+        return Ok(());
+    }
+    let unfiltered = h.filter == Filter::NONE;
+    if !unfiltered {
+        filtered.resize(h.raw_len, 0);
+    }
+    let n = lz4_flex::decompress_into(encoded, if unfiltered { &mut *dst } else { filtered })
+        .map_err(|e| corrupt(format!("block decode failed: {e}")))?;
+    if n != h.raw_len {
+        return Err(corrupt(format!("block decoded to {n} bytes, header says {}", h.raw_len)));
+    }
+    if !unfiltered {
+        h.filter.undo(filtered, dst);
+    }
+    Ok(())
 }
 
-/// Reads and validates the block directory of the version-2 container
-/// `file`: every entry ahead of the next in both offsets, every block of a
-/// plausible size and inside the file. Returns it with its closing entry.
+/// Reads and checks what follows the blocks of the version-2 container
+/// `file`: the footer (its magic, and its checksum over the directory and
+/// its own counts), then the end trailer and the directory in one
+/// positioned read — every entry ahead of the next in both offsets, every
+/// block of a plausible size and inside the file. Returns the directory
+/// with its closing entry.
 fn read_directory(file: &RandomFile, file_len: u64) -> Result<Vec<(u64, u64)>> {
-    let truncated = || DfoError::Corrupt("compressed stream truncated: no footer".into());
+    let truncated = || corrupt("compressed stream truncated: no footer");
     let fixed = (8 + BLOCK_HEADER_BYTES + FOOTER_BYTES) as u64;
     let room = file_len.checked_sub(fixed).ok_or_else(truncated)?;
     let mut footer = [0u8; FOOTER_BYTES];
@@ -1233,15 +977,19 @@ fn read_directory(file: &RandomFile, file_len: u64) -> Result<Vec<(u64, u64)>> {
         .checked_mul(DIR_ENTRY_BYTES as u64)
         .filter(|&n| n <= room && le_u32(&footer, 20) == FOOTER_MAGIC)
         .ok_or_else(truncated)?;
-    let mut tail = vec![0u8; dir_bytes as usize + FOOTER_BYTES];
-    file.read_at(&mut tail[..dir_bytes as usize], file_len - FOOTER_BYTES as u64 - dir_bytes)?;
-    tail[dir_bytes as usize..].copy_from_slice(&footer);
-    let (_, logical_len) = parse_footer(&tail).map_err(as_corrupt)?;
-    let mut dir: Vec<(u64, u64)> = tail[..dir_bytes as usize]
-        .chunks_exact(DIR_ENTRY_BYTES)
-        .map(|e| (le_u64(e, 0), le_u64(e, 8)))
-        .collect();
-    dir.push((logical_len, room - dir_bytes + 8));
+    let trailer_at = 8 + room - dir_bytes;
+    let mut tail = vec![0u8; BLOCK_HEADER_BYTES + dir_bytes as usize];
+    file.read_at(&mut tail, trailer_at)?;
+    let (trailer, entries) = tail.split_at(BLOCK_HEADER_BYTES);
+    if parse_header(trailer)?.is_some() {
+        return Err(corrupt("compressed stream truncated: no end trailer"));
+    }
+    if crc32_more(crc32(entries), &footer[..16]) != le_u32(&footer, 16) {
+        return Err(corrupt("block directory checksum mismatch"));
+    }
+    let mut dir: Vec<(u64, u64)> =
+        entries.chunks_exact(DIR_ENTRY_BYTES).map(|e| (le_u64(e, 0), le_u64(e, 8))).collect();
+    dir.push((le_u64(&footer, 8), trailer_at));
     let sane = dir[0] == (0, 8)
         && dir.windows(2).all(|w| {
             let (logical, stored) = (w[1].0.wrapping_sub(w[0].0), w[1].1.wrapping_sub(w[0].1));
@@ -1251,14 +999,33 @@ fn read_directory(file: &RandomFile, file_len: u64) -> Result<Vec<(u64, u64)>> {
                 && stored > BLOCK_HEADER_BYTES as u64
                 && stored <= (MAX_BLOCK + BLOCK_HEADER_BYTES) as u64
         });
-    sane.then_some(dir).ok_or_else(|| DfoError::Corrupt("malformed block directory".into()))
+    sane.then_some(dir).ok_or_else(|| corrupt("malformed block directory"))
+}
+
+/// Serves the logical stream from the front, through column 0's blocks
+/// (what [`NodeDisk::open_framed`] opens): a read to the end fetches each
+/// stored block once, whatever the caller's buffer size. A `Corrupt` file
+/// is an [`io::ErrorKind::InvalidData`] error.
+impl Read for BlockFile {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = (buf.len() as u64).min(self.logical_len - self.pos) as usize;
+        self.read_at(0, &mut buf[..n], self.pos).map_err(|e| {
+            let kind = match &e {
+                DfoError::Corrupt(_) => io::ErrorKind::InvalidData,
+                DfoError::Io { source, .. } => source.kind(),
+                _ => io::ErrorKind::Other,
+            };
+            io::Error::new(kind, e.to_string())
+        })?;
+        self.pos += n as u64;
+        Ok(n)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::{proptest, ProptestConfig, Strategy};
-    use std::io::Cursor;
 
     /// Bytes that follow the last block of a container of `n_blocks`: end
     /// trailer, directory, footer.
@@ -1272,11 +1039,18 @@ mod tests {
         w.finish().unwrap()
     }
 
+    /// Stores `file` on a disk of its own and reads it to the end through
+    /// [`NodeDisk::open_framed`], `cap` bytes at a time.
+    fn read_through(file: &[u8], cap: usize) -> std::result::Result<Vec<u8>, String> {
+        let td = tempfile::TempDir::new().unwrap();
+        let disk = NodeDisk::new(td.path(), None, false).unwrap();
+        std::fs::write(td.path().join("f.bin"), file).unwrap();
+        let mut r = disk.open_framed("f.bin").map_err(|e| e.to_string())?;
+        drain(&mut r, cap).map_err(|e| e.to_string())
+    }
+
     fn decode_all(frames: &[u8]) -> std::result::Result<Vec<u8>, String> {
-        let mut r = FrameReader::new(Cursor::new(frames)).map_err(|e| e.to_string())?;
-        let mut out = Vec::new();
-        r.read_to_end(&mut out).map_err(|e| e.to_string())?;
-        Ok(out)
+        read_through(frames, 64 << 10)
     }
 
     fn byte() -> impl Strategy<Value = u8> {
@@ -1378,10 +1152,7 @@ mod tests {
     #[test]
     fn passthrough_serves_raw_files_byte_identical() {
         for data in [&b""[..], b"ab", b"DFOC and then some", &[7u8; 5000][..]] {
-            let mut r = FrameReader::new(Cursor::new(data)).unwrap();
-            let mut out = Vec::new();
-            r.read_to_end(&mut out).unwrap();
-            assert_eq!(out, data);
+            assert_eq!(decode_all(data).unwrap(), data);
         }
     }
 
@@ -1400,13 +1171,24 @@ mod tests {
         let mut w = disk.create_framed("mixed.bin", true).unwrap();
         w.write_all(&data).unwrap();
         w.finish().unwrap().finish().unwrap();
+        // what opening costs — head, footer, end trailer and directory —
+        // and then each stored block once: a reader that fetched a block
+        // again where a caller's buffer ends inside it would read more
+        let dir = BlockFile::open(&disk, "mixed.bin", 1).unwrap().dir.unwrap();
+        let n_blocks = dir.len() - 1;
+        let framing = 8 + FOOTER_BYTES + BLOCK_HEADER_BYTES + n_blocks * DIR_ENTRY_BYTES;
+        let blocks: u64 = dir.windows(2).map(|w| w[1].1 - w[0].1).sum();
+        let stats = disk.stats();
         for cap in [1, 7, 4096, BLOCK_BYTES, 1 << 20] {
-            let before = disk.stats().logical_read_bytes.get();
+            let (logical0, read0) = (stats.logical_read_bytes.get(), stats.read_bytes.get());
             let mut r = disk.open_framed("mixed.bin").unwrap();
             assert!(drain(&mut r, cap).unwrap() == data, "bytes differ at buffer size {cap}");
-            let served = disk.stats().logical_read_bytes.get() - before;
+            let served = stats.logical_read_bytes.get() - logical0;
             assert_eq!(served, data.len() as u64, "logical bytes at buffer size {cap}");
+            let read = stats.read_bytes.get() - read0;
+            assert_eq!(read, framing as u64 + blocks, "physical bytes at buffer size {cap}");
         }
+        assert_eq!(framing as u64 + blocks, disk.len("mixed.bin").unwrap(), "the whole file");
     }
 
     #[test]
@@ -1430,15 +1212,11 @@ mod tests {
 
     #[test]
     fn direct_decode_still_checks_checksums_and_truncation() {
-        // a caller buffer larger than any block: every block takes the
-        // decode-into-the-destination path, LZ4 (first) and raw (fourth)
+        // a caller buffer larger than any block: every read spans several
+        // blocks, LZ4 (first) and raw (fourth)
         let data = mixed_payload();
         let frames = compress_frames(&data);
-        let big = 1 << 20;
-        let read_big = |frames: &[u8]| {
-            drain(&mut FrameReader::new(Cursor::new(frames)).unwrap(), big)
-                .map_err(|e| e.to_string())
-        };
+        let read_big = |frames: &[u8]| read_through(frames, 1 << 20);
         assert!(read_big(&frames).unwrap() == data);
         let mut lz4_hit = frames.clone();
         lz4_hit[8 + BLOCK_HEADER_BYTES + 5] ^= 0x40;
@@ -1784,7 +1562,7 @@ mod tests {
 
     #[test]
     fn version_1_containers_are_refused_with_a_typed_error() {
-        // the version word is the first thing either reader checks (the
+        // the version word is the first thing the reader checks (the
         // golden file in `dfo-part` is a real version-1 container)
         let td = tempfile::TempDir::new().unwrap();
         let disk = NodeDisk::new(td.path(), None, false).unwrap();
@@ -1794,7 +1572,7 @@ mod tests {
             file[4] = version;
             assert!(decode_all(&file).is_err(), "{rel} decoded");
             std::fs::write(td.path().join(rel), &file).unwrap();
-            // both readers name the file and say what to do about it
+            // both ways in name the file and say what to do about it
             let sequential = disk.open_framed(rel).err();
             let positioned = BlockFile::open(&disk, rel, 1).err();
             for err in [sequential, positioned] {
@@ -1804,18 +1582,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn logical_bound_is_the_file_for_raw_and_the_lz4_ceiling_for_frames() {
-        let data = vec![7u8; 3 * BLOCK_BYTES];
-        let raw = FrameReader::new(Cursor::new(&data)).unwrap();
-        assert_eq!(raw.logical_bound(), data.len() as u64);
-        let frames = compress_frames(&data);
-        let framed = FrameReader::new(Cursor::new(&frames)).unwrap();
-        assert!(frames.len() * 100 < data.len(), "a run of one byte compresses hard");
-        assert!(framed.logical_bound() >= data.len() as u64);
-        assert_eq!(framed.logical_bound(), frames.len() as u64 * 255);
     }
 
     #[test]

@@ -7,11 +7,11 @@
 //! [`RandomFile`] (positioned reads, one accounting event per call —
 //! matching how page-sized random I/O hits an SSD).
 
-use crate::compress::{FrameReader, FrameWriter};
+use crate::compress::{BlockFile, FrameWriter};
 use crate::throttle::Throttle;
 use dfo_types::{Counter, DfoError, Result, TrafficRecorder};
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -231,13 +231,7 @@ impl NodeDisk {
         Ok(DiskWriter {
             inner: BufWriter::with_capacity(
                 buf_cap,
-                Accounted {
-                    file: f,
-                    disk: self.clone(),
-                    write: true,
-                    count_logical,
-                    class: FileClass::of(rel),
-                },
+                Accounted { file: f, disk: self.clone(), count_logical, class: FileClass::of(rel) },
             ),
         })
     }
@@ -272,7 +266,6 @@ impl NodeDisk {
                 Accounted {
                     file: f,
                     disk: self.clone(),
-                    write: true,
                     count_logical: true,
                     class: FileClass::of(rel),
                 },
@@ -282,10 +275,6 @@ impl NodeDisk {
 
     /// Opens a buffered, accounted sequential reader.
     pub fn open(&self, rel: &str) -> Result<DiskReader> {
-        self.open_inner(rel, true)
-    }
-
-    fn open_inner(&self, rel: &str, count_logical: bool) -> Result<DiskReader> {
         let p = self.root.join(rel);
         let f = File::open(&p).map_err(|e| DfoError::io(format!("opening {rel}"), e))?;
         Ok(DiskReader {
@@ -294,24 +283,22 @@ impl NodeDisk {
                 Accounted {
                     file: f,
                     disk: self.clone(),
-                    write: false,
-                    count_logical,
+                    count_logical: true,
                     class: FileClass::of(rel),
                 },
             ),
         })
     }
 
-    /// Opens a chunk-frame reader (see [`crate::compress`]): compressed
-    /// files (detected by their magic) are transparently decoded, raw files
-    /// are passed through unchanged. Physical read bytes are accounted at
-    /// the device layer as always; logical read bytes count what this
-    /// reader *serves* (decoded payload for compressed files).
-    pub fn open_framed(&self, rel: &str) -> Result<FrameReader<DiskReader>> {
-        let inner = self.open_inner(rel, false)?;
-        let mut r = FrameReader::named(inner, rel)?;
-        r.account_logical_to(self.clone());
-        Ok(r)
+    /// Opens a file [`NodeDisk::create_framed`] wrote for a read of its
+    /// logical bytes from the front: a [`BlockFile`] of one column, whose
+    /// [`Read`] decodes a container (detected by its magic) block by block
+    /// and passes a raw file through unchanged. Physical read bytes are
+    /// accounted at the device layer as always; logical read bytes count
+    /// the blocks (or raw spans) it fetches — all of the stream, read to
+    /// the end.
+    pub fn open_framed(&self, rel: &str) -> Result<BlockFile> {
+        BlockFile::open(self, rel, 1)
     }
 
     /// Opens a file for positioned reads — all a file in a read-only
@@ -396,7 +383,7 @@ impl NodeDisk {
         let len = file.metadata().map_err(|e| DfoError::io(format!("stat {rel}"), e))?.len();
         let mut buf = vec![0u8; len as usize];
         let class = FileClass::of(rel);
-        Accounted { file, disk: self.clone(), write: false, count_logical: true, class }
+        Accounted { file, disk: self.clone(), count_logical: true, class }
             .read_exact(&mut buf)
             .map_err(|e| DfoError::io(format!("reading {rel}"), e))?;
         Ok(buf)
@@ -457,7 +444,6 @@ const BUF_CAP: usize = 256 << 10;
 struct Accounted {
     file: File,
     disk: NodeDisk,
-    write: bool,
     count_logical: bool,
     class: FileClass,
 }
@@ -487,13 +473,6 @@ impl Write for Accounted {
 
     fn flush(&mut self) -> io::Result<()> {
         self.file.flush()
-    }
-}
-
-impl Seek for Accounted {
-    fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
-        let _ = self.write; // seeks are free; field kept for clarity
-        self.file.seek(pos)
     }
 }
 
@@ -528,21 +507,6 @@ pub struct DiskReader {
 impl Read for DiskReader {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         self.inner.read(buf)
-    }
-}
-
-impl Seek for DiskReader {
-    /// Relative seeks keep the read buffer when the target lies inside it
-    /// (`BufReader::seek` always discards it, so a short forward skip would
-    /// read the same physical bytes twice).
-    fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
-        match pos {
-            SeekFrom::Current(n) => {
-                self.inner.seek_relative(n)?;
-                self.inner.stream_position()
-            }
-            other => self.inner.seek(other),
-        }
     }
 }
 
@@ -649,29 +613,6 @@ mod tests {
         // 100 KB written through a 256 KB buffer: one underlying op.
         assert_eq!(d.stats().write_bytes.get(), 100_000);
         assert!(d.stats().write_ops.get() <= 2);
-    }
-
-    #[test]
-    fn relative_seek_inside_the_buffer_reads_nothing_twice() {
-        let (_td, d) = disk();
-        let data: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
-        let mut w = d.create("skip.bin").unwrap();
-        w.write_all(&data).unwrap();
-        w.finish().unwrap();
-        let mut r = d.open("skip.bin").unwrap();
-        let mut head = [0u8; 10];
-        r.read_exact(&mut head).unwrap(); // buffers the whole file
-        assert_eq!(r.seek(SeekFrom::Current(1000)).unwrap(), 1010);
-        let mut rest = Vec::new();
-        r.read_to_end(&mut rest).unwrap();
-        assert_eq!(rest, data[1010..]);
-        // BufReader::seek would have dropped the buffer and read 99 KB again
-        assert_eq!(d.stats().read_bytes.get(), data.len() as u64);
-        // absolute and backward seeks still work
-        assert_eq!(r.seek(SeekFrom::Start(5)).unwrap(), 5);
-        r.read_exact(&mut head).unwrap();
-        assert_eq!(head, data[5..15]);
-        assert_eq!(r.seek(SeekFrom::Current(-15)).unwrap(), 0);
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub mod throttle;
 pub use blockstore::VersionedArrayStore;
 pub use chunkcache::{CachedValue, ChunkCache, ChunkCacheStats, ChunkKey};
 pub use commitlog::CommitLog;
-pub use compress::{BlockFile, FrameReader, FrameWriter, FRAME_MAGIC, SEEK_BLOCK_BYTES};
+pub use compress::{BlockFile, FrameWriter, FRAME_MAGIC, SEEK_BLOCK_BYTES};
 pub use disk::{ClassStats, DiskReader, DiskStats, DiskWriter, FileClass, NodeDisk, RandomFile};
 pub use spill::{ChunkPool, MemBudget, SpillBuf};
 pub use throttle::Throttle;

@@ -37,7 +37,7 @@ ratchet() {
   fi
 }
 ratchet 5304 dfo-core dfo-service
-ratchet 3085 dfo-types dfo-part
+ratchet 3062 dfo-types dfo-part
 ratchet 2718 dfo-net dfo-obs
-ratchet 3817 dfo-storage
+ratchet 3576 dfo-storage
 exit $status
