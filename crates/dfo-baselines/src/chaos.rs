@@ -142,7 +142,7 @@ impl<E: Pod> ChaosEngine<E> {
                 changed += 1;
             }
         }
-        Ok(node.net.allreduce_sum_u64(changed))
+        node.net.try_allreduce_sum_u64(changed)
     }
 
     /// BSP superstep for same-typed source/destination state (the

@@ -160,7 +160,7 @@ impl<E: Pod> GeminiEngine<E> {
                 }
             }
         }
-        Ok(node.net.allreduce_sum_u64(changed))
+        node.net.try_allreduce_sum_u64(changed)
     }
 
     /// Active-set push to convergence.

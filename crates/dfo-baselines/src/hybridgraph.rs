@@ -201,7 +201,7 @@ impl<E: Pod> HybridGraphEngine<E> {
                 }
             }
         }
-        Ok(node.net.allreduce_sum_u64(changed))
+        node.net.try_allreduce_sum_u64(changed)
     }
 
     /// Active-set push to convergence with combiner `combine`.

@@ -4,7 +4,7 @@
 
 use dfo_net::{Endpoint, SimCluster};
 use dfo_storage::NodeDisk;
-use dfo_types::{DfoError, Rank, Result};
+use dfo_types::{gather_ranks, DfoError, Rank, Result};
 use parking_lot::Mutex;
 use std::path::PathBuf;
 
@@ -126,7 +126,7 @@ impl BaselineCluster {
     {
         let endpoints = SimCluster::build(self.nodes, self.net_bw, self.record_traffic);
         *self.last_net.lock() = endpoints.iter().map(|e| e.stats_arc()).collect();
-        let mut results: Vec<Option<Result<T>>> = Vec::new();
+        let mut results: Vec<Result<T>> = Vec::new();
         std::thread::scope(|s| {
             let handles: Vec<_> = endpoints
                 .into_iter()
@@ -142,31 +142,22 @@ impl BaselineCluster {
                             tag: std::sync::atomic::AtomicU64::new(0),
                         };
                         let res =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut node)));
-                        match res {
-                            Ok(Ok(v)) => Ok(v),
-                            Ok(Err(e)) => {
-                                node.net.poison_collective();
-                                Err(e)
-                            }
-                            Err(panic) => {
-                                node.net.poison_collective();
-                                let msg = panic
-                                    .downcast_ref::<&str>()
-                                    .map(|s| s.to_string())
-                                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                                    .unwrap_or_else(|| "<non-string panic>".into());
-                                Err(DfoError::NetClosed(format!("node {rank} panicked: {msg}")))
-                            }
+                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut node)))
+                                .unwrap_or_else(|p| {
+                                    Err(DfoError::from_panic(p, &format!("node {rank}")))
+                                });
+                        if res.is_err() {
+                            node.net.poison_collective();
                         }
+                        res
                     })
                 })
                 .collect();
             for h in handles {
-                results.push(Some(h.join().expect("node thread join")));
+                results.push(h.join().expect("node thread join"));
             }
         });
-        results.into_iter().map(|r| r.unwrap()).collect()
+        gather_ranks(results)
     }
 }
 

@@ -6,13 +6,15 @@
 //! across the cluster.
 
 use dfo_net::Endpoint;
+use dfo_types::Result;
 
 /// Values that can be summed within a node and all-reduced across nodes.
-pub trait Accum: Send + 'static {
+pub trait Accum: Sized + Send + 'static {
     fn zero() -> Self;
     fn merge(self, other: Self) -> Self;
-    /// Cluster-wide reduction of per-node partial values.
-    fn allreduce(self, net: &Endpoint) -> Self;
+    /// Cluster-wide reduction of per-node partial values; a mesh failure
+    /// is the collective's error.
+    fn allreduce(self, net: &Endpoint) -> Result<Self>;
 }
 
 impl Accum for u64 {
@@ -22,8 +24,8 @@ impl Accum for u64 {
     fn merge(self, other: Self) -> Self {
         self + other
     }
-    fn allreduce(self, net: &Endpoint) -> Self {
-        net.allreduce_sum_u64(self)
+    fn allreduce(self, net: &Endpoint) -> Result<Self> {
+        net.try_allreduce_sum_u64(self)
     }
 }
 
@@ -34,17 +36,17 @@ impl Accum for f64 {
     fn merge(self, other: Self) -> Self {
         self + other
     }
-    fn allreduce(self, net: &Endpoint) -> Self {
-        net.allreduce_sum_f64(self)
+    fn allreduce(self, net: &Endpoint) -> Result<Self> {
+        net.try_allreduce_sum_f64(self)
     }
 }
 
 impl Accum for () {
     fn zero() -> Self {}
     fn merge(self, _other: Self) -> Self {}
-    fn allreduce(self, net: &Endpoint) -> Self {
+    fn allreduce(self, net: &Endpoint) -> Result<Self> {
         // still participate in the collective so nodes stay in lockstep
-        let _ = net.allreduce_sum_u64(0);
+        net.try_allreduce_sum_u64(0).map(drop)
     }
 }
 

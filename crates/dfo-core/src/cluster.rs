@@ -3,8 +3,11 @@
 //!
 //! Every way of running a node program goes through one rank-launch body
 //! (`Cluster::run_rank`): the only place a [`NodeCtx`] is built and a node
-//! closure is `catch_unwind`-ed. The entry points differ in the transport
-//! the rank runs over and in nothing else:
+//! closure is `catch_unwind`-ed. Failure is a value: collectives return
+//! their mesh failure as [`DfoError::NetClosed`], which the engine passes
+//! up with `?`, so a panic that reaches the launch body is a bug and
+//! becomes the non-retryable [`DfoError::Panic`]. The entry points differ
+//! in the transport the rank runs over and in nothing else:
 //!
 //! * [`Cluster::run`] / [`Cluster::run_scoped`] — every rank a thread of
 //!   this process, over the in-memory simulation.
@@ -34,7 +37,7 @@ use dfo_obs::{FlightRecorder, Registry, SpanRecord, Telemetry};
 use dfo_part::plan::Plan;
 use dfo_part::preprocess::preprocess;
 use dfo_storage::{ChunkCache, ChunkCacheStats, NodeDisk};
-use dfo_types::{DfoError, EngineConfig, Pod, Rank, RecoveryStats, Result};
+use dfo_types::{gather_ranks, DfoError, EngineConfig, Pod, Rank, RecoveryStats, Result};
 use parking_lot::Mutex;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,27 +49,6 @@ const TRACE_CAPACITY: usize = 1 << 16;
 
 /// Job id (tag namespace) of the one job a batch run's mesh carries.
 const BATCH_JOB: u64 = 0;
-
-fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
-    panic
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| panic.downcast_ref::<String>().cloned())
-        .or_else(|| panic.downcast_ref::<DfoError>().map(|e| e.to_string()))
-        .unwrap_or_else(|| "<non-string panic>".into())
-}
-
-/// Classifies a caught node-program panic. The network endpoint panics
-/// collective failures with the [`DfoError`] itself as the payload, so a
-/// mesh failure comes back out as the typed error (retryable by supervised
-/// recovery); anything else is a deterministic bug in the program and maps
-/// to the non-retryable [`DfoError::Panic`].
-pub fn panic_to_error(panic: Box<dyn std::any::Any + Send>, who: &str) -> DfoError {
-    match panic.downcast::<DfoError>() {
-        Ok(e) => *e,
-        Err(panic) => DfoError::Panic(format!("{who}: {}", panic_message(panic))),
-    }
-}
 
 /// Gives the heap a finished job freed back to the OS, at most every
 /// [`HEAP_RELEASE_EVERY`] across the process. glibc keeps what a thread
@@ -342,9 +324,10 @@ impl Cluster {
     /// Runs `f` once per node, SPMD-style, each on its own OS thread with
     /// its own [`NodeCtx`]. Returns the per-node results in rank order.
     ///
-    /// A panicking node drops its endpoint, which surfaces as
-    /// `DfoError::NetClosed` on peers — the failure model the checkpointing
-    /// tests exercise.
+    /// A node that fails (error or panic) poisons the mesh, which surfaces
+    /// as `DfoError::NetClosed` on its peers — the failure model the
+    /// checkpointing tests exercise. The run returns the failing node's own
+    /// error, not its peers' `NetClosed` (see [`dfo_types::gather_ranks`]).
     pub fn run<T, F>(&self, f: F) -> Result<Vec<T>>
     where
         T: Send,
@@ -418,7 +401,7 @@ impl Cluster {
         ctx.crash_abort = process_epoch.is_some();
         ctx.set_telemetry(self.rank_telemetry(rank, recorder));
         let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut ctx)))
-            .unwrap_or_else(|panic| Err(panic_to_error(panic, &format!("rank {rank}"))));
+            .unwrap_or_else(|panic| Err(DfoError::from_panic(panic, &format!("rank {rank}"))));
         let closed = ctx.close_arrays(scope.is_none() && res.is_ok());
         let res = res.and_then(|v| closed.map(|()| v));
         if !matches!(res, Ok(_) | Err(DfoError::Cancelled(_))) {
@@ -453,10 +436,9 @@ impl Cluster {
                     s.spawn(move || self.run_rank(rank, ep, scope, recorder, None, f))
                 })
                 .collect();
-            for h in handles {
+            for (rank, h) in handles.into_iter().enumerate() {
                 results.push(h.join().unwrap_or_else(|panic| {
-                    let msg = panic_message(panic);
-                    Err(DfoError::NetClosed(format!("node thread panicked: {msg}")))
+                    Err(DfoError::from_panic(panic, &format!("rank {rank} thread")))
                 }));
             }
         });
@@ -475,7 +457,7 @@ impl Cluster {
                 eprintln!("[dfo] warning: writing trace file {path}: {e}");
             }
         }
-        results.into_iter().collect()
+        gather_ranks(results)
     }
 
     /// Runs `f` as **one rank of a multi-process cluster**: connects a
@@ -486,8 +468,9 @@ impl Cluster {
     /// This is the single-rank sibling of [`Cluster::run`]: the same engine
     /// code runs unchanged, only the transport differs. A rank that fails
     /// (error or panic) poisons the mesh so survivors get
-    /// [`DfoError::NetClosed`] from their next collective instead of
-    /// hanging; a rank whose peer process dies mid-run gets the same.
+    /// [`DfoError::NetClosed`] back from their next collective instead of
+    /// hanging; a rank whose peer process dies mid-run gets the same. A
+    /// panic in `f` is [`DfoError::Panic`].
     pub fn run_distributed<T>(
         &self,
         rank: Rank,
@@ -516,10 +499,9 @@ impl Cluster {
     ///
     /// Non-mesh errors stay fatal: I/O, corruption, configuration — and
     /// panics in `f` itself, which come back as the non-retryable
-    /// [`DfoError::Panic`] (the endpoint panics *collective* failures with
-    /// the typed `NetClosed` payload, so only genuine mesh failures are
-    /// retried). An exhausted restart budget surfaces as
-    /// [`DfoError::RestartsExhausted`].
+    /// [`DfoError::Panic`]. Collectives return a mesh failure as a
+    /// `NetClosed` value, so only genuine mesh failures are retried. An
+    /// exhausted restart budget surfaces as [`DfoError::RestartsExhausted`].
     pub fn run_supervised<T>(
         &self,
         rank: Rank,

@@ -338,7 +338,7 @@ impl NodeCtx {
 
         self.job_stats.merge(&stats);
         self.last_stats = stats;
-        Ok(local.allreduce(&self.net))
+        local.allreduce(&self.net)
     }
 
     /// An empty buffer of `rec`-byte messages on this node's pool, spilling

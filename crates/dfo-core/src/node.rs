@@ -98,9 +98,10 @@ pub struct NodeCtx {
     /// [`crate::Cluster`] across supervised attempts, so the count survives
     /// context rebuilds).
     pub(crate) rollbacks: Arc<AtomicU64>,
-    /// How an injected crash dies: `false` (in-process simulation) panics
-    /// the node thread, `true` (one-rank-per-process deployments) aborts
-    /// the whole OS process — indistinguishable from a SIGKILL.
+    /// How an injected crash dies: `false` (in-process simulation) fails
+    /// the rank with the mesh failure its death causes its peers, a
+    /// retryable `NetClosed`; `true` (one-rank-per-process deployments)
+    /// aborts the whole OS process — indistinguishable from a SIGKILL.
     pub(crate) crash_abort: bool,
     /// Cooperative cancellation token, checked at `Process`-call boundaries.
     /// Must be installed on **all** ranks of a run or none: the check is a
@@ -307,7 +308,7 @@ impl NodeCtx {
     pub(crate) fn check_cancelled(&self) -> Result<()> {
         let Some(token) = &self.cancel else { return Ok(()) };
         let fired = token.load(Ordering::Relaxed);
-        let anywhere = self.net.allreduce_min_u64(if fired { 0 } else { 1 }) == 0;
+        let anywhere = self.net.try_allreduce_min_u64(if fired { 0 } else { 1 })? == 0;
         if anywhere {
             return Err(DfoError::Cancelled(format!(
                 "rank {}: cancel token observed at Process-call boundary",
@@ -421,7 +422,7 @@ impl NodeCtx {
     /// lost whole), a `Mid` point kills it between the first array's commit
     /// and the rest — the torn state only the commit record can detect.
     pub(crate) fn commit_epochs(&self, entries: &[Arc<ArrayEntry>]) -> Result<()> {
-        self.crash_if_scheduled(CrashPos::Pre);
+        self.crash_if_scheduled(CrashPos::Pre)?;
         let observing = self.cfg.checkpointing && self.obs.is_some();
         let _sp = if observing { self.obs_span("ckpt_commit", "ckpt") } else { None };
         let t0 = observing.then(Instant::now);
@@ -430,7 +431,7 @@ impl NodeCtx {
             first.commit()?;
             // even with one array, Mid stays meaningful: the record below
             // has not been written yet, so the call must not survive
-            self.crash_if_scheduled(CrashPos::Mid);
+            self.crash_if_scheduled(CrashPos::Mid)?;
             for e in iter {
                 e.commit()?;
             }
@@ -450,9 +451,9 @@ impl NodeCtx {
         Ok(())
     }
 
-    fn crash_if_scheduled(&self, pos: CrashPos) {
+    fn crash_if_scheduled(&self, pos: CrashPos) -> Result<()> {
         if self.cfg.crash_schedule.is_empty() {
-            return;
+            return Ok(());
         }
         let call = self.calls_committed.load(Ordering::Relaxed);
         for cp in &self.cfg.crash_schedule {
@@ -477,12 +478,13 @@ impl NodeCtx {
                 std::thread::sleep(std::time::Duration::from_millis(20));
                 std::process::abort();
             }
-            panic!(
+            return Err(DfoError::NetClosed(format!(
                 "injected crash (DFO_CRASH_AT): rank {} dies at Process call {} \
                  ({pos:?}-commit, epoch {})",
                 self.rank, cp.call, self.cfg.epoch
-            );
+            )));
         }
+        Ok(())
     }
 
     /// Resume plumbing for recovery-style programs (§3.2): opens (or
@@ -516,7 +518,7 @@ impl NodeCtx {
         }
         let m = min.load(Ordering::Relaxed);
         let local = if m == u64::MAX { 0 } else { m };
-        Ok(self.net.allreduce_min_u64(local))
+        self.net.try_allreduce_min_u64(local)
     }
 
     /// The ahead-rank rollback **collective**: all ranks contribute their
@@ -529,7 +531,7 @@ impl NodeCtx {
     fn align_commit_seq(&mut self) -> Result<()> {
         let Some(log) = &self.commit_log else { return Ok(()) };
         let local = log.lock().call_seq();
-        let global = self.net.allreduce_min_u64(local);
+        let global = self.net.try_allreduce_min_u64(local)?;
         if local == global {
             return Ok(());
         }
@@ -614,7 +616,7 @@ impl NodeCtx {
             self.run_vertex_batch(b, &entries, arrays, active_entry.as_deref(), &work)
         })?;
         self.commit_epochs(&epoch_set)?;
-        Ok(local.allreduce(&self.net))
+        local.allreduce(&self.net)
     }
 
     /// Runs `work(b)` for every local batch on the node's `T` workers — the

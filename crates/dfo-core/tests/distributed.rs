@@ -11,9 +11,10 @@
 use dfo_core::{Cluster, NodeCtx};
 use dfo_graph::gen::uniform;
 use dfo_types::{BatchPolicy, DfoError, EngineConfig, Result};
+use std::io::Read;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, ExitStatus};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
 use tempfile::TempDir;
 
@@ -156,14 +157,13 @@ fn worker_pagerank() -> i32 {
 }
 
 /// Rank 0: expects its peer to die after the first barrier; the second
-/// barrier must surface `NetClosed` instead of hanging.
+/// barrier must return `NetClosed` instead of hanging (or panicking).
 fn worker_survivor() -> i32 {
     let (rank, base, cfg) = worker_env();
     let cluster = Cluster::create(cfg, &base).expect("reopen cluster");
     let res = cluster.run_distributed(rank, |ctx| {
-        ctx.net().barrier(); // both ranks alive
-        ctx.net().barrier(); // peer is dead by/while here: must not hang
-        Ok(())
+        ctx.net().try_barrier()?; // both ranks alive
+        ctx.net().try_barrier() // peer is dead by/while here: must not hang
     });
     match res {
         Err(DfoError::NetClosed(_)) => 0,
@@ -181,7 +181,7 @@ fn worker_victim() -> i32 {
     let (rank, base, cfg) = worker_env();
     let cluster = Cluster::create(cfg, &base).expect("reopen cluster");
     let _ = cluster.run_distributed(rank, |ctx| -> Result<()> {
-        ctx.net().barrier();
+        ctx.net().try_barrier()?;
         std::process::exit(7);
     });
     unreachable!("victim exits inside the closure");
@@ -196,15 +196,18 @@ fn free_addrs(n: usize) -> Vec<String> {
     listeners.iter().map(|l| format!("127.0.0.1:{}", l.local_addr().unwrap().port())).collect()
 }
 
-fn spawn_worker(role: &str, rank: usize, base: &Path, peers: &str) -> Child {
-    Command::new(std::env::current_exe().unwrap())
-        .args(["child_entry", "--exact", "--test-threads=1", "--nocapture"])
+fn worker_cmd(role: &str, rank: usize, base: &Path, peers: &str) -> Command {
+    let mut cmd = Command::new(std::env::current_exe().unwrap());
+    cmd.args(["child_entry", "--exact", "--test-threads=1", "--nocapture"])
         .env(ROLE_ENV, role)
         .env("DFO_RANK", rank.to_string())
         .env("DFO_PEERS", peers)
-        .env("DFO_BASE", base)
-        .spawn()
-        .expect("spawn worker process")
+        .env("DFO_BASE", base);
+    cmd
+}
+
+fn spawn_worker(role: &str, rank: usize, base: &Path, peers: &str) -> Child {
+    worker_cmd(role, rank, base, peers).spawn().expect("spawn worker process")
 }
 
 /// Waits with a deadline so a transport bug can never hang the suite; on
@@ -265,14 +268,23 @@ fn killed_worker_process_poisons_survivor() {
     cluster.preprocess(&g).unwrap();
 
     let peers = free_addrs(2).join(",");
-    let mut survivor = spawn_worker("survivor", 0, td.path(), &peers);
+    // the survivor's stderr is read after it exits: it writes a few lines
+    // at most, far below a pipe's buffer
+    let mut survivor = worker_cmd("survivor", 0, td.path(), &peers)
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn survivor");
     let mut victim = spawn_worker("victim", 1, td.path(), &peers);
 
     let vst = wait_with_deadline(&mut victim, "victim");
     assert_eq!(vst.code(), Some(7), "victim must die by its own exit(7)");
     let sst = wait_with_deadline(&mut survivor, "survivor");
+    let mut stderr = String::new();
+    survivor.stderr.take().unwrap().read_to_string(&mut stderr).unwrap();
     assert!(
         sst.success(),
-        "survivor must observe NetClosed (exit 0), got {sst:?} — a hang would have tripped the deadline"
+        "survivor must observe NetClosed (exit 0), got {sst:?} — a hang would have tripped the deadline\n{stderr}"
     );
+    // the mesh failure is a value all the way up: nothing unwinds
+    assert!(!stderr.contains("panicked at"), "survivor panicked:\n{stderr}");
 }

@@ -541,6 +541,44 @@ fn pre_fired_cancel_token_cancels_every_rank_and_never_poisons() {
     }
 }
 
+/// A run reports the failure's cause, not its effect: rank 1 panics, or
+/// fails with `Corrupt`, while rank 0 waits in a barrier and gets the
+/// poison's `NetClosed` back. The run returns rank 1's `Panic` or `Corrupt`,
+/// neither retryable — not rank 0's retryable `NetClosed`, which a service
+/// would requeue.
+#[test]
+fn a_one_rank_failure_surfaces_as_itself_not_as_its_peers_net_closed() {
+    use dfo_types::DfoError;
+    use std::sync::Mutex;
+    let g = uniform(32, 100, 3);
+    let td = TempDir::new().unwrap();
+    let cluster = Cluster::create(EngineConfig::for_test(2), td.path()).unwrap();
+    cluster.preprocess(&g).unwrap();
+    for panics in [true, false] {
+        let waiter = Mutex::new(None);
+        let res = cluster.run(|ctx| {
+            if ctx.rank() == 0 {
+                let r = ctx.net().try_barrier();
+                *waiter.lock().unwrap() = Some(format!("{r:?}"));
+                return r;
+            }
+            if panics {
+                panic!("rank 1 has a bug");
+            }
+            Err(DfoError::Corrupt("rank 1 read a bad block".into()))
+        });
+        let waited = waiter.into_inner().unwrap().unwrap();
+        assert!(waited.starts_with("Err(NetClosed("), "rank 0 got {waited}");
+        let err = res.expect_err("rank 1 failed");
+        match (panics, &err) {
+            (true, DfoError::Panic(m)) => assert!(m.contains("rank 1 has a bug"), "{m}"),
+            (false, DfoError::Corrupt(m)) => assert!(m.contains("bad block"), "{m}"),
+            _ => panic!("panics={panics}: the run returned {err:?}"),
+        }
+        assert!(!err.is_retryable(), "{err:?}");
+    }
+}
+
 /// `mem_budget` so small that the pool of resident blocks, message chunks
 /// and filter lists holds nothing: the fully-out-of-core engine.
 const NO_POOLS: u64 = 1;

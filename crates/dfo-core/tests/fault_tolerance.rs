@@ -48,7 +48,7 @@ fn run_rounds(
                 m
             }
         };
-        let r0 = ctx.net().allreduce_min_u64(local_round);
+        let r0 = ctx.net().try_allreduce_min_u64(local_round)?;
         for it in r0..iters {
             if crash_at == Some(it) && ctx.rank() == 1 {
                 panic!("injected failure at round {it}");

@@ -347,7 +347,7 @@ fn exhausted_budget_returns_each_front_ends_typed_error() {
                 // every attempt dies as a mesh failure: one relaunch is
                 // budgeted, the second failure exhausts it
                 let res = cluster.run_supervised(rank, |ctx| -> dfo_types::Result<()> {
-                    ctx.net().barrier();
+                    ctx.net().try_barrier()?;
                     Err(DfoError::NetClosed(format!("rank {rank} lost its peer")))
                 });
                 match res {

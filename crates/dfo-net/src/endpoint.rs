@@ -323,20 +323,8 @@ impl Endpoint {
         COLL_TAG_BIT | self.tag_base | self.coll_seq.fetch_add(1, Ordering::SeqCst)
     }
 
-    /// Blocks until every rank arrives. Panics if the cluster is poisoned
-    /// or a peer died mid-collective — with the [`DfoError`] itself as the
-    /// panic payload, so the cluster runner can recover the typed error
-    /// (telling a mesh failure apart from a user-code bug) instead of a
-    /// formatted string.
-    pub fn barrier(&self) {
-        if let Err(e) = self.try_barrier() {
-            std::panic::panic_any(e);
-        }
-    }
-
-    /// Non-panicking [`Endpoint::barrier`]: a mesh failure comes back as a
-    /// typed error. For callers outside the engine's catch-unwind runner —
-    /// a resident daemon must survive a poisoned mesh, not unwind with it.
+    /// Blocks until every rank arrives. A poisoned cluster, or a peer that
+    /// died mid-collective, comes back as [`DfoError::NetClosed`].
     pub fn try_barrier(&self) -> Result<()> {
         self.collective("barrier", || self.transport.barrier(self.next_coll_tag()))
     }
@@ -347,36 +335,37 @@ impl Endpoint {
         self.transport.poison();
     }
 
-    fn allreduce_u64_with(&self, v: u64, fold: &(dyn Fn(u64, u64) -> u64 + Sync)) -> u64 {
+    fn try_allreduce_u64(&self, v: u64, fold: &(dyn Fn(u64, u64) -> u64 + Sync)) -> Result<u64> {
         self.collective("allreduce_u64", || {
-            match self.transport.allreduce_u64(self.next_coll_tag(), v, fold) {
-                Ok(out) => out,
-                Err(e) => std::panic::panic_any(e),
-            }
+            self.transport.allreduce_u64(self.next_coll_tag(), v, fold)
         })
     }
 
-    pub fn allreduce_sum_u64(&self, v: u64) -> u64 {
-        self.allreduce_u64_with(v, &|a, b| a + b)
+    /// Sum across nodes; fails like [`Endpoint::try_barrier`].
+    pub fn try_allreduce_sum_u64(&self, v: u64) -> Result<u64> {
+        self.try_allreduce_u64(v, &|a, b| a + b)
     }
 
-    pub fn allreduce_sum_f64(&self, v: f64) -> f64 {
+    /// Sum across nodes, folded in rank order so every backend gives the
+    /// same bits; fails like [`Endpoint::try_barrier`].
+    pub fn try_allreduce_sum_f64(&self, v: f64) -> Result<f64> {
         self.collective("allreduce_f64", || {
-            match self.transport.allreduce_f64(self.next_coll_tag(), v, &|a, b| a + b) {
-                Ok(out) => out,
-                Err(e) => std::panic::panic_any(e),
-            }
+            self.transport.allreduce_f64(self.next_coll_tag(), v, &|a, b| a + b)
         })
-    }
-
-    pub fn allreduce_max_u64(&self, v: u64) -> u64 {
-        self.allreduce_u64_with(v, &|a, b| a.max(b))
     }
 
     /// Minimum across nodes — recovery uses it to agree on the last round
-    /// committed *everywhere*.
-    pub fn allreduce_min_u64(&self, v: u64) -> u64 {
-        self.allreduce_u64_with(v, &|a, b| a.min(b))
+    /// committed *everywhere*; fails like [`Endpoint::try_barrier`].
+    pub fn try_allreduce_min_u64(&self, v: u64) -> Result<u64> {
+        self.try_allreduce_u64(v, &|a, b| a.min(b))
+    }
+
+    /// [`Endpoint::try_allreduce_sum_u64`] that panics on a mesh failure.
+    /// It exists only because the benchmark package
+    /// (`examples/dfo_benchmark`) calls it by this signature; everything
+    /// else uses the `Result` form.
+    pub fn allreduce_sum_u64(&self, v: u64) -> u64 {
+        self.try_allreduce_sum_u64(v).unwrap_or_else(|e| panic!("allreduce_sum_u64: {e}"))
     }
 }
 
@@ -528,8 +517,8 @@ mod tests {
                             assert_eq!(got, vec![src as u8]);
                         }
                     }
-                    ep.barrier();
-                    assert_eq!(ep.allreduce_sum_u64(1), p as u64);
+                    ep.try_barrier().unwrap();
+                    assert_eq!(ep.try_allreduce_sum_u64(1).unwrap(), p as u64);
                 });
             }
         });

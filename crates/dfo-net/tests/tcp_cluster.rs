@@ -51,7 +51,7 @@ fn two_rank_stream_roundtrip() {
         } else {
             assert_eq!(ep.recv_all(0, 7).unwrap(), b"hello world");
         }
-        ep.barrier();
+        ep.try_barrier().unwrap();
     });
 }
 
@@ -65,7 +65,7 @@ fn frames_preserve_order_and_chunking() {
         } else {
             assert_eq!(ep.recv_all(0, 3).unwrap(), (0..200u8).collect::<Vec<_>>());
         }
-        ep.barrier();
+        ep.try_barrier().unwrap();
     });
 }
 
@@ -97,7 +97,7 @@ fn concurrent_streams_demux_by_tag() {
                 assert_eq!(u32::from_le_bytes(b[off..off + 4].try_into().unwrap()), i * 2);
             }
         }
-        ep.barrier();
+        ep.try_barrier().unwrap();
     });
 }
 
@@ -115,11 +115,10 @@ fn all_pairs_and_collectives_four_ranks() {
                 assert_eq!(ep.recv_all(src, 0).unwrap(), vec![src as u8]);
             }
         }
-        ep.barrier();
-        assert_eq!(ep.allreduce_sum_u64(rank as u64 + 1), 10);
-        assert_eq!(ep.allreduce_max_u64(rank as u64), 3);
-        assert_eq!(ep.allreduce_min_u64(rank as u64 + 5), 5);
-        let s = ep.allreduce_sum_f64(0.25);
+        ep.try_barrier().unwrap();
+        assert_eq!(ep.try_allreduce_sum_u64(rank as u64 + 1).unwrap(), 10);
+        assert_eq!(ep.try_allreduce_min_u64(rank as u64 + 5).unwrap(), 5);
+        let s = ep.try_allreduce_sum_f64(0.25).unwrap();
         assert!((s - 1.0).abs() < 1e-12);
     });
 }
@@ -134,14 +133,14 @@ fn collectives_bit_match_sim_backend() {
         std::thread::scope(|s| {
             let hs: Vec<_> = eps
                 .iter()
-                .map(|ep| s.spawn(move || ep.allreduce_sum_f64(vals[ep.rank()])))
+                .map(|ep| s.spawn(move || ep.try_allreduce_sum_f64(vals[ep.rank()]).unwrap()))
                 .collect();
             hs.into_iter().map(|h| h.join().unwrap()).collect()
         })
     };
     let tcp: std::sync::Mutex<Vec<(usize, f64)>> = std::sync::Mutex::new(Vec::new());
     with_mesh(3, |rank, ep| {
-        let out = ep.allreduce_sum_f64(vals[rank]);
+        let out = ep.try_allreduce_sum_f64(vals[rank]).unwrap();
         tcp.lock().unwrap().push((rank, out));
     });
     for (rank, out) in tcp.into_inner().unwrap() {
@@ -154,11 +153,11 @@ fn stats_count_wire_bytes_like_sim() {
     with_mesh(2, |rank, ep| {
         if rank == 0 {
             ep.send(1, 2, Bytes::from_static(b"abcd"), true).unwrap();
-            ep.barrier();
+            ep.try_barrier().unwrap();
             assert_eq!(ep.stats().sent_bytes.get(), 4 + dfo_net::FRAME_HEADER_BYTES);
         } else {
             let _ = ep.recv_all(0, 2).unwrap();
-            ep.barrier();
+            ep.try_barrier().unwrap();
             assert_eq!(ep.stats().recv_bytes.get(), 4 + dfo_net::FRAME_HEADER_BYTES);
         }
     });
@@ -185,7 +184,7 @@ fn a_stream_is_its_frames_over_tcp() {
                 assert_eq!(ep.recv_all(0, tag).unwrap(), vec![7u8; len]);
             }
         }
-        ep.barrier();
+        ep.try_barrier().unwrap();
     });
 }
 
@@ -204,14 +203,14 @@ fn throttle_paces_tcp_sender() {
                     ep.send(1, 5, payload.clone(), i == 7).unwrap();
                 }
                 assert!(start.elapsed() >= Duration::from_millis(150));
-                ep.barrier();
+                ep.try_barrier().unwrap();
             });
         }
         let peers = peers.clone();
         s.spawn(move || {
             let ep = TcpCluster::connect(1, &peers, Some(10 << 20), false, opts()).unwrap();
             assert_eq!(ep.recv_all(0, 5).unwrap().len(), 2 << 20);
-            ep.barrier();
+            ep.try_barrier().unwrap();
         });
     });
 }
@@ -242,7 +241,7 @@ fn dropped_peer_surfaces_as_net_closed() {
 
 #[test]
 fn poison_fails_blocked_barrier_cluster_wide() {
-    let panicked: std::sync::Mutex<Vec<usize>> = std::sync::Mutex::new(Vec::new());
+    let failed: std::sync::Mutex<Vec<usize>> = std::sync::Mutex::new(Vec::new());
     with_mesh(3, |rank, ep| {
         if rank == 2 {
             // let the others block in the barrier, then abort the job
@@ -250,12 +249,12 @@ fn poison_fails_blocked_barrier_cluster_wide() {
             ep.poison_collective();
             return;
         }
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ep.barrier()));
-        if r.is_err() {
-            panicked.lock().unwrap().push(rank);
+        match ep.try_barrier() {
+            Err(DfoError::NetClosed(_)) => failed.lock().unwrap().push(rank),
+            other => panic!("rank {rank}: want NetClosed, got {other:?}"),
         }
     });
-    let mut got = panicked.into_inner().unwrap();
+    let mut got = failed.into_inner().unwrap();
     got.sort_unstable();
     assert_eq!(got, vec![0, 1], "both survivors must abort, not hang");
 }
@@ -324,8 +323,8 @@ fn mesh_rebuilds_on_same_addresses_under_new_epoch() {
                 let tcp = tcp.clone();
                 s.spawn(move || {
                     let ep = TcpCluster::connect(rank, &peers, None, false, tcp).unwrap();
-                    assert_eq!(ep.allreduce_sum_u64(epoch), 2 * epoch);
-                    ep.barrier();
+                    assert_eq!(ep.try_allreduce_sum_u64(epoch).unwrap(), 2 * epoch);
+                    ep.try_barrier().unwrap();
                     // rank 0 closes first: rank 1 holds its end open until
                     // it has seen rank 0's EOF, so the connection the old
                     // incarnation accepted on rank 0's listen address was
@@ -352,8 +351,8 @@ fn mesh_rebuilds_on_same_addresses_under_new_epoch() {
 fn single_rank_mesh_is_trivial() {
     let peers = free_addrs(1);
     let ep = TcpCluster::connect(0, &peers, None, false, opts()).unwrap();
-    ep.barrier();
-    assert_eq!(ep.allreduce_sum_u64(41), 41);
+    ep.try_barrier().unwrap();
+    assert_eq!(ep.try_allreduce_sum_u64(41).unwrap(), 41);
     assert_eq!(ep.nodes(), 1);
 }
 
@@ -381,9 +380,9 @@ fn pending_control_frames_never_stall_engine_traffic() {
                 ep.send(1, CTRL_TAG_BIT, Bytes::copy_from_slice(&[i]), i + 1 == parked).unwrap();
             }
         }
-        ep.barrier(); // control frames are in flight or queued at rank 1
-                      // engine traffic in both directions while the control frames sit
-                      // queued: streams on call-sequence tags, then collectives
+        ep.try_barrier().unwrap(); // control frames are in flight or queued at rank 1
+                                   // engine traffic in both directions while the control frames sit
+                                   // queued: streams on call-sequence tags, then collectives
         for round in 0..ROUNDS as u64 {
             let payload = vec![round as u8; 64 << 10];
             let to = 1 - rank;
@@ -393,16 +392,16 @@ fn pending_control_frames_never_stall_engine_traffic() {
                 assert_eq!(got.len(), 64 << 10);
                 assert!(got.iter().all(|b| *b == round as u8));
             });
-            assert_eq!(ep.allreduce_sum_u64(round + 1), 2 * (round + 1));
+            assert_eq!(ep.try_allreduce_sum_u64(round + 1).unwrap(), 2 * (round + 1));
         }
-        ep.barrier();
+        ep.try_barrier().unwrap();
         // only now does rank 1 drain the control tag; everything is there,
         // in order, untouched by the interleaved engine traffic
         if rank == 1 {
             let ctrl = ep.recv_all(0, CTRL_TAG_BIT).unwrap();
             assert_eq!(ctrl, (0..(DEMUX_QUEUE_DEPTH - 1) as u8).collect::<Vec<_>>());
         }
-        ep.barrier();
+        ep.try_barrier().unwrap();
     });
 }
 
@@ -426,14 +425,14 @@ fn back_to_back_streams_on_one_tag_all_arrive() {
         }
         // the release frame trails rank 0's streams on the same connection,
         // so after this barrier every message is already queued at rank 1
-        ep.barrier();
+        ep.try_barrier().unwrap();
         if rank == 1 {
             for i in 0..MSGS {
                 let got = ep.recv_all(0, CTRL_TAG_BIT).unwrap();
                 assert_eq!(got, vec![i as u8; 100 + i], "message {i} lost or mangled");
             }
         }
-        ep.barrier();
+        ep.try_barrier().unwrap();
     });
 }
 
@@ -458,23 +457,23 @@ fn dead_job_queues_are_reclaimed_and_never_stall_overlapping_jobs() {
             for i in 0..DEMUX_QUEUE_DEPTH as u8 {
                 dying.send(1, 3, Bytes::copy_from_slice(&[i]), false).unwrap();
             }
-            ep.barrier(); // rank 1 reclaims job 7 after this
-                          // late frames of the dead job: well past the queue bound, so
-                          // rank 1's reader would stall here if they were still queued
-                          // (the first push even starts against the still-full queue)
+            ep.try_barrier().unwrap(); // rank 1 reclaims job 7 after this
+                                       // late frames of the dead job: well past the queue bound, so
+                                       // rank 1's reader would stall here if they were still queued
+                                       // (the first push even starts against the still-full queue)
             for i in 0..(2 * DEMUX_QUEUE_DEPTH) as u8 {
                 dying.send(1, 3, Bytes::copy_from_slice(&[i]), false).unwrap();
             }
             // the overlapping job is untouched throughout
             healthy.send_stream(1, 5, Bytes::from(vec![42u8; 64 << 10])).unwrap();
-            ep.barrier();
+            ep.try_barrier().unwrap();
         } else {
-            ep.barrier(); // job-7 frames are queued (or in flight) here
+            ep.try_barrier().unwrap(); // job-7 frames are queued (or in flight) here
             ep.reclaim_job(7);
             let got = healthy.recv_all(0, 5).unwrap();
             assert_eq!(got.len(), 64 << 10);
             assert!(got.iter().all(|b| *b == 42));
-            ep.barrier();
+            ep.try_barrier().unwrap();
         }
     });
 }

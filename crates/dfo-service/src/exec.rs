@@ -23,7 +23,6 @@ use crate::metrics::MetricsServer;
 use crate::sched::JobQueue;
 use crate::wire::RankResult;
 use dfo_algos::check_edge_data;
-use dfo_core::cluster::panic_to_error;
 use dfo_core::NodeCtx;
 use dfo_obs::Registry;
 use dfo_storage::ChunkCacheStats;
@@ -399,7 +398,7 @@ impl Executor {
         job.status_changed();
         let started = Instant::now();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(job, &scope)))
-            .unwrap_or_else(|p| Err(panic_to_error(p, &format!("job {} worker", job.id))));
+            .unwrap_or_else(|p| Err(DfoError::from_panic(p, &format!("job {} worker", job.id))));
         Attempt { result, elapsed: started.elapsed(), mesh_dead: false }
     }
 

@@ -63,6 +63,16 @@ impl DfoError {
             _ => false,
         }
     }
+
+    /// The error a caught panic stands for: always the non-retryable
+    /// [`DfoError::Panic`], naming who panicked and the panic's message.
+    /// Collectives and every other engine path return failure as a value,
+    /// so whatever unwinds is a bug, never a mesh failure.
+    pub fn from_panic(payload: Box<dyn std::any::Any + Send>, who: &str) -> Self {
+        let msg = payload.downcast_ref::<String>().map(String::as_str);
+        let msg = msg.or_else(|| payload.downcast_ref::<&str>().copied());
+        DfoError::Panic(format!("{who}: {}", msg.unwrap_or("<non-string panic>")))
+    }
 }
 
 impl fmt::Display for DfoError {
@@ -98,6 +108,18 @@ impl From<std::io::Error> for DfoError {
     fn from(e: std::io::Error) -> Self {
         DfoError::Io { context: "<unspecified>".into(), source: e }
     }
+}
+
+/// Folds the per-rank results of one SPMD run into the run's result: every
+/// value in rank order, or the error that caused the failure. That is the
+/// first error that is not [`DfoError::NetClosed`] — a failing rank poisons
+/// the mesh, so its peers' `NetClosed` is the effect, not the cause — and
+/// the first error when every one is `NetClosed`.
+pub fn gather_ranks<T>(results: impl IntoIterator<Item = Result<T>>) -> Result<Vec<T>> {
+    let mut errors = Vec::new();
+    let values = results.into_iter().filter_map(|r| r.map_err(|e| errors.push(e)).ok()).collect();
+    // `false` orders first, and the first of equal keys wins
+    errors.into_iter().min_by_key(|e| matches!(e, DfoError::NetClosed(_))).map_or(Ok(values), Err)
 }
 
 #[cfg(test)]
@@ -140,6 +162,18 @@ mod tests {
             last: Box::new(DfoError::Panic("bug".into())),
         };
         assert!(!deterministic.is_retryable());
+    }
+
+    #[test]
+    fn every_caught_panic_is_a_non_retryable_panic() {
+        // `panic!` throws a `&str` or a `String`; a typed payload is not unpacked
+        let typed = DfoError::NetClosed("peer gone".into());
+        let payloads: [Box<dyn std::any::Any + Send>; 3] =
+            [Box::new("bug"), Box::new(format!("bug {}", 2)), Box::new(typed)];
+        for (p, want) in payloads.into_iter().zip(["bug", "bug 2", "<non-string panic>"]) {
+            let e = DfoError::from_panic(p, "rank 1");
+            assert!(matches!(&e, DfoError::Panic(m) if *m == format!("rank 1: {want}")), "{e}");
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub mod stats;
 
 pub use codec::{read_exact_or_eof, read_u32, read_u64, write_u32, write_u64};
 pub use config::{BatchPolicy, CrashPoint, CrashPos, DispatchKind, EngineConfig, ReprKind};
-pub use error::{DfoError, Result};
+pub use error::{gather_ranks, DfoError, Result};
 pub use ids::{BatchId, PartitionId, Rank, VertexId, VertexRange};
 pub use jobspec::{JobParams, JobPhase, JobSpec, JobStatus, JOB_WIRE_VERSION};
 pub use pod::{

@@ -166,12 +166,6 @@ impl PhaseStats {
         }
     }
 
-    /// Summed per-phase wall time in nanoseconds (phases 2 and 3 overlap,
-    /// so this can exceed the call's wall time).
-    pub fn total_nanos(&self) -> u64 {
-        self.generate_nanos + self.pass_nanos + self.dispatch_nanos + self.process_nanos
-    }
-
     /// Total *physical* disk bytes this call moved (per-phase sums).
     pub fn total_disk(&self) -> u64 {
         self.generate_disk_read
@@ -181,10 +175,6 @@ impl PhaseStats {
             + self.dispatch_disk_write
             + self.process_disk_read
             + self.process_disk_write
-    }
-
-    pub fn total_net(&self) -> u64 {
-        self.pass_net_sent
     }
 
     /// Every field, in wire order — the one place the field list is spelled
@@ -333,7 +323,6 @@ mod tests {
         assert_eq!(a.pass_net_sent, 15);
         assert_eq!(a.messages_generated, 4);
         assert_eq!(a.messages_sent, 3);
-        assert_eq!(a.total_net(), 15);
     }
 
     #[test]
@@ -351,6 +340,5 @@ mod tests {
             (a.generate_nanos, a.pass_nanos, a.dispatch_nanos, a.process_nanos),
             (11, 2, 3, 9)
         );
-        assert_eq!(a.total_nanos(), 25);
     }
 }

@@ -10,7 +10,7 @@
 # block store and the memory pools). Like the BENCH_*.json
 # baselines, a ceiling only moves when a PR moves it explicitly: lower it
 # after deleting code, raise it (and say why in CHANGES.md) when a feature
-# needs the room.
+# needs the room. It also fails on any `panic_any` in crates/*/src.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,8 +36,16 @@ ratchet() {
     status=1
   fi
 }
-ratchet 5304 dfo-core dfo-service
-ratchet 3062 dfo-types dfo-part
-ratchet 2718 dfo-net dfo-obs
+ratchet 5290 dfo-core dfo-service
+ratchet 3056 dfo-types dfo-part
+ratchet 2707 dfo-net dfo-obs
 ratchet 3576 dfo-storage
+
+# Failure is a value: a collective returns its mesh failure as an error,
+# and a caught panic is always a bug (`DfoError::from_panic`), so nothing
+# may unwind with a typed payload.
+if grep -rn panic_any crates/*/src; then
+  echo "loc.sh: panic_any in crates/*/src; return the error as a value" >&2
+  status=1
+fi
 exit $status
