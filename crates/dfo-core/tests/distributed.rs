@@ -196,9 +196,14 @@ fn free_addrs(n: usize) -> Vec<String> {
     listeners.iter().map(|l| format!("127.0.0.1:{}", l.local_addr().unwrap().port())).collect()
 }
 
+/// A worker's stdout is discarded: the child's test harness prints
+/// `test child_entry ... ` and then exits inside the test, so that line
+/// never ends and would run into the parent's own `test <name> ... ok`.
+/// Workers report on stderr, which stays inherited unless a test pipes it.
 fn worker_cmd(role: &str, rank: usize, base: &Path, peers: &str) -> Command {
     let mut cmd = Command::new(std::env::current_exe().unwrap());
     cmd.args(["child_entry", "--exact", "--test-threads=1", "--nocapture"])
+        .stdout(Stdio::null())
         .env(ROLE_ENV, role)
         .env("DFO_RANK", rank.to_string())
         .env("DFO_PEERS", peers)
