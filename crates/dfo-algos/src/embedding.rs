@@ -60,13 +60,13 @@ pub fn embedding_propagation(
                     Some(c.get(&e, v))
                 },
                 move |msg: Embedding, _s, dst, _ed: &(), c| {
-                    let mut cur = c.get(&a, dst);
-                    for (x, m) in cur.iter_mut().zip(msg.iter()) {
-                        *x += m;
-                    }
-                    c.set(&a, dst, cur);
-                    let n = c.get(&k, dst);
-                    c.set(&k, dst, n + 1);
+                    c.update(&a, dst, |mut cur| {
+                        for (x, m) in cur.iter_mut().zip(msg.iter()) {
+                            *x += m;
+                        }
+                        cur
+                    });
+                    c.update(&k, dst, |n| n + 1);
                     1u64
                 },
             )?;

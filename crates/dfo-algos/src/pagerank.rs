@@ -53,8 +53,7 @@ pub fn pagerank(ctx: &mut NodeCtx, iters: usize) -> Result<VertexArray<f64>> {
                     }
                 },
                 move |msg: f64, _src, dst, _e: &(), c| {
-                    let cur = c.get(&nx, dst);
-                    c.set(&nx, dst, cur + msg);
+                    c.update(&nx, dst, |cur| cur + msg);
                     0u64
                 },
             )?;

@@ -142,8 +142,7 @@ pub fn pagerank_with_stats(
                     }
                 },
                 move |msg: f64, _src, dst, _e: &(), c| {
-                    let cur = c.get(&nx, dst);
-                    c.set(&nx, dst, cur + msg);
+                    c.update(&nx, dst, |cur| cur + msg);
                     0u64
                 },
             )?;

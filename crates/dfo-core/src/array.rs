@@ -16,13 +16,14 @@
 //! A block is read when a call first needs its old bytes, not when the call
 //! checks it out. A block that is not resident is checked out empty; `set`s
 //! in ascending vertex order from its first vertex — every init pass — grow
-//! a written prefix, and the first `get` past that prefix or any other `set`
-//! reads the block once, keeping the prefix. At write-back a block written
-//! whole goes in without ever being read, one written in part is completed
-//! by one read, and one not touched is neither read nor written. Its file's
-//! length is checked (a `stat`) at check-out, before any byte is used, so an
-//! array reopened under an element type of another size is a typed error,
-//! not a misread; a deferred read that fails fails the call at write-back.
+//! a written prefix, and the first `get` or `update` past that prefix or
+//! any other `set` reads the block once, keeping the prefix. At write-back
+//! a block written whole goes in without ever being read, one written in
+//! part is completed by one read, and one not touched is neither read nor
+//! written. Its file's length is checked (a `stat`) at check-out, before
+//! any byte is used, so an array reopened under an element type of another
+//! size is a typed error, not a misread; a deferred read that fails fails
+//! the call at write-back.
 //! Pages of a paged array are read when they are checked out.
 //!
 //! In the Table 6 "no batching" ablation the one batch is the whole
@@ -313,8 +314,11 @@ impl ArraySlot<'_> {
 /// The view a UDF gets of the vertex arrays of **one batch** (the paper's
 /// guarantee: random access never leaves the batch).
 ///
-/// `get`/`set` address vertices by global ID; the context checks they fall
-/// inside the batch (`debug_assert` on release-hot paths).
+/// `get`/`set`/`update` address vertices by global ID; the context checks
+/// they fall inside the batch (`debug_assert` on release-hot paths). A
+/// value that is read, changed and written back — an accumulator in a
+/// `ProcessEdges` slot — goes through [`BatchCtx::update`], which finds it
+/// once where `get` then `set` find it twice.
 pub struct BatchCtx<'a> {
     batch: VertexRange,
     slots: Vec<ArraySlot<'a>>,
@@ -357,7 +361,7 @@ impl<'a> BatchCtx<'a> {
 
     /// The slot of the array `name` is a handle to. Handles from
     /// [`crate::NodeCtx::vertex_array`] share their entry's name allocation,
-    /// so this (twice per edge in a typical `slot`) compares pointers;
+    /// so this (once per edge in a typical `slot`) compares pointers;
     /// only a handle made some other way is compared by string.
     #[inline]
     fn slot_index(&self, name: &Arc<str>, elem: usize) -> usize {
@@ -414,6 +418,25 @@ impl<'a> BatchCtx<'a> {
         } else {
             slot.miss(batch, v, elem).copy_from_slice(bytes_of(&value));
         }
+        slot.dirty = true;
+    }
+
+    /// Replaces vertex `v`'s value in `arr` by `f` of it — exactly
+    /// `let x = get(arr, v); set(arr, v, f(x))`, with one lookup of the
+    /// array and of the value's bytes instead of two. A read-modify-write
+    /// such as an accumulator's `x += msg` (once per edge in a typical
+    /// `slot`) should use it; `get` and `set` stay for reading alone and
+    /// for writing a value that does not depend on the old one.
+    #[inline]
+    pub fn update<T: Pod>(&mut self, arr: &VertexArray<T>, v: VertexId, f: impl FnOnce(T) -> T) {
+        let elem = std::mem::size_of::<T>();
+        let (slot, batch, at) = self.locate(&arr.name, elem, v);
+        let bytes = match slot.buf.get_mut(at) {
+            Some(bytes) => bytes,
+            None => slot.miss(batch, v, elem),
+        };
+        let value = f(pod_from_bytes(bytes));
+        bytes.copy_from_slice(bytes_of(&value));
         slot.dirty = true;
     }
 
@@ -566,6 +589,137 @@ mod tests {
         for v in [partition.end - 1, partition.start + n, partition.start] {
             assert_eq!(ctx.get(&arr, v), v * 3, "vertex {v} after reopening");
         }
+    }
+
+    /// One access of [`trace`]: `Set` writes a value either way, `Rmw` is
+    /// the read-modify-write under test.
+    #[derive(Clone, Copy)]
+    enum Op<T> {
+        Set(VertexId, T),
+        Rmw(VertexId),
+    }
+
+    /// What a run of accesses left behind: per slot its block, first
+    /// vertex, bytes, bytes still on disk and dirty flag; the disk bytes
+    /// read and written by the run and its write-back; and every block file
+    /// after the array is flushed.
+    type Trace = (Vec<(usize, VertexId, Vec<u8>, usize, bool)>, (u64, u64), Vec<Vec<u8>>);
+
+    /// Makes an array in a fresh directory with `make` (which may leave
+    /// earlier jobs' blocks on disk), runs `ops` on block `index` of it —
+    /// each `Rmw` through `update` if `fused`, else through `get` then
+    /// `set` — and traces the result.
+    fn trace<T: Pod>(
+        make: impl Fn(&NodeDisk) -> ArrayEntry,
+        (batch, index): (VertexRange, usize),
+        ops: &[Op<T>],
+        f: impl Fn(T) -> T,
+        fused: bool,
+    ) -> Trace {
+        let td = TempDir::new().unwrap();
+        let disk = NodeDisk::new(td.path(), None, false).unwrap();
+        let entry = make(&disk);
+        let arr = entry.handle::<T>();
+        let before = (disk.stats().read_bytes.get(), disk.stats().write_bytes.get());
+        let mut ctx = BatchCtx::load(&[&entry], batch, index, None).unwrap();
+        for &op in ops {
+            match op {
+                Op::Set(v, x) => ctx.set(&arr, v, x),
+                Op::Rmw(v) if fused => ctx.update(&arr, v, &f),
+                Op::Rmw(v) => {
+                    let x = ctx.get(&arr, v);
+                    ctx.set(&arr, v, f(x));
+                }
+            }
+        }
+        let slots = ctx.slots.iter();
+        let slots = slots.map(|s| (s.block, s.start, s.buf.clone(), s.owed, s.dirty)).collect();
+        ctx.write_back().unwrap();
+        let moved = (disk.stats().read_bytes.get(), disk.stats().write_bytes.get());
+        entry.close(true).unwrap();
+        let mut files: Vec<_> = std::fs::read_dir(td.path().join("arrays/dist/blocks"))
+            .unwrap()
+            .map(|f| f.unwrap().path())
+            .collect();
+        files.sort();
+        let files = files.iter().map(|f| std::fs::read(f).unwrap()).collect();
+        (slots, (moved.0 - before.0, moved.1 - before.1), files)
+    }
+
+    /// Asserts that `update` leaves what `get` then `set` leave.
+    fn assert_update_is_get_then_set<T: Pod>(
+        make: impl Fn(&NodeDisk) -> ArrayEntry,
+        at: (VertexRange, usize),
+        ops: &[Op<T>],
+        f: impl Fn(T) -> T,
+    ) {
+        let want = trace(&make, at, ops, &f, false);
+        assert_eq!(trace(&make, at, ops, &f, true), want);
+    }
+
+    /// `blocks` of `u32`s on disk, vertex `v` holding `v + 100`, none of
+    /// them resident.
+    fn stored_u32s(disk: &NodeDisk, blocks: &[VertexRange], page: Option<u64>) -> ArrayEntry {
+        let entry = create(disk, 4, blocks, page, &MemBudget::new(0)).unwrap();
+        for (b, range) in blocks.iter().enumerate() {
+            let bytes: Vec<u8> =
+                range.iter().flat_map(|v| (v as u32 + 100).to_le_bytes()).collect();
+            std::fs::write(disk.root().join(format!("arrays/dist/blocks/{b}.bin")), bytes).unwrap();
+        }
+        entry
+    }
+
+    #[test]
+    fn update_is_get_then_set_on_a_resident_block() {
+        let pool = MemBudget::new(1 << 10);
+        let make = |disk: &NodeDisk| create(disk, 4, &batches(), None, &pool).unwrap();
+        let f = |x: f32| x * 3.0 + 1.0;
+        for ops in [vec![Op::Rmw(5)], vec![Op::Rmw(5), Op::Set(6, 7.5), Op::Rmw(6), Op::Rmw(4)]] {
+            assert_update_is_get_then_set(make, (batches()[1], 1), &ops, f);
+        }
+    }
+
+    #[test]
+    fn update_is_get_then_set_on_a_block_left_on_disk() {
+        let make = |disk: &NodeDisk| stored_u32s(disk, &batches(), None);
+        let batch = (batches()[1], 1);
+        let f = |x: u32| x.wrapping_mul(7) ^ 1;
+        // untouched before, at the first vertex past a written prefix, and
+        // inside it
+        for ops in [
+            vec![Op::Rmw(5), Op::Rmw(5)],
+            vec![Op::Set(4, 9), Op::Rmw(5)],
+            vec![Op::Set(4, 9), Op::Set(5, 8), Op::Rmw(4), Op::Rmw(6)],
+            vec![Op::Set(4, 9), Op::Set(5, 8), Op::Set(6, 1), Op::Rmw(6)],
+        ] {
+            assert_update_is_get_then_set(make, batch, &ops, f);
+        }
+    }
+
+    #[test]
+    fn update_is_get_then_set_when_a_paged_array_turns_its_page() {
+        let n = (PAGE_SIZE / 4) as u64;
+        let partition = VertexRange::new(10, 10 + 3 * n - 5);
+        let pages = split_into_batches(partition, n);
+        let make = |disk: &NodeDisk| stored_u32s(disk, &pages, Some(n));
+        let (last, first) = (partition.end - 1, partition.start);
+        let ops = [Op::Rmw(first + 1), Op::Rmw(last), Op::Rmw(first + n), Op::Rmw(first + 1)];
+        assert_update_is_get_then_set(make, (partition, 0), &ops, |x: u32| x + 1);
+    }
+
+    #[test]
+    fn update_is_get_then_set_on_a_bool_with_a_corrupt_byte() {
+        let make = |disk: &NodeDisk| {
+            let entry = create(disk, 1, &batches(), None, &MemBudget::new(0)).unwrap();
+            std::fs::write(disk.root().join("arrays/dist/blocks/1.bin"), [0, 2, 0]).unwrap();
+            entry
+        };
+        // `2` reads as `true` and is written back as `1`, either way
+        for f in [|b: bool| b, |b: bool| !b] {
+            assert_update_is_get_then_set(make, (batches()[1], 1), &[Op::Rmw(5)], f);
+        }
+        let files = trace(make, (batches()[1], 1), &[Op::Rmw(5)], |b: bool| b, true).2;
+        assert_eq!(files[1], [0, 1, 0]);
     }
 
     #[test]

@@ -34,8 +34,7 @@
 //!             None,
 //!             |_v, _c| Some(1u64),
 //!             |msg, _src, dst, _data: &(), c| {
-//!                 let d = c.get(&deg, dst);
-//!                 c.set(&deg, dst, d + msg);
+//!                 c.update(&deg, dst, |d| d + msg);
 //!                 1u64
 //!             },
 //!         )

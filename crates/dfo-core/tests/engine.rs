@@ -579,6 +579,34 @@ fn a_one_rank_failure_surfaces_as_itself_not_as_its_peers_net_closed() {
     }
 }
 
+/// A scheduled crash is a `NetClosed` as well, and so is what its peer gets
+/// from the poisoned mesh; the run reports the dying rank's own message.
+#[test]
+fn a_scheduled_crash_surfaces_as_the_dying_ranks_message_not_the_poison() {
+    use dfo_types::{CrashPoint, DfoError};
+    let g = uniform(32, 100, 3);
+    let td = TempDir::new().unwrap();
+    let mut cfg = EngineConfig::for_test(2);
+    cfg.crash_schedule = vec![CrashPoint { rank: Some(1), ..CrashPoint::at(0) }];
+    let cluster = Cluster::create(cfg, td.path()).unwrap();
+    cluster.preprocess(&g).unwrap();
+    let survivor = std::sync::Mutex::new(None);
+    let res = cluster.run(|ctx| {
+        let deg = ctx.vertex_array::<u64>("deg")?;
+        let r = ctx.process_vertices(&["deg"], None, move |v, c| c.get(&deg, v));
+        if ctx.rank() == 0 {
+            *survivor.lock().unwrap() = Some(format!("{r:?}"));
+        }
+        r
+    });
+    let survivor = survivor.into_inner().unwrap().unwrap();
+    assert!(survivor.contains("a peer died"), "rank 0 got {survivor}");
+    let err = res.expect_err("rank 1 crashed");
+    let rank1 = "injected crash (DFO_CRASH_AT): rank 1 dies at Process call 0";
+    assert!(matches!(&err, DfoError::NetClosed(m) if m.starts_with(rank1)), "{err:?}");
+    assert!(err.is_retryable());
+}
+
 /// `mem_budget` so small that the pool of resident blocks, message chunks
 /// and filter lists holds nothing: the fully-out-of-core engine.
 const NO_POOLS: u64 = 1;

@@ -51,7 +51,7 @@ impl Collective {
     }
 
     fn poisoned_err() -> DfoError {
-        DfoError::NetClosed("cluster collective poisoned: a peer node died".into())
+        DfoError::peer_died("cluster collective poisoned")
     }
 
     /// Blocks until all `P` node threads arrive; fails if the collective

@@ -67,7 +67,7 @@ impl Transport for SimTransport {
             .as_ref()
             .expect("no channel to dst")
             .send(frame)
-            .map_err(|_| DfoError::NetClosed(format!("send {} -> {}", self.rank, dst)))
+            .map_err(|_| DfoError::peer_died(format_args!("send {} -> {}", self.rank, dst)))
     }
 
     /// Streams are FIFO per (src, dst) pair here — exactly one stream per
@@ -78,7 +78,7 @@ impl Transport for SimTransport {
             .as_ref()
             .expect("no channel from src")
             .recv()
-            .map_err(|_| DfoError::NetClosed(format!("recv {} <- {}", self.rank, src)))
+            .map_err(|_| DfoError::peer_died(format_args!("recv {} <- {}", self.rank, src)))
     }
 
     /// The shared-memory collective is a single rendezvous — it cannot

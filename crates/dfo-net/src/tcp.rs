@@ -483,7 +483,7 @@ impl TcpTransport {
 
     fn check_poisoned(&self) -> Result<()> {
         if self.poisoned.load(Ordering::Acquire) {
-            return Err(DfoError::NetClosed("cluster collective poisoned".into()));
+            return Err(DfoError::peer_died("cluster collective poisoned"));
         }
         Ok(())
     }

@@ -62,9 +62,13 @@
 //! directory — is refused with an error that names the file and says to
 //! preprocess the graph again.
 //!
-//! The checksum is sliced eight bytes at a time and the LZ4 decoder copies
-//! a word at a time; neither loops per byte.
+//! The checksum (`crc.rs`) folds 64 bytes a step by carry-less
+//! multiplication where the CPU has it, eight bytes a step by table where
+//! it does not, and the LZ4 decoder copies a word at a time; none of them
+//! loops per byte.
 
+pub use crate::crc::crc32;
+use crate::crc::crc32_more;
 use crate::disk::{NodeDisk, RandomFile};
 use dfo_types::{DfoError, Result};
 use std::io::{self, Read, Write};
@@ -108,69 +112,6 @@ pub const LZ4_MAX_RATIO: u64 = 255;
 const BLOCK_HEADER_BYTES: usize = 16;
 const DIR_ENTRY_BYTES: usize = 16;
 const FOOTER_BYTES: usize = 24;
-
-/// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic bytewise table,
-/// `CRC_TABLES[k][b]` the CRC of byte `b` followed by `k` zero bytes.
-const CRC_TABLES: [[u32; 256]; 8] = {
-    let mut t = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        t[0][i] = c;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = t[k - 1][i];
-            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    t
-};
-
-/// One bytewise step of the CRC register.
-#[inline]
-fn crc_step(c: u32, b: u8) -> u32 {
-    CRC_TABLES[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8)
-}
-
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`), eight input
-/// bytes per step (slicing-by-8) with a bytewise tail.
-pub fn crc32(data: &[u8]) -> u32 {
-    crc32_more(0, data)
-}
-
-/// The CRC-32 of `a ‖ data`, given `crc = crc32(a)`.
-fn crc32_more(crc: u32, data: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut c = !crc;
-    let mut words = data.chunks_exact(8);
-    for w in &mut words {
-        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        c = t[7][(lo & 0xff) as usize]
-            ^ t[6][((lo >> 8) & 0xff) as usize]
-            ^ t[5][((lo >> 16) & 0xff) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xff) as usize]
-            ^ t[2][((hi >> 8) & 0xff) as usize]
-            ^ t[1][((hi >> 16) & 0xff) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in words.remainder() {
-        c = crc_step(c, b);
-    }
-    !c
-}
 
 fn corrupt(msg: impl Into<String>) -> DfoError {
     DfoError::Corrupt(msg.into())
@@ -1002,14 +943,32 @@ fn read_directory(file: &RandomFile, file_len: u64) -> Result<Vec<(u64, u64)>> {
     sane.then_some(dir).ok_or_else(|| corrupt("malformed block directory"))
 }
 
-/// Serves the logical stream from the front, through column 0's blocks
-/// (what [`NodeDisk::open_framed`] opens): a read to the end fetches each
-/// stored block once, whatever the caller's buffer size. A `Corrupt` file
-/// is an [`io::ErrorKind::InvalidData`] error.
+/// Serves the logical stream from the front (what [`NodeDisk::open_framed`]
+/// opens): the blocks of a container that a caller's buffer holds whole are
+/// decoded straight into it, as [`BlockFile::read_ranges`] does, and a block
+/// it holds in part goes through column 0's cache — so a read to the end
+/// fetches each stored block once, whatever the caller's buffer size. A
+/// `Corrupt` file is an [`io::ErrorKind::InvalidData`] error.
 impl Read for BlockFile {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         let n = (buf.len() as u64).min(self.logical_len - self.pos) as usize;
-        self.read_at(0, &mut buf[..n], self.pos).map_err(|e| {
+        let (pos, end) = (self.pos, self.pos + n as u64);
+        // the first block start at or past `pos` and the last at or before
+        // `end` bound the blocks the buffer holds whole
+        let (first, last) = self.dir.as_ref().map_or((end, end), |dir| {
+            let first = dir[dir.partition_point(|e| e.0 < pos)].0;
+            let last = dir[dir.partition_point(|e| e.0 <= end) - 1].0;
+            if first < last {
+                (first, last)
+            } else {
+                (end, end)
+            }
+        });
+        let (head, rest) = buf[..n].split_at_mut((first - pos) as usize);
+        let (whole, tail) = rest.split_at_mut((last - first) as usize);
+        let read = self.read_at(0, head, pos);
+        let read = read.and_then(|()| self.read_ranges(&mut [(first, whole)]));
+        read.and_then(|()| self.read_at(0, tail, last)).map_err(|e| {
             let kind = match &e {
                 DfoError::Corrupt(_) => io::ErrorKind::InvalidData,
                 DfoError::Io { source, .. } => source.kind(),
@@ -1017,7 +976,7 @@ impl Read for BlockFile {
             };
             io::Error::new(kind, e.to_string())
         })?;
-        self.pos += n as u64;
+        self.pos = end;
         Ok(n)
     }
 }
@@ -1025,6 +984,7 @@ impl Read for BlockFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crc::{crc32_sliced, crc_step};
     use proptest::{proptest, ProptestConfig, Strategy};
 
     /// Bytes that follow the last block of a container of `n_blocks`: end
@@ -1105,13 +1065,22 @@ mod tests {
         assert_eq!(crc32(b"parent-written"), 0xFF73_4E7C);
     }
 
+    /// The dispatching `crc32_more` (the carry-less fold from 64 bytes on
+    /// x86-64 CPUs that have it) and slicing-by-8, called directly so that
+    /// both paths run on every CPU that has the fold.
     #[test]
-    fn crc32_slicing_matches_bytewise_at_every_short_length() {
-        let data = noise(64 + 7);
-        for start in 0..8 {
-            for len in 0..=64 {
-                let d = &data[start..start + len];
-                assert_eq!(crc32(d), crc32_bytewise(d), "start {start} len {len}");
+    fn both_crc_paths_match_bytewise_at_every_length_offset_and_seed() {
+        let data = noise(2048 + 16);
+        for seed in [0, crc32(b"parent-written")] {
+            for start in 0..16 {
+                // the oracle of every prefix, one byte further each step
+                let mut c = !seed;
+                for len in 0..=2048 {
+                    let d = &data[start..start + len];
+                    assert_eq!(crc32_more(seed, d), !c, "seed {seed:#x} start {start} len {len}");
+                    assert_eq!(crc32_sliced(seed, d), !c, "sliced, start {start} len {len}");
+                    c = crc_step(c, data[start + len]);
+                }
             }
         }
     }

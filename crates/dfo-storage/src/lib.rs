@@ -16,6 +16,7 @@ pub mod blockstore;
 pub mod chunkcache;
 pub mod commitlog;
 pub mod compress;
+mod crc;
 pub mod disk;
 pub mod spill;
 pub mod throttle;

@@ -13,18 +13,21 @@ use dfo_storage::{BlockFile, FrameWriter, NodeDisk};
 use dfo_types::DfoError;
 use proptest::{proptest, ProptestConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::{Read, Write};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
-/// The system allocator, noting the largest request made while `WATCH` is
-/// set (this binary has one test, so nothing else allocates much then).
+/// The system allocator, noting the largest request made by a thread while
+/// its `WATCHED` is set — the reader's thread, not a test running beside it.
 struct Largest;
 
-static WATCH: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    static WATCHED: Cell<bool> = const { Cell::new(false) };
+}
 static LARGEST: AtomicUsize = AtomicUsize::new(0);
 
 fn note(size: usize) {
-    if WATCH.load(Relaxed) {
+    if WATCHED.try_with(Cell::get).unwrap_or(false) {
         LARGEST.fetch_max(size, Relaxed);
     }
 }
@@ -182,7 +185,7 @@ proptest! {
         let mut spanned: Vec<Vec<u8>> = spans.iter().map(|s| vec![0u8; s.1]).collect();
         let mut front = vec![0u8; data.len()];
         LARGEST.store(0, Relaxed);
-        WATCH.store(true, Relaxed);
+        WATCHED.set(true);
         let results = BlockFile::open(&disk, "c.bin", 2).map(|mut blocks| {
             let at: Vec<_> = reads
                 .iter()
@@ -199,7 +202,7 @@ proptest! {
                 DfoError::Corrupt(e.to_string())
             })
         });
-        WATCH.store(false, Relaxed);
+        WATCHED.set(false);
         let largest = LARGEST.load(Relaxed);
         assert!(
             largest <= file.len().max(data.len()),

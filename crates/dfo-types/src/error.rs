@@ -64,6 +64,19 @@ impl DfoError {
         }
     }
 
+    /// The [`DfoError::NetClosed`] a rank gets *because a peer died*: a
+    /// poisoned collective, a closed channel. [`gather_ranks`] tells it
+    /// from a `NetClosed` a rank raised itself (an injected crash, a
+    /// deliberate mesh failure), which is the cause.
+    pub fn peer_died(what: impl fmt::Display) -> Self {
+        DfoError::NetClosed(format!("{PEER_DIED}{what}"))
+    }
+
+    /// Whether this error was made by [`DfoError::peer_died`].
+    fn is_peer_died(&self) -> bool {
+        matches!(self, DfoError::NetClosed(m) if m.starts_with(PEER_DIED))
+    }
+
     /// The error a caught panic stands for: always the non-retryable
     /// [`DfoError::Panic`], naming who panicked and the panic's message.
     /// Collectives and every other engine path return failure as a value,
@@ -110,16 +123,21 @@ impl From<std::io::Error> for DfoError {
     }
 }
 
+/// What every [`DfoError::peer_died`] message starts with.
+const PEER_DIED: &str = "a peer died: ";
+
 /// Folds the per-rank results of one SPMD run into the run's result: every
 /// value in rank order, or the error that caused the failure. That is the
 /// first error that is not [`DfoError::NetClosed`] — a failing rank poisons
-/// the mesh, so its peers' `NetClosed` is the effect, not the cause — and
-/// the first error when every one is `NetClosed`.
+/// the mesh, so its peers' `NetClosed` is the effect, not the cause — else
+/// the first `NetClosed` a rank raised itself rather than got from a dead
+/// peer ([`DfoError::peer_died`]), else the first error.
 pub fn gather_ranks<T>(results: impl IntoIterator<Item = Result<T>>) -> Result<Vec<T>> {
     let mut errors = Vec::new();
     let values = results.into_iter().filter_map(|r| r.map_err(|e| errors.push(e)).ok()).collect();
     // `false` orders first, and the first of equal keys wins
-    errors.into_iter().min_by_key(|e| matches!(e, DfoError::NetClosed(_))).map_or(Ok(values), Err)
+    let effect = |e: &DfoError| (matches!(e, DfoError::NetClosed(_)), e.is_peer_died());
+    errors.into_iter().min_by_key(effect).map_or(Ok(values), Err)
 }
 
 #[cfg(test)]
@@ -174,6 +192,19 @@ mod tests {
             let e = DfoError::from_panic(p, "rank 1");
             assert!(matches!(&e, DfoError::Panic(m) if *m == format!("rank 1: {want}")), "{e}");
         }
+    }
+
+    #[test]
+    fn the_cause_wins_over_its_effects() {
+        let died = || Err(DfoError::peer_died("cluster collective poisoned"));
+        let own = || Err(DfoError::NetClosed("injected crash".into()));
+        let corrupt = || Err(DfoError::Corrupt("bad block".into()));
+        let run = |rs: Vec<Result<u8>>| format!("{:?}", gather_ranks(rs).unwrap_err());
+        assert!(run(vec![died(), own(), corrupt()]).contains("bad block"));
+        assert!(run(vec![died(), own(), Ok(1)]).contains("injected crash"));
+        assert!(run(vec![died(), died()]).contains("a peer died: cluster"));
+        assert_eq!(gather_ranks(vec![Ok(1), Ok(2)]).unwrap(), [1, 2]);
+        assert!(DfoError::peer_died("x").is_retryable() && !own().unwrap_err().is_peer_died());
     }
 
     #[test]
