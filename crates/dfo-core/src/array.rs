@@ -42,6 +42,11 @@ use std::sync::Arc;
 /// Bytes of vertex data per page of a paged (no-batching ablation) array.
 pub(crate) const PAGE_SIZE: usize = 4096;
 
+/// Epochs a checkpointed array retains: the committed one and the one
+/// before, which ahead-rank rollback and a commit record that falls back
+/// one call both land on.
+const CHECKPOINTS_KEPT: usize = 2;
+
 /// Typed handle to a named vertex array. Cheap to clone; the data lives in
 /// the node's array registry.
 #[derive(Clone, Debug)]
@@ -79,45 +84,43 @@ pub(crate) struct ArrayEntry {
 impl ArrayEntry {
     /// Creates or reopens the block store of one array, one block per
     /// range of `blocks` (the batches, or the pages of a `page`d array).
-    /// When a checkpoint exists, `recover_target` caps the epoch recovery
-    /// trusts — the per-call commit record's epoch for this array — so the
-    /// torn tail of a crashed multi-array commit is discarded (`None`
-    /// trusts the array's own `CURRENT`). Blocks stay resident within
-    /// `pool`.
-    #[allow(clippy::too_many_arguments)]
+    /// `checkpoint` is `None` for an in-place array, else the epoch the
+    /// node's commit record holds for it: an array no recorded call wrote
+    /// (epoch 0) is created anew, and one it names recovers to that epoch,
+    /// which discards the blocks of a call whose record never landed.
+    /// Blocks stay resident within `pool`.
     pub fn create_blocks(
         disk: &NodeDisk,
         name: &str,
         elem_bytes: usize,
         blocks: &[VertexRange],
         page: Option<u64>,
-        checkpointing: bool,
-        keep: usize,
-        recover_target: Option<u64>,
+        checkpoint: Option<u64>,
         pool: &Arc<MemBudget>,
     ) -> Result<Self> {
         let dir = format!("arrays/{name}");
         let block_bytes = |b: usize| blocks[b].len() as usize * elem_bytes;
-        let reopened = if checkpointing && VersionedArrayStore::checkpoint_exists(disk, &dir) {
-            Some(VersionedArrayStore::recover_to(
+        let reopened = match checkpoint {
+            Some(0) => None,
+            Some(epoch) => Some(VersionedArrayStore::recover_to(
                 disk.clone(),
                 dir.clone(),
                 blocks.len(),
-                keep,
-                recover_target,
-            )?)
-        } else if !checkpointing && VersionedArrayStore::in_place_exists(disk, &dir) {
-            let stored = disk.len(&format!("{dir}/blocks/0.bin"))?;
-            if stored != block_bytes(0) as u64 {
-                return Err(DfoError::Config(format!(
-                    "vertex array {name:?} reopened with element size {elem_bytes}: its first \
-                     block holds {stored} bytes for {} vertices",
-                    blocks[0].len()
-                )));
+                CHECKPOINTS_KEPT,
+                epoch,
+            )?),
+            None if VersionedArrayStore::in_place_exists(disk, &dir) => {
+                let stored = disk.len(&format!("{dir}/blocks/0.bin"))?;
+                if stored != block_bytes(0) as u64 {
+                    return Err(DfoError::Config(format!(
+                        "vertex array {name:?} reopened with element size {elem_bytes}: its \
+                         first block holds {stored} bytes for {} vertices",
+                        blocks[0].len()
+                    )));
+                }
+                Some(VersionedArrayStore::open_in_place(disk.clone(), dir.clone(), blocks.len()))
             }
-            Some(VersionedArrayStore::open_in_place(disk.clone(), dir.clone(), blocks.len()))
-        } else {
-            None
+            None => None,
         };
         let store = match reopened {
             Some(mut store) => {
@@ -129,8 +132,8 @@ impl ArrayEntry {
                 dir,
                 blocks.len(),
                 |b| vec![0u8; block_bytes(b)],
-                checkpointing,
-                keep,
+                checkpoint.is_some(),
+                CHECKPOINTS_KEPT,
                 pool.clone(),
             )?,
         };
@@ -465,7 +468,7 @@ mod tests {
         page: Option<u64>,
         pool: &Arc<MemBudget>,
     ) -> Result<ArrayEntry> {
-        ArrayEntry::create_blocks(disk, "dist", elem, blocks, page, false, 1, None, pool)
+        ArrayEntry::create_blocks(disk, "dist", elem, blocks, page, None, pool)
     }
 
     fn batches() -> Vec<VertexRange> {

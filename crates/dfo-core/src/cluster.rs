@@ -396,7 +396,7 @@ impl Cluster {
         let mut cfg = self.cfg.clone();
         cfg.epoch = process_epoch.unwrap_or(cfg.epoch);
         let cache = self.chunk_caches.get(rank).cloned();
-        let mut ctx = NodeCtx::new(rank, cfg, disk, scratch, plan, ep, cache);
+        let mut ctx = NodeCtx::new(rank, cfg, disk, scratch, plan, ep, cache)?;
         ctx.rollbacks = self.rollbacks.clone();
         ctx.crash_abort = process_epoch.is_some();
         ctx.set_telemetry(self.rank_telemetry(rank, recorder));

@@ -12,9 +12,7 @@ use bytes::Bytes;
 use dfo_net::Endpoint;
 use dfo_part::csr::SeekFile;
 use dfo_part::plan::{ChunkInfo, Plan};
-use dfo_storage::{
-    ChunkCache, ChunkCacheStats, ChunkPool, CommitLog, MemBudget, NodeDisk, VersionedArrayStore,
-};
+use dfo_storage::{ChunkCache, ChunkCacheStats, ChunkPool, CommitLog, MemBudget, NodeDisk};
 use dfo_types::ids::split_into_batches;
 use dfo_types::{CrashPos, DfoError, EngineConfig, PhaseStats, Pod, Rank, Result, VertexId};
 use std::collections::HashMap;
@@ -89,10 +87,11 @@ pub struct NodeCtx {
     /// sequence number.
     pub(crate) calls_committed: AtomicU64,
     /// Per-call commit record spanning every checkpointed array of this
-    /// context (`arrays/COMMITS.bin` on the scratch disk). `Some` exactly
-    /// when checkpointing block-backed arrays; rewritten atomically after
-    /// each `Process` call's per-array commits, so a crash between those
-    /// commits is detected at recovery and the torn call discarded whole.
+    /// context (`arrays/COMMITS.bin` on the scratch disk), the only
+    /// checkpoint metadata. `Some` exactly when checkpointing; rewritten
+    /// atomically after each `Process` call's per-array commits, so a crash
+    /// between those commits is detected at recovery and the torn call
+    /// discarded whole.
     pub(crate) commit_log: Option<parking_lot::Mutex<CommitLog>>,
     /// Ahead-rank rollbacks this context performed (shared with the owning
     /// [`crate::Cluster`] across supervised attempts, so the count survives
@@ -141,7 +140,8 @@ impl NodeCtx {
     /// data is read from `disk`; everything the run writes (vertex arrays,
     /// checkpoints, message spills) goes to `scratch` — the same disk, or a
     /// job-private subdirectory of it. The one constructor, called only by
-    /// [`crate::Cluster`]'s rank-launch body.
+    /// [`crate::Cluster`]'s rank-launch body. Fails (and poisons `net`) when
+    /// checkpointing and the commit record holds no valid generation.
     pub(crate) fn new(
         rank: Rank,
         cfg: EngineConfig,
@@ -150,18 +150,23 @@ impl NodeCtx {
         plan: Plan,
         net: Endpoint,
         chunk_cache: Option<Arc<ChunkCache>>,
-    ) -> Self {
+    ) -> Result<Self> {
         let mut chunk_map: Vec<Vec<Option<ChunkInfo>>> =
             (0..plan.nodes()).map(|_| vec![None; plan.n_batches(rank)]).collect();
         for c in &plan.node_meta[rank].chunks {
             chunk_map[c.src_partition][c.batch] = Some(*c);
         }
         // the commit record lives beside the arrays it covers
-        let commit_log = cfg
-            .checkpointing
-            .then(|| parking_lot::Mutex::new(CommitLog::load_or_new(scratch.clone(), COMMITS_REL)));
+        let opened = cfg.checkpointing.then(|| CommitLog::open(scratch.clone(), COMMITS_REL));
+        let commit_log = match opened.transpose() {
+            Ok(log) => log.map(parking_lot::Mutex::new),
+            Err(e) => {
+                net.poison_collective();
+                return Err(e);
+            }
+        };
         let pool = MemBudget::new(cfg.mem_budget / 2);
-        Self {
+        Ok(Self {
             rank,
             msg_pool: ChunkPool::new(pool.clone()),
             pool,
@@ -187,7 +192,7 @@ impl NodeCtx {
             seekers: Default::default(),
             codecs: Default::default(),
             obs: None,
-        }
+        })
     }
 
     /// Attaches a telemetry context: pre-resolves the histograms the engine
@@ -366,18 +371,16 @@ impl NodeCtx {
             Some(n) => split_into_batches(self.plan.partitions[self.rank], n),
             None => self.plan.batches[self.rank].clone(),
         };
-        // cap recovery at the commit record's epoch for this array: any
-        // newer checkpoint belongs to a call whose record never landed
-        let target = self.commit_log.as_ref().map(|l| l.lock().target_epoch(name));
+        // a checkpointed array recovers to the commit record's epoch for
+        // it: any newer block belongs to a call whose record never landed
+        let checkpoint = self.commit_log.as_ref().map(|l| l.lock().target_epoch(name));
         let entry = ArrayEntry::create_blocks(
             &self.scratch,
             name,
             elem,
             &blocks,
             page,
-            self.cfg.checkpointing,
-            self.cfg.checkpoints_kept,
-            target,
+            checkpoint,
             &self.pool,
         )?;
         let handle = entry.handle();
@@ -503,7 +506,7 @@ impl NodeCtx {
     /// sequences and any *ahead* rank — one that committed a `Process` call
     /// a crashed peer did not — rolls that call back one checkpoint, so all
     /// ranks resume from the same global call sequence (the ahead-rank
-    /// window). Requires `checkpoints_kept ≥ 2` when a rollback is needed.
+    /// window).
     pub fn committed_round(&mut self, name: &str) -> Result<u64> {
         self.align_commit_seq()?;
         let marker = self.vertex_array::<u64>(name)?;
@@ -551,25 +554,11 @@ impl NodeCtx {
         );
         let restored = self.commit_log.as_ref().unwrap().lock().rollback_last()?;
         for (arr, want_epoch) in &restored {
-            let landed = match self.arrays.get(arr) {
-                Some(entry) => entry.rollback_one()?,
-                // a paged array's block count depends on its element type:
-                // opening it recovers to the same capped epoch
-                None if !self.cfg.batching_enabled => continue,
-                None => {
-                    // not opened yet this incarnation: recovery with the
-                    // (already stepped-back) record epoch as the cap lands
-                    // on the same state and deletes the torn manifest
-                    let store = VersionedArrayStore::recover_to(
-                        self.scratch.clone(),
-                        format!("arrays/{arr}"),
-                        self.plan.n_batches(self.rank),
-                        self.cfg.checkpoints_kept,
-                        Some(*want_epoch),
-                    )?;
-                    store.epoch()
-                }
-            };
+            // an array not opened yet in this context recovers to the
+            // stepped-back record epoch when it is, deleting the call's
+            // blocks then
+            let Some(entry) = self.arrays.get(arr) else { continue };
+            let landed = entry.rollback_one()?;
             if landed != *want_epoch {
                 return Err(DfoError::Corrupt(format!(
                     "rank {}: rollback of array {arr:?} landed on epoch {landed}, commit \

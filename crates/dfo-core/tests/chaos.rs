@@ -39,7 +39,6 @@ const LAST_CALL: u64 = 2 + 3 * ITERS;
 fn dist_cfg() -> EngineConfig {
     let mut cfg = EngineConfig::for_test(2);
     cfg.checkpointing = true;
-    cfg.checkpoints_kept = 2;
     cfg.batch_policy = BatchPolicy::FixedVertices(32);
     cfg.connect_timeout_secs = 60;
     cfg

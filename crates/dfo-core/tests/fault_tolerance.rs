@@ -9,14 +9,13 @@
 
 use dfo_core::Cluster;
 use dfo_graph::gen::uniform;
-use dfo_types::{BatchPolicy, EngineConfig};
+use dfo_types::{BatchPolicy, CrashPoint, CrashPos, EngineConfig};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use tempfile::TempDir;
 
 fn cfg_ckpt(nodes: usize) -> EngineConfig {
     let mut cfg = EngineConfig::for_test(nodes);
     cfg.checkpointing = true;
-    cfg.checkpoints_kept = 2;
     cfg.batch_policy = BatchPolicy::FixedVertices(16);
     cfg
 }
@@ -144,10 +143,8 @@ fn process_edges_state_survives_crash_in_later_call() {
 #[test]
 fn checkpoints_bound_disk_usage() {
     let g = uniform(64, 200, 2);
-    let mut cfg = cfg_ckpt(1);
-    cfg.checkpoints_kept = 1;
     let td = TempDir::new().unwrap();
-    let cluster = Cluster::create(cfg, td.path()).unwrap();
+    let cluster = Cluster::create(cfg_ckpt(1), td.path()).unwrap();
     cluster.preprocess(&g).unwrap();
     cluster
         .run(|ctx| {
@@ -162,14 +159,23 @@ fn checkpoints_bound_disk_usage() {
             Ok(0u64)
         })
         .unwrap();
-    // with keep=1 only one checkpoint's blocks may remain per array
-    let blocks_dir = td.path().join("n0/arrays/x/blocks");
-    let n_blocks = std::fs::read_dir(&blocks_dir).unwrap().count();
+    // every call wrote every batch: epochs 9 and 10 are retained, each
+    // batch's block of each, and nothing else is on disk for the array
+    let files = |rel: &str| {
+        let mut names: Vec<String> = std::fs::read_dir(td.path().join(rel))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    };
     let n_batches = 64usize.div_ceil(16);
-    assert!(
-        n_blocks <= n_batches + 1,
-        "GC must bound block files: found {n_blocks} for {n_batches} batches"
-    );
+    let mut want: Vec<String> =
+        (0..n_batches).flat_map(|b| [format!("{b}_10.bin"), format!("{b}_9.bin")]).collect();
+    want.sort();
+    assert_eq!(files("n0/arrays/x/blocks"), want, "GC must bound block files");
+    assert_eq!(files("n0/arrays/x"), ["blocks"], "no per-array metadata");
+    assert_eq!(files("n0/arrays"), ["COMMITS.bin", "x"], "one commit record per node");
 }
 
 #[test]
@@ -190,6 +196,65 @@ fn no_checkpointing_means_no_checkpoint_files() {
             })
         })
         .unwrap();
-    assert!(!td.path().join("n0/arrays/x/CURRENT").exists());
-    assert!(!td.path().join("n0/arrays/x/meta").exists());
+    assert!(!td.path().join("n0/arrays/COMMITS.bin").exists());
+    let entries = |rel: &str| std::fs::read_dir(td.path().join(rel)).unwrap().count();
+    assert_eq!(entries("n0/arrays/x"), 1, "only the blocks directory");
+    for e in std::fs::read_dir(td.path().join("n0/arrays/x/blocks")).unwrap() {
+        let name = e.unwrap().file_name().into_string().unwrap();
+        assert!(!name.contains('_'), "{name}: an in-place block has no epoch");
+    }
+}
+
+/// Rounds of a state-carrying program under the §3.2 recovery
+/// discipline: call 0 agrees on the resume round, round `it` is call
+/// `1 + it` and sets `acc[v] = 3·acc[v] + v + it` with the round marker.
+/// Returns this rank's `acc` slice.
+fn carried_rounds(ctx: &mut dfo_core::NodeCtx, iters: u64) -> dfo_types::Result<Vec<u64>> {
+    let acc = ctx.vertex_array::<u64>("acc")?;
+    let round = ctx.vertex_array::<u64>("round")?;
+    let r0 = ctx.committed_round("round")?;
+    for it in r0..iters {
+        let (a, r) = (acc.clone(), round.clone());
+        ctx.process_vertices(&["acc", "round"], None, move |v, c| {
+            c.update(&a, v, |x| x.wrapping_mul(3) + v + it);
+            c.set(&r, v, it + 1);
+            0u64
+        })?;
+    }
+    let range = ctx.plan().partitions[ctx.rank()];
+    let out = std::sync::Mutex::new(vec![0u64; range.len() as usize]);
+    ctx.process_vertices(&["acc"], None, |v, c| {
+        out.lock().unwrap()[(v - range.start) as usize] = c.get(&acc, v);
+        0u64
+    })?;
+    Ok(out.into_inner().unwrap())
+}
+
+/// The ahead-rank window under the default retention: rank 1 dies between
+/// its first array commit and its commit record of call 3 (round 2), after
+/// rank 0 committed and recorded that call. The next run must roll rank 0
+/// back one call and end bit-identical to a run that never crashed.
+#[test]
+fn ahead_rank_rolls_back_under_the_default_config() {
+    const ITERS: u64 = 5;
+    let g = uniform(96, 400, 4);
+    let clean_dir = TempDir::new().unwrap();
+    let clean = Cluster::create(cfg_ckpt(2), clean_dir.path()).unwrap();
+    clean.preprocess(&g).unwrap();
+    let want = clean.run(|ctx| carried_rounds(ctx, ITERS)).unwrap();
+
+    let td = TempDir::new().unwrap();
+    let mut crashing = cfg_ckpt(2);
+    crashing.crash_schedule =
+        vec![CrashPoint { call: 3, rank: Some(1), pos: CrashPos::Mid, epoch: None }];
+    let cluster = Cluster::create(crashing, td.path()).unwrap();
+    cluster.preprocess(&g).unwrap();
+    let err = cluster.run(|ctx| carried_rounds(ctx, ITERS)).unwrap_err();
+    assert!(err.to_string().contains("injected crash"), "{err}");
+
+    let recovering = Cluster::create(cfg_ckpt(2), td.path()).unwrap();
+    let got = recovering.run(|ctx| carried_rounds(ctx, ITERS)).expect("recovery run");
+    let scrape = recovering.registry().snapshot().to_prometheus();
+    assert!(scrape.lines().any(|l| l == "dfo_rollbacks_total 1"), "rank 0 rolls back:\n{scrape}");
+    assert_eq!(got, want, "recovered state differs from the clean run");
 }

@@ -33,7 +33,6 @@ const CRASH_CALL: u64 = 3 + 3 * CRASH_ROUND;
 fn dist_cfg() -> EngineConfig {
     let mut cfg = EngineConfig::for_test(2);
     cfg.checkpointing = true;
-    cfg.checkpoints_kept = 2;
     cfg.batch_policy = BatchPolicy::FixedVertices(32);
     cfg.connect_timeout_secs = 60;
     cfg

@@ -3,31 +3,35 @@
 //!
 //! With checkpointing enabled DFOGraph "never overwrites data blocks, and
 //! redirects all write operations to a new block"; each `Process` call
-//! commits a new checkpoint that may *reuse* blocks of unmodified batches
-//! from the previous one, and obsolete checkpoints are garbage-collected by
-//! reference counting. With checkpointing disabled the store degrades to
-//! plain in-place per-batch block files (no metadata, no extra I/O — the
-//! paper notes checkpointing "does not increase the amount of I/O" beyond
-//! metadata).
+//! commits a new epoch that reuses the blocks of the batches it did not
+//! write, and a block no retained epoch needs is deleted. With
+//! checkpointing disabled the store degrades to plain in-place per-batch
+//! block files (no extra I/O — the paper notes checkpointing "does not
+//! increase the amount of I/O" beyond metadata).
 //!
 //! On-disk layout under the store's directory:
 //!
 //! ```text
-//! blocks/<id>.bin        one file per block version
-//! meta/ckpt_<epoch>.bin  committed manifest: magic, mapping, CRC-32
-//! CURRENT                latest committed epoch (written atomically)
+//! blocks/<b>_<e>.bin   copy-on-write: batch b as epoch e wrote it
+//! blocks/<b>.bin       in place: batch b
 //! ```
 //!
-//! ## Crash-consistent commits
+//! ## The block names are the checkpoint
 //!
-//! A checkpoint *manifest* (`meta/ckpt_<epoch>.bin`) carries a magic
-//! number and a trailing CRC-32 over its whole body, and is written via
-//! temp-file + atomic rename — so a torn, truncated, or bit-flipped
-//! manifest is always *detectable*, never silently loaded. Recovery
-//! ([`VersionedArrayStore::recover`]) discards invalid manifests and falls
-//! back to the newest surviving valid checkpoint (rewriting `CURRENT` to
-//! match), which with `keep ≥ 2` retained checkpoints means a corrupted
-//! in-flight commit costs exactly one checkpoint, never the array.
+//! The state of a copy-on-write array at epoch `e` is, for each batch, its
+//! block with the newest epoch at or below `e`. So the store writes no
+//! manifest and no pointer: which epoch is committed is what the node's
+//! per-call record ([`crate::CommitLog`]) says, written once per call after
+//! every array of the call committed. Recovery
+//! ([`VersionedArrayStore::recover_to`]) takes that epoch, deletes every
+//! newer block (the torn tail of a crashed call, an epoch left open) and
+//! every block no retained epoch names. The blocks of a recorded epoch are
+//! whole: they were written before the record was.
+//!
+//! A store retains `keep` epochs — the committed one and the `keep − 1`
+//! before it, as far back as its blocks reach — so with `keep ≥ 2`
+//! [`VersionedArrayStore::rollback_one`] can step back one epoch, and a
+//! record that falls back to the previous call finds its blocks.
 //!
 //! ## Resident blocks
 //!
@@ -46,13 +50,13 @@
 //! - **Copy-on-write** blocks are **written through**: every write reaches
 //!   the disk at the instant it always did, so a commit is durable and only
 //!   re-reads disappear. A block leaves memory when its file does.
-//! - **In-place** blocks (`id == batch`, checkpointing off) are **written
-//!   back**. A write or check-in that the pool admits marks the block
-//!   dirty and leaves its file alone; one it refuses is written through. The
-//!   mark belongs to the store, not to the caller: a dirty block checked
-//!   out and back in clean stays dirty, and is written if it lost its room
-//!   meanwhile. A new store created with a budget holds its initial blocks
-//!   the same way, so a fresh array costs no write at all.
+//! - **In-place** blocks (checkpointing off) are **written back**. A write
+//!   or check-in that the pool admits marks the block dirty and leaves its
+//!   file alone; one it refuses is written through. The mark belongs to the
+//!   store, not to the caller: a dirty block checked out and back in clean
+//!   stays dirty, and is written if it lost its room meanwhile. A new store
+//!   created with a budget holds its initial blocks the same way, so a
+//!   fresh array costs no write at all.
 //!
 //! Dirty blocks leave memory at the end of a job, by one of two calls:
 //! [`VersionedArrayStore::flush`] writes each in place (a later job reopens
@@ -63,39 +67,39 @@
 //! and the array does not exist for the next job. Dropping a store
 //! discards its dirty blocks.
 
-use crate::compress::crc32;
 use crate::disk::NodeDisk;
 use crate::spill::MemBudget;
-use dfo_types::codec::{read_u64, write_u64};
 use dfo_types::{DfoError, Result};
-use std::collections::{HashMap, VecDeque};
-use std::io::{Cursor, Write};
+use std::collections::HashMap;
+use std::io::Write;
 use std::sync::Arc;
 
-type BlockId = u64;
-
-/// `"DFOMANIF"`: identifies a checkpoint manifest.
-const MANIFEST_MAGIC: u64 = 0x4446_4f4d_414e_4946;
+/// A block: its batch and the epoch that wrote it (0 in place).
+type Key = (usize, u64);
 
 enum Mode {
-    /// Copy-on-write with `keep` retained checkpoints.
+    /// Copy-on-write, retaining `keep` epochs.
     Cow {
-        next_block: BlockId,
+        /// The committed epoch.
         epoch: u64,
-        current: Vec<BlockId>,
-        pending: Option<Vec<Option<BlockId>>>,
-        history: VecDeque<(u64, Vec<BlockId>)>,
-        refcounts: HashMap<BlockId, u32>,
+        /// The oldest retained epoch: every batch has a block at or below
+        /// it. Never above `epoch`.
+        oldest: u64,
+        /// Per batch, the epochs of its blocks, ascending. While an epoch
+        /// is open, a batch written in it ends in `epoch + 1`.
+        versions: Vec<Vec<u64>>,
+        /// An epoch is open: writes make blocks of `epoch + 1`.
+        open: bool,
         keep: usize,
     },
-    /// In-place: block id == batch index, overwritten directly.
+    /// In-place: one block per batch, overwritten directly.
     InPlace,
 }
 
 /// In-memory copies of block files, each holding a claim on the budget.
 struct Resident {
     budget: Arc<MemBudget>,
-    blocks: HashMap<BlockId, Vec<u8>>,
+    blocks: HashMap<Key, Vec<u8>>,
 }
 
 impl Resident {
@@ -103,21 +107,21 @@ impl Resident {
         Self { budget, blocks: HashMap::new() }
     }
 
-    fn take(&mut self, id: BlockId) -> Option<Vec<u8>> {
-        let buf = self.blocks.remove(&id)?;
+    fn take(&mut self, key: Key) -> Option<Vec<u8>> {
+        let buf = self.blocks.remove(&key)?;
         self.budget.release(buf.len() as u64);
         Some(buf)
     }
 
-    /// Makes `buf` the resident copy of `id` if the budget admits it, and
-    /// hands it back if not; whatever was resident under `id` is stale
+    /// Makes `buf` the resident copy of `key` if the budget admits it, and
+    /// hands it back if not; whatever was resident under `key` is stale
     /// either way.
-    fn put(&mut self, id: BlockId, buf: Vec<u8>) -> std::result::Result<(), Vec<u8>> {
-        self.take(id);
+    fn put(&mut self, key: Key, buf: Vec<u8>) -> std::result::Result<(), Vec<u8>> {
+        self.take(key);
         if !self.budget.try_reserve(buf.len() as u64) {
             return Err(buf);
         }
-        self.blocks.insert(id, buf);
+        self.blocks.insert(key, buf);
         Ok(())
     }
 }
@@ -146,7 +150,8 @@ pub struct VersionedArrayStore {
 
 impl VersionedArrayStore {
     /// Creates a fresh store; `init` produces the initial bytes of each
-    /// batch (the paper's `GetVertexArray` creates the initial checkpoint).
+    /// batch (the paper's `GetVertexArray` creates the initial checkpoint,
+    /// epoch 0).
     pub fn create(
         disk: NodeDisk,
         dir: impl Into<String>,
@@ -160,7 +165,8 @@ impl VersionedArrayStore {
 
     /// [`VersionedArrayStore::create`] keeping blocks resident within
     /// `budget` from the start: an in-place store's initial blocks that fit
-    /// are held dirty instead of written.
+    /// are held dirty instead of written. A copy-on-write store first
+    /// deletes the blocks an earlier array left under `dir`.
     pub fn create_within(
         disk: NodeDisk,
         dir: impl Into<String>,
@@ -171,15 +177,8 @@ impl VersionedArrayStore {
         budget: Arc<MemBudget>,
     ) -> Result<Self> {
         let mode = if checkpointing {
-            Mode::Cow {
-                next_block: 0,
-                epoch: 0,
-                current: Vec::new(),
-                pending: None,
-                history: VecDeque::new(),
-                refcounts: HashMap::new(),
-                keep: keep.max(1),
-            }
+            let versions = vec![vec![0]; n_batches];
+            Mode::Cow { epoch: 0, oldest: 0, versions, open: false, keep: keep.max(1) }
         } else {
             Mode::InPlace
         };
@@ -191,14 +190,12 @@ impl VersionedArrayStore {
             store.unflushed = store.dirty.contains(&true);
             return Ok(store);
         }
-        let mut mapping = Vec::with_capacity(n_batches);
-        for b in 0..n_batches {
-            let data = init(b);
-            let id = store.alloc_block()?;
-            store.write_block_file(id, &data)?;
-            mapping.push(id);
+        for key in stored_blocks(&store.disk, &store.dir) {
+            store.disk.remove(&store.rel(key))?;
         }
-        store.commit_mapping(mapping)?;
+        for b in 0..n_batches {
+            store.write_block_file((b, 0), &init(b))?;
+        }
         Ok(store)
     }
 
@@ -233,122 +230,44 @@ impl VersionedArrayStore {
         disk.exists(&format!("{dir}/blocks/0.bin"))
     }
 
-    /// Whether a committed checkpoint exists at `dir`.
-    pub fn checkpoint_exists(disk: &NodeDisk, dir: &str) -> bool {
-        disk.exists(&format!("{dir}/CURRENT"))
-    }
-
-    /// Reopens a store from its last committed checkpoint. Pending blocks
-    /// from a crashed epoch are deleted; the array is exactly the state
-    /// after the last successful `Process` call (§3.2).
-    ///
-    /// Crash consistency: a manifest that fails validation (truncated,
-    /// torn, bit-flipped — anything the magic/shape/CRC checks catch) is
-    /// **discarded**, and recovery lands on the newest surviving valid
-    /// checkpoint, rewriting `CURRENT` to match. An unreadable `CURRENT`
-    /// likewise falls back to the newest valid manifest.
-    pub fn recover(
-        disk: NodeDisk,
-        dir: impl Into<String>,
-        n_batches: usize,
-        keep: usize,
-    ) -> Result<Self> {
-        Self::recover_to(disk, dir, n_batches, keep, None)
-    }
-
-    /// [`VersionedArrayStore::recover`] with an upper bound on the epoch
-    /// considered committed. A per-call commit record (see
-    /// [`crate::CommitLog`]) may know that this array's last *globally*
-    /// committed epoch is older than its own `CURRENT` — a crash between
-    /// the per-array commits of one multi-array `Process` call leaves some
-    /// arrays one epoch ahead of the record. Passing that epoch as `target`
-    /// discards the torn epochs so every array of the call rolls back as a
-    /// unit. `None` trusts `CURRENT` (the pre-commit-record behaviour).
+    /// Reopens a copy-on-write store at `epoch`, the epoch the commit
+    /// record holds for it: the array is exactly its state after the last
+    /// recorded `Process` call (§3.2). Blocks newer than `epoch` — those of
+    /// a call whose record never landed, or of an epoch left open — are
+    /// deleted, as are blocks no retained epoch names. A batch with no
+    /// block at or below `epoch` is `NoCheckpoint`: the array was never
+    /// created whole, or lost files.
     pub fn recover_to(
         disk: NodeDisk,
         dir: impl Into<String>,
         n_batches: usize,
         keep: usize,
-        target: Option<u64>,
+        epoch: u64,
     ) -> Result<Self> {
         let dir = dir.into();
-        let current_rel = format!("{dir}/CURRENT");
-        if !disk.exists(&current_rel) {
-            return Err(DfoError::NoCheckpoint(format!("{dir}: no CURRENT file")));
+        let mut versions = vec![Vec::new(); n_batches];
+        for (b, e) in stored_blocks(&disk, &dir) {
+            if b < n_batches && e <= epoch {
+                versions[b].push(e);
+            } else {
+                disk.remove(&format!("{dir}/blocks/{b}_{e}.bin"))?;
+            }
         }
-        // CURRENT is written atomically, but tolerate a damaged one anyway:
-        // the validated manifests are the real source of truth
-        let committed: Option<u64> =
-            disk.read_to_vec(&current_rel).ok().and_then(|b| read_u64(&mut Cursor::new(&b)).ok());
+        // the oldest epoch every batch has a block at or below
+        let mut oldest = 0;
+        for (b, v) in versions.iter_mut().enumerate() {
+            v.sort_unstable();
+            let first = v.first().ok_or_else(|| {
+                DfoError::NoCheckpoint(format!("{dir}: batch {b} has no block at epoch {epoch}"))
+            })?;
+            oldest = oldest.max(*first);
+        }
         let keep = keep.max(1);
-
-        // load the retained committed epochs (<= committed and <= target,
-        // newest `keep`), discarding anything that fails validation
-        let mut epochs: Vec<u64> = Self::list_meta_epochs(&disk, &dir)?;
-        epochs.sort_unstable();
-        let mut history: VecDeque<(u64, Vec<BlockId>)> = VecDeque::new();
-        let mut refcounts: HashMap<BlockId, u32> = HashMap::new();
-        let mut max_block: BlockId = 0;
-        for &e in epochs.iter() {
-            if committed.is_some_and(|c| e > c) || target.is_some_and(|t| e > t) {
-                // uncommitted (or torn-call) metadata from a crash: remove
-                disk.remove(&format!("{dir}/meta/ckpt_{e}.bin"))?;
-                continue;
-            }
-            match Self::read_meta(&disk, &dir, e, n_batches) {
-                Ok(mapping) => history.push_back((e, mapping)),
-                Err(_) => {
-                    // torn/corrupt manifest: never load it — fall back to
-                    // an older complete checkpoint instead
-                    disk.remove(&format!("{dir}/meta/ckpt_{e}.bin"))?;
-                }
-            }
-        }
-        while history.len() > keep {
-            let (e, _) = history.pop_front().unwrap();
-            disk.remove(&format!("{dir}/meta/ckpt_{e}.bin"))?;
-        }
-        if history.is_empty() {
-            return Err(DfoError::NoCheckpoint(format!("{dir}: no valid checkpoint manifest")));
-        }
-        let committed = history.back().unwrap().0;
-        // re-point CURRENT if the committed checkpoint fell back
-        let mut cur = Vec::new();
-        write_u64(&mut cur, committed).unwrap();
-        disk.write_atomic(&current_rel, &cur)?;
-        for (_, mapping) in history.iter() {
-            for &id in mapping {
-                *refcounts.entry(id).or_insert(0) += 1;
-                max_block = max_block.max(id);
-            }
-        }
-        let current = history.back().unwrap().1.clone();
-
-        // delete orphan block files (from crashed pending epochs)
-        let blocks_dir = disk.root().join(format!("{dir}/blocks"));
-        if let Ok(entries) = std::fs::read_dir(&blocks_dir) {
-            for entry in entries.flatten() {
-                let name = entry.file_name().to_string_lossy().into_owned();
-                if let Some(id) = name.strip_suffix(".bin").and_then(|s| s.parse::<BlockId>().ok())
-                {
-                    if !refcounts.contains_key(&id) {
-                        disk.remove(&format!("{dir}/blocks/{id}.bin"))?;
-                    }
-                    max_block = max_block.max(id);
-                }
-            }
-        }
-
-        let mode = Mode::Cow {
-            next_block: max_block + 1,
-            epoch: committed,
-            current,
-            pending: None,
-            history,
-            refcounts,
-            keep,
-        };
-        Ok(Self::with_mode(disk, dir, n_batches, mode, MemBudget::new(0)))
+        let oldest = oldest.max((epoch + 1).saturating_sub(keep as u64));
+        let mode = Mode::Cow { epoch, oldest, versions, open: false, keep };
+        let mut store = Self::with_mode(disk, dir, n_batches, mode, MemBudget::new(0));
+        store.collect_garbage()?;
+        Ok(store)
     }
 
     /// Latest committed epoch (0 for in-place stores).
@@ -366,24 +285,30 @@ impl VersionedArrayStore {
 
     /// The block batch `b` currently maps to (read-your-writes within an
     /// open epoch).
-    fn block_of(&self, b: usize) -> BlockId {
+    fn block_of(&self, b: usize) -> Key {
         assert!(b < self.n_batches, "batch {b} out of range");
         match &self.mode {
-            Mode::InPlace => b as BlockId,
-            Mode::Cow { current, pending, .. } => {
-                pending.as_ref().and_then(|p| p[b]).unwrap_or(current[b])
-            }
+            Mode::InPlace => (b, 0),
+            Mode::Cow { versions, .. } => (b, *versions[b].last().expect("a batch has a block")),
         }
     }
 
-    /// Reads block `id` (batch `b`'s) from its file. A dirty batch that is
-    /// not resident is checked out, and its file is older than its bytes:
-    /// a worker that fails between check-out and check-in loses them.
-    fn read_block_file(&self, b: usize, id: BlockId) -> Result<Vec<u8>> {
-        if self.dirty[b] {
-            return Err(self.lost(b));
+    /// The file of block `key`.
+    fn rel(&self, (b, e): Key) -> String {
+        match self.mode {
+            Mode::Cow { .. } => format!("{}/blocks/{b}_{e}.bin", self.dir),
+            Mode::InPlace => format!("{}/blocks/{b}.bin", self.dir),
         }
-        self.disk.read_to_vec(&format!("{}/blocks/{id}.bin", self.dir))
+    }
+
+    /// Reads block `key` from its file. A dirty batch that is not resident
+    /// is checked out, and its file is older than its bytes: a worker that
+    /// fails between check-out and check-in loses them.
+    fn read_block_file(&self, key: Key) -> Result<Vec<u8>> {
+        if self.dirty[key.0] {
+            return Err(self.lost(key.0));
+        }
+        self.disk.read_to_vec(&self.rel(key))
     }
 
     fn lost(&self, b: usize) -> DfoError {
@@ -396,12 +321,12 @@ impl VersionedArrayStore {
     /// Reads a copy of the bytes of batch `b`; a block read from disk
     /// becomes resident if the budget admits it.
     pub fn read_batch(&mut self, b: usize) -> Result<Vec<u8>> {
-        let id = self.block_of(b);
-        if let Some(buf) = self.resident.blocks.get(&id) {
+        let key = self.block_of(b);
+        if let Some(buf) = self.resident.blocks.get(&key) {
             return Ok(buf.clone());
         }
-        match self.resident.put(id, self.read_block_file(b, id)?) {
-            Ok(()) => Ok(self.resident.blocks[&id].clone()),
+        match self.resident.put(key, self.read_block_file(key)?) {
+            Ok(()) => Ok(self.resident.blocks[&key].clone()),
             Err(buf) => Ok(buf),
         }
     }
@@ -411,10 +336,10 @@ impl VersionedArrayStore {
     /// the bytes back through [`VersionedArrayStore::put_batch`]; a dirty
     /// block stays dirty meanwhile.
     pub fn take_batch(&mut self, b: usize) -> Result<Vec<u8>> {
-        let id = self.block_of(b);
-        match self.resident.take(id) {
+        let key = self.block_of(b);
+        match self.resident.take(key) {
             Some(buf) => Ok(buf),
-            None => self.read_block_file(b, id),
+            None => self.read_block_file(key),
         }
     }
 
@@ -424,11 +349,11 @@ impl VersionedArrayStore {
     /// [`VersionedArrayStore::take_batch`]; one that overwrites them whole
     /// never does.
     pub fn take_resident(&mut self, b: usize) -> Result<std::result::Result<Vec<u8>, u64>> {
-        let id = self.block_of(b);
-        match self.resident.take(id) {
+        let key = self.block_of(b);
+        match self.resident.take(key) {
             Some(buf) => Ok(Ok(buf)),
             None if self.dirty[b] => Err(self.lost(b)),
-            None => self.disk.len(&format!("{}/blocks/{id}.bin", self.dir)).map(Err),
+            None => self.disk.len(&self.rel(key)).map(Err),
         }
     }
 
@@ -439,15 +364,15 @@ impl VersionedArrayStore {
     /// the budget admits it; a dirty block the budget refuses is written.
     pub fn put_batch(&mut self, b: usize, buf: Vec<u8>, dirty: bool) -> Result<()> {
         if self.is_cow() {
-            let id = if dirty { self.write_through(b, &buf)? } else { self.block_of(b) };
-            let _ = self.resident.put(id, buf);
+            let key = if dirty { self.write_through(b, &buf)? } else { self.block_of(b) };
+            let _ = self.resident.put(key, buf);
             return Ok(());
         }
         assert!(b < self.n_batches, "batch {b} out of range");
         let dirty = std::mem::take(&mut self.dirty[b]) || dirty;
-        match self.resident.put(b as BlockId, buf) {
+        match self.resident.put((b, 0), buf) {
             Ok(()) => self.dirty[b] = dirty,
-            Err(buf) if dirty => self.write_block_file(b as BlockId, &buf)?,
+            Err(buf) if dirty => self.write_block_file((b, 0), &buf)?,
             Err(_) => {}
         }
         Ok(())
@@ -463,9 +388,8 @@ impl VersionedArrayStore {
     pub fn flush(&mut self) -> Result<()> {
         for b in 0..self.n_batches {
             if self.dirty[b] {
-                let id = b as BlockId;
-                let buf = self.resident.blocks.get(&id).ok_or_else(|| self.lost(b))?;
-                self.write_block_file(id, buf)?;
+                let buf = self.resident.blocks.get(&(b, 0)).ok_or_else(|| self.lost(b))?;
+                self.write_block_file((b, 0), buf)?;
                 self.dirty[b] = false;
             }
         }
@@ -478,12 +402,12 @@ impl VersionedArrayStore {
     pub fn discard(&mut self) -> Result<()> {
         for b in 0..self.n_batches {
             if std::mem::take(&mut self.dirty[b]) {
-                self.resident.take(b as BlockId);
+                self.resident.take((b, 0));
             }
         }
         if std::mem::take(&mut self.unflushed) {
             for b in 0..self.n_batches {
-                self.remove_block_file(b as BlockId)?;
+                self.remove_block_file((b, 0))?;
             }
         }
         Ok(())
@@ -492,10 +416,8 @@ impl VersionedArrayStore {
     /// Opens a new epoch; must be called before `write_batch` when the store
     /// is copy-on-write. Idempotent.
     pub fn begin_epoch(&mut self) {
-        if let Mode::Cow { pending, .. } = &mut self.mode {
-            if pending.is_none() {
-                *pending = Some(vec![None; self.n_batches]);
-            }
+        if let Mode::Cow { open, .. } = &mut self.mode {
+            *open = true;
         }
     }
 
@@ -504,109 +426,70 @@ impl VersionedArrayStore {
         self.put_batch(b, data.to_vec(), true)
     }
 
-    /// Puts `data` on disk as a new block for batch `b` in the open
-    /// copy-on-write epoch and returns its id.
-    fn write_through(&mut self, b: usize, data: &[u8]) -> Result<BlockId> {
+    /// Puts `data` on disk as batch `b`'s block of the open copy-on-write
+    /// epoch (a second write in one epoch overwrites the first) and returns
+    /// its key.
+    fn write_through(&mut self, b: usize, data: &[u8]) -> Result<Key> {
         assert!(b < self.n_batches, "batch {b} out of range");
-        let id = self.alloc_block()?;
-        self.write_block_file(id, data)?;
-        let Mode::Cow { pending, refcounts, .. } = &mut self.mode else { unreachable!() };
-        let slot = pending
-            .as_mut()
-            .expect("begin_epoch must be called before write_batch")
-            .get_mut(b)
-            .unwrap();
-        if let Some(old) = slot.replace(id) {
-            // batch written twice in one epoch: drop the older version
-            debug_assert!(!refcounts.contains_key(&old));
-            self.remove_block_file(old)?;
+        let Mode::Cow { epoch, versions, open, .. } = &mut self.mode else { unreachable!() };
+        assert!(*open, "begin_epoch must be called before write_batch");
+        let key = (b, *epoch + 1);
+        if versions[b].last() != Some(&key.1) {
+            versions[b].push(key.1);
         }
-        Ok(id)
+        self.write_block_file(key, data)?;
+        Ok(key)
     }
 
-    /// Commits the open epoch: persists the new mapping, retires checkpoints
-    /// beyond the retention limit, garbage-collects unreferenced blocks.
+    /// Commits the open epoch and deletes the blocks that only epochs past
+    /// the retention limit named. Writes no metadata: the commit record
+    /// does that for every array of the call.
     pub fn commit(&mut self) -> Result<()> {
-        let mapping = match &mut self.mode {
-            Mode::InPlace => return Ok(()),
-            Mode::Cow { current, pending, .. } => {
-                let p = match pending.take() {
-                    Some(p) => p,
-                    None => return Ok(()), // nothing opened
-                };
-                current.iter().zip(p).map(|(&cur, new)| new.unwrap_or(cur)).collect::<Vec<_>>()
-            }
-        };
-        self.commit_mapping(mapping)
+        let Mode::Cow { epoch, oldest, open, keep, .. } = &mut self.mode else { return Ok(()) };
+        if !std::mem::take(open) {
+            return Ok(()); // nothing opened
+        }
+        *epoch += 1;
+        *oldest = (*oldest).max((*epoch + 1).saturating_sub(*keep as u64));
+        self.collect_garbage()
     }
 
-    /// Rolls the store back one committed checkpoint, permanently
-    /// discarding the newest one: its manifest is deleted, its
-    /// no-longer-referenced blocks are garbage-collected, and `CURRENT`
-    /// re-points to the previous checkpoint. Returns the epoch the store
-    /// landed on. Used by ahead-rank recovery: a rank that committed a
+    /// Rolls the store back one committed epoch, permanently discarding the
+    /// newest one: the blocks it wrote are deleted. Returns the epoch the
+    /// store landed on. Used by ahead-rank recovery: a rank that committed a
     /// `Process` call its crashed peers did not must discard that call to
-    /// rejoin them (`checkpoints_kept ≥ 2` retains the needed checkpoint).
+    /// rejoin them, after the commit record stepped back.
     ///
-    /// Fails with `NoCheckpoint` when only one checkpoint is retained and
-    /// with `Corrupt` when an epoch is open (`begin_epoch` without commit).
+    /// Fails with `NoCheckpoint` when the committed epoch is the oldest the
+    /// store retains and with `Corrupt` when an epoch is open (`begin_epoch`
+    /// without commit).
     pub fn rollback_one(&mut self) -> Result<u64> {
-        let dir = self.dir.clone();
-        let Mode::Cow { epoch, current, pending, history, refcounts, .. } = &mut self.mode else {
+        let dir = &self.dir;
+        let Mode::Cow { epoch, oldest, open, .. } = &mut self.mode else {
             return Err(DfoError::Corrupt(format!(
-                "{}: rollback_one on a non-checkpointed store",
-                self.dir
+                "{dir}: rollback_one on a non-checkpointed store"
             )));
         };
-        if pending.is_some() {
+        if *open {
             return Err(DfoError::Corrupt(format!("{dir}: rollback_one with an open epoch")));
         }
-        if history.len() < 2 {
+        if *epoch == *oldest {
             return Err(DfoError::NoCheckpoint(format!(
-                "{dir}: cannot roll back epoch {} — only {} checkpoint(s) retained \
-                 (checkpoints_kept must be ≥ 2 for ahead-rank rollback)",
-                *epoch,
-                history.len()
+                "{dir}: cannot roll back epoch {epoch}, the oldest this store retains"
             )));
         }
-        let (dropped_epoch, dropped_mapping) = history.pop_back().unwrap();
-        let (new_epoch, new_mapping) = history.back().unwrap();
-        *epoch = *new_epoch;
-        *current = new_mapping.clone();
-
-        // re-point CURRENT before deleting anything: a crash mid-rollback
-        // then re-runs recovery against the older committed epoch
-        let mut cur = Vec::new();
-        write_u64(&mut cur, *new_epoch).unwrap();
-        let new_epoch = *new_epoch;
-        let mut to_delete: Vec<BlockId> = Vec::new();
-        for id in dropped_mapping {
-            let rc = refcounts.get_mut(&id).expect("refcount missing");
-            *rc -= 1;
-            if *rc == 0 {
-                refcounts.remove(&id);
-                to_delete.push(id);
-            }
-        }
-        self.disk.write_atomic(&format!("{dir}/CURRENT"), &cur)?;
-        self.disk.remove(&format!("{dir}/meta/ckpt_{dropped_epoch}.bin"))?;
-        for id in to_delete {
-            self.remove_block_file(id)?;
-        }
-        Ok(new_epoch)
+        *epoch -= 1;
+        let landed = *epoch;
+        self.drop_newer_than(landed)?;
+        Ok(landed)
     }
 
     /// Aborts the open epoch, deleting its blocks.
     pub fn abort(&mut self) -> Result<()> {
-        let ids: Vec<BlockId> = match &mut self.mode {
-            Mode::InPlace => return Ok(()),
-            Mode::Cow { pending, .. } => match pending.take() {
-                Some(p) => p.into_iter().flatten().collect(),
-                None => return Ok(()),
-            },
-        };
-        for id in ids {
-            self.remove_block_file(id)?;
+        let Mode::Cow { epoch, open, .. } = &mut self.mode else { return Ok(()) };
+        if std::mem::take(open) {
+            let committed = *epoch;
+            self.drop_newer_than(committed)?;
         }
         Ok(())
     }
@@ -615,143 +498,57 @@ impl VersionedArrayStore {
     pub fn live_blocks(&self) -> usize {
         match &self.mode {
             Mode::InPlace => self.n_batches,
-            Mode::Cow { refcounts, pending, .. } => {
-                refcounts.len() + pending.as_ref().map(|p| p.iter().flatten().count()).unwrap_or(0)
-            }
+            Mode::Cow { versions, .. } => versions.iter().map(Vec::len).sum(),
         }
     }
 
-    fn commit_mapping(&mut self, mapping: Vec<BlockId>) -> Result<()> {
-        let dir = self.dir.clone();
-        let Mode::Cow { epoch, current, history, refcounts, .. } = &mut self.mode else {
-            return Ok(());
-        };
-        let new_epoch = if history.is_empty() { *epoch } else { *epoch + 1 };
-
-        // persist the manifest for the new checkpoint first: checksummed
-        // and written via temp-file + atomic rename, so a crash mid-commit
-        // leaves either no manifest or a complete, verifiable one — a torn
-        // write is detected at recovery and recovery falls back
-        let mut buf = Vec::with_capacity(28 + mapping.len() * 8);
-        write_u64(&mut buf, MANIFEST_MAGIC).unwrap();
-        write_u64(&mut buf, new_epoch).unwrap();
-        write_u64(&mut buf, mapping.len() as u64).unwrap();
-        for &id in &mapping {
-            write_u64(&mut buf, id).unwrap();
-        }
-        let crc = crc32(&buf);
-        buf.extend_from_slice(&crc.to_le_bytes());
-        self.disk.write_atomic(&format!("{dir}/meta/ckpt_{new_epoch}.bin"), &buf)?;
-
-        for &id in &mapping {
-            *refcounts.entry(id).or_insert(0) += 1;
-        }
-        history.push_back((new_epoch, mapping.clone()));
-        *current = mapping;
-        *epoch = new_epoch;
-
-        // CURRENT pointer flips the commit atomically
-        let mut cur = Vec::new();
-        write_u64(&mut cur, new_epoch).unwrap();
-        self.disk.write_atomic(&format!("{dir}/CURRENT"), &cur)?;
-
-        // retire old checkpoints beyond the retention window
-        let mut to_delete: Vec<BlockId> = Vec::new();
-        let Mode::Cow { history, refcounts, keep, .. } = &mut self.mode else { unreachable!() };
-        while history.len() > *keep {
-            let (old_epoch, old_mapping) = history.pop_front().unwrap();
-            self.disk.remove(&format!("{dir}/meta/ckpt_{old_epoch}.bin"))?;
-            for id in old_mapping {
-                let rc = refcounts.get_mut(&id).expect("refcount missing");
-                *rc -= 1;
-                if *rc == 0 {
-                    refcounts.remove(&id);
-                    to_delete.push(id);
-                }
+    /// Deletes every block of an epoch after `e`.
+    fn drop_newer_than(&mut self, e: u64) -> Result<()> {
+        let Mode::Cow { versions, .. } = &mut self.mode else { return Ok(()) };
+        let mut dead = Vec::new();
+        for (b, v) in versions.iter_mut().enumerate() {
+            while v.last().is_some_and(|&x| x > e) {
+                dead.push((b, v.pop().unwrap()));
             }
         }
-        for id in to_delete {
-            self.remove_block_file(id)?;
-        }
-        Ok(())
+        dead.into_iter().try_for_each(|key| self.remove_block_file(key))
     }
 
-    fn alloc_block(&mut self) -> Result<BlockId> {
-        match &mut self.mode {
-            Mode::Cow { next_block, .. } => {
-                let id = *next_block;
-                *next_block += 1;
-                Ok(id)
-            }
-            Mode::InPlace => unreachable!("alloc_block in in-place mode"),
+    /// Deletes every block older than the one each batch has at the oldest
+    /// retained epoch: no retained epoch names it.
+    fn collect_garbage(&mut self) -> Result<()> {
+        let Mode::Cow { oldest, versions, .. } = &mut self.mode else { return Ok(()) };
+        let mut dead = Vec::new();
+        for (b, v) in versions.iter_mut().enumerate() {
+            let needed = v.partition_point(|&e| e <= *oldest).saturating_sub(1);
+            dead.extend(v.drain(..needed).map(|e| (b, e)));
         }
+        dead.into_iter().try_for_each(|key| self.remove_block_file(key))
     }
 
-    fn write_block_file(&self, id: BlockId, data: &[u8]) -> Result<()> {
-        let mut w = self.disk.create(&format!("{}/blocks/{id}.bin", self.dir))?;
-        w.write_all(data).map_err(|e| DfoError::io(format!("writing block {id}"), e))?;
+    fn write_block_file(&self, key: Key, data: &[u8]) -> Result<()> {
+        let rel = self.rel(key);
+        let mut w = self.disk.create(&rel)?;
+        w.write_all(data).map_err(|e| DfoError::io(format!("writing {rel}"), e))?;
         w.finish()
     }
 
-    fn remove_block_file(&mut self, id: BlockId) -> Result<()> {
-        self.resident.take(id);
-        self.disk.remove(&format!("{}/blocks/{id}.bin", self.dir))
+    fn remove_block_file(&mut self, key: Key) -> Result<()> {
+        self.resident.take(key);
+        self.disk.remove(&self.rel(key))
     }
+}
 
-    fn list_meta_epochs(disk: &NodeDisk, dir: &str) -> Result<Vec<u64>> {
-        let meta_dir = disk.root().join(format!("{dir}/meta"));
-        let mut out = Vec::new();
-        if let Ok(entries) = std::fs::read_dir(&meta_dir) {
-            for entry in entries.flatten() {
-                let name = entry.file_name().to_string_lossy().into_owned();
-                if let Some(e) = name
-                    .strip_prefix("ckpt_")
-                    .and_then(|s| s.strip_suffix(".bin"))
-                    .and_then(|s| s.parse::<u64>().ok())
-                {
-                    out.push(e);
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Reads and fully validates one manifest: exact length, magic, epoch,
-    /// batch count, and the trailing CRC-32 over the whole body. Any
-    /// mismatch is `Corrupt` — a manifest is either complete or worthless.
-    fn read_meta(disk: &NodeDisk, dir: &str, epoch: u64, n_batches: usize) -> Result<Vec<BlockId>> {
-        let bytes = disk.read_to_vec(&format!("{dir}/meta/ckpt_{epoch}.bin"))?;
-        let want_len = 28 + n_batches * 8;
-        if bytes.len() != want_len {
-            return Err(DfoError::Corrupt(format!(
-                "manifest {epoch}: {} bytes, want {want_len} (truncated or torn)",
-                bytes.len()
-            )));
-        }
-        let (body, trailer) = bytes.split_at(bytes.len() - 4);
-        let want_crc = u32::from_le_bytes(trailer.try_into().unwrap());
-        if crc32(body) != want_crc {
-            return Err(DfoError::Corrupt(format!("manifest {epoch}: CRC mismatch")));
-        }
-        let mut c = Cursor::new(body);
-        let magic = read_u64(&mut c).map_err(|e| DfoError::io("manifest magic", e))?;
-        if magic != MANIFEST_MAGIC {
-            return Err(DfoError::Corrupt(format!("manifest {epoch}: bad magic {magic:#x}")));
-        }
-        let e = read_u64(&mut c).map_err(|e| DfoError::io("manifest epoch", e))?;
-        if e != epoch {
-            return Err(DfoError::Corrupt(format!("manifest epoch {e} != name {epoch}")));
-        }
-        let n = read_u64(&mut c).map_err(|e| DfoError::io("manifest len", e))? as usize;
-        if n != n_batches {
-            return Err(DfoError::Corrupt(format!("manifest batches {n} != expected {n_batches}")));
-        }
-        let mut mapping = Vec::with_capacity(n);
-        for _ in 0..n {
-            mapping.push(read_u64(&mut c).map_err(|e| DfoError::io("manifest block id", e))?);
-        }
-        Ok(mapping)
-    }
+/// The `(batch, epoch)` of every copy-on-write block file under `dir`.
+fn stored_blocks(disk: &NodeDisk, dir: &str) -> Vec<Key> {
+    let Ok(entries) = std::fs::read_dir(disk.root().join(format!("{dir}/blocks"))) else {
+        return Vec::new();
+    };
+    let parse = |name: &str| {
+        let (b, e) = name.strip_suffix(".bin")?.split_once('_')?;
+        Some((b.parse().ok()?, e.parse().ok()?))
+    };
+    entries.flatten().filter_map(|entry| parse(entry.file_name().to_str()?)).collect()
 }
 
 #[cfg(test)]
@@ -848,7 +645,7 @@ mod tests {
             s.write_batch(0, &[42u8; 2]).unwrap();
             s.commit().unwrap();
         }
-        let mut s = VersionedArrayStore::recover(disk, "arr", 2, 1).unwrap();
+        let mut s = VersionedArrayStore::recover_to(disk, "arr", 2, 1, 1).unwrap();
         assert_eq!(s.read_batch(0).unwrap(), vec![42u8; 2]);
         assert_eq!(s.read_batch(1).unwrap(), vec![1u8; 2]);
         assert_eq!(s.epoch(), 1);
@@ -866,7 +663,7 @@ mod tests {
             s.write_batch(0, &[99u8; 2]).unwrap();
             // crash: no commit
         }
-        let mut s = VersionedArrayStore::recover(disk, "arr", 2, 1).unwrap();
+        let mut s = VersionedArrayStore::recover_to(disk, "arr", 2, 1, 0).unwrap();
         assert_eq!(s.read_batch(0).unwrap(), vec![0u8; 2], "uncommitted write must vanish");
         // orphan pending block file must have been cleaned up
         assert_eq!(s.live_blocks(), 2);
@@ -877,15 +674,19 @@ mod tests {
         let td = TempDir::new().unwrap();
         let disk = NodeDisk::new(td.path(), None, false).unwrap();
         assert!(matches!(
-            VersionedArrayStore::recover(disk, "nope", 2, 1),
+            VersionedArrayStore::recover_to(disk, "nope", 2, 1, 0),
             Err(DfoError::NoCheckpoint(_))
         ));
     }
 
-    /// Path of epoch `e`'s manifest under the test layout of `mk`-style
-    /// stores rooted at `td/arr`.
-    fn manifest_path(td: &TempDir, e: u64) -> std::path::PathBuf {
-        td.path().join(format!("arr/meta/ckpt_{e}.bin"))
+    /// The block files under `td/arr`, sorted.
+    fn block_files(td: &TempDir) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(td.path().join("arr/blocks"))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
     }
 
     /// Builds a two-checkpoint store: epoch 1 holds `[1; 4]` everywhere,
@@ -907,87 +708,64 @@ mod tests {
     }
 
     #[test]
-    fn bit_flipped_manifest_falls_back_one_checkpoint() {
-        let (td, disk) = two_checkpoints();
-        let path = manifest_path(&td, 2);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x10;
-        std::fs::write(&path, &bytes).unwrap();
-
-        let mut s = VersionedArrayStore::recover(disk, "arr", 3, 2).unwrap();
-        assert_eq!(s.epoch(), 1, "must land on the previous complete checkpoint");
-        for b in 0..3 {
-            assert_eq!(s.read_batch(b).unwrap(), vec![1u8; 4]);
-        }
-        // the corrupt manifest is gone and CURRENT re-points to epoch 1
-        assert!(!manifest_path(&td, 2).exists());
-        let cur = std::fs::read(td.path().join("arr/CURRENT")).unwrap();
-        assert_eq!(u64::from_le_bytes(cur.try_into().unwrap()), 1);
-    }
-
-    #[test]
-    fn truncated_manifest_falls_back_and_store_stays_usable() {
-        let (td, disk) = two_checkpoints();
-        let path = manifest_path(&td, 2);
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() - 9]).unwrap();
-
-        let mut s = VersionedArrayStore::recover(disk.clone(), "arr", 3, 2).unwrap();
-        assert_eq!(s.read_batch(0).unwrap(), vec![1u8; 4]);
-        // the fallen-back store must commit cleanly on top of epoch 1
-        s.begin_epoch();
-        s.write_batch(0, &[9u8; 4]).unwrap();
-        s.commit().unwrap();
-        assert_eq!(s.epoch(), 2);
-        drop(s);
-        let mut s = VersionedArrayStore::recover(disk, "arr", 3, 2).unwrap();
-        assert_eq!(s.read_batch(0).unwrap(), vec![9u8; 4]);
-    }
-
-    #[test]
-    fn corrupting_the_only_manifest_is_no_checkpoint_not_garbage() {
-        let td = TempDir::new().unwrap();
-        let disk = NodeDisk::new(td.path(), None, false).unwrap();
-        let _ = VersionedArrayStore::create(disk.clone(), "arr", 2, |b| vec![b as u8; 2], true, 1)
-            .unwrap();
-        let path = manifest_path(&td, 0);
-        std::fs::write(&path, b"garbage").unwrap();
-        assert!(
-            matches!(
-                VersionedArrayStore::recover(disk, "arr", 2, 1),
-                Err(DfoError::NoCheckpoint(_))
-            ),
-            "a corrupt manifest must never be loaded"
-        );
+    fn blocks_are_named_by_batch_and_epoch_and_nothing_else_is_written() {
+        let (td, _disk) = two_checkpoints();
+        let want = ["0_1.bin", "0_2.bin", "1_1.bin", "1_2.bin", "2_1.bin", "2_2.bin"];
+        assert_eq!(block_files(&td), want, "epoch 0's blocks are retired");
+        let mut entries: Vec<String> = std::fs::read_dir(td.path().join("arr"))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        entries.sort();
+        assert_eq!(entries, ["blocks"], "no manifest, no pointer");
     }
 
     #[test]
     fn recover_to_discards_epochs_above_target() {
         let (td, disk) = two_checkpoints();
-        let mut s = VersionedArrayStore::recover_to(disk, "arr", 3, 2, Some(1)).unwrap();
+        let mut s = VersionedArrayStore::recover_to(disk, "arr", 3, 2, 1).unwrap();
         assert_eq!(s.epoch(), 1, "epoch 2 is above the commit-record target");
         for b in 0..3 {
             assert_eq!(s.read_batch(b).unwrap(), vec![1u8; 4]);
         }
-        assert!(!manifest_path(&td, 2).exists(), "torn epoch must be deleted");
-        let cur = std::fs::read(td.path().join("arr/CURRENT")).unwrap();
-        assert_eq!(u64::from_le_bytes(cur.try_into().unwrap()), 1);
+        assert_eq!(block_files(&td), ["0_1.bin", "1_1.bin", "2_1.bin"], "torn epoch deleted");
+        assert!(matches!(s.rollback_one(), Err(DfoError::NoCheckpoint(_))), "epoch 0 is gone");
     }
 
     #[test]
     fn recover_to_at_or_above_current_is_a_no_op() {
-        let (_td, disk) = two_checkpoints();
-        let s = VersionedArrayStore::recover_to(disk.clone(), "arr", 3, 2, Some(2)).unwrap();
-        assert_eq!(s.epoch(), 2);
-        let s = VersionedArrayStore::recover_to(disk, "arr", 3, 2, Some(99)).unwrap();
-        assert_eq!(s.epoch(), 2);
+        let (td, disk) = two_checkpoints();
+        let before = block_files(&td);
+        for target in [2, 99] {
+            let mut s = VersionedArrayStore::recover_to(disk.clone(), "arr", 3, 2, target).unwrap();
+            assert_eq!(s.epoch(), target);
+            for b in 0..3 {
+                assert_eq!(s.read_batch(b).unwrap(), vec![2u8; 4]);
+            }
+            if target == 2 {
+                assert_eq!(block_files(&td), before);
+            }
+        }
+        // epochs 98 and 99 (calls that wrote nothing) both read epoch 2's
+        // blocks, so epoch 1's are no longer retained
+        assert_eq!(block_files(&td), ["0_2.bin", "1_2.bin", "2_2.bin"]);
+    }
+
+    #[test]
+    fn a_batch_without_a_block_at_the_target_is_no_checkpoint() {
+        let (td, disk) = two_checkpoints();
+        std::fs::remove_file(td.path().join("arr/blocks/1_1.bin")).unwrap();
+        assert!(VersionedArrayStore::recover_to(disk.clone(), "arr", 3, 2, 2).is_ok());
+        assert!(matches!(
+            VersionedArrayStore::recover_to(disk, "arr", 3, 2, 1),
+            Err(DfoError::NoCheckpoint(_))
+        ));
     }
 
     #[test]
     fn rollback_one_lands_on_previous_checkpoint_and_persists() {
         let (td, disk) = two_checkpoints();
-        let mut s = VersionedArrayStore::recover(disk.clone(), "arr", 3, 2).unwrap();
+        let mut s = VersionedArrayStore::recover_to(disk.clone(), "arr", 3, 2, 2).unwrap();
         assert_eq!(s.epoch(), 2);
         assert_eq!(s.rollback_one().unwrap(), 1);
         for b in 0..3 {
@@ -996,15 +774,17 @@ mod tests {
         // a second rollback is refused: only one checkpoint left
         assert!(matches!(s.rollback_one(), Err(DfoError::NoCheckpoint(_))));
         drop(s);
-        let s = VersionedArrayStore::recover(disk, "arr", 3, 2).unwrap();
-        assert_eq!(s.epoch(), 1, "rollback must persist across reopen");
-        assert!(!manifest_path(&td, 2).exists());
+        // the rolled-back blocks are gone: even a reopen at the old epoch
+        // reads epoch 1's
+        assert_eq!(block_files(&td), ["0_1.bin", "1_1.bin", "2_1.bin"]);
+        let mut s = VersionedArrayStore::recover_to(disk, "arr", 3, 2, 2).unwrap();
+        assert_eq!(s.read_batch(0).unwrap(), vec![1u8; 4]);
     }
 
     #[test]
     fn rollback_then_commit_reuses_the_epoch_number() {
         let (_td, disk) = two_checkpoints();
-        let mut s = VersionedArrayStore::recover(disk.clone(), "arr", 3, 2).unwrap();
+        let mut s = VersionedArrayStore::recover_to(disk.clone(), "arr", 3, 2, 2).unwrap();
         s.rollback_one().unwrap();
         s.begin_epoch();
         s.write_batch(0, &[9u8; 4]).unwrap();
@@ -1013,9 +793,10 @@ mod tests {
         assert_eq!(s.read_batch(0).unwrap(), vec![9u8; 4]);
         assert_eq!(s.read_batch(1).unwrap(), vec![1u8; 4]);
         drop(s);
-        let mut s = VersionedArrayStore::recover(disk, "arr", 3, 2).unwrap();
+        let mut s = VersionedArrayStore::recover_to(disk, "arr", 3, 2, 2).unwrap();
         assert_eq!(s.epoch(), 2);
         assert_eq!(s.read_batch(0).unwrap(), vec![9u8; 4]);
+        assert_eq!(s.read_batch(1).unwrap(), vec![1u8; 4], "no stale block of the old epoch 2");
     }
 
     #[test]
@@ -1028,6 +809,17 @@ mod tests {
         s.commit().unwrap();
         s.begin_epoch();
         assert!(matches!(s.rollback_one(), Err(DfoError::Corrupt(_))));
+    }
+
+    #[test]
+    fn create_replaces_the_blocks_an_earlier_array_left() {
+        let (td, disk) = two_checkpoints();
+        let mut s = VersionedArrayStore::create(disk, "arr", 3, |_| vec![7u8; 4], true, 2).unwrap();
+        assert_eq!(block_files(&td), ["0_0.bin", "1_0.bin", "2_0.bin"]);
+        s.begin_epoch();
+        s.write_batch(0, &[8u8; 4]).unwrap();
+        s.commit().unwrap();
+        assert_eq!(s.read_batch(1).unwrap(), vec![7u8; 4]);
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub enum FileClass {
     Filter,
     /// `arrays/<name>/blocks/`: vertex data.
     ArrayBlock,
-    /// The rest of `arrays/`: manifests, `CURRENT`, `COMMITS.bin`.
+    /// The rest of `arrays/`: the commit record `COMMITS.bin`.
     ArrayMeta,
     /// `msgs/`: message spills.
     Spill,
@@ -357,8 +357,9 @@ impl NodeDisk {
             .map_err(|e| DfoError::io(format!("sizing disk root {}", self.root.display()), e))
     }
 
-    /// Atomically replaces `rel` with `contents` (write temp + rename); used
-    /// for checkpoint CURRENT pointers.
+    /// Atomically replaces `rel` with `contents` (write temp, `fsync`,
+    /// rename); used for the per-call commit record. A failed `fsync` is an
+    /// error: the record must not claim a call the disk may not hold.
     pub fn write_atomic(&self, rel: &str, contents: &[u8]) -> Result<()> {
         let tmp_rel = format!("{rel}.tmp");
         let tmp = self.path(&tmp_rel)?;
@@ -367,7 +368,7 @@ impl NodeDisk {
             let mut f =
                 File::create(&tmp).map_err(|e| DfoError::io(format!("creating {tmp_rel}"), e))?;
             f.write_all(contents).map_err(|e| DfoError::io(format!("writing {tmp_rel}"), e))?;
-            f.sync_all().ok();
+            f.sync_all().map_err(|e| DfoError::io(format!("syncing {tmp_rel}"), e))?;
         }
         self.account_write(contents.len() as u64, true, FileClass::of(rel));
         fs::rename(&tmp, &dst).map_err(|e| DfoError::io(format!("renaming into {rel}"), e))?;
@@ -591,9 +592,9 @@ mod tests {
     #[test]
     fn atomic_write_replaces() {
         let (_td, d) = disk();
-        d.write_atomic("CURRENT", b"1").unwrap();
-        d.write_atomic("CURRENT", b"2").unwrap();
-        assert_eq!(d.read_to_vec("CURRENT").unwrap(), b"2");
+        d.write_atomic("COMMITS.bin", b"1").unwrap();
+        d.write_atomic("COMMITS.bin", b"2").unwrap();
+        assert_eq!(d.read_to_vec("COMMITS.bin").unwrap(), b"2");
     }
 
     #[test]
@@ -637,8 +638,7 @@ mod tests {
             ("dispatch/from_1.dg", FileClass::Dispatch),
             ("filter/to_0.lst", FileClass::Filter),
             ("arrays/rank/blocks/3.bin", FileClass::ArrayBlock),
-            ("arrays/rank/meta/ckpt_2.bin", FileClass::ArrayMeta),
-            ("arrays/rank/CURRENT", FileClass::ArrayMeta),
+            ("arrays/rank/blocks/3_2.bin", FileClass::ArrayBlock),
             ("arrays/COMMITS.bin", FileClass::ArrayMeta),
             ("msgs/gen_b0.bin", FileClass::Spill),
             ("plan.bin", FileClass::Plan),
@@ -648,7 +648,7 @@ mod tests {
         }
         // a handle keeps the class of the path it was opened with
         let (_td, d) = disk();
-        d.write_atomic("arrays/a/CURRENT", &[0u8; 8]).unwrap();
+        d.write_atomic("arrays/COMMITS.bin", &[0u8; 8]).unwrap();
         let mut w = d.create("arrays/a/blocks/0.bin").unwrap();
         w.write_all(&[2u8; 16]).unwrap();
         w.finish().unwrap();

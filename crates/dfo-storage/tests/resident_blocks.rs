@@ -35,9 +35,11 @@ struct Harness {
     files: Vec<Option<Vec<u8>>>,
     /// In place: created with blocks held in memory and not flushed since.
     unflushed: bool,
-    /// Checkpoints the store retains (a recovery may cap at the older one
-    /// only while there are two).
-    retained: usize,
+    /// Epochs the store retains (a recovery may cap at the older one only
+    /// while there are two); `None` after a recovery to the older one,
+    /// which retains one more if no batch was written in the epoch it
+    /// landed on.
+    retained: Option<usize>,
 }
 
 impl Harness {
@@ -57,7 +59,7 @@ impl Harness {
             model: Vec::new(),
             files: Vec::new(),
             unflushed: false,
-            retained: 1,
+            retained: Some(1),
         };
         h.created();
         h
@@ -79,7 +81,8 @@ impl Harness {
 
     fn reopen_uncached(&self) -> VersionedArrayStore {
         if self.cow {
-            VersionedArrayStore::recover(self.disk.clone(), "arr", N, KEEP).unwrap()
+            VersionedArrayStore::recover_to(self.disk.clone(), "arr", N, KEEP, self.store.epoch())
+                .unwrap()
         } else {
             VersionedArrayStore::open_in_place(self.disk.clone(), "arr", N)
         }
@@ -145,7 +148,9 @@ impl Harness {
             }
             5 => {
                 self.store.commit().unwrap();
-                self.retained = (self.retained + self.open as usize).min(KEEP);
+                if self.open {
+                    self.retained = Some(self.retained.map_or(KEEP, |r| (r + 1).min(KEEP)));
+                }
                 self.open = false;
             }
             6 => {
@@ -153,25 +158,25 @@ impl Harness {
                 self.open = false;
             }
             7 if self.cow && !self.open => {
-                // refused with one checkpoint left
-                assert_eq!(self.store.rollback_one().is_ok(), self.retained == 2);
-                self.retained = 1;
+                // refused with one epoch left
+                let rolled = self.store.rollback_one().is_ok();
+                if let Some(r) = self.retained {
+                    assert_eq!(rolled, r == 2);
+                }
+                self.retained = Some(1);
             }
             8 if self.cow => {
                 // crash + recovery, capped at the older checkpoint when
                 // `val` is odd (the torn-call case)
-                let back = self.retained == 2 && val % 2 == 1;
+                let back = self.retained == Some(2) && val % 2 == 1;
                 let target = self.store.epoch() - back as u64;
-                self.store = VersionedArrayStore::recover_to(
-                    self.disk.clone(),
-                    "arr",
-                    N,
-                    KEEP,
-                    Some(target),
-                )
-                .unwrap();
+                self.store =
+                    VersionedArrayStore::recover_to(self.disk.clone(), "arr", N, KEEP, target)
+                        .unwrap();
                 self.store.set_resident_budget(self.pool.clone());
-                self.retained -= back as usize;
+                if back {
+                    self.retained = None;
+                }
                 self.open = false;
             }
             // a job that succeeded: every block reaches its file

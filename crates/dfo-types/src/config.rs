@@ -155,10 +155,9 @@ pub struct EngineConfig {
     /// Simulated network bandwidth per node (each direction), bytes/s
     /// (`None` = unthrottled). The paper's testbed: 25 Gbps.
     pub net_bw: Option<u64>,
-    /// Enables copy-on-write checkpointing of vertex arrays (§3.2).
+    /// Enables copy-on-write checkpointing of vertex arrays (§3.2); each
+    /// array retains the committed epoch and the one before.
     pub checkpointing: bool,
-    /// Number of checkpoints retained (typically 1 or 2, §3.2).
-    pub checkpoints_kept: usize,
     /// Disables intra-node batching (Table 6 ablation): one batch per
     /// partition, whose vertex arrays are 4 KiB pages in the block store,
     /// checked out one at a time within the same resident-block share of
@@ -259,7 +258,6 @@ impl EngineConfig {
             disk_bw: None,
             net_bw: None,
             checkpointing: false,
-            checkpoints_kept: 1,
             batching_enabled: true,
             filtering_enabled: true,
             dispatch_override: None,
@@ -392,9 +390,6 @@ impl EngineConfig {
         if self.filter_skip_ratio <= 0.0 {
             return Err("filter_skip_ratio must be positive".into());
         }
-        if self.checkpointing && self.checkpoints_kept == 0 {
-            return Err("checkpoints_kept must be ≥ 1 when checkpointing".into());
-        }
         if let Some(peers) = &self.peers {
             if peers.len() != self.nodes {
                 return Err(format!(
@@ -495,8 +490,7 @@ mod tests {
         c.nodes = 0;
         assert!(c.validate().is_err());
         let mut c = EngineConfig::for_test(2);
-        c.checkpointing = true;
-        c.checkpoints_kept = 0;
+        c.threads_per_node = 0;
         assert!(c.validate().is_err());
         assert!(EngineConfig::for_test(2).validate().is_ok());
     }

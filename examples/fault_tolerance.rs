@@ -26,7 +26,6 @@ const CRASH_BEFORE: u64 = 4;
 fn config() -> EngineConfig {
     let mut cfg = EngineConfig::for_test(2);
     cfg.checkpointing = true;
-    cfg.checkpoints_kept = 2;
     cfg.batch_policy = BatchPolicy::FixedVertices(64);
     cfg
 }

@@ -35,7 +35,6 @@ fn run<E: Pod + PartialEq>(
     let mut cfg = EngineConfig::for_test(2);
     cfg.batch_policy = BatchPolicy::FixedVertices(96);
     cfg.checkpointing = checkpointing;
-    cfg.checkpoints_kept = 2;
     cfg.batching_enabled = batching;
     if let Some(b) = mem_budget {
         cfg.mem_budget = b;

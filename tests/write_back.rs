@@ -57,7 +57,6 @@ fn config(checkpointing: bool, mem_budget: u64) -> EngineConfig {
     let mut cfg = EngineConfig::for_test(2);
     cfg.batch_policy = BatchPolicy::FixedVertices(500);
     cfg.checkpointing = checkpointing;
-    cfg.checkpoints_kept = 2;
     cfg.mem_budget = mem_budget;
     cfg
 }
@@ -78,7 +77,7 @@ fn sssp_job(g: &EdgeList<f32>, cfg: EngineConfig, scoped: bool) -> (Vec<f32>, Ve
     let dist = if scoped { cluster.run_scoped("job", job) } else { cluster.run(job) };
     let dist: Vec<f32> = dist.unwrap().concat();
     let disks = cluster.disks().to_vec();
-    let record = |d: &NodeDisk| CommitLog::load_or_new(d.clone(), "arrays/COMMITS.bin");
+    let record = |d: &NodeDisk| CommitLog::open(d.clone(), "arrays/COMMITS.bin").unwrap();
     let calls = disks.iter().map(|d| record(d).call_seq()).sum();
     (dist, disks, calls)
 }
@@ -118,6 +117,10 @@ fn checkpointing_on_writes_every_array_block_as_the_poolless_engine_does() {
         assert_eq!((with[1], with[3]), (without[1], without[3]), "{c:?} writes");
     }
     assert!(calls > 0);
+    // the commit record is the only checkpoint metadata: one write per
+    // recorded call, none per array (two arrays on each of two ranks)
+    let meta_writes = traffic(&pooled, FileClass::ArrayMeta)[3];
+    assert!(meta_writes <= calls + 2 * 2, "{meta_writes} metadata writes for {calls} calls");
 }
 
 #[test]
@@ -152,11 +155,17 @@ fn file_classes_add_up_to_the_disk_totals_for_pagerank() {
 /// The price of checkpointing, measured on the benchmark's `sssp_chain`
 /// graph (260 communities of 96, seed 7) at its configuration: array-block
 /// and array-metadata traffic and the commit count, with checkpointing off
-/// and on. A measurement, not a gate:
+/// and on. A measurement, not a gate (the metadata writes are gated by
+/// `checkpointing_on_writes_every_array_block_as_the_poolless_engine_does`):
 ///
 /// ```text
 /// cargo test --release --test write_back -- --ignored --nocapture
 /// ```
+///
+/// It writes 124,800 B in 12 ops of array blocks with checkpointing off,
+/// and with it on 14,806,040 B in 1,651 ops of array blocks plus
+/// 149,384 B in 1,038 ops of metadata for 1,038 recorded calls: one commit
+/// record per call.
 #[test]
 #[ignore]
 fn price_of_durability_on_the_sssp_chain_graph() {

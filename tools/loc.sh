@@ -37,10 +37,10 @@ ratchet() {
     status=1
   fi
 }
-ratchet 5408 dfo-core dfo-service
-ratchet 3076 dfo-types dfo-part
+ratchet 5396 dfo-core dfo-service
+ratchet 3070 dfo-types dfo-part
 ratchet 2707 dfo-net dfo-obs
-ratchet 3653 dfo-storage
+ratchet 3469 dfo-storage
 
 # Failure is a value: a collective returns its mesh failure as an error,
 # and a caught panic is always a bug (`DfoError::from_panic`), so nothing
