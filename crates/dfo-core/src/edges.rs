@@ -40,12 +40,12 @@
 //! A round whose messages fit one frame (`|M_i| × record ≤ FRAME_BYTES`,
 //! so at most one frame per peer) has nothing to overlap when the
 //! transport buffers such a stream whole ([`dfo_net::Endpoint::buffers_whole`]:
-//! the channel backend does, TCP — whose per-peer buffers every job on the
-//! connection shares — does not). Then the calling thread sends to every
-//! peer, dispatches its own messages, then receives: each stream's one
-//! frame waits in the per-pair channel without the receiver taking part,
-//! so this cannot deadlock, and a sparse round spawns no thread. Each rank
-//! decides for itself, per call.
+//! the in-process backend does, TCP — whose per-peer buffers every job on
+//! the connection shares — does not). Then the calling thread sends to
+//! every peer, dispatches its own messages, then receives: each stream's
+//! one frame waits in the stream's own queue at the peer without the
+//! receiver taking part, so this cannot deadlock, and a sparse round
+//! spawns no thread. Each rank decides for itself, per call.
 //!
 //! Phase 4 reads each chunk it loads whole on the worker that processes
 //! the chunk's batch, through the node's chunk cache when one is

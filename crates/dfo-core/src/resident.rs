@@ -60,9 +60,9 @@
 //! their namespace fields differ, and neither can collide with the mesh's
 //! *master* namespace (field 0: out-of-job barriers, control fan-out
 //! acknowledgement), which [`job_tag_base`](dfo_net::job_tag_base)
-//! deliberately skips. The TCP demux routes by full tag, and collectives
-//! relay through rank 0 keyed by full tag, so any number of jobs may
-//! overlap on one mesh with their traffic pairwise isolated.
+//! deliberately skips. The transport's demux routes by full tag, and
+//! collectives relay through rank 0 keyed by full tag, so any number of
+//! jobs may overlap on one mesh with their traffic pairwise isolated.
 //!
 //! Three rules keep the invariant airtight:
 //!
@@ -78,9 +78,9 @@
 //!    died mid-stream can neither leak queues nor head-of-line-block an
 //!    overlapping job.
 //!
-//! Concurrent jobs are a property of the **TCP** backend: the in-process
-//! simulation's shared-memory collective ignores tags (see
-//! [`dfo_net::Transport`]), and a resident mesh is always TCP.
+//! Both `dfo-net` backends receive through that one demux and relay, so
+//! the invariant holds on the in-process backend too; a resident mesh is
+//! TCP only because its ranks are processes.
 //!
 //! ## Failure model
 //!

@@ -1,7 +1,7 @@
 //! Wire frames of the cluster transport, and their binary codec.
 //!
-//! Both backends move data as [`Frame`]s. The in-process backend passes them
-//! through channels untouched; the TCP backend serializes them with the
+//! Both backends move data as [`Frame`]s. The in-process backend pushes them
+//! into the peer's receive queues untouched; the TCP backend serializes them with the
 //! length-prefixed codec below. The 16-byte header doubles as the modeled
 //! envelope cost charged against bandwidth, so byte accounting is identical
 //! across backends.
@@ -38,7 +38,7 @@ pub const MAX_FRAME_PAYLOAD: usize = 1 << 30;
 pub struct Frame {
     /// Sender rank.
     pub src: Rank,
-    /// Stream tag; both sides must agree (one live stream per (src, dst)).
+    /// Stream tag; both sides must agree (it selects the receive queue).
     pub tag: u64,
     /// Payload bytes (possibly empty for a bare end-of-stream marker).
     pub payload: Bytes,

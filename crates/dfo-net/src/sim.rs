@@ -1,120 +1,87 @@
-//! In-process transport backend: ranks are threads, frames move through
-//! bounded crossbeam channels, collectives hit the shared-memory
-//! [`Collective`] fast path.
+//! In-process transport backend: ranks are threads, and a send pushes the
+//! frame straight into the peer's `Demux` — the TCP backend's receive
+//! side without the sockets and codec threads in front of it.
 //!
 //! This is the original simulation substrate of the reproduction. It
 //! preserves the property DFOGraph's evaluation reasons about (transfer
 //! time ≈ bytes / bandwidth per node, §4.5) while costing nothing to
 //! bootstrap, so tests and benchmarks default to it.
 
-use crate::collective::Collective;
+use crate::collective::POISONED;
+use crate::demux::{Demux, DEMUX_QUEUE_DEPTH};
 use crate::frame::Frame;
 use crate::transport::Transport;
 use dfo_types::{DfoError, Rank, Result};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crossbeam::channel::{bounded, Receiver, Sender};
+/// The receive queues of every rank of one in-process cluster.
+struct SimMesh {
+    demux: Vec<Demux>,
+    poisoned: AtomicBool,
+}
 
-/// Frames in flight per (src, dst) pair; bounds receive-buffer memory like
-/// the fixed in-memory buffers of the original implementation (Figure 3).
-pub(crate) const CHANNEL_DEPTH: usize = 16;
-
-/// Channel-based transport for one rank of an in-process cluster.
+/// Demux-backed transport for one rank of an in-process cluster.
 pub struct SimTransport {
     rank: Rank,
-    out: Vec<Option<Sender<Frame>>>,
-    inb: Vec<Option<Receiver<Frame>>>,
-    collective: Arc<Collective>,
+    mesh: Arc<SimMesh>,
 }
 
 impl SimTransport {
-    /// Wires `p` transports with a full matrix of bounded channels and one
-    /// shared collective. Index `i` of the result belongs to rank `i`.
+    /// Wires `p` transports over one demux per rank. Index `i` of the
+    /// result belongs to rank `i`.
     pub fn build_mesh(p: usize) -> Vec<SimTransport> {
         assert!(p >= 1);
-        // matrix of channels: chan[src][dst]
-        let mut senders: Vec<Vec<Option<Sender<Frame>>>> = (0..p).map(|_| vec![None; p]).collect();
-        let mut receivers: Vec<Vec<Option<Receiver<Frame>>>> =
-            (0..p).map(|_| vec![None; p]).collect();
-        for src in 0..p {
-            for dst in 0..p {
-                if src == dst {
-                    continue;
-                }
-                let (tx, rx) = bounded(CHANNEL_DEPTH);
-                senders[src][dst] = Some(tx);
-                receivers[dst][src] = Some(rx);
-            }
-        }
-        let collective = Collective::new(p);
-        senders
-            .into_iter()
-            .zip(receivers)
-            .enumerate()
-            .map(|(rank, (out, inb))| SimTransport {
-                rank,
-                out,
-                inb,
-                collective: collective.clone(),
-            })
-            .collect()
+        let mesh = Arc::new(SimMesh {
+            demux: (0..p).map(|_| Demux::new(p)).collect(),
+            poisoned: AtomicBool::new(false),
+        });
+        (0..p).map(|rank| SimTransport { rank, mesh: mesh.clone() }).collect()
     }
 }
 
 impl Transport for SimTransport {
     fn send_frame(&self, dst: Rank, frame: Frame) -> Result<()> {
-        self.out[dst]
-            .as_ref()
-            .expect("no channel to dst")
-            .send(frame)
-            .map_err(|_| DfoError::peer_died(format_args!("send {} -> {}", self.rank, dst)))
+        self.mesh.demux[dst]
+            .push(self.rank, frame)
+            .map_err(|()| DfoError::peer_died(format_args!("send {} -> {dst}", self.rank)))
     }
 
-    /// Streams are FIFO per (src, dst) pair here — exactly one stream per
-    /// direction is live at a time — so the tag is not used for
-    /// demultiplexing; the caller verifies it.
-    fn recv_frame(&self, src: Rank, _tag: u64) -> Result<Frame> {
-        self.inb[src]
-            .as_ref()
-            .expect("no channel from src")
-            .recv()
-            .map_err(|_| DfoError::peer_died(format_args!("recv {} <- {}", self.rank, src)))
-    }
-
-    /// The shared-memory collective is a single rendezvous — it cannot
-    /// isolate concurrent tag namespaces, so the tag is ignored. Exactly
-    /// one job's collectives may be live at a time on this backend (see
-    /// the [`Transport`] trait docs); concurrent jobs need the TCP
-    /// backend's tag-demultiplexed relay.
-    fn barrier(&self, _tag: u64) -> Result<()> {
-        self.collective.barrier()
+    fn recv_frame(&self, src: Rank, tag: u64) -> Result<Frame> {
+        self.mesh.demux[self.rank].pop(src, tag)
     }
 
     fn poison(&self) {
-        self.collective.poison();
+        self.mesh.poisoned.store(true, Ordering::Release);
+        for demux in &self.mesh.demux {
+            demux.close_all(POISONED);
+        }
     }
 
-    /// One channel per pair, and one stream per direction of a pair live
-    /// at a time: all of a channel's depth is the stream's.
+    fn poisoned(&self) -> bool {
+        self.mesh.poisoned.load(Ordering::Acquire)
+    }
+
+    fn reclaim_job(&self, job_id: u64) {
+        self.mesh.demux[self.rank].reclaim_job(job_id);
+    }
+
+    /// A send fills the stream's own queue at the peer, which no other
+    /// stream shares: all of its depth is the stream's.
     fn private_stream_frames(&self) -> usize {
-        CHANNEL_DEPTH
+        DEMUX_QUEUE_DEPTH
     }
+}
 
-    fn allreduce_u64(
-        &self,
-        _tag: u64,
-        v: u64,
-        fold: &(dyn Fn(u64, u64) -> u64 + Sync),
-    ) -> Result<u64> {
-        self.collective.allreduce_u64(self.rank, v, fold)
-    }
-
-    fn allreduce_f64(
-        &self,
-        _tag: u64,
-        v: f64,
-        fold: &(dyn Fn(f64, f64) -> f64 + Sync),
-    ) -> Result<f64> {
-        self.collective.allreduce_f64(self.rank, v, fold)
+impl Drop for SimTransport {
+    /// Leaves the mesh like a TCP peer that closed its socket: what it sent
+    /// still drains at each peer, after which their receives from it fail,
+    /// and their sends to it fail at once.
+    fn drop(&mut self) {
+        let why = format!("rank {} left the mesh", self.rank);
+        for demux in &self.mesh.demux {
+            demux.close(self.rank, &why);
+        }
+        self.mesh.demux[self.rank].close_all(&why);
     }
 }

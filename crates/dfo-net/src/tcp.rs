@@ -6,10 +6,10 @@
 //! [`Frame`]s in the binary codec of `frame.rs` (16-byte src/tag/len|last
 //! header + payload). Each peer connection gets a dedicated *writer thread*
 //! (serializes frames from a bounded queue, flushing whenever the queue
-//! drains) and a *demux reader thread* (decodes incoming frames and routes
-//! them to per-`(peer, tag)` bounded queues). The bounded queues plus TCP's
-//! own flow control give end-to-end backpressure equivalent to the
-//! simulation's bounded channels.
+//! drains) and a *demux reader thread* (decodes incoming frames and pushes
+//! them into the per-`(peer, tag)` bounded queues of `demux.rs`, the same
+//! queues the in-process backend's senders push into). The bounded queues
+//! plus TCP's own flow control give end-to-end backpressure.
 //!
 //! ## Bootstrap
 //!
@@ -40,33 +40,25 @@
 //!
 //! ## Collectives
 //!
-//! The shared-memory [`crate::Collective`] cannot span processes, so the
-//! barrier and all-reduces are reimplemented as point-to-point messages
-//! relayed through rank 0: everyone sends its value to rank 0, rank 0 folds
-//! in rank order (bit-identical to the simulation's slot fold) and
-//! broadcasts the result. Collective streams use tags with the top bit set
-//! ([`crate::tag::COLL_TAG_BIT`]), a namespace the engine's call-sequence
-//! tags never reach; the full tag (namespace base + per-namespace sequence
-//! number) comes from the caller, so collectives of concurrent job
-//! namespaces relay through rank 0 without ever matching each other's
-//! frames. A dead peer (EOF, reset, or an explicit `poison`) fails the
-//! collective with `NetClosed` on every survivor instead of hanging, and a
-//! failed collective poisons the local mesh so the error cascades.
+//! The barrier and the all-reduces are the rank-0 relay of `collective.rs`,
+//! the same code as on the in-process backend: collective frames ride the
+//! peer connections like any stream and land in their own demux queues.
+//! A dead peer surfaces as EOF or a reset on its connection, which closes
+//! its demux slot and so fails the survivors' next collective with
+//! `NetClosed`.
 
+use crate::collective::POISONED;
+use crate::demux::{Demux, DEMUX_QUEUE_DEPTH};
 use crate::endpoint::Endpoint;
 use crate::frame::Frame;
-use crate::sim::CHANNEL_DEPTH;
-use crate::tag;
 use crate::transport::Transport;
-use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError};
 use dfo_types::codec::{read_u32, read_u64, write_u32, write_u64};
 use dfo_types::{DfoError, Rank, Result};
-use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, VecDeque};
+use parking_lot::Mutex;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -75,23 +67,6 @@ use std::time::{Duration, Instant};
 /// that is not a DFOGraph mesh peer.
 const MAGIC: u64 = 0x4446_4f47_4d45_5348; // "DFOGMESH"
 const PROTO_VERSION: u32 = 2; // v2: hello carries the mesh epoch
-
-/// Frames buffered per (peer, tag) on the receive side before the demux
-/// reader stops reading from that peer's socket (backpressure).
-const QUEUE_DEPTH: usize = CHANNEL_DEPTH;
-
-/// Dead job namespaces remembered per peer so a reclaimed job's in-flight
-/// frames are dropped on arrival rather than resurrecting its queues. A
-/// bounded FIFO: once more than this many jobs have been reclaimed, the
-/// oldest is forgotten — by then its stragglers have long since drained
-/// (frames of a forgotten dead job would sit in an orphaned queue until
-/// the transport drops, bounded by `QUEUE_DEPTH` frames each).
-const DEAD_JOBS_REMEMBERED: usize = 64;
-
-/// Public alias of the per-(peer, tag) demux queue depth, so control-plane
-/// code (and the head-of-line guard test) can state its outstanding-frame
-/// budget against the real number.
-pub const DEMUX_QUEUE_DEPTH: usize = QUEUE_DEPTH;
 
 /// Socket buffer sizing for the codec threads.
 const IO_BUF: usize = 256 << 10;
@@ -164,141 +139,6 @@ fn read_hello(s: &mut TcpStream) -> Result<(Rank, usize, u64)> {
 }
 
 // ---------------------------------------------------------------------------
-// demux: per-(peer, tag) bounded frame queues
-
-struct PeerState {
-    queues: HashMap<u64, VecDeque<Frame>>,
-    /// Job namespaces reclaimed on this endpoint (newest last, bounded by
-    /// [`DEAD_JOBS_REMEMBERED`]): frames whose tag falls in one of these
-    /// are dropped on arrival instead of queued.
-    dead_jobs: VecDeque<u64>,
-    /// Why the peer is gone, once it is; queued frames still drain first.
-    closed: Option<String>,
-}
-
-impl PeerState {
-    fn job_is_dead(&self, frame_tag: u64) -> bool {
-        self.dead_jobs.iter().any(|&job| tag::tag_in_job(frame_tag, job))
-    }
-}
-
-struct PeerSlot {
-    state: Mutex<PeerState>,
-    cv: Condvar,
-}
-
-struct Demux {
-    slots: Vec<PeerSlot>,
-}
-
-impl Demux {
-    fn new(p: usize) -> Arc<Self> {
-        Arc::new(Self {
-            slots: (0..p)
-                .map(|_| PeerSlot {
-                    state: Mutex::new(PeerState {
-                        queues: HashMap::new(),
-                        dead_jobs: VecDeque::new(),
-                        closed: None,
-                    }),
-                    cv: Condvar::new(),
-                })
-                .collect(),
-        })
-    }
-
-    /// Routes one incoming frame; blocks while its queue is full (which in
-    /// turn stalls the reader thread and lets TCP flow control push back on
-    /// the sender). Frames of a reclaimed job namespace are dropped — the
-    /// dead-job check repeats after every wakeup, so a reader blocked on a
-    /// queue that [`Demux::reclaim_job`] then discards unblocks and drops
-    /// instead of resurrecting it. Errors only when the slot was closed
-    /// locally.
-    fn push(&self, src: Rank, frame: Frame) -> std::result::Result<(), ()> {
-        let slot = &self.slots[src];
-        let mut st = slot.state.lock();
-        loop {
-            if st.closed.is_some() {
-                return Err(());
-            }
-            if st.job_is_dead(frame.tag) {
-                return Ok(()); // late frame of a reclaimed job: drop it
-            }
-            let q = st.queues.entry(frame.tag).or_default();
-            if q.len() < QUEUE_DEPTH {
-                q.push_back(frame);
-                slot.cv.notify_all();
-                return Ok(());
-            }
-            slot.cv.wait(&mut st);
-        }
-    }
-
-    /// Next frame of stream `tag` from `src`. Frames already queued when
-    /// the peer died still drain; afterwards every pop fails.
-    fn pop(&self, src: Rank, tag: u64) -> Result<Frame> {
-        let slot = &self.slots[src];
-        let mut st = slot.state.lock();
-        loop {
-            if let Some(q) = st.queues.get_mut(&tag) {
-                if let Some(f) = q.pop_front() {
-                    if f.last && q.is_empty() {
-                        // stream finished: reclaim the queue slot — but only
-                        // when nothing is buffered behind it. Tags are reused
-                        // for back-to-back streams (the control channel sends
-                        // every message on one tag), so frames of the *next*
-                        // stream may already sit in this queue and must not
-                        // be discarded with the finished one.
-                        st.queues.remove(&tag);
-                    }
-                    slot.cv.notify_all();
-                    return Ok(f);
-                }
-            }
-            if let Some(why) = &st.closed {
-                return Err(DfoError::NetClosed(format!("peer {src}: {why}")));
-            }
-            slot.cv.wait(&mut st);
-        }
-    }
-
-    fn close(&self, src: Rank, why: &str) {
-        let slot = &self.slots[src];
-        let mut st = slot.state.lock();
-        if st.closed.is_none() {
-            st.closed = Some(why.to_string());
-        }
-        slot.cv.notify_all();
-    }
-
-    fn close_all(&self, why: &str) {
-        for src in 0..self.slots.len() {
-            self.close(src, why);
-        }
-    }
-
-    /// Discards every queue of job `job_id`'s tag namespace on every peer
-    /// slot and remembers the job as dead (bounded memory, see
-    /// [`DEAD_JOBS_REMEMBERED`]) so frames of it still in flight are
-    /// dropped on arrival. Control queues are untouched — control tags
-    /// belong to no job. Wakes all waiters: a reader thread blocked pushing
-    /// into a discarded (previously full) queue re-checks and drops.
-    fn reclaim_job(&self, job_id: u64) {
-        for slot in &self.slots {
-            let mut st = slot.state.lock();
-            st.queues.retain(|&tag, _| !tag::tag_in_job(tag, job_id));
-            if !st.dead_jobs.contains(&job_id) {
-                st.dead_jobs.push_back(job_id);
-                if st.dead_jobs.len() > DEAD_JOBS_REMEMBERED {
-                    st.dead_jobs.pop_front();
-                }
-            }
-            slot.cv.notify_all();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // per-peer codec threads
 
 fn writer_loop(rx: Receiver<Frame>, stream: TcpStream) {
@@ -361,12 +201,10 @@ fn reader_loop(stream: TcpStream, peer: Rank, demux: Arc<Demux>) {
 // ---------------------------------------------------------------------------
 // the transport
 
-/// One rank's TCP mesh: per-peer writer threads, demux reader threads, and
-/// rank-0-relayed collectives.
+/// One rank's TCP mesh: per-peer writer threads and demux reader threads.
 pub struct TcpTransport {
     rank: Rank,
-    p: usize,
-    writers: Vec<Option<Sender<Frame>>>,
+    writers: Vec<Option<SyncSender<Frame>>>,
     demux: Arc<Demux>,
     /// Raw socket handles kept for `poison` (shutdown wakes both codec
     /// threads and the remote peer).
@@ -452,8 +290,8 @@ impl TcpTransport {
         }
 
         // mesh complete: spin up the codec threads
-        let demux = Demux::new(p);
-        let mut writers: Vec<Option<Sender<Frame>>> = (0..p).map(|_| None).collect();
+        let demux = Arc::new(Demux::new(p));
+        let mut writers: Vec<Option<SyncSender<Frame>>> = (0..p).map(|_| None).collect();
         let mut handles = Vec::new();
         for (peer, slot) in streams.iter().enumerate() {
             let Some(stream) = slot else { continue };
@@ -461,7 +299,7 @@ impl TcpTransport {
                 stream.try_clone().map_err(|e| handshake_err(format!("socket clone: {e}")))?;
             let rstream =
                 stream.try_clone().map_err(|e| handshake_err(format!("socket clone: {e}")))?;
-            let (tx, rx) = bounded::<Frame>(CHANNEL_DEPTH);
+            let (tx, rx) = sync_channel::<Frame>(DEMUX_QUEUE_DEPTH);
             writers[peer] = Some(tx);
             handles.push(std::thread::spawn(move || writer_loop(rx, wstream)));
             let demux2 = demux.clone();
@@ -472,7 +310,6 @@ impl TcpTransport {
 
         Ok(TcpTransport {
             rank,
-            p,
             writers,
             demux,
             streams,
@@ -480,110 +317,21 @@ impl TcpTransport {
             writer_handles: Mutex::new(handles),
         })
     }
-
-    fn check_poisoned(&self) -> Result<()> {
-        if self.poisoned.load(Ordering::Acquire) {
-            return Err(DfoError::peer_died("cluster collective poisoned"));
-        }
-        Ok(())
-    }
-
-    fn coll_frame(&self, tag: u64, payload: Bytes) -> Frame {
-        Frame { src: self.rank, tag, payload, last: true }
-    }
-
-    fn barrier_inner(&self, tag: u64) -> Result<()> {
-        if self.rank == 0 {
-            for src in 1..self.p {
-                self.demux.pop(src, tag)?; // arrivals
-            }
-            for dst in 1..self.p {
-                self.send_frame(dst, self.coll_frame(tag, Bytes::new()))?; // release
-            }
-        } else {
-            self.send_frame(0, self.coll_frame(tag, Bytes::new()))?;
-            self.demux.pop(0, tag)?;
-        }
-        Ok(())
-    }
-
-    /// Rank-0-relayed 8-byte all-reduce under the caller's collective tag:
-    /// gather in rank order, fold at rank 0, broadcast. The rank-order fold
-    /// makes float reductions bit-identical to the shared-memory backend.
-    fn relay_reduce(
-        &self,
-        tag: u64,
-        mine: [u8; 8],
-        fold: &dyn Fn([u8; 8], [u8; 8]) -> [u8; 8],
-    ) -> Result<[u8; 8]> {
-        self.check_poisoned()?;
-        if self.p == 1 {
-            return Ok(mine);
-        }
-        let res = self.relay_reduce_inner(tag, mine, fold);
-        if res.is_err() {
-            self.poison();
-        }
-        res
-    }
-
-    fn relay_reduce_inner(
-        &self,
-        tag: u64,
-        mine: [u8; 8],
-        fold: &dyn Fn([u8; 8], [u8; 8]) -> [u8; 8],
-    ) -> Result<[u8; 8]> {
-        let payload8 = |f: &Frame| -> Result<[u8; 8]> {
-            f.payload.as_ref().try_into().map_err(|_| {
-                DfoError::Corrupt(format!(
-                    "collective payload from {} is {} bytes, want 8",
-                    f.src,
-                    f.payload.len()
-                ))
-            })
-        };
-        if self.rank == 0 {
-            let mut acc = mine;
-            for src in 1..self.p {
-                let f = self.demux.pop(src, tag)?;
-                acc = fold(acc, payload8(&f)?);
-            }
-            for dst in 1..self.p {
-                self.send_frame(dst, self.coll_frame(tag, Bytes::copy_from_slice(&acc)))?;
-            }
-            Ok(acc)
-        } else {
-            self.send_frame(0, self.coll_frame(tag, Bytes::copy_from_slice(&mine)))?;
-            let f = self.demux.pop(0, tag)?;
-            payload8(&f)
-        }
-    }
 }
 
 impl Transport for TcpTransport {
     fn send_frame(&self, dst: Rank, frame: Frame) -> Result<()> {
-        self.check_poisoned()?;
+        if self.poisoned() {
+            return Err(DfoError::peer_died(POISONED));
+        }
         let tx = self.writers[dst].as_ref().expect("no connection to dst");
-        tx.send(frame)
-            .map_err(|_| DfoError::NetClosed(format!("send {} -> {dst}: peer gone", self.rank)))
+        tx.send(frame).map_err(|_| {
+            DfoError::peer_died(format_args!("send {} -> {dst}: peer gone", self.rank))
+        })
     }
 
     fn recv_frame(&self, src: Rank, tag: u64) -> Result<Frame> {
         self.demux.pop(src, tag)
-    }
-
-    fn barrier(&self, tag: u64) -> Result<()> {
-        self.check_poisoned()?;
-        if self.p == 1 {
-            return Ok(());
-        }
-        let res = self.barrier_inner(tag);
-        if res.is_err() {
-            // a failed collective is unrecoverable for the whole job:
-            // poison locally so the error cascades through the mesh
-            self.poison();
-        }
-        res
     }
 
     fn poison(&self) {
@@ -593,31 +341,11 @@ impl Transport for TcpTransport {
         for stream in self.streams.iter().flatten() {
             let _ = stream.shutdown(Shutdown::Both);
         }
-        self.demux.close_all("cluster collective poisoned");
+        self.demux.close_all(POISONED);
     }
 
-    fn allreduce_u64(
-        &self,
-        tag: u64,
-        v: u64,
-        fold: &(dyn Fn(u64, u64) -> u64 + Sync),
-    ) -> Result<u64> {
-        let out = self.relay_reduce(tag, v.to_le_bytes(), &|a, b| {
-            fold(u64::from_le_bytes(a), u64::from_le_bytes(b)).to_le_bytes()
-        })?;
-        Ok(u64::from_le_bytes(out))
-    }
-
-    fn allreduce_f64(
-        &self,
-        tag: u64,
-        v: f64,
-        fold: &(dyn Fn(f64, f64) -> f64 + Sync),
-    ) -> Result<f64> {
-        let out = self.relay_reduce(tag, v.to_le_bytes(), &|a, b| {
-            fold(f64::from_le_bytes(a), f64::from_le_bytes(b)).to_le_bytes()
-        })?;
-        Ok(f64::from_le_bytes(out))
+    fn poisoned(&self) -> bool {
+        self.poisoned.load(Ordering::Acquire)
     }
 
     fn reclaim_job(&self, job_id: u64) {

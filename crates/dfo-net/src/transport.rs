@@ -1,16 +1,16 @@
 //! The pluggable transport contract behind [`crate::Endpoint`].
 //!
 //! The engine talks to the cluster exclusively through [`crate::Endpoint`],
-//! which owns the throttles and byte accounting and delegates frame movement
-//! and collectives to a `Transport`. Two backends implement it:
+//! which owns the throttles, byte accounting and collectives (the rank-0
+//! relay of `collective.rs`) and delegates frame movement to a
+//! `Transport`. The receive side of both backends is the same
+//! per-`(peer, tag)` demux; they differ in how a frame gets there:
 //!
 //! * [`crate::sim::SimTransport`] — every rank is a thread of one process;
-//!   frames move through bounded in-memory channels and collectives hit a
-//!   shared-memory barrier (the fast path).
+//!   a send pushes the frame straight into the peer's demux.
 //! * [`crate::tcp::TcpTransport`] — every rank is its own OS process;
 //!   frames are serialized with the [`crate::Frame`] codec over per-peer TCP
-//!   connections and collectives are point-to-point messages relayed through
-//!   rank 0.
+//!   connections, and a reader thread per peer pushes them into the demux.
 //!
 //! The contract deliberately mirrors the small slice of MPI the paper's
 //! system needs: tagged point-to-point streams, a barrier, and all-reduce.
@@ -18,7 +18,7 @@
 use crate::frame::Frame;
 use dfo_types::{Rank, Result};
 
-/// Moves frames between ranks and synchronizes them.
+/// Moves frames between ranks.
 ///
 /// # Contract
 ///
@@ -26,67 +26,36 @@ use dfo_types::{Rank, Result};
 ///   the receiver to *match* the stream: a sender can finish a stream before
 ///   the receiver opens it.
 /// * `recv_frame(src, tag)` returns the next frame of stream `tag` from
-///   `src` in send order. Backends without tag demultiplexing (the channel
-///   backend, where exactly one stream per direction of a pair is live at a
-///   time) may return the next frame from `src` regardless of tag; the
-///   caller checks the tag.
-/// * Collectives are SPMD: every rank calls the same collective in the same
-///   order **per tag namespace** — the caller (the [`crate::Endpoint`])
-///   supplies the full collective tag, combining its namespace base with a
-///   per-namespace sequence number, so independent namespaces (the mesh
-///   master plus any number of concurrent jobs, see [`crate::tag`]) may
-///   interleave collectives freely on tag-demultiplexing backends. Fold
-///   closures are only evaluated where the reduction happens (shared
-///   memory, or rank 0 for relayed backends) and must be commutative-free
-///   order-stable: both backends fold values in rank order so
-///   floating-point reductions are bit-identical across backends.
-/// * The channel backend's collectives hit one shared-memory rendezvous
-///   and **ignore the tag** — it cannot isolate concurrent namespaces, so
-///   overlapping jobs are only supported over the TCP backend (the
-///   simulation runs ranks as threads of one process, where the engine
-///   already serializes jobs per cluster).
+///   `src` in send order, whatever frames of other tags arrived meanwhile.
+///   Independent tag namespaces (the mesh master plus any number of
+///   concurrent jobs, see [`crate::tag`]) therefore interleave their
+///   streams and collectives freely.
 /// * After `poison`, every pending and future operation on any rank's
 ///   endpoint fails with `DfoError::NetClosed` instead of blocking — the
-///   moral equivalent of an MPI job abort.
+///   moral equivalent of an MPI job abort. Frames queued at a rank before
+///   the poison still drain.
 pub trait Transport: Send + Sync {
     /// Queues one frame to `dst`, blocking on backpressure.
     fn send_frame(&self, dst: Rank, frame: Frame) -> Result<()>;
 
-    /// Next frame of stream `tag` from `src` (see trait docs for the
-    /// tag-matching latitude given to FIFO backends).
+    /// Next frame of stream `tag` from `src`.
     fn recv_frame(&self, src: Rank, tag: u64) -> Result<Frame>;
-
-    /// Blocks until every rank arrives at a barrier with this `tag`; fails
-    /// if the cluster is poisoned or a peer died.
-    fn barrier(&self, tag: u64) -> Result<()>;
 
     /// Marks the cluster dead, waking every blocked rank with an error.
     fn poison(&self);
 
-    /// All-reduce over `u64` under collective tag `tag`; `fold` is applied
-    /// in rank order where the reduction happens.
-    fn allreduce_u64(
-        &self,
-        tag: u64,
-        v: u64,
-        fold: &(dyn Fn(u64, u64) -> u64 + Sync),
-    ) -> Result<u64>;
-
-    /// All-reduce over `f64` under collective tag `tag`, folded in rank
-    /// order (bit-stable).
-    fn allreduce_f64(
-        &self,
-        tag: u64,
-        v: f64,
-        fold: &(dyn Fn(f64, f64) -> f64 + Sync),
-    ) -> Result<f64>;
+    /// Whether `poison` has reached this rank's transport: collectives
+    /// then fail before moving a frame, which is what fails them on a
+    /// one-rank mesh. (A remote poison may reach a TCP rank only as a
+    /// closed connection, which fails the collective's next receive.)
+    fn poisoned(&self) -> bool;
 
     /// Drops receive-side resources of job namespace `job_id` (see
     /// [`crate::tag::job_tag_base`]): pending demux queues are discarded
     /// and frames of that job still in flight are dropped on arrival, so a
     /// job that died mid-stream can neither leak queues nor head-of-line
-    /// block an overlapping job. No-op on backends without per-tag queues.
-    fn reclaim_job(&self, _job_id: u64) {}
+    /// block an overlapping job.
+    fn reclaim_job(&self, job_id: u64);
 
     /// Frames of one stream to a peer this backend holds with no help from
     /// the receiver, whatever other streams it carries meanwhile. A stream

@@ -1,11 +1,14 @@
-//! TCP transport exercised in-process: several ranks, each on its own
-//! thread, talking over real localhost sockets. Multi-*process* coverage
-//! (via `Cluster::run_distributed`) lives in
+//! The transport contract, one table over both backends: every test that
+//! does not depend on sockets runs each case on the in-process
+//! `SimCluster` and on the TCP mesh, several ranks each on its own thread
+//! (TCP over real localhost sockets); pacing, bootstrap and epoch cases
+//! run on TCP only. Multi-*process* coverage (via
+//! `Cluster::run_distributed`) lives in
 //! `crates/dfo-core/tests/distributed.rs` and
 //! `examples/distributed_pagerank.rs`.
 
 use bytes::Bytes;
-use dfo_net::{SimCluster, TcpCluster, TcpOpts};
+use dfo_net::{Endpoint, SimCluster, TcpCluster, TcpOpts};
 use dfo_types::DfoError;
 use std::net::TcpListener;
 use std::time::Duration;
@@ -23,28 +26,56 @@ fn opts() -> TcpOpts {
     TcpOpts { connect_timeout: Duration::from_secs(20), ..Default::default() }
 }
 
-/// Builds a `p`-rank TCP mesh on localhost, one thread per rank, and runs
-/// `f(rank, endpoint)` on each.
-fn with_mesh<F>(p: usize, f: F)
+#[derive(Clone, Copy, Debug)]
+enum Backend {
+    Sim,
+    Tcp,
+}
+
+const BACKENDS: [Backend; 2] = [Backend::Sim, Backend::Tcp];
+
+/// Builds a `p`-rank mesh of `backend`, one thread per rank (named after
+/// the backend and rank, so a failure says which case broke), and runs
+/// `f(rank, endpoint)` on each; a rank's endpoint drops when `f` returns.
+fn with_mesh<F>(backend: Backend, p: usize, f: F)
 where
-    F: Fn(usize, &dfo_net::Endpoint) + Sync,
+    F: Fn(usize, Endpoint) + Sync,
 {
-    let peers = free_addrs(p);
+    let (sim, peers) = match backend {
+        Backend::Sim => (SimCluster::build(p, None, false), Vec::new()),
+        Backend::Tcp => (Vec::new(), free_addrs(p)),
+    };
+    let mut sim = sim.into_iter();
     std::thread::scope(|s| {
         for rank in 0..p {
-            let peers = peers.clone();
-            let f = &f;
-            s.spawn(move || {
-                let ep = TcpCluster::connect(rank, &peers, None, false, opts()).unwrap();
-                f(rank, &ep);
-            });
+            let (ep, peers, f) = (sim.next(), &peers, &f);
+            let name = format!("{backend:?} rank {rank}");
+            std::thread::Builder::new()
+                .name(name)
+                .spawn_scoped(s, move || {
+                    let ep = ep.unwrap_or_else(|| {
+                        TcpCluster::connect(rank, peers, None, false, opts()).unwrap()
+                    });
+                    f(rank, ep);
+                })
+                .unwrap();
         }
     });
 }
 
+/// [`with_mesh`] on each backend in turn.
+fn on_both<F>(p: usize, f: F)
+where
+    F: Fn(usize, Endpoint) + Sync,
+{
+    for backend in BACKENDS {
+        with_mesh(backend, p, &f);
+    }
+}
+
 #[test]
 fn two_rank_stream_roundtrip() {
-    with_mesh(2, |rank, ep| {
+    on_both(2, |rank, ep| {
         if rank == 0 {
             ep.send(1, 7, Bytes::from_static(b"hello "), false).unwrap();
             ep.send(1, 7, Bytes::from_static(b"world"), true).unwrap();
@@ -57,7 +88,7 @@ fn two_rank_stream_roundtrip() {
 
 #[test]
 fn frames_preserve_order_and_chunking() {
-    with_mesh(2, |rank, ep| {
+    on_both(2, |rank, ep| {
         if rank == 0 {
             for i in 0..200u8 {
                 ep.send(1, 3, Bytes::copy_from_slice(&[i]), i == 199).unwrap();
@@ -78,7 +109,7 @@ fn concurrent_streams_demux_by_tag() {
     // intended head-of-line backpressure, which the engine never triggers
     // (one live data stream per pair, collectives after streams drain).
     const N: u32 = 8;
-    with_mesh(2, |rank, ep| {
+    on_both(2, |rank, ep| {
         if rank == 0 {
             for i in 0..N {
                 let last = i == N - 1;
@@ -104,7 +135,7 @@ fn concurrent_streams_demux_by_tag() {
 #[test]
 fn all_pairs_and_collectives_four_ranks() {
     let p = 4;
-    with_mesh(p, |rank, ep| {
+    on_both(p, |rank, ep| {
         for dst in 0..p {
             if dst != rank {
                 ep.send(dst, 0, Bytes::copy_from_slice(&[rank as u8]), true).unwrap();
@@ -128,29 +159,20 @@ fn collectives_bit_match_sim_backend() {
     // rank-order folding must make float all-reduce bit-identical across
     // backends (the distributed-vs-sim acceptance bound relies on it)
     let vals = [0.1f64, 0.7, 1e-9];
-    let sim: Vec<f64> = {
-        let eps = SimCluster::build(3, None, false);
-        std::thread::scope(|s| {
-            let hs: Vec<_> = eps
-                .iter()
-                .map(|ep| s.spawn(move || ep.try_allreduce_sum_f64(vals[ep.rank()]).unwrap()))
-                .collect();
-            hs.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-    };
-    let tcp: std::sync::Mutex<Vec<(usize, f64)>> = std::sync::Mutex::new(Vec::new());
-    with_mesh(3, |rank, ep| {
-        let out = ep.try_allreduce_sum_f64(vals[rank]).unwrap();
-        tcp.lock().unwrap().push((rank, out));
+    let sums = BACKENDS.map(|backend| {
+        let out = std::sync::Mutex::new(vec![0u64; 3]);
+        with_mesh(backend, 3, |rank, ep| {
+            out.lock().unwrap()[rank] = ep.try_allreduce_sum_f64(vals[rank]).unwrap().to_bits();
+        });
+        out.into_inner().unwrap()
     });
-    for (rank, out) in tcp.into_inner().unwrap() {
-        assert_eq!(out.to_bits(), sim[rank].to_bits(), "rank {rank}");
-    }
+    assert_eq!(sums[0], sums[1]);
+    assert_eq!(sums[0], vec![(0.1f64 + 0.7 + 1e-9).to_bits(); 3]);
 }
 
 #[test]
 fn stats_count_wire_bytes_like_sim() {
-    with_mesh(2, |rank, ep| {
+    on_both(2, |rank, ep| {
         if rank == 0 {
             ep.send(1, 2, Bytes::from_static(b"abcd"), true).unwrap();
             ep.try_barrier().unwrap();
@@ -170,7 +192,7 @@ fn a_stream_is_its_frames_over_tcp() {
     // final frame
     use dfo_net::endpoint::STREAM_CHUNK;
     const CASES: [(usize, u64); 4] = [(0, 1), (1, 1), (STREAM_CHUNK, 1), (STREAM_CHUNK + 1, 2)];
-    with_mesh(2, |rank, ep| {
+    on_both(2, |rank, ep| {
         for (tag, &(len, frames)) in CASES.iter().enumerate() {
             let tag = tag as u64;
             if rank == 0 {
@@ -218,45 +240,40 @@ fn throttle_paces_tcp_sender() {
 #[test]
 fn dropped_peer_surfaces_as_net_closed() {
     // rank 1 joins the mesh and leaves immediately; rank 0's blocking recv
-    // must fail with NetClosed (EOF), not hang
-    let peers = free_addrs(2);
-    std::thread::scope(|s| {
-        {
-            let peers = peers.clone();
-            s.spawn(move || {
-                let ep = TcpCluster::connect(0, &peers, None, false, opts()).unwrap();
-                match ep.recv_all(1, 9) {
-                    Err(DfoError::NetClosed(_)) => {}
-                    other => panic!("want NetClosed, got {other:?}"),
-                }
-            });
-        }
-        let peers = peers.clone();
-        s.spawn(move || {
-            let ep = TcpCluster::connect(1, &peers, None, false, opts()).unwrap();
+    // must fail with the NetClosed a peer's death makes (EOF over TCP), not
+    // hang
+    on_both(2, |rank, ep| {
+        if rank == 0 {
+            match ep.recv_all(1, 9) {
+                Err(DfoError::NetClosed(m)) if m.starts_with("a peer died: ") => {}
+                other => panic!("want a peer's NetClosed, got {other:?}"),
+            }
+        } else {
             drop(ep); // clean teardown: write halves shut down, peers see EOF
-        });
+        }
     });
 }
 
 #[test]
 fn poison_fails_blocked_barrier_cluster_wide() {
-    let failed: std::sync::Mutex<Vec<usize>> = std::sync::Mutex::new(Vec::new());
-    with_mesh(3, |rank, ep| {
-        if rank == 2 {
-            // let the others block in the barrier, then abort the job
-            std::thread::sleep(Duration::from_millis(100));
-            ep.poison_collective();
-            return;
-        }
-        match ep.try_barrier() {
-            Err(DfoError::NetClosed(_)) => failed.lock().unwrap().push(rank),
-            other => panic!("rank {rank}: want NetClosed, got {other:?}"),
-        }
-    });
-    let mut got = failed.into_inner().unwrap();
-    got.sort_unstable();
-    assert_eq!(got, vec![0, 1], "both survivors must abort, not hang");
+    for backend in BACKENDS {
+        let failed = std::sync::Mutex::new(Vec::new());
+        with_mesh(backend, 3, |rank, ep| {
+            if rank == 2 {
+                // let the others block in the barrier, then abort the job
+                std::thread::sleep(Duration::from_millis(100));
+                ep.poison_collective();
+                return;
+            }
+            match ep.try_barrier() {
+                Err(DfoError::NetClosed(_)) => failed.lock().unwrap().push(rank),
+                other => panic!("rank {rank}: want NetClosed, got {other:?}"),
+            }
+        });
+        let mut got = failed.into_inner().unwrap();
+        got.sort_unstable();
+        assert_eq!(got, vec![0, 1], "{backend:?}: both survivors must abort, not hang");
+    }
 }
 
 #[test]
@@ -349,11 +366,11 @@ fn mesh_rebuilds_on_same_addresses_under_new_epoch() {
 
 #[test]
 fn single_rank_mesh_is_trivial() {
-    let peers = free_addrs(1);
-    let ep = TcpCluster::connect(0, &peers, None, false, opts()).unwrap();
-    ep.try_barrier().unwrap();
-    assert_eq!(ep.try_allreduce_sum_u64(41).unwrap(), 41);
-    assert_eq!(ep.nodes(), 1);
+    on_both(1, |_, ep| {
+        ep.try_barrier().unwrap();
+        assert_eq!(ep.try_allreduce_sum_u64(41).unwrap(), 41);
+        assert_eq!(ep.nodes(), 1);
+    });
 }
 
 #[test]
@@ -372,7 +389,7 @@ fn pending_control_frames_never_stall_engine_traffic() {
     // then proves every engine-side primitive still completes.
     use dfo_net::{CTRL_TAG_BIT, DEMUX_QUEUE_DEPTH};
     const ROUNDS: usize = 4;
-    with_mesh(2, |rank, ep| {
+    on_both(2, |rank, ep| {
         if rank == 0 {
             // park one control stream at rank 1: sent, enqueued, not consumed
             let parked = (DEMUX_QUEUE_DEPTH - 1) as u8;
@@ -416,7 +433,7 @@ fn back_to_back_streams_on_one_tag_all_arrive() {
     // on the job that never started everywhere).
     use dfo_net::CTRL_TAG_BIT;
     const MSGS: usize = 5;
-    with_mesh(2, |rank, ep| {
+    on_both(2, |rank, ep| {
         if rank == 0 {
             for i in 0..MSGS {
                 let payload = vec![i as u8; 100 + i];
@@ -448,7 +465,7 @@ fn dead_job_queues_are_reclaimed_and_never_stall_overlapping_jobs() {
     use dfo_net::DEMUX_QUEUE_DEPTH;
     use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
-    with_mesh(2, |rank, ep| {
+    on_both(2, |rank, ep| {
         let dying = ep.job_view(7, Arc::new(AtomicU64::new(0)));
         let healthy = ep.job_view(8, Arc::new(AtomicU64::new(0)));
         if rank == 0 {
@@ -476,4 +493,84 @@ fn dead_job_queues_are_reclaimed_and_never_stall_overlapping_jobs() {
             ep.try_barrier().unwrap();
         }
     });
+}
+
+#[test]
+fn sum_across_threads() {
+    on_both(4, |rank, ep| {
+        assert_eq!(ep.try_allreduce_sum_u64((rank as u64 + 1) * 10).unwrap(), 100);
+    });
+}
+
+#[test]
+fn consecutive_reduces_do_not_race() {
+    // each collective has a tag of its own, so a fast rank's next
+    // all-reduce never mixes into the one a slow rank is still finishing
+    on_both(3, |rank, ep| {
+        for round in 0..50u64 {
+            let got = ep.try_allreduce_sum_u64(round).unwrap();
+            assert_eq!(got, round * 3, "round {round} on rank {rank}");
+        }
+    });
+}
+
+#[test]
+fn max_reduce() {
+    // the maximum is the minimum of the bitwise complements, complemented
+    on_both(2, |rank, ep| {
+        let v: u64 = if rank == 0 { 7 } else { 3 };
+        assert_eq!(!ep.try_allreduce_min_u64(!v).unwrap(), 7);
+    });
+}
+
+#[test]
+fn f64_sum() {
+    on_both(2, |rank, ep| {
+        assert_eq!(ep.try_allreduce_sum_f64(0.5 + rank as f64).unwrap(), 2.0);
+    });
+}
+
+#[test]
+fn poison_fails_waiters_and_later_arrivals() {
+    let is_net_closed = |r: dfo_types::Result<()>| matches!(r, Err(DfoError::NetClosed(_)));
+    on_both(2, |rank, ep| {
+        if rank == 1 {
+            // give the waiter time to block, then poison instead of arriving
+            std::thread::sleep(Duration::from_millis(20));
+            ep.poison_collective();
+        } else {
+            assert!(is_net_closed(ep.try_barrier()), "the blocked waiter must fail");
+        }
+        assert!(is_net_closed(ep.try_barrier()), "rank {rank}: a later barrier must fail");
+    });
+    // a one-rank mesh moves no frame in a collective, and fails it all the same
+    on_both(1, |_, ep| {
+        ep.poison_collective();
+        assert!(is_net_closed(ep.try_barrier()));
+        assert!(matches!(ep.try_allreduce_sum_u64(1), Err(DfoError::NetClosed(_))));
+    });
+}
+
+/// A barrier whose release reached a rank must be `Ok` there even when the
+/// rank that completed it last poisons the mesh the instant its own
+/// barrier returns. Rank 1 completes last on both backends: its release
+/// comes after rank 0 has sent every release. On the in-process backend
+/// rank 0 is checked as the poisoner too: its releases sit in the peers'
+/// queues before its barrier returns. (Over TCP they may still sit in its
+/// writer queues, which a poison shuts down.)
+#[test]
+fn completed_barrier_is_ok_even_if_the_last_arriver_poisons_at_once() {
+    for (backend, poisoners, rounds) in [(Backend::Sim, 0..2, 1000), (Backend::Tcp, 1..2, 20)] {
+        for poisoner in poisoners {
+            for round in 0..rounds {
+                with_mesh(backend, 2, |rank, ep| {
+                    let done = ep.try_barrier();
+                    if rank == poisoner {
+                        ep.poison_collective();
+                    }
+                    assert!(done.is_ok(), "round {round}, rank {rank}: completed barrier failed");
+                });
+            }
+        }
+    }
 }

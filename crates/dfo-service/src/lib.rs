@@ -46,9 +46,9 @@
 //! events go*:
 //!
 //! * [`Service`] — in-process. Each attempt runs through
-//!   [`dfo_core::Cluster::run_scoped`] on a fresh simulated mesh (whose
-//!   collectives ignore tags, so it cannot host overlapping jobs on one
-//!   mesh — and needs no overlap cap); the submitter holds a [`JobHandle`].
+//!   [`dfo_core::Cluster::run_scoped`] on a fresh simulated mesh, because a
+//!   failed attempt poisons its mesh (so attempts share no mesh, and need
+//!   no overlap cap); the submitter holds a [`JobHandle`].
 //! * [`Daemon`] + [`DfoClient`] — one process per rank over a resident TCP
 //!   mesh. Rank 0 fans each admitted attempt out to the peers and every
 //!   rank runs it through [`dfo_core::ResidentMesh::run_job_as`] in the

@@ -28,9 +28,9 @@ use std::sync::Arc;
 ///
 /// `Service` is cheap to share behind an `Arc`; all methods take `&self`.
 pub struct Service {
-    /// The shared executor core. The in-process transport's collectives
-    /// ignore tags, so every attempt runs on a fresh simulated mesh and the
-    /// overlap cap is unbounded (`mem_budget` alone gates admission).
+    /// The shared executor core. A failed attempt poisons its mesh, so
+    /// every attempt runs on a fresh simulated mesh and the overlap cap is
+    /// unbounded (`mem_budget` alone gates admission).
     core: Arc<Executor>,
 }
 

@@ -39,7 +39,7 @@ ratchet() {
 }
 ratchet 5396 dfo-core dfo-service
 ratchet 3070 dfo-types dfo-part
-ratchet 2707 dfo-net dfo-obs
+ratchet 2432 dfo-net dfo-obs
 ratchet 3469 dfo-storage
 
 # Failure is a value: a collective returns its mesh failure as an error,
